@@ -14,13 +14,5 @@ fn main() {
     let quick = rsr_bench::quick_flag();
     let mut bench = BenchReport::new("churn", quick);
     let report = churn::extend(&mut bench, quick);
-    match rsr_bench::json_out("BENCH_churn.json") {
-        Some(path) => {
-            std::fs::write(&path, bench.to_json())
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-            eprintln!("wrote {}", path.display());
-            println!("{report}");
-        }
-        None => println!("{report}"),
-    }
+    rsr_bench::emit("BENCH_churn.json", &report, &bench);
 }

@@ -6,14 +6,6 @@
 
 fn main() {
     let quick = rsr_bench::quick_flag();
-    match rsr_bench::json_out("BENCH_gap.json") {
-        Some(path) => {
-            let (report, bench) = rsr_bench::experiments::gap::run_with_json(quick);
-            std::fs::write(&path, bench.to_json())
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-            eprintln!("wrote {}", path.display());
-            println!("{report}");
-        }
-        None => println!("{}", rsr_bench::experiments::gap::run(quick)),
-    }
+    let (report, bench) = rsr_bench::experiments::gap::run_with_json(quick);
+    rsr_bench::emit("BENCH_gap.json", &report, &bench);
 }

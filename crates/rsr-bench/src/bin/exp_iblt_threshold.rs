@@ -11,13 +11,5 @@ fn main() {
     let section = rsr_bench::experiments::riblt_error::extend(&mut bench, quick);
     report.push_str("\n\n");
     report.push_str(&section);
-    match rsr_bench::json_out("BENCH_iblt.json") {
-        Some(path) => {
-            std::fs::write(&path, bench.to_json())
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-            eprintln!("wrote {}", path.display());
-            println!("{report}");
-        }
-        None => println!("{report}"),
-    }
+    rsr_bench::emit("BENCH_iblt.json", &report, &bench);
 }

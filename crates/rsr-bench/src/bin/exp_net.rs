@@ -71,15 +71,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         eprintln!("wrote {}", path.display());
     }
-    match rsr_bench::json_out("BENCH_net.json") {
-        Some(path) => {
-            std::fs::write(&path, bench.to_json())
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-            eprintln!("wrote {}", path.display());
-            println!("{report}");
-        }
-        None => println!("{report}"),
-    }
+    rsr_bench::emit("BENCH_net.json", &report, &bench);
 }
 
 fn parse_metrics_out(args: &[String]) -> Option<PathBuf> {

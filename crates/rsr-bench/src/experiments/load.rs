@@ -22,10 +22,10 @@
 
 use crate::benchjson::BenchReport;
 use crate::experiments::net::{Instance, InstanceFactory};
-use crate::hist::{LogHistogram, DEFAULT_SUB_BITS};
 use crate::loadgen::{self, Arrival};
 use crate::table::Table;
 use rsr_net::{Driver, ReconServer, SessionPlan};
+use rsr_obs::hist::{LogHistogram, DEFAULT_SUB_BITS};
 use rsr_workloads::trace::{sample_trace_with, TraceMix};
 use std::sync::Arc;
 use std::time::Duration;
@@ -320,7 +320,7 @@ pub fn run_cell(cell: &LoadCell, seed: u64) -> CellResult {
 }
 
 /// Runs the sweep with default options, discarding the JSON keys — the
-/// `run_all`/report entry point.
+/// `rsr-exp load` / full-report entry point.
 pub fn run(quick: bool) -> String {
     let mut bench = BenchReport::new("net", quick);
     extend(&mut bench, quick, &LoadOptions::default())

@@ -4,11 +4,12 @@
 //! (T1–T12 and F1 reproduce the paper's evaluation; N1 and P1 measure
 //! the transport and solver layers this repo added). Every experiment is
 //! a pure function `run(quick: bool) -> String` returning a markdown
-//! section, so the same code backs the per-experiment binaries (`cargo
-//! run --release -p rsr-bench --bin exp_<name>`), the `run_all` binary
-//! that regenerates the full report, and the smoke tests. Four of them
-//! also emit machine-readable `BENCH_*.json` reports that CI gates
-//! against committed baselines (see docs/benchmarks.md).
+//! section, listed in [`experiments::all`]. One binary runs any of them
+//! by name, or all of them as the full report (`cargo run --release -p
+//! rsr-bench --bin rsr-exp -- <name>|all`); the six `exp_*` binaries
+//! are the ones that also [`emit`] machine-readable `BENCH_*.json`
+//! reports, which CI gates against committed baselines (see
+//! docs/benchmarks.md).
 //!
 //! `quick` mode shrinks trial counts so the whole suite stays in CI
 //! budgets; the full mode is what EXPERIMENTS.md reports.
@@ -18,16 +19,10 @@ pub mod experiments;
 pub mod loadgen;
 pub mod table;
 
-/// Log-bucketed histograms, now provided by `rsr-obs` (the observability
-/// layer needs them below `rsr-core` in the dependency graph); re-exported
-/// here so load-harness callers keep their `rsr_bench::hist::…` paths.
-pub use rsr_obs::hist;
-
 pub use benchjson::{
     latency_regressions, regressions, success_regressions, thread_regressions, BenchReport,
     Regression,
 };
-pub use hist::LogHistogram;
 pub use loadgen::Arrival;
 pub use table::Table;
 
@@ -64,4 +59,17 @@ pub fn json_out(default_name: &str) -> Option<std::path::PathBuf> {
         }
     }
     wanted.then(|| path.unwrap_or_else(|| std::path::PathBuf::from(default_name)))
+}
+
+/// The tail every JSON-emitting `exp_*` binary shares: prints the
+/// markdown `report`, after writing `bench` where [`json_out`] says —
+/// nowhere unless `--json`/`--json-out` was passed. An unwritable path
+/// fails the run instead of passing silently.
+pub fn emit(default_name: &str, report: &str, bench: &BenchReport) {
+    if let Some(path) = json_out(default_name) {
+        std::fs::write(&path, bench.to_json())
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        eprintln!("wrote {}", path.display());
+    }
+    println!("{report}");
 }

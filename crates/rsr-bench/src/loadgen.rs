@@ -15,8 +15,8 @@
 //! inflicted on a punctual client (the coordinated-omission rule; see
 //! `docs/loadgen.md`). This module only owns the schedule side:
 //! [`schedule`] produces the offsets, [`offered_rate`] reports the rate a
-//! schedule actually encodes, and `rsr-net`'s
-//! `ReconClient::run_load` does the paced injection and timestamping.
+//! schedule actually encodes, and `rsr-net`'s `Driver::load` does the
+//! paced injection and timestamping.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

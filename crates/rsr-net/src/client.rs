@@ -1,6 +1,7 @@
-//! [`ReconClient`] and [`MultiClient`]: batch many Alice sessions over
-//! one or many connections, all driven by **one** shared session
-//! executor behind the readiness reactor.
+//! The client's round engine: [`run_round`] drives every session of a
+//! round, on every pooled connection, over **one** shared session
+//! executor behind the readiness reactor, and writes the
+//! [`RunReport`]s the [`Driver`](crate::Driver) surface returns.
 //!
 //! The client plays **Alice** for every session it runs. A round first
 //! `OPEN`s every session — each `OPEN` optionally carrying a negotiated
@@ -16,25 +17,27 @@
 //! writer threads: a client drives C connections with `1 + shards`
 //! threads total.
 //!
+//! The loop itself keeps only what is cross-connection — the executor
+//! scope, the executor-id routes, the poller, the termination test.
+//! Everything per-connection is a phase on [`RoundConn`], run in a
+//! fixed order each iteration: inject what is due, apply executor
+//! events, flush and sweep deadlines, contribute poll interest, drain a
+//! readable socket, and finally turn into the connection's report.
+//!
 //! Failure is scoped tightly. A session-level failure (local decode
 //! error, server error status) marks that one session failed and the
 //! round carries on. A *connection*-level failure — abrupt disconnect,
 //! truncated record, idle timeout — settles every unsettled session on
 //! that connection with an error, closes their local halves so each
-//! reports in (the blocking design instead deadlocked waiting on
-//! them), and leaves every other connection's sessions untouched. The
-//! single-connection [`ReconClient`] surfaces a connection failure as
-//! the batch-level `Err` it always did — but as a returned error, never
-//! a `join().expect` panic.
-//!
-//! [`MultiClient`] keeps its connections alive between rounds: call
-//! [`MultiClient::run_batches`] repeatedly to keep injecting new
-//! session batches on live connections, then [`MultiClient::finish`]
-//! to half-close and drain them.
+//! reports in, and leaves every other connection's sessions untouched;
+//! it is that connection's
+//! [`transport_error`](RunReport::transport_error), never a call-level
+//! `Err`. Connections stay pooled between rounds; one that failed or
+//! was closed by the server drops out of the pool.
 
 use crate::codec::{NetError, Record, SessionSpec, STATUS_OK, STATUS_SESSION_ERROR};
-use crate::executor::{default_shards, PLACEMENT_SEED};
-use crate::reactor::{ConnIo, READ_CHUNK};
+use crate::driver::{RunReport, RunSession};
+use crate::reactor::{ConnIo, PLACEMENT_SEED, READ_CHUNK};
 use crate::server::NetSession;
 use netpoll::{PollFd, Poller, POLLIN};
 use rsr_core::continuous::{AliceRound, ContinuousError, SharedParty};
@@ -42,168 +45,9 @@ use rsr_core::executor::{with_executor_notified, ExecEvent, Injector, Notify};
 use rsr_core::transcript::{Party, Transcript};
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One session's client-side record within a [`BatchReport`].
-#[derive(Clone, Debug)]
-pub struct SessionReport {
-    /// The session id used on the wire.
-    pub id: u64,
-    /// Both directions of the session's traffic with measured bit sizes —
-    /// entry-for-entry the transcript the in-memory driver produces.
-    pub transcript: Transcript,
-    /// `None` if both halves completed; the first error otherwise.
-    pub error: Option<String>,
-}
-
-impl SessionReport {
-    /// True when both the local Alice half and the server's Bob half
-    /// finished cleanly.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
-}
-
-/// What one round did on one connection.
-#[derive(Debug, Default)]
-pub struct BatchReport {
-    /// Per-session reports, in the order the batch supplied them.
-    pub sessions: Vec<SessionReport>,
-    /// Frames sent to the server (all sessions).
-    pub frames_out: usize,
-    /// Frames received from the server and routed to a known session id
-    /// (all sessions). Counted at routing time, before the executor
-    /// decides whether the session is still live, so a frame racing a
-    /// session's failure is counted even though the worker drops it as
-    /// stale.
-    pub frames_in: usize,
-    /// Raw bytes written, record headers included.
-    pub wire_bytes_out: u64,
-    /// Raw bytes read, record headers included.
-    pub wire_bytes_in: u64,
-    /// The connection-level failure, when this connection's transport
-    /// died mid-round (every unsettled session then carries a matching
-    /// per-session error). `None` for an orderly round — including one
-    /// where the server closed cleanly before every session settled.
-    pub transport_error: Option<NetError>,
-}
-
-impl BatchReport {
-    /// Sessions that completed on both endpoints.
-    pub fn completed(&self) -> usize {
-        self.sessions.iter().filter(|s| s.is_ok()).count()
-    }
-
-    /// Sessions that failed (locally or server-side).
-    pub fn failed(&self) -> usize {
-        self.sessions.len() - self.completed()
-    }
-
-    /// Total payload bits across every session transcript.
-    pub fn payload_bits(&self) -> u64 {
-        self.sessions
-            .iter()
-            .map(|s| s.transcript.total_bits())
-            .sum()
-    }
-}
-
-/// One session's client-side record within a [`LoadReport`]: the batch
-/// fields plus the open-loop timing the load harness needs.
-#[derive(Clone, Debug)]
-pub struct LoadSessionReport {
-    /// The session id used on the wire.
-    pub id: u64,
-    /// When this session was *scheduled* to arrive, as an offset from the
-    /// run's start — fixed before the run by the arrival schedule.
-    pub scheduled: Duration,
-    /// When the generator actually injected it (OPEN queued, Alice half
-    /// submitted). `injected - scheduled` is the generator's own lag; a
-    /// large lag means the load loop itself could not keep up and the
-    /// cell's numbers should be treated with suspicion.
-    pub injected: Duration,
-    /// When the session fully settled (local half done *and* server
-    /// `DONE` received), as an offset from the run's start; `None` if it
-    /// never settled cleanly.
-    pub settled: Option<Duration>,
-    /// Both directions of the session's traffic with measured bit sizes.
-    pub transcript: Transcript,
-    /// `None` if both halves completed; the first error otherwise.
-    pub error: Option<String>,
-}
-
-impl LoadSessionReport {
-    /// True when both the local Alice half and the server's Bob half
-    /// finished cleanly.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
-
-    /// The session's open-loop latency: settle time minus *scheduled*
-    /// arrival. Measuring from the schedule (not the actual injection)
-    /// charges generator lag to the measurement instead of silently
-    /// forgiving it — the coordinated-omission rule (docs/loadgen.md).
-    pub fn latency(&self) -> Option<Duration> {
-        self.settled.map(|s| s.saturating_sub(self.scheduled))
-    }
-}
-
-/// What one open-loop run did on one connection.
-#[derive(Debug, Default)]
-pub struct LoadReport {
-    /// Per-session reports, in schedule order.
-    pub sessions: Vec<LoadSessionReport>,
-    /// From the run's start to the last session settling (or to the loop
-    /// ending, when sessions failed).
-    pub elapsed: Duration,
-    /// Frames sent to the server (all sessions).
-    pub frames_out: usize,
-    /// Frames received from the server and routed to a known session id.
-    pub frames_in: usize,
-    /// Raw bytes written, record headers included.
-    pub wire_bytes_out: u64,
-    /// Raw bytes read, record headers included.
-    pub wire_bytes_in: u64,
-    /// The connection-level failure, when this connection's transport
-    /// died mid-run; see [`BatchReport::transport_error`].
-    pub transport_error: Option<NetError>,
-}
-
-impl LoadReport {
-    /// Sessions that completed on both endpoints.
-    pub fn completed(&self) -> usize {
-        self.sessions.iter().filter(|s| s.is_ok()).count()
-    }
-
-    /// Sessions that failed (locally or server-side).
-    pub fn failed(&self) -> usize {
-        self.sessions.len() - self.completed()
-    }
-
-    /// The achieved completion rate in sessions/sec: completed sessions
-    /// over the run's elapsed span (0 for an empty or instant run).
-    pub fn achieved_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.completed() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// The largest `injected - scheduled` lag across the run — the
-    /// generator's own tardiness, reported so a cell can prove its
-    /// open-loop numbers are trustworthy.
-    pub fn max_inject_lag(&self) -> Duration {
-        self.sessions
-            .iter()
-            .map(|s| s.injected.saturating_sub(s.scheduled))
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-}
 
 /// One session a round will run: its wire id, the Alice half, and an
 /// optional [`SessionSpec`] to carry on the `OPEN` so the server builds
@@ -287,52 +131,6 @@ impl<'s> SessionPlan<'s> {
     }
 }
 
-/// Client-side bookkeeping for one session of a round.
-struct ClientSlot {
-    id: u64,
-    /// `Some(r)` for a continuous round plan: the slot settles on the
-    /// server's `ROUND` ack for exactly round `r`, not on `DONE`.
-    round: Option<u32>,
-    transcript: Transcript,
-    error: Option<String>,
-    /// The server said `DONE` (or we abandoned / lost the connection):
-    /// nothing further is expected on the wire for it.
-    settled: bool,
-    /// The executor reported the local Alice half finished, failed, or
-    /// stranded — its transcript has been collected. (Also set directly
-    /// for sessions that were never injected.)
-    local_done: bool,
-    /// The instant both of the above became true — the session's settle
-    /// time. Stamped once, inside the event loop, so load mode can report
-    /// per-session latency; batch mode ignores it.
-    settled_at: Option<Instant>,
-}
-
-impl ClientSlot {
-    fn new(id: u64, round: Option<u32>) -> ClientSlot {
-        ClientSlot {
-            id,
-            round,
-            transcript: Transcript::new(),
-            error: None,
-            settled: false,
-            local_done: false,
-            settled_at: None,
-        }
-    }
-
-    fn resolved(&self) -> bool {
-        self.settled && self.local_done
-    }
-
-    /// Stamps the settle time on the transition to fully-settled.
-    fn note_progress(&mut self) {
-        if self.settled && self.local_done && self.settled_at.is_none() {
-            self.settled_at = Some(Instant::now());
-        }
-    }
-}
-
 /// Per-session error when the transport under it died.
 const FAILED_BEFORE_SETTLE: &str = "connection failed before session settled";
 /// Per-session error when the server closed cleanly first.
@@ -341,75 +139,18 @@ const CLOSED_BEFORE_SETTLE: &str = "connection closed before session settled";
 /// How long a round keeps trying to drain already-queued output after
 /// every session resolved, before giving the connection up as wedged.
 const FLUSH_GRACE: Duration = Duration::from_secs(5);
-/// How long [`MultiClient::finish`] waits for the server's EOFs.
+/// How long [`drain_pool`] waits for the server's EOFs.
 const FINISH_GRACE: Duration = Duration::from_secs(5);
 
-/// One connection's plan for a round: the sessions plus, in open-loop
-/// mode, the arrival schedule.
-struct RoundPlan<'s> {
-    sessions: Vec<SessionPlan<'s>>,
-    schedule: Option<Vec<Duration>>,
-}
-
-/// One connection's state while a round runs.
-struct RoundConn<'s> {
-    slots: Vec<ClientSlot>,
-    wire_to_slot: HashMap<u64, usize>,
-    /// Slot index → executor id, once injected.
-    exec_of_slot: Vec<Option<u64>>,
-    pending: std::vec::IntoIter<SessionPlan<'s>>,
-    schedule: Option<Vec<Duration>>,
-    next_up: usize,
-    injected: Vec<Option<Duration>>,
-    frames_in: usize,
-    frames_out: usize,
-    base_in: u64,
-    base_out: u64,
-    /// First transport-level failure on this connection.
-    transport_error: Option<NetError>,
-    /// Socket unusable after a failure.
-    dead: bool,
-    /// The server closed its side cleanly (no failure, but the
-    /// connection is spent).
-    eof_clean: bool,
-    /// Set when every slot resolved but output is still draining.
-    flush_deadline: Option<Instant>,
-}
-
-impl RoundConn<'_> {
-    fn usable(&self) -> bool {
-        !self.dead && !self.eof_clean
-    }
-
-    /// Sessions injected on the wire and not yet settled — the ones an
-    /// idle deadline protects.
-    fn in_flight(&self) -> bool {
-        self.slots[..self.next_up].iter().any(|s| !s.settled)
-    }
-
-    fn all_resolved(&self) -> bool {
-        self.slots.iter().all(ClientSlot::resolved)
-    }
-}
-
-/// One connection's result of a round, before shaping into a
-/// [`BatchReport`] or [`LoadReport`].
-struct RoundOutcome {
-    slots: Vec<ClientSlot>,
-    injected: Vec<Option<Duration>>,
-    frames_in: usize,
-    frames_out: usize,
-    wire_bytes_in: u64,
-    wire_bytes_out: u64,
-    transport_error: Option<NetError>,
-}
+/// One connection's share of a round: its sessions plus, in open-loop
+/// mode, their arrival schedule.
+pub(crate) type ConnPlan<'s> = (Vec<SessionPlan<'s>>, Option<Vec<Duration>>);
 
 /// A pooled connection between rounds.
-struct PoolConn {
-    io: Option<ConnIo>,
-    /// Why `io` is `None` — surfaced when a later round still names
-    /// this connection.
-    closed_reason: Option<String>,
+pub(crate) struct PoolConn {
+    /// The live socket, or why it is gone — surfaced when a later round
+    /// still names this connection.
+    link: Result<ConnIo, String>,
     /// Session ids ever used on this connection; reuse would collide
     /// with the server's per-connection id map.
     used: HashSet<u64>,
@@ -418,80 +159,54 @@ struct PoolConn {
     continuous: HashSet<u64>,
 }
 
-/// Marks a connection failed mid-round: kills the socket, settles every
-/// unsettled session with an error, and closes each injected session's
-/// local half so it reports in. The close is what lets the round
-/// terminate — the blocking design left those halves waiting forever.
-fn fail_conn(
-    rc: &mut RoundConn<'_>,
-    io: Option<&mut ConnIo>,
-    injector: &Injector<'_>,
-    e: NetError,
-) {
-    let msg = format!("{FAILED_BEFORE_SETTLE}: {e}");
-    if rc.transport_error.is_none() {
-        rc.transport_error = Some(e);
+impl PoolConn {
+    pub(crate) fn new(stream: TcpStream) -> io::Result<PoolConn> {
+        Ok(PoolConn {
+            link: Ok(ConnIo::new(stream)?),
+            used: HashSet::new(),
+            continuous: HashSet::new(),
+        })
     }
-    rc.dead = true;
-    if rsr_obs::enabled() {
-        let unsettled = rc.slots.iter().filter(|s| !s.settled).count();
-        rsr_obs::global_ring().push(
-            "net_client_conn_failed",
-            unsettled as u64,
-            io.as_ref().map_or(0, |io| io.wire_bytes_in),
-        );
-    }
-    if let Some(io) = io {
-        io.kill();
-    }
-    settle_leftovers(rc, injector, &msg);
-}
 
-/// The server closed its side cleanly; anything unsettled becomes a
-/// per-session error but the round (and report) stays `Ok`.
-fn close_conn_clean(rc: &mut RoundConn<'_>, injector: &Injector<'_>) {
-    rc.eof_clean = true;
-    settle_leftovers(rc, injector, CLOSED_BEFORE_SETTLE);
-}
+    /// Still usable for further rounds.
+    pub(crate) fn is_live(&self) -> bool {
+        self.link.is_ok()
+    }
 
-fn settle_leftovers(rc: &mut RoundConn<'_>, injector: &Injector<'_>, msg: &str) {
-    for (idx, slot) in rc.slots.iter_mut().enumerate() {
-        if slot.settled {
-            continue;
+    /// Retires a continuous session: sends `DONE` under its id so the
+    /// server drops the resident party, and frees the id's continuous
+    /// standing on this connection. Queued output is flushed best-effort
+    /// here and drains fully on the next round or in [`drain_pool`].
+    pub(crate) fn retire(&mut self, id: u64) -> Result<(), NetError> {
+        if !self.continuous.remove(&id) {
+            return Err(NetError::Malformed(
+                "id is not open as a continuous session on this connection",
+            ));
         }
-        slot.settled = true;
-        slot.error.get_or_insert_with(|| msg.to_owned());
-        match rc.exec_of_slot[idx] {
-            // Stale closes (local half already finished) are no-ops.
-            // This is a failure path, so the owned reason is fine.
-            Some(exec) => {
-                injector.close(exec, msg.to_owned());
-            }
-            // Never injected: there is no local half to wait for.
-            None => slot.local_done = true,
-        }
-        slot.note_progress();
+        // A dead connection already took the server-side state with it.
+        let Ok(io) = self.link.as_mut() else {
+            return Ok(());
+        };
+        io.queue(&Record::Done {
+            session: id,
+            status: STATUS_OK,
+            message: String::new(),
+        })?;
+        io.try_flush()
     }
 }
 
-/// The round driver: injects each connection's sessions (on schedule in
-/// open-loop mode, immediately otherwise), routes wire records and
-/// executor events, and runs until every session on every connection is
-/// resolved. Returns per-connection outcomes plus the shared clock —
-/// `Err` only for argument errors and poller setup, never for
-/// connection failures (those are per-connection outcomes).
-fn drive_rounds<'s>(
-    pool: &mut [PoolConn],
-    plans: Vec<RoundPlan<'s>>,
-    shards: usize,
-    idle_timeout: Option<Duration>,
-) -> Result<(Vec<RoundOutcome>, Instant, Duration), NetError> {
+/// Validates a whole call — every plan on every connection — and
+/// changes nothing: ids are committed by [`RoundConn::new`] only once
+/// the call is accepted, so a refused call leaves the pool exactly as
+/// it was and a corrected retry may name the same ids.
+fn admit(pool: &[PoolConn], plans: &[ConnPlan<'_>]) -> Result<(), NetError> {
     if plans.len() != pool.len() {
         return Err(NetError::Malformed("one session plan per connection"));
     }
-    for (conn, plan) in pool.iter_mut().zip(&plans) {
-        if let Some(schedule) = &plan.schedule {
-            if schedule.len() != plan.sessions.len() {
+    for (conn, (sessions, schedule)) in pool.iter().zip(plans) {
+        if let Some(schedule) = schedule {
+            if schedule.len() != sessions.len() {
                 return Err(NetError::Malformed(
                     "arrival schedule length must match session count",
                 ));
@@ -502,84 +217,566 @@ fn drive_rounds<'s>(
                 ));
             }
         }
-        let mut seen = HashSet::with_capacity(plan.sessions.len());
-        for s in &plan.sessions {
+        let mut seen = HashSet::with_capacity(sessions.len());
+        for s in sessions {
             if !seen.insert(s.id) {
                 return Err(NetError::Malformed("duplicate session id in batch"));
             }
-            let fresh = conn.used.insert(s.id);
-            match s.round {
+            let continuous_spec = s.spec.as_ref().is_some_and(|spec| spec.continuous);
+            let refusal = match s.round {
                 // One-shot sessions and continuous opens burn a fresh id.
-                None | Some(0) => {
-                    if !fresh {
-                        return Err(NetError::Malformed("session id reused on this connection"));
-                    }
+                None | Some(0) if conn.used.contains(&s.id) => {
+                    "session id reused on this connection"
                 }
+                Some(0) if !continuous_spec => "continuous round 0 needs a spec marked continuous",
+                None if continuous_spec => "a continuous spec needs a round index on its plan",
                 // Later rounds are the sanctioned reuse — but only of an
                 // id this connection actually opened as continuous.
-                Some(_) => {
-                    if !conn.continuous.contains(&s.id) {
-                        return Err(NetError::Malformed(
-                            "continuous round for a session this connection never opened",
-                        ));
-                    }
+                Some(1..) if !conn.continuous.contains(&s.id) => {
+                    "continuous round for a session this connection never opened"
                 }
-            }
+                _ => continue,
+            };
+            return Err(NetError::Malformed(refusal));
+        }
+    }
+    Ok(())
+}
+
+/// Engine-side state of one session of a round, beside the
+/// [`RunSession`] the report carries for it.
+struct Slot {
+    /// `Some(r)` for a continuous round plan: the slot settles on the
+    /// server's `ROUND` ack for exactly round `r`, not on `DONE`.
+    round: Option<u32>,
+    /// Its executor id, once injected.
+    exec: Option<u64>,
+    /// The server said `DONE` (or we abandoned / lost the connection):
+    /// nothing further is expected on the wire for it.
+    settled: bool,
+    /// The executor reported the local Alice half finished, failed, or
+    /// stranded — its transcript has been collected. (Also set directly
+    /// for sessions that were never injected.)
+    local_done: bool,
+}
+
+impl Slot {
+    fn resolved(&self) -> bool {
+        self.settled && self.local_done
+    }
+}
+
+/// Sessions already on the wire (`injected` = the slots before
+/// `next_up`) and not yet settled — the ones an idle deadline protects.
+fn in_flight(injected: &[Slot]) -> bool {
+    injected.iter().any(|s| !s.settled)
+}
+
+fn all_resolved(slots: &[Slot]) -> bool {
+    slots.iter().all(Slot::resolved)
+}
+
+/// Executor id → (connection index, slot index). Wire ids are
+/// per-connection names; the shared executor needs unique ones, handed
+/// out in injection order.
+#[derive(Default)]
+struct Routes {
+    next_exec: u64,
+    live: HashMap<u64, (usize, usize)>,
+}
+
+impl Routes {
+    fn assign(&mut self, conn: usize, slot: usize) -> u64 {
+        let exec = self.next_exec;
+        self.next_exec += 1;
+        self.live.insert(exec, (conn, slot));
+        exec
+    }
+}
+
+/// One connection's state machine while a round runs. It borrows the
+/// pooled socket and writes the connection's [`RunReport`] in place.
+struct RoundConn<'p, 's> {
+    /// The socket, while this connection can carry traffic: `None` once
+    /// it failed or the server closed it — this round or an earlier one.
+    io: Option<&'p mut ConnIo>,
+    /// Why the connection leaves the pool after this round, if it does.
+    gone: Option<String>,
+    /// What the round returns for this connection.
+    report: RunReport,
+    /// Parallel to `report.sessions`.
+    slots: Vec<Slot>,
+    wire_to_slot: HashMap<u64, usize>,
+    pending: std::vec::IntoIter<SessionPlan<'s>>,
+    /// Open-loop arrival offsets from `t0`; `None` injects everything at
+    /// once and leaves the per-session timing fields unset.
+    schedule: Option<Vec<Duration>>,
+    next_up: usize,
+    /// The socket's byte counters when the round started.
+    base_in: u64,
+    base_out: u64,
+    /// Set when every slot resolved but output is still draining.
+    flush_deadline: Option<Instant>,
+    /// The round's shared clock.
+    t0: Instant,
+    idle_timeout: Option<Duration>,
+}
+
+impl<'p, 's> RoundConn<'p, 's> {
+    /// Commits an admitted plan's ids to the connection and sets up its
+    /// round. Sessions planned for a connection an earlier round lost
+    /// resolve at once with the reason it is gone.
+    fn new(
+        conn: &'p mut PoolConn,
+        (sessions, schedule): ConnPlan<'s>,
+        t0: Instant,
+        idle_timeout: Option<Duration>,
+    ) -> RoundConn<'p, 's> {
+        for s in &sessions {
+            conn.used.insert(s.id);
             if s.round == Some(0) {
-                if !s.spec.as_ref().is_some_and(|spec| spec.continuous) {
-                    return Err(NetError::Malformed(
-                        "continuous round 0 needs a spec marked continuous",
-                    ));
-                }
                 conn.continuous.insert(s.id);
-            } else if s.round.is_none() && s.spec.as_ref().is_some_and(|spec| spec.continuous) {
-                return Err(NetError::Malformed(
-                    "a continuous spec needs a round index on its plan",
-                ));
+            }
+        }
+        let (io, lost) = match &mut conn.link {
+            Ok(io) => (Some(io), None),
+            Err(why) => (None, Some(why.clone())),
+        };
+        let report = RunReport {
+            sessions: sessions
+                .iter()
+                .enumerate()
+                .map(|(i, s)| RunSession {
+                    id: s.id,
+                    transcript: Transcript::new(),
+                    error: lost.clone(),
+                    scheduled: schedule.as_ref().map(|at| at[i]),
+                    injected: None,
+                    settled: None,
+                })
+                .collect(),
+            ..RunReport::default()
+        };
+        let slots = sessions
+            .iter()
+            .map(|s| Slot {
+                round: s.round,
+                exec: None,
+                settled: lost.is_some(),
+                local_done: lost.is_some(),
+            })
+            .collect();
+        RoundConn {
+            base_in: io.as_ref().map_or(0, |io| io.wire_bytes_in),
+            base_out: io.as_ref().map_or(0, |io| io.wire_bytes_out),
+            io,
+            gone: None,
+            report,
+            slots,
+            wire_to_slot: sessions
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (s.id, i))
+                .collect(),
+            pending: sessions.into_iter(),
+            schedule,
+            next_up: 0,
+            flush_deadline: None,
+            t0,
+            idle_timeout,
+        }
+    }
+
+    /// Stamps slot `s`'s settle time on its transition to fully
+    /// settled. Open-loop only: batch runs report no per-session timing.
+    fn note_progress(&mut self, s: usize) {
+        let session = &mut self.report.sessions[s];
+        if self.schedule.is_some() && self.slots[s].resolved() && session.settled.is_none() {
+            session.settled = Some(self.t0.elapsed());
+        }
+    }
+
+    /// Queues `record` unless the connection is already gone.
+    fn queue(&mut self, record: &Record) -> Result<(), NetError> {
+        match self.io.as_deref_mut() {
+            Some(io) => io.queue(record),
+            None => Ok(()),
+        }
+    }
+
+    /// Reports the bytes the socket moved since the round started.
+    fn tally(&mut self, io: &ConnIo) {
+        self.report.wire_bytes_in = io.wire_bytes_in - self.base_in;
+        self.report.wire_bytes_out = io.wire_bytes_out - self.base_out;
+    }
+
+    /// Stops using the socket: its byte counts go into the report and
+    /// the pool is told `why` the connection left it.
+    fn unlink(&mut self, why: String) -> Option<&'p mut ConnIo> {
+        let io = self.io.take()?;
+        self.tally(io);
+        self.gone = Some(why);
+        Some(io)
+    }
+
+    /// Marks the connection failed mid-round: kills the socket, settles
+    /// every unsettled session with an error, and closes each injected
+    /// session's local half so it reports in. The close is what lets the
+    /// round terminate instead of waiting on those halves forever. A
+    /// connection that is already gone has nothing left to fail.
+    fn fail(&mut self, injector: &Injector<'_>, e: NetError) {
+        let Some(io) = self.unlink(e.to_string()) else {
+            return;
+        };
+        if rsr_obs::enabled() {
+            let unsettled = self.slots.iter().filter(|s| !s.settled).count();
+            rsr_obs::global_ring().push(
+                "net_client_conn_failed",
+                unsettled as u64,
+                io.wire_bytes_in,
+            );
+        }
+        io.kill();
+        let msg = format!("{FAILED_BEFORE_SETTLE}: {e}");
+        self.report.transport_error = Some(e);
+        self.settle_leftovers(injector, &msg);
+    }
+
+    /// The server closed its side cleanly; anything unsettled becomes a
+    /// per-session error but the report carries no transport error.
+    fn close_clean(&mut self, injector: &Injector<'_>) {
+        if self.unlink("connection closed by server".into()).is_some() {
+            self.settle_leftovers(injector, CLOSED_BEFORE_SETTLE);
+        }
+    }
+
+    fn settle_leftovers(&mut self, injector: &Injector<'_>, msg: &str) {
+        for s in 0..self.slots.len() {
+            let slot = &mut self.slots[s];
+            if slot.settled {
+                continue;
+            }
+            slot.settled = true;
+            match slot.exec {
+                // Stale closes (local half already finished) are no-ops.
+                // This is a failure path, so the owned reason is fine.
+                Some(exec) => {
+                    injector.close(exec, msg.to_owned());
+                }
+                // Never injected: there is no local half to wait for.
+                None => slot.local_done = true,
+            }
+            self.report.sessions[s]
+                .error
+                .get_or_insert_with(|| msg.to_owned());
+            self.note_progress(s);
+        }
+    }
+
+    /// Phase 1: injects every session that is due (all of them at once
+    /// without a schedule). Submit before queueing `OPEN`: were `OPEN`
+    /// flushed first, the server could answer before the executor knows
+    /// the id.
+    fn inject_due(&mut self, conn: usize, routes: &mut Routes, injector: &mut Injector<'s>) {
+        let elapsed = self.t0.elapsed();
+        while self.next_up < self.slots.len() {
+            let Some(io) = self.io.as_deref_mut() else {
+                return;
+            };
+            let s = self.next_up;
+            if self.schedule.as_ref().is_some_and(|at| elapsed < at[s]) {
+                return;
+            }
+            let plan = self.pending.next().expect("pending matches slots");
+            let exec = routes.assign(conn, s);
+            self.slots[s].exec = Some(exec);
+            injector.submit(exec, Party::Alice, plan.session);
+            io.last_activity = Instant::now();
+            if self.schedule.is_some() {
+                self.report.sessions[s].injected = Some(self.t0.elapsed());
+            }
+            self.next_up += 1;
+            // A one-shot session OPENs; a continuous round 0 OPENs (spec
+            // marked continuous) then announces round 0; a later round
+            // sends only ROUND — the id is already resident on the
+            // server.
+            let mut queued = Ok(());
+            if matches!(plan.round, None | Some(0)) {
+                queued = io.queue(&Record::Open {
+                    session: plan.id,
+                    spec: plan.spec,
+                });
+            }
+            if let (Ok(()), Some(round)) = (&queued, plan.round) {
+                queued = io.queue(&Record::Round {
+                    session: plan.id,
+                    round,
+                });
+            }
+            if let Err(e) = queued {
+                self.fail(injector, e);
             }
         }
     }
 
-    let mut state: Vec<RoundConn<'s>> = Vec::with_capacity(plans.len());
-    for (conn, plan) in pool.iter().zip(plans) {
-        let n = plan.sessions.len();
-        let slots: Vec<ClientSlot> = plan
-            .sessions
-            .iter()
-            .map(|s| ClientSlot::new(s.id, s.round))
-            .collect();
-        let wire_to_slot = plan
-            .sessions
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id, i))
-            .collect();
-        let (base_in, base_out) = conn
-            .io
-            .as_ref()
-            .map_or((0, 0), |io| (io.wire_bytes_in, io.wire_bytes_out));
-        state.push(RoundConn {
-            slots,
-            wire_to_slot,
-            exec_of_slot: vec![None; n],
-            pending: plan.sessions.into_iter(),
-            schedule: plan.schedule,
-            next_up: 0,
-            injected: vec![None; n],
-            frames_in: 0,
-            frames_out: 0,
-            base_in,
-            base_out,
-            transport_error: None,
-            dead: false,
-            eof_clean: false,
-            flush_deadline: None,
-        });
+    /// Phase 2: applies one executor event for slot `s` — a frame to
+    /// send, or the local half reporting in.
+    fn on_event(&mut self, s: usize, ev: ExecEvent, injector: &Injector<'_>) {
+        let session = self.report.sessions[s].id;
+        let mut queued = Ok(());
+        match ev {
+            ExecEvent::Frame { frame, .. } => {
+                self.report.frames_out += 1;
+                queued = self.queue(&Record::Frame { session, frame });
+            }
+            ExecEvent::Done {
+                transcript, error, ..
+            } => {
+                self.slots[s].local_done = true;
+                self.report.sessions[s].transcript = transcript;
+                if let Some(e) = error {
+                    // A genuine local failure (not one relayed from a
+                    // server DONE — those arrive with `settled` already
+                    // set) abandons the session so a Bob blocked on
+                    // this Alice cannot wedge the connection.
+                    if !self.slots[s].settled {
+                        self.slots[s].settled = true;
+                        queued = self.queue(&Record::Done {
+                            session,
+                            status: STATUS_SESSION_ERROR,
+                            message: e.clone().into_owned(),
+                        });
+                    }
+                    self.report.sessions[s].error.get_or_insert(e.into_owned());
+                }
+                self.note_progress(s);
+            }
+            ExecEvent::Stranded { transcript, .. } => {
+                self.slots[s].local_done = true;
+                self.report.sessions[s].transcript = transcript;
+                self.report.sessions[s]
+                    .error
+                    .get_or_insert_with(|| CLOSED_BEFORE_SETTLE.into());
+                self.note_progress(s);
+            }
+            // The reactor injects nothing.
+            ExecEvent::Injected { .. } => {}
+        }
+        if let Err(e) = queued {
+            self.fail(injector, e);
+        }
     }
 
+    /// Phase 3: flushes queued output, then sweeps the idle deadline
+    /// and the post-resolution flush deadline.
+    fn flush_and_sweep(&mut self, now: Instant, injector: &Injector<'_>) {
+        let Some(io) = self.io.as_deref_mut() else {
+            return;
+        };
+        let timed_out =
+            |what: String| -> NetError { io::Error::new(io::ErrorKind::TimedOut, what).into() };
+        let mut failure = io.try_flush().err();
+        if let (None, Some(idle)) = (&failure, self.idle_timeout) {
+            if in_flight(&self.slots[..self.next_up])
+                && now.duration_since(io.last_activity) >= idle
+            {
+                failure = Some(timed_out(format!(
+                    "no wire activity for {idle:?} with sessions in flight"
+                )));
+            }
+        }
+        if failure.is_none() && all_resolved(&self.slots) && io.wants_write() {
+            let deadline = *self.flush_deadline.get_or_insert(now + FLUSH_GRACE);
+            if now >= deadline {
+                failure = Some(timed_out(
+                    "output stalled after every session resolved".into(),
+                ));
+            }
+        }
+        if let Some(e) = failure {
+            self.fail(injector, e);
+        }
+    }
+
+    /// The termination test's share: every slot resolved and, while the
+    /// connection lives, its output drained.
+    fn round_over(&self) -> bool {
+        all_resolved(&self.slots) && !self.io.as_deref().is_some_and(ConnIo::wants_write)
+    }
+
+    /// Phase 4: this connection's poll interest, with its nearest wake-up
+    /// — next scheduled arrival, idle deadline, flush deadline — folded
+    /// into `deadline`.
+    fn poll_interest(&self, deadline: &mut Option<Instant>) -> Option<PollFd> {
+        let io = self.io.as_deref()?;
+        let mut note = |at: Instant| *deadline = Some(deadline.map_or(at, |d| d.min(at)));
+        if let Some(schedule) = &self.schedule {
+            if self.next_up < self.slots.len() {
+                note(self.t0 + schedule[self.next_up]);
+            }
+        }
+        if let Some(idle) = self.idle_timeout {
+            if in_flight(&self.slots[..self.next_up]) {
+                note(io.last_activity + idle);
+            }
+        }
+        if let Some(flush) = self.flush_deadline {
+            note(flush);
+        }
+        let interest = io.interest();
+        (interest != 0).then(|| PollFd::new(io.fd(), interest))
+    }
+
+    /// Phase 5: drains a readable socket into the executor.
+    fn drain_readable(&mut self, scratch: &mut [u8], injector: &Injector<'_>) {
+        let Some(io) = self.io.as_deref_mut() else {
+            return;
+        };
+        let mut routed = io.fill(scratch);
+        while let (Ok(()), Some(io)) = (&routed, self.io.as_deref_mut()) {
+            routed = match io.next_record() {
+                Ok(Some(record)) => self.route_server_record(record, injector),
+                Ok(None) => break,
+                Err(e) => Err(e),
+            };
+        }
+        if let Err(e) = routed {
+            self.fail(injector, e);
+            return;
+        }
+        let Some(io) = self.io.as_deref().filter(|io| io.read_closed) else {
+            return;
+        };
+        match io.eof_truncation() {
+            Some(e) => self.fail(injector, e),
+            None => self.close_clean(injector),
+        }
+    }
+
+    /// Applies one server record. `Err` means the server violated the
+    /// record contract and the connection is done for.
+    fn route_server_record(
+        &mut self,
+        record: Record,
+        injector: &Injector<'_>,
+    ) -> Result<(), NetError> {
+        match record {
+            Record::Open { .. } => Err(NetError::Malformed("server sent an open record")),
+            Record::Frame { session, frame } => {
+                let (_, exec) = self.lookup(session)?;
+                self.report.frames_in += 1;
+                injector.deliver(exec, frame);
+                Ok(())
+            }
+            Record::Done {
+                session,
+                status,
+                message,
+            } => {
+                let (s, exec) = self.lookup(session)?;
+                self.slots[s].settled = true;
+                // Close the local half so it reports in even if it cannot
+                // finish on its own; the close is stale — a silent no-op —
+                // whenever the half already completed.
+                let reason = if status == STATUS_OK {
+                    "server finished but the local session is incomplete".to_owned()
+                } else {
+                    let e = format!("server status {status}: {message}");
+                    self.report.sessions[s]
+                        .error
+                        .get_or_insert_with(|| e.clone());
+                    e
+                };
+                injector.close(exec, reason);
+                self.note_progress(s);
+                Ok(())
+            }
+            Record::Round { session, round } => {
+                // The server acknowledges a settled continuous round by
+                // echoing the ROUND record (its keys frame, if any, was
+                // already on the wire before the ack). The local Alice half
+                // finishes on its own from that frame, so nothing is closed
+                // here — the slot just stops expecting wire traffic.
+                let (s, _) = self.lookup(session)?;
+                if self.slots[s].round != Some(round) {
+                    return Err(NetError::Malformed(
+                        "round ack for a round this batch is not driving",
+                    ));
+                }
+                self.slots[s].settled = true;
+                self.note_progress(s);
+                Ok(())
+            }
+        }
+    }
+
+    /// Resolves a wire session id to `(slot index, executor id)`; a
+    /// record for an id this round never injected is a contract
+    /// violation.
+    fn lookup(&self, wire: u64) -> Result<(usize, u64), NetError> {
+        self.wire_to_slot
+            .get(&wire)
+            .and_then(|&s| Some((s, self.slots[s].exec?)))
+            .ok_or(NetError::Malformed(
+                "record for a session id not in the batch",
+            ))
+    }
+
+    /// Phase 6: the connection's finished report, and why it leaves the
+    /// pool if it does. `loop_end` is when the round's loop ended on the
+    /// shared clock, `wall` the wall clock around the whole round.
+    fn finish(mut self, loop_end: Duration, wall: Duration) -> (RunReport, Option<String>) {
+        if let Some(io) = self.io.take() {
+            self.tally(io);
+        }
+        let mut report = self.report;
+        if self.schedule.is_none() {
+            report.elapsed = wall;
+            return (report, self.gone);
+        }
+        for session in &mut report.sessions {
+            if session.injected.is_none() {
+                session.injected = Some(loop_end);
+                session.error.get_or_insert_with(|| {
+                    "load run ended before this session was injected".into()
+                });
+            }
+        }
+        // The honest span: to the last settle when everything completed,
+        // to the loop's end when anything failed or never settled.
+        let last_settle = report.sessions.iter().filter_map(|s| s.settled).max();
+        report.elapsed = match last_settle {
+            Some(at) if report.failed() == 0 => at,
+            _ => loop_end,
+        };
+        (report, self.gone)
+    }
+}
+
+/// Runs one round: admits `plans` (one per pooled connection, in pool
+/// order), injects each connection's sessions — on schedule in
+/// open-loop mode, immediately otherwise — routes wire records and
+/// executor events, and runs until every session on every connection is
+/// resolved. Returns one report per connection; `Err` only for a
+/// refused call and poller setup, never for connection failures (those
+/// are per-connection outcomes). Connections that failed or were closed
+/// by the server drop out of the pool.
+pub(crate) fn run_round<'s>(
+    pool: &mut [PoolConn],
+    plans: Vec<ConnPlan<'s>>,
+    shards: usize,
+    idle_timeout: Option<Duration>,
+) -> Result<Vec<RunReport>, NetError> {
+    let entered = Instant::now();
+    admit(pool, &plans)?;
     let (mut poller, waker) = Poller::new()?;
     let notify: Notify = Arc::new(move || waker.wake());
     let t0 = Instant::now();
+    let mut state: Vec<RoundConn<'_, 's>> = pool
+        .iter_mut()
+        .zip(plans)
+        .map(|(conn, plan)| RoundConn::new(conn, plan, t0, idle_timeout))
+        .collect();
     let mut loop_end = Duration::ZERO;
 
     with_executor_notified(
@@ -587,199 +784,35 @@ fn drive_rounds<'s>(
         PLACEMENT_SEED,
         Some(notify),
         |_scope, mut injector, events| {
-            // Connections already closed by an earlier round: resolve
-            // their sessions immediately.
-            for (c, rc) in state.iter_mut().enumerate() {
-                if pool[c].io.is_none() {
-                    let reason = pool[c]
-                        .closed_reason
-                        .clone()
-                        .unwrap_or_else(|| "connection already closed".into());
-                    rc.eof_clean = true;
-                    for slot in &mut rc.slots {
-                        slot.settled = true;
-                        slot.local_done = true;
-                        slot.error.get_or_insert_with(|| reason.clone());
-                    }
-                }
-            }
-
-            // Executor id → (connection index, slot index). Wire ids are
-            // per-connection; the shared executor needs unique ids.
-            let mut routes: HashMap<u64, (usize, usize)> = HashMap::new();
-            let mut next_exec: u64 = 0;
+            let mut routes = Routes::default();
             let mut scratch = vec![0u8; READ_CHUNK];
             let mut fds: Vec<PollFd> = Vec::new();
             let mut fd_conns: Vec<usize> = Vec::new();
 
             loop {
-                // Inject everything that is due. Submit before queueing
-                // OPEN: were OPEN flushed first, the server could answer
-                // before the executor knows the id.
-                for c in 0..state.len() {
-                    let rc = &mut state[c];
-                    if !rc.usable() {
-                        continue;
-                    }
-                    let elapsed = t0.elapsed();
-                    while rc.next_up < rc.slots.len() {
-                        let due = match &rc.schedule {
-                            Some(schedule) => elapsed >= schedule[rc.next_up],
-                            None => true,
-                        };
-                        if !due {
-                            break;
-                        }
-                        let plan = rc.pending.next().expect("pending matches slots");
-                        let exec = next_exec;
-                        next_exec += 1;
-                        let slot_idx = rc.next_up;
-                        rc.exec_of_slot[slot_idx] = Some(exec);
-                        routes.insert(exec, (c, slot_idx));
-                        injector.submit(exec, Party::Alice, plan.session);
-                        let io = pool[c].io.as_mut().expect("usable conn has io");
-                        io.last_activity = Instant::now();
-                        rc.injected[slot_idx] = Some(t0.elapsed());
-                        rc.next_up += 1;
-                        // A one-shot session OPENs; a continuous round 0
-                        // OPENs (spec marked continuous) then announces
-                        // round 0; a later round sends only ROUND — the
-                        // id is already resident on the server.
-                        let queued = match plan.round {
-                            None => io.queue(&Record::Open {
-                                session: plan.id,
-                                spec: plan.spec,
-                            }),
-                            Some(0) => io
-                                .queue(&Record::Open {
-                                    session: plan.id,
-                                    spec: plan.spec,
-                                })
-                                .and_then(|()| {
-                                    io.queue(&Record::Round {
-                                        session: plan.id,
-                                        round: 0,
-                                    })
-                                }),
-                            Some(round) => io.queue(&Record::Round {
-                                session: plan.id,
-                                round,
-                            }),
-                        };
-                        if let Err(e) = queued {
-                            fail_conn(rc, Some(io), &injector, e);
-                            break;
-                        }
-                    }
+                for (c, rc) in state.iter_mut().enumerate() {
+                    rc.inject_due(c, &mut routes, &mut injector);
                 }
 
                 // Route executor events: frames out, local halves done.
                 while let Some(ev) = events.try_recv() {
-                    match ev {
-                        ExecEvent::Frame { id, frame } => {
-                            let &(c, s) = routes.get(&id).expect("routed session");
-                            let rc = &mut state[c];
-                            rc.frames_out += 1;
-                            if rc.usable() {
-                                let rec = Record::Frame {
-                                    session: rc.slots[s].id,
-                                    frame,
-                                };
-                                let io = pool[c].io.as_mut().expect("usable conn has io");
-                                if let Err(e) = io.queue(&rec) {
-                                    fail_conn(rc, Some(io), &injector, e);
-                                }
-                            }
+                    let (c, s) = match &ev {
+                        ExecEvent::Frame { id, .. } => routes.live.get(id).copied(),
+                        ExecEvent::Done { id, .. } | ExecEvent::Stranded { id, .. } => {
+                            routes.live.remove(id)
                         }
-                        ExecEvent::Done {
-                            id,
-                            transcript,
-                            error,
-                        } => {
-                            let (c, s) = routes.remove(&id).expect("routed session");
-                            let rc = &mut state[c];
-                            rc.slots[s].local_done = true;
-                            rc.slots[s].transcript = transcript;
-                            if let Some(e) = error {
-                                // A genuine local failure (not one relayed
-                                // from a server DONE — those arrive with
-                                // `settled` already set) abandons the
-                                // session so a Bob blocked on this Alice
-                                // cannot wedge the connection.
-                                if !rc.slots[s].settled {
-                                    rc.slots[s].settled = true;
-                                    if rc.usable() {
-                                        let rec = Record::Done {
-                                            session: rc.slots[s].id,
-                                            status: STATUS_SESSION_ERROR,
-                                            message: e.clone().into_owned(),
-                                        };
-                                        let io = pool[c].io.as_mut().expect("usable conn has io");
-                                        if let Err(err) = io.queue(&rec) {
-                                            fail_conn(rc, Some(io), &injector, err);
-                                        }
-                                    }
-                                }
-                                rc.slots[s].error.get_or_insert(e.into_owned());
-                            }
-                            rc.slots[s].note_progress();
-                        }
-                        ExecEvent::Stranded { id, transcript } => {
-                            let (c, s) = routes.remove(&id).expect("routed session");
-                            let rc = &mut state[c];
-                            rc.slots[s].local_done = true;
-                            rc.slots[s].transcript = transcript;
-                            rc.slots[s]
-                                .error
-                                .get_or_insert_with(|| CLOSED_BEFORE_SETTLE.into());
-                            rc.slots[s].note_progress();
-                        }
-                        // The reactor injects nothing.
-                        ExecEvent::Injected { .. } => {}
+                        ExecEvent::Injected { .. } => continue,
                     }
+                    .expect("routed session");
+                    state[c].on_event(s, ev, &injector);
                 }
 
-                // Flush queued output; sweep idle and flush-stalled conns.
                 let now = Instant::now();
-                for c in 0..state.len() {
-                    let rc = &mut state[c];
-                    if !rc.usable() {
-                        continue;
-                    }
-                    let io = pool[c].io.as_mut().expect("usable conn has io");
-                    if let Err(e) = io.try_flush() {
-                        fail_conn(rc, Some(io), &injector, e);
-                        continue;
-                    }
-                    if let Some(idle) = idle_timeout {
-                        if rc.in_flight() && now.duration_since(io.last_activity) >= idle {
-                            let e = io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!("no wire activity for {idle:?} with sessions in flight"),
-                            );
-                            fail_conn(rc, Some(io), &injector, e.into());
-                            continue;
-                        }
-                    }
-                    if rc.all_resolved() && io.wants_write() {
-                        let deadline = *rc.flush_deadline.get_or_insert(now + FLUSH_GRACE);
-                        if now >= deadline {
-                            let e = io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                "output stalled after every session resolved",
-                            );
-                            fail_conn(rc, Some(io), &injector, e.into());
-                        }
-                    }
+                for rc in &mut state {
+                    rc.flush_and_sweep(now, &injector);
                 }
 
-                // Done when every connection's round is over: all slots
-                // resolved and (for live conns) the output drained.
-                let round_over = state.iter().enumerate().all(|(c, rc)| {
-                    rc.all_resolved()
-                        && (!rc.usable() || !pool[c].io.as_ref().is_some_and(ConnIo::wants_write))
-                });
-                if round_over {
+                if state.iter().all(RoundConn::round_over) {
                     break;
                 }
 
@@ -789,31 +822,10 @@ fn drive_rounds<'s>(
                 fds.clear();
                 fd_conns.clear();
                 let mut deadline: Option<Instant> = None;
-                let note = |at: Instant, deadline: &mut Option<Instant>| {
-                    *deadline = Some(deadline.map_or(at, |d| d.min(at)));
-                };
                 for (c, rc) in state.iter().enumerate() {
-                    if !rc.usable() {
-                        continue;
-                    }
-                    let io = pool[c].io.as_ref().expect("usable conn has io");
-                    let interest = io.interest();
-                    if interest != 0 {
-                        fds.push(PollFd::new(io.fd(), interest));
+                    if let Some(fd) = rc.poll_interest(&mut deadline) {
+                        fds.push(fd);
                         fd_conns.push(c);
-                    }
-                    if let Some(schedule) = &rc.schedule {
-                        if rc.next_up < rc.slots.len() {
-                            note(t0 + schedule[rc.next_up], &mut deadline);
-                        }
-                    }
-                    if let Some(idle) = idle_timeout {
-                        if rc.in_flight() {
-                            note(io.last_activity + idle, &mut deadline);
-                        }
-                    }
-                    if let Some(flush) = rc.flush_deadline {
-                        note(flush, &mut deadline);
                     }
                 }
                 let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
@@ -823,50 +835,15 @@ fn drive_rounds<'s>(
                 if let Err(e) = poller.wait(&mut fds, timeout) {
                     // Poller failure is unrecoverable for the whole round:
                     // fail every live connection and settle out.
-                    for c in 0..state.len() {
-                        let rc = &mut state[c];
-                        if rc.usable() {
-                            let err = io::Error::new(e.kind(), e.to_string());
-                            fail_conn(rc, pool[c].io.as_mut(), &injector, err.into());
-                        }
+                    for rc in &mut state {
+                        rc.fail(&injector, io::Error::new(e.kind(), e.to_string()).into());
                     }
                     continue;
                 }
 
-                // Drain readable sockets into the executor.
                 for (fd, &c) in fds.iter().zip(&fd_conns) {
-                    if !fd.readable() {
-                        continue;
-                    }
-                    let rc = &mut state[c];
-                    if !rc.usable() {
-                        continue;
-                    }
-                    let io = pool[c].io.as_mut().expect("usable conn has io");
-                    if let Err(e) = io.fill(&mut scratch) {
-                        fail_conn(rc, Some(io), &injector, e);
-                        continue;
-                    }
-                    loop {
-                        match io.next_record() {
-                            Ok(Some(record)) => {
-                                if let Err(e) = route_server_record(rc, record, &injector) {
-                                    fail_conn(rc, Some(io), &injector, e);
-                                    break;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                fail_conn(rc, Some(io), &injector, e);
-                                break;
-                            }
-                        }
-                    }
-                    if rc.usable() && io.read_closed {
-                        match io.eof_truncation() {
-                            Some(e) => fail_conn(rc, Some(io), &injector, e),
-                            None => close_conn_clean(rc, &injector),
-                        }
+                    if fd.readable() {
+                        state[c].drain_readable(&mut scratch, &injector);
                     }
                 }
             }
@@ -874,511 +851,49 @@ fn drive_rounds<'s>(
         },
     );
 
-    // Shape outcomes and update the pool: dead and cleanly-closed
-    // connections drop out of it.
-    let mut outcomes = Vec::with_capacity(state.len());
-    for (c, rc) in state.into_iter().enumerate() {
-        let conn = &mut pool[c];
-        let (wire_in, wire_out) = conn.io.as_ref().map_or((rc.base_in, rc.base_out), |io| {
-            (io.wire_bytes_in, io.wire_bytes_out)
-        });
-        if rc.dead {
-            let reason = rc
-                .transport_error
-                .as_ref()
-                .map_or_else(|| "connection failed".to_owned(), NetError::to_string);
-            conn.io = None;
-            conn.closed_reason.get_or_insert(reason);
-        } else if rc.eof_clean {
-            conn.io = None;
-            conn.closed_reason
-                .get_or_insert_with(|| "connection closed by server".into());
-        }
-        outcomes.push(RoundOutcome {
-            slots: rc.slots,
-            injected: rc.injected,
-            frames_in: rc.frames_in,
-            frames_out: rc.frames_out,
-            wire_bytes_in: wire_in - rc.base_in,
-            wire_bytes_out: wire_out - rc.base_out,
-            transport_error: rc.transport_error,
-        });
-    }
-    Ok((outcomes, t0, loop_end))
-}
-
-/// Applies one server record to a connection's round state. `Err` means
-/// the server violated the record contract and the connection is done
-/// for.
-fn route_server_record(
-    rc: &mut RoundConn<'_>,
-    record: Record,
-    injector: &Injector<'_>,
-) -> Result<(), NetError> {
-    match record {
-        Record::Open { .. } => Err(NetError::Malformed("server sent an open record")),
-        Record::Frame { session, frame } => {
-            let (s, exec) = lookup(rc, session)?;
-            rc.frames_in += 1;
-            let _ = s;
-            injector.deliver(exec, frame);
-            Ok(())
-        }
-        Record::Done {
-            session,
-            status,
-            message,
-        } => {
-            let (s, exec) = lookup(rc, session)?;
-            let slot = &mut rc.slots[s];
-            slot.settled = true;
-            // Close the local half so it reports in even if it cannot
-            // finish on its own; the close is stale — a silent no-op —
-            // whenever the half already completed.
-            let reason = if status == STATUS_OK {
-                "server finished but the local session is incomplete".to_owned()
-            } else {
-                let e = format!("server status {status}: {message}");
-                slot.error.get_or_insert_with(|| e.clone());
-                e
-            };
-            injector.close(exec, reason);
-            slot.note_progress();
-            Ok(())
-        }
-        Record::Round { session, round } => {
-            // The server acknowledges a settled continuous round by
-            // echoing the ROUND record (its keys frame, if any, was
-            // already on the wire before the ack). The local Alice half
-            // finishes on its own from that frame, so nothing is closed
-            // here — the slot just stops expecting wire traffic.
-            let (s, _exec) = lookup(rc, session)?;
-            let slot = &mut rc.slots[s];
-            if slot.round != Some(round) {
-                return Err(NetError::Malformed(
-                    "round ack for a round this batch is not driving",
-                ));
-            }
-            slot.settled = true;
-            slot.note_progress();
-            Ok(())
-        }
-    }
-}
-
-/// Resolves a wire session id to `(slot index, executor id)`; a record
-/// for an id this round never injected is a contract violation.
-fn lookup(rc: &RoundConn<'_>, wire: u64) -> Result<(usize, u64), NetError> {
-    let unknown = NetError::Malformed("record for a session id not in the batch");
-    let Some(&s) = rc.wire_to_slot.get(&wire) else {
-        return Err(unknown);
-    };
-    match rc.exec_of_slot[s] {
-        Some(exec) => Ok((s, exec)),
-        None => Err(unknown),
-    }
-}
-
-fn slots_into_session_reports(slots: Vec<ClientSlot>) -> Vec<SessionReport> {
-    slots
+    let wall = entered.elapsed();
+    let (reports, gone): (Vec<_>, Vec<_>) = state
         .into_iter()
-        .map(|s| SessionReport {
-            id: s.id,
-            transcript: s.transcript,
-            error: s.error,
-        })
-        .collect()
-}
-
-fn outcome_into_batch_report(outcome: RoundOutcome) -> BatchReport {
-    BatchReport {
-        sessions: slots_into_session_reports(outcome.slots),
-        frames_out: outcome.frames_out,
-        frames_in: outcome.frames_in,
-        wire_bytes_out: outcome.wire_bytes_out,
-        wire_bytes_in: outcome.wire_bytes_in,
-        transport_error: outcome.transport_error,
+        .map(|rc| rc.finish(loop_end, wall))
+        .unzip();
+    for (conn, why) in pool.iter_mut().zip(gone) {
+        if let Some(why) = why {
+            conn.link = Err(why);
+        }
     }
+    Ok(reports)
 }
 
-fn outcome_into_load_report(
-    outcome: RoundOutcome,
-    schedule: &[Duration],
-    t0: Instant,
-    loop_end: Duration,
-) -> LoadReport {
-    let mut report = LoadReport {
-        frames_out: outcome.frames_out,
-        frames_in: outcome.frames_in,
-        wire_bytes_out: outcome.wire_bytes_out,
-        wire_bytes_in: outcome.wire_bytes_in,
-        transport_error: outcome.transport_error,
-        ..LoadReport::default()
+/// Half-closes every live connection (shutdown of the write side — the
+/// server sees EOF, finishes, and closes) and drains the read sides to
+/// EOF, bounded by a grace period. Errors at this point are ignored:
+/// the connections are being thrown away.
+pub(crate) fn drain_pool(pool: Vec<PoolConn>) {
+    let mut ios: Vec<ConnIo> = pool.into_iter().filter_map(|c| c.link.ok()).collect();
+    for io in &ios {
+        io.shutdown_write();
+    }
+    let Ok((mut poller, _waker)) = Poller::new() else {
+        return;
     };
-    report.sessions = outcome
-        .slots
-        .into_iter()
-        .zip(schedule.iter().zip(outcome.injected))
-        .map(|(slot, (scheduled, injected_at))| {
-            let mut error = slot.error;
-            if injected_at.is_none() {
-                error.get_or_insert_with(|| {
-                    "load run ended before this session was injected".into()
-                });
-            }
-            LoadSessionReport {
-                id: slot.id,
-                scheduled: *scheduled,
-                injected: injected_at.unwrap_or(loop_end),
-                settled: slot.settled_at.map(|at| at.saturating_duration_since(t0)),
-                transcript: slot.transcript,
-                error,
-            }
-        })
-        .collect();
-    // The honest span: to the last settle when everything completed,
-    // to the loop's end when anything failed or never settled.
-    report.elapsed = if report.failed() == 0 {
-        report
-            .sessions
-            .iter()
-            .filter_map(|s| s.settled)
-            .max()
-            .unwrap_or(loop_end)
-    } else {
-        loop_end
-    };
-    report
-}
-
-/// A pool of connections to one
-/// [`ReconServer`](crate::server::ReconServer), all driven by a single
-/// reactor loop and **one** shared executor: C connections cost
-/// `1 + shards` threads, not `C × threads`. Connections stay alive
-/// between rounds — keep calling [`MultiClient::run_batches`] /
-/// [`MultiClient::run_loads`] to inject new session batches onto live
-/// connections — and a connection that fails mid-round takes only its
-/// own sessions down, never its neighbors'.
-pub struct MultiClient {
-    conns: Vec<PoolConn>,
-    shards: usize,
-    idle_timeout: Option<Duration>,
-}
-
-impl MultiClient {
-    /// Connects `conns` connections (≥ 1) to `addr`.
-    pub fn connect(addr: impl ToSocketAddrs, conns: usize) -> io::Result<MultiClient> {
-        assert!(conns >= 1, "a client pool needs at least one connection");
-        let mut streams = Vec::with_capacity(conns);
-        for _ in 0..conns {
-            streams.push(TcpStream::connect(&addr)?);
-        }
-        MultiClient::from_streams(streams, default_shards(), None)
-    }
-
-    fn from_streams(
-        streams: Vec<TcpStream>,
-        shards: usize,
-        idle_timeout: Option<Duration>,
-    ) -> io::Result<MultiClient> {
-        let mut conns = Vec::with_capacity(streams.len());
-        for stream in streams {
-            conns.push(PoolConn {
-                io: Some(ConnIo::new(stream)?),
-                closed_reason: None,
-                used: HashSet::new(),
-                continuous: HashSet::new(),
-            });
-        }
-        Ok(MultiClient {
-            conns,
-            shards,
-            idle_timeout,
-        })
-    }
-
-    /// Sets the shared executor's worker-shard count.
-    pub fn with_shards(mut self, shards: usize) -> MultiClient {
-        assert!(shards >= 1, "the executor needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// Sets (or disables) the per-connection idle deadline: a
-    /// connection with sessions in flight but no wire activity for this
-    /// long is failed — its sessions settle with errors, other
-    /// connections are untouched.
-    pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> MultiClient {
-        self.idle_timeout = timeout;
-        self
-    }
-
-    /// The configured worker-shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// How many connections the pool was built with.
-    pub fn conns(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// Connections still usable for further rounds.
-    pub fn live_conns(&self) -> usize {
-        self.conns.iter().filter(|c| c.io.is_some()).count()
-    }
-
-    /// The batch-round engine behind both the deprecated
-    /// [`MultiClient::run_batches`] and the [`Driver`](crate::Driver)
-    /// surface.
-    pub(crate) fn run_batches_inner<'s>(
-        &mut self,
-        batches: Vec<Vec<SessionPlan<'s>>>,
-    ) -> Result<Vec<BatchReport>, NetError> {
-        let plans = batches
-            .into_iter()
-            .map(|sessions| RoundPlan {
-                sessions,
-                schedule: None,
-            })
-            .collect();
-        let (outcomes, _t0, _end) =
-            drive_rounds(&mut self.conns, plans, self.shards, self.idle_timeout)?;
-        Ok(outcomes
-            .into_iter()
-            .map(outcome_into_batch_report)
-            .collect())
-    }
-
-    /// The open-loop engine behind both the deprecated
-    /// [`MultiClient::run_loads`] and the [`Driver`](crate::Driver)
-    /// surface.
-    pub(crate) fn run_loads_inner<'s>(
-        &mut self,
-        loads: Vec<(Vec<SessionPlan<'s>>, Vec<Duration>)>,
-    ) -> Result<Vec<LoadReport>, NetError> {
-        let mut schedules = Vec::with_capacity(loads.len());
-        let plans = loads
-            .into_iter()
-            .map(|(sessions, schedule)| {
-                schedules.push(schedule.clone());
-                RoundPlan {
-                    sessions,
-                    schedule: Some(schedule),
-                }
-            })
-            .collect();
-        let (outcomes, t0, loop_end) =
-            drive_rounds(&mut self.conns, plans, self.shards, self.idle_timeout)?;
-        Ok(outcomes
-            .into_iter()
-            .zip(schedules)
-            .map(|(outcome, schedule)| outcome_into_load_report(outcome, &schedule, t0, loop_end))
-            .collect())
-    }
-
-    /// Runs one round: `batches[i]` is the session batch for connection
-    /// `i` (empty batches are fine). Session ids must be unique per
-    /// connection across the connection's lifetime. Returns one
-    /// [`BatchReport`] per connection; a connection-level failure is
-    /// reported in that connection's
-    /// [`transport_error`](BatchReport::transport_error), never as a
-    /// call-level `Err` — other connections' sessions settle normally.
-    #[deprecated(
-        note = "use the unified driver: `Driver::new(addr).conns(n).batch(plans)` \
-                or a connected driver's `batch`"
-    )]
-    pub fn run_batches<'s>(
-        &mut self,
-        batches: Vec<Vec<SessionPlan<'s>>>,
-    ) -> Result<Vec<BatchReport>, NetError> {
-        self.run_batches_inner(batches)
-    }
-
-    /// Runs one **open-loop** round: for connection `i`, session `j` of
-    /// `loads[i].0` is injected at offset `loads[i].1[j]` from the
-    /// round's start regardless of how many earlier sessions are still
-    /// in flight. All connections share one clock and one executor.
-    /// Latency accounting follows the coordinated-omission rule — see
-    /// [`LoadSessionReport::latency`].
-    #[deprecated(
-        note = "use the unified driver: `Driver::new(addr).conns(n).load(loads)` \
-                or a connected driver's `load`"
-    )]
-    pub fn run_loads<'s>(
-        &mut self,
-        loads: Vec<(Vec<SessionPlan<'s>>, Vec<Duration>)>,
-    ) -> Result<Vec<LoadReport>, NetError> {
-        self.run_loads_inner(loads)
-    }
-
-    /// Retires a continuous session: sends `DONE` under its id so the
-    /// server drops the resident party, and frees the id's continuous
-    /// standing on this connection. Queued output is flushed best-effort
-    /// here and drains fully on the next round or at
-    /// [`MultiClient::finish`].
-    pub(crate) fn close_continuous(&mut self, conn: usize, id: u64) -> Result<(), NetError> {
-        let c = self
-            .conns
-            .get_mut(conn)
-            .ok_or(NetError::Malformed("no such connection in the pool"))?;
-        if !c.continuous.remove(&id) {
-            return Err(NetError::Malformed(
-                "id is not open as a continuous session on this connection",
-            ));
-        }
-        // A dead connection already took the server-side state with it.
-        let Some(io) = c.io.as_mut() else {
-            return Ok(());
-        };
-        io.queue(&Record::Done {
-            session: id,
-            status: STATUS_OK,
-            message: String::new(),
-        })?;
-        io.try_flush()
-    }
-
-    /// Half-closes every live connection (shutdown of the write side —
-    /// the server sees EOF, finishes, and closes) and drains the read
-    /// sides to EOF, bounded by a grace period. Errors at this point
-    /// are ignored: the connections are being thrown away.
-    pub fn finish(self) {
-        let mut ios: Vec<ConnIo> = self.conns.into_iter().filter_map(|c| c.io).collect();
-        for io in &ios {
-            io.shutdown_write();
-        }
-        let Ok((mut poller, _waker)) = Poller::new() else {
+    let deadline = Instant::now() + FINISH_GRACE;
+    let mut scratch = vec![0u8; READ_CHUNK];
+    while !ios.is_empty() {
+        let now = Instant::now();
+        if now >= deadline {
             return;
-        };
-        let deadline = Instant::now() + FINISH_GRACE;
-        let mut scratch = vec![0u8; READ_CHUNK];
-        while !ios.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let mut fds: Vec<PollFd> = ios.iter().map(|io| PollFd::new(io.fd(), POLLIN)).collect();
-            if poller.wait(&mut fds, Some(deadline - now)).is_err() {
-                return;
-            }
-            let mut keep = Vec::with_capacity(ios.len());
-            for (io, fd) in ios.into_iter().zip(&fds) {
-                let mut io = io;
-                if !fd.readable() || !io.drain_read(&mut scratch) {
-                    keep.push(io);
-                }
-            }
-            ios = keep;
         }
-    }
-}
-
-/// The client end of a single multiplexed reconciliation connection.
-/// One batch per connection: [`ReconClient::run_batch`] consumes the
-/// client and shuts the connection down when the batch settles. (For
-/// many connections, or many batches on one connection, use
-/// [`MultiClient`].)
-pub struct ReconClient {
-    stream: TcpStream,
-    shards: usize,
-}
-
-impl ReconClient {
-    /// Connects to a [`ReconServer`](crate::server::ReconServer). The
-    /// batch is driven with [`default_shards`] worker shards unless
-    /// [`ReconClient::with_shards`] overrides it.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ReconClient> {
-        let stream = TcpStream::connect(addr)?;
-        Ok(ReconClient {
-            stream,
-            shards: default_shards(),
-        })
-    }
-
-    /// Sets the executor worker-shard count for the batch.
-    pub fn with_shards(mut self, shards: usize) -> ReconClient {
-        assert!(shards >= 1, "a batch needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// The configured worker-shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Bounds how long the batch tolerates a silent server with
-    /// sessions in flight before the batch fails with a transport
-    /// error.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        // Stored on the socket; the reactor reads it back as the
-        // connection's idle deadline (nonblocking reads never block, so
-        // the kernel-level timeout itself is inert).
-        self.stream.set_read_timeout(timeout)
-    }
-
-    /// Runs a batch of `(session id, Alice session)` pairs over this
-    /// connection, multiplexed and executor-driven, to completion. Ids
-    /// must be unique within the batch and mean something to the
-    /// server's factory.
-    #[deprecated(
-        note = "use the unified driver: `Driver::new(addr).batch(vec![plans])` \
-                (one connection is the driver's default)"
-    )]
-    pub fn run_batch<'s>(
-        self,
-        sessions: Vec<(u64, Box<dyn NetSession + 's>)>,
-    ) -> Result<BatchReport, NetError> {
-        let ReconClient { stream, shards } = self;
-        let idle = stream.read_timeout()?;
-        let mut client = MultiClient::from_streams(vec![stream], shards, idle)?;
-        let plans = sessions
-            .into_iter()
-            .map(|(id, session)| SessionPlan::new(id, session))
-            .collect();
-        let mut reports = client.run_batches_inner(vec![plans])?;
-        let mut report = reports.pop().expect("one report per connection");
-        if let Some(e) = report.transport_error.take() {
-            return Err(e);
+        let mut fds: Vec<PollFd> = ios.iter().map(|io| PollFd::new(io.fd(), POLLIN)).collect();
+        if poller.wait(&mut fds, Some(deadline - now)).is_err() {
+            return;
         }
-        client.finish();
-        Ok(report)
-    }
-
-    /// Runs `(session id, Alice session)` pairs as an **open-loop** load:
-    /// the i-th session is injected at offset `schedule[i]` from the
-    /// run's start regardless of how many earlier sessions are still in
-    /// flight. The schedule must be non-decreasing and as long as the
-    /// session list.
-    ///
-    /// Latency in the returned [`LoadReport`] is measured from the
-    /// *scheduled* arrival, not the actual injection, so any lag the
-    /// generator itself accumulates is charged to the measurement rather
-    /// than silently forgiven (coordinated omission). The largest such
-    /// lag is reported via [`LoadReport::max_inject_lag`].
-    #[deprecated(
-        note = "use the unified driver: `Driver::new(addr).load(vec![(plans, schedule)])` \
-                (one connection is the driver's default)"
-    )]
-    pub fn run_load<'s>(
-        self,
-        sessions: Vec<(u64, Box<dyn NetSession + 's>)>,
-        schedule: &[Duration],
-    ) -> Result<LoadReport, NetError> {
-        let ReconClient { stream, shards } = self;
-        let idle = stream.read_timeout()?;
-        let mut client = MultiClient::from_streams(vec![stream], shards, idle)?;
-        let plans = sessions
-            .into_iter()
-            .map(|(id, session)| SessionPlan::new(id, session))
-            .collect();
-        let mut reports = client.run_loads_inner(vec![(plans, schedule.to_vec())])?;
-        let mut report = reports.pop().expect("one report per connection");
-        if let Some(e) = report.transport_error.take() {
-            return Err(e);
+        let mut keep = Vec::with_capacity(ios.len());
+        for (io, fd) in ios.into_iter().zip(&fds) {
+            let mut io = io;
+            if !fd.readable() || !io.drain_read(&mut scratch) {
+                keep.push(io);
+            }
         }
-        client.finish();
-        Ok(report)
+        ios = keep;
     }
 }

@@ -1,13 +1,6 @@
 //! [`Driver`]: the one client surface for every way of running
 //! reconciliation sessions over the wire.
 //!
-//! PR 6 grew [`ReconClient::run_batch`](crate::ReconClient::run_batch),
-//! PR 7 added [`MultiClient::run_batches`](crate::MultiClient) and the
-//! open-loop `run_load`/`run_loads` pair — four entry points, two report
-//! shapes, and an asymmetry: the single-connection path configured its
-//! idle deadline through a socket option while the pool took a builder
-//! argument. The driver collapses all of it:
-//!
 //! ```text
 //! Driver::new(addr).conns(4).shards(2).batch(plans)      // closed loop
 //! Driver::new(addr).idle_timeout(t).load(scheduled)      // open loop
@@ -16,9 +9,9 @@
 //!
 //! Both modes return one [`DriverReport`] — per-connection
 //! [`RunReport`]s holding per-session [`RunSession`]s, where open-loop
-//! timing fields are simply `None` for batch runs. The old entry points
-//! survive as deprecated forwarders onto the same engine, so nothing
-//! built on them changes behaviour.
+//! timing fields are simply `None` for batch runs. The round engine
+//! (`client.rs`) writes these reports directly; nothing is reshaped on
+//! the way out.
 //!
 //! One-shot [`Driver::batch`]/[`Driver::load`] connect, run one round,
 //! and tear the pool down. [`Driver::connect`] instead hands back a
@@ -28,12 +21,13 @@
 //! [`ConnectedDriver::close_session`] and
 //! [`ConnectedDriver::finish`].
 
-use crate::client::{BatchReport, LoadReport, MultiClient, SessionPlan};
+use crate::client::{drain_pool, run_round, ConnPlan, PoolConn, SessionPlan};
 use crate::codec::NetError;
+use crate::server::default_shards;
 use rsr_core::transcript::Transcript;
 use std::io;
-use std::net::ToSocketAddrs;
-use std::time::{Duration, Instant};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// One session's record in a [`RunReport`] — the union of the batch and
 /// open-loop per-session shapes. Batch runs leave the timing fields
@@ -182,55 +176,8 @@ impl DriverReport {
     }
 }
 
-fn batch_into_run_report(report: BatchReport, elapsed: Duration) -> RunReport {
-    RunReport {
-        sessions: report
-            .sessions
-            .into_iter()
-            .map(|s| RunSession {
-                id: s.id,
-                transcript: s.transcript,
-                error: s.error,
-                scheduled: None,
-                injected: None,
-                settled: None,
-            })
-            .collect(),
-        elapsed,
-        frames_out: report.frames_out,
-        frames_in: report.frames_in,
-        wire_bytes_out: report.wire_bytes_out,
-        wire_bytes_in: report.wire_bytes_in,
-        transport_error: report.transport_error,
-    }
-}
-
-fn load_into_run_report(report: LoadReport) -> RunReport {
-    RunReport {
-        sessions: report
-            .sessions
-            .into_iter()
-            .map(|s| RunSession {
-                id: s.id,
-                transcript: s.transcript,
-                error: s.error,
-                scheduled: Some(s.scheduled),
-                injected: Some(s.injected),
-                settled: s.settled,
-            })
-            .collect(),
-        elapsed: report.elapsed,
-        frames_out: report.frames_out,
-        frames_in: report.frames_in,
-        wire_bytes_out: report.wire_bytes_out,
-        wire_bytes_in: report.wire_bytes_in,
-        transport_error: report.transport_error,
-    }
-}
-
 /// Builder for a client run against a
-/// [`ReconServer`](crate::server::ReconServer). See the module docs for
-/// the surface it replaces.
+/// [`ReconServer`](crate::server::ReconServer).
 pub struct Driver<A: ToSocketAddrs> {
     addr: A,
     conns: usize,
@@ -239,9 +186,8 @@ pub struct Driver<A: ToSocketAddrs> {
 }
 
 impl<A: ToSocketAddrs> Driver<A> {
-    /// A driver for `addr`: one connection, [`default_shards`](crate::default_shards)
-    /// (crate::executor::default_shards) executor shards, no idle
-    /// deadline.
+    /// A driver for `addr`: one connection, [`default_shards`] executor
+    /// shards, no idle deadline.
     pub fn new(addr: A) -> Driver<A> {
         Driver {
             addr,
@@ -278,12 +224,15 @@ impl<A: ToSocketAddrs> Driver<A> {
     /// Connects the pool and keeps it: rounds run on the returned
     /// [`ConnectedDriver`] until [`ConnectedDriver::finish`].
     pub fn connect(self) -> io::Result<ConnectedDriver> {
-        let mut inner = MultiClient::connect(&self.addr, self.conns)?;
-        if let Some(shards) = self.shards {
-            inner = inner.with_shards(shards);
+        let mut pool = Vec::with_capacity(self.conns);
+        for _ in 0..self.conns {
+            pool.push(PoolConn::new(TcpStream::connect(&self.addr)?)?);
         }
-        inner = inner.with_idle_timeout(self.idle_timeout);
-        Ok(ConnectedDriver { inner })
+        Ok(ConnectedDriver {
+            pool,
+            shards: self.shards.unwrap_or_else(default_shards),
+            idle_timeout: self.idle_timeout,
+        })
     }
 
     /// One-shot closed-loop run: connects, runs `batches[i]` on
@@ -312,26 +261,28 @@ impl<A: ToSocketAddrs> Driver<A> {
     }
 }
 
-/// A connected driver: the pool persists between rounds, which is what
-/// continuous sessions (and any multi-round workload) need.
+/// A connected driver: a pool of connections to one server, all driven
+/// by a single reactor loop and **one** shared executor — C connections
+/// cost `1 + shards` threads, not `C × threads`. The pool persists
+/// between rounds, which is what continuous sessions (and any
+/// multi-round workload) need; a connection that fails mid-round takes
+/// only its own sessions down and drops out of the pool.
 pub struct ConnectedDriver {
-    inner: MultiClient,
+    pool: Vec<PoolConn>,
+    shards: usize,
+    idle_timeout: Option<Duration>,
 }
 
 impl ConnectedDriver {
     /// Runs one closed-loop round; see [`Driver::batch`]. Callable
     /// repeatedly — session ids must be fresh per connection except for
     /// continuous rounds, which deliberately re-use their session's id.
+    /// A connection-level failure is reported in that connection's
+    /// [`transport_error`](RunReport::transport_error), never as a
+    /// call-level `Err`; a refused call (`Err`) has sent nothing and
+    /// used up none of its ids.
     pub fn batch(&mut self, batches: Vec<Vec<SessionPlan<'_>>>) -> Result<DriverReport, NetError> {
-        let t0 = Instant::now();
-        let reports = self.inner.run_batches_inner(batches)?;
-        let elapsed = t0.elapsed();
-        Ok(DriverReport {
-            conns: reports
-                .into_iter()
-                .map(|r| batch_into_run_report(r, elapsed))
-                .collect(),
-        })
+        self.round(batches.into_iter().map(|plans| (plans, None)).collect())
     }
 
     /// Runs one open-loop round; see [`Driver::load`].
@@ -339,14 +290,17 @@ impl ConnectedDriver {
         &mut self,
         loads: Vec<(Vec<SessionPlan<'_>>, Vec<Duration>)>,
     ) -> Result<DriverReport, NetError> {
-        Ok(DriverReport {
-            conns: self
-                .inner
-                .run_loads_inner(loads)?
+        self.round(
+            loads
                 .into_iter()
-                .map(load_into_run_report)
+                .map(|(plans, schedule)| (plans, Some(schedule)))
                 .collect(),
-        })
+        )
+    }
+
+    fn round(&mut self, plans: Vec<ConnPlan<'_>>) -> Result<DriverReport, NetError> {
+        let conns = run_round(&mut self.pool, plans, self.shards, self.idle_timeout)?;
+        Ok(DriverReport { conns })
     }
 
     /// Retires a continuous session on connection `conn`: the server
@@ -354,27 +308,30 @@ impl ConnectedDriver {
     /// connection ends. Errors if the id was never opened as continuous
     /// there.
     pub fn close_session(&mut self, conn: usize, id: u64) -> Result<(), NetError> {
-        self.inner.close_continuous(conn, id)
+        self.pool
+            .get_mut(conn)
+            .ok_or(NetError::Malformed("no such connection in the pool"))?
+            .retire(id)
     }
 
     /// How many connections the pool was built with.
     pub fn conns(&self) -> usize {
-        self.inner.conns()
+        self.pool.len()
     }
 
     /// Connections still usable for further rounds.
     pub fn live_conns(&self) -> usize {
-        self.inner.live_conns()
+        self.pool.iter().filter(|c| c.is_live()).count()
     }
 
     /// The configured worker-shard count.
     pub fn shards(&self) -> usize {
-        self.inner.shards()
+        self.shards
     }
 
     /// Half-closes every live connection and drains the server's EOFs,
     /// bounded by a grace period.
     pub fn finish(self) {
-        self.inner.finish();
+        drain_pool(self.pool);
     }
 }

@@ -1,11 +1,12 @@
 //! A real TCP transport behind `rsr-core`'s
 //! [`Channel`](rsr_core::channel::Channel) trait, plus a multi-session
-//! reconciliation server and client.
+//! reconciliation server and one client driver.
 //!
-//! PR 2 split every protocol into Alice/Bob session state machines that
+//! Every protocol is a pair of Alice/Bob session state machines that
 //! only exchange byte-exact [`Frame`](rsr_core::channel::Frame)s over a
-//! [`Channel`](rsr_core::channel::Channel); this crate is the first real
-//! transport behind that seam. Three layers, std-only:
+//! [`Channel`](rsr_core::channel::Channel); this crate carries those
+//! frames over sockets and hands the transcripts back bit for bit.
+//! Four layers, std-only:
 //!
 //! * [`codec`] — the length-prefixed record grammar: every record carries
 //!   a session id, and a `FRAME` record carries a session-layer `Frame`
@@ -16,48 +17,43 @@
 //!   runs its own party's session with
 //!   [`drive_channel`](rsr_core::session::drive_channel); the sessions
 //!   themselves are unchanged from the in-memory path.
-//! * [`ReconServer`] / [`ReconClient`] — many concurrent sessions
-//!   multiplexed over **one** connection, each endpoint driving its
-//!   halves on `rsr-core`'s sharded worker-pool executor (see
-//!   [`executor`]): the server holds the Bob half of every session
-//!   (created on demand by a [`SessionFactory`], placed on a shard by
-//!   power-of-two choices) in a thread-per-connection accept loop; the
-//!   client batches N Alice sessions and interleaves their frames. Both
-//!   sides keep per-session
+//! * [`ReconServer`] — many concurrent sessions multiplexed over many
+//!   connections: it holds the Bob half of every session (created on
+//!   demand by a [`SessionFactory`], placed on a shard of `rsr-core`'s
+//!   worker-pool executor by power-of-two choices) behind one readiness
+//!   reactor, `1 + shards` threads ([`default_shards`]) however many
+//!   connections are live. It keeps per-session
 //!   [`Transcript`](rsr_core::transcript::Transcript)s and
 //!   per-connection byte counters that must — and are tested to — agree
 //!   with the in-memory driver's accounting.
-//! * [`Driver`] — the one client entry point over all of it:
-//!   `Driver::new(addr).conns(n).shards(s)` then [`Driver::batch`]
-//!   (closed loop), [`Driver::load`] (open loop), or
-//!   [`Driver::connect`] for a persistent pool running many rounds —
-//!   including **continuous** sessions, whose resident state spans
-//!   rounds under one wire id (see [`SessionPlan::open_continuous`]).
+//! * [`Driver`] — the one client: `Driver::new(addr).conns(n).shards(s)`
+//!   then [`Driver::batch`] (closed loop), [`Driver::load`] (open
+//!   loop), or [`Driver::connect`] for a [`ConnectedDriver`] whose pool
+//!   runs many rounds — including **continuous** sessions, whose
+//!   resident state spans rounds under one wire id (see
+//!   [`SessionPlan::open_continuous`]). It plays Alice for every
+//!   [`SessionPlan`], interleaves their frames over the same reactor
+//!   and executor design, and returns one [`DriverReport`].
 //!
 //! See `docs/transport.md` for the wire layout and error-handling rules.
 
-pub mod client;
+mod client;
 pub mod codec;
 pub mod driver;
-pub mod executor;
 mod obs;
 mod reactor;
 pub mod server;
 pub mod tcp;
 
-pub use client::{
-    BatchReport, LoadReport, LoadSessionReport, MultiClient, ReconClient, SessionPlan,
-    SessionReport,
-};
+pub use client::SessionPlan;
 pub use codec::{
     read_record, write_record, NetError, Record, RecordDecoder, SessionSpec, MAX_RECORD_BYTES,
     PROTO_CONT, PROTO_EMD, PROTO_GAP, PROTO_SCALED_EMD, STATUS_OK, STATUS_SESSION_ERROR,
     STATUS_UNKNOWN_SESSION,
 };
 pub use driver::{ConnectedDriver, Driver, DriverReport, RunReport, RunSession};
-pub use executor::{default_shards, MAX_DEFAULT_SHARDS};
 pub use server::{
-    handle_connection, handle_connection_sharded, ConnectionReport, NetSession, ReconServer,
-    SessionFactory, SessionSummary,
+    default_shards, handle_connection, handle_connection_sharded, ConnectionReport, NetSession,
+    ReconServer, SessionFactory, SessionSummary, MAX_DEFAULT_SHARDS,
 };
 pub use tcp::TcpChannel;

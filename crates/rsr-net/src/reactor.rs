@@ -45,7 +45,6 @@ use crate::codec::{
     write_record, NetError, Record, RecordDecoder, SessionSpec, STATUS_OK, STATUS_SESSION_ERROR,
     STATUS_UNKNOWN_SESSION,
 };
-use crate::executor::PLACEMENT_SEED;
 use crate::obs::net_metrics;
 use crate::server::{ConnectionReport, SessionFactory, SessionSummary};
 use netpoll::{listener_fd, stream_fd, PollFd, Poller, POLLIN, POLLOUT};
@@ -74,6 +73,11 @@ pub(crate) const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Read-chunk size for draining a readable socket.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
+
+/// Placement salt for the two-choice session→shard assignment on both
+/// endpoints. Fixed so a replayed trace lands on the same shards
+/// everywhere.
+pub(crate) const PLACEMENT_SEED: u64 = 0x2c01_ce5e_ed00_7357;
 
 /// Nonblocking record-stream state for one connection: incremental
 /// decode on the way in, a drain-as-writable buffer on the way out,

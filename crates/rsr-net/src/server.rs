@@ -44,7 +44,6 @@
 //! for the full scheduling story.
 
 use crate::codec::{NetError, SessionSpec};
-use crate::executor::default_shards;
 use crate::reactor::{run_server_reactor, ServerOpts, DEFAULT_IDLE_TIMEOUT};
 use rsr_core::continuous::SharedParty;
 use rsr_core::transcript::Transcript;
@@ -61,6 +60,22 @@ use std::time::Duration;
 /// it stays blanket-implemented for every sendable `Session` whose
 /// error displays.
 pub use rsr_core::executor::DynSession as NetSession;
+
+/// Cap on [`default_shards`]: session concurrency rarely benefits from
+/// more workers than this, and an unbounded default would spawn a
+/// thread per hardware thread on large hosts.
+pub const MAX_DEFAULT_SHARDS: usize = 8;
+
+/// The default worker-shard count on both endpoints: available
+/// parallelism, capped at [`MAX_DEFAULT_SHARDS`], at least 1. This is a
+/// **per-process** pool, not per-connection: an endpoint runs
+/// `1 + shards` threads no matter how many connections are live.
+pub fn default_shards() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .clamp(1, MAX_DEFAULT_SHARDS)
+}
 
 /// Builds the server-side (Bob) half of a session on demand. The boxed
 /// session may borrow from the factory — protocol objects and point sets

@@ -4,16 +4,12 @@
 //! perturb its siblings: surviving sessions settle with transcripts
 //! bit-for-bit identical to the serial in-memory reference.
 
-// This suite predates the unified `Driver` and deliberately keeps
-// exercising the deprecated entry points it was written against.
-#![allow(deprecated)]
-
 use rsr_core::channel::Frame;
 use rsr_core::session::{drive_in_memory, Session};
 use rsr_core::transcript::{Party, Transcript};
 use rsr_net::{
-    handle_connection, read_record, write_record, Driver, MultiClient, NetError, NetSession,
-    ReconClient, ReconServer, Record, SessionFactory, SessionPlan, STATUS_OK,
+    handle_connection, read_record, write_record, Driver, NetError, NetSession, ReconServer,
+    Record, SessionFactory, SessionPlan, STATUS_OK,
 };
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -312,17 +308,27 @@ fn server_truncation_mid_frame_is_a_typed_client_error_not_a_hang() {
         stream.write_all(&reply[..reply.len() - 2]).unwrap();
     });
 
-    let client = ReconClient::connect(addr).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let batch: Vec<(u64, Box<dyn NetSession + '_>)> = vec![(0, Box::new(alice(0, 2)))];
-    let err = client
-        .run_batch(batch)
-        .expect_err("a truncated reply is a transport failure");
+    let report = Driver::new(addr)
+        .idle_timeout(Some(Duration::from_secs(30)))
+        .batch(vec![vec![SessionPlan::new(0, Box::new(alice(0, 2)))]])
+        .expect("a truncated reply fails the connection, not the call");
     assert!(
-        matches!(err, NetError::Malformed("truncated record body")),
-        "expected truncation, got {err:?}"
+        matches!(
+            report.transport_error(),
+            Some(NetError::Malformed("truncated record body"))
+        ),
+        "expected truncation, got {:?}",
+        report.transport_error()
+    );
+    let session = &report.conns[0].sessions[0];
+    assert!(
+        session
+            .error
+            .as_deref()
+            .unwrap()
+            .contains("connection failed before session settled"),
+        "unexpected error: {:?}",
+        session.error
     );
     server.join().unwrap();
 }
@@ -343,18 +349,21 @@ fn server_vanishing_cleanly_fails_the_sessions_not_the_process() {
         }
     });
 
-    let client = ReconClient::connect(addr).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let batch: Vec<(u64, Box<dyn NetSession + '_>)> =
-        vec![(0, Box::new(alice(0, 1))), (1, Box::new(alice(1, 1)))];
-    let report = client
-        .run_batch(batch)
-        .expect("a clean close is not a transport failure");
+    let batch = (0u64..2)
+        .map(|id| SessionPlan::new(id, Box::new(alice(id, 1))))
+        .collect();
+    let report = Driver::new(addr)
+        .idle_timeout(Some(Duration::from_secs(30)))
+        .batch(vec![batch])
+        .expect("batch runs");
     server.join().unwrap();
+    assert!(
+        report.transport_error().is_none(),
+        "a clean close is not a transport failure: {:?}",
+        report.transport_error()
+    );
     assert_eq!(report.failed(), 2);
-    for s in &report.sessions {
+    for s in report.sessions() {
         assert!(
             s.error
                 .as_deref()
@@ -436,7 +445,7 @@ fn a_killed_connection_does_not_poison_its_siblings() {
         healthy.join().expect("server conn must not panic")
     });
 
-    let mut client = MultiClient::connect(addr, 2).unwrap();
+    let mut client = Driver::new(addr).conns(2).connect().unwrap();
     let batches: Vec<Vec<SessionPlan<'_>>> = vec![
         (0u64..4)
             .map(|id| SessionPlan::new(id, Box::new(alice(id, ROUNDS))))
@@ -445,7 +454,7 @@ fn a_killed_connection_does_not_poison_its_siblings() {
             .map(|id| SessionPlan::new(id, Box::new(alice(id, ROUNDS))))
             .collect(),
     ];
-    let reports = client.run_batches(batches).expect("round runs");
+    let reports = client.batch(batches).expect("round runs").conns;
     assert_eq!(reports.len(), 2);
 
     // The surviving connection: every session settled, bit-for-bit.
@@ -510,7 +519,7 @@ fn live_connections_carry_successive_batches() {
             .collect::<Vec<_>>()
     });
 
-    let mut client = MultiClient::connect(addr, 2).unwrap();
+    let mut client = Driver::new(addr).conns(2).connect().unwrap();
     // Two rounds of batches over the same pair of live connections;
     // session ids must be fresh per connection across rounds.
     for base in [0u64, 100] {
@@ -524,7 +533,7 @@ fn live_connections_carry_successive_batches() {
                     .collect()
             })
             .collect();
-        let reports = client.run_batches(batches).expect("round runs");
+        let reports = client.batch(batches).expect("round runs").conns;
         for report in &reports {
             assert!(report.transport_error.is_none());
             assert_eq!(report.completed(), 3);

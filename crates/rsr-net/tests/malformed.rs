@@ -1,17 +1,19 @@
 //! Malformed-stream behaviour: a broken, truncated, oversized, or
 //! out-of-contract byte stream must fail *cleanly* — a typed error or an
-//! error `DONE` status, never a panic, hang, or huge allocation.
-
-// This suite predates the unified `Driver` and deliberately keeps
-// exercising the deprecated entry points it was written against.
-#![allow(deprecated)]
+//! error `DONE` status, never a panic, hang, or huge allocation. The
+//! same holds for an out-of-contract *call*: a batch the driver refuses
+//! has sent nothing and changed nothing.
 
 use rsr_core::channel::Frame;
+use rsr_core::continuous::{
+    shared, ContinuousConfig, ContinuousParty, ContinuousSession, SharedParty,
+};
 use rsr_core::session::{drive_channel, DriveError, Session};
 use rsr_core::transcript::Party;
 use rsr_net::{
-    read_record, write_record, NetError, ReconClient, ReconServer, Record, SessionFactory,
-    TcpChannel, MAX_RECORD_BYTES, STATUS_OK, STATUS_UNKNOWN_SESSION,
+    read_record, write_record, Driver, NetError, NetSession, ReconServer, Record, SessionFactory,
+    SessionPlan, SessionSpec, TcpChannel, MAX_RECORD_BYTES, PROTO_CONT, STATUS_OK,
+    STATUS_UNKNOWN_SESSION,
 };
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -287,55 +289,163 @@ fn garbage_stream_closes_the_connection_cleanly() {
     server.join().unwrap();
 }
 
+// --------------------------------------------------------------- client
+
+/// The one frame each [`OneFrameSink`] expects.
+struct OneFrameSource {
+    sent: bool,
+}
+
+impl Session for OneFrameSource {
+    type Error = String;
+
+    fn poll_send(&mut self) -> Result<Option<Frame>, String> {
+        if self.sent {
+            return Ok(None);
+        }
+        self.sent = true;
+        Ok(Some(Frame {
+            label: "m".into(),
+            payload: vec![0xAA],
+            bit_len: 8,
+        }))
+    }
+
+    fn on_frame(&mut self, _: Frame) -> Result<(), String> {
+        Err("unexpected frame".into())
+    }
+
+    fn is_done(&self) -> bool {
+        self.sent
+    }
+}
+
+fn one_frame_plans<const N: usize>(ids: [u64; N]) -> Vec<SessionPlan<'static>> {
+    ids.into_iter()
+        .map(|id| SessionPlan::new(id, Box::new(OneFrameSource { sent: false })))
+        .collect()
+}
+
 #[test]
 fn client_reports_unknown_sessions_without_poisoning_the_batch() {
     let (addr, server) = spawn_server();
-    let client = ReconClient::connect(addr).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    // Session 7 is unknown to the factory; 0 and 1 are fine. The frame
-    // each sink expects comes from this one-frame Alice.
-    struct OneFrameSource {
-        sent: bool,
-    }
-    impl Session for OneFrameSource {
-        type Error = String;
-        fn poll_send(&mut self) -> Result<Option<Frame>, String> {
-            if self.sent {
-                return Ok(None);
-            }
-            self.sent = true;
-            Ok(Some(Frame {
-                label: "m".into(),
-                payload: vec![0xAA],
-                bit_len: 8,
-            }))
-        }
-        fn on_frame(&mut self, _: Frame) -> Result<(), String> {
-            Err("unexpected frame".into())
-        }
-        fn is_done(&self) -> bool {
-            self.sent
-        }
-    }
-    let batch: Vec<(u64, Box<dyn rsr_net::NetSession + '_>)> = [0u64, 7, 1]
-        .into_iter()
-        .map(|id| {
-            (
-                id,
-                Box::new(OneFrameSource { sent: false }) as Box<dyn rsr_net::NetSession + '_>,
-            )
-        })
-        .collect();
-    let report = client.run_batch(batch).expect("transport stays healthy");
+    // Session 7 is unknown to the factory; 0 and 1 are fine.
+    let report = Driver::new(addr)
+        .idle_timeout(Some(Duration::from_secs(10)))
+        .batch(vec![one_frame_plans([0, 7, 1])])
+        .expect("batch runs");
     server.join().unwrap();
+    assert!(
+        report.transport_error().is_none(),
+        "transport stays healthy: {:?}",
+        report.transport_error()
+    );
     assert_eq!(report.completed(), 2);
     assert_eq!(report.failed(), 1);
-    let failed = report.sessions.iter().find(|s| s.id == 7).unwrap();
+    let failed = report.sessions().find(|s| s.id == 7).unwrap();
     assert!(
         failed.error.as_deref().unwrap().contains("unknown session"),
         "unexpected error: {:?}",
         failed.error
     );
+}
+
+#[test]
+fn a_rejected_batch_burns_no_session_ids() {
+    let (addr, server) = spawn_server();
+    let mut driver = Driver::new(addr)
+        .idle_timeout(Some(Duration::from_secs(10)))
+        .connect()
+        .unwrap();
+    let err = driver
+        .batch(vec![one_frame_plans([0, 1, 1])])
+        .expect_err("a duplicate id refuses the whole batch");
+    assert!(
+        matches!(err, NetError::Malformed("duplicate session id in batch")),
+        "unexpected refusal: {err:?}"
+    );
+    // Nothing was sent and nothing committed: the corrected batch may
+    // name ids 0 and 1 again.
+    let report = driver
+        .batch(vec![one_frame_plans([0, 1, 2])])
+        .expect("the corrected batch is admitted");
+    assert_eq!(report.completed(), 3, "{:?}", report.conns[0].sessions);
+    driver.finish();
+    server.join().unwrap();
+}
+
+/// Serves continuous sessions only: every open gets a resident party
+/// over keys `0..16`.
+struct ResidentFactory;
+
+const CHURN_BOUND: usize = 8;
+
+fn resident_party(seed: u64, keys: std::ops::Range<u64>) -> ContinuousParty {
+    ContinuousParty::new(ContinuousConfig::for_churn(CHURN_BOUND, seed), keys)
+}
+
+impl SessionFactory for ResidentFactory {
+    fn open_spec(&self, _: u64, _: Option<&SessionSpec>) -> Option<Box<dyn NetSession + '_>> {
+        None
+    }
+
+    fn open_continuous(&self, _: u64, spec: &SessionSpec) -> Option<SharedParty> {
+        Some(shared(resident_party(spec.seed, 0..16)))
+    }
+}
+
+#[test]
+fn a_rejected_open_continuous_leaves_no_continuous_standing() {
+    let server = ReconServer::bind("127.0.0.1:0", Arc::new(ResidentFactory)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server = std::thread::spawn(move || server.serve_one());
+    let mut driver = Driver::new(addr)
+        .idle_timeout(Some(Duration::from_secs(10)))
+        .connect()
+        .unwrap();
+    let spec = SessionSpec {
+        protocol: PROTO_CONT,
+        n: 16,
+        k: CHURN_BOUND as u32,
+        dim: 0,
+        seed: 7,
+        continuous: false,
+    };
+    let party = shared(resident_party(spec.seed, 0..18));
+
+    // Refused for the duplicate id 1 — after the open of id 5 was looked
+    // at. Dropping the refused plans rolls the party's round back.
+    let mut plans = vec![SessionPlan::open_continuous(5, spec, &party).unwrap()];
+    plans.extend(one_frame_plans([1, 1]));
+    let err = driver.batch(vec![plans]).expect_err("duplicate id");
+    assert!(
+        matches!(err, NetError::Malformed("duplicate session id in batch")),
+        "unexpected refusal: {err:?}"
+    );
+
+    // Id 5 was never opened, so a later round under it must still be
+    // refused instead of sending ROUND for a session the server has not
+    // got. (The plan comes from a party that is genuinely past round 0.)
+    let mut settled = ContinuousSession::new(resident_party(1, 0..4), resident_party(1, 0..3));
+    settled.drive_round().expect("in-memory round 0");
+    let later = SessionPlan::next_round(5, &settled.alice()).unwrap();
+    assert_eq!(later.round, Some(1));
+    let err = driver
+        .batch(vec![vec![later]])
+        .expect_err("id 5 has no continuous standing");
+    assert!(
+        matches!(
+            err,
+            NetError::Malformed("continuous round for a session this connection never opened")
+        ),
+        "unexpected refusal: {err:?}"
+    );
+
+    // And the id is still fresh: opening it now works and settles.
+    let open = SessionPlan::open_continuous(5, spec, &party).unwrap();
+    let report = driver.batch(vec![vec![open]]).expect("id 5 is unused");
+    assert_eq!(report.completed(), 1, "{:?}", report.conns[0].sessions);
+    driver.close_session(0, 5).expect("retire the session");
+    driver.finish();
+    server.join().unwrap().expect("connection served");
 }

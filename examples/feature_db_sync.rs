@@ -63,6 +63,6 @@ fn main() {
     println!(
         "\n(the paper's win is the approximation *guarantee*: O(log n) \
          independent of dimension, vs O(d) for the quadtree — run \
-         exp_baseline_quadtree for the d-sweep where the quadtree degrades)"
+         `rsr-exp baseline_quadtree` for the d-sweep where the quadtree degrades)"
     );
 }

@@ -35,7 +35,7 @@ fn main() {
         "Alice → Bob: {} levels, {} KiB \
          (sized for k = {k} differences: grows with k·log(n·Δ), not with n — \
          the win over full transfer kicks in for n ≫ k·log²n; see the \
-         exp_emd_hamming experiment for the sweep)",
+         `rsr-exp emd_hamming` experiment for the sweep)",
         message.num_levels(),
         message.wire_bits() / 8 / 1024
     );

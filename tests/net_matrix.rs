@@ -3,14 +3,8 @@
 //! thread per party) must produce outcomes and measured transcripts
 //! bit-for-bit identical to the in-memory `run()` path, over a grid of
 //! seeds × instance sizes — the transport may not perturb the protocol
-//! in any observable way. A final test checks the multiplexed
-//! server/client path agrees too.
-//!
-//! The batch tests deliberately stay on the deprecated
-//! `run_batch`/`run_batches` entry points: they are now thin forwarders
-//! onto the unified `Driver` engine, and these tests prove the
-//! forwarders still behave bit-for-bit.
-#![allow(deprecated)]
+//! in any observable way. Two final tests check the multiplexed
+//! `ReconServer`/`Driver` path agrees too.
 
 use robust_set_recon::core::emd_protocol::{EmdProtocol, EmdProtocolConfig};
 use robust_set_recon::core::gap_protocol::{GapConfig, GapProtocol};
@@ -19,9 +13,7 @@ use robust_set_recon::core::{Party, ScaledEmdProtocol, Transcript};
 use robust_set_recon::hash::lsh::LshParams;
 use robust_set_recon::hash::BitSamplingFamily;
 use robust_set_recon::metric::MetricSpace;
-use robust_set_recon::net::{
-    MultiClient, NetSession, ReconClient, ReconServer, SessionPlan, TcpChannel,
-};
+use robust_set_recon::net::{Driver, ReconServer, SessionPlan, TcpChannel};
 use robust_set_recon::workloads::{planted_emd, sample_trace, sensor_pairs};
 use rsr_bench::experiments::net::{spec_of, Instance, InstanceFactory};
 use std::net::TcpListener;
@@ -229,9 +221,11 @@ fn spec_negotiated_multi_connection_batches_match_in_memory() {
         .with_shards(4);
     let addr = server.local_addr().expect("addr");
     let server_thread = std::thread::spawn(move || server.serve(Some(2)));
-    let mut client = MultiClient::connect(addr, 2)
-        .expect("connect")
-        .with_shards(4);
+    let mut client = Driver::new(addr)
+        .conns(2)
+        .shards(4)
+        .connect()
+        .expect("connect");
 
     for round in 0..2u64 {
         let batches: Vec<Vec<SessionPlan<'_>>> = (0..2)
@@ -248,7 +242,7 @@ fn spec_negotiated_multi_connection_batches_match_in_memory() {
                     .collect()
             })
             .collect();
-        let reports = client.run_batches(batches).expect("round runs");
+        let reports = client.batch(batches).expect("round runs").conns;
         assert_eq!(reports.len(), 2);
         for (conn, report) in reports.iter().enumerate() {
             assert!(report.transport_error.is_none());
@@ -284,7 +278,7 @@ fn spec_negotiated_multi_connection_batches_match_in_memory() {
 
 #[test]
 fn multiplexed_batch_matches_in_memory() {
-    // A smaller mixed batch through the ReconServer/ReconClient mux
+    // A smaller mixed batch through the ReconServer/Driver mux
     // (exp_net drives ≥ 64); both endpoints' transcripts must match the
     // in-memory totals session by session. Both endpoints run the
     // sharded executor at an explicit width — more shards than this
@@ -303,17 +297,23 @@ fn multiplexed_batch_matches_in_memory() {
         .with_shards(4);
     let addr = server.local_addr().expect("addr");
     let server_thread = std::thread::spawn(move || server.serve_one());
-    let client = ReconClient::connect(addr).expect("connect").with_shards(4);
-    client
-        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-        .expect("set timeout");
-    let sessions: Vec<(u64, Box<dyn NetSession + '_>)> = factory
+    let sessions = factory
         .instances
         .iter()
         .enumerate()
-        .map(|(i, inst)| (i as u64, inst.alice_session()))
+        .map(|(i, inst)| SessionPlan::new(i as u64, inst.alice_session()))
         .collect();
-    let batch = client.run_batch(sessions).expect("batch");
+    let mut report = Driver::new(addr)
+        .shards(4)
+        .idle_timeout(Some(std::time::Duration::from_secs(60)))
+        .batch(vec![sessions])
+        .expect("batch");
+    let batch = report.conns.pop().expect("one connection");
+    assert!(
+        batch.transport_error.is_none(),
+        "{:?}",
+        batch.transport_error
+    );
     let conn = server_thread.join().expect("thread").expect("served");
 
     assert_eq!(batch.sessions.len(), baseline.len());
