@@ -3,10 +3,11 @@
 //! A [`Frame`] is one protocol message as it exists on the wire: a label
 //! (for transcript accounting), the encoded byte payload, and the exact
 //! encoded bit length (the payload is that length rounded up to whole
-//! bytes). A [`Channel`] moves frames between the parties; the in-memory
-//! implementation provided here is what [`crate::session::drive`] uses for
-//! single-process runs, and the trait boundary is where sharded or async
-//! transports plug in later — a session never sees anything but frames.
+//! bytes). An [`InMemoryChannel`] moves frames between the two parties of
+//! a single-process run ([`crate::session::drive`]); every other way of
+//! running sessions — the sharded executor, `rsr-net`'s sockets — moves
+//! the same frames by its own means. A session never sees anything but
+//! frames.
 
 use crate::transcript::Party;
 use rsr_iblt::bits::{BitReader, BitWriter};
@@ -64,44 +65,7 @@ impl Frame {
     }
 }
 
-/// A bidirectional frame transport between Alice and Bob.
-///
-/// The in-memory implementation routes frames between two queues; a real
-/// transport (`rsr-net`'s `TcpChannel`) implements the same two methods
-/// over a socket, and the sessions never know the difference:
-///
-/// ```
-/// use rsr_core::{Channel, Frame, InMemoryChannel, Party};
-/// use rsr_iblt::bits::BitWriter;
-///
-/// let mut channel = InMemoryChannel::new();
-/// let mut w = BitWriter::new();
-/// w.write(0b1011, 4);
-/// channel.send(Party::Alice, Frame::seal("hello", w));
-///
-/// let frame = channel.recv(Party::Bob).expect("queued for Bob");
-/// assert_eq!(frame.label, "hello");
-/// assert_eq!(frame.bit_len, 4);
-/// assert_eq!(frame.decode_exact(|r| r.read(4)), Some(0b1011));
-/// assert!(channel.recv(Party::Bob).is_none()); // queue drained
-/// ```
-pub trait Channel {
-    /// Enqueues a frame from `from` towards its peer.
-    fn send(&mut self, from: Party, frame: Frame);
-
-    /// Dequeues the next frame addressed *to* `to`, if any.
-    ///
-    /// In-process channels return `None` when the queue is momentarily
-    /// empty; transports over real streams block until a frame arrives and
-    /// return `None` only when the peer is gone for good (clean shutdown
-    /// or transport failure). Drivers treat `None` while a session is
-    /// unfinished as a stall either way.
-    fn recv(&mut self, to: Party) -> Option<Frame>;
-}
-
-/// Frame/byte/bit totals for one direction of traffic, so transports
-/// share one accounting implementation instead of each reimplementing
-/// the transcript bookkeeping.
+/// Frame/byte/bit totals over the traffic a channel carried.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelCounters {
     /// Frames counted.
@@ -127,63 +91,25 @@ impl ChannelCounters {
     }
 }
 
-/// Wraps any [`Channel`] with sent/received [`ChannelCounters`], so a
-/// transport with no accounting of its own can still be checked against a
-/// session's transcript.
-#[derive(Debug, Default)]
-pub struct CountingChannel<C> {
-    inner: C,
-    sent: ChannelCounters,
-    received: ChannelCounters,
-}
-
-impl<C: Channel> CountingChannel<C> {
-    /// Wraps `inner` with zeroed counters.
-    pub fn new(inner: C) -> Self {
-        CountingChannel {
-            inner,
-            sent: ChannelCounters::new(),
-            received: ChannelCounters::new(),
-        }
-    }
-
-    /// Totals over every frame pushed through [`Channel::send`].
-    pub fn sent(&self) -> &ChannelCounters {
-        &self.sent
-    }
-
-    /// Totals over every frame handed out by [`Channel::recv`].
-    pub fn received(&self) -> &ChannelCounters {
-        &self.received
-    }
-
-    /// The wrapped channel.
-    pub fn get_ref(&self) -> &C {
-        &self.inner
-    }
-
-    /// Unwraps, dropping the counters.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-}
-
-impl<C: Channel> Channel for CountingChannel<C> {
-    fn send(&mut self, from: Party, frame: Frame) {
-        self.sent.note(&frame);
-        self.inner.send(from, frame);
-    }
-
-    fn recv(&mut self, to: Party) -> Option<Frame> {
-        let frame = self.inner.recv(to)?;
-        self.received.note(&frame);
-        Some(frame)
-    }
-}
-
 /// The in-process transport: two FIFO queues plus delivery counters, so
 /// tests can check that transcript totals equal what actually crossed the
 /// channel.
+///
+/// ```
+/// use rsr_core::{Frame, InMemoryChannel, Party};
+/// use rsr_iblt::bits::BitWriter;
+///
+/// let mut channel = InMemoryChannel::new();
+/// let mut w = BitWriter::new();
+/// w.write(0b1011, 4);
+/// channel.send(Party::Alice, Frame::seal("hello", w));
+///
+/// let frame = channel.recv(Party::Bob).expect("queued for Bob");
+/// assert_eq!(frame.label, "hello");
+/// assert_eq!(frame.bit_len, 4);
+/// assert_eq!(frame.decode_exact(|r| r.read(4)), Some(0b1011));
+/// assert!(channel.recv(Party::Bob).is_none()); // queue drained
+/// ```
 #[derive(Debug, Default)]
 pub struct InMemoryChannel {
     to_alice: VecDeque<Frame>,
@@ -212,10 +138,9 @@ impl InMemoryChannel {
     pub fn bits_sent(&self) -> u64 {
         self.sent.bits
     }
-}
 
-impl Channel for InMemoryChannel {
-    fn send(&mut self, from: Party, frame: Frame) {
+    /// Enqueues a frame from `from` towards its peer.
+    pub fn send(&mut self, from: Party, frame: Frame) {
         self.sent.note(&frame);
         match from {
             Party::Alice => self.to_bob.push_back(frame),
@@ -223,7 +148,9 @@ impl Channel for InMemoryChannel {
         }
     }
 
-    fn recv(&mut self, to: Party) -> Option<Frame> {
+    /// Dequeues the next frame addressed *to* `to`; `None` when the
+    /// queue is momentarily empty.
+    pub fn recv(&mut self, to: Party) -> Option<Frame> {
         match to {
             Party::Alice => self.to_alice.pop_front(),
             Party::Bob => self.to_bob.pop_front(),
@@ -291,24 +218,6 @@ mod tests {
         let mut bad = f.clone();
         bad.payload.push(0xFF);
         assert_eq!(bad.decode_exact(|r| r.read(32)), None);
-    }
-
-    #[test]
-    fn counting_channel_tracks_both_directions() {
-        let mut ch = CountingChannel::new(InMemoryChannel::new());
-        ch.send(Party::Alice, frame("a", 9));
-        ch.send(Party::Bob, frame("b", 130));
-        assert_eq!(ch.sent().frames, 2);
-        assert_eq!(ch.sent().bits, 139);
-        assert_eq!(ch.sent().bytes, 2 + 17);
-        assert_eq!(*ch.received(), ChannelCounters::new());
-        // Receiving moves frames into the received totals.
-        assert!(ch.recv(Party::Bob).is_some());
-        assert_eq!(ch.received().frames, 1);
-        assert_eq!(ch.received().bits, 9);
-        // The wrapped channel's own counters agree.
-        assert_eq!(ch.get_ref().bits_sent(), 139);
-        assert_eq!(ch.into_inner().frames_sent(), 2);
     }
 
     #[test]

@@ -111,8 +111,8 @@ impl ShardObs {
 }
 
 /// A wakeup hook a consumer can hang on the event stream: called after
-/// *every* event append — worker-emitted and [`Injector::inject`]ed alike
-/// — so a consumer that blocks somewhere other than [`Events::recv`]
+/// *every* event append, so a consumer that blocks somewhere other than
+/// [`Events::recv`]
 /// (e.g. a socket readiness loop in `poll(2)`) learns there is something
 /// to drain. Must be cheap and must never block; implementations
 /// typically flip an atomic and poke a self-pipe.
@@ -277,20 +277,6 @@ pub enum ExecEvent {
         /// The partial transcript.
         transcript: Transcript,
     },
-    /// Passed through verbatim from [`Injector::inject`]; the executor
-    /// itself never produces this. Lets a producer thread serialize its
-    /// own control decisions (e.g. a transport rejecting an unknown
-    /// session id, or reporting end-of-stream) into the one event stream
-    /// the consumer already drains.
-    Injected {
-        /// Producer-chosen session id (or sentinel).
-        id: u64,
-        /// Producer-chosen discriminant.
-        code: u32,
-        /// Producer-chosen detail — `Cow` like frame labels, so the
-        /// common static notes never allocate on the hot path.
-        note: Cow<'static, str>,
-    },
 }
 
 /// One entry in a shard's ready queue.
@@ -308,12 +294,13 @@ enum ShardMsg<'env> {
 }
 
 /// The feeding half of a running executor: submits sessions, delivers
-/// frames, closes sessions, and injects consumer-defined events.
+/// frames, and closes sessions.
 pub struct Injector<'env> {
     shard_txs: Vec<mpsc::Sender<ShardMsg<'env>>>,
     shard_obs: Vec<ShardObs>,
-    event_tx: EventTx,
     placement: Placement,
+    /// Where each submitted session runs, until the consumer
+    /// [`forget`](Injector::forget)s it.
     shard_of: HashMap<u64, usize>,
 }
 
@@ -366,9 +353,10 @@ impl<'env> Injector<'env> {
         }
     }
 
-    /// Wakes `id` with an incoming frame. Returns `false` if the id was
-    /// never submitted (the frame is dropped); frames for sessions that
-    /// already finished are silently dropped by the worker as stale.
+    /// Wakes `id` with an incoming frame. Returns `false` if the id is
+    /// not tracked — never submitted, or already forgotten — and the
+    /// frame is dropped; frames for sessions that already finished are
+    /// silently dropped by the worker as stale.
     pub fn deliver(&self, id: u64, frame: Frame) -> bool {
         match self.shard_of.get(&id) {
             Some(&shard) => {
@@ -382,7 +370,7 @@ impl<'env> Injector<'env> {
 
     /// Closes `id` with `reason`: if the session is still live its worker
     /// emits [`ExecEvent::Done`] with that reason; a stale or unknown id
-    /// is a no-op. Returns `false` only for ids never submitted.
+    /// is a no-op. Returns `false` only for ids not tracked.
     pub fn close(&self, id: u64, reason: impl Into<Cow<'static, str>>) -> bool {
         match self.shard_of.get(&id) {
             Some(&shard) => {
@@ -397,17 +385,17 @@ impl<'env> Injector<'env> {
         }
     }
 
-    /// Appends an [`ExecEvent::Injected`] to the event stream, after
-    /// everything workers have already emitted.
-    pub fn inject(&self, id: u64, code: u32, note: impl Into<Cow<'static, str>>) {
-        let _ = self.event_tx.send(ExecEvent::Injected {
-            id,
-            code,
-            note: note.into(),
-        });
+    /// Stops tracking `id`. The consumer calls this when the session's
+    /// [`ExecEvent::Done`] or [`ExecEvent::Stranded`] arrives — the last
+    /// event the id will ever produce — so an executor that outlives its
+    /// sessions (a server's) holds state only for the live ones. Later
+    /// [`deliver`](Injector::deliver)s and [`close`](Injector::close)s
+    /// of the id are dropped here instead of by the worker.
+    pub fn forget(&mut self, id: u64) {
+        self.shard_of.remove(&id);
     }
 
-    /// The shard `id` was placed on, if it was ever submitted.
+    /// The shard `id` runs on, while it is tracked.
     pub fn shard_of(&self, id: u64) -> Option<usize> {
         self.shard_of.get(&id).copied()
     }
@@ -521,10 +509,12 @@ pub fn with_executor_notified<'env, R>(
             let worker_events = event_tx.clone();
             s.spawn(move || shard_worker(rx, worker_events, obs));
         }
+        // Only workers append events: the stream closes when the last
+        // of them exits.
+        drop(event_tx);
         let injector = Injector {
             shard_txs,
             shard_obs,
-            event_tx,
             placement: Placement::new(shards, placement_seed),
             shard_of: HashMap::new(),
         };
@@ -825,6 +815,7 @@ pub fn drive_batch<'env>(
                     error,
                 }) => {
                     let (pair, half) = ((id / 2) as usize, (id % 2) as usize);
+                    injector.forget(id);
                     if finished[pair][half] {
                         continue;
                     }
@@ -840,7 +831,7 @@ pub fn drive_batch<'env>(
                         injector.close(id ^ 1, "peer session failed");
                     }
                 }
-                Wait::Event(ExecEvent::Stranded { .. } | ExecEvent::Injected { .. }) => {}
+                Wait::Event(ExecEvent::Stranded { .. }) => {}
                 Wait::Timeout if !stalled => {
                     // No worker produced anything for a whole window:
                     // close every unfinished half; their Done events (and
@@ -1074,15 +1065,21 @@ mod tests {
 
     #[test]
     fn next_drains_pending_events_before_reporting_closed() {
-        with_executor(1, 0, |_s, injector, events| {
-            injector.inject(9, 1, "queued before shutdown");
+        with_executor(1, 0, |_s, mut injector, events| {
+            // Alice's opening frame is queued by the worker; dropping
+            // the injector right behind the submit shuts the executor
+            // down with that event (and the stranding) still unread.
+            injector.submit(9, Party::Alice, chat_pair(1).0);
             drop(injector);
-            // An event queued before every injector went away must
-            // still surface; Closed is only ever the end of a drained
-            // stream.
+            // Events queued before every injector went away must still
+            // surface; Closed is only ever the end of a drained stream.
             match events.next(None) {
-                Wait::Event(ExecEvent::Injected { id, .. }) => assert_eq!(id, 9),
-                other => panic!("expected the queued Injected event, got {other:?}"),
+                Wait::Event(ExecEvent::Frame { id, .. }) => assert_eq!(id, 9),
+                other => panic!("expected the queued Frame event, got {other:?}"),
+            }
+            match events.next(Some(Duration::from_secs(5))) {
+                Wait::Event(ExecEvent::Stranded { id, .. }) => assert_eq!(id, 9),
+                other => panic!("expected Stranded, got {other:?}"),
             }
             match events.next(Some(Duration::from_secs(5))) {
                 Wait::Closed => {}
@@ -1092,15 +1089,34 @@ mod tests {
     }
 
     #[test]
-    fn injected_events_pass_through() {
-        with_executor(1, 0, |_s, injector, events| {
-            injector.inject(77, 3, "note");
-            match events.recv() {
-                Some(ExecEvent::Injected { id, code, note }) => {
-                    assert_eq!((id, code, &*note), (77, 3, "note"));
-                }
-                other => panic!("unexpected event: {other:?}"),
+    fn forgetting_settled_sessions_leaves_the_injector_tracking_nothing() {
+        const N: u64 = 64;
+        with_executor(2, 0, |_s, mut injector, events| {
+            for id in 0..N {
+                // Nothing to send, nothing expected: done at adoption.
+                let idle = Pong {
+                    to_send: 0,
+                    expect: 0,
+                    echo: false,
+                };
+                injector.submit(id, Party::Bob, Box::new(idle));
             }
+            assert_eq!(injector.shard_of.len(), N as usize);
+            let loads_before = injector.loads().to_vec();
+            for _ in 0..N {
+                match events.next(Some(Duration::from_secs(5))) {
+                    Wait::Event(ExecEvent::Done { id, error, .. }) => {
+                        assert!(error.is_none());
+                        injector.forget(id);
+                    }
+                    other => panic!("expected Done, got {other:?}"),
+                }
+            }
+            assert!(injector.shard_of.is_empty(), "every settled id forgotten");
+            // Placement balance is cumulative: forgetting leaves it be.
+            assert_eq!(injector.loads(), loads_before);
+            assert_eq!(injector.shard_of(0), None);
+            assert!(!injector.close(0, "stale"));
         });
     }
 }

@@ -24,15 +24,15 @@
 //!   message and round counts).
 //! * [`channel`] / [`session`] — the two-party message-passing substrate:
 //!   every protocol is an Alice/Bob pair of session state machines
-//!   exchanging encoded frames through a [`channel::Channel`]; the
-//!   `run(&alice, &bob)` entry points are thin drivers over it.
+//!   exchanging encoded [`channel::Frame`]s; the `run(&alice, &bob)`
+//!   entry points drive a pair over a [`channel::InMemoryChannel`].
 //! * [`continuous`] — long-lived incremental sessions: resident
 //!   churn-sized tables, snapshot subtraction, per-round delta
 //!   reconciliation with an Idle→Syncing→Settled lifecycle.
 //! * [`executor`] — the sharded worker-pool executor: two-choice
 //!   session→shard placement, per-shard ready queues, wake-on-frame
 //!   dispatch, and the in-process parallel [`executor::drive_batch`]
-//!   driver. The networked transports in `rsr-net` feed it frames.
+//!   driver. `rsr-net`'s reactor feeds it frames off the wire.
 //! * [`wire`] — codecs for non-table payloads (point lists, `u64` lists),
 //!   built on `rsr-iblt`'s shared bit codec.
 
@@ -51,7 +51,7 @@ pub mod transcript;
 pub mod two_way;
 pub mod wire;
 
-pub use channel::{Channel, ChannelCounters, CountingChannel, Frame, InMemoryChannel};
+pub use channel::{ChannelCounters, Frame, InMemoryChannel};
 pub use continuous::{
     shared, AliceRound, BobRound, ContinuousConfig, ContinuousError, ContinuousParty,
     ContinuousSession, SessionPhase, SharedParty,
@@ -70,7 +70,7 @@ pub use gap_protocol::{
     verify_gap_guarantee, GapAliceSession, GapBobSession, GapConfig, GapError, GapOutcome,
     GapProtocol,
 };
-pub use session::{drive, drive_channel, drive_in_memory, DriveError, Session};
+pub use session::{drive, drive_in_memory, DriveError, Session};
 pub use set_recon::{exact_reconcile, ExactOutcome, ExactReconError};
 pub use transcript::{Party, Transcript};
 pub use two_way::{two_way_emd, two_way_gap, TwoWayEmdOutcome, TwoWayGapOutcome};

@@ -1,19 +1,19 @@
 //! Two-party session state machines and the driver that runs them.
 //!
 //! Each protocol is split into an Alice-side and a Bob-side [`Session`]:
-//! poll-style state machines that *only* exchange encoded [`Frame`]s
-//! through a [`Channel`]. The in-memory [`drive`] loop alternates turns —
-//! drain everything the sending party has to say, deliver it, flip — and
-//! records every frame's measured bit length into a [`Transcript`], which
-//! is also where rounds are counted: one round per direction change, as
+//! poll-style state machines that *only* exchange encoded [`Frame`]s.
+//! The in-memory [`drive`] loop alternates turns — drain everything the
+//! sending party has to say, deliver it, flip — and records every
+//! frame's measured bit length into a [`Transcript`], which is also
+//! where rounds are counted: one round per direction change, as
 //! actually observed on the channel.
 //!
-//! The legacy `run(&alice, &bob)` entry points are thin wrappers that
-//! build both sessions, [`drive`] them over an [`InMemoryChannel`], and
-//! assemble the outcome; a sharded or async transport only needs to
-//! replace the driver, not the sessions.
+//! The `run(&alice, &bob)` entry points are thin wrappers that build
+//! both sessions, [`drive`] them over an [`InMemoryChannel`], and
+//! assemble the outcome; the sharded executor and `rsr-net` replace the
+//! driver, never the sessions.
 
-use crate::channel::{Channel, Frame, InMemoryChannel};
+use crate::channel::{Frame, InMemoryChannel};
 use crate::transcript::{Party, Transcript};
 use std::fmt;
 
@@ -120,8 +120,8 @@ impl<E: fmt::Display> fmt::Display for DriveError<E> {
 
 impl<E: fmt::Debug + fmt::Display> std::error::Error for DriveError<E> {}
 
-/// Runs two sessions to completion over a channel, starting with `first`'s
-/// turn. Returns the transcript of every frame that crossed the channel,
+/// Runs two sessions to completion over an in-memory channel, starting
+/// with `first`'s turn. Returns the transcript of every frame that crossed the channel,
 /// with measured sizes and channel-turn-driven round counts.
 ///
 /// Driving a real protocol (Algorithm 1) over an explicit channel — the
@@ -148,7 +148,7 @@ impl<E: fmt::Debug + fmt::Display> std::error::Error for DriveError<E> {}
 /// assert_eq!(bob.into_outcome().unwrap().reconciled.len(), pts.len());
 /// ```
 pub fn drive<'a, E>(
-    channel: &mut dyn Channel,
+    channel: &mut InMemoryChannel,
     first: Party,
     alice: &'a mut dyn Session<Error = E>,
     bob: &'a mut dyn Session<Error = E>,
@@ -182,78 +182,6 @@ pub fn drive<'a, E>(
             }
         }
         turn = turn.peer();
-    }
-    Ok(transcript)
-}
-
-/// Runs *one* party's session over a channel whose other end lives
-/// elsewhere (another thread, another process across a socket). Unlike
-/// [`drive`] there is no turn alternation to orchestrate: this party says
-/// everything it can, then blocks on [`Channel::recv`] for the peer's next
-/// frame, until its own session completes.
-///
-/// The transcript records **both** directions — frames this party sent
-/// (attributed to `me`) and frames it received (attributed to the peer) —
-/// in the order they crossed the channel, so on either endpoint it is
-/// entry-for-entry identical to the transcript an in-memory [`drive`] of
-/// the same session pair produces.
-///
-/// A `None` from [`Channel::recv`] while the session is unfinished means
-/// the peer is gone (clean shutdown, transport failure, or an empty
-/// in-memory queue) and surfaces as [`DriveError::Stalled`]; transports
-/// carry the underlying cause out of band (e.g. `TcpChannel::take_error`
-/// in `rsr-net`).
-///
-/// Each endpoint drives only its own half; here the two halves run
-/// sequentially over one in-memory channel standing in for the socket
-/// (a one-way protocol, so Alice can finish before Bob starts):
-///
-/// ```
-/// use rsr_core::emd_protocol::{EmdProtocol, EmdProtocolConfig};
-/// use rsr_core::{drive_channel, InMemoryChannel, Party};
-/// use rsr_metric::{MetricSpace, Point};
-///
-/// let space = MetricSpace::hamming(8);
-/// let pts: Vec<Point> = (0..8i64)
-///     .map(|i| Point::new((0..8).map(|b| (i >> b) & 1).collect()))
-///     .collect();
-/// let cfg = EmdProtocolConfig::for_space(&space, pts.len(), 1);
-/// let proto = EmdProtocol::new(space, cfg, 7);
-/// let mut channel = InMemoryChannel::new();
-///
-/// // "Process A": Alice's endpoint says everything it can, then is done.
-/// let mut alice = proto.alice_session(&pts);
-/// let sent = drive_channel(&mut channel, Party::Alice, &mut alice).unwrap();
-///
-/// // "Process B": Bob's endpoint consumes the queued frames.
-/// let mut bob = proto.bob_session(&pts);
-/// let received = drive_channel(&mut channel, Party::Bob, &mut bob).unwrap();
-///
-/// // Both single-party transcripts measured the same one-round exchange.
-/// assert_eq!(sent.total_bits(), received.total_bits());
-/// assert!(bob.into_outcome().is_some());
-/// ```
-pub fn drive_channel<E>(
-    channel: &mut dyn Channel,
-    me: Party,
-    session: &mut dyn Session<Error = E>,
-) -> Result<Transcript, DriveError<E>> {
-    let mut transcript = Transcript::new();
-    while !session.is_done() {
-        while let Some(frame) = session.poll_send().map_err(DriveError::Session)? {
-            transcript.record_from(me, frame.label.clone(), frame.bit_len);
-            channel.send(me, frame);
-        }
-        if session.is_done() {
-            break;
-        }
-        match channel.recv(me) {
-            Some(frame) => {
-                transcript.record_from(me.peer(), frame.label.clone(), frame.bit_len);
-                session.on_frame(frame).map_err(DriveError::Session)?;
-            }
-            None => return Err(DriveError::Stalled),
-        }
     }
     Ok(transcript)
 }
@@ -332,38 +260,6 @@ mod tests {
         assert_eq!(bob.received.len(), 3);
         assert_eq!(alice.received.len(), 1);
         assert_eq!(t.total_bits(), 4 * 16);
-    }
-
-    #[test]
-    fn drive_channel_records_both_directions() {
-        // Pre-seed the peer's reply, then drive only Alice's endpoint:
-        // she sends her burst, receives the reply, and her single-party
-        // transcript covers both directions in channel order.
-        let mut channel = InMemoryChannel::new();
-        channel.send(Party::Bob, Frame::seal("reply", BitWriter::new()));
-        let mut alice = Chatter {
-            to_send: 2,
-            got_reply: false,
-            reply_when_done_sending: false,
-            received: vec![],
-        };
-        let t = drive_channel(&mut channel, Party::Alice, &mut alice).expect("completes");
-        assert_eq!(alice.received, vec!["reply"]);
-        assert_eq!(t.num_messages(), 3);
-        assert_eq!(t.num_rounds(), 2);
-        let senders: Vec<_> = t.entries_with_sender().map(|(s, _, _)| s).collect();
-        assert_eq!(
-            senders,
-            vec![Some(Party::Alice), Some(Party::Alice), Some(Party::Bob)]
-        );
-    }
-
-    #[test]
-    fn drive_channel_stalls_on_dry_channel() {
-        let mut channel = InMemoryChannel::new();
-        let mut mute = Mute;
-        let err = drive_channel(&mut channel, Party::Alice, &mut mute).unwrap_err();
-        assert_eq!(err, DriveError::Stalled);
     }
 
     /// A session that claims to be unfinished but never sends.

@@ -2,9 +2,9 @@
 //!
 //! Every protocol in this crate reports its communication through a
 //! [`Transcript`]: a labelled list of messages with their wire sizes in
-//! bits. Since the session refactor the sizes are *measured* — the session
-//! driver records the encoded bit length of every frame that crosses the
-//! [`crate::channel::Channel`] — and the experiments compare the totals
+//! bits. The sizes are *measured* — whatever drives a session records the
+//! encoded bit length of every [`crate::channel::Frame`] that crosses
+//! between the parties — and the experiments compare the totals
 //! against the paper's bounds (e.g. Corollary 3.5's
 //! `O(k·d·log n·log(dn))`), so nothing may bypass the accounting.
 //!

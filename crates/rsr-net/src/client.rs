@@ -37,7 +37,7 @@
 
 use crate::codec::{NetError, Record, SessionSpec, STATUS_OK, STATUS_SESSION_ERROR};
 use crate::driver::{RunReport, RunSession};
-use crate::reactor::{ConnIo, PLACEMENT_SEED, READ_CHUNK};
+use crate::reactor::{sooner, timed_out, ConnIo, Routes, PLACEMENT_SEED, READ_CHUNK};
 use crate::server::NetSession;
 use netpoll::{PollFd, Poller, POLLIN};
 use rsr_core::continuous::{AliceRound, ContinuousError, SharedParty};
@@ -276,24 +276,6 @@ fn all_resolved(slots: &[Slot]) -> bool {
     slots.iter().all(Slot::resolved)
 }
 
-/// Executor id → (connection index, slot index). Wire ids are
-/// per-connection names; the shared executor needs unique ones, handed
-/// out in injection order.
-#[derive(Default)]
-struct Routes {
-    next_exec: u64,
-    live: HashMap<u64, (usize, usize)>,
-}
-
-impl Routes {
-    fn assign(&mut self, conn: usize, slot: usize) -> u64 {
-        let exec = self.next_exec;
-        self.next_exec += 1;
-        self.live.insert(exec, (conn, slot));
-        exec
-    }
-}
-
 /// One connection's state machine while a round runs. It borrows the
 /// pooled socket and writes the connection's [`RunReport`] in place.
 struct RoundConn<'p, 's> {
@@ -477,7 +459,7 @@ impl<'p, 's> RoundConn<'p, 's> {
     /// without a schedule). Submit before queueing `OPEN`: were `OPEN`
     /// flushed first, the server could answer before the executor knows
     /// the id.
-    fn inject_due(&mut self, conn: usize, routes: &mut Routes, injector: &mut Injector<'s>) {
+    fn inject_due(&mut self, conn: usize, routes: &mut Routes<usize>, injector: &mut Injector<'s>) {
         let elapsed = self.t0.elapsed();
         while self.next_up < self.slots.len() {
             let Some(io) = self.io.as_deref_mut() else {
@@ -559,8 +541,6 @@ impl<'p, 's> RoundConn<'p, 's> {
                     .get_or_insert_with(|| CLOSED_BEFORE_SETTLE.into());
                 self.note_progress(s);
             }
-            // The reactor injects nothing.
-            ExecEvent::Injected { .. } => {}
         }
         if let Err(e) = queued {
             self.fail(injector, e);
@@ -573,13 +553,9 @@ impl<'p, 's> RoundConn<'p, 's> {
         let Some(io) = self.io.as_deref_mut() else {
             return;
         };
-        let timed_out =
-            |what: String| -> NetError { io::Error::new(io::ErrorKind::TimedOut, what).into() };
         let mut failure = io.try_flush().err();
-        if let (None, Some(idle)) = (&failure, self.idle_timeout) {
-            if in_flight(&self.slots[..self.next_up])
-                && now.duration_since(io.last_activity) >= idle
-            {
+        if failure.is_none() && in_flight(&self.slots[..self.next_up]) {
+            if let Some(idle) = io.idle_expired(now, self.idle_timeout) {
                 failure = Some(timed_out(format!(
                     "no wire activity for {idle:?} with sessions in flight"
                 )));
@@ -609,47 +585,34 @@ impl<'p, 's> RoundConn<'p, 's> {
     /// into `deadline`.
     fn poll_interest(&self, deadline: &mut Option<Instant>) -> Option<PollFd> {
         let io = self.io.as_deref()?;
-        let mut note = |at: Instant| *deadline = Some(deadline.map_or(at, |d| d.min(at)));
         if let Some(schedule) = &self.schedule {
             if self.next_up < self.slots.len() {
-                note(self.t0 + schedule[self.next_up]);
+                sooner(deadline, self.t0 + schedule[self.next_up]);
             }
         }
-        if let Some(idle) = self.idle_timeout {
-            if in_flight(&self.slots[..self.next_up]) {
-                note(io.last_activity + idle);
+        if in_flight(&self.slots[..self.next_up]) {
+            if let Some(at) = io.idle_deadline(self.idle_timeout) {
+                sooner(deadline, at);
             }
         }
         if let Some(flush) = self.flush_deadline {
-            note(flush);
+            sooner(deadline, flush);
         }
-        let interest = io.interest();
-        (interest != 0).then(|| PollFd::new(io.fd(), interest))
+        io.poll_fd()
     }
 
     /// Phase 5: drains a readable socket into the executor.
     fn drain_readable(&mut self, scratch: &mut [u8], injector: &Injector<'_>) {
-        let Some(io) = self.io.as_deref_mut() else {
-            return;
-        };
-        let mut routed = io.fill(scratch);
-        while let (Ok(()), Some(io)) = (&routed, self.io.as_deref_mut()) {
-            routed = match io.next_record() {
+        while let Some(io) = self.io.as_deref_mut() {
+            let routed = match io.read_record(scratch) {
                 Ok(Some(record)) => self.route_server_record(record, injector),
-                Ok(None) => break,
+                Ok(None) if io.read_closed => return self.close_clean(injector),
+                Ok(None) => return,
                 Err(e) => Err(e),
             };
-        }
-        if let Err(e) = routed {
-            self.fail(injector, e);
-            return;
-        }
-        let Some(io) = self.io.as_deref().filter(|io| io.read_closed) else {
-            return;
-        };
-        match io.eof_truncation() {
-            Some(e) => self.fail(injector, e),
-            None => self.close_clean(injector),
+            if let Err(e) = routed {
+                return self.fail(injector, e);
+            }
         }
     }
 
@@ -784,7 +747,7 @@ pub(crate) fn run_round<'s>(
         PLACEMENT_SEED,
         Some(notify),
         |_scope, mut injector, events| {
-            let mut routes = Routes::default();
+            let mut routes = Routes::new();
             let mut scratch = vec![0u8; READ_CHUNK];
             let mut fds: Vec<PollFd> = Vec::new();
             let mut fd_conns: Vec<usize> = Vec::new();
@@ -796,14 +759,7 @@ pub(crate) fn run_round<'s>(
 
                 // Route executor events: frames out, local halves done.
                 while let Some(ev) = events.try_recv() {
-                    let (c, s) = match &ev {
-                        ExecEvent::Frame { id, .. } => routes.live.get(id).copied(),
-                        ExecEvent::Done { id, .. } | ExecEvent::Stranded { id, .. } => {
-                            routes.live.remove(id)
-                        }
-                        ExecEvent::Injected { .. } => continue,
-                    }
-                    .expect("routed session");
+                    let (c, s) = routes.resolve(&ev, &mut injector);
                     state[c].on_event(s, ev, &injector);
                 }
 

@@ -1,4 +1,4 @@
-//! The length-prefixed record codec every `rsr-net` transport speaks.
+//! The length-prefixed record codec both `rsr-net` endpoints speak.
 //!
 //! A TCP stream carries a sequence of *records*, each one length-prefixed
 //! so a reader can frame the stream without understanding its contents:
@@ -15,15 +15,13 @@
 //!   shared trace), or a negotiation block (see [`SessionSpec`]): `u8`
 //!   flag, `u8` protocol code, `u32` n, `u32` k, `u32` dim, `u64`
 //!   seed, all big-endian. The flag is a bitfield: bit 0 set means a
-//!   spec block follows (flag `1`, PR 5's wire form), bit 1 set marks
-//!   the session *continuous* (flag `3`) — the id stays live across
-//!   many `ROUND` exchanges instead of retiring on the first `DONE`.
-//!   Any other flag value is malformed. The spec tells the server
-//!   which protocol instance to build for the session — the
-//!   session-id → instance mapping travels on the wire instead of
-//!   living in out-of-band trace state. An empty body remains exactly
-//!   PR 3's wire form, so bare opens are bit-compatible in both
-//!   directions.
+//!   spec block follows (flag `1`), bit 1 set marks the session
+//!   *continuous* (flag `3`) — the id stays live across many `ROUND`
+//!   exchanges instead of retiring on the first `DONE`. Any other flag
+//!   value is malformed. The spec tells the server which protocol
+//!   instance to build for the session — the session-id → instance
+//!   mapping travels on the wire instead of living in out-of-band
+//!   trace state.
 //! * `FRAME` — `u16` label length, the UTF-8 label, `u64` exact bit
 //!   length, then the payload bytes (exactly `bit_len.div_ceil(8)` of
 //!   them). This is a [`Frame`] as the session layer knows it; the label
@@ -45,8 +43,11 @@
 //! Decoding is strict: a record whose body disagrees with its length
 //! prefix, whose frame payload disagrees with its bit length, or whose
 //! claimed length exceeds [`MAX_RECORD_BYTES`] is a [`NetError`], never a
-//! silent truncation — and the oversize check runs *before* any
-//! allocation, so a hostile length prefix cannot balloon memory.
+//! silent truncation — and the oversize check runs *before* the body is
+//! buffered, so a hostile length prefix cannot balloon memory. There is
+//! one framer, [`RecordDecoder`]: the reactor feeds it whatever a
+//! nonblocking read produced, and the blocking [`read_record`] loops
+//! over it.
 
 use rsr_core::channel::Frame;
 use std::borrow::Cow;
@@ -143,13 +144,6 @@ pub enum NetError {
     },
     /// A record kind byte this codec does not know.
     UnknownKind(u8),
-    /// The remote endpoint reported a session failure via `DONE`.
-    Remote {
-        /// The session the failure belongs to.
-        session: u64,
-        /// The remote error message.
-        message: String,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -162,9 +156,6 @@ impl fmt::Display for NetError {
                 "record body of {claimed} bytes exceeds the {MAX_RECORD_BYTES}-byte cap"
             ),
             NetError::UnknownKind(kind) => write!(f, "unknown record kind {kind:#04x}"),
-            NetError::Remote { session, message } => {
-                write!(f, "remote failure on session {session}: {message}")
-            }
         }
     }
 }
@@ -328,44 +319,26 @@ pub fn write_record<W: Write>(w: &mut W, record: &Record) -> Result<u64, NetErro
     Ok(4 + body_len as u64)
 }
 
-/// Reads one record. Returns `Ok(None)` on a clean end of stream (EOF at
-/// a record boundary); EOF anywhere else is `Malformed`, a length prefix
-/// over [`MAX_RECORD_BYTES`] is `Oversized` (detected before allocating).
-/// On success also returns the wire bytes consumed.
+/// Reads one record off a blocking stream, consuming exactly its bytes.
+/// Returns `Ok(None)` on a clean end of stream (EOF at a record
+/// boundary); EOF anywhere else is `Malformed`, a length prefix over
+/// [`MAX_RECORD_BYTES`] is `Oversized` (detected before the body is
+/// read). On success also returns the wire bytes consumed.
 pub fn read_record<R: Read>(r: &mut R) -> Result<Option<(Record, u64)>, NetError> {
-    let mut prefix = [0u8; 4];
-    match read_full(r, &mut prefix)? {
-        0 => return Ok(None),
-        4 => {}
-        _ => return Err(NetError::Malformed("truncated length prefix")),
-    }
-    let body_len = u32::from_be_bytes(prefix);
-    if body_len > MAX_RECORD_BYTES {
-        return Err(NetError::Oversized { claimed: body_len });
-    }
-    if body_len < 9 {
-        return Err(NetError::Malformed("record body shorter than its header"));
-    }
-    let mut body = vec![0u8; body_len as usize];
-    if read_full(r, &mut body)? != body.len() {
-        return Err(NetError::Malformed("truncated record body"));
-    }
-    let record = parse_body(&body)?;
-    Ok(Some((record, 4 + body_len as u64)))
-}
-
-/// Reads until `buf` is full or EOF; returns the bytes read.
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, NetError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
+    let mut decoder = RecordDecoder::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(found) = decoder.next_record()? {
+            return Ok(Some(found));
+        }
+        let want = decoder.missing().min(chunk.len());
+        match r.read(&mut chunk[..want]) {
+            Ok(0) => return decoder.truncation().map_or(Ok(None), Err),
+            Ok(n) => decoder.feed(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(NetError::Io(e)),
         }
     }
-    Ok(filled)
 }
 
 fn parse_body(body: &[u8]) -> Result<Record, NetError> {
@@ -376,7 +349,7 @@ fn parse_body(body: &[u8]) -> Result<Record, NetError> {
     let record = match kind {
         KIND_OPEN => {
             let spec = if cur.remaining() == 0 {
-                None // bare open: PR 3's wire form
+                None // bare open
             } else {
                 let flag = cur.u8().ok_or(TRUNCATED)?;
                 if flag & OPEN_FLAG_SPEC == 0
@@ -488,15 +461,14 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Incremental record framing for a *nonblocking* byte source: feed
-/// whatever bytes a read produced, pull complete records out. The
-/// validation is byte-for-byte [`read_record`]'s — same oversize check
-/// *before* the body is retained, same strict body parsing — but the
-/// decoder never blocks and never sees the socket: the reactor owns the
-/// reads and hands bytes in.
+/// Incremental record framing: feed whatever bytes a read produced, pull
+/// complete records out. The oversize check runs on the length prefix,
+/// *before* the body is retained, and body parsing is strict. The
+/// decoder never blocks and never sees the socket: whoever owns the
+/// reads hands bytes in.
 ///
 /// EOF handling belongs to the caller: when the peer's stream ends,
-/// [`RecordDecoder::is_mid_record`] distinguishes a clean end (empty
+/// [`RecordDecoder::truncation`] distinguishes a clean end (empty
 /// buffer — a record boundary) from a truncation (prefix or body cut
 /// mid-record), which callers must surface as
 /// [`NetError::Malformed`] — the symmetric half-close rule.
@@ -557,13 +529,25 @@ impl RecordDecoder {
 
     /// The error an EOF at this point implies: `None` at a record
     /// boundary (a clean close), the matching [`NetError::Malformed`]
-    /// otherwise — byte-for-byte the diagnosis the blocking
-    /// [`read_record`] makes when its stream ends mid-record.
+    /// otherwise.
     pub fn truncation(&self) -> Option<NetError> {
         match self.buf.len() - self.start {
             0 => None,
             1..=3 => Some(NetError::Malformed("truncated length prefix")),
             _ => Some(NetError::Malformed("truncated record body")),
+        }
+    }
+
+    /// Bytes the record at the head of the buffer still lacks — up to
+    /// the end of its length prefix first, then of its body — so a
+    /// blocking reader can stop exactly at the record boundary. Only
+    /// meaningful after [`RecordDecoder::next_record`] returned
+    /// `Ok(None)`, which has then vetted any complete prefix.
+    fn missing(&self) -> usize {
+        let pending = &self.buf[self.start..];
+        match pending.first_chunk::<4>() {
+            None => 4 - pending.len(),
+            Some(prefix) => 4 + u32::from_be_bytes(*prefix) as usize - pending.len(),
         }
     }
 }

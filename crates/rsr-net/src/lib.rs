@@ -1,22 +1,16 @@
-//! A real TCP transport behind `rsr-core`'s
-//! [`Channel`](rsr_core::channel::Channel) trait, plus a multi-session
-//! reconciliation server and one client driver.
+//! A TCP transport for `rsr-core`'s sessions: a multi-session
+//! reconciliation server and one client driver, both built on the same
+//! readiness reactor.
 //!
 //! Every protocol is a pair of Alice/Bob session state machines that
-//! only exchange byte-exact [`Frame`](rsr_core::channel::Frame)s over a
-//! [`Channel`](rsr_core::channel::Channel); this crate carries those
-//! frames over sockets and hands the transcripts back bit for bit.
-//! Four layers, std-only:
+//! only exchange byte-exact [`Frame`](rsr_core::channel::Frame)s; this
+//! crate carries those frames over sockets and hands the transcripts
+//! back bit for bit. Three layers, std-only:
 //!
 //! * [`codec`] — the length-prefixed record grammar: every record carries
 //!   a session id, and a `FRAME` record carries a session-layer `Frame`
 //!   (label, payload, exact bit length) verbatim, so transcript
 //!   accounting on the two endpoints agrees bit for bit.
-//! * [`TcpChannel`] — one endpoint of a point-to-point connection,
-//!   implementing `Channel` over `std::net::TcpStream`. Each process
-//!   runs its own party's session with
-//!   [`drive_channel`](rsr_core::session::drive_channel); the sessions
-//!   themselves are unchanged from the in-memory path.
 //! * [`ReconServer`] — many concurrent sessions multiplexed over many
 //!   connections: it holds the Bob half of every session (created on
 //!   demand by a [`SessionFactory`], placed on a shard of `rsr-core`'s
@@ -43,7 +37,6 @@ pub mod driver;
 mod obs;
 mod reactor;
 pub mod server;
-pub mod tcp;
 
 pub use client::SessionPlan;
 pub use codec::{
@@ -53,7 +46,6 @@ pub use codec::{
 };
 pub use driver::{ConnectedDriver, Driver, DriverReport, RunReport, RunSession};
 pub use server::{
-    default_shards, handle_connection, handle_connection_sharded, ConnectionReport, NetSession,
-    ReconServer, SessionFactory, SessionSummary, MAX_DEFAULT_SHARDS,
+    default_shards, ConnectionReport, NetSession, ReconServer, SessionFactory, SessionSummary,
+    MAX_DEFAULT_SHARDS,
 };
-pub use tcp::TcpChannel;

@@ -36,8 +36,7 @@ pub(crate) struct NetMetrics {
     /// Pending output-buffer bytes at queue time; its high-water mark is
     /// the backpressure indicator (`net_writebuf_bytes`).
     pub writebuf: Arc<Gauge>,
-    /// Connections adopted by the server reactor, accepted or handed in
-    /// (`net_conns_accepted`).
+    /// Connections the server reactor accepted (`net_conns_accepted`).
     pub conns_accepted: Arc<Counter>,
     /// Server connections currently being served (`net_conns_live`).
     pub conns_live: Arc<Gauge>,

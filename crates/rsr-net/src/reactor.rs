@@ -1,20 +1,14 @@
 //! The readiness reactor: nonblocking sockets polled by `netpoll`,
 //! feeding **one** shared session executor for every connection.
 //!
-//! PR 6's transport spent two threads per connection (a blocking reader
-//! and a blocking writer) plus a full executor pool per connection —
-//! thread count grew linearly with accepted connections, and the
-//! blocking reads hid a family of disconnect bugs: a client that hung
-//! up early could deadlock the load loop forever (the local halves of
-//! unsettled sessions were never closed, and the event stream never
-//! ended), a silent client pinned a server thread for the life of the
-//! process, and abrupt disconnects surfaced as `join().expect(...)`
-//! panics instead of errors.
+//! This module holds what both endpoints are built from — [`ConnIo`]
+//! (one socket's record stream), [`Routes`] (executor id → connection)
+//! and the deadline helpers — and the server's half: [`ServerConn`], one
+//! connection's state machine, and [`run_server_reactor`], the loop that
+//! drives every connection of the process. The client's half
+//! (`client.rs`) is the same shape over the same pieces.
 //!
-//! This module replaces all of that with a single-threaded reactor per
-//! endpoint process:
-//!
-//! * Every connection's stream is switched to nonblocking mode; a
+//! * Every connection's stream runs in nonblocking mode; a
 //!   [`netpoll::Poller`] multiplexes read/write readiness across all of
 //!   them (plus the listener, server-side).
 //! * Incoming bytes run through the incremental
@@ -27,15 +21,22 @@
 //!   socket accepts them; the executor's `notify` hook pokes the
 //!   poller's waker so frames produced by worker shards interrupt a
 //!   blocked `poll(2)` immediately.
-//! * Because the reactor is the only thread touching sockets, control
-//!   replies (unknown session id, duplicate `OPEN`) are written
-//!   straight to the connection's output buffer — the injected-event
-//!   detour the writer-thread design needed is gone.
+//! * The reactor is the only thread touching sockets, so control
+//!   replies (unknown session id, duplicate `OPEN`) are written straight
+//!   to the connection's output buffer.
 //!
-//! Disconnects are first-class here, not accidents: EOF mid-record is
-//! diagnosed exactly like the blocking reader would
-//! ([`RecordDecoder::truncation`](crate::codec::RecordDecoder::truncation)),
-//! EOF with sessions still live closes each local half with
+//! Everything a server connection knows about a wire id is one row of
+//! one table ([`Entry`]: the executor session in flight, the resident
+//! continuous party, the summary), and one function —
+//! [`ServerConn::admit`] — decides what a record may do with the id it
+//! names; `docs/transport.md` prints that decision as a table. Each
+//! loop iteration runs the connection's phases in a fixed order:
+//! `poll_interest`, then (after the poll and the accepts)
+//! `drain_readable` → `on_record`, `on_event`, `flush_and_sweep`, and
+//! `finish` once the connection has nothing left to do.
+//!
+//! Disconnects are first-class: EOF mid-record is a truncation error,
+//! EOF with sessions in flight closes each local half with
 //! [`CLOSED_MID_SESSION`] so every session reports in, and a connection
 //! that goes silent past the idle deadline is torn down instead of
 //! pinned forever. One connection's death never touches sessions on
@@ -46,11 +47,13 @@ use crate::codec::{
     STATUS_UNKNOWN_SESSION,
 };
 use crate::obs::net_metrics;
-use crate::server::{ConnectionReport, SessionFactory, SessionSummary};
+use crate::server::{ConnectionReport, NetSession, SessionFactory, SessionSummary};
 use netpoll::{listener_fd, stream_fd, PollFd, Poller, POLLIN, POLLOUT};
+use rsr_core::channel::Frame;
 use rsr_core::continuous::{BobRound, SharedParty};
-use rsr_core::executor::{with_executor_notified, ExecEvent, Notify};
+use rsr_core::executor::{with_executor_notified, ExecEvent, Injector, Notify};
 use rsr_core::transcript::{Party, Transcript};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -78,6 +81,16 @@ pub(crate) const READ_CHUNK: usize = 64 * 1024;
 /// endpoints. Fixed so a replayed trace lands on the same shards
 /// everywhere.
 pub(crate) const PLACEMENT_SEED: u64 = 0x2c01_ce5e_ed00_7357;
+
+/// Folds `at` into `deadline`, keeping whichever comes sooner.
+pub(crate) fn sooner(deadline: &mut Option<Instant>, at: Instant) {
+    *deadline = Some(deadline.map_or(at, |d| d.min(at)));
+}
+
+/// The transport error for `what` running out of time.
+pub(crate) fn timed_out(what: String) -> NetError {
+    io::Error::new(io::ErrorKind::TimedOut, what).into()
+}
 
 /// Nonblocking record-stream state for one connection: incremental
 /// decode on the way in, a drain-as-writable buffer on the way out,
@@ -115,9 +128,9 @@ impl ConnIo {
         stream_fd(&self.stream)
     }
 
-    /// The poll(2) events this connection currently cares about; `0`
-    /// when it wants neither (e.g. read half closed, output drained).
-    pub fn interest(&self) -> i16 {
+    /// This connection's entry in the next `poll(2)`; `None` when it
+    /// waits for neither direction (read half closed, output drained).
+    pub fn poll_fd(&self) -> Option<PollFd> {
         let mut events = 0;
         if !self.read_closed {
             events |= POLLIN;
@@ -125,18 +138,39 @@ impl ConnIo {
         if self.wants_write() {
             events |= POLLOUT;
         }
-        events
+        (events != 0).then(|| PollFd::new(self.fd(), events))
     }
 
     pub fn wants_write(&self) -> bool {
         self.out_pos < self.outbuf.len()
     }
 
-    /// Reads until `WouldBlock` or EOF, feeding the decoder. Sets
-    /// [`ConnIo::read_closed`] on EOF; complete records are then pulled
-    /// with [`ConnIo::next_record`].
-    pub fn fill(&mut self, scratch: &mut [u8]) -> Result<(), NetError> {
-        while !self.read_closed {
+    /// When wire silence since the last activity runs past `idle`, if a
+    /// deadline is set at all. Whether the deadline *applies* — sessions
+    /// in flight, no resident state — is the endpoint's call.
+    pub fn idle_deadline(&self, idle: Option<Duration>) -> Option<Instant> {
+        idle.map(|idle| self.last_activity + idle)
+    }
+
+    /// The deadline `idle`, if wire silence has outlasted it by `now`.
+    pub fn idle_expired(&self, now: Instant, idle: Option<Duration>) -> Option<Duration> {
+        idle.filter(|&idle| now.duration_since(self.last_activity) >= idle)
+    }
+
+    /// The next complete record, counting its wire bytes (only whole
+    /// records count). Reads the socket — until `WouldBlock` — only when
+    /// the decoder runs dry. `Ok(None)` means no more for now, or ever
+    /// once [`ConnIo::read_closed`] is set: the peer closed at a record
+    /// boundary. An EOF mid-record is the truncation error.
+    pub fn read_record(&mut self, scratch: &mut [u8]) -> Result<Option<Record>, NetError> {
+        loop {
+            if let Some((record, n)) = self.decoder.next_record()? {
+                self.wire_bytes_in += n;
+                return Ok(Some(record));
+            }
+            if self.read_closed {
+                return self.decoder.truncation().map_or(Ok(None), Err);
+            }
             match self.stream.read(scratch) {
                 Ok(0) => self.read_closed = true,
                 Ok(n) => {
@@ -146,30 +180,11 @@ impl ConnIo {
                     }
                     self.decoder.feed(&scratch[..n]);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(())
-    }
-
-    /// Next complete record, counting its wire bytes — only whole
-    /// records count, exactly like the blocking reader's accounting.
-    pub fn next_record(&mut self) -> Result<Option<Record>, NetError> {
-        match self.decoder.next_record()? {
-            Some((record, n)) => {
-                self.wire_bytes_in += n;
-                Ok(Some(record))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// The truncation error an EOF at the current decode position
-    /// implies, if any.
-    pub fn eof_truncation(&self) -> Option<NetError> {
-        self.decoder.truncation()
     }
 
     /// Serializes `record` into the output buffer (counted as written —
@@ -247,183 +262,551 @@ impl ConnIo {
     }
 }
 
-/// Server-reactor configuration.
-pub(crate) struct ServerOpts {
-    pub shards: usize,
-    /// Tear down a connection after this much wire silence; `None`
-    /// disables the sweep (a test server may legitimately sit idle).
-    pub idle_timeout: Option<Duration>,
-    /// Stop accepting after this many connections, counting any handed
-    /// in directly; `None` = accept until the listener fails.
-    pub max_conns: Option<usize>,
+/// Executor id → (connection, the connection's own key for the
+/// session). Wire ids are per-connection names; the shared executor
+/// needs process-unique ones, handed out in submission order.
+pub(crate) struct Routes<K> {
+    next_exec: u64,
+    live: HashMap<u64, (usize, K)>,
 }
 
-/// Per-connection server state riding on top of [`ConnIo`].
+impl<K: Copy> Routes<K> {
+    pub fn new() -> Routes<K> {
+        Routes {
+            next_exec: 0,
+            live: HashMap::new(),
+        }
+    }
+
+    /// A fresh executor id routed to `key` on connection `conn`.
+    pub fn assign(&mut self, conn: usize, key: K) -> u64 {
+        let exec = self.next_exec;
+        self.next_exec += 1;
+        self.live.insert(exec, (conn, key));
+        exec
+    }
+
+    /// Whose event `ev` is. A session's last event (`Done`, `Stranded`)
+    /// drops its route, and the executor forgets the id with it.
+    pub fn resolve(&mut self, ev: &ExecEvent, injector: &mut Injector<'_>) -> (usize, K) {
+        match ev {
+            ExecEvent::Frame { id, .. } => self.live.get(id).copied(),
+            ExecEvent::Done { id, .. } | ExecEvent::Stranded { id, .. } => {
+                injector.forget(*id);
+                self.live.remove(id)
+            }
+        }
+        .expect("every executor event belongs to a routed session")
+    }
+}
+
+/// An executor session in flight under a wire id.
+#[derive(Clone, Copy)]
+struct Running {
+    exec: u64,
+    /// `Some(r)` when it is round `r` of a continuous session: a clean
+    /// finish is then acknowledged with `ROUND`, not `DONE`, and its
+    /// transcript is appended to the session's summary.
+    round: Option<u32>,
+}
+
+/// What a connection knows about one wire id it admitted. Rows are never
+/// removed: a retired id (`running` and `resident` both `None`) stays
+/// used — re-opening it is a duplicate — and its summary is the report's.
+struct Entry {
+    running: Option<Running>,
+    /// A continuous session's Bob party, resident between rounds until
+    /// the client `DONE`s the id, a round fails, or the connection ends.
+    resident: Option<SharedParty>,
+    summary: SessionSummary,
+}
+
+/// What [`ServerConn::admit`] lets a record do.
+enum Plan<'c> {
+    /// `OPEN` of a fresh id: ask the factory for its Bob half.
+    Open { spec: Option<SessionSpec> },
+    /// `ROUND` on an idle continuous session: begin it over `party`.
+    Round { party: &'c SharedParty, round: u32 },
+    /// `FRAME` for the session in flight under the id.
+    Route { exec: u64, frame: Frame },
+    /// `FRAME` for an admitted id with nothing in flight (its session or
+    /// round already resolved): counted, then dropped.
+    Stale,
+    /// Client `DONE`: close the half in flight, if any, and drop the
+    /// resident party, if any. Ids with neither are left as they are.
+    Retire { exec: Option<u64> },
+    /// Not allowed: answer with this `DONE`.
+    Refuse { status: u8, message: &'static str },
+}
+
+/// One server connection's state machine, riding on [`ConnIo`].
 struct ServerConn {
     io: ConnIo,
-    /// Wire session id → executor session id. Ids on the wire are
-    /// per-connection names; the shared executor needs process-unique
-    /// ids, so the reactor remaps at the boundary. Finished sessions
-    /// stay mapped — a re-`OPEN` of a used id is still a duplicate.
-    wire_to_exec: HashMap<u64, u64>,
+    /// This connection's index in the reactor, for [`Routes`].
+    slot: usize,
+    table: HashMap<u64, Entry>,
     /// Wire ids in open order, for the report.
     order: Vec<u64>,
-    summaries: HashMap<u64, SessionSummary>,
-    /// Resident continuous state: wire id → the Bob party that survives
-    /// between rounds. Entries live until the client `DONE`s the id (or
-    /// the connection ends); each `ROUND` record spins a fresh one-round
-    /// executor session over the mapped party.
-    continuous: HashMap<u64, SharedParty>,
-    /// Executor ids currently running a continuous round, mapped to the
-    /// round index — a clean finish is acknowledged with `ROUND`, not
-    /// `DONE`, and its transcript is appended to the session's summary.
-    round_of_exec: HashMap<u64, u32>,
-    /// Sessions submitted and not yet reported back by the executor.
-    live: usize,
+    /// Rows with a session in flight, and rows holding a resident party:
+    /// the two sums over `table` the per-iteration phases ask for, kept
+    /// by the only methods that set or clear those fields.
+    in_flight: usize,
+    residents: usize,
     frames_in: usize,
     frames_out: usize,
-    /// First transport-level failure; the connection reports `Err`.
+    /// First transport-level failure: the socket is unusable, nothing
+    /// further is queued at it, and the connection reports `Err`.
     error: Option<NetError>,
-    /// Socket unusable — queue nothing further at it.
-    dead: bool,
 }
 
 impl ServerConn {
-    fn new(io: ConnIo) -> ServerConn {
+    fn new(io: ConnIo, slot: usize) -> ServerConn {
         ServerConn {
             io,
-            wire_to_exec: HashMap::new(),
+            slot,
+            table: HashMap::new(),
             order: Vec::new(),
-            summaries: HashMap::new(),
-            continuous: HashMap::new(),
-            round_of_exec: HashMap::new(),
-            live: 0,
+            in_flight: 0,
+            residents: 0,
             frames_in: 0,
             frames_out: 0,
             error: None,
-            dead: false,
         }
+    }
+
+    fn dead(&self) -> bool {
+        self.error.is_some()
     }
 
     /// Ready to leave the reactor: nothing more will be read, every
     /// submitted session has reported, and the output has drained (a
     /// dead socket drains nowhere and does not wait).
     fn finished(&self) -> bool {
-        self.io.read_closed && self.live == 0 && (self.dead || !self.io.wants_write())
+        self.io.read_closed && self.in_flight == 0 && (self.dead() || !self.io.wants_write())
     }
 
-    /// Between-round quiescence: the connection holds resident
-    /// continuous state and no round is in flight. The idle sweep spares
-    /// such connections — a continuous client legitimately goes silent
-    /// between churn rounds, and tearing it down would throw away the
-    /// very state that makes the next round O(churn). The client owns
-    /// the session lifetime (an explicit `DONE` or EOF frees the state);
-    /// a connection with a round *in flight* still answers to the
+    /// Whether the idle deadline applies. It spares a connection at
+    /// between-round quiescence — resident continuous state, no round in
+    /// flight: a continuous client legitimately goes silent between
+    /// churn rounds, and tearing it down would throw away the very state
+    /// that makes the next round O(churn). The client owns the session
+    /// lifetime (an explicit `DONE` or EOF frees the state); a
+    /// connection with a round *in flight* still answers to the
     /// deadline.
-    fn quiescent(&self) -> bool {
-        self.live == 0 && !self.continuous.is_empty()
+    fn answers_to_idle_deadline(&self) -> bool {
+        let quiescent = self.in_flight == 0 && self.residents > 0;
+        !self.io.read_closed && !self.dead() && !quiescent
     }
 
-    fn into_outcome(mut self) -> Result<ConnectionReport, NetError> {
+    /// The row for `wire`, claimed on first use: from then on the id is
+    /// used and the report lists it.
+    fn entry(&mut self, wire: u64) -> &mut Entry {
+        self.table.entry(wire).or_insert_with(|| {
+            self.order.push(wire);
+            Entry {
+                running: None,
+                resident: None,
+                summary: SessionSummary {
+                    id: wire,
+                    transcript: Transcript::new(),
+                    error: None,
+                },
+            }
+        })
+    }
+
+    /// The single admission point: what `record` may do, given what the
+    /// connection knows of the wire id it names. An `OPEN` of any
+    /// flavour needs an id never admitted before; a `ROUND` needs a
+    /// resident party with no round in flight; a `FRAME` needs an id
+    /// that was opened. Decides only — [`ServerConn::on_record`] acts.
+    fn admit(&self, record: Record) -> Plan<'_> {
+        let entry = self.table.get(&record.session());
+        let running = entry.and_then(|e| e.running);
+        let refuse = |status, message| Plan::Refuse { status, message };
+        match record {
+            Record::Open { spec, .. } => match entry {
+                None => Plan::Open { spec },
+                Some(_) => refuse(STATUS_SESSION_ERROR, "session opened twice"),
+            },
+            Record::Round { round, .. } => {
+                match (entry.and_then(|e| e.resident.as_ref()), running) {
+                    (Some(party), None) => Plan::Round { party, round },
+                    (Some(_), Some(_)) => refuse(
+                        STATUS_SESSION_ERROR,
+                        "round opened while another is in flight",
+                    ),
+                    (None, _) => refuse(
+                        STATUS_UNKNOWN_SESSION,
+                        "round for a session not open as continuous",
+                    ),
+                }
+            }
+            Record::Frame { frame, .. } => match (entry, running) {
+                (None, _) => refuse(STATUS_UNKNOWN_SESSION, "unknown session id"),
+                (Some(_), Some(Running { exec, .. })) => Plan::Route { exec, frame },
+                (Some(_), None) => Plan::Stale,
+            },
+            Record::Done { .. } => Plan::Retire {
+                exec: running.map(|r| r.exec),
+            },
+        }
+    }
+
+    /// Applies one client record. `Err` means the record could not be
+    /// honored at the transport level (a queue failure); protocol-level
+    /// problems (unknown ids, duplicate opens) answer with a status
+    /// `DONE` instead.
+    fn on_record<'f, F: SessionFactory + ?Sized>(
+        &mut self,
+        record: Record,
+        factory: &'f F,
+        routes: &mut Routes<u64>,
+        injector: &mut Injector<'f>,
+    ) -> Result<(), NetError> {
+        let wire = record.session();
+        match self.admit(record) {
+            Plan::Refuse { status, message } => self.refuse(wire, status, message),
+            // A continuous open installs resident state; the first
+            // executor work happens at the first ROUND.
+            Plan::Open { spec: Some(spec) } if spec.continuous => {
+                match factory.open_continuous(wire, &spec) {
+                    Some(party) => {
+                        self.entry(wire).resident = Some(party);
+                        self.residents += 1;
+                        Ok(())
+                    }
+                    None => self.refuse(
+                        wire,
+                        STATUS_UNKNOWN_SESSION,
+                        "factory does not serve continuous sessions",
+                    ),
+                }
+            }
+            Plan::Open { spec } => match factory.open_spec(wire, spec.as_ref()) {
+                Some(session) => {
+                    self.start(wire, None, session, routes, injector);
+                    Ok(())
+                }
+                None => self.refuse(wire, STATUS_UNKNOWN_SESSION, "unknown session id"),
+            },
+            Plan::Round { party, round } => {
+                let refusal = match BobRound::begin(party) {
+                    Ok(bob) if bob.round() == round => {
+                        self.start(wire, Some(round), Box::new(bob), routes, injector);
+                        return Ok(());
+                    }
+                    // Desync: the client's round counter disagrees with
+                    // the resident state (e.g. a half-settled previous
+                    // round). Fail loudly and retire the id — `bob`,
+                    // dropped unstarted, rolls the server party back.
+                    Ok(bob) => format!(
+                        "continuous round desync: client at round {round}, server at {}",
+                        bob.round()
+                    ),
+                    Err(e) => format!("cannot begin round {round}: {e}"),
+                };
+                self.evict(wire);
+                self.refuse(wire, STATUS_SESSION_ERROR, refusal)
+            }
+            Plan::Route { exec, frame } => {
+                self.frames_in += 1;
+                injector.deliver(exec, frame);
+                Ok(())
+            }
+            Plan::Stale => {
+                self.frames_in += 1;
+                Ok(())
+            }
+            // The client gave up on the session; drop our half. For a
+            // continuous id this is the orderly whole-session teardown:
+            // the resident party is freed, the settled rounds' summary
+            // stays.
+            Plan::Retire { exec } => {
+                if let Some(exec) = exec {
+                    injector.close(exec, ABANDONED);
+                }
+                self.evict(wire);
+                Ok(())
+            }
+        }
+    }
+
+    /// Answers `wire` with a status `DONE`.
+    fn refuse(
+        &mut self,
+        wire: u64,
+        status: u8,
+        message: impl Into<String>,
+    ) -> Result<(), NetError> {
+        self.io.queue(&Record::Done {
+            session: wire,
+            status,
+            message: message.into(),
+        })
+    }
+
+    /// Puts `session` in flight under `wire`: a fresh id's one-shot
+    /// session (`round` = `None`), or round `round` of a resident one.
+    fn start<'f>(
+        &mut self,
+        wire: u64,
+        round: Option<u32>,
+        session: Box<dyn NetSession + 'f>,
+        routes: &mut Routes<u64>,
+        injector: &mut Injector<'f>,
+    ) {
+        let exec = routes.assign(self.slot, wire);
+        self.entry(wire).running = Some(Running { exec, round });
+        self.in_flight += 1;
+        injector.submit(exec, Party::Bob, session);
+    }
+
+    /// Drops `wire`'s resident party, if it holds one.
+    fn evict(&mut self, wire: u64) {
+        if let Some(entry) = self.table.get_mut(&wire) {
+            if entry.resident.take().is_some() {
+                self.residents -= 1;
+            }
+        }
+    }
+
+    /// Queues `record` at a socket that can still take it.
+    fn reply(&mut self, record: &Record, injector: &Injector<'_>) {
+        if !self.dead() {
+            if let Err(e) = self.io.queue(record) {
+                self.fail(injector, e);
+            }
+        }
+    }
+
+    /// Applies one executor event for the session in flight under
+    /// `wire`: a frame to send, or the session reporting in.
+    fn on_event(&mut self, wire: u64, ev: ExecEvent, injector: &Injector<'_>) {
+        let (transcript, error) = match ev {
+            ExecEvent::Frame { frame, .. } => {
+                self.frames_out += 1;
+                let record = Record::Frame {
+                    session: wire,
+                    frame,
+                };
+                return self.reply(&record, injector);
+            }
+            ExecEvent::Done {
+                transcript, error, ..
+            } => (transcript, error),
+            ExecEvent::Stranded { transcript, .. } => {
+                (transcript, Some(Cow::Borrowed(CLOSED_MID_SESSION)))
+            }
+        };
+        // Events are routed here by `start`, which claimed the row.
+        let Some(entry) = self.table.get_mut(&wire) else {
+            return;
+        };
+        let round = entry.running.take().and_then(|r| r.round);
+        match round {
+            Some(_) => entry.summary.transcript.append(transcript),
+            None => entry.summary.transcript = transcript,
+        }
+        if let Some(e) = &error {
+            entry.summary.error.get_or_insert_with(|| e.to_string());
+        }
+        self.in_flight -= 1;
+        // A failed round retires the resident state — the client sees a
+        // DONE and will not send further rounds for this id.
+        if round.is_some() && error.is_some() {
+            self.evict(wire);
+        }
+        let done = |status, message| Record::Done {
+            session: wire,
+            status,
+            message,
+        };
+        let ack = match (round, error.as_deref()) {
+            // A settled continuous round: acknowledge with ROUND so the
+            // wire id stays live for the next round (a DONE would retire
+            // it).
+            (Some(round), None) => Record::Round {
+                session: wire,
+                round,
+            },
+            (None, None) => done(STATUS_OK, String::new()),
+            // The client walked away (or the connection did); echoing
+            // DONE at it would be noise.
+            (_, Some(ABANDONED | CLOSED_MID_SESSION)) => return,
+            (_, Some(reason)) => done(STATUS_SESSION_ERROR, reason.to_owned()),
+        };
+        self.reply(&ack, injector);
+    }
+
+    /// Closes every half in flight so each reports in (as `Done` with
+    /// [`CLOSED_MID_SESSION`]) and the connection can retire — without
+    /// the closes, those halves never produce an event and the reactor
+    /// would wait on them forever.
+    fn close_in_flight(&self, injector: &Injector<'_>) {
+        for running in self.table.values().filter_map(|e| e.running) {
+            injector.close(running.exec, CLOSED_MID_SESSION);
+        }
+    }
+
+    /// Marks the connection failed: the first error sticks, the socket
+    /// is shut down, and the halves in flight are closed.
+    fn fail(&mut self, injector: &Injector<'_>, e: NetError) {
+        self.error.get_or_insert(e);
+        if rsr_obs::enabled() {
+            net_metrics().conns_failed.inc();
+            rsr_obs::global_ring().push(
+                "net_conn_failed",
+                self.in_flight as u64,
+                self.io.wire_bytes_in,
+            );
+        }
+        self.io.kill();
+        self.close_in_flight(injector);
+    }
+
+    /// This connection's poll interest, with its idle deadline — when it
+    /// answers to one — folded into `deadline`.
+    fn poll_interest(
+        &self,
+        idle: Option<Duration>,
+        deadline: &mut Option<Instant>,
+    ) -> Option<PollFd> {
+        if self.answers_to_idle_deadline() {
+            if let Some(at) = self.io.idle_deadline(idle) {
+                sooner(deadline, at);
+            }
+        }
+        self.io.poll_fd()
+    }
+
+    /// Drains a readable socket: every complete record is applied, and
+    /// an EOF ends the connection's reading for good.
+    fn drain_readable<'f, F: SessionFactory + ?Sized>(
+        &mut self,
+        scratch: &mut [u8],
+        factory: &'f F,
+        routes: &mut Routes<u64>,
+        injector: &mut Injector<'f>,
+    ) {
+        if self.io.read_closed {
+            return;
+        }
+        loop {
+            let applied = match self.io.read_record(scratch) {
+                Ok(Some(record)) => self.on_record(record, factory, routes, injector),
+                Ok(None) => break,
+                Err(e) => Err(e),
+            };
+            if let Err(e) = applied {
+                return self.fail(injector, e);
+            }
+        }
+        if self.io.read_closed {
+            // Clean EOF. Sessions in flight get their local halves
+            // closed so they report in; replies already queued (and any
+            // frames the workers are still finishing) keep draining —
+            // the peer only half-closed its write side. EOF is also the
+            // implicit teardown of resident continuous state: the
+            // parties drop here, not with the last queued byte.
+            self.close_in_flight(injector);
+            for entry in self.table.values_mut() {
+                entry.resident = None;
+            }
+            self.residents = 0;
+        }
+    }
+
+    /// Flushes queued output, then sweeps the idle deadline.
+    fn flush_and_sweep(&mut self, now: Instant, idle: Option<Duration>, injector: &Injector<'_>) {
+        if self.dead() {
+            return;
+        }
+        if let Err(e) = self.io.try_flush() {
+            return self.fail(injector, e);
+        }
+        if !self.answers_to_idle_deadline() {
+            return;
+        }
+        if let Some(idle) = self.io.idle_expired(now, idle) {
+            if rsr_obs::enabled() {
+                net_metrics().conns_idle_closed.inc();
+                rsr_obs::global_ring().push(
+                    "net_idle_teardown",
+                    self.in_flight as u64,
+                    idle.as_millis() as u64,
+                );
+            }
+            let e = timed_out(format!("connection idle for {idle:?}, tearing it down"));
+            self.fail(injector, e);
+        }
+    }
+
+    /// The finished connection's outcome: `Ok(report)` for an orderly
+    /// close (per-session errors and mid-session EOF included), `Err`
+    /// when the transport itself failed.
+    fn finish(mut self) -> Result<ConnectionReport, NetError> {
         if let Some(e) = self.error {
             return Err(e);
         }
-        let mut report = ConnectionReport {
-            sessions: Vec::with_capacity(self.order.len()),
+        let rows = self.order.iter().filter_map(|id| self.table.remove(id));
+        Ok(ConnectionReport {
+            sessions: rows.map(|entry| entry.summary).collect(),
             frames_in: self.frames_in,
             frames_out: self.frames_out,
             wire_bytes_in: self.io.wire_bytes_in,
             wire_bytes_out: self.io.wire_bytes_out,
-        };
-        for id in self.order {
-            let summary = self
-                .summaries
-                .remove(&id)
-                .expect("every submitted session reports Done or Stranded");
-            report.sessions.push(summary);
-        }
-        Ok(report)
+        })
     }
 }
 
-/// Runs the server reactor: every stream in `initial` plus everything
-/// accepted from `listener` (when given) is served over one shared
-/// executor until it closes. Finished connections are handed to `sink`
-/// in completion order — `Ok(report)` for an orderly close (including
-/// per-session errors and mid-session EOF), `Err` when the transport
-/// itself failed. Returns `Err` only for listener/poller-level
-/// failures.
+/// Runs the server reactor: everything accepted from `listener` — at
+/// most `max_conns` connections, `None` = until the listener fails — is
+/// served over one shared `shards`-wide executor until it closes, and
+/// torn down after `idle_timeout` of wire silence (`None` disables the
+/// sweep). Finished connections are handed to `sink` in completion order
+/// (see [`ServerConn::finish`]). Returns `Err` only for
+/// listener/poller-level failures.
 pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
     factory: &F,
-    listener: Option<&TcpListener>,
-    initial: Vec<TcpStream>,
-    opts: &ServerOpts,
+    listener: &TcpListener,
+    shards: usize,
+    idle_timeout: Option<Duration>,
+    max_conns: Option<usize>,
     sink: &mut dyn FnMut(Result<ConnectionReport, NetError>),
 ) -> Result<(), NetError> {
     let (mut poller, waker) = Poller::new()?;
     let notify: Notify = Arc::new(move || waker.wake());
-    if let Some(listener) = listener {
-        listener.set_nonblocking(true)?;
-    }
-
-    let mut conns: Vec<Option<ServerConn>> = Vec::new();
-    for stream in initial {
-        conns.push(Some(ServerConn::new(ConnIo::new(stream)?)));
-        if rsr_obs::enabled() {
-            // Handed-in streams count as accepted: the reactor serves
-            // them exactly like listener arrivals.
-            net_metrics().conns_accepted.inc();
-            net_metrics().conns_live.inc();
-        }
-    }
-    // Accept budget: the handed-in streams count against `max_conns`.
-    let mut accept_budget = opts
-        .max_conns
-        .map(|max| max.saturating_sub(conns.len()))
-        .unwrap_or(usize::MAX);
-    if listener.is_none() {
-        accept_budget = 0;
-    }
+    listener.set_nonblocking(true)?;
+    let mut accept_budget = max_conns.unwrap_or(usize::MAX);
 
     with_executor_notified(
-        opts.shards,
+        shards,
         PLACEMENT_SEED,
         Some(notify),
         |_scope, mut injector, events| {
-            // Executor session id → (connection slot, wire session id).
-            let mut routes: HashMap<u64, (usize, u64)> = HashMap::new();
-            let mut next_exec: u64 = 0;
+            let mut conns: Vec<Option<ServerConn>> = Vec::new();
+            let mut routes = Routes::new();
             let mut scratch = vec![0u8; READ_CHUNK];
             let mut fds: Vec<PollFd> = Vec::new();
             let mut fd_slots: Vec<Option<usize>> = Vec::new();
 
-            loop {
-                // Done when no more connections can arrive and none remain.
-                if accept_budget == 0 && conns.iter().all(Option::is_none) {
-                    return Ok(());
-                }
-
+            // Done when no more connections can arrive and none remain.
+            while accept_budget > 0 || conns.iter().any(Option::is_some) {
+                // Wait for readiness: the listener, sockets, the nearest
+                // idle deadline, or the executor's waker.
                 fds.clear();
                 fd_slots.clear();
                 if accept_budget > 0 {
-                    if let Some(listener) = listener {
-                        fds.push(PollFd::new(listener_fd(listener), POLLIN));
-                        fd_slots.push(None);
-                    }
+                    fds.push(PollFd::new(listener_fd(listener), POLLIN));
+                    fd_slots.push(None);
                 }
                 let mut deadline: Option<Instant> = None;
                 for (slot, conn) in conns.iter().enumerate() {
                     let Some(conn) = conn else { continue };
-                    let interest = conn.io.interest();
-                    if interest != 0 {
-                        fds.push(PollFd::new(conn.io.fd(), interest));
+                    if let Some(fd) = conn.poll_interest(idle_timeout, &mut deadline) {
+                        fds.push(fd);
                         fd_slots.push(Some(slot));
-                    }
-                    if let Some(idle) = opts.idle_timeout {
-                        if !conn.io.read_closed && !conn.dead && !conn.quiescent() {
-                            let at = conn.io.last_activity + idle;
-                            deadline = Some(deadline.map_or(at, |d: Instant| d.min(at)));
-                        }
                     }
                 }
                 let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
@@ -432,163 +815,24 @@ pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
                     note_poll_return(&fds, &fd_slots);
                 }
 
-                // Accept everything that is ready.
-                let mut accepted_now = Vec::new();
-                if let Some(listener) = listener {
-                    if accept_budget > 0 && fds.first().is_some_and(PollFd::readable) {
-                        while accept_budget > 0 {
-                            match listener.accept() {
-                                Ok((stream, _peer)) => {
-                                    accepted_now.push(stream);
-                                    accept_budget -= 1;
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                                Err(e) => return Err(e.into()),
-                            }
-                        }
-                    }
-                }
-                for stream in accepted_now {
-                    let conn = ServerConn::new(ConnIo::new(stream)?);
-                    if rsr_obs::enabled() {
-                        net_metrics().conns_accepted.inc();
-                        net_metrics().conns_live.inc();
-                    }
-                    match conns.iter_mut().find(|c| c.is_none()) {
-                        Some(empty) => *empty = Some(conn),
-                        None => conns.push(Some(conn)),
-                    }
+                if accept_budget > 0 && fds[0].readable() {
+                    accept_ready(listener, &mut accept_budget, &mut conns)?;
                 }
 
                 // Drain readable connections into the executor.
                 for (fd, slot) in fds.iter().zip(&fd_slots) {
-                    let Some(slot) = *slot else { continue };
-                    if !fd.readable() {
-                        continue;
+                    if let (true, Some(slot)) = (fd.readable(), *slot) {
+                        if let Some(conn) = conns[slot].as_mut() {
+                            conn.drain_readable(&mut scratch, factory, &mut routes, &mut injector);
+                        }
                     }
-                    read_into_executor(
-                        factory,
-                        &mut conns,
-                        slot,
-                        &mut routes,
-                        &mut next_exec,
-                        &mut injector,
-                        &mut scratch,
-                    );
                 }
 
                 // Route executor events back to their connections.
                 while let Some(ev) = events.try_recv() {
-                    match ev {
-                        ExecEvent::Frame { id, frame } => {
-                            let &(slot, wire) = routes.get(&id).expect("routed session");
-                            if let Some(conn) = conns[slot].as_mut() {
-                                conn.frames_out += 1;
-                                if !conn.dead {
-                                    let rec = Record::Frame {
-                                        session: wire,
-                                        frame,
-                                    };
-                                    if let Err(e) = conn.io.queue(&rec) {
-                                        fail_conn(conn, &injector, e);
-                                    }
-                                }
-                            }
-                        }
-                        ExecEvent::Done {
-                            id,
-                            transcript,
-                            error,
-                        } => {
-                            let (slot, wire) = routes.remove(&id).expect("routed session");
-                            let conn = conns[slot].as_mut().expect("conn outlives its sessions");
-                            conn.live -= 1;
-                            let round = conn.round_of_exec.remove(&id);
-                            let reply = match (round, error.as_deref()) {
-                                // A settled continuous round: acknowledge
-                                // with ROUND so the wire id stays live for
-                                // the next round (a DONE would retire it).
-                                (Some(r), None) => Some(Record::Round {
-                                    session: wire,
-                                    round: r,
-                                }),
-                                (None, None) => Some(Record::Done {
-                                    session: wire,
-                                    status: STATUS_OK,
-                                    message: String::new(),
-                                }),
-                                // The client walked away (or the
-                                // connection did); echoing DONE at it
-                                // would be noise.
-                                (_, Some(ABANDONED)) | (_, Some(CLOSED_MID_SESSION)) => None,
-                                (_, Some(reason)) => Some(Record::Done {
-                                    session: wire,
-                                    status: STATUS_SESSION_ERROR,
-                                    message: reason.to_owned(),
-                                }),
-                            };
-                            if let Some(rec) = reply {
-                                if !conn.dead {
-                                    if let Err(e) = conn.io.queue(&rec) {
-                                        fail_conn(conn, &injector, e);
-                                    }
-                                }
-                            }
-                            if round.is_some() {
-                                // A failed round retires the resident
-                                // state — the client saw a DONE and will
-                                // not send further rounds for this id.
-                                if error.is_some() {
-                                    conn.continuous.remove(&wire);
-                                }
-                                let summary = conn
-                                    .summaries
-                                    .get_mut(&wire)
-                                    .expect("continuous OPEN seeds the summary");
-                                summary.transcript.append(transcript);
-                                if let Some(e) = error {
-                                    summary.error.get_or_insert(e.into_owned());
-                                }
-                            } else {
-                                conn.summaries.insert(
-                                    wire,
-                                    SessionSummary {
-                                        id: wire,
-                                        transcript,
-                                        error: error.map(|e| e.into_owned()),
-                                    },
-                                );
-                            }
-                        }
-                        ExecEvent::Stranded { id, transcript } => {
-                            let (slot, wire) = routes.remove(&id).expect("routed session");
-                            let conn = conns[slot].as_mut().expect("conn outlives its sessions");
-                            conn.live -= 1;
-                            if conn.round_of_exec.remove(&id).is_some() {
-                                let summary = conn
-                                    .summaries
-                                    .get_mut(&wire)
-                                    .expect("continuous OPEN seeds the summary");
-                                summary.transcript.append(transcript);
-                                summary
-                                    .error
-                                    .get_or_insert_with(|| CLOSED_MID_SESSION.into());
-                            } else {
-                                conn.summaries.insert(
-                                    wire,
-                                    SessionSummary {
-                                        id: wire,
-                                        transcript,
-                                        error: Some(CLOSED_MID_SESSION.into()),
-                                    },
-                                );
-                            }
-                        }
-                        // The reactor writes control replies directly;
-                        // nothing injects.
-                        ExecEvent::Injected { .. } => {}
-                    }
+                    let (slot, wire) = routes.resolve(&ev, &mut injector);
+                    let conn = conns[slot].as_mut().expect("conn outlives its sessions");
+                    conn.on_event(wire, ev, &injector);
                 }
 
                 // Flush, sweep idlers, retire finished connections.
@@ -597,65 +841,47 @@ pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
                     let Some(conn) = conn_slot.as_mut() else {
                         continue;
                     };
-                    if !conn.dead {
-                        if let Err(e) = conn.io.try_flush() {
-                            fail_conn(conn, &injector, e);
-                        }
-                    }
-                    if let Some(idle) = opts.idle_timeout {
-                        if !conn.io.read_closed
-                            && !conn.dead
-                            && !conn.quiescent()
-                            && now.duration_since(conn.io.last_activity) >= idle
-                        {
-                            let e = io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!("connection idle for {idle:?}, tearing it down"),
-                            );
-                            if rsr_obs::enabled() {
-                                net_metrics().conns_idle_closed.inc();
-                                rsr_obs::global_ring().push(
-                                    "net_idle_teardown",
-                                    conn.live as u64,
-                                    idle.as_millis() as u64,
-                                );
-                            }
-                            fail_conn(conn, &injector, e.into());
-                        }
-                    }
+                    conn.flush_and_sweep(now, idle_timeout, &injector);
                     if conn.finished() {
-                        let conn = conn_slot.take().expect("checked above");
                         if rsr_obs::enabled() {
                             net_metrics().conns_live.dec();
                         }
-                        sink(conn.into_outcome());
+                        sink(conn_slot.take().expect("checked above").finish());
                     }
                 }
             }
+            Ok(())
         },
     )
 }
 
-/// Marks a connection failed: shuts the socket down, and closes every
-/// still-live session's executor half so each reports in (as `Done`
-/// with [`CLOSED_MID_SESSION`]) and the connection can retire. This is
-/// the fix for the deadlock the blocking design hid — without the
-/// closes, live halves never produce an event and the reactor would
-/// wait on them forever.
-fn fail_conn(conn: &mut ServerConn, injector: &rsr_core::executor::Injector<'_>, e: NetError) {
-    if conn.error.is_none() {
-        conn.error = Some(e);
+/// Accepts everything the listener has ready, up to the budget; each new
+/// connection takes the first free slot.
+fn accept_ready(
+    listener: &TcpListener,
+    budget: &mut usize,
+    conns: &mut Vec<Option<ServerConn>>,
+) -> Result<(), NetError> {
+    while *budget > 0 {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        *budget -= 1;
+        let io = ConnIo::new(stream)?;
+        if rsr_obs::enabled() {
+            net_metrics().conns_accepted.inc();
+            net_metrics().conns_live.inc();
+        }
+        let slot = conns.iter().position(Option::is_none).unwrap_or_else(|| {
+            conns.push(None);
+            conns.len() - 1
+        });
+        conns[slot] = Some(ServerConn::new(io, slot));
     }
-    conn.dead = true;
-    if rsr_obs::enabled() {
-        net_metrics().conns_failed.inc();
-        rsr_obs::global_ring().push("net_conn_failed", conn.live as u64, conn.io.wire_bytes_in);
-    }
-    conn.io.kill();
-    for &exec in conn.wire_to_exec.values() {
-        // Stale closes (sessions already finished) are no-ops.
-        injector.close(exec, CLOSED_MID_SESSION);
-    }
+    Ok(())
 }
 
 /// Classifies one `poll(2)` return for the wake-reason counters. The
@@ -688,225 +914,4 @@ fn note_poll_return(fds: &[PollFd], fd_slots: &[Option<usize>]) {
     if !(accept || readable || writable) {
         m.wakes_other.inc();
     }
-}
-
-/// Drains one readable connection: fill from the socket, decode, route
-/// every complete record into the executor, and handle EOF.
-#[allow(clippy::too_many_arguments)]
-fn read_into_executor<'f, F: SessionFactory + ?Sized>(
-    factory: &'f F,
-    conns: &mut [Option<ServerConn>],
-    slot: usize,
-    routes: &mut HashMap<u64, (usize, u64)>,
-    next_exec: &mut u64,
-    injector: &mut rsr_core::executor::Injector<'f>,
-    scratch: &mut [u8],
-) {
-    let Some(conn) = conns[slot].as_mut() else {
-        return;
-    };
-    if let Err(e) = conn.io.fill(scratch) {
-        fail_conn(conn, injector, e);
-        return;
-    }
-    loop {
-        match conn.io.next_record() {
-            Ok(Some(record)) => {
-                if let Err(e) =
-                    handle_server_record(factory, conn, slot, record, routes, next_exec, injector)
-                {
-                    fail_conn(conn, injector, e);
-                    return;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                fail_conn(conn, injector, e);
-                return;
-            }
-        }
-    }
-    if conn.io.read_closed {
-        if let Some(e) = conn.io.eof_truncation() {
-            fail_conn(conn, injector, e);
-        } else {
-            // Clean EOF. Sessions still live get their local halves
-            // closed so they report in (stale closes of finished
-            // halves are no-ops); replies already queued (and any
-            // frames the workers are still finishing) keep draining —
-            // the peer only half-closed its write side. EOF is also
-            // the implicit teardown of resident continuous state: the
-            // parties drop with the connection.
-            for &exec in conn.wire_to_exec.values() {
-                injector.close(exec, CLOSED_MID_SESSION);
-            }
-            conn.continuous.clear();
-        }
-    }
-}
-
-/// Applies one client record to the server state. `Err` means the
-/// record itself could not be honored at the transport level (a queue
-/// failure); protocol-level problems (unknown ids, duplicate opens)
-/// answer with a status `DONE` instead.
-fn handle_server_record<'f, F: SessionFactory + ?Sized>(
-    factory: &'f F,
-    conn: &mut ServerConn,
-    slot: usize,
-    record: Record,
-    routes: &mut HashMap<u64, (usize, u64)>,
-    next_exec: &mut u64,
-    injector: &mut rsr_core::executor::Injector<'f>,
-) -> Result<(), NetError> {
-    let mut submit =
-        |conn: &mut ServerConn, wire: u64, spec: Option<&SessionSpec>| -> Result<bool, NetError> {
-            match factory.open_spec(wire, spec) {
-                Some(session) => {
-                    let exec = *next_exec;
-                    *next_exec += 1;
-                    conn.wire_to_exec.insert(wire, exec);
-                    conn.order.push(wire);
-                    conn.live += 1;
-                    routes.insert(exec, (slot, wire));
-                    injector.submit(exec, Party::Bob, session);
-                    Ok(true)
-                }
-                None => {
-                    conn.io.queue(&Record::Done {
-                        session: wire,
-                        status: STATUS_UNKNOWN_SESSION,
-                        message: "unknown session id".into(),
-                    })?;
-                    Ok(false)
-                }
-            }
-        };
-
-    match record {
-        Record::Open {
-            session: wire,
-            spec,
-        } => {
-            if conn.wire_to_exec.contains_key(&wire) || conn.continuous.contains_key(&wire) {
-                conn.io.queue(&Record::Done {
-                    session: wire,
-                    status: STATUS_SESSION_ERROR,
-                    message: "session opened twice".into(),
-                })?;
-            } else if let Some(spec) = spec.filter(|s| s.continuous) {
-                // A continuous open installs resident state and seeds
-                // the session's (initially empty) summary; the first
-                // executor work happens at the first ROUND.
-                match factory.open_continuous(wire, &spec) {
-                    Some(party) => {
-                        conn.continuous.insert(wire, party);
-                        conn.order.push(wire);
-                        conn.summaries.insert(
-                            wire,
-                            SessionSummary {
-                                id: wire,
-                                transcript: Transcript::new(),
-                                error: None,
-                            },
-                        );
-                    }
-                    None => {
-                        conn.io.queue(&Record::Done {
-                            session: wire,
-                            status: STATUS_UNKNOWN_SESSION,
-                            message: "factory does not serve continuous sessions".into(),
-                        })?;
-                    }
-                }
-            } else {
-                submit(conn, wire, spec.as_ref())?;
-            }
-        }
-        Record::Frame {
-            session: wire,
-            frame,
-        } => {
-            if !conn.wire_to_exec.contains_key(&wire) {
-                // A frame for a continuous session outside any round is
-                // stale (its round already resolved); count and drop it.
-                if conn.continuous.contains_key(&wire) {
-                    conn.frames_in += 1;
-                    return Ok(());
-                }
-                // A first frame without OPEN implicitly opens the
-                // session (Alice-initiated protocols over a bare
-                // TcpChannel).
-                if !submit(conn, wire, None)? {
-                    return Ok(());
-                }
-            }
-            conn.frames_in += 1;
-            let exec = conn.wire_to_exec[&wire];
-            injector.deliver(exec, frame);
-        }
-        Record::Done { session: wire, .. } => {
-            // The client gave up on the session; drop our half. Unknown
-            // or already-finished ids are no-ops. For a continuous id
-            // this is the orderly whole-session teardown: the resident
-            // party is freed, the settled rounds' summary stays.
-            if let Some(&exec) = conn.wire_to_exec.get(&wire) {
-                injector.close(exec, ABANDONED);
-            }
-            conn.continuous.remove(&wire);
-        }
-        Record::Round {
-            session: wire,
-            round,
-        } => {
-            let Some(party) = conn.continuous.get(&wire) else {
-                conn.io.queue(&Record::Done {
-                    session: wire,
-                    status: STATUS_UNKNOWN_SESSION,
-                    message: "round for a session not open as continuous".into(),
-                })?;
-                return Ok(());
-            };
-            let bob = match BobRound::begin(party) {
-                Ok(bob) if bob.round() == round => bob,
-                Ok(bob) => {
-                    // Desync: the client's round counter disagrees with
-                    // the resident state (e.g. a half-settled previous
-                    // round). Fail loudly and retire the id — dropping
-                    // `bob` unstarted rolls the server party back.
-                    let msg = format!(
-                        "continuous round desync: client at round {round}, server at {}",
-                        bob.round()
-                    );
-                    drop(bob);
-                    conn.continuous.remove(&wire);
-                    conn.io.queue(&Record::Done {
-                        session: wire,
-                        status: STATUS_SESSION_ERROR,
-                        message: msg,
-                    })?;
-                    return Ok(());
-                }
-                Err(e) => {
-                    conn.continuous.remove(&wire);
-                    conn.io.queue(&Record::Done {
-                        session: wire,
-                        status: STATUS_SESSION_ERROR,
-                        message: format!("cannot begin round {round}: {e}"),
-                    })?;
-                    return Ok(());
-                }
-            };
-            let exec = *next_exec;
-            *next_exec += 1;
-            // Replaces the previous round's (finished) mapping, so
-            // frames and the client's eventual DONE route to the round
-            // in flight.
-            conn.wire_to_exec.insert(wire, exec);
-            conn.live += 1;
-            conn.round_of_exec.insert(exec, round);
-            routes.insert(exec, (slot, wire));
-            injector.submit(exec, Party::Bob, Box::new(bob));
-        }
-    }
-    Ok(())
 }

@@ -4,20 +4,21 @@
 //!
 //! The server plays **Bob** for every session. A [`SessionFactory`]
 //! supplies the Bob half on demand: when a connection `OPEN`s a session
-//! id (or sends its first `FRAME` for one), the factory builds the
-//! session — from the `OPEN`'s negotiated [`SessionSpec`] when the
-//! client sent one, from the id alone otherwise — and the executor
-//! places it on a worker shard by power-of-two choices; everything Bob
-//! can say immediately — for Bob-initiated protocols like the Gap
-//! protocol that is round 1 — is pumped on that shard and queued on the
-//! connection's output buffer. From then on frames are routed by
-//! session id, each one waking exactly the session it addresses. When a
-//! session's Bob half finishes, the server reports `DONE` with
-//! [`STATUS_OK`](crate::codec::STATUS_OK); a protocol error is reported
-//! with [`STATUS_SESSION_ERROR`](crate::codec::STATUS_SESSION_ERROR)
-//! and the session dropped, leaving every other session — on this
-//! connection and every other — untouched. An id the factory does not
-//! know gets [`STATUS_UNKNOWN_SESSION`](crate::codec::STATUS_UNKNOWN_SESSION).
+//! id, the factory builds the session — from the `OPEN`'s negotiated
+//! [`SessionSpec`] when the client sent one, from the id alone otherwise
+//! — and the executor places it on a worker shard by power-of-two
+//! choices; everything Bob can say immediately — for Bob-initiated
+//! protocols like the Gap protocol that is round 1 — is pumped on that
+//! shard and queued on the connection's output buffer. From then on
+//! frames are routed by session id, each one waking exactly the session
+//! it addresses. When a session's Bob half finishes, the server reports
+//! `DONE` with [`STATUS_OK`](crate::codec::STATUS_OK); a protocol error
+//! is reported with
+//! [`STATUS_SESSION_ERROR`](crate::codec::STATUS_SESSION_ERROR) and the
+//! session dropped, leaving every other session — on this connection and
+//! every other — untouched. An id the factory does not know, and a
+//! `FRAME` for an id that was never opened, get
+//! [`STATUS_UNKNOWN_SESSION`](crate::codec::STATUS_UNKNOWN_SESSION).
 //!
 //! A session whose `OPEN` spec is marked continuous works differently:
 //! [`SessionFactory::open_continuous`] supplies a *resident*
@@ -28,11 +29,10 @@
 //! the id stays live for the next round until the client sends `DONE`
 //! or closes the connection.
 //!
-//! Unlike the PR 6 design (a reader thread, a writer thread, and an
-//! executor pool *per connection*), `serve` runs a single reactor
-//! thread for every connection at once: sockets are nonblocking,
-//! readiness comes from `netpoll`, and all sessions share one
-//! `shards`-wide executor — the process runs `1 + shards` threads no
+//! [`ReconServer::serve`] and [`ReconServer::serve_one`] run a single
+//! reactor thread for every connection at once: sockets are
+//! nonblocking, readiness comes from `netpoll`, and all sessions share
+//! one `shards`-wide executor — the process runs `1 + shards` threads no
 //! matter how many connections are live. A connection that goes silent
 //! past the idle deadline is torn down instead of leaking state
 //! forever; see [`ReconServer::with_idle_timeout`].
@@ -44,11 +44,11 @@
 //! for the full scheduling story.
 
 use crate::codec::{NetError, SessionSpec};
-use crate::reactor::{run_server_reactor, ServerOpts, DEFAULT_IDLE_TIMEOUT};
+use crate::reactor::{run_server_reactor, DEFAULT_IDLE_TIMEOUT};
 use rsr_core::continuous::SharedParty;
 use rsr_core::transcript::Transcript;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -84,8 +84,8 @@ pub trait SessionFactory: Send + Sync {
     /// The single required method: the Bob session for `session_id`,
     /// given whatever negotiation the `OPEN` carried — `Some(spec)`
     /// when the client put protocol and instance parameters on the
-    /// wire, `None` for a bare open (or an implicit first-frame open),
-    /// where the factory must know the id out of band. Return `None`
+    /// wire, `None` for a bare open, where the factory must know the id
+    /// out of band. Return `None`
     /// for an id/spec combination this factory cannot serve; the
     /// server answers with
     /// [`STATUS_UNKNOWN_SESSION`](crate::codec::STATUS_UNKNOWN_SESSION).
@@ -94,12 +94,6 @@ pub trait SessionFactory: Send + Sync {
         session_id: u64,
         spec: Option<&SessionSpec>,
     ) -> Option<Box<dyn NetSession + '_>>;
-
-    /// Convenience wrapper for id-keyed opens; equivalent to
-    /// [`SessionFactory::open_spec`] with no spec.
-    fn open(&self, session_id: u64) -> Option<Box<dyn NetSession + '_>> {
-        self.open_spec(session_id, None)
-    }
 
     /// The resident Bob party for an `OPEN` whose spec is marked
     /// [`continuous`](SessionSpec::continuous): the server keeps the
@@ -132,12 +126,11 @@ pub struct SessionSummary {
 pub struct ConnectionReport {
     /// Per-session summaries, in the order sessions were opened.
     pub sessions: Vec<SessionSummary>,
-    /// Frames received from the client and routed to a known session id
-    /// (all sessions). Unlike the pre-executor serial loop, this counts
-    /// a frame even when the addressed session has already finished and
-    /// the worker drops it as stale — the reactor routes without knowing
-    /// per-session liveness — so on error interleavings this can exceed
-    /// the number of frames sessions actually consumed.
+    /// Frames received from the client for a session id it had opened
+    /// (all sessions). This counts a frame even when the addressed
+    /// session has already finished and the frame is dropped as stale,
+    /// so on error interleavings it can exceed the number of frames
+    /// sessions actually consumed.
     pub frames_in: usize,
     /// Frames sent to the client (all sessions).
     pub frames_out: usize,
@@ -166,52 +159,6 @@ impl ConnectionReport {
             .map(|s| s.transcript.total_bits())
             .sum()
     }
-}
-
-/// Serves every session the client multiplexes onto `stream` over a
-/// default-width executor, until the client closes the connection.
-/// Returns the per-connection accounting; `Err` only for transport-level
-/// failures (the connection is then dead), never for per-session
-/// protocol errors. No idle deadline — the caller owns the stream's
-/// lifetime; accept-path serving via [`ReconServer`] does time out.
-pub fn handle_connection<F: SessionFactory + ?Sized>(
-    factory: &F,
-    stream: TcpStream,
-) -> Result<ConnectionReport, NetError> {
-    handle_connection_sharded(factory, stream, default_shards())
-}
-
-/// [`handle_connection`] with an explicit worker-shard count (≥ 1).
-pub fn handle_connection_sharded<F: SessionFactory + ?Sized>(
-    factory: &F,
-    stream: TcpStream,
-    shards: usize,
-) -> Result<ConnectionReport, NetError> {
-    serve_streams(
-        factory,
-        None,
-        vec![stream],
-        &ServerOpts {
-            shards,
-            idle_timeout: None,
-            max_conns: Some(1),
-        },
-    )
-}
-
-/// Runs the reactor over the given streams and hands back the single
-/// connection outcome (helpers above always pass exactly one).
-fn serve_streams<F: SessionFactory + ?Sized>(
-    factory: &F,
-    listener: Option<&TcpListener>,
-    initial: Vec<TcpStream>,
-    opts: &ServerOpts,
-) -> Result<ConnectionReport, NetError> {
-    let mut outcome: Option<Result<ConnectionReport, NetError>> = None;
-    run_server_reactor(factory, listener, initial, opts, &mut |res| {
-        outcome.get_or_insert(res);
-    })?;
-    outcome.expect("reactor reports every connection exactly once")
 }
 
 /// A listening reconciliation server: one [`SessionFactory`] and one
@@ -273,17 +220,13 @@ impl<F: SessionFactory> ReconServer<F> {
 
     /// Accepts one connection and serves it to completion on the calling
     /// thread (the executor's shard workers still run alongside).
+    /// Returns the per-connection accounting; `Err` only for
+    /// transport-level failures (the connection is then dead), never for
+    /// per-session protocol errors.
     pub fn serve_one(&self) -> Result<ConnectionReport, NetError> {
-        serve_streams(
-            &*self.factory,
-            Some(&self.listener),
-            Vec::new(),
-            &ServerOpts {
-                shards: self.shards,
-                idle_timeout: self.idle_timeout,
-                max_conns: Some(1),
-            },
-        )
+        let mut outcome = None;
+        self.run(Some(1), &mut |res| outcome = Some(res))?;
+        outcome.expect("the reactor reports its one connection before it returns")
     }
 
     /// Accept loop: every connection multiplexed onto this one reactor
@@ -293,22 +236,24 @@ impl<F: SessionFactory> ReconServer<F> {
     /// Connection reports are discarded here — use
     /// [`ReconServer::serve_one`] when the caller wants them.
     pub fn serve(&self, max_conns: Option<usize>) -> io::Result<()> {
-        let opts = ServerOpts {
-            shards: self.shards,
-            idle_timeout: self.idle_timeout,
-            max_conns,
-        };
-        let result = run_server_reactor(
+        self.run(max_conns, &mut |_res| {}).map_err(|e| match e {
+            NetError::Io(e) => e,
+            other => io::Error::other(other),
+        })
+    }
+
+    fn run(
+        &self,
+        max_conns: Option<usize>,
+        sink: &mut dyn FnMut(Result<ConnectionReport, NetError>),
+    ) -> Result<(), NetError> {
+        run_server_reactor(
             &*self.factory,
-            Some(&self.listener),
-            Vec::new(),
-            &opts,
-            &mut |_res| {},
-        );
-        match result {
-            Ok(()) => Ok(()),
-            Err(NetError::Io(e)) => Err(e),
-            Err(other) => Err(io::Error::other(other)),
-        }
+            &self.listener,
+            self.shards,
+            self.idle_timeout,
+            max_conns,
+            sink,
+        )
     }
 }

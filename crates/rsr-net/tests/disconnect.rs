@@ -8,11 +8,11 @@ use rsr_core::channel::Frame;
 use rsr_core::session::{drive_in_memory, Session};
 use rsr_core::transcript::{Party, Transcript};
 use rsr_net::{
-    handle_connection, read_record, write_record, Driver, NetError, NetSession, ReconServer,
-    Record, SessionFactory, SessionPlan, STATUS_OK,
+    read_record, write_record, Driver, NetError, NetSession, ReconServer, Record, SessionFactory,
+    SessionPlan, STATUS_OK,
 };
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -429,20 +429,39 @@ fn a_silent_server_trips_the_clients_idle_deadline() {
 
 // --------------------------------------------- cross-connection chaos
 
+/// Splices two sockets together, one copier thread per direction, until
+/// each direction has seen EOF (which it passes on as a half-close): a
+/// network path the test can put in front of a server — and cut.
+fn splice(a: TcpStream, b: TcpStream) -> [std::thread::JoinHandle<()>; 2] {
+    [(a.try_clone().unwrap(), b.try_clone().unwrap()), (b, a)].map(|(mut from, mut to)| {
+        std::thread::spawn(move || {
+            let _ = std::io::copy(&mut from, &mut to);
+            let _ = to.shutdown(Shutdown::Write);
+        })
+    })
+}
+
 #[test]
 fn a_killed_connection_does_not_poison_its_siblings() {
     const ROUNDS: u8 = 3;
+    let recon = ReconServer::bind("127.0.0.1:0", Arc::new(EchoFactory { rounds: ROUNDS })).unwrap();
+    let upstream = recon.local_addr().unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
-        // First connection is served faithfully; the second is dropped
-        // on the floor the moment it is accepted.
-        let (healthy, _) = listener.accept().unwrap();
-        let healthy =
-            std::thread::spawn(move || handle_connection(&EchoFactory { rounds: ROUNDS }, healthy));
+        // The first connection is passed through to the server and
+        // served faithfully; the second is dropped on the floor the
+        // moment it is accepted.
+        let healthy = std::thread::spawn(move || recon.serve_one());
+        let (first, _) = listener.accept().unwrap();
+        let path = splice(first, TcpStream::connect(upstream).unwrap());
         let (doomed, _) = listener.accept().unwrap();
         drop(doomed);
-        healthy.join().expect("server conn must not panic")
+        let report = healthy.join().expect("server conn must not panic");
+        for copier in path {
+            copier.join().expect("copier");
+        }
+        report
     });
 
     let mut client = Driver::new(addr).conns(2).connect().unwrap();
@@ -502,15 +521,17 @@ fn a_killed_connection_does_not_poison_its_siblings() {
 #[test]
 fn live_connections_carry_successive_batches() {
     const ROUNDS: u8 = 2;
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
+    let recon = Arc::new(
+        ReconServer::bind("127.0.0.1:0", Arc::new(EchoFactory { rounds: ROUNDS })).unwrap(),
+    );
+    let addr = recon.local_addr().unwrap();
     let server = std::thread::spawn(move || {
+        // Two reactors on one listener, one connection each, so each
+        // connection's report comes back.
         let conns: Vec<_> = (0..2)
             .map(|_| {
-                let (stream, _) = listener.accept().unwrap();
-                std::thread::spawn(move || {
-                    handle_connection(&EchoFactory { rounds: ROUNDS }, stream)
-                })
+                let recon = Arc::clone(&recon);
+                std::thread::spawn(move || recon.serve_one())
             })
             .collect();
         conns

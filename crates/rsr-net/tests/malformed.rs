@@ -4,20 +4,21 @@
 //! same holds for an out-of-contract *call*: a batch the driver refuses
 //! has sent nothing and changed nothing.
 
+use proptest::prelude::*;
 use rsr_core::channel::Frame;
 use rsr_core::continuous::{
     shared, ContinuousConfig, ContinuousParty, ContinuousSession, SharedParty,
 };
-use rsr_core::session::{drive_channel, DriveError, Session};
-use rsr_core::transcript::Party;
+use rsr_core::session::Session;
 use rsr_net::{
-    read_record, write_record, Driver, NetError, NetSession, ReconServer, Record, SessionFactory,
-    SessionPlan, SessionSpec, TcpChannel, MAX_RECORD_BYTES, PROTO_CONT, STATUS_OK,
-    STATUS_UNKNOWN_SESSION,
+    read_record, write_record, ConnectionReport, Driver, NetError, NetSession, ReconServer, Record,
+    SessionFactory, SessionPlan, SessionSpec, MAX_RECORD_BYTES, PROTO_CONT, STATUS_OK,
+    STATUS_SESSION_ERROR, STATUS_UNKNOWN_SESSION,
 };
+use std::collections::HashSet;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn encoded(record: &Record) -> Vec<u8> {
@@ -142,42 +143,6 @@ fn non_utf8_label_is_rejected() {
     ));
 }
 
-// ------------------------------------------------------------ transport
-
-#[test]
-fn tcp_channel_surfaces_truncation_as_stall_plus_error() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let peer = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        // Half a length prefix, then hang up mid-record.
-        stream.write_all(&[0, 0]).unwrap();
-    });
-    let mut ch = TcpChannel::connect(addr, Party::Alice).unwrap();
-    peer.join().unwrap();
-
-    /// Expects one frame that never (fully) arrives.
-    struct WaitingForever;
-    impl Session for WaitingForever {
-        type Error = String;
-        fn poll_send(&mut self) -> Result<Option<Frame>, String> {
-            Ok(None)
-        }
-        fn on_frame(&mut self, _: Frame) -> Result<(), String> {
-            Ok(())
-        }
-        fn is_done(&self) -> bool {
-            false
-        }
-    }
-    let err = drive_channel(&mut ch, Party::Alice, &mut WaitingForever).unwrap_err();
-    assert_eq!(err, DriveError::Stalled);
-    assert!(matches!(
-        ch.take_error(),
-        Some(NetError::Malformed("truncated length prefix"))
-    ));
-}
-
 // --------------------------------------------------------------- server
 
 /// Accepts exactly one frame, sends nothing.
@@ -225,48 +190,54 @@ fn spawn_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
     (addr, handle)
 }
 
-#[test]
-fn unknown_session_id_gets_an_error_done_not_a_dead_connection() {
-    let (addr, server) = spawn_server();
-    let mut stream = TcpStream::connect(addr).unwrap();
+fn raw_client(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    // A frame for an unknown session, then a valid one: the server must
-    // answer the first with STATUS_UNKNOWN_SESSION and still serve the
-    // second.
+    stream
+}
+
+/// The next record off `stream`, which must be a `DONE` for `session`;
+/// returns its status and message.
+fn expect_done(stream: &mut TcpStream, session: u64) -> (u8, String) {
+    match read_record(stream).unwrap().expect("a reply").0 {
+        Record::Done {
+            session: got,
+            status,
+            message,
+        } if got == session => (status, message),
+        other => panic!("expected DONE for session {session}, got {other:?}"),
+    }
+}
+
+#[test]
+fn unknown_session_id_gets_an_error_done_not_a_dead_connection() {
+    let (addr, server) = spawn_server();
+    let mut stream = raw_client(addr);
+    // A frame for an id the factory does not know, a frame for one it
+    // knows but that was never opened, then a properly opened session:
+    // the server must answer the first two with STATUS_UNKNOWN_SESSION —
+    // a FRAME opens nothing — and still serve the third.
     let frame = Frame {
         label: "m".into(),
         payload: vec![0xAA],
         bit_len: 8,
     };
-    let mut bytes = encoded(&Record::Frame {
-        session: 99,
-        frame: frame.clone(),
-    });
+    let mut bytes = Vec::new();
+    for session in [99, 3] {
+        bytes.extend(encoded(&Record::Frame {
+            session,
+            frame: frame.clone(),
+        }));
+    }
+    bytes.extend(open_record(2));
     bytes.extend(encoded(&Record::Frame { session: 2, frame }));
     stream.write_all(&bytes).unwrap();
 
-    let (first, _) = read_record(&mut stream).unwrap().expect("a reply");
-    match first {
-        Record::Done {
-            session, status, ..
-        } => {
-            assert_eq!(session, 99);
-            assert_eq!(status, STATUS_UNKNOWN_SESSION);
-        }
-        other => panic!("expected DONE for session 99, got {other:?}"),
-    }
-    let (second, _) = read_record(&mut stream).unwrap().expect("a reply");
-    match second {
-        Record::Done {
-            session, status, ..
-        } => {
-            assert_eq!(session, 2);
-            assert_eq!(status, STATUS_OK);
-        }
-        other => panic!("expected DONE for session 2, got {other:?}"),
-    }
+    assert_eq!(expect_done(&mut stream, 99).0, STATUS_UNKNOWN_SESSION);
+    assert_eq!(expect_done(&mut stream, 3).0, STATUS_UNKNOWN_SESSION);
+    assert_eq!(expect_done(&mut stream, 2).0, STATUS_OK);
     drop(stream);
     server.join().unwrap();
 }
@@ -274,10 +245,7 @@ fn unknown_session_id_gets_an_error_done_not_a_dead_connection() {
 #[test]
 fn garbage_stream_closes_the_connection_cleanly() {
     let (addr, server) = spawn_server();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
+    let mut stream = raw_client(addr);
     // An oversized length prefix: the server must drop the connection
     // (we observe EOF), not hang or allocate.
     stream.write_all(&u32::MAX.to_be_bytes()).unwrap();
@@ -448,4 +416,238 @@ fn a_rejected_open_continuous_leaves_no_continuous_standing() {
     driver.close_session(0, 5).expect("retire the session");
     driver.finish();
     server.join().unwrap().expect("connection served");
+}
+
+// ------------------------------------------------ wire-id re-admission
+
+/// Serves every id both ways: a bare or spec `OPEN` gets a
+/// [`OneFrameSink`], a continuous one a resident party.
+struct BothFactory;
+
+impl SessionFactory for BothFactory {
+    fn open_spec(&self, _: u64, _: Option<&SessionSpec>) -> Option<Box<dyn NetSession + '_>> {
+        Some(Box::new(OneFrameSink { got: false }))
+    }
+
+    fn open_continuous(&self, _: u64, spec: &SessionSpec) -> Option<SharedParty> {
+        Some(shared(resident_party(spec.seed, 0..16)))
+    }
+}
+
+fn cont_spec() -> SessionSpec {
+    SessionSpec {
+        protocol: PROTO_CONT,
+        n: 16,
+        k: CHURN_BOUND as u32,
+        dim: 0,
+        seed: 7,
+        continuous: true,
+    }
+}
+
+fn good_frame() -> Frame {
+    Frame {
+        label: "m".into(),
+        payload: vec![0xAA],
+        bit_len: 8,
+    }
+}
+
+/// Opens id 5 as continuous, retires it with `DONE`, sends `again` under
+/// the same id, then half-closes. A retired id stays used: the server
+/// must neither re-admit it nor — the regression — list it twice and
+/// panic building the report. Returns what the server answered `again`
+/// with (if anything) and the connection's report.
+fn readmit_after_retire(again: Record) -> (Option<(u8, String)>, ConnectionReport) {
+    let server = ReconServer::bind("127.0.0.1:0", Arc::new(BothFactory)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server = std::thread::spawn(move || server.serve_one());
+    let mut stream = raw_client(addr);
+    let mut bytes = encoded(&Record::Open {
+        session: 5,
+        spec: Some(cont_spec()),
+    });
+    bytes.extend(encoded(&Record::Done {
+        session: 5,
+        status: STATUS_OK,
+        message: String::new(),
+    }));
+    bytes.extend(encoded(&again));
+    stream.write_all(&bytes).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+
+    let mut replies = Vec::new();
+    while let Some((record, _)) = read_record(&mut stream).expect("replies decode") {
+        match record {
+            Record::Done {
+                session: 5,
+                status,
+                message,
+            } => replies.push((status, message)),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+    assert!(replies.len() <= 1, "one record, one answer: {replies:?}");
+    let report = server
+        .join()
+        .expect("the reactor thread must not panic")
+        .expect("an orderly close");
+    let ids: Vec<u64> = report.sessions.iter().map(|s| s.id).collect();
+    assert_eq!(ids, vec![5], "exactly one summary for id 5");
+    (replies.pop(), report)
+}
+
+#[test]
+fn a_retired_continuous_id_cannot_be_reopened_as_continuous() {
+    let (reply, _) = readmit_after_retire(Record::Open {
+        session: 5,
+        spec: Some(cont_spec()),
+    });
+    assert_eq!(
+        reply,
+        Some((STATUS_SESSION_ERROR, "session opened twice".to_owned()))
+    );
+}
+
+#[test]
+fn a_retired_continuous_id_cannot_be_reopened_bare() {
+    let (reply, _) = readmit_after_retire(Record::Open {
+        session: 5,
+        spec: None,
+    });
+    assert_eq!(
+        reply,
+        Some((STATUS_SESSION_ERROR, "session opened twice".to_owned()))
+    );
+}
+
+#[test]
+fn a_frame_for_a_retired_continuous_id_is_dropped_as_stale() {
+    let (reply, report) = readmit_after_retire(Record::Frame {
+        session: 5,
+        frame: good_frame(),
+    });
+    assert_eq!(reply, None, "a stale frame opens nothing and says nothing");
+    assert_eq!(report.frames_in, 1);
+}
+
+// ------------------------------------------------------ robustness loop
+
+/// Takes frames until two good ones arrived; a frame labelled `bad`
+/// fails the session.
+struct Picky {
+    got: u8,
+}
+
+impl Session for Picky {
+    type Error = String;
+
+    fn poll_send(&mut self) -> Result<Option<Frame>, String> {
+        Ok(None)
+    }
+
+    fn on_frame(&mut self, frame: Frame) -> Result<(), String> {
+        if frame.label == "bad" {
+            return Err("bad frame".into());
+        }
+        self.got += 1;
+        Ok(())
+    }
+
+    fn is_done(&self) -> bool {
+        self.got >= 2
+    }
+}
+
+/// One-shot [`Picky`] sessions and continuous resident parties alike,
+/// for every id.
+struct PickyFactory;
+
+impl SessionFactory for PickyFactory {
+    fn open_spec(&self, _: u64, _: Option<&SessionSpec>) -> Option<Box<dyn NetSession + '_>> {
+        Some(Box::new(Picky { got: 0 }))
+    }
+
+    fn open_continuous(&self, _: u64, spec: &SessionSpec) -> Option<SharedParty> {
+        Some(shared(resident_party(spec.seed, 0..16)))
+    }
+}
+
+/// The well-formed record `kind` selects, addressed to `session`.
+fn record_of(kind: u8, session: u64, round: u32) -> Record {
+    let mut spec = cont_spec();
+    match kind {
+        0 => Record::Open {
+            session,
+            spec: None,
+        },
+        1 => {
+            spec.continuous = false;
+            Record::Open {
+                session,
+                spec: Some(spec),
+            }
+        }
+        2 => Record::Open {
+            session,
+            spec: Some(spec),
+        },
+        3 => Record::Frame {
+            session,
+            frame: good_frame(),
+        },
+        4 => Record::Frame {
+            session,
+            frame: Frame {
+                label: "bad".into(),
+                ..good_frame()
+            },
+        },
+        5 => Record::Done {
+            session,
+            status: STATUS_OK,
+            message: String::new(),
+        },
+        _ => Record::Round { session, round },
+    }
+}
+
+proptest! {
+    /// Any sequence of well-formed records over a few wire ids — opens
+    /// of every flavour, good and session-failing frames, `DONE`s,
+    /// `ROUND`s, in any order — then EOF: `serve_one` returns (no panic,
+    /// no hang) an orderly report that lists each wire id at most once.
+    #[test]
+    fn any_well_formed_record_sequence_is_served_to_a_clean_report(
+        script in prop::collection::vec((0u8..7, 0u64..3, 0u32..3), 1..=24),
+    ) {
+        let server = ReconServer::bind("127.0.0.1:0", Arc::new(PickyFactory))
+            .unwrap()
+            .with_shards(2);
+        let addr = server.local_addr().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let _ = done_tx.send(server.serve_one());
+        });
+
+        let mut stream = raw_client(addr);
+        let mut bytes = Vec::new();
+        for &(kind, session, round) in &script {
+            bytes.extend(encoded(&record_of(kind, session, round)));
+        }
+        stream.write_all(&bytes).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        // Whatever the server answers must decode, and it must hang up.
+        while read_record(&mut stream).expect("replies decode").is_some() {}
+
+        let outcome = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("serve_one hung or panicked on {script:?}"));
+        server.join().expect("server thread");
+        let report = outcome.unwrap_or_else(|e| panic!("{e} on {script:?}"));
+        let mut seen = HashSet::new();
+        for s in &report.sessions {
+            prop_assert!(s.id < 3 && seen.insert(s.id), "id {} listed twice on {script:?}", s.id);
+        }
+    }
 }

@@ -24,8 +24,8 @@
 //!   (Algorithm 1), the Gap-Guarantee protocol (Theorem 4.2) and its
 //!   low-dimension variant (Theorem 4.5), plus exact set reconciliation
 //!   and the one-round lower-bound reduction (Theorem 4.6).
-//! * [`net`] — the TCP transport behind the session layer's `Channel`
-//!   trait, plus the multi-session reconciliation server and client.
+//! * [`net`] — the TCP transport for the session layer: the
+//!   multi-session reconciliation server and the one client driver.
 //! * [`obs`] — process-wide metrics registry, span timers, and the
 //!   post-mortem event ring the reactor/executor layers record into.
 //! * [`workloads`] — synthetic workload generators for the experiments,

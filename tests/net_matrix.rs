@@ -1,46 +1,142 @@
 //! TCP-loopback equivalence: all three protocols driven across a real
-//! socket (`TcpChannel` + the single-party `drive_channel` driver, one
-//! thread per party) must produce outcomes and measured transcripts
-//! bit-for-bit identical to the in-memory `run()` path, over a grid of
-//! seeds × instance sizes — the transport may not perturb the protocol
-//! in any observable way. Two final tests check the multiplexed
-//! `ReconServer`/`Driver` path agrees too.
+//! socket — Alice through a `Driver`, Bob inside
+//! `ReconServer::serve_one` — must produce outcomes and measured
+//! transcripts, on **both** endpoints, bit-for-bit identical to the
+//! in-memory `run()` path, over a grid of seeds × instance sizes: the
+//! transport may not perturb the protocol in any observable way. Two
+//! final tests check multiplexed batches agree too.
 
 use robust_set_recon::core::emd_protocol::{EmdProtocol, EmdProtocolConfig};
 use robust_set_recon::core::gap_protocol::{GapConfig, GapProtocol};
-use robust_set_recon::core::session::drive_channel;
-use robust_set_recon::core::{Party, ScaledEmdProtocol, Transcript};
+use robust_set_recon::core::{Frame, Party, ScaledEmdProtocol, Session, Transcript};
 use robust_set_recon::hash::lsh::LshParams;
 use robust_set_recon::hash::BitSamplingFamily;
 use robust_set_recon::metric::MetricSpace;
-use robust_set_recon::net::{Driver, ReconServer, SessionPlan, TcpChannel};
+use robust_set_recon::net::{
+    ConnectionReport, Driver, NetSession, ReconServer, RunSession, SessionFactory, SessionPlan,
+    SessionSpec,
+};
 use robust_set_recon::workloads::{planted_emd, sample_trace, sensor_pairs};
 use rsr_bench::experiments::net::{spec_of, Instance, InstanceFactory};
-use std::net::TcpListener;
-use std::sync::Arc;
+use std::fmt::Display;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const SEEDS: [u64; 5] = [11, 222, 3333, 44_444, 555_555];
 
-/// Runs `alice` and `bob` against each other over a fresh loopback
-/// connection, one thread per party, each with its own `TcpChannel`.
-fn over_loopback<RA, RB>(
-    alice: impl FnOnce(TcpChannel) -> RA + Send,
-    bob: impl FnOnce(TcpChannel) -> RB + Send,
-) -> (RA, RB)
+/// Runs `inner` and, when the executor driving it lets go of it, parks
+/// it in `slot`: an endpoint owns its sessions while they run, and these
+/// tests want each one's outcome afterwards.
+struct Parked<'a, S> {
+    inner: Option<S>,
+    slot: &'a Mutex<Option<S>>,
+}
+
+impl<S> Parked<'_, S> {
+    fn session(&mut self) -> &mut S {
+        self.inner.as_mut().expect("parked only on drop")
+    }
+}
+
+impl<S: Session> Session for Parked<'_, S> {
+    type Error = S::Error;
+
+    fn poll_send(&mut self) -> Result<Option<Frame>, S::Error> {
+        self.session().poll_send()
+    }
+
+    fn on_frame(&mut self, frame: Frame) -> Result<(), S::Error> {
+        self.session().on_frame(frame)
+    }
+
+    fn is_done(&self) -> bool {
+        self.inner.as_ref().is_some_and(S::is_done)
+    }
+}
+
+impl<S> Drop for Parked<'_, S> {
+    fn drop(&mut self) {
+        *self.slot.lock().unwrap() = self.inner.take();
+    }
+}
+
+/// Serves exactly one Bob half — under whatever id asks first — and
+/// keeps it once it has run.
+struct OneBob<B> {
+    fresh: Mutex<Option<B>>,
+    finished: Mutex<Option<B>>,
+}
+
+impl<B> SessionFactory for OneBob<B>
 where
-    RA: Send,
-    RB: Send,
+    B: Session + Send,
+    B::Error: Display,
 {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("bound address");
-    std::thread::scope(|s| {
-        let bob_side = s.spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            bob(TcpChannel::from_stream(stream, Party::Bob).expect("bob channel"))
-        });
-        let a = alice(TcpChannel::connect(addr, Party::Alice).expect("alice channel"));
-        (a, bob_side.join().expect("bob thread"))
-    })
+    fn open_spec(&self, _: u64, _: Option<&SessionSpec>) -> Option<Box<dyn NetSession + '_>> {
+        let bob = self.fresh.lock().unwrap().take()?;
+        Some(Box::new(Parked {
+            inner: Some(bob),
+            slot: &self.finished,
+        }))
+    }
+}
+
+/// What one session pair left behind on each endpoint.
+struct Crossed<A, B> {
+    alice: A,
+    client: RunSession,
+    bob: B,
+    server: ConnectionReport,
+}
+
+/// Runs `alice` against `bob` over a fresh loopback connection: `alice`
+/// as session 0 of a one-connection `Driver` batch, `bob` as the session
+/// a `ReconServer` opens for it, each endpoint on its own reactor and
+/// executor.
+fn over_loopback<A, B>(alice: A, bob: B) -> Crossed<A, B>
+where
+    A: Session + Send,
+    A::Error: Display,
+    B: Session + Send,
+    B::Error: Display,
+{
+    let factory = Arc::new(OneBob {
+        fresh: Mutex::new(Some(bob)),
+        finished: Mutex::new(None),
+    });
+    let server = ReconServer::bind("127.0.0.1:0", Arc::clone(&factory)).expect("bind loopback");
+    let addr = server.local_addr().expect("bound address");
+    let alice_slot = Mutex::new(None);
+    let (mut client, served) = std::thread::scope(|s| {
+        let bob_side = s.spawn(|| server.serve_one());
+        let plan = SessionPlan::new(
+            0,
+            Box::new(Parked {
+                inner: Some(alice),
+                slot: &alice_slot,
+            }),
+        );
+        let client = Driver::new(addr)
+            .idle_timeout(Some(Duration::from_secs(60)))
+            .batch(vec![vec![plan]])
+            .expect("batch runs");
+        (client, bob_side.join().expect("server thread"))
+    });
+    assert!(
+        client.transport_error().is_none(),
+        "{:?}",
+        client.transport_error()
+    );
+    let server = served.expect("connection served");
+    assert_eq!(server.sessions.len(), 1);
+    let mut client = client.conns.pop().expect("one connection");
+    let bob = factory.finished.lock().unwrap().take().expect("bob ran");
+    Crossed {
+        alice: alice_slot.into_inner().unwrap().expect("alice ran"),
+        client: client.sessions.pop().expect("one session"),
+        bob,
+        server,
+    }
 }
 
 /// `(sender, label, bits)` triples — the full observable transcript.
@@ -52,6 +148,7 @@ fn entries(t: &Transcript) -> Vec<(Option<Party>, String, u64)> {
 
 #[test]
 fn emd_over_tcp_matches_in_memory_over_seed_matrix() {
+    let mut compared = 0;
     for &(n, k, dim) in &[(30usize, 2usize, 24usize), (60, 3, 32)] {
         let space = MetricSpace::hamming(dim);
         for &seed in &SEEDS {
@@ -60,48 +157,43 @@ fn emd_over_tcp_matches_in_memory_over_seed_matrix() {
             let proto = EmdProtocol::new(space, cfg, seed ^ 0x5e55);
 
             let mem = proto.run(&w.alice, &w.bob);
-            let (alice_side, bob_side) = over_loopback(
-                |mut ch| {
-                    let mut a = proto.alice_session(&w.alice);
-                    drive_channel(&mut ch, Party::Alice, &mut a)
-                },
-                |mut ch| {
-                    let mut b = proto.bob_session(&w.bob);
-                    let t = drive_channel(&mut ch, Party::Bob, &mut b);
-                    (t, b.into_outcome(), ch.sent().bits, ch.received().bits)
-                },
-            );
-            let (bob_transcript, bob_outcome, bob_sent_bits, bob_received_bits) = bob_side;
+            let net = over_loopback(proto.alice_session(&w.alice), proto.bob_session(&w.bob));
+            let t_bob = &net.server.sessions[0];
 
-            match (mem, bob_transcript) {
-                (Ok(mem_out), Ok(t_bob)) => {
-                    let net_out = bob_outcome.expect("bob finished");
+            match (mem, &t_bob.error) {
+                (Ok(mem_out), None) => {
+                    compared += 1;
+                    let net_out = net.bob.into_outcome().expect("bob finished");
                     assert_eq!(mem_out.reconciled, net_out.reconciled, "n={n} seed={seed}");
                     assert_eq!(mem_out.i_star, net_out.i_star, "n={n} seed={seed}");
                     assert_eq!(mem_out.decoded, net_out.decoded, "n={n} seed={seed}");
                     // Transcripts are entry-for-entry identical on every
                     // endpoint: the in-memory run, Alice's side, Bob's side.
-                    let t_alice = alice_side.expect("alice finished");
-                    assert_eq!(entries(&mem_out.transcript), entries(&t_bob));
-                    assert_eq!(entries(&mem_out.transcript), entries(&t_alice));
-                    // Channel counters agree with the transcripts, crosswise.
-                    assert_eq!(bob_sent_bits, 0, "one-way protocol");
-                    assert_eq!(bob_received_bits, t_bob.total_bits());
+                    assert!(net.client.is_ok(), "alice: {:?}", net.client.error);
+                    let mem_entries = entries(&mem_out.transcript);
+                    assert_eq!(mem_entries, entries(&t_bob.transcript));
+                    assert_eq!(mem_entries, entries(&net.client.transcript));
+                    // The connection's counters agree with the transcripts.
+                    assert_eq!(net.server.frames_out, 0, "one-way protocol");
+                    assert_eq!(net.server.frames_in, t_bob.transcript.num_messages());
+                    assert_eq!(net.server.payload_bits(), t_bob.transcript.total_bits());
                 }
-                (Err(_), Err(_)) => {} // both paths reject the instance
+                (Err(_), Some(_)) => {} // both paths reject the instance
                 (mem, net) => panic!(
                     "paths disagree on success for n={n} seed={seed}: \
                      in-memory {} tcp {}",
                     mem.is_ok(),
-                    net.is_ok()
+                    net.is_none()
                 ),
             }
         }
     }
+    assert!(compared > 0, "no instance reconciled: nothing was compared");
 }
 
 #[test]
 fn scaled_emd_over_tcp_matches_in_memory_over_seed_matrix() {
+    let mut compared = 0;
     for &(n, k) in &[(30usize, 2usize), (50, 3)] {
         let space = MetricSpace::l2(256, 2);
         for &seed in &SEEDS {
@@ -109,22 +201,13 @@ fn scaled_emd_over_tcp_matches_in_memory_over_seed_matrix() {
             let proto = ScaledEmdProtocol::new(space, n, k, seed ^ 0xa1a1);
 
             let mem = proto.run(&w.alice, &w.bob);
-            let (alice_side, bob_side) = over_loopback(
-                |mut ch| {
-                    let mut a = proto.alice_session(&w.alice);
-                    drive_channel(&mut ch, Party::Alice, &mut a)
-                },
-                |mut ch| {
-                    let mut b = proto.bob_session(&w.bob);
-                    let t = drive_channel(&mut ch, Party::Bob, &mut b);
-                    (t, b.into_outcome())
-                },
-            );
-            let (bob_transcript, bob_outcome) = bob_side;
+            let net = over_loopback(proto.alice_session(&w.alice), proto.bob_session(&w.bob));
+            let t_bob = &net.server.sessions[0];
 
-            match (mem, bob_transcript) {
-                (Ok(mem_out), Ok(t_bob)) => {
-                    let net_out = bob_outcome.expect("bob finished");
+            match (mem, &t_bob.error) {
+                (Ok(mem_out), None) => {
+                    compared += 1;
+                    let net_out = net.bob.into_outcome().expect("bob finished");
                     assert_eq!(
                         mem_out.inner.reconciled, net_out.inner.reconciled,
                         "n={n} seed={seed}"
@@ -132,22 +215,25 @@ fn scaled_emd_over_tcp_matches_in_memory_over_seed_matrix() {
                     assert_eq!(mem_out.interval, net_out.interval, "n={n} seed={seed}");
                     // All I interval frames arrive in one round on every
                     // endpoint, exactly as in memory.
-                    let t_alice = alice_side.expect("alice finished");
-                    assert_eq!(entries(&mem_out.transcript), entries(&t_bob));
-                    assert_eq!(entries(&mem_out.transcript), entries(&t_alice));
-                    assert_eq!(t_bob.num_messages(), proto.num_intervals());
-                    assert_eq!(t_bob.num_rounds(), 1);
-                    assert_eq!(mem_out.total_bits, t_bob.total_bits());
+                    assert!(net.client.is_ok(), "alice: {:?}", net.client.error);
+                    let mem_entries = entries(&mem_out.transcript);
+                    assert_eq!(mem_entries, entries(&t_bob.transcript));
+                    assert_eq!(mem_entries, entries(&net.client.transcript));
+                    assert_eq!(t_bob.transcript.num_messages(), proto.num_intervals());
+                    assert_eq!(t_bob.transcript.num_rounds(), 1);
+                    assert_eq!(mem_out.total_bits, t_bob.transcript.total_bits());
                 }
-                (Err(_), Err(_)) => {}
+                (Err(_), Some(_)) => {}
                 _ => panic!("paths disagree on success for n={n} seed={seed}"),
             }
         }
     }
+    assert!(compared > 0, "no instance reconciled: nothing was compared");
 }
 
 #[test]
 fn gap_over_tcp_matches_in_memory_over_seed_matrix() {
+    let mut compared = 0;
     for &(n, k, dim) in &[(40usize, 2usize, 128usize), (60, 3, 128)] {
         let space = MetricSpace::hamming(dim);
         let (r1, r2) = (2.0, 44.0);
@@ -159,39 +245,30 @@ fn gap_over_tcp_matches_in_memory_over_seed_matrix() {
             let proto = GapProtocol::new(space, &fam, cfg, seed ^ 0x6a6a);
 
             let mem = proto.run(&w.alice, &w.bob);
-            let (alice_side, bob_side) = over_loopback(
-                |mut ch| {
-                    let mut a = proto.alice_session(&w.alice);
-                    let t = drive_channel(&mut ch, Party::Alice, &mut a);
-                    (t, a.into_transmitted())
-                },
-                |mut ch| {
-                    let mut b = proto.bob_session(&w.bob);
-                    let t = drive_channel(&mut ch, Party::Bob, &mut b);
-                    (t, b.into_reconciled())
-                },
-            );
-            let (alice_transcript, transmitted) = alice_side;
-            let (bob_transcript, reconciled) = bob_side;
+            let net = over_loopback(proto.alice_session(&w.alice), proto.bob_session(&w.bob));
+            let t_bob = &net.server.sessions[0];
 
-            match (mem, alice_transcript, bob_transcript) {
-                (Ok(mem_out), Ok(t_alice), Ok(t_bob)) => {
+            match (mem, &net.client.error, &t_bob.error) {
+                (Ok(mem_out), None, None) => {
                     // The Gap outcome is split across the two endpoints:
                     // Bob holds the reconciled set, Alice the far points.
+                    compared += 1;
                     assert_eq!(
                         mem_out.reconciled,
-                        reconciled.expect("bob finished"),
+                        net.bob.into_reconciled().expect("bob finished"),
                         "n={n} seed={seed}"
                     );
-                    let (transmitted, far_keys) = transmitted.expect("alice finished");
+                    let (transmitted, far_keys) =
+                        net.alice.into_transmitted().expect("alice finished");
                     assert_eq!(mem_out.transmitted, transmitted, "n={n} seed={seed}");
                     assert_eq!(mem_out.far_keys, far_keys, "n={n} seed={seed}");
-                    assert_eq!(entries(&mem_out.transcript), entries(&t_alice));
-                    assert_eq!(entries(&mem_out.transcript), entries(&t_bob));
-                    assert_eq!(t_alice.num_rounds(), 4);
-                    assert_eq!(t_alice.num_messages(), 4);
+                    let mem_entries = entries(&mem_out.transcript);
+                    assert_eq!(mem_entries, entries(&net.client.transcript));
+                    assert_eq!(mem_entries, entries(&t_bob.transcript));
+                    assert_eq!(net.client.transcript.num_rounds(), 4);
+                    assert_eq!(net.client.transcript.num_messages(), 4);
                 }
-                (Err(_), Ok(_), Ok(_)) => {
+                (Err(_), None, None) => {
                     panic!(
                         "in-memory failed but both tcp endpoints succeeded for n={n} seed={seed}"
                     )
@@ -202,6 +279,7 @@ fn gap_over_tcp_matches_in_memory_over_seed_matrix() {
             }
         }
     }
+    assert!(compared > 0, "no instance reconciled: nothing was compared");
 }
 
 #[test]
