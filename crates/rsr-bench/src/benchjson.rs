@@ -462,8 +462,8 @@ mod tests {
     #[test]
     fn success_rates_gate_with_zero_downward_tolerance() {
         let mut baseline = BenchReport::new("iblt", true);
-        baseline.push("iblt_threshold_q3_l80_hybrid_success_rate", 0.85);
-        baseline.push("iblt_decode_hybrid_keys_per_sec", 1e6); // not this gate
+        baseline.push("iblt_threshold_q3_l80_peel_success_rate", 0.85);
+        baseline.push("iblt_decode_peel_keys_per_sec", 1e6); // not this gate
         let mut fresh = baseline.clone();
         // Identical passes; so does an improvement.
         assert!(success_regressions(&baseline, &fresh).is_empty());
@@ -473,7 +473,7 @@ mod tests {
         fresh.metrics[0].1 = 0.8499;
         let regs = success_regressions(&baseline, &fresh);
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "iblt_threshold_q3_l80_hybrid_success_rate");
+        assert_eq!(regs[0].key, "iblt_threshold_q3_l80_peel_success_rate");
         // A dropped key fails loudly.
         fresh.metrics.retain(|(k, _)| !k.ends_with("_success_rate"));
         let regs = success_regressions(&baseline, &fresh);

@@ -1,9 +1,9 @@
-//! Regenerates the T1 IBLT decode-threshold table (peel vs hybrid; see
-//! DESIGN.md index). Pass `--quick` for a reduced-trial smoke run;
-//! `--json` additionally writes `BENCH_iblt.json` (`--json-out PATH` to
-//! redirect it) — the machine-readable report CI gates against the
-//! committed baseline with zero downward tolerance on the deterministic
-//! `_success_rate` keys (docs/benchmarks.md).
+//! Regenerates the T1 IBLT decode-threshold table. Pass `--quick` for
+//! a reduced-trial smoke run; `--json` additionally writes
+//! `BENCH_iblt.json` (`--json-out PATH` to redirect it) — the
+//! machine-readable report CI gates against the committed baseline with
+//! zero downward tolerance on the deterministic `_success_rate` keys
+//! (docs/benchmarks.md).
 
 fn main() {
     let quick = rsr_bench::quick_flag();

@@ -68,7 +68,6 @@ pub fn run(quick: bool) -> String {
                     DecodeOptions {
                         order,
                         rounding: RoundingMode::Randomized,
-                        ..DecodeOptions::default()
                     },
                 );
                 for pair in &d.inserted {
@@ -116,7 +115,6 @@ pub fn run(quick: bool) -> String {
                 DecodeOptions {
                     order: PeelOrder::BreadthFirst,
                     rounding,
-                    ..DecodeOptions::default()
                 },
             );
             for pair in &d.inserted {

@@ -1,18 +1,14 @@
-//! T1 — Theorem 2.6: IBLT decode success vs load, peel vs hybrid.
+//! T1 — Theorem 2.6: IBLT decode success vs load.
 //!
 //! "There exists a constant 0 < c < 1 so that an IBLT with m cells and at
 //! most cm keys will successfully extract all key-value pairs with
 //! probability at least 1 − O(1/poly(m))." The constant is the 2-core
 //! threshold of random q-uniform hypergraphs: c*₃ ≈ 0.818, c*₄ ≈ 0.772,
-//! c*₅ ≈ 0.702. The table shows the success probability collapsing from
-//! ≈1 to ≈0 across each threshold — once for pure peeling and once for
-//! the hybrid peel + GF(2) decoder ([`DecodeMode::Hybrid`]), whose curve
-//! sits at a **strictly higher** load: whenever peeling stalls on a
-//! small 2-core, Gaussian elimination over the residual cells recovers
-//! the stuck keys and peeling resumes. The shift is largest at small m,
-//! where finite-size stalls are usually small cores within
-//! `MAX_SOLVE_RANK`; at large m a failed table is typically a giant core
-//! and both curves converge to the same asymptotic c*.
+//! c*₅ ≈ 0.702. The table shows the peeling decoder's success
+//! probability collapsing from ≈1 to ≈0 across each threshold, and a
+//! second sweep shows how much earlier a 60-cell table gives out: at
+//! small m the failures are finite-size stopping sets, not the
+//! asymptotic core.
 //!
 //! Every success rate is deterministic (fixed seeds, no wall-clock in
 //! the decode path), so the emitted `iblt_threshold_*_success_rate` keys
@@ -23,18 +19,17 @@ use crate::benchjson::BenchReport;
 use crate::table::{f, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rsr_iblt::{DecodeMode, Iblt};
+use rsr_iblt::Iblt;
 use std::time::Instant;
 
 /// Known asymptotic peeling thresholds (Molloy / \[26\]).
 pub const THRESHOLDS: [(usize, f64); 3] = [(3, 0.818), (4, 0.772), (5, 0.702)];
 
-/// Success counts for one (m, q, load) cell: both modes decode clones of
-/// the **same** tables, so hybrid ≥ peel holds table-by-table, not just
-/// in expectation.
-fn success_rates(m: usize, q: usize, load: f64, trials: usize) -> (f64, f64) {
+/// Share of `trials` seeded tables of `m` cells holding `load · m`
+/// random keys that decode completely.
+fn success_rate(m: usize, q: usize, load: f64, trials: usize) -> f64 {
     let items = (load * m as f64) as usize;
-    let (mut peel_ok, mut hybrid_ok) = (0usize, 0usize);
+    let mut ok = 0usize;
     for t in 0..trials {
         let seed = 0x1000 + t as u64 * 31 + q as u64 + m as u64;
         let mut krng = StdRng::seed_from_u64(
@@ -44,24 +39,14 @@ fn success_rates(m: usize, q: usize, load: f64, trials: usize) -> (f64, f64) {
         for _ in 0..items {
             iblt.insert(krng.gen());
         }
-        let peeled = iblt.clone().decode_with(DecodeMode::PeelOnly).complete;
-        let hybrid = iblt.decode_with(DecodeMode::Hybrid).complete;
-        assert!(
-            hybrid || !peeled,
-            "hybrid failed a table pure peeling decodes (m={m} q={q} load={load} t={t})"
-        );
-        peel_ok += usize::from(peeled);
-        hybrid_ok += usize::from(hybrid);
+        ok += usize::from(iblt.decode().complete);
     }
-    (
-        peel_ok as f64 / trials as f64,
-        hybrid_ok as f64 / trials as f64,
-    )
+    ok as f64 / trials as f64
 }
 
 /// Decode throughput (keys per second) at a comfortably sub-threshold
-/// load, where both modes decode everything and measure the same work.
-fn keys_per_sec(mode: DecodeMode, trials: usize) -> f64 {
+/// load, where every table decodes completely.
+fn keys_per_sec(trials: usize) -> f64 {
     let (m, q, load) = (300usize, 3usize, 0.70f64);
     let items = (load * m as f64) as usize;
     let tables: Vec<Iblt> = (0..trials)
@@ -77,7 +62,7 @@ fn keys_per_sec(mode: DecodeMode, trials: usize) -> f64 {
     let start = Instant::now();
     let mut decoded = 0usize;
     for table in tables {
-        let d = table.decode_with(mode);
+        let d = table.decode();
         decoded += d.inserted.len() + d.deleted.len();
     }
     decoded as f64 / start.elapsed().as_secs_f64()
@@ -94,94 +79,55 @@ pub fn run_with_json(quick: bool) -> (String, BenchReport) {
     let mut bench = BenchReport::new("iblt", quick);
     let mut out = String::new();
 
-    // Part 1: the paper's phase transition at large m, both modes.
+    // Part 1: the paper's phase transition at large m.
     let m = if quick { 300 } else { 1200 };
     let trials = if quick { 20 } else { 100 };
     let loads = [0.60, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95];
-    let mut table = Table::new(&[
-        "q",
-        "load c",
-        "peel success",
-        "hybrid success",
-        "threshold c*_q",
-    ]);
+    let mut table = Table::new(&["q", "load c", "peel success", "threshold c*_q"]);
     for &(q, threshold) in &THRESHOLDS {
         for &load in &loads {
-            let (peel, hybrid) = success_rates(m, q, load, trials);
-            table.row(vec![
-                q.to_string(),
-                f(load),
-                f(peel),
-                f(hybrid),
-                f(threshold),
-            ]);
+            let peel = success_rate(m, q, load, trials);
+            table.row(vec![q.to_string(), f(load), f(peel), f(threshold)]);
             let l = (load * 100.0) as u64;
             bench.push(format!("iblt_threshold_q{q}_l{l}_peel_success_rate"), peel);
-            bench.push(
-                format!("iblt_threshold_q{q}_l{l}_hybrid_success_rate"),
-                hybrid,
-            );
         }
     }
     out.push_str(&format!(
-        "## T1 — IBLT decode threshold (Theorem 2.6), peel vs hybrid\n\n\
-         m = {m} cells, {trials} trials per point, both modes decoding \
-         the same tables. Expected: success ≈ 1 below the q-core \
-         threshold c*_q, ≈ 0 above; hybrid ≥ peel pointwise.\n\n{}",
+        "## T1 — IBLT decode threshold (Theorem 2.6)\n\n\
+         m = {m} cells, {trials} trials per point. Expected: success ≈ 1 \
+         below the q-core threshold c*_q, ≈ 0 above.\n\n{}",
         table.render()
     ));
 
-    // Part 2: the hybrid shift where it bites — small tables, where a
-    // stall is usually a small core within MAX_SOLVE_RANK.
+    // Part 2: the same sweep on a table of protocol size, where
+    // finite-size stopping sets end the decode well below c*_3.
     let m2 = 60;
     let trials2 = if quick { 40 } else { 200 };
     let loads2 = [0.75, 0.80, 0.85, 0.90, 0.95, 1.00];
-    let mut table2 = Table::new(&["load c", "peel success", "hybrid success", "shift"]);
-    let (mut peel_sum, mut hybrid_sum) = (0.0f64, 0.0f64);
+    let mut table2 = Table::new(&["load c", "peel success"]);
     for &load in &loads2 {
-        let (peel, hybrid) = success_rates(m2, 3, load, trials2);
-        peel_sum += peel;
-        hybrid_sum += hybrid;
-        table2.row(vec![f(load), f(peel), f(hybrid), f(hybrid - peel)]);
+        let peel = success_rate(m2, 3, load, trials2);
+        table2.row(vec![f(load), f(peel)]);
         let l = (load * 100.0) as u64;
         bench.push(
             format!("iblt_threshold_q3_m{m2}_l{l}_peel_success_rate"),
             peel,
         );
-        bench.push(
-            format!("iblt_threshold_q3_m{m2}_l{l}_hybrid_success_rate"),
-            hybrid,
-        );
     }
-    // The tentpole's measured claim, asserted in-bin: across the
-    // transition window the hybrid decoder succeeds at a strictly
-    // higher keys/cells ratio than pure peeling.
-    assert!(
-        hybrid_sum > peel_sum,
-        "hybrid did not shift the q=3 small-table threshold: Σ peel = {peel_sum}, Σ hybrid = {hybrid_sum}"
-    );
     out.push_str(&format!(
         "\nSmall-table transition (q = 3, m = {m2} cells, {trials2} trials \
-         per load): the hybrid GF(2) stage rescues the small stuck cores \
-         that dominate finite-size failures, shifting the empirical \
-         success threshold strictly upward \
-         (Σ success: peel {:.2} → hybrid {:.2}).\n\n{}",
-        peel_sum,
-        hybrid_sum,
+         per load). Expected: the curve falls well before c*_3 ≈ 0.818 — \
+         a table this small fails on finite-size stopping sets, not on \
+         the asymptotic 2-core.\n\n{}",
         table2.render()
     ));
 
-    // Decode throughput, both modes, at a load where both fully decode.
-    let tp_trials = if quick { 20 } else { 100 };
-    let peel_rate = keys_per_sec(DecodeMode::PeelOnly, tp_trials);
-    let hybrid_rate = keys_per_sec(DecodeMode::Hybrid, tp_trials);
+    // Decode throughput at a load where every table fully decodes.
+    let peel_rate = keys_per_sec(if quick { 20 } else { 100 });
     bench.push("iblt_decode_peel_keys_per_sec", peel_rate);
-    bench.push("iblt_decode_hybrid_keys_per_sec", hybrid_rate);
     out.push_str(&format!(
-        "\nDecode throughput at load 0.70 (every table fully decodes, so \
-         both modes do identical peeling work and hybrid's solver never \
-         runs): peel {:.0} keys/s, hybrid {:.0} keys/s.\n",
-        peel_rate, hybrid_rate
+        "\nDecode throughput at load 0.70 (every table fully decodes): \
+         {peel_rate:.0} keys/s.\n"
     ));
 
     (out, bench)
@@ -202,38 +148,16 @@ mod tests {
                 + report.matches("\n| 5").count(),
             21
         );
-        // Key inventory: 21 points × 2 modes + 6 small-m loads × 2 modes
-        // success rates, plus the two throughputs.
+        // Key inventory: 21 large-m points + 6 small-m loads, plus the
+        // one throughput.
         let rates = bench
             .metrics
             .iter()
             .filter(|(k, _)| k.ends_with("_success_rate"))
             .count();
-        assert_eq!(rates, 21 * 2 + 6 * 2);
+        assert_eq!(rates, 21 + 6);
+        assert_eq!(bench.metrics.len(), rates + 1);
         assert!(bench.metric("iblt_decode_peel_keys_per_sec").unwrap() > 0.0);
-        assert!(bench.metric("iblt_decode_hybrid_keys_per_sec").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn hybrid_dominates_peel_pointwise_and_shifts_the_small_table_threshold() {
-        let (_, bench) = run_with_json(true);
-        let mut strictly_better = 0usize;
-        for (key, peel) in &bench.metrics {
-            let Some(prefix) = key.strip_suffix("_peel_success_rate") else {
-                continue;
-            };
-            let hybrid = bench
-                .metric(&format!("{prefix}_hybrid_success_rate"))
-                .expect("paired key");
-            assert!(hybrid >= *peel, "{key}: hybrid {hybrid} < peel {peel}");
-            if hybrid > *peel {
-                strictly_better += 1;
-            }
-        }
-        assert!(
-            strictly_better > 0,
-            "hybrid never beat peel at any (q, load) point"
-        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::channel::Frame;
 use crate::session::{drive_in_memory, Session};
 use crate::transcript::{Party, Transcript};
 use rsr_iblt::bits::BitWriter;
-use rsr_iblt::iblt::{DecodeMode, Iblt};
+use rsr_iblt::iblt::Iblt;
 use rsr_iblt::wire::{get_len, put_len};
 use rsr_obs::{AtomicHistogram, Counter};
 use std::collections::BTreeSet;
@@ -178,13 +178,6 @@ pub struct ContinuousConfig {
     /// cells stays churn-sized, which is where the O(churn) claim
     /// lives. Sets larger than this bound cannot be encoded.
     pub n_bound: usize,
-    /// How Bob decodes the round's symmetric difference. The mode is
-    /// local to the decoding side — the wire format and the settle
-    /// algebra are identical either way — so the parties need not
-    /// agree on it. [`DecodeMode::Hybrid`] lets rounds whose churn
-    /// slightly exceeds the peel threshold still settle instead of
-    /// burning a failed round.
-    pub decode_mode: DecodeMode,
 }
 
 impl ContinuousConfig {
@@ -200,14 +193,7 @@ impl ContinuousConfig {
             q: 3,
             seed,
             n_bound: 1 << 20,
-            decode_mode: DecodeMode::default(),
         }
-    }
-
-    /// Returns the config with Bob's round decode mode replaced.
-    pub fn with_decode_mode(mut self, mode: DecodeMode) -> ContinuousConfig {
-        self.decode_mode = mode;
-        self
     }
 
     fn empty_table(&self) -> Iblt {
@@ -606,7 +592,7 @@ impl Session for BobRound {
         // Δ_peer − Δ_mine = T_peer − T_mine: peel the live difference.
         let mut diff = their_delta;
         diff.subtract(&p.delta());
-        let decoded = diff.decode_with(p.cfg.decode_mode);
+        let decoded = diff.decode();
         if !decoded.complete {
             let cells = p.cfg.cells;
             drop(p);
@@ -729,38 +715,6 @@ mod tests {
         assert_eq!(*lock(&s.alice()).set(), expect);
         assert_eq!(lock(&s.alice()).phase(), SessionPhase::Settled);
         assert_eq!(lock(&s.bob()).rounds_settled(), 1);
-    }
-
-    #[test]
-    fn hybrid_settles_rounds_that_peel_only_fails() {
-        // At churn just past the table's peel threshold the round table
-        // can stall on a 2-core; hybrid decode rescues some of those
-        // rounds (cores of rank above `MAX_SOLVE_RANK` still fail, so
-        // not every stall is rescuable). Find a seed where peel-only
-        // fails but the hybrid config settles the identical round.
-        let churn: Vec<u64> = (1_000..1_020).collect();
-        let base: Vec<u64> = (0..200).collect();
-        let with_churn: Vec<u64> = base.iter().chain(&churn).copied().collect();
-        let mut peel_failures = 0usize;
-        for seed in 0..400u64 {
-            let peel_cfg =
-                ContinuousConfig::for_churn(6, seed).with_decode_mode(DecodeMode::PeelOnly);
-            let mut s = pair(peel_cfg, &with_churn, &base);
-            if s.drive_round().is_ok() {
-                continue;
-            }
-            peel_failures += 1;
-            let hybrid_cfg = peel_cfg.with_decode_mode(DecodeMode::Hybrid);
-            let mut s = pair(hybrid_cfg, &with_churn, &base);
-            if s.drive_round().is_err() {
-                continue;
-            }
-            assert!(sets_equal(&s));
-            let expect: BTreeSet<u64> = with_churn.iter().copied().collect();
-            assert_eq!(*lock(&s.alice()).set(), expect);
-            return;
-        }
-        panic!("no rescued round in 400 seeds ({peel_failures} peel-only failures)");
     }
 
     #[test]

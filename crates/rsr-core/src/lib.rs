@@ -48,7 +48,6 @@ pub mod mlsh_select;
 pub mod session;
 pub mod set_recon;
 pub mod transcript;
-pub mod two_way;
 pub mod wire;
 
 pub use channel::{ChannelCounters, Frame, InMemoryChannel};
@@ -73,4 +72,3 @@ pub use gap_protocol::{
 pub use session::{drive, drive_in_memory, DriveError, Session};
 pub use set_recon::{exact_reconcile, ExactOutcome, ExactReconError};
 pub use transcript::{Party, Transcript};
-pub use two_way::{two_way_emd, two_way_gap, TwoWayEmdOutcome, TwoWayGapOutcome};

@@ -14,7 +14,7 @@
 //! We implement the reduction's ingredients so experiments can *measure*
 //! the phenomenon: [`gv_code`] builds the codeword set (greedy
 //! Gilbert–Varshamov in place of the paper's Reed–Muller — any code with
-//! these parameters works, see DESIGN.md), [`IndexInstance`] builds the
+//! these parameters works), [`IndexInstance`] builds the
 //! hard instances, and [`one_round_bloom_guess`] is a natural O(n)-bit
 //! one-round straw-man whose measured success rate stays below 2/3 while
 //! the four-round protocol solves the same instances exactly.

@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 use rsr_core::continuous::{ContinuousConfig, ContinuousParty, ContinuousSession};
 use rsr_core::set_recon::exact_reconcile;
-use rsr_iblt::iblt::DecodeMode;
 use rsr_metric::{MetricSpace, Point};
 use std::collections::BTreeSet;
 
@@ -108,52 +107,6 @@ proptest! {
             prop_assert_eq!(&a_settled, &via_exact, "round {} != exact recon", r);
         }
         prop_assert_eq!(s.rounds(), churn.len());
-    }
-
-    /// Wire transcripts are decode-mode independent: the decode mode only
-    /// governs how Bob inverts the round's difference table, never what
-    /// either party says on the wire. Driving the same churn under
-    /// [`DecodeMode::PeelOnly`] and [`DecodeMode::Hybrid`] configs must
-    /// produce bit-for-bit identical transcripts and identical settled
-    /// sets on every round the peel-only session can settle at all.
-    #[test]
-    fn transcripts_are_decode_mode_independent(
-        a_init in prop::collection::btree_set(0u64..UNIVERSE, 0..24),
-        b_init in prop::collection::btree_set(0u64..UNIVERSE, 0..24),
-        churn in prop::collection::vec(
-            prop::collection::vec((0u8..2, 0u8..2, 0u64..UNIVERSE), 0..12),
-            1..4,
-        ),
-        seed in 0u64..40,
-    ) {
-        let base = ContinuousConfig::for_churn(UNIVERSE as usize, seed);
-        let build = |mode| {
-            ContinuousSession::new(
-                ContinuousParty::new(base.with_decode_mode(mode), a_init.iter().copied()),
-                ContinuousParty::new(base.with_decode_mode(mode), b_init.iter().copied()),
-            )
-        };
-        let mut peel = build(DecodeMode::PeelOnly);
-        let mut hybrid = build(DecodeMode::Hybrid);
-        for (r, ops) in churn.iter().enumerate() {
-            apply_ops(&peel, ops);
-            apply_ops(&hybrid, ops);
-            // The bound covers the universe, so both modes settle here;
-            // stop comparing if peel-only ever stalls (hybrid may then
-            // legitimately settle a round peel cannot).
-            if peel.drive_round().is_err() {
-                return Ok(());
-            }
-            hybrid.drive_round().unwrap_or_else(|e| {
-                panic!("round {r}: hybrid failed where peel succeeded: {e}")
-            });
-            let pt: Vec<(&str, u64)> = peel.segments()[r].entries().collect();
-            let ht: Vec<(&str, u64)> = hybrid.segments()[r].entries().collect();
-            prop_assert_eq!(pt, ht, "round {} transcripts differ", r);
-            let (pa, _) = current_sets(&peel);
-            let (ha, _) = current_sets(&hybrid);
-            prop_assert_eq!(pa, ha, "round {} settled sets differ", r);
-        }
     }
 
     /// Failure atomicity: a round may fail (churn past the table bound),

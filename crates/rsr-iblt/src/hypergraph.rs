@@ -388,8 +388,7 @@ mod tests {
     #[test]
     fn peel_matches_iblt_decodability() {
         // The hypergraph peels completely iff the IBLT with the same keys
-        // peel-decodes completely (no duplicate keys involved). Peel-only
-        // mode: the hypergraph models peeling, not the GF(2) solver.
+        // decodes completely (no duplicate keys involved).
         let mut rng = StdRng::seed_from_u64(53);
         for trial in 0..20 {
             let seed = 100 + trial;
@@ -400,7 +399,7 @@ mod tests {
             for &k in &keys {
                 t.insert(k);
             }
-            let d = t.decode_with(crate::DecodeMode::PeelOnly);
+            let d = t.decode();
             assert_eq!(
                 g.peel().core.is_empty(),
                 d.complete,

@@ -7,55 +7,15 @@
 //! ±1 and its checksum matches the checksum of its key XOR. Peeling pure
 //! cells recovers the symmetric difference.
 //!
-//! # Hybrid decoding
-//!
-//! Peeling fails exactly when the cell hypergraph develops a 2-core —
-//! well below the information-theoretic limit. The stuck residual is a
-//! small linear system over GF(2) (the XORSAT view): each residual cell
-//! says "the XOR of the unknown keys hashing here is `key_xor`", and the
-//! checksum XOR rides along as 62 more equation bits per cell. The
-//! [`DecodeMode::Hybrid`] decoder (the default) therefore alternates:
-//!
-//! 1. **Peel** pure cells as usual (cheap, handles everything outside
-//!    the 2-core);
-//! 2. **Solve**: row-reduce the residual cells' `key_xor ‖ check_xor`
-//!    vectors to a rank-`R` basis, enumerate the `2^R − 1` span elements
-//!    (Gray code, one XOR each; skipped when `R >` [`MAX_SOLVE_RANK`]),
-//!    and keep the elements whose checksum half matches the checksum of
-//!    their key half — those are recovered keys w.h.p. (false positive
-//!    `≈ 2^{-62}` per element, plus a structural guard that every cell
-//!    of the candidate is residual);
-//! 3. **Resolve signs** (inserted vs deleted side) from the integer
-//!    count equations — unit propagation first, a tiny GF(2) solve for
-//!    whatever parity still pins down — then subtract the solved keys
-//!    and go back to 1.
-//!
-//! The loop ends when the table empties or a pass recovers nothing. The
-//! final emptiness check still decides [`IbltDecode::complete`], so an
-//! unsolvable or checksum-fooled residual is reported incomplete, never
-//! mis-decoded — the same never-fabricate invariant the pure peeler has.
+//! Decoding is breadth-first peeling and nothing else (Theorem 2.6): the
+//! final emptiness check decides [`IbltDecode::complete`], so a table
+//! that stalls on a 2-core — or a received table that was never a sum of
+//! keys — is reported incomplete, never mis-decoded. Why there is no
+//! second stage behind the peeler is recorded in `docs/architecture.md`
+//! ("Decode: peeling only").
 
-use crate::gf2::{self, Gf2Matrix, Gf2Solution, SpanIter};
 use crate::layout::{CellLayout, CellStore};
-use rsr_hash::checksum::CHECKSUM_BITS;
 use std::sync::{Arc, OnceLock};
-
-/// How [`Iblt::decode_with`] treats a peeling stall.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DecodeMode {
-    /// Classic peeling only: stop at the first 2-core.
-    PeelOnly,
-    /// Peel, then GF(2)-solve the stuck core and resume peeling — the
-    /// default for every protocol decode path.
-    #[default]
-    Hybrid,
-}
-
-/// Largest residual rank the hybrid solver will enumerate (`2^R − 1`
-/// span elements, so 16 caps a solve pass at 65 535 cheap row XORs).
-/// Residuals denser than this are genuinely overloaded tables where the
-/// span is astronomically unlikely to contain checksummed keys anyway.
-pub const MAX_SOLVE_RANK: usize = 16;
 
 /// A standard IBLT holding 64-bit keys.
 ///
@@ -80,19 +40,15 @@ pub struct IbltDecode {
     pub complete: bool,
     /// Keys recovered by peeling pure cells.
     pub peeled: usize,
-    /// Keys recovered by the GF(2) solver (always 0 under
-    /// [`DecodeMode::PeelOnly`]).
+    /// Always 0: the decoder has no stage after peeling. Kept only
+    /// because `benchmark/src/probes.rs` reads it.
     pub solved: usize,
-    /// Largest GF(2) rank any stuck residual reached (0 if peeling never
-    /// stalled with content left).
-    pub residual_rank: usize,
 }
 
 /// Process-wide decode counters, resolved once and recorded behind
 /// [`rsr_obs::enabled`].
 struct DecodeMetrics {
     peeled: Arc<rsr_obs::Counter>,
-    solved: Arc<rsr_obs::Counter>,
     failed: Arc<rsr_obs::Counter>,
 }
 
@@ -102,7 +58,6 @@ fn decode_metrics() -> &'static DecodeMetrics {
         let reg = rsr_obs::global();
         DecodeMetrics {
             peeled: reg.counter("iblt_decode_peeled_total"),
-            solved: reg.counter("iblt_decode_solved_total"),
             failed: reg.counter("iblt_decode_failed_total"),
         }
     })
@@ -196,50 +151,26 @@ impl Iblt {
         (0..self.cells.len()).filter(|&i| self.is_pure(i)).collect()
     }
 
-    /// Decodes the table with the default [`DecodeMode::Hybrid`]. The
+    /// Decodes the table by breadth-first peeling of pure cells. The
     /// table is consumed back to the state it would have after removing
     /// every recovered key; on complete success it is empty.
-    pub fn decode(self) -> IbltDecode {
-        self.decode_with(DecodeMode::default())
-    }
-
-    /// [`Iblt::decode`] with an explicit stall strategy.
-    pub fn decode_with(mut self, mode: DecodeMode) -> IbltDecode {
+    pub fn decode(mut self) -> IbltDecode {
         let mut result = IbltDecode::default();
-        self.peel_into(&mut result);
-        if mode == DecodeMode::Hybrid {
-            // Solve → peel until the table empties or a pass goes dry.
-            // Each productive pass subtracts at least one key; the cap
-            // bounds pathological oscillation from a checksum-fooled
-            // candidate (probability ≈ 2^{-62} per span element).
-            let mut guard = self.cells.len();
-            while !self.cells.all_empty() && guard > 0 {
-                guard -= 1;
-                if self.solve_residual_into(&mut result) == 0 {
-                    break;
-                }
-                self.peel_into(&mut result);
-            }
-        }
-        result.complete = self.cells.all_empty();
-        if rsr_obs::enabled() {
-            let m = decode_metrics();
-            m.peeled.add(result.peeled as u64);
-            m.solved.add(result.solved as u64);
-            if !result.complete {
-                m.failed.inc();
-            }
-        }
-        result
-    }
-
-    /// Breadth-first peeling of pure cells into `result`.
-    fn peel_into(&mut self, result: &mut IbltDecode) {
+        // Honest peeling empties the source cell of every peel and only
+        // removes keys afterwards, so it makes at most one peel per cell.
+        // A received table need not be a sum of keys (one holding a key
+        // in a single cell re-plants it in the key's other cells, which
+        // peel it back, forever), so the bound is enforced, not assumed.
+        let mut budget = self.cells.len();
         let mut queue: std::collections::VecDeque<usize> = self.pure_cells().into();
         while let Some(idx) = queue.pop_front() {
             if !self.is_pure(idx) {
                 continue; // stale entry
             }
+            if budget == 0 {
+                break;
+            }
+            budget -= 1;
             let key = self.cells.key_xor(idx);
             let sign = self.cells.count(idx);
             if sign > 0 {
@@ -257,192 +188,15 @@ impl Iblt {
                 }
             }
         }
-    }
-
-    /// One GF(2) solve pass over the stuck residual. Recovers keys from
-    /// the span of the residual cell equations, resolves their signs, and
-    /// subtracts them. Returns how many keys were subtracted.
-    fn solve_residual_into(&mut self, result: &mut IbltDecode) -> usize {
-        let residual: Vec<usize> = (0..self.cells.len())
-            .filter(|&i| !self.cells.cell_is_empty(i))
-            .collect();
-        if residual.is_empty() {
-            return 0;
-        }
-        // Each residual cell: 126-bit row `key_xor (64) ‖ check_xor (62)`.
-        let mut matrix = Gf2Matrix::new(64 + CHECKSUM_BITS as usize);
-        for &i in &residual {
-            matrix.push_row_words(&[self.cells.key_xor(i), self.cells.check_xor(i)]);
-        }
-        matrix.rref();
-        let basis = matrix.nonzero_rows();
-        let rank = basis.len();
-        result.residual_rank = result.residual_rank.max(rank);
-        if rank == 0 || rank > MAX_SOLVE_RANK {
-            return 0;
-        }
-        let mut residual_set = vec![false; self.cells.len()];
-        for &i in &residual {
-            residual_set[i] = true;
-        }
-        // Every true stuck key's vector (key, checksum(key)) lies in the
-        // span of the cell rows; walk the span and keep the elements that
-        // self-certify via their checksum half, then structurally via
-        // their cells all being residual.
-        let mut candidates: Vec<u64> = SpanIter::new(basis)
-            .filter_map(|combo| {
-                let key = combo[0];
-                let check = combo[1];
-                if self.layout.check_of(key) != check {
-                    return None;
-                }
-                let base = self.layout.key_hash(key);
-                (0..self.layout.q())
-                    .all(|i| residual_set[self.layout.cell_of_hash(base, i)])
-                    .then_some(key)
-            })
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            return 0;
-        }
-        let signs = self.solve_signs(&residual, &candidates);
-        let mut subtracted = 0;
-        for (&key, &sign) in candidates.iter().zip(&signs) {
-            let Some(sign) = sign else { continue };
-            if sign > 0 {
-                result.inserted.push(key);
-            } else {
-                result.deleted.push(key);
-            }
-            result.solved += 1;
-            self.update(key, -sign);
-            subtracted += 1;
-        }
-        subtracted
-    }
-
-    /// Determines each candidate's sign from the integer count equations.
-    /// A cell is *explained* when the XOR of its incident candidates'
-    /// keys and checksums reproduces the cell contents exactly; such a
-    /// cell yields `Σ_j y_j = (n − count)/2` over `y_j = [sign_j = −1]`.
-    /// Unit propagation settles the all-plus / all-minus cells, a GF(2)
-    /// parity solve handles the remainder, and anything still ambiguous
-    /// is left unassigned (the key stays in the table and the decode
-    /// reports incomplete rather than guessing).
-    fn solve_signs(&self, residual: &[usize], candidates: &[u64]) -> Vec<Option<i64>> {
-        struct CountEq {
-            members: Vec<usize>,
-            rhs: i64,
-        }
-        let mut incident: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (j, &key) in candidates.iter().enumerate() {
-            let base = self.layout.key_hash(key);
-            for i in 0..self.layout.q() {
-                incident
-                    .entry(self.layout.cell_of_hash(base, i))
-                    .or_default()
-                    .push(j);
+        result.complete = self.cells.all_empty();
+        if rsr_obs::enabled() {
+            let m = decode_metrics();
+            m.peeled.add(result.peeled as u64);
+            if !result.complete {
+                m.failed.inc();
             }
         }
-        let mut eqs: Vec<CountEq> = Vec::new();
-        for &i in residual {
-            let Some(members) = incident.get(&i) else {
-                continue;
-            };
-            let key_xor = members.iter().fold(0u64, |a, &j| a ^ candidates[j]);
-            let check_xor = members
-                .iter()
-                .fold(0u64, |a, &j| a ^ self.layout.check_of(candidates[j]));
-            if key_xor != self.cells.key_xor(i) || check_xor != self.cells.check_xor(i) {
-                continue; // cell holds keys beyond the candidates — unusable
-            }
-            let n = members.len() as i64;
-            let twice = n - self.cells.count(i);
-            if twice < 0 || twice % 2 != 0 || twice / 2 > n {
-                continue; // count inconsistent with ±1 signs — unusable
-            }
-            eqs.push(CountEq {
-                members: members.clone(),
-                rhs: twice / 2,
-            });
-        }
-        let mut signs: Vec<Option<i64>> = vec![None; candidates.len()];
-        loop {
-            let mut changed = false;
-            for eq in &eqs {
-                let mut rhs = eq.rhs;
-                let mut open = Vec::new();
-                for &j in &eq.members {
-                    match signs[j] {
-                        Some(s) if s < 0 => rhs -= 1,
-                        Some(_) => {}
-                        None => open.push(j),
-                    }
-                }
-                if open.is_empty() || rhs < 0 || rhs > open.len() as i64 {
-                    continue;
-                }
-                if rhs == 0 {
-                    for j in open {
-                        signs[j] = Some(1);
-                    }
-                    changed = true;
-                } else if rhs == open.len() as i64 {
-                    for j in open {
-                        signs[j] = Some(-1);
-                    }
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let open: Vec<usize> = (0..candidates.len())
-            .filter(|&j| signs[j].is_none())
-            .collect();
-        if open.is_empty() {
-            return signs;
-        }
-        // Parity of the leftover equations: Σ y_j ≡ rhs (mod 2). Only a
-        // unique solution that also satisfies the equations over ℤ is
-        // trusted.
-        let col_of: std::collections::HashMap<usize, usize> =
-            open.iter().enumerate().map(|(c, &j)| (j, c)).collect();
-        let mut a = Gf2Matrix::new(open.len());
-        let mut b = Vec::new();
-        let mut integer_eqs: Vec<(Vec<usize>, i64)> = Vec::new();
-        for eq in &eqs {
-            let mut rhs = eq.rhs;
-            let mut cols = Vec::new();
-            for &j in &eq.members {
-                match signs[j] {
-                    Some(s) if s < 0 => rhs -= 1,
-                    Some(_) => {}
-                    None => cols.push(col_of[&j]),
-                }
-            }
-            if cols.is_empty() || rhs < 0 || rhs > cols.len() as i64 {
-                continue;
-            }
-            a.push_row_cols(&cols);
-            b.push(rhs % 2 == 1);
-            integer_eqs.push((cols, rhs));
-        }
-        if let Gf2Solution::Unique(y) = gf2::solve(&a, &b) {
-            let exact = integer_eqs
-                .iter()
-                .all(|(cols, rhs)| cols.iter().filter(|&&c| y[c]).count() as i64 == *rhs);
-            if exact {
-                for (c, &j) in open.iter().enumerate() {
-                    signs[j] = Some(if y[c] { -1 } else { 1 });
-                }
-            }
-        }
-        signs
+        result
     }
 
     /// Wire size in bits of the serialized table, with counts sized for
@@ -535,7 +289,7 @@ mod tests {
             v
         });
         assert!(d.deleted.is_empty());
-        assert_eq!(d.peeled + d.solved, 4);
+        assert_eq!(d.peeled, 4);
     }
 
     #[test]
@@ -616,8 +370,7 @@ mod tests {
     #[test]
     fn duplicate_insertions_block_pure_cells_but_do_not_lie() {
         // Two copies of the same key produce count-2 cells whose XORs
-        // cancel; neither peeling nor the GF(2) stage (which only sees
-        // odd-multiplicity keys) may fabricate anything.
+        // cancel; peeling must not fabricate anything from them.
         let mut t = Iblt::new(40, 3, 6);
         t.insert(77);
         t.insert(77);
@@ -627,88 +380,33 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_rescues_a_stuck_core() {
-        // Find a load where pure peeling fails but hybrid decodes, and
-        // check the recovered set is exact.
-        let mut rescued = 0;
-        for seed in 0..200u64 {
-            let n = 24u64;
-            let mut t = Iblt::new(30, 3, seed);
-            for k in 0..n {
-                t.insert(k * 7919 + seed);
-            }
-            let peel = t.clone().decode_with(DecodeMode::PeelOnly);
-            if peel.complete {
-                continue;
-            }
-            let hybrid = t.decode_with(DecodeMode::Hybrid);
-            if !hybrid.complete {
-                continue;
-            }
-            rescued += 1;
-            assert!(hybrid.solved > 0, "rescue must come from the solver");
-            assert!(hybrid.residual_rank > 0);
-            let mut got = hybrid.inserted.clone();
-            got.sort_unstable();
-            let mut want: Vec<u64> = (0..n).map(|k| k * 7919 + seed).collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "seed {seed}");
-            assert!(hybrid.deleted.is_empty());
+    fn a_key_held_in_one_cell_only_fails_in_bounded_time() {
+        // A well-formed 84-cell table no honest party builds: key `x` in
+        // one of its q cells, every other cell zero. Peeling it plants −x
+        // in x's other cells, which peel it straight back; without the
+        // peel budget this never returns.
+        let (cells, q, seed, n_bound) = (84, 3, 9, 1 << 20);
+        let layout = CellLayout::new(cells, q, seed);
+        let x = 0xfeed_u64;
+        let lone = layout.cells_of(x)[0];
+        let widths = crate::wire::CellWidths::xor(n_bound);
+        let mut w = crate::bits::BitWriter::new();
+        for idx in 0..layout.num_cells() {
+            let (count, key, check) = if idx == lone {
+                (1, x, layout.check_of(x))
+            } else {
+                (0, 0, 0)
+            };
+            crate::wire::put_i64(&mut w, count, widths.count);
+            w.write(key, widths.key);
+            w.write(check, widths.check);
         }
-        assert!(rescued > 0, "no stuck-but-solvable cores in 200 seeds");
-    }
-
-    #[test]
-    fn hybrid_resolves_signs_across_sides() {
-        // Mixed inserted/deleted survivors through the solver: the sign
-        // system must place each key on the right side.
-        let mut checked = 0;
-        for seed in 0..300u64 {
-            let mut t = Iblt::new(30, 3, seed);
-            let ins: Vec<u64> = (0..12u64).map(|k| k * 104_729 + seed).collect();
-            let del: Vec<u64> = (0..12u64).map(|k| k * 130_363 + seed + 1).collect();
-            for &k in &ins {
-                t.insert(k);
-            }
-            for &k in &del {
-                t.delete(k);
-            }
-            let peel = t.clone().decode_with(DecodeMode::PeelOnly);
-            let hybrid = t.decode_with(DecodeMode::Hybrid);
-            if peel.complete || !hybrid.complete {
-                continue;
-            }
-            checked += 1;
-            let mut got_ins = hybrid.inserted.clone();
-            got_ins.sort_unstable();
-            let mut want_ins = ins.clone();
-            want_ins.sort_unstable();
-            assert_eq!(got_ins, want_ins, "seed {seed}");
-            let mut got_del = hybrid.deleted.clone();
-            got_del.sort_unstable();
-            let mut want_del = del.clone();
-            want_del.sort_unstable();
-            assert_eq!(got_del, want_del, "seed {seed}");
-        }
-        assert!(checked > 0, "no solver-rescued mixed-sign decode found");
-    }
-
-    #[test]
-    fn peel_only_matches_hybrid_when_peel_succeeds() {
-        for seed in 0..50u64 {
-            let mut t = Iblt::new(60, 3, seed);
-            for k in 0..20u64 {
-                t.insert(k.wrapping_mul(0x9E37_79B9) ^ seed);
-            }
-            let peel = t.clone().decode_with(DecodeMode::PeelOnly);
-            if !peel.complete {
-                continue;
-            }
-            let hybrid = t.decode_with(DecodeMode::Hybrid);
-            assert_eq!(peel.inserted, hybrid.inserted);
-            assert_eq!(peel.deleted, hybrid.deleted);
-            assert_eq!(hybrid.solved, 0, "solver must not run when peel finishes");
-        }
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), 1575);
+        let table = Iblt::from_bytes(&bytes, cells, q, seed, n_bound).expect("well-formed");
+        let d = table.decode();
+        assert!(!d.complete);
+        assert!(d.peeled <= cells, "peels are bounded by the cell count");
     }
 
     #[test]

@@ -22,17 +22,13 @@
 //! * [`layout`] — the partitioned key→cells mapping shared by both
 //!   tables (single-pass key+checksum hashing, struct-of-arrays cells);
 //! * [`iblt`] — the standard XOR IBLT (keys only), used for exact set
-//!   reconciliation and by the quadtree baseline, with the hybrid
-//!   peel-then-GF(2)-solve decoder ([`DecodeMode`]);
-//! * [`gf2`] — dense bit-packed GF(2) elimination backing the hybrid
-//!   decoder's stuck-core solve;
+//!   reconciliation and by the quadtree baseline;
 //! * [`riblt`] — the Robust IBLT (key–value pairs, values are grid points);
 //! * [`hypergraph`] — random-hypergraph analysis: 2-cores, component
 //!   classification (Lemma B.3), and the Lemma 3.10 error-propagation
 //!   process.
 
 pub mod bits;
-pub mod gf2;
 pub mod hypergraph;
 pub mod iblt;
 pub mod layout;
@@ -40,7 +36,7 @@ pub mod riblt;
 pub mod strata;
 pub mod wire;
 
-pub use iblt::{DecodeMode, Iblt, IbltDecode, MAX_SOLVE_RANK};
+pub use iblt::{Iblt, IbltDecode};
 pub use layout::{CellLayout, CellStore};
 pub use riblt::{DecodeOptions, PeelOrder, Riblt, RibltConfig, RibltDecode, RoundingMode};
 pub use strata::StrataEstimator;

@@ -23,7 +23,6 @@
 //! optionally reports how many extracted pairs were contaminated
 //! ([`RibltDecode::contaminated`]) for the F1 experiment.
 
-use crate::iblt::DecodeMode;
 use crate::layout::CellLayout;
 use rand::Rng;
 use rsr_metric::Point;
@@ -121,13 +120,6 @@ pub struct DecodeOptions {
     pub order: PeelOrder,
     /// Rounding mode (default: the paper's randomized rounding).
     pub rounding: RoundingMode,
-    /// Stall strategy (default: [`DecodeMode::Hybrid`]). Sum cells have
-    /// no XOR span to solve, so the RIBLT's hybrid stage works on
-    /// *pairwise cell differences*: when cell `j`'s contents are a
-    /// subset of cell `i`'s, the difference `cell_i − cell_j` isolates
-    /// the extra key and passes the same divisibility + checksum +
-    /// membership validation an ordinary pure cell does.
-    pub mode: DecodeMode,
 }
 
 /// A decoded key–value pair.
@@ -157,10 +149,6 @@ pub struct RibltDecode {
     /// Number of cells left with a pure value residual (cancelled
     /// near-pairs whose error was never picked up by a peel).
     pub value_residual_cells: usize,
-    /// Pairs recovered by the hybrid pairwise-difference stage rather
-    /// than by an ordinary pure-cell peel (0 under
-    /// [`DecodeMode::PeelOnly`]).
-    pub solved: usize,
 }
 
 /// The Robust IBLT.
@@ -225,44 +213,31 @@ impl Riblt {
         }
     }
 
-    /// If count/key-sum/checksum-sum contents (a cell's, or a cell
-    /// *difference*'s in the hybrid stage) are consistent with `C` copies
-    /// of a single key *that hashes to `must_contain`*, returns that key.
-    fn key_of_parts(
-        &self,
-        count: i64,
-        key_sum: i128,
-        check_sum: i128,
-        must_contain: usize,
-    ) -> Option<u64> {
-        if count == 0 {
-            return None;
-        }
-        let ci = count as i128;
-        if key_sum % ci != 0 || check_sum % ci != 0 {
-            return None;
-        }
-        let key = key_sum / ci;
-        if !(0..=u64::MAX as i128).contains(&key) {
-            return None;
-        }
-        let key = key as u64;
-        if check_sum / ci != self.layout.check_of(key) as i128 {
-            return None;
-        }
-        // Guard against accidental arithmetic coincidences: the key must
-        // actually map to this cell.
-        if !self.layout.cells_of(key).contains(&must_contain) {
-            return None;
-        }
-        Some(key)
-    }
-
     /// If the cell's contents are consistent with `C` copies of a single
     /// key *that hashes to this cell*, returns that key.
     fn pure_key(&self, idx: usize) -> Option<u64> {
         let cell = &self.cells[idx];
-        self.key_of_parts(cell.count, cell.key_sum, cell.check_sum, idx)
+        if cell.count == 0 {
+            return None;
+        }
+        let ci = cell.count as i128;
+        if cell.key_sum % ci != 0 || cell.check_sum % ci != 0 {
+            return None;
+        }
+        let key = cell.key_sum / ci;
+        if !(0..=u64::MAX as i128).contains(&key) {
+            return None;
+        }
+        let key = key as u64;
+        if cell.check_sum / ci != self.layout.check_of(key) as i128 {
+            return None;
+        }
+        // Guard against accidental arithmetic coincidences: the key must
+        // actually map to this cell.
+        if !self.layout.cells_of(key).contains(&idx) {
+            return None;
+        }
+        Some(key)
     }
 
     /// Decodes the table with the breadth-first peeling process of §2.2.
@@ -276,168 +251,69 @@ impl Riblt {
 
     /// [`Riblt::decode`] with explicit ablation knobs. The defaults are
     /// the paper's choices; the alternatives exist to *measure* why the
-    /// paper makes them (experiment A1/A2 in DESIGN.md).
+    /// paper makes them (experiments A1/A2, `rsr-exp ablation_peel`).
     pub fn decode_with<R: Rng + ?Sized>(
         mut self,
         rng: &mut R,
         options: DecodeOptions,
     ) -> RibltDecode {
         let mut result = RibltDecode::default();
-        // Each successful peel zeroes the peeled cell; bound the number of
-        // stale re-checks to keep the loop linear-ish and safe.
-        let mut guard = 8 * (self.cells.len() + self.ops) + 64;
-        self.peel_into(&mut result, rng, options, &mut guard);
-        if options.mode == DecodeMode::Hybrid {
-            // Solve → peel, as the XOR IBLT does, until the keys are all
-            // cancelled or a pairwise pass recovers nothing.
-            let mut rounds = self.cells.len();
-            while !self.cells.iter().all(SumCell::is_clean) && rounds > 0 {
-                rounds -= 1;
-                if self.solve_pairwise_into(&mut result, rng, options.rounding) == 0 {
-                    break;
-                }
-                self.peel_into(&mut result, rng, options, &mut guard);
-            }
-        }
-        result.complete = self.cells.iter().all(SumCell::is_clean);
-        result.value_residual_cells = self.cells.iter().filter(|c| c.has_value_residual()).count();
-        result
-    }
-
-    /// The §2.2 peeling loop, run to a stall.
-    fn peel_into<R: Rng + ?Sized>(
-        &mut self,
-        result: &mut RibltDecode,
-        rng: &mut R,
-        options: DecodeOptions,
-        guard: &mut usize,
-    ) {
         let mut queue: std::collections::VecDeque<usize> = (0..self.cells.len())
             .filter(|&i| self.pure_key(i).is_some())
             .collect();
+        // Each successful peel zeroes the peeled cell; bound the number of
+        // stale re-checks to keep the loop linear-ish and safe.
+        let mut guard = 8 * (self.cells.len() + self.ops) + 64;
         while let Some(idx) = match options.order {
             PeelOrder::BreadthFirst => queue.pop_front(),
             PeelOrder::DepthFirst => queue.pop_back(),
         } {
-            if *guard == 0 {
+            if guard == 0 {
                 break;
             }
-            *guard -= 1;
+            guard -= 1;
             let Some(key) = self.pure_key(idx) else {
                 continue; // stale
             };
             // Snapshot the cell before mutation.
             let snapshot = self.cells[idx].clone();
-            for cell_idx in self.extract_and_subtract(key, &snapshot, result, rng, options.rounding)
-            {
+            let copies = snapshot.count.unsigned_abs() as usize;
+            let exact = snapshot.value_sum.iter().all(|&v| v % snapshot.count == 0);
+            // Extract `copies` values, each the (clamped, randomly
+            // rounded) coordinate-wise average V/C.
+            for _ in 0..copies {
+                let value = self.round_average(&snapshot, rng, options.rounding);
+                let pair = DecodedPair { key, value };
+                if snapshot.count > 0 {
+                    result.inserted.push(pair);
+                } else {
+                    result.deleted.push(pair);
+                }
+                if !exact {
+                    result.contaminated += 1;
+                }
+            }
+            // Subtract the snapshot from every cell the key hashes to
+            // (including idx itself, which becomes clean). This moves any
+            // accumulated value error into the sibling cells — the paper's
+            // error-propagation mechanism.
+            for i in 0..self.layout.q() {
+                let cell_idx = self.layout.cell_in_partition(key, i);
+                let cell = &mut self.cells[cell_idx];
+                cell.count -= snapshot.count;
+                cell.key_sum -= snapshot.key_sum;
+                cell.check_sum -= snapshot.check_sum;
+                for (acc, &v) in cell.value_sum.iter_mut().zip(&snapshot.value_sum) {
+                    *acc -= v;
+                }
                 if cell_idx != idx && self.pure_key(cell_idx).is_some() {
                     queue.push_back(cell_idx);
                 }
             }
         }
-    }
-
-    /// Extracts `snapshot` (known to be `C` copies of `key`) into
-    /// `result` and subtracts it from every cell `key` hashes to —
-    /// including the source cell, which becomes clean. The subtraction
-    /// moves any accumulated value error into the sibling cells, the
-    /// paper's error-propagation mechanism. Returns the touched cells.
-    fn extract_and_subtract<R: Rng + ?Sized>(
-        &mut self,
-        key: u64,
-        snapshot: &SumCell,
-        result: &mut RibltDecode,
-        rng: &mut R,
-        rounding: RoundingMode,
-    ) -> Vec<usize> {
-        let copies = snapshot.count.unsigned_abs() as usize;
-        let exact = snapshot.value_sum.iter().all(|&v| v % snapshot.count == 0);
-        // Extract `copies` values, each the (clamped, randomly rounded)
-        // coordinate-wise average V/C.
-        for _ in 0..copies {
-            let value = self.round_average(snapshot, rng, rounding);
-            let pair = DecodedPair { key, value };
-            if snapshot.count > 0 {
-                result.inserted.push(pair);
-            } else {
-                result.deleted.push(pair);
-            }
-            if !exact {
-                result.contaminated += 1;
-            }
-        }
-        let mut touched = Vec::with_capacity(self.layout.q());
-        for i in 0..self.layout.q() {
-            let cell_idx = self.layout.cell_in_partition(key, i);
-            let cell = &mut self.cells[cell_idx];
-            cell.count -= snapshot.count;
-            cell.key_sum -= snapshot.key_sum;
-            cell.check_sum -= snapshot.check_sum;
-            for (acc, &v) in cell.value_sum.iter_mut().zip(&snapshot.value_sum) {
-                *acc -= v;
-            }
-            touched.push(cell_idx);
-        }
-        touched
-    }
-
-    /// Residual cells a pairwise stage will consider; beyond this the
-    /// `O(r²)` scan is skipped (such tables are genuinely overloaded).
-    const MAX_PAIRWISE_CELLS: usize = 64;
-
-    /// One hybrid solve pass over a stuck residual. Sum cells carry no
-    /// XOR structure, so instead of a GF(2) span this stage forms
-    /// *pairwise cell differences*: if cell `j`'s contents are a subset
-    /// of cell `i`'s, the difference `cell_i − cell_j` is `C` copies of
-    /// the one key `i` holds beyond `j` — validated exactly like a pure
-    /// cell (divisibility, checksum, layout membership, and the key must
-    /// not hash to `j`, else it would have cancelled in the difference).
-    /// Extracts the first validated key and returns 1, or 0 when the
-    /// residual yields nothing (the decode then reports incomplete).
-    fn solve_pairwise_into<R: Rng + ?Sized>(
-        &mut self,
-        result: &mut RibltDecode,
-        rng: &mut R,
-        rounding: RoundingMode,
-    ) -> usize {
-        let residual: Vec<usize> = (0..self.cells.len())
-            .filter(|&i| !self.cells[i].is_clean())
-            .collect();
-        if residual.len() > Self::MAX_PAIRWISE_CELLS {
-            return 0;
-        }
-        for &i in &residual {
-            for &j in &residual {
-                if i == j {
-                    continue;
-                }
-                let count = self.cells[i].count - self.cells[j].count;
-                let key_sum = self.cells[i].key_sum - self.cells[j].key_sum;
-                let check_sum = self.cells[i].check_sum - self.cells[j].check_sum;
-                let Some(key) = self.key_of_parts(count, key_sum, check_sum, i) else {
-                    continue;
-                };
-                if self.layout.cells_of(key).contains(&j) {
-                    continue;
-                }
-                let value_sum = self.cells[i]
-                    .value_sum
-                    .iter()
-                    .zip(&self.cells[j].value_sum)
-                    .map(|(a, b)| a - b)
-                    .collect();
-                let snapshot = SumCell {
-                    count,
-                    key_sum,
-                    check_sum,
-                    value_sum,
-                };
-                result.solved += snapshot.count.unsigned_abs() as usize;
-                self.extract_and_subtract(key, &snapshot, result, rng, rounding);
-                return 1;
-            }
-        }
-        0
+        result.complete = self.cells.iter().all(SumCell::is_clean);
+        result.value_residual_cells = self.cells.iter().filter(|c| c.has_value_residual()).count();
+        result
     }
 
     /// Computes one extracted value: `V/C` per coordinate, shifted into the
@@ -709,50 +585,6 @@ mod tests {
         assert_eq!(d.deleted.len(), 1);
         assert_eq!(d.deleted[0].key, 200);
         assert_eq!(d.deleted[0].value, p(&[7, 7]));
-    }
-
-    #[test]
-    fn pairwise_stage_rescues_pinned_stalled_tables() {
-        // Pinned seeds (swept from 0..300) where 24 exact-valued keys in
-        // a 30-cell q = 3 table stall pure peeling but the pairwise
-        // cell-difference stage completes the decode with the exact
-        // key–value pairs.
-        for seed in [0u64, 14, 28, 32] {
-            let build = || {
-                let mut t = Riblt::new(cfg(30, 1, 9000, seed));
-                let mut vrng = StdRng::seed_from_u64(seed ^ 0xbeef);
-                let mut want = Vec::new();
-                for i in 0..24u64 {
-                    let v = p(&[vrng.gen_range(0..9000)]);
-                    t.insert(i, &v);
-                    want.push((i, v));
-                }
-                (t, want)
-            };
-            let (t, want) = build();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let peel = t.decode_with(
-                &mut rng,
-                DecodeOptions {
-                    mode: DecodeMode::PeelOnly,
-                    ..DecodeOptions::default()
-                },
-            );
-            assert!(!peel.complete, "seed {seed}: peel now succeeds (stale pin)");
-            let (t, want2) = build();
-            assert_eq!(want, want2);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let hybrid = t.decode_with(&mut rng, DecodeOptions::default());
-            assert!(hybrid.complete, "seed {seed}: pairwise stage failed");
-            assert!(hybrid.solved > 0, "seed {seed}: rescue without solves");
-            let mut got: Vec<_> = hybrid
-                .inserted
-                .iter()
-                .map(|x| (x.key, x.value.clone()))
-                .collect();
-            got.sort();
-            assert_eq!(got, want, "seed {seed}: wrong pairs");
-        }
     }
 
     #[test]

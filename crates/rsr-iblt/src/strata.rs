@@ -15,7 +15,7 @@
 //! first (one extra message), then size the reconciliation tables from
 //! its output.
 
-use crate::iblt::{DecodeMode, Iblt};
+use crate::iblt::Iblt;
 use rsr_hash::mix::mix64;
 
 /// Number of strata (covers differences up to ~2^32).
@@ -65,23 +65,9 @@ impl StrataEstimator {
     }
 
     /// Subtracts the other party's estimator (same seed required) and
-    /// estimates `|A △ B|` with the default [`DecodeMode::Hybrid`]
-    /// per-stratum decode. Returns `None` only if even stratum 0 fails
+    /// estimates `|A △ B|`. Returns `None` only if even stratum 0 fails
     /// to decode — practically impossible unless the seeds differ.
-    pub fn estimate_difference(self, other: &StrataEstimator) -> Option<usize> {
-        self.estimate_difference_with(other, DecodeMode::default())
-    }
-
-    /// [`StrataEstimator::estimate_difference`] with an explicit decode
-    /// mode for each stratum table. Hybrid decoding lets borderline
-    /// strata (the ones whose 80-cell tables stall on a small 2-core)
-    /// still decode, so the walk accumulates exact counts deeper before
-    /// scaling.
-    pub fn estimate_difference_with(
-        mut self,
-        other: &StrataEstimator,
-        mode: DecodeMode,
-    ) -> Option<usize> {
+    pub fn estimate_difference(mut self, other: &StrataEstimator) -> Option<usize> {
         assert_eq!(self.seed, other.seed, "estimators must share a seed");
         for (mine, theirs) in self.strata.iter_mut().zip(&other.strata) {
             mine.subtract(theirs);
@@ -90,7 +76,7 @@ impl StrataEstimator {
         // decodable strata until one fails, then scale.
         let mut exact = 0usize;
         for (i, table) in self.strata.into_iter().enumerate().rev() {
-            let d = table.decode_with(mode);
+            let d = table.decode();
             if d.complete {
                 exact += d.inserted.len() + d.deleted.len();
             } else {

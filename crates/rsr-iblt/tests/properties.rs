@@ -2,11 +2,11 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rsr_iblt::riblt::RibltConfig;
-use rsr_iblt::{Iblt, Riblt};
+use rsr_iblt::{CellLayout, Iblt, Riblt};
 use rsr_metric::Point;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 proptest! {
     /// Below threshold, decoding an IBLT is a multiset isomorphism: every
@@ -304,4 +304,51 @@ proptest! {
         let truncated = &bytes[..bytes.len() - cut];
         prop_assert!(Iblt::from_bytes(truncated, 48, 3, seed, 16).is_none());
     }
+}
+
+/// The failure that is left at design load, built on purpose: *twin
+/// keys* — two keys sharing all q cells. Every cell holding one holds
+/// both, so none of them is ever pure, and the table carries only
+/// `k₁ ⊕ k₂` about the pair: nothing local to this table, peeling or
+/// linear algebra, can split them. A second table seed can — the two
+/// keys are twins under one layout only.
+#[test]
+fn twin_keys_stall_one_seed_and_decode_under_another() {
+    let (cells, q, seed) = (84, 3, 7);
+    let layout = CellLayout::new(cells, q, seed);
+    // Birthday search over the 28³ = 21,952 cell triples: a repeat turns
+    // up after a few hundred candidates, certainly within 2¹⁶.
+    let mut seen = HashMap::new();
+    let (a, b) = (0u64..1 << 16)
+        .find_map(|k| seen.insert(layout.cells_of(k), k).map(|twin| (twin, k)))
+        .expect("two of 2^16 keys share their three cells");
+    assert_eq!(layout.cells_of(a), layout.cells_of(b));
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut keys = BTreeSet::from([a, b]);
+    while keys.len() < 32 {
+        keys.insert(rng.gen());
+    }
+    let decode_under = |seed| {
+        let mut t = Iblt::new(cells, q, seed);
+        for &k in &keys {
+            t.insert(k);
+        }
+        t.decode()
+    };
+
+    let stalled = decode_under(seed);
+    assert!(!stalled.complete);
+    assert!(stalled.deleted.is_empty());
+    for k in &stalled.inserted {
+        assert!(keys.contains(k), "fabricated key {k}");
+        assert!(*k != a && *k != b, "a twin was peeled");
+    }
+
+    let retried = decode_under(seed + 1);
+    assert!(retried.complete);
+    assert_eq!(
+        retried.inserted.iter().copied().collect::<BTreeSet<_>>(),
+        keys
+    );
 }

@@ -10,6 +10,9 @@ use rsr_core::continuous::{
     shared, ContinuousConfig, ContinuousParty, ContinuousSession, SharedParty,
 };
 use rsr_core::session::Session;
+use rsr_iblt::bits::BitWriter;
+use rsr_iblt::wire::{put_i64, CellWidths};
+use rsr_iblt::CellLayout;
 use rsr_net::{
     read_record, write_record, ConnectionReport, Driver, NetError, NetSession, ReconServer, Record,
     SessionFactory, SessionPlan, SessionSpec, MAX_RECORD_BYTES, PROTO_CONT, STATUS_OK,
@@ -259,24 +262,17 @@ fn garbage_stream_closes_the_connection_cleanly() {
 
 // --------------------------------------------------------------- client
 
-/// The one frame each [`OneFrameSink`] expects.
+/// Sends one frame and is done; [`good_frame`] is the one each
+/// [`OneFrameSink`] expects.
 struct OneFrameSource {
-    sent: bool,
+    frame: Option<Frame>,
 }
 
 impl Session for OneFrameSource {
     type Error = String;
 
     fn poll_send(&mut self) -> Result<Option<Frame>, String> {
-        if self.sent {
-            return Ok(None);
-        }
-        self.sent = true;
-        Ok(Some(Frame {
-            label: "m".into(),
-            payload: vec![0xAA],
-            bit_len: 8,
-        }))
+        Ok(self.frame.take())
     }
 
     fn on_frame(&mut self, _: Frame) -> Result<(), String> {
@@ -284,13 +280,26 @@ impl Session for OneFrameSource {
     }
 
     fn is_done(&self) -> bool {
-        self.sent
+        self.frame.is_none()
+    }
+}
+
+fn good_frame() -> Frame {
+    Frame {
+        label: "m".into(),
+        payload: vec![0xAA],
+        bit_len: 8,
     }
 }
 
 fn one_frame_plans<const N: usize>(ids: [u64; N]) -> Vec<SessionPlan<'static>> {
     ids.into_iter()
-        .map(|id| SessionPlan::new(id, Box::new(OneFrameSource { sent: false })))
+        .map(|id| {
+            let source = OneFrameSource {
+                frame: Some(good_frame()),
+            };
+            SessionPlan::new(id, Box::new(source))
+        })
         .collect()
 }
 
@@ -343,7 +352,7 @@ fn a_rejected_batch_burns_no_session_ids() {
 }
 
 /// Serves continuous sessions only: every open gets a resident party
-/// over keys `0..16`.
+/// over keys `0..spec.n`.
 struct ResidentFactory;
 
 const CHURN_BOUND: usize = 8;
@@ -358,7 +367,7 @@ impl SessionFactory for ResidentFactory {
     }
 
     fn open_continuous(&self, _: u64, spec: &SessionSpec) -> Option<SharedParty> {
-        Some(shared(resident_party(spec.seed, 0..16)))
+        Some(shared(resident_party(spec.seed, 0..u64::from(spec.n))))
     }
 }
 
@@ -418,6 +427,91 @@ fn a_rejected_open_continuous_leaves_no_continuous_standing() {
     server.join().unwrap().expect("connection served");
 }
 
+/// A round-0 delta that is well-formed and no honest party builds: key
+/// `x` in one of its q cells, every other cell zero. Against an empty
+/// resident party it is exactly what the server is left to decode.
+fn lone_cell_delta(seed: u64) -> Frame {
+    let cfg = ContinuousConfig::for_churn(CHURN_BOUND, seed);
+    let layout = CellLayout::new(cfg.cells, cfg.q, cfg.seed);
+    let x = 0xfeed_u64;
+    let lone = layout.cells_of(x)[0];
+    let widths = CellWidths::xor(cfg.n_bound);
+    let mut w = BitWriter::new();
+    w.write(0, 32); // round index
+    for idx in 0..layout.num_cells() {
+        let (count, key, check) = if idx == lone {
+            (1, x, layout.check_of(x))
+        } else {
+            (0, 0, 0)
+        };
+        put_i64(&mut w, count, widths.count);
+        w.write(key, widths.key);
+        w.write(check, widths.check);
+    }
+    Frame::seal("round: delta table", w)
+}
+
+#[test]
+fn a_delta_that_never_peels_costs_its_round_not_a_worker() {
+    // One worker: if decoding the hostile delta did not return, nothing
+    // else on the connection could settle.
+    let server = ReconServer::bind("127.0.0.1:0", Arc::new(ResidentFactory))
+        .unwrap()
+        .with_shards(1);
+    let addr = server.local_addr().unwrap();
+    let server = std::thread::spawn(move || server.serve_one());
+    let mut driver = Driver::new(addr)
+        .idle_timeout(Some(Duration::from_secs(10)))
+        .connect()
+        .unwrap();
+    let spec = SessionSpec {
+        protocol: PROTO_CONT,
+        n: 0,
+        k: CHURN_BOUND as u32,
+        dim: 0,
+        seed: 7,
+        continuous: true,
+    };
+    let hostile = SessionPlan {
+        id: 5,
+        spec: Some(spec),
+        session: Box::new(OneFrameSource {
+            frame: Some(lone_cell_delta(spec.seed)),
+        }),
+        round: Some(0),
+    };
+    let party = shared(resident_party(spec.seed, 0..3));
+    let honest = SessionPlan::open_continuous(6, spec, &party).unwrap();
+
+    let report = driver
+        .batch(vec![vec![hostile, honest]])
+        .expect("batch runs");
+    assert!(
+        report.transport_error().is_none(),
+        "transport stays healthy: {:?}",
+        report.transport_error()
+    );
+    let failed = report.sessions().find(|s| s.id == 5).unwrap();
+    assert!(
+        failed
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("delta did not decode")),
+        "unexpected outcome: {:?}",
+        failed.error
+    );
+    assert_eq!(report.completed(), 1, "{:?}", report.conns[0].sessions);
+
+    // The connection and the session beside it carry on.
+    party.lock().unwrap().insert(100).unwrap();
+    let next = SessionPlan::next_round(6, &party).unwrap();
+    let report = driver.batch(vec![vec![next]]).expect("round 1 runs");
+    assert_eq!(report.completed(), 1, "{:?}", report.conns[0].sessions);
+    driver.close_session(0, 6).expect("retire the session");
+    driver.finish();
+    server.join().unwrap().expect("connection served");
+}
+
 // ------------------------------------------------ wire-id re-admission
 
 /// Serves every id both ways: a bare or spec `OPEN` gets a
@@ -442,14 +536,6 @@ fn cont_spec() -> SessionSpec {
         dim: 0,
         seed: 7,
         continuous: true,
-    }
-}
-
-fn good_frame() -> Frame {
-    Frame {
-        label: "m".into(),
-        payload: vec![0xAA],
-        bit_len: 8,
     }
 }
 

@@ -31,7 +31,7 @@
 //! `O(#differing children · (child size + log n))`, preserving every
 //! qualitative claim the Gap experiments test: proportionality to the
 //! number of differences, independence from the parent-set size, and the
-//! 3-round structure. See DESIGN.md §2.
+//! 3-round structure.
 
 pub mod protocol;
 pub mod wire;
