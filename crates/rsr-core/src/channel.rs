@@ -51,12 +51,21 @@ impl Frame {
     /// the frame's encoded bits — a well-formed prefix followed by
     /// trailing garbage (e.g. two concatenated messages) is rejected,
     /// never silently half-decoded. Final-byte zero padding is the only
-    /// tolerated slack.
+    /// tolerated slack, and it must be zero: a set padding bit would make
+    /// a second encoding of the same message, so it is rejected too.
     pub fn decode_exact<T>(
         &self,
         decode: impl FnOnce(&mut BitReader<'_>) -> Option<T>,
     ) -> Option<T> {
         if self.payload.len() as u64 != self.bit_len.div_ceil(8) {
+            return None;
+        }
+        let pad_bits = (8 - self.bit_len % 8) % 8;
+        if self
+            .payload
+            .last()
+            .is_some_and(|&b| b & ((1u8 << pad_bits) - 1) != 0)
+        {
             return None;
         }
         let mut r = self.reader();
@@ -218,6 +227,25 @@ mod tests {
         let mut bad = f.clone();
         bad.payload.push(0xFF);
         assert_eq!(bad.decode_exact(|r| r.read(32)), None);
+    }
+
+    #[test]
+    fn decode_exact_rejects_set_padding_bits() {
+        let mut w = BitWriter::new();
+        w.write(0b101, 3);
+        let f = Frame::seal("m", w);
+        assert_eq!(f.payload, [0b1010_0000]);
+        assert_eq!(f.decode_exact(|r| r.read(3)), Some(0b101));
+        // Every one of the five padding bits, set alone, is refused.
+        for bit in 0..5 {
+            let mut bad = f.clone();
+            bad.payload[0] |= 1 << bit;
+            assert_eq!(bad.decode_exact(|r| r.read(3)), None, "pad bit {bit}");
+        }
+        // A frame ending on a byte boundary has no padding to check.
+        let mut w = BitWriter::new();
+        w.write(0xff, 8);
+        assert_eq!(Frame::seal("m", w).decode_exact(|r| r.read(8)), Some(0xff));
     }
 
     #[test]

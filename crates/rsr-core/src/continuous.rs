@@ -371,9 +371,10 @@ impl ContinuousParty {
 
     /// The frame a round opens with: the round index and the delta.
     fn delta_frame(&self, round: u32) -> Frame {
-        let mut w = BitWriter::new();
+        let delta = self.delta();
+        let mut w = BitWriter::with_capacity(32 + delta.wire_bits(self.cfg.n_bound));
         w.write(round as u64, 32);
-        self.delta().write_to(&mut w, self.cfg.n_bound);
+        delta.write_to(&mut w, self.cfg.n_bound);
         Frame::seal("round: delta table", w)
     }
 

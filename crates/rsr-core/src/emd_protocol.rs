@@ -133,7 +133,7 @@ impl EmdMessage {
 
     /// Seals the message into a labelled frame, measuring its size.
     pub fn to_frame(&self) -> Frame {
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::with_capacity(self.wire_bits());
         self.write_wire(&mut w);
         Frame::seal(EMD_MSG_LABEL, w)
     }
@@ -250,19 +250,21 @@ impl EmdProtocol {
         )
     }
 
-    /// Per-point keys at every level (one O(s) pass per point).
-    fn keys_of(&self, p: &Point) -> Vec<u64> {
-        self.keyer.level_keys(p, &self.prefix_lens)
+    /// Every point's key at every level, point-major (`t` words per
+    /// point): one batched pass over the draws.
+    fn batch_keys(&self, points: &[Point]) -> Vec<u64> {
+        let mut keys = vec![0; points.len() * self.prefix_lens.len()];
+        self.keyer.keys_into(points, &self.prefix_lens, &mut keys);
+        keys
     }
 
     /// Alice's side: build and "send" the `t` RIBLTs.
     pub fn alice_encode(&self, alice: &[Point]) -> EmdMessage {
         let t = self.prefix_lens.len();
         let mut tables: Vec<Riblt> = (0..t).map(|i| Riblt::new(self.level_config(i))).collect();
-        for p in alice {
+        for (p, keys) in alice.iter().zip(self.batch_keys(alice).chunks_exact(t)) {
             debug_assert!(self.space.universe().contains(p), "point outside universe");
-            let keys = self.keys_of(p);
-            for (table, &key) in tables.iter_mut().zip(&keys) {
+            for (table, &key) in tables.iter_mut().zip(keys) {
                 table.insert(key, p);
             }
         }
@@ -276,11 +278,12 @@ impl EmdProtocol {
     /// repair his set.
     pub fn bob_decode(&self, msg: &EmdMessage, bob: &[Point]) -> Result<EmdOutcome, EmdFailure> {
         let budget = 2 * self.config.k;
-        let bob_keys: Vec<Vec<u64>> = bob.iter().map(|p| self.keys_of(p)).collect();
+        let t = self.prefix_lens.len();
+        let bob_keys = self.batch_keys(bob);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xb0bd_ec0d);
         for level in (0..msg.tables.len()).rev() {
             let mut table = msg.tables[level].clone();
-            for (p, keys) in bob.iter().zip(&bob_keys) {
+            for (p, keys) in bob.iter().zip(bob_keys.chunks_exact(t)) {
                 table.delete(keys[level], p);
             }
             let d = table.decode(&mut rng);

@@ -220,7 +220,7 @@ impl Session for ScaledEmdAliceSession {
 
     fn poll_send(&mut self) -> Result<Option<Frame>, EmdFailure> {
         Ok(self.pending.pop_front().map(|(interval, msg)| {
-            let mut w = BitWriter::new();
+            let mut w = BitWriter::with_capacity(msg.wire_bits());
             msg.write_wire(&mut w);
             Frame::seal(interval_label(interval), w)
         }))

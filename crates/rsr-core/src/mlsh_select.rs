@@ -6,14 +6,15 @@
 //! this by choosing its width `w` large enough (the paper picks
 //! `w = 48·n·d/k` for Corollary 3.5 and `w = Θ(min(M, D2) + D2/k)` for
 //! Corollary 3.6). [`AnyMlsh`] wraps the three families behind one type so
-//! the protocols stay non-generic.
+//! the protocols stay non-generic; its draws are the wrapped family's own
+//! compact [`DrawSet`], so a keyer dispatches on the family once per call.
 
 use rand::Rng;
 use rsr_hash::bit_sampling::{BitSamplingFamily, BitSamplingFn};
 use rsr_hash::grid::{GridFamily, GridFn};
 use rsr_hash::lsh::LshParams;
 use rsr_hash::pstable::{PStableFamily, PStableFn};
-use rsr_hash::{LshFamily, LshFunction, MlshFamily, MlshParams};
+use rsr_hash::{DrawSet, LshFamily, LshFunction, MlshFamily, MlshParams};
 use rsr_metric::{Metric, MetricSpace, Point};
 
 /// An MLSH family chosen to match a metric space.
@@ -56,6 +57,14 @@ impl LshFamily for AnyMlsh {
             AnyMlsh::Hamming(f) => AnyMlshFn::Hamming(f.sample(rng)),
             AnyMlsh::Grid(f) => AnyMlshFn::Grid(f.sample(rng)),
             AnyMlsh::PStable(f) => AnyMlshFn::PStable(f.sample(rng)),
+        }
+    }
+
+    fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
+        match self {
+            AnyMlsh::Hamming(f) => f.sample_draws(rng, count),
+            AnyMlsh::Grid(f) => f.sample_draws(rng, count),
+            AnyMlsh::PStable(f) => f.sample_draws(rng, count),
         }
     }
 

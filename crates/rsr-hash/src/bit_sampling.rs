@@ -9,6 +9,7 @@
 //! `1 − f_H(x,y)/w`, which lies in `[e^{−2f/w}, e^{−f/w}]` for
 //! `f ≤ 0.79·w`, i.e. MLSH parameters `(0.79·w, e^{−2/w}, 1/2)`.
 
+use crate::draws::DrawSet;
 use crate::lsh::{LshFamily, LshFunction, LshParams};
 use crate::mlsh::{MlshFamily, MlshParams};
 use rand::Rng;
@@ -77,6 +78,13 @@ impl LshFamily for BitSamplingFamily {
         } else {
             BitSamplingFn::Constant
         }
+    }
+
+    fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
+        DrawSet::coords((0..count).map(|_| match self.sample(rng) {
+            BitSamplingFn::Coordinate(j) => Some(j),
+            BitSamplingFn::Constant => None,
+        }))
     }
 
     fn params(&self) -> LshParams {

@@ -15,17 +15,22 @@
 //! into a `b`-bit array. A query is *near* if at least `τ·l` groups hit a
 //! set bit.
 
-use crate::lsh::{LshFamily, LshFunction};
+use crate::draws::DrawSet;
+use crate::lsh::LshFamily;
 use crate::mix::IncrementalHasher;
 use rand::Rng;
 use rsr_metric::Point;
+use std::marker::PhantomData;
 
 /// A distance-sensitive Bloom filter over an LSH family.
 pub struct DistanceSensitiveBloom<F: LshFamily> {
-    groups: Vec<Vec<F::Function>>,
+    /// `l·m` draws, group-major.
+    draws: DrawSet,
+    m: usize,
     bits: Vec<Vec<bool>>,
     bits_per_group: usize,
     threshold: f64,
+    family: PhantomData<F>,
 }
 
 impl<F: LshFamily> DistanceSensitiveBloom<F> {
@@ -42,24 +47,25 @@ impl<F: LshFamily> DistanceSensitiveBloom<F> {
         assert!(l >= 1 && m >= 1 && bits_per_group >= 2);
         assert!(threshold > 0.0 && threshold <= 1.0);
         DistanceSensitiveBloom {
-            groups: (0..l).map(|_| family.sample_many(rng, m)).collect(),
+            draws: family.sample_draws(rng, l * m),
+            m,
             bits: vec![vec![false; bits_per_group]; l],
             bits_per_group,
             threshold,
+            family: PhantomData,
         }
     }
 
     fn bucket(&self, group: usize, p: &Point) -> usize {
         let mut inc = IncrementalHasher::new(0xd5bf ^ group as u64);
-        for f in &self.groups[group] {
-            inc.update(f.hash(p));
-        }
+        self.draws
+            .feed(group * self.m..(group + 1) * self.m, p, &mut inc);
         (inc.current() % self.bits_per_group as u64) as usize
     }
 
     /// Inserts a point.
     pub fn insert(&mut self, p: &Point) {
-        for g in 0..self.groups.len() {
+        for g in 0..self.bits.len() {
             let b = self.bucket(g, p);
             self.bits[g][b] = true;
         }
@@ -67,10 +73,10 @@ impl<F: LshFamily> DistanceSensitiveBloom<F> {
 
     /// Fraction of groups whose bucket for `q` is set.
     pub fn hit_fraction(&self, q: &Point) -> f64 {
-        let hits = (0..self.groups.len())
+        let hits = (0..self.bits.len())
             .filter(|&g| self.bits[g][self.bucket(g, q)])
             .count();
-        hits as f64 / self.groups.len() as f64
+        hits as f64 / self.bits.len() as f64
     }
 
     /// The near/far decision: true if the hit fraction reaches `τ`.
@@ -81,7 +87,7 @@ impl<F: LshFamily> DistanceSensitiveBloom<F> {
     /// Wire size in bits (the group bit-arrays; the functions are public
     /// coins).
     pub fn wire_bits(&self) -> u64 {
-        (self.groups.len() * self.bits_per_group) as u64
+        (self.bits.len() * self.bits_per_group) as u64
     }
 }
 

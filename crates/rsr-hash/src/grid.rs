@@ -6,8 +6,8 @@
 //! `x ≤ 0.79w`) and `(1 − x/(dw))^d ≤ e^{−x/w}`, giving MLSH parameters
 //! `(0.79·w, e^{−2/w}, 1/2)`.
 
+use crate::draws::{cell_hash, DrawSet};
 use crate::lsh::{LshFamily, LshFunction, LshParams};
-use crate::mix::IncrementalHasher;
 use crate::mlsh::{MlshFamily, MlshParams};
 use rand::Rng;
 use rsr_metric::Point;
@@ -18,6 +18,9 @@ pub struct GridFamily {
     dim: usize,
     width: f64,
 }
+
+/// Seed of the tuple hash a grid function applies to its cell.
+const CELL_SEED: u64 = 0x6e1d_77aa;
 
 /// One sampled grid function: per-dimension offsets plus the lattice width.
 #[derive(Clone, Debug)]
@@ -43,14 +46,7 @@ impl GridFamily {
 impl LshFunction for GridFn {
     fn hash(&self, p: &Point) -> u64 {
         debug_assert_eq!(p.dim(), self.offsets.len());
-        // Allocation-free fold over the cell coordinates (hot path: the
-        // EMD protocol evaluates s = Θ(D2/D1) grid functions per point).
-        let mut inc = IncrementalHasher::new(0x6e1d_77aa);
-        for (j, &c) in p.coords().iter().enumerate() {
-            let cell = ((c as f64 + self.offsets[j]) / self.width).floor() as i64;
-            inc.update(cell as u64);
-        }
-        inc.current()
+        cell_hash(CELL_SEED, &self.offsets, self.width, p)
     }
 }
 
@@ -64,6 +60,13 @@ impl LshFamily for GridFamily {
                 .collect(),
             width: self.width,
         }
+    }
+
+    fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
+        let offsets = (0..count * self.dim)
+            .map(|_| rng.gen::<f64>() * self.width)
+            .collect();
+        DrawSet::grid(offsets, self.dim, self.width, CELL_SEED)
     }
 
     fn params(&self) -> LshParams {

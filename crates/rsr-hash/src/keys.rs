@@ -7,21 +7,33 @@
 //!   `h(g_1(a), …, g_{s_i}(a))` for a prefix length `s_i` that doubles with
 //!   the level, where `h` is a pairwise-independent hash with `Θ(log n)`-bit
 //!   range. [`MultiScaleKeyer`] computes all level keys of a point in one
-//!   O(s) pass using an incremental hasher.
+//!   O(s) pass using an incremental hasher, and keys a batch of points with
+//!   their hash chains interleaved.
 //! * **Batched Gap keys** (§4.1): `h` batches of `m` LSH values, each batch
 //!   collapsed by its own pairwise hash; the key is the vector of the `h`
 //!   batch hashes. [`BatchKeyer`] builds those.
+//!
+//! Both hold their draws as one compact [`DrawSet`].
 
-use crate::lsh::{LshFamily, LshFunction};
+use crate::draws::DrawSet;
+use crate::lsh::LshFamily;
 use crate::mix::IncrementalHasher;
 use crate::pairwise::PairwiseHash;
 use rand::Rng;
 use rsr_metric::Point;
+use std::marker::PhantomData;
+
+/// Seed of the incremental hash over a point's MLSH vector.
+const PREFIX_SEED: u64 = 0x4c53_4852;
+
+/// Seed of the tuple hash over one Gap batch.
+const BATCH_SEED: u64 = 0x7157_1d2b;
 
 /// Multi-resolution prefix keyer for Algorithm 1.
 pub struct MultiScaleKeyer<F: LshFamily> {
-    functions: Vec<F::Function>,
+    draws: DrawSet,
     outer: PairwiseHash,
+    family: PhantomData<F>,
 }
 
 impl<F: LshFamily> MultiScaleKeyer<F> {
@@ -30,43 +42,38 @@ impl<F: LshFamily> MultiScaleKeyer<F> {
     pub fn sample<R: Rng + ?Sized>(family: &F, s: usize, key_bits: u32, rng: &mut R) -> Self {
         assert!(s >= 1, "need at least one LSH draw");
         MultiScaleKeyer {
-            functions: family.sample_many(rng, s),
+            draws: family.sample_draws(rng, s),
             outer: PairwiseHash::sample(rng, key_bits),
+            family: PhantomData,
         }
     }
 
     /// Number of drawn functions `s`.
     pub fn num_functions(&self) -> usize {
-        self.functions.len()
+        self.draws.len()
     }
 
     /// Computes the key of `p` at every requested prefix length.
     /// `prefix_lens` must be non-decreasing and each ≤ `s`. Runs in O(s).
+    /// The one-point case of [`MultiScaleKeyer::keys_into`].
     pub fn level_keys(&self, p: &Point, prefix_lens: &[usize]) -> Vec<u64> {
-        debug_assert!(prefix_lens.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(prefix_lens
-            .last()
-            .is_none_or(|&l| l <= self.functions.len()));
-        let mut keys = Vec::with_capacity(prefix_lens.len());
-        let mut inc = IncrementalHasher::new(0x4c53_4852);
-        let mut next = prefix_lens.iter().peekable();
-        // Emit keys for prefix length 0 (constant key) if requested.
-        while next.peek() == Some(&&0) {
-            keys.push(self.outer.eval(inc.current()));
-            next.next();
-        }
-        for (idx, f) in self.functions.iter().enumerate() {
-            inc.update(f.hash(p));
-            while next.peek() == Some(&&(idx + 1)) {
-                keys.push(self.outer.eval(inc.current()));
-                next.next();
-            }
-            if next.peek().is_none() {
-                break;
-            }
-        }
-        assert!(next.peek().is_none(), "prefix length exceeds s");
+        let mut keys = vec![0; prefix_lens.len()];
+        self.keys_into(std::slice::from_ref(p), prefix_lens, &mut keys);
         keys
+    }
+
+    /// Keys every point at every requested prefix length into `out`,
+    /// point-major: `out[i·L + l]` is the key of `points[i]` at
+    /// `prefix_lens[l]`, `L = prefix_lens.len()`. Interleaves several
+    /// points' hash chains, so a batch costs less per point than
+    /// [`MultiScaleKeyer::level_keys`] one point at a time. Panics unless
+    /// `out` holds exactly `points.len() · L` words.
+    pub fn keys_into(&self, points: &[Point], prefix_lens: &[usize], out: &mut [u64]) {
+        self.draws
+            .prefix_hashes(PREFIX_SEED, points, prefix_lens, out);
+        for key in out {
+            *key = self.outer.eval(*key);
+        }
     }
 
     /// Key of `p` at a single prefix length.
@@ -81,8 +88,11 @@ pub type GapKey = Vec<u64>;
 /// Batched keyer for the Gap Guarantee protocol (§4.1): `h` batches of `m`
 /// LSH values, each batch collapsed by its own pairwise hash.
 pub struct BatchKeyer<F: LshFamily> {
-    batches: Vec<Vec<F::Function>>,
+    /// `h·m` draws, batch-major.
+    draws: DrawSet,
+    m: usize,
     hashers: Vec<PairwiseHash>,
+    family: PhantomData<F>,
 }
 
 impl<F: LshFamily> BatchKeyer<F> {
@@ -97,31 +107,35 @@ impl<F: LshFamily> BatchKeyer<F> {
     ) -> Self {
         assert!(h >= 1 && m >= 1);
         BatchKeyer {
-            batches: (0..h).map(|_| family.sample_many(rng, m)).collect(),
+            draws: family.sample_draws(rng, h * m),
+            m,
             hashers: (0..h)
                 .map(|_| PairwiseHash::sample(rng, entry_bits))
                 .collect(),
+            family: PhantomData,
         }
     }
 
     /// Number of batches `h` (entries per key).
     pub fn h(&self) -> usize {
-        self.batches.len()
+        self.hashers.len()
     }
 
     /// Batch size `m` (LSH values per entry).
     pub fn m(&self) -> usize {
-        self.batches.first().map_or(0, Vec::len)
+        self.m
     }
 
-    /// Computes the key of a point: the vector of `h` batch hashes.
+    /// Computes the key of a point: the vector of `h` batch hashes, each
+    /// the pairwise hash of the tuple hash of its batch's `m` values.
     pub fn key(&self, p: &Point) -> GapKey {
-        self.batches
+        self.hashers
             .iter()
-            .zip(&self.hashers)
-            .map(|(batch, hasher)| {
-                let values: Vec<u64> = batch.iter().map(|f| f.hash(p)).collect();
-                hasher.eval_tuple(&values)
+            .enumerate()
+            .map(|(b, hasher)| {
+                let mut inc = IncrementalHasher::new(BATCH_SEED);
+                self.draws.feed(b * self.m..(b + 1) * self.m, p, &mut inc);
+                hasher.eval(inc.current())
             })
             .collect()
     }
@@ -232,6 +246,39 @@ mod tests {
     }
 
     #[test]
+    fn batched_keys_equal_one_point_keys() {
+        let d = 16;
+        let fam = BitSamplingFamily::new(d, 64.0);
+        let mut rng = StdRng::seed_from_u64(47);
+        let keyer = MultiScaleKeyer::sample(&fam, 40, 32, &mut rng);
+        let lens = [0, 2, 2, 9, 40];
+        // More points than one block of lanes, and not a multiple of it.
+        let points: Vec<Point> = (0..21)
+            .map(|i| Point::from_bits(&(0..d).map(|j| (i >> (j % 5)) & 1 == 1).collect::<Vec<_>>()))
+            .collect();
+        let mut batched = vec![0; points.len() * lens.len()];
+        keyer.keys_into(&points, &lens, &mut batched);
+        for (p, keys) in points.iter().zip(batched.chunks_exact(lens.len())) {
+            assert_eq!(keys, keyer.level_keys(p, &lens), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn batch_key_entries_hash_their_batch_as_a_tuple() {
+        let d = 16;
+        let fam = BitSamplingFamily::new(d, 16.0);
+        let mut rng = StdRng::seed_from_u64(48);
+        let keyer = BatchKeyer::sample(&fam, 6, 3, 20, &mut rng);
+        let (x, _) = hamming_pair(d, 5);
+        for (b, &entry) in keyer.key(&x).iter().enumerate() {
+            let batch: Vec<u64> = (3 * b..3 * b + 3)
+                .map(|j| keyer.draws.hash(j, &x))
+                .collect();
+            assert_eq!(entry, keyer.hashers[b].eval(hash_words(BATCH_SEED, &batch)));
+        }
+    }
+
+    #[test]
     fn prefix_zero_is_point_independent() {
         let d = 8;
         let fam = BitSamplingFamily::new(d, 16.0);
@@ -249,16 +296,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(46);
         let keyer = MultiScaleKeyer::sample(&fam, 6, 32, &mut rng);
         let (x, _) = hamming_pair(d, 3);
-        let gvals: Vec<u64> = keyer.functions.iter().map(|f| f.hash(&x)).collect();
+        let gvals: Vec<u64> = (0..6).map(|j| keyer.draws.hash(j, &x)).collect();
         for l in 0..=6usize {
-            let mut inc = IncrementalHasher::new(0x4c53_4852);
-            for &g in &gvals[..l] {
-                inc.update(g);
-            }
-            let direct = keyer.outer.eval(inc.current());
+            let direct = keyer.outer.eval(hash_words(PREFIX_SEED, &gvals[..l]));
             assert_eq!(direct, keyer.key_at(&x, l), "prefix {l}");
-            // And the incremental state equals hash_words of the prefix.
-            let _ = hash_words(0, &gvals[..l]);
         }
     }
 }

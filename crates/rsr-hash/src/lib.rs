@@ -11,6 +11,8 @@
 //! * [`checksum`] — keyed key-checksums for IBLT/RIBLT cells;
 //! * [`lsh`] / [`mlsh`] — the locality-sensitive-hash trait (Definition 2.1)
 //!   and its multi-scale strengthening (Definition 2.2);
+//! * [`draws`] — a family's `s` sampled functions stored flat and
+//!   evaluated as a block ([`DrawSet`]);
 //! * [`bit_sampling`] — the Hamming MLSH of Lemma 2.3;
 //! * [`grid`] — the randomly-shifted-lattice ℓ1 MLSH of Lemma 2.4;
 //! * [`pstable`] — the 2-stable (Gaussian) ℓ2 MLSH of Lemma 2.5;
@@ -24,6 +26,7 @@
 
 pub mod bit_sampling;
 pub mod checksum;
+pub mod draws;
 pub mod dsbf;
 pub mod grid;
 pub mod keys;
@@ -36,6 +39,7 @@ pub mod pstable;
 
 pub use bit_sampling::BitSamplingFamily;
 pub use checksum::Checksum;
+pub use draws::DrawSet;
 pub use dsbf::DistanceSensitiveBloom;
 pub use grid::GridFamily;
 pub use lsh::{LshFamily, LshFunction, LshParams};

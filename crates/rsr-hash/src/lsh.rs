@@ -1,5 +1,6 @@
 //! Locality sensitive hashing (Definition 2.1 of the paper).
 
+use crate::draws::DrawSet;
 use rand::Rng;
 use rsr_metric::Point;
 
@@ -56,10 +57,12 @@ pub trait LshFamily {
     /// The `(r1, r2, p1, p2)` guarantee this family provides.
     fn params(&self) -> LshParams;
 
-    /// Samples `count` independent functions.
-    fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<Self::Function> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
+    /// Samples `count` independent functions as one compact block, from
+    /// exactly the RNG calls `count` successive [`LshFamily::sample`]s
+    /// make: draw `j` of the set is the `j`-th function they return. A
+    /// family defined outside this crate delegates to one inside it, as
+    /// a wrapper over several families does.
+    fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet;
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! The near probability is `p1 ≥ 1 − r1·d/r2` (union bound + Jensen), so
 //! the family's quality parameter is `ρ̂ = r1·d/r2`.
 
+use crate::draws::{cell_hash, DrawSet};
 use crate::lsh::{LshFamily, LshFunction, LshParams};
-use crate::mix::IncrementalHasher;
 use rand::Rng;
 use rsr_metric::Point;
 
@@ -19,6 +19,9 @@ pub struct OneSidedGridFamily {
     r1: f64,
     r2: f64,
 }
+
+/// Seed of the tuple hash a one-sided function applies to its cell.
+const CELL_SEED: u64 = 0x05e1_ded1;
 
 /// One sampled one-sided function (a shifted grid of width `r2/d^{1/p}`).
 #[derive(Clone, Debug)]
@@ -50,11 +53,7 @@ impl OneSidedGridFamily {
 
 impl LshFunction for OneSidedGridFn {
     fn hash(&self, p: &Point) -> u64 {
-        let mut inc = IncrementalHasher::new(0x05e1_ded1);
-        for (j, &c) in p.coords().iter().enumerate() {
-            inc.update((((c as f64 + self.offsets[j]) / self.width).floor() as i64) as u64);
-        }
-        inc.current()
+        cell_hash(CELL_SEED, &self.offsets, self.width, p)
     }
 }
 
@@ -67,6 +66,14 @@ impl LshFamily for OneSidedGridFamily {
             offsets: (0..self.dim).map(|_| rng.gen::<f64>() * width).collect(),
             width,
         }
+    }
+
+    fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
+        let width = self.cell_width();
+        let offsets = (0..count * self.dim)
+            .map(|_| rng.gen::<f64>() * width)
+            .collect();
+        DrawSet::grid(offsets, self.dim, width, CELL_SEED)
     }
 
     fn params(&self) -> LshParams {

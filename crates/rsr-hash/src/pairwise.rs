@@ -74,14 +74,6 @@ impl PairwiseHash {
         }
     }
 
-    /// Evaluates the function on a tuple by first collapsing the tuple to a
-    /// 64-bit word with [`crate::mix::hash_words`]-style combining. This is
-    /// the paper's "apply a pairwise independent hash function to each
-    /// batch" of LSH values (§4.1).
-    pub fn eval_tuple(&self, words: &[u64]) -> u64 {
-        self.eval(crate::mix::hash_words(0x7157_1d2b, words))
-    }
-
     /// Output width in bits.
     pub fn bits(&self) -> u32 {
         self.bits
@@ -139,12 +131,6 @@ mod tests {
         }
         let rate = f64::from(collisions) / f64::from(pairs);
         assert!(rate < 4.0 / 1024.0, "collision rate too high: {rate}");
-    }
-
-    #[test]
-    fn tuple_eval_is_order_sensitive() {
-        let h = PairwiseHash::from_coefficients(12345, 678, 32);
-        assert_ne!(h.eval_tuple(&[1, 2, 3]), h.eval_tuple(&[3, 2, 1]));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! Gaussians are generated with the Box–Muller transform so that we need no
 //! crate beyond `rand`.
 
+use crate::draws::{bucket, DrawSet};
 use crate::lsh::{LshFamily, LshFunction, LshParams};
 use crate::mlsh::{MlshFamily, MlshParams};
 use rand::Rng;
@@ -62,13 +63,7 @@ impl PStableFamily {
 impl LshFunction for PStableFn {
     fn hash(&self, p: &Point) -> u64 {
         debug_assert_eq!(p.dim(), self.direction.len());
-        let dot: f64 = p
-            .coords()
-            .iter()
-            .zip(&self.direction)
-            .map(|(&c, &r)| c as f64 * r)
-            .sum();
-        (((dot + self.offset) / self.width).floor() as i64) as u64
+        bucket(&self.direction, self.offset, self.width, p)
     }
 }
 
@@ -81,6 +76,16 @@ impl LshFamily for PStableFamily {
             offset: rng.gen::<f64>() * self.width,
             width: self.width,
         }
+    }
+
+    fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
+        let mut directions = Vec::with_capacity(count * self.dim);
+        let mut offsets = Vec::with_capacity(count);
+        for _ in 0..count {
+            directions.extend((0..self.dim).map(|_| standard_normal(rng)));
+            offsets.push(rng.gen::<f64>() * self.width);
+        }
+        DrawSet::projection(directions, offsets, self.dim, self.width)
     }
 
     fn params(&self) -> LshParams {

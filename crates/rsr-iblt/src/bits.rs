@@ -5,6 +5,16 @@
 //! serialize to byte buffers whose length is exactly the accounted bits
 //! rounded up, via an MSB-first bit writer/reader and zigzag coding for
 //! signed fields.
+//!
+//! Both ends move words, not bits. [`BitWriter`] shifts each field into a
+//! 64-bit accumulator and appends it to the buffer eight big-endian bytes
+//! at a time; a 128-bit field is two such pushes. [`BitReader`] checks
+//! bounds once per field, then loads the 8-byte big-endian window the
+//! field starts in and shifts it out; only a field in the buffer's last
+//! 7 bytes takes a byte-copying path. The output is the MSB-first bit
+//! string a one-bit-at-a-time codec would produce, byte for byte (the
+//! unit tests check the two against each other), with the final byte
+//! zero-padded.
 
 /// Maps a signed value to an unsigned one with small absolute values
 /// staying small (zigzag coding).
@@ -34,15 +44,28 @@ pub fn unzigzag128(u: u128) -> i128 {
 /// MSB-first bit writer.
 #[derive(Default, Debug)]
 pub struct BitWriter {
+    /// Whole 64-bit words flushed so far, big-endian.
     bytes: Vec<u8>,
-    /// Bits used in the final byte (0 = byte boundary).
-    partial: u32,
+    /// Pending bits, right-aligned: the low `pending` bits, oldest first
+    /// from the top.
+    acc: u64,
+    /// Bits in `acc` (0..64).
+    pending: u32,
 }
 
 impl BitWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         BitWriter::default()
+    }
+
+    /// Creates an empty writer whose buffer already holds `bits` bits, so
+    /// a message of known size (its `wire_bits`) never reallocates.
+    pub fn with_capacity(bits: u64) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bits.div_ceil(8) as usize),
+            ..BitWriter::default()
+        }
     }
 
     /// Writes the low `width` bits of `value` (width ≤ 64). Panics if the
@@ -53,7 +76,7 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit {width} bits"
         );
-        self.write128(value as u128, width);
+        self.push(value, width);
     }
 
     /// Writes the low `width` bits of a 128-bit value (width ≤ 128).
@@ -63,29 +86,50 @@ impl BitWriter {
             width == 128 || value < (1u128 << width),
             "value does not fit {width} bits"
         );
-        for i in (0..width).rev() {
-            let bit = ((value >> i) & 1) as u8;
-            if self.partial == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= bit << (7 - self.partial);
-            self.partial = (self.partial + 1) % 8;
+        if width > 64 {
+            self.push((value >> 64) as u64, width - 64);
+            self.push(value as u64, 64);
+        } else {
+            self.push(value as u64, width);
         }
+    }
+
+    /// Appends `width ≤ 64` bits; `value < 2^width` is the caller's check.
+    #[inline]
+    fn push(&mut self, value: u64, width: u32) {
+        let free = 64 - self.pending;
+        if width < free {
+            // `width ≤ 63` here, so the shift is in range.
+            self.acc = (self.acc << width) | value;
+            self.pending += width;
+            return;
+        }
+        // The field fills the word: its top `free` bits complete it, the
+        // remaining `spill < 64` bits start the next one.
+        let spill = width - free;
+        let top = value >> spill;
+        let word = if free == 64 {
+            top
+        } else {
+            (self.acc << free) | top
+        };
+        self.bytes.extend_from_slice(&word.to_be_bytes());
+        self.acc = value & ((1u64 << spill) - 1);
+        self.pending = spill;
     }
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> u64 {
-        self.bytes.len() as u64 * 8
-            - if self.partial == 0 {
-                0
-            } else {
-                (8 - self.partial) as u64
-            }
+        self.bytes.len() as u64 * 8 + u64::from(self.pending)
     }
 
     /// Finishes, returning the byte buffer (zero-padded to a byte).
-    pub fn finish(self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            let word = self.acc << (64 - self.pending);
+            let tail = self.pending.div_ceil(8) as usize;
+            self.bytes.extend_from_slice(&word.to_be_bytes()[..tail]);
+        }
         self.bytes
     }
 }
@@ -103,37 +147,203 @@ impl<'a> BitReader<'a> {
         BitReader { bytes, pos: 0 }
     }
 
-    /// Reads `width` bits (≤ 64) as an unsigned value. Returns `None` on
-    /// buffer exhaustion.
+    /// Reads `width` bits (≤ 64) as an unsigned value. Returns `None`,
+    /// without advancing, on buffer exhaustion — and for `width > 64`,
+    /// which no well-formed field has: widths derive from peer-declared
+    /// sizes, so an oversized one is malformed input, not a caller bug.
     pub fn read(&mut self, width: u32) -> Option<u64> {
-        self.read128(width).map(|v| v as u64)
+        if width > 64 || !self.has(width) {
+            return None;
+        }
+        Some(self.take64(width))
     }
 
     /// Reads `width` bits (≤ 128).
     pub fn read128(&mut self, width: u32) -> Option<u128> {
         assert!(width <= 128);
-        if self.pos + width as u64 > self.bytes.len() as u64 * 8 {
+        if !self.has(width) {
             return None;
         }
-        let mut out: u128 = 0;
-        for _ in 0..width {
-            let byte = self.bytes[(self.pos / 8) as usize];
-            let bit = (byte >> (7 - (self.pos % 8))) & 1;
-            out = (out << 1) | bit as u128;
-            self.pos += 1;
-        }
-        Some(out)
+        Some(if width > 64 {
+            let hi = self.take64(width - 64);
+            (u128::from(hi) << 64) | u128::from(self.take64(64))
+        } else {
+            u128::from(self.take64(width))
+        })
     }
 
     /// Bits consumed so far.
     pub fn bit_pos(&self) -> u64 {
         self.pos
     }
+
+    fn has(&self, width: u32) -> bool {
+        self.pos + u64::from(width) <= self.bytes.len() as u64 * 8
+    }
+
+    /// Takes `width ≤ 64` bits the bounds check has already admitted.
+    #[inline]
+    fn take64(&mut self, width: u32) -> u64 {
+        // One window serves up to 57 bits at any bit offset (0..=7).
+        if width > 57 {
+            let hi = self.take57(width - 32);
+            (hi << 32) | self.take57(32)
+        } else {
+            self.take57(width)
+        }
+    }
+
+    #[inline]
+    fn take57(&mut self, width: u32) -> u64 {
+        if width == 0 {
+            return 0;
+        }
+        let at = (self.pos / 8) as usize;
+        let offset = (self.pos % 8) as u32;
+        let window = match self.bytes.get(at..at + 8) {
+            Some(word) => u64::from_be_bytes(word.try_into().expect("8 bytes")),
+            // The buffer's last 7 bytes: zero-fill past the end (the
+            // bounds check keeps the field itself inside).
+            None => {
+                let mut word = [0u8; 8];
+                let rest = &self.bytes[at..];
+                word[..rest.len()].copy_from_slice(rest);
+                u64::from_be_bytes(word)
+            }
+        };
+        self.pos += u64::from(width);
+        (window << offset) >> (64 - width)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The codec this module had before it moved words: one bit per loop
+    /// iteration. Kept as the reference the word codec must equal.
+    #[derive(Default)]
+    struct BitModel {
+        bytes: Vec<u8>,
+        partial: u32,
+    }
+
+    impl BitModel {
+        fn write128(&mut self, value: u128, width: u32) {
+            for i in (0..width).rev() {
+                let bit = ((value >> i) & 1) as u8;
+                if self.partial == 0 {
+                    self.bytes.push(0);
+                }
+                let last = self.bytes.last_mut().expect("pushed above");
+                *last |= bit << (7 - self.partial);
+                self.partial = (self.partial + 1) % 8;
+            }
+        }
+
+        fn bit_len(&self) -> u64 {
+            self.bytes.len() as u64 * 8
+                - if self.partial == 0 {
+                    0
+                } else {
+                    u64::from(8 - self.partial)
+                }
+        }
+    }
+
+    fn model_read128(bytes: &[u8], pos: &mut u64, width: u32) -> Option<u128> {
+        if *pos + u64::from(width) > bytes.len() as u64 * 8 {
+            return None;
+        }
+        let mut out = 0u128;
+        for _ in 0..width {
+            let bit = (bytes[(*pos / 8) as usize] >> (7 - (*pos % 8))) & 1;
+            out = (out << 1) | u128::from(bit);
+            *pos += 1;
+        }
+        Some(out)
+    }
+
+    /// A field width, weighted towards the boundaries of the word codec:
+    /// empty, single bits, byte edges, the 57-bit window, the 64-bit
+    /// word, and the 128-bit split.
+    fn width(rng: &mut StdRng) -> u32 {
+        const EDGES: [u32; 14] = [0, 1, 7, 8, 9, 56, 57, 63, 64, 65, 127, 128, 58, 121];
+        if rng.gen_bool(0.6) {
+            EDGES[rng.gen_range(0..EDGES.len())]
+        } else {
+            rng.gen_range(0..=128)
+        }
+    }
+
+    /// A value of exactly `width` bits: zero, all ones, the top bit alone,
+    /// or random.
+    fn value(rng: &mut StdRng, width: u32) -> u128 {
+        if width == 0 {
+            return 0;
+        }
+        let ones = u128::MAX >> (128 - width);
+        match rng.gen_range(0..4) {
+            0 => 0,
+            1 => ones,
+            2 => 1u128 << (width - 1),
+            _ => (u128::from(rng.gen::<u64>()) << 64 | u128::from(rng.gen::<u64>())) & ones,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn word_codec_equals_the_bit_model(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fields: Vec<(u128, u32)> = (0..rng.gen_range(0..48))
+                .map(|_| {
+                    let w = width(&mut rng);
+                    (value(&mut rng, w), w)
+                })
+                .collect();
+
+            let mut writer = BitWriter::new();
+            let mut model = BitModel::default();
+            for &(v, w) in &fields {
+                if w <= 64 && rng.gen_bool(0.5) {
+                    writer.write(v as u64, w);
+                } else {
+                    writer.write128(v, w);
+                }
+                model.write128(v, w);
+                prop_assert_eq!(writer.bit_len(), model.bit_len());
+            }
+            let bytes = writer.finish();
+            prop_assert_eq!(&bytes, &model.bytes);
+
+            // The same values come back, at the same positions as the
+            // model's reader; past the end both refuse without moving.
+            let mut reader = BitReader::new(&bytes);
+            let mut model_pos = 0u64;
+            for &(v, w) in &fields {
+                let got = if w <= 64 && rng.gen_bool(0.5) {
+                    reader.read(w).map(u128::from)
+                } else {
+                    reader.read128(w)
+                };
+                prop_assert_eq!(got, Some(v));
+                prop_assert_eq!(model_read128(&bytes, &mut model_pos, w), Some(v));
+                prop_assert_eq!(reader.bit_pos(), model_pos);
+            }
+            let padding = bytes.len() as u64 * 8 - reader.bit_pos();
+            prop_assert!(padding < 8);
+            let over = padding as u32 + 1 + rng.gen_range(0u32..64);
+            let at = reader.bit_pos();
+            prop_assert_eq!(reader.read128(over), None);
+            prop_assert_eq!(reader.read(over.min(64)), None);
+            prop_assert_eq!(reader.bit_pos(), at);
+            prop_assert_eq!(reader.read(0), Some(0));
+            prop_assert_eq!(reader.read(padding as u32), Some(0), "padding is zero");
+        }
+    }
 
     #[test]
     fn zigzag_roundtrip() {
@@ -184,8 +394,36 @@ mod tests {
     }
 
     #[test]
+    fn oversize_read_width_is_malformed_not_a_panic() {
+        let buf = [0xffu8; 32];
+        let mut r = BitReader::new(&buf);
+        assert_eq!(r.read(65), None);
+        assert_eq!(r.bit_pos(), 0);
+        assert_eq!(crate::wire::get_i64(&mut r, 96), None);
+        assert_eq!(r.bit_pos(), 0);
+        assert_eq!(r.read(64), Some(u64::MAX));
+    }
+
+    #[test]
+    fn with_capacity_writes_the_same_bytes() {
+        let mut a = BitWriter::new();
+        let mut b = BitWriter::with_capacity(3 + 70);
+        for w in [&mut a, &mut b] {
+            w.write(5, 3);
+            w.write128(1 << 69, 70);
+        }
+        assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
     #[should_panic]
     fn oversize_value_rejected() {
         BitWriter::new().write(8, 3);
+    }
+
+    #[test]
+    #[should_panic]
+    fn oversize_value128_rejected() {
+        BitWriter::new().write128(1 << 70, 70);
     }
 }

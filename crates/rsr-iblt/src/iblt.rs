@@ -248,7 +248,7 @@ impl Iblt {
     /// count, `q`, seed) are shared via public coins and not resent; the
     /// peer rebuilds with [`Iblt::from_bytes`] and the same parameters.
     pub fn to_bytes(&self, n_bound: usize) -> Vec<u8> {
-        let mut w = crate::bits::BitWriter::new();
+        let mut w = crate::bits::BitWriter::with_capacity(self.wire_bits(n_bound));
         self.write_to(&mut w, n_bound);
         w.finish()
     }

@@ -400,7 +400,7 @@ impl Riblt {
     /// Serializes the cell contents (construction parameters travel as
     /// public coins; rebuild with [`Riblt::from_bytes`]).
     pub fn to_bytes(&self, n_bound: usize) -> Vec<u8> {
-        let mut w = crate::bits::BitWriter::new();
+        let mut w = crate::bits::BitWriter::with_capacity(self.wire_bits(n_bound));
         self.write_to(&mut w, n_bound);
         w.finish()
     }

@@ -512,6 +512,88 @@ fn a_delta_that_never_peels_costs_its_round_not_a_worker() {
     server.join().unwrap().expect("connection served");
 }
 
+/// Resident parties sized by the spec's churn bound `k`, so a test can
+/// pick a table whose delta frame does not end on a byte boundary.
+struct SizedResidentFactory;
+
+impl SessionFactory for SizedResidentFactory {
+    fn open_spec(&self, _: u64, _: Option<&SessionSpec>) -> Option<Box<dyn NetSession + '_>> {
+        None
+    }
+
+    fn open_continuous(&self, _: u64, spec: &SessionSpec) -> Option<SharedParty> {
+        let cfg = ContinuousConfig::for_churn(spec.k as usize, spec.seed);
+        Some(shared(ContinuousParty::new(cfg, 0..u64::from(spec.n))))
+    }
+}
+
+#[test]
+fn a_frame_with_a_set_padding_bit_fails_its_session_only() {
+    // 30 cells × 150 bits + the 32-bit round index = 4,532 bits: the
+    // delta frame's last byte carries 4 padding bits.
+    let spec = SessionSpec {
+        protocol: PROTO_CONT,
+        n: 0,
+        k: 15,
+        dim: 0,
+        seed: 7,
+        continuous: true,
+    };
+    let cfg = ContinuousConfig::for_churn(spec.k as usize, spec.seed);
+    let mut padded = {
+        let party = shared(ContinuousParty::new(cfg, 0..3));
+        let mut round = rsr_core::continuous::AliceRound::begin(&party).unwrap();
+        Session::poll_send(&mut round)
+            .unwrap()
+            .expect("the delta frame")
+    };
+    assert_eq!(padded.bit_len % 8, 4);
+    *padded.payload.last_mut().unwrap() |= 1;
+
+    let server = ReconServer::bind("127.0.0.1:0", Arc::new(SizedResidentFactory))
+        .unwrap()
+        .with_shards(1);
+    let addr = server.local_addr().unwrap();
+    let server = std::thread::spawn(move || server.serve_one());
+    let mut driver = Driver::new(addr)
+        .idle_timeout(Some(Duration::from_secs(10)))
+        .connect()
+        .unwrap();
+    let hostile = SessionPlan {
+        id: 5,
+        spec: Some(spec),
+        session: Box::new(OneFrameSource {
+            frame: Some(padded),
+        }),
+        round: Some(0),
+    };
+    let party = shared(ContinuousParty::new(cfg, 0..3));
+    let honest = SessionPlan::open_continuous(6, spec, &party).unwrap();
+
+    let report = driver
+        .batch(vec![vec![hostile, honest]])
+        .expect("batch runs");
+    assert!(
+        report.transport_error().is_none(),
+        "transport stays healthy: {:?}",
+        report.transport_error()
+    );
+    let failed = report.sessions().find(|s| s.id == 5).unwrap();
+    assert!(
+        failed
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("malformed round delta frame")),
+        "unexpected outcome: {:?}",
+        failed.error
+    );
+    assert_eq!(report.completed(), 1, "{:?}", report.conns[0].sessions);
+    assert_eq!(party.lock().unwrap().rounds_settled(), 1);
+    driver.close_session(0, 6).expect("retire the session");
+    driver.finish();
+    server.join().unwrap().expect("connection served");
+}
+
 // ------------------------------------------------ wire-id re-admission
 
 /// Serves every id both ways: a bare or spec `OPEN` gets a
