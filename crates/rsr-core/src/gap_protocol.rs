@@ -21,9 +21,11 @@ use rsr_hash::keys::{BatchKeyer, GapKey};
 use rsr_hash::LshFamily;
 use rsr_iblt::bits::BitWriter;
 use rsr_metric::{MetricSpace, Point};
-use rsr_setsofsets::protocol::{alice_finish, alice_round2, bob_round1, bob_round3, AliceState};
+use rsr_setsofsets::protocol::{alice_finish, alice_round2, bob_round1, bob_round3};
 use rsr_setsofsets::wire as sos_wire;
-use rsr_setsofsets::{estimate_fp_cells, Round2, SosConfig, SosError};
+use rsr_setsofsets::{
+    estimate_fp_cells, AliceState, BobState, Round2, SosConfig, SosError, Splice,
+};
 use std::fmt;
 
 /// Transcript labels of the four messages, in order.
@@ -104,6 +106,14 @@ pub enum GapError {
     /// The session layer failed: a frame did not decode or arrived out of
     /// protocol order. Cannot happen on a faithful transport.
     Session(&'static str),
+    /// A key Bob shipped in round 3 does not have the protocol's `h`
+    /// entries. Cannot happen with a faithful peer.
+    KeyLength {
+        /// Entries per key, `h`.
+        expected: usize,
+        /// Entries the shipped key has.
+        got: usize,
+    },
 }
 
 impl fmt::Display for GapError {
@@ -111,6 +121,9 @@ impl fmt::Display for GapError {
         match self {
             GapError::SetsOfSets(e) => write!(f, "sets-of-sets reconciliation failed: {e}"),
             GapError::Session(what) => write!(f, "session layer failure: {what}"),
+            GapError::KeyLength { expected, got } => {
+                write!(f, "peer shipped a key of {got} entries, not {expected}")
+            }
         }
     }
 }
@@ -169,6 +182,11 @@ impl<F: LshFamily> GapProtocol<F> {
         self.keyer.key(p)
     }
 
+    /// One side's keys, `h` words each, as the sets-of-sets children.
+    fn children<'k>(&self, keys: &'k [u64]) -> Vec<&'k [u64]> {
+        keys.chunks_exact(self.config.h).collect()
+    }
+
     /// The sets-of-sets configuration the protocol's rounds 1–3 use
     /// (shared public coins).
     fn sos_config(&self) -> SosConfig {
@@ -182,11 +200,10 @@ impl<F: LshFamily> GapProtocol<F> {
 
     /// Alice's session endpoint over `alice`'s points.
     pub fn alice_session<'a>(&'a self, alice: &'a [Point]) -> GapAliceSession<'a, F> {
-        let keys: Vec<GapKey> = alice.iter().map(|p| self.keyer.key(p)).collect();
         GapAliceSession {
             proto: self,
             alice,
-            keys,
+            keys: self.keyer.keys(alice),
             state: AliceSessionState::AwaitRound1,
             transmitted: None,
             far_keys: 0,
@@ -195,11 +212,10 @@ impl<F: LshFamily> GapProtocol<F> {
 
     /// Bob's session endpoint over `bob`'s points.
     pub fn bob_session<'a>(&'a self, bob: &'a [Point]) -> GapBobSession<'a, F> {
-        let keys: Vec<GapKey> = bob.iter().map(|p| self.keyer.key(p)).collect();
         GapBobSession {
             proto: self,
             bob,
-            keys,
+            keys: self.keyer.keys(bob),
             state: BobSessionState::SendRound1,
             reconciled: None,
         }
@@ -242,7 +258,8 @@ enum AliceSessionState {
 pub struct GapAliceSession<'a, F: LshFamily> {
     proto: &'a GapProtocol<F>,
     alice: &'a [Point],
-    keys: Vec<GapKey>,
+    /// Alice's keys, `h` words each, in point order.
+    keys: Vec<u64>,
     state: AliceSessionState,
     transmitted: Option<Vec<Point>>,
     far_keys: usize,
@@ -292,8 +309,8 @@ impl<F: LshFamily> Session for GapAliceSession<'_, F> {
                 let r1 = frame
                     .decode_exact(|r| sos_wire::get_round1(r, &sos_cfg))
                     .ok_or(GapError::Session("round-1 frame did not decode"))?;
-                let (round2, state) =
-                    alice_round2(&self.keys, &r1, &sos_cfg).map_err(GapError::SetsOfSets)?;
+                let (round2, state) = alice_round2(&self.proto.children(&self.keys), &r1, &sos_cfg)
+                    .map_err(GapError::SetsOfSets)?;
                 self.state = AliceSessionState::SendRound2 { round2, state };
                 Ok(())
             }
@@ -302,20 +319,22 @@ impl<F: LshFamily> Session for GapAliceSession<'_, F> {
                 let r3 = frame
                     .decode_exact(sos_wire::get_round3)
                     .ok_or(GapError::Session("round-3 frame did not decode"))?;
-                let bob_multiset = alice_finish(&self.keys, &state, &r3, &sos_cfg)
+                let splice = alice_finish(&self.proto.children(&self.keys), &state, r3, &sos_cfg)
                     .map_err(GapError::SetsOfSets)?;
-                // Classify: a key is far iff it matches every one of Bob's
-                // keys in fewer than `close_threshold` entries.
-                let threshold = self.proto.config.close_threshold;
+                let h = self.proto.config.h;
+                if let Some(key) = splice.bob_only.iter().find(|key| key.len() != h) {
+                    return Err(GapError::KeyLength {
+                        expected: h,
+                        got: key.len(),
+                    });
+                }
+                let far_mask =
+                    far_keys::<F>(&self.keys, h, &splice, self.proto.config.close_threshold);
                 let far: Vec<Point> = self
                     .alice
                     .iter()
-                    .zip(&self.keys)
-                    .filter(|(_, key)| {
-                        !bob_multiset
-                            .iter()
-                            .any(|bk| BatchKeyer::<F>::matches(key, bk) >= threshold)
-                    })
+                    .zip(far_mask)
+                    .filter(|&(_, far)| far)
                     .map(|(p, _)| p.clone())
                     .collect();
                 self.state = AliceSessionState::SendRound4 { far };
@@ -330,11 +349,39 @@ impl<F: LshFamily> Session for GapAliceSession<'_, F> {
     }
 }
 
+/// Alice's far test: `far[i]` iff her key `i` matches no key of Bob's
+/// multiset in `threshold` or more entries. Bob's multiset is her kept keys
+/// plus round 3's children, so a kept key matches itself in all
+/// `h ≥ threshold` entries and is close. Only the Alice-only keys are
+/// scanned: against the children first (a noisy close partner is a
+/// Bob-only key), then against the kept keys.
+fn far_keys<F: LshFamily>(keys: &[u64], h: usize, splice: &Splice, threshold: usize) -> Vec<bool> {
+    debug_assert!(threshold <= h);
+    let kept = || {
+        keys.chunks_exact(h)
+            .zip(&splice.kept)
+            .filter(|&(_, &kept)| kept)
+            .map(|(key, _)| key)
+    };
+    keys.chunks_exact(h)
+        .zip(&splice.kept)
+        .map(|(key, &kept_key)| {
+            !kept_key
+                && !splice
+                    .bob_only
+                    .iter()
+                    .map(Vec::as_slice)
+                    .chain(kept())
+                    .any(|bk| BatchKeyer::<F>::matches(key, bk) >= threshold)
+        })
+        .collect()
+}
+
 /// Bob's session states, in protocol order.
 enum BobSessionState {
     SendRound1,
-    AwaitRound2,
-    SendRound3 { round2: Round2 },
+    AwaitRound2 { sos: BobState },
+    SendRound3 { round2: Round2, sos: BobState },
     AwaitRound4,
     Done,
 }
@@ -344,7 +391,8 @@ enum BobSessionState {
 pub struct GapBobSession<'a, F: LshFamily> {
     proto: &'a GapProtocol<F>,
     bob: &'a [Point],
-    keys: Vec<GapKey>,
+    /// Bob's keys, `h` words each, in point order.
+    keys: Vec<u64>,
     state: BobSessionState,
     reconciled: Option<Vec<Point>>,
 }
@@ -366,14 +414,15 @@ impl<F: LshFamily> Session for GapBobSession<'_, F> {
     fn poll_send(&mut self) -> Result<Option<Frame>, GapError> {
         match std::mem::replace(&mut self.state, BobSessionState::Done) {
             BobSessionState::SendRound1 => {
-                let r1 = bob_round1(&self.keys, &self.proto.sos_config());
+                let (r1, sos) =
+                    bob_round1(&self.proto.children(&self.keys), &self.proto.sos_config());
                 let mut w = BitWriter::new();
                 sos_wire::put_round1(&mut w, &r1);
-                self.state = BobSessionState::AwaitRound2;
+                self.state = BobSessionState::AwaitRound2 { sos };
                 Ok(Some(Frame::seal(GAP_LABELS[0], w)))
             }
-            BobSessionState::SendRound3 { round2 } => {
-                let r3 = bob_round3(&self.keys, &round2, &self.proto.sos_config())
+            BobSessionState::SendRound3 { round2, sos } => {
+                let r3 = bob_round3(&self.proto.children(&self.keys), &sos, &round2)
                     .map_err(GapError::SetsOfSets)?;
                 let mut w = BitWriter::new();
                 sos_wire::put_round3(&mut w, &r3, &self.proto.sos_config());
@@ -389,11 +438,11 @@ impl<F: LshFamily> Session for GapBobSession<'_, F> {
 
     fn on_frame(&mut self, frame: Frame) -> Result<(), GapError> {
         match std::mem::replace(&mut self.state, BobSessionState::Done) {
-            BobSessionState::AwaitRound2 => {
+            BobSessionState::AwaitRound2 { sos } => {
                 let round2 = frame
                     .decode_exact(sos_wire::get_round2)
                     .ok_or(GapError::Session("round-2 frame did not decode"))?;
-                self.state = BobSessionState::SendRound3 { round2 };
+                self.state = BobSessionState::SendRound3 { round2, sos };
                 Ok(())
             }
             BobSessionState::AwaitRound4 => {
@@ -554,6 +603,202 @@ mod tests {
             out.transmitted.len() <= 8,
             "too many spurious transmissions: {}",
             out.transmitted.len()
+        );
+    }
+
+    /// Today's classifier, kept as the model of [`far_keys`]: every Alice
+    /// key against every key of Bob's multiset.
+    fn far_keys_all_pairs(
+        keys: &[u64],
+        h: usize,
+        bob_multiset: &[Vec<u64>],
+        threshold: usize,
+    ) -> Vec<bool> {
+        keys.chunks_exact(h)
+            .map(|key| {
+                !bob_multiset
+                    .iter()
+                    .any(|bk| BatchKeyer::<BitSamplingFamily>::matches(key, bk) >= threshold)
+            })
+            .collect()
+    }
+
+    /// A random Gap-shaped pair of flat key multisets, `h` entries per
+    /// key, drawn from a three-letter alphabet so that partial matches of
+    /// every size occur. Returns the keys and which of Alice's keys were
+    /// planted far (entries no key of Bob's can share).
+    fn gap_shaped(rng: &mut StdRng, h: usize, shape: u8) -> (Vec<u64>, Vec<u64>, Vec<bool>) {
+        let key = |rng: &mut StdRng| -> Vec<u64> { (0..h).map(|_| rng.gen_range(0..3)).collect() };
+        let n = rng.gen_range(0..24);
+        let base: Vec<Vec<u64>> = (0..n).map(|_| key(rng)).collect();
+        let (mut alice, mut bob) = (base.clone(), Vec::new());
+        match shape {
+            // Identical multisets.
+            0 => bob = base,
+            // Disjoint multisets (as children; entries still collide).
+            1 => bob = (0..rng.gen_range(0..24)).map(|_| key(rng)).collect(),
+            // Noisy pairs: Bob's copy of a key differs in a few entries.
+            2 => {
+                for k in &base {
+                    let mut noisy = k.clone();
+                    for _ in 0..rng.gen_range(0..=3) {
+                        let j = rng.gen_range(0..h);
+                        noisy[j] = rng.gen_range(0..3);
+                    }
+                    bob.push(noisy);
+                }
+            }
+            // Duplicates: a key Alice holds more copies of than Bob, so a
+            // copy is Alice-only by rank though its content is shared.
+            _ => {
+                bob = base.clone();
+                for k in base.iter().take(3) {
+                    alice.push(k.clone());
+                    if rng.gen() {
+                        alice.push(k.clone());
+                    }
+                }
+            }
+        }
+        // Duplicates on either side, and Bob-only extras.
+        for _ in 0..rng.gen_range(0..3) {
+            if let Some(k) = bob.get(rng.gen_range(0..bob.len().max(1))).cloned() {
+                bob.push(k);
+            }
+            if let Some(k) = alice.get(rng.gen_range(0..alice.len().max(1))).cloned() {
+                alice.push(k);
+            }
+            bob.push(key(rng));
+        }
+        let mut planted = vec![false; alice.len()];
+        for _ in 0..rng.gen_range(0..3) {
+            alice.push((0..h).map(|_| rng.gen_range(100..200)).collect());
+            planted.push(true);
+        }
+        (alice.concat(), bob.concat(), planted)
+    }
+
+    #[test]
+    fn far_test_equals_the_all_pairs_model() {
+        let mut rng = StdRng::seed_from_u64(4242);
+        let (mut far_seen, mut close_seen) = (0, 0);
+        for case in 0..400u64 {
+            let h = rng.gen_range(1..=12);
+            let (alice, bob, planted) = gap_shaped(&mut rng, h, (case % 4) as u8);
+            let a: Vec<&[u64]> = alice.chunks_exact(h).collect();
+            let b: Vec<&[u64]> = bob.chunks_exact(h).collect();
+            let cfg = SosConfig {
+                fp_cells: 4 * (a.len() + b.len()) + 24,
+                q: 3,
+                seed: case,
+                entry_bits: 16,
+            };
+            let (r1, bob_state) = bob_round1(&b, &cfg);
+            let Ok((r2, alice_state)) = alice_round2(&a, &r1, &cfg) else {
+                continue; // an undecodable table is sizing, not the far test
+            };
+            let r3 = bob_round3(&b, &bob_state, &r2).unwrap();
+            let splice = alice_finish(&a, &alice_state, r3, &cfg).unwrap();
+            let multiset = splice.multiset(&a);
+            let mut got: Vec<&[u64]> = multiset.iter().map(Vec::as_slice).collect();
+            let mut want = b.clone();
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "case {case}: splice is Bob's multiset");
+            for threshold in [1, h, rng.gen_range(1..=h)] {
+                let fast = far_keys::<BitSamplingFamily>(&alice, h, &splice, threshold);
+                assert_eq!(
+                    fast,
+                    far_keys_all_pairs(&alice, h, &multiset, threshold),
+                    "case {case}, h {h}, threshold {threshold}"
+                );
+                for (far, planted) in fast.iter().zip(&planted) {
+                    assert!(far | !planted, "case {case}: a planted far key was kept");
+                }
+                far_seen += fast.iter().filter(|&&f| f).count();
+                close_seen += fast.iter().filter(|&&f| !f).count();
+            }
+        }
+        assert!(
+            far_seen > 100 && close_seen > 100,
+            "{far_seen} far, {close_seen} close"
+        );
+    }
+
+    /// A served Bob (a session whose peer is remote) on a crafted round-2
+    /// frame: `count` copies of one fingerprint an honest Alice requests.
+    fn bob_on_repeated_request(count: usize) -> Result<Option<Frame>, GapError> {
+        let (space, alice, bob) = workload(40, 2, 128, 2, 40, 110);
+        let (fam, params) = hamming_family_and_params(128, 2.0, 40.0);
+        let proto = GapProtocol::new(space, &fam, GapConfig::for_params(params, 40, 2), 111);
+        let mut a = proto.alice_session(&alice);
+        let mut b = proto.bob_session(&bob);
+        a.on_frame(b.poll_send()?.expect("round 1"))?;
+        let honest = a.poll_send()?.expect("round 2");
+        let mut r = honest.reader();
+        assert!(r.read(32).expect("count") >= 1, "the instance differs");
+        let tfp = r.read(64).expect("a fingerprint");
+        let mut w = BitWriter::new();
+        w.write(count as u64, 32);
+        for _ in 0..count {
+            w.write(tfp, 64);
+        }
+        b.on_frame(Frame::seal(GAP_LABELS[1], w))?;
+        b.poll_send()
+    }
+
+    #[test]
+    fn bob_refuses_a_round2_larger_than_his_set() {
+        assert_eq!(
+            bob_on_repeated_request(41).unwrap_err(),
+            GapError::SetsOfSets(SosError::RequestTooLarge)
+        );
+    }
+
+    #[test]
+    fn bob_refuses_a_round2_naming_a_fingerprint_twice() {
+        assert_eq!(
+            bob_on_repeated_request(2).unwrap_err(),
+            GapError::SetsOfSets(SosError::RepeatedRequest)
+        );
+        assert!(bob_on_repeated_request(1).unwrap().is_some());
+    }
+
+    #[test]
+    fn alice_refuses_a_key_of_the_wrong_length() {
+        // A hostile Bob whose first key is one entry short: its tag is in
+        // his round 1, so the content verifies, but it is no Gap key.
+        let (space, alice, bob) = workload(40, 2, 128, 2, 40, 112);
+        let (fam, params) = hamming_family_and_params(128, 2.0, 40.0);
+        let proto = GapProtocol::new(space, &fam, GapConfig::for_params(params, 40, 2), 113);
+        let h = proto.config.h;
+        let mut children: Vec<Vec<u64>> = proto
+            .children(&proto.keyer.keys(&bob))
+            .iter()
+            .map(|k| k.to_vec())
+            .collect();
+        children[0].pop();
+        let sos = proto.sos_config();
+        let (r1, bob_state) = bob_round1(&children, &sos);
+        let mut a = proto.alice_session(&alice);
+        let mut w = BitWriter::new();
+        sos_wire::put_round1(&mut w, &r1);
+        a.on_frame(Frame::seal(GAP_LABELS[0], w)).unwrap();
+        let r2 = a
+            .poll_send()
+            .unwrap()
+            .expect("round 2")
+            .decode_exact(sos_wire::get_round2)
+            .unwrap();
+        let r3 = bob_round3(&children, &bob_state, &r2).unwrap();
+        let mut w = BitWriter::new();
+        sos_wire::put_round3(&mut w, &r3, &sos);
+        assert_eq!(
+            a.on_frame(Frame::seal(GAP_LABELS[2], w)).unwrap_err(),
+            GapError::KeyLength {
+                expected: h,
+                got: h - 1
+            }
         );
     }
 

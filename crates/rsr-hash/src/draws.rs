@@ -18,9 +18,10 @@ use crate::mix::IncrementalHasher;
 use rsr_metric::Point;
 use std::ops::Range;
 
-/// Points whose prefix chains [`DrawSet::prefix_hashes`] runs side by
-/// side. One point's chain is a dependent sequence of `mix64` steps, so
-/// it is latency-bound; independent chains fill the pipeline. Eight beat
+/// Points whose prefix chains [`DrawSet::prefix_hashes`] (and batch
+/// chains, [`DrawSet::batch_hashes`]) runs side by side. One point's
+/// chain is a dependent sequence of `mix64` steps, so it is
+/// latency-bound; independent chains fill the pipeline. Eight beat
 /// four by ≈ 1.5× on an x86-64 host and still fit the registers; twelve
 /// and sixteen spill and lose.
 const LANES: usize = 8;
@@ -187,7 +188,7 @@ impl DrawSet {
     }
 
     /// Feeds draws `range`, evaluated on `p`, into `inc` in order — one
-    /// Gap batch, one Bloom-filter group.
+    /// Bloom-filter group.
     pub(crate) fn feed(&self, range: Range<usize>, p: &Point, inc: &mut IncrementalHasher) {
         fn run(e: &impl Eval, range: Range<usize>, p: &Point, inc: &mut IncrementalHasher) {
             for j in range {
@@ -230,6 +231,86 @@ impl DrawSet {
             Kind::Coords(e) => prefix_lanes(e, seed, points, lens, out),
             Kind::Grid(e) => prefix_lanes(e, seed, points, lens, out),
             Kind::Projection(e) => prefix_lanes(e, seed, points, lens, out),
+        }
+    }
+
+    /// The hash of every batch of `m` consecutive draws over every point:
+    /// `out[i·B + b]` is `hash_words(seed, [g_{bm}(p_i), …, g_{bm+m−1}(p_i)])`
+    /// for `B = len / m` batches — the Gap keys before their per-batch
+    /// pairwise hash. Eight points at a time. Panics unless `m` divides
+    /// [`DrawSet::len`] and `out` holds exactly `points.len() · B` words.
+    pub(crate) fn batch_hashes(&self, seed: u64, m: usize, points: &[Point], out: &mut [u64]) {
+        assert!(
+            m >= 1 && self.len().is_multiple_of(m),
+            "batches must tile the draws"
+        );
+        assert_eq!(
+            out.len(),
+            points.len() * (self.len() / m),
+            "one word per point and batch"
+        );
+        match &self.0 {
+            Kind::Coords(e) => batch_lanes(e, seed, m, points, out),
+            Kind::Grid(e) => batch_lanes(e, seed, m, points, out),
+            Kind::Projection(e) => batch_lanes(e, seed, m, points, out),
+        }
+    }
+}
+
+fn batch_lanes(e: &impl Eval, seed: u64, m: usize, points: &[Point], out: &mut [u64]) {
+    if points.is_empty() {
+        return;
+    }
+    let width = out.len() / points.len();
+    if points.len() == 1 {
+        // A lone point (`BatchKeyer::key`): its batches are independent
+        // chains already.
+        return batches(e, seed, m, [&points[0]], out);
+    }
+    let mut blocks = points.chunks_exact(LANES);
+    let mut outs = out.chunks_exact_mut(LANES * width);
+    for (block, out) in (&mut blocks).zip(&mut outs) {
+        batches(
+            e,
+            seed,
+            m,
+            std::array::from_fn::<_, LANES, _>(|i| &block[i]),
+            out,
+        );
+    }
+    // As in `prefix_lanes`: a short last block runs every lane, repeating
+    // its last point, and keeps the words of the points it has.
+    let rest = blocks.remainder();
+    if let Some(last) = rest.last() {
+        let lanes = std::array::from_fn::<_, LANES, _>(|i| rest.get(i).unwrap_or(last));
+        let mut block_out = vec![0; LANES * width];
+        batches(e, seed, m, lanes, &mut block_out);
+        let tail = outs.into_remainder();
+        tail.copy_from_slice(&block_out[..tail.len()]);
+    }
+}
+
+/// `N` points' batch chains, interleaved draw by draw; `out` is
+/// point-major, `out.len() / N` batches per point.
+#[inline(always)]
+fn batches<const N: usize>(
+    e: &impl Eval,
+    seed: u64,
+    m: usize,
+    points: [&Point; N],
+    out: &mut [u64],
+) {
+    let width = out.len() / N;
+    let start = IncrementalHasher::new(seed);
+    for b in 0..width {
+        let mut inc: [IncrementalHasher; N] = std::array::from_fn(|_| start.clone());
+        for j in b * m..(b + 1) * m {
+            for (inc, p) in inc.iter_mut().zip(points) {
+                inc.update(e.eval(j, p));
+            }
+        }
+        for (lane, inc) in inc.iter().enumerate() {
+            out[lane * width + b] = inc.current();
         }
     }
 }
@@ -358,6 +439,30 @@ mod tests {
         draws.feed(4..9, p, &mut inc);
         let words: Vec<u64> = (4..9).map(|j| draws.hash(j, p)).collect();
         assert_eq!(inc.current(), hash_words(5, &words));
+    }
+
+    #[test]
+    fn batch_hashes_hash_each_batch_of_each_point() {
+        let family = PStableFamily::new(3, 9.0);
+        let draws = family.sample_draws(&mut StdRng::seed_from_u64(6), 12);
+        for count in [0, 1, 7, 8, 9, 2 * LANES + 3] {
+            let pts = points(3, count, 50, 7);
+            let mut out = vec![0; count * 4];
+            draws.batch_hashes(88, 3, &pts, &mut out);
+            for (i, p) in pts.iter().enumerate() {
+                for b in 0..4 {
+                    let words: Vec<u64> = (3 * b..3 * b + 3).map(|j| draws.hash(j, p)).collect();
+                    assert_eq!(out[i * 4 + b], hash_words(88, &words), "{count} points");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "batches must tile the draws")]
+    fn batches_that_do_not_tile_are_refused() {
+        let draws = BitSamplingFamily::new(8, 8.0).sample_draws(&mut StdRng::seed_from_u64(3), 5);
+        draws.batch_hashes(0, 2, &points(8, 1, 2, 4), &mut [0, 0]);
     }
 
     #[test]

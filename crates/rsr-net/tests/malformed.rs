@@ -9,16 +9,20 @@ use rsr_core::channel::Frame;
 use rsr_core::continuous::{
     shared, ContinuousConfig, ContinuousParty, ContinuousSession, SharedParty,
 };
+use rsr_core::gap_protocol::{GapConfig, GapProtocol};
 use rsr_core::session::Session;
+use rsr_hash::lsh::LshParams;
+use rsr_hash::BitSamplingFamily;
 use rsr_iblt::bits::BitWriter;
 use rsr_iblt::wire::{put_i64, CellWidths};
 use rsr_iblt::CellLayout;
+use rsr_metric::{MetricSpace, Point};
 use rsr_net::{
     read_record, write_record, ConnectionReport, Driver, NetError, NetSession, ReconServer, Record,
     SessionFactory, SessionPlan, SessionSpec, MAX_RECORD_BYTES, PROTO_CONT, STATUS_OK,
     STATUS_SESSION_ERROR, STATUS_UNKNOWN_SESSION,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::{mpsc, Arc};
@@ -697,6 +701,113 @@ fn a_frame_for_a_retired_continuous_id_is_dropped_as_stale() {
     });
     assert_eq!(reply, None, "a stale frame opens nothing and says nothing");
     assert_eq!(report.frames_in, 1);
+}
+
+// ------------------------------------------------------------ served gap
+
+/// Serves Bob's half of one Gap instance for every id.
+struct GapBobFactory {
+    proto: GapProtocol<BitSamplingFamily>,
+    bob: Vec<Point>,
+}
+
+impl SessionFactory for GapBobFactory {
+    fn open_spec(&self, _: u64, _: Option<&SessionSpec>) -> Option<Box<dyn NetSession + '_>> {
+        Some(Box::new(self.proto.bob_session(&self.bob)))
+    }
+}
+
+/// A round-2 frame naming `tfp` `count` times.
+fn repeated_request(tfp: u64, count: u32) -> Frame {
+    let mut w = BitWriter::new();
+    w.write(u64::from(count), 32);
+    for _ in 0..count {
+        w.write(tfp, 64);
+    }
+    Frame::seal("alice→bob: requested fingerprints", w)
+}
+
+#[test]
+fn a_hostile_gap_request_fails_its_session_only() {
+    // The server holds Bob. Round 2 is the client's to write, and Bob
+    // answers it with one child per named fingerprint: a request naming
+    // more children than Bob holds, or one fingerprint twice, must be
+    // refused before anything is copied, and a sibling session on the
+    // same connection must still settle.
+    let (n, k, dim, r1, r2) = (40, 2, 128, 2.0, 44.0);
+    let space = MetricSpace::hamming(dim);
+    let fam = BitSamplingFamily::new(dim, dim as f64);
+    let params = LshParams::new(r1, r2, 1.0 - r1 / dim as f64, 1.0 - r2 / dim as f64);
+    let w = rsr_workloads::sensor_pairs(space, n, k, r1, r2, 28);
+    let factory = Arc::new(GapBobFactory {
+        proto: GapProtocol::new(space, &fam, GapConfig::for_params(params, n, k), 28),
+        bob: w.bob,
+    });
+    let server = ReconServer::bind("127.0.0.1:0", Arc::clone(&factory)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server = std::thread::spawn(move || server.serve_one());
+    let mut stream = raw_client(addr);
+
+    let mut bytes = Vec::new();
+    for session in 0..3 {
+        bytes.extend(open_record(session));
+    }
+    stream.write_all(&bytes).unwrap();
+    let mut round1 = HashMap::new();
+    while round1.len() < 3 {
+        match read_record(&mut stream)
+            .unwrap()
+            .expect("a round-1 frame")
+            .0
+        {
+            Record::Frame { session, frame } => assert!(round1.insert(session, frame).is_none()),
+            other => panic!("expected round 1, got {other:?}"),
+        }
+    }
+    // An honest Alice names one fingerprint Bob really holds.
+    let mut alice = factory.proto.alice_session(&w.alice);
+    Session::on_frame(&mut alice, round1.remove(&2).unwrap()).unwrap();
+    let honest = Session::poll_send(&mut alice).unwrap().expect("round 2");
+    let mut r = honest.reader();
+    assert!(r.read(32).unwrap() >= 1, "the instance differs");
+    let tfp = r.read(64).unwrap();
+
+    for (session, count, refusal) in [
+        (0, n as u32 + 1, "more children than the sender holds"),
+        (1, 2, "one fingerprint twice"),
+    ] {
+        let frame = repeated_request(tfp, count);
+        stream
+            .write_all(&encoded(&Record::Frame { session, frame }))
+            .unwrap();
+        let (status, message) = expect_done(&mut stream, session);
+        assert_eq!(status, STATUS_SESSION_ERROR, "{message}");
+        assert!(message.contains(refusal), "session {session}: {message}");
+    }
+
+    stream
+        .write_all(&encoded(&Record::Frame {
+            session: 2,
+            frame: honest,
+        }))
+        .unwrap();
+    let round3 = match read_record(&mut stream).unwrap().expect("round 3").0 {
+        Record::Frame { session: 2, frame } => frame,
+        other => panic!("expected round 3, got {other:?}"),
+    };
+    Session::on_frame(&mut alice, round3).unwrap();
+    let round4 = Session::poll_send(&mut alice).unwrap().expect("round 4");
+    stream
+        .write_all(&encoded(&Record::Frame {
+            session: 2,
+            frame: round4,
+        }))
+        .unwrap();
+    assert_eq!(expect_done(&mut stream, 2).0, STATUS_OK);
+    assert!(Session::is_done(&alice));
+    drop(stream);
+    let report = server.join().unwrap().expect("served");
+    assert_eq!(report.sessions.len(), 3);
 }
 
 // ------------------------------------------------------ robustness loop

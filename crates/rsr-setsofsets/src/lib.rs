@@ -18,9 +18,21 @@
 //!    Bob has.
 //! 3. **Bob → Alice**: the full contents of exactly those child sets.
 //!
+//! Each side fingerprints its children once, eight hash chains side by
+//! side: Bob in round 1 (kept in [`BobState`] for round 3), Alice in
+//! round 2 (kept in [`AliceState`] for the finish).
+//!
 //! Alice then splices: her multiset, minus her Alice-only children, plus
-//! the received Bob-only children, reproduces Bob's multiset exactly. Every
-//! received child is verified against its requested fingerprint.
+//! the received Bob-only children, reproduces Bob's multiset exactly. The
+//! finish returns that as a [`Splice`] — a mask over Alice's children plus
+//! the received ones — so a caller that only reads Bob's multiset need not
+//! copy it.
+//!
+//! Both requests are checked before any work proportional to them: Bob
+//! refuses a round 2 naming more children than he holds, or one
+//! fingerprint twice; Alice refuses a round 3 that does not carry exactly
+//! the requested fingerprints, each once, and verifies every received
+//! child against them. Each refusal is a typed [`SosError`].
 //!
 //! ## Relation to Theorem E.1 (documented substitution)
 //!
@@ -37,6 +49,6 @@ pub mod protocol;
 pub mod wire;
 
 pub use protocol::{
-    estimate_fp_cells, reconcile, AliceState, ChildSet, Round1, Round2, Round3, SosConfig,
-    SosError, SosOutcome,
+    estimate_fp_cells, reconcile, AliceState, BobState, ChildSet, Round1, Round2, Round3,
+    SosConfig, SosError, SosOutcome, Splice,
 };

@@ -1,14 +1,20 @@
 //! The three-round sets-of-sets reconciliation protocol.
 
-use rsr_hash::mix::hash_words;
+use rsr_hash::mix::{hash_words, IncrementalHasher};
 use rsr_iblt::Iblt;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A child set: a fixed-shape vector of 64-bit entries. (The Gap protocol's
 /// keys are vectors of `h` batch hashes; a plain set can be encoded by
 /// sorting its elements.)
 pub type ChildSet = Vec<u64>;
+
+/// Children whose fingerprint chains [`fingerprints`] hashes side by side.
+/// One child's fingerprint is a dependent chain of `combine` steps, so it
+/// is latency-bound; eight independent chains fill the pipeline, as in
+/// `rsr-hash`'s keying lanes.
+const LANES: usize = 8;
 
 /// Configuration shared by both parties (public coins).
 #[derive(Clone, Copy, Debug)]
@@ -44,6 +50,13 @@ pub enum SosError {
     /// Bob could not find a child matching a requested fingerprint (can
     /// only happen if the rounds were mismatched across configs).
     UnknownFingerprint,
+    /// Round 2 requested more children than Bob holds.
+    RequestTooLarge,
+    /// Round 2 requested one fingerprint twice.
+    RepeatedRequest,
+    /// Round 3 did not carry exactly the requested fingerprints, each
+    /// once.
+    UnrequestedContent,
 }
 
 impl fmt::Display for SosError {
@@ -56,6 +69,13 @@ impl fmt::Display for SosError {
                 write!(f, "received child set fails fingerprint verification")
             }
             SosError::UnknownFingerprint => write!(f, "requested fingerprint unknown to sender"),
+            SosError::RequestTooLarge => {
+                write!(f, "request names more children than the sender holds")
+            }
+            SosError::RepeatedRequest => write!(f, "request names one fingerprint twice"),
+            SosError::UnrequestedContent => {
+                write!(f, "reply does not carry exactly the requested fingerprints")
+            }
         }
     }
 }
@@ -89,6 +109,13 @@ pub struct Round3 {
     pub(crate) children: Vec<(u64, ChildSet)>,
 }
 
+/// Bob's state between round 1 and round 3: his tagged fingerprints, in
+/// child order, computed once in round 1.
+#[derive(Clone, Debug)]
+pub struct BobState {
+    tagged: Vec<u64>,
+}
+
 /// Alice's state between rounds 2 and the finish.
 #[derive(Clone, Debug)]
 pub struct AliceState {
@@ -96,6 +123,35 @@ pub struct AliceState {
     pub alice_only: Vec<u64>,
     /// Tagged fingerprints present only on Bob's side (requested).
     pub bob_only: Vec<u64>,
+    /// Alice's tagged fingerprints, in child order (computed once, in
+    /// round 2).
+    tagged: Vec<u64>,
+    /// How many copies of each plain fingerprint Alice holds.
+    copies: HashMap<u64, u64>,
+}
+
+/// What Alice's finish learns of Bob's multiset, without copying it: which
+/// of her own children it holds verbatim, plus the children only Bob has.
+#[derive(Clone, Debug)]
+pub struct Splice {
+    /// `kept[i]`: Alice's child `i` is in Bob's multiset (its tagged
+    /// fingerprint is not Alice-only).
+    pub kept: Vec<bool>,
+    /// The verified round-3 children, in round-3 order.
+    pub bob_only: Vec<ChildSet>,
+}
+
+impl Splice {
+    /// Bob's multiset: Alice's kept children, then the Bob-only ones.
+    pub fn multiset<C: AsRef<[u64]>>(&self, alice: &[C]) -> Vec<ChildSet> {
+        alice
+            .iter()
+            .zip(&self.kept)
+            .filter(|(_, &kept)| kept)
+            .map(|(c, _)| c.as_ref().to_vec())
+            .chain(self.bob_only.iter().cloned())
+            .collect()
+    }
 }
 
 /// Final outcome: Alice's reconstruction of Bob's multiset plus accounting.
@@ -118,53 +174,88 @@ impl SosOutcome {
     }
 }
 
-/// Plain (untagged) fingerprint of a child set.
-fn fingerprint(seed: u64, child: &ChildSet) -> u64 {
-    hash_words(seed ^ 0x50f5_0f50, child)
+/// Plain (untagged) fingerprints of every child: `hash_words` of its
+/// entries, eight children's chains side by side. Children of unequal
+/// length share the chain up to the shortest, then finish one by one.
+fn fingerprints<C: AsRef<[u64]>>(seed: u64, children: &[C]) -> Vec<u64> {
+    let start = IncrementalHasher::new(seed ^ 0x50f5_0f50);
+    let mut out = Vec::with_capacity(children.len());
+    for block in children.chunks(LANES) {
+        // A short last block repeats its last child in the spare lanes.
+        let lanes: [&[u64]; LANES] =
+            std::array::from_fn(|i| block.get(i).unwrap_or(&block[block.len() - 1]).as_ref());
+        let shared = lanes.iter().map(|c| c.len()).min().unwrap_or(0);
+        let mut inc: [IncrementalHasher; LANES] = std::array::from_fn(|_| start.clone());
+        for j in 0..shared {
+            for (inc, child) in inc.iter_mut().zip(lanes) {
+                inc.update(child[j]);
+            }
+        }
+        for (inc, child) in inc.iter_mut().zip(lanes) {
+            for &w in &child[shared..] {
+                inc.update(w);
+            }
+        }
+        out.extend(inc[..block.len()].iter().map(IncrementalHasher::current));
+    }
+    out
+}
+
+/// The tagged fingerprint of the `rank`-th copy of a child whose plain
+/// fingerprint is `fp`.
+fn tag(seed: u64, fp: u64, rank: u64) -> u64 {
+    hash_words(seed ^ 0x7a66_ed00, &[fp, rank])
 }
 
 /// Occurrence-tagged fingerprints: the `r`-th copy of an identical child
 /// gets tag `r`, making duplicates distinct IBLT keys while keeping the
-/// tagging consistent across parties.
-fn tagged_fingerprints(seed: u64, children: &[ChildSet]) -> Vec<u64> {
-    let mut ranks: HashMap<u64, u64> = HashMap::with_capacity(children.len());
-    children
-        .iter()
-        .map(|c| {
-            let fp = fingerprint(seed, c);
-            let rank = ranks.entry(fp).or_insert(0);
-            let tagged = hash_words(seed ^ 0x7a66_ed00, &[fp, *rank]);
+/// tagging consistent across parties. Also returns how many copies of each
+/// plain fingerprint there are.
+fn tagged_fingerprints<C: AsRef<[u64]>>(
+    seed: u64,
+    children: &[C],
+) -> (Vec<u64>, HashMap<u64, u64>) {
+    let mut copies: HashMap<u64, u64> = HashMap::with_capacity(children.len());
+    let tagged = fingerprints(seed, children)
+        .into_iter()
+        .map(|fp| {
+            let rank = copies.entry(fp).or_insert(0);
             *rank += 1;
-            tagged
+            tag(seed, fp, *rank - 1)
         })
-        .collect()
+        .collect();
+    (tagged, copies)
 }
 
-/// Round 1: Bob summarizes his tagged fingerprints in an IBLT.
-pub fn bob_round1(bob: &[ChildSet], cfg: &SosConfig) -> Round1 {
+/// Round 1: Bob summarizes his tagged fingerprints in an IBLT, and keeps
+/// them for round 3.
+pub fn bob_round1<C: AsRef<[u64]>>(bob: &[C], cfg: &SosConfig) -> (Round1, BobState) {
+    let (tagged, _) = tagged_fingerprints(cfg.seed, bob);
     let mut iblt = Iblt::new(
         cfg.fp_cells,
         cfg.q,
         cfg.seed ^ crate::wire::FP_IBLT_SEED_TWEAK,
     );
-    for tfp in tagged_fingerprints(cfg.seed, bob) {
+    for &tfp in &tagged {
         iblt.insert(tfp);
     }
-    Round1 {
+    let r1 = Round1 {
         iblt,
         num_children: bob.len(),
-    }
+    };
+    (r1, BobState { tagged })
 }
 
 /// Round 2: Alice subtracts her fingerprints, decodes the difference, and
 /// requests Bob-only children.
-pub fn alice_round2(
-    alice: &[ChildSet],
+pub fn alice_round2<C: AsRef<[u64]>>(
+    alice: &[C],
     r1: &Round1,
     cfg: &SosConfig,
 ) -> Result<(Round2, AliceState), SosError> {
+    let (tagged, copies) = tagged_fingerprints(cfg.seed, alice);
     let mut table = r1.iblt.clone();
-    for tfp in tagged_fingerprints(cfg.seed, alice) {
+    for &tfp in &tagged {
         table.delete(tfp);
     }
     let decode = table.decode();
@@ -175,6 +266,8 @@ pub fn alice_round2(
     let state = AliceState {
         alice_only: decode.deleted,
         bob_only: decode.inserted.clone(),
+        tagged,
+        copies,
     };
     Ok((
         Round2 {
@@ -184,52 +277,86 @@ pub fn alice_round2(
     ))
 }
 
-/// Round 3: Bob ships the contents of the requested children.
-pub fn bob_round3(bob: &[ChildSet], r2: &Round2, cfg: &SosConfig) -> Result<Round3, SosError> {
-    let tagged = tagged_fingerprints(cfg.seed, bob);
-    let index: HashMap<u64, usize> = tagged
-        .iter()
-        .enumerate()
-        .map(|(i, &tfp)| (tfp, i))
-        .collect();
-    let mut children = Vec::with_capacity(r2.requested.len());
-    for &tfp in &r2.requested {
-        let &i = index.get(&tfp).ok_or(SosError::UnknownFingerprint)?;
-        children.push((tfp, bob[i].clone()));
+/// Round 3: Bob ships the contents of the requested children. A request
+/// for more children than Bob holds, or for one fingerprint twice, is
+/// refused before anything is copied.
+pub fn bob_round3<C: AsRef<[u64]>>(
+    bob: &[C],
+    state: &BobState,
+    r2: &Round2,
+) -> Result<Round3, SosError> {
+    if r2.requested.len() > bob.len() {
+        return Err(SosError::RequestTooLarge);
     }
+    let mut slot: HashMap<u64, usize> = HashMap::with_capacity(r2.requested.len());
+    for (i, &tfp) in r2.requested.iter().enumerate() {
+        if slot.insert(tfp, i).is_some() {
+            return Err(SosError::RepeatedRequest);
+        }
+    }
+    let mut found: Vec<Option<usize>> = vec![None; r2.requested.len()];
+    for (child, tfp) in state.tagged.iter().enumerate() {
+        if let Some(&i) = slot.get(tfp) {
+            found[i] = Some(child);
+        }
+    }
+    let children = r2
+        .requested
+        .iter()
+        .zip(found)
+        .map(|(&tfp, child)| {
+            let child = child.ok_or(SosError::UnknownFingerprint)?;
+            Ok((tfp, bob[child].as_ref().to_vec()))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(Round3 { children })
 }
 
-/// Finish: Alice splices her multiset into Bob's.
-pub fn alice_finish(
-    alice: &[ChildSet],
+/// Finish: Alice checks round 3 and splices her multiset into Bob's.
+///
+/// Round 3 must carry exactly the requested fingerprints, each once, and
+/// its children must hash to them: the `c` Bob-only copies of a child
+/// Alice holds `a` copies of carry ranks `a..a + c`. Both checks cost
+/// O(C log C) for C children, whatever the reply holds.
+pub fn alice_finish<C: AsRef<[u64]>>(
+    alice: &[C],
     state: &AliceState,
-    r3: &Round3,
+    r3: Round3,
     cfg: &SosConfig,
-) -> Result<Vec<ChildSet>, SosError> {
-    // Verify every received child against its fingerprint (the tag is a
-    // hash of (fp, rank); recompute over all plausible ranks is
-    // unnecessary — rank 0..len suffices since ranks are dense).
-    for (tfp, child) in &r3.children {
-        let fp = fingerprint(cfg.seed, child);
-        let ok = (0..r3.children.len() as u64 + alice.len() as u64 + 1)
-            .any(|r| hash_words(cfg.seed ^ 0x7a66_ed00, &[fp, r]) == *tfp);
-        if !ok {
-            return Err(SosError::ContentVerificationFailed);
-        }
+) -> Result<Splice, SosError> {
+    debug_assert_eq!(alice.len(), state.tagged.len());
+    let mut claimed: Vec<u64> = r3.children.iter().map(|&(tfp, _)| tfp).collect();
+    let mut requested = state.bob_only.clone();
+    claimed.sort_unstable();
+    requested.sort_unstable();
+    if claimed != requested || claimed.windows(2).any(|w| w[0] == w[1]) {
+        return Err(SosError::UnrequestedContent);
     }
-    // Remove Alice-only children (by tagged fingerprint), keep the rest,
-    // add Bob-only contents.
-    let tagged = tagged_fingerprints(cfg.seed, alice);
-    let alice_only: std::collections::HashSet<u64> = state.alice_only.iter().copied().collect();
-    let mut result: Vec<ChildSet> = alice
-        .iter()
-        .zip(&tagged)
-        .filter(|(_, tfp)| !alice_only.contains(tfp))
-        .map(|(c, _)| c.clone())
+    let children: Vec<ChildSet> = r3.children.into_iter().map(|(_, c)| c).collect();
+    let mut next_rank: HashMap<u64, u64> = HashMap::with_capacity(children.len());
+    let mut implied: Vec<u64> = fingerprints(cfg.seed, &children)
+        .into_iter()
+        .map(|fp| {
+            let rank = next_rank
+                .entry(fp)
+                .or_insert_with(|| state.copies.get(&fp).copied().unwrap_or(0));
+            *rank += 1;
+            tag(cfg.seed, fp, *rank - 1)
+        })
         .collect();
-    result.extend(r3.children.iter().map(|(_, c)| c.clone()));
-    Ok(result)
+    implied.sort_unstable();
+    if implied != claimed {
+        return Err(SosError::ContentVerificationFailed);
+    }
+    let alice_only: HashSet<u64> = state.alice_only.iter().copied().collect();
+    Ok(Splice {
+        kept: state
+            .tagged
+            .iter()
+            .map(|t| !alice_only.contains(t))
+            .collect(),
+        bob_only: children,
+    })
 }
 
 /// Runs the full 3-round protocol and accounts communication.
@@ -242,16 +369,16 @@ pub fn reconcile(
     bob: &[ChildSet],
     cfg: &SosConfig,
 ) -> Result<SosOutcome, SosError> {
-    let r1 = bob_round1(bob, cfg);
+    let (r1, bob_state) = bob_round1(bob, cfg);
     let r1_bits = crate::wire::round1_wire_bits(&r1);
     let (r2, state) = alice_round2(alice, &r1, cfg)?;
     let r2_bits = crate::wire::round2_wire_bits(&r2);
-    let r3 = bob_round3(bob, &r2, cfg)?;
+    let r3 = bob_round3(bob, &bob_state, &r2)?;
     let r3_bits = crate::wire::round3_wire_bits(&r3, cfg);
-    let bob_multiset = alice_finish(alice, &state, &r3, cfg)?;
+    let splice = alice_finish(alice, &state, r3, cfg)?;
     Ok(SosOutcome {
-        bob_multiset,
-        bob_only_children: r3.children.iter().map(|(_, c)| c.clone()).collect(),
+        bob_multiset: splice.multiset(alice),
+        bob_only_children: splice.bob_only,
         alice_only_count: state.alice_only.len(),
         round_bits: (r1_bits, r2_bits, r3_bits),
     })
@@ -380,6 +507,128 @@ mod tests {
         assert!(out.bob_multiset.is_empty());
         let out = reconcile(&none, &none, &cfg(24)).unwrap();
         assert!(out.bob_multiset.is_empty());
+    }
+
+    #[test]
+    fn laned_fingerprints_equal_hash_words_per_child() {
+        for count in [0usize, 1, 7, 8, 9, 17] {
+            // Equal lengths, as the Gap keys have.
+            let equal: Vec<ChildSet> = (0..count as u64).map(|i| vec![i, i * 3, 7]).collect();
+            // Unequal lengths, including empty children, inside one block.
+            let ragged: Vec<ChildSet> = (0..count as u64)
+                .map(|i| (0..(i * 5) % 11).map(|j| i ^ (j << 8)).collect())
+                .collect();
+            for children in [equal, ragged] {
+                let want: Vec<u64> = children
+                    .iter()
+                    .map(|c| hash_words(0xABCD ^ 0x50f5_0f50, c))
+                    .collect();
+                assert_eq!(fingerprints(0xABCD, &children), want, "{children:?}");
+            }
+        }
+    }
+
+    /// An honest exchange up to Bob's round-3 input.
+    fn through_round2(alice: &[ChildSet], bob: &[ChildSet]) -> (BobState, Round2, AliceState) {
+        let (r1, bob_state) = bob_round1(bob, &cfg(40));
+        let (r2, alice_state) = alice_round2(alice, &r1, &cfg(40)).unwrap();
+        (bob_state, r2, alice_state)
+    }
+
+    #[test]
+    fn bob_refuses_a_request_for_more_children_than_he_holds() {
+        let bob: Vec<ChildSet> = vec![vec![1], vec![2]];
+        let (state, _, _) = through_round2(&[], &bob);
+        let r2 = Round2 {
+            requested: vec![state.tagged[0], state.tagged[1], 99],
+        };
+        assert_eq!(
+            bob_round3(&bob, &state, &r2).unwrap_err(),
+            SosError::RequestTooLarge
+        );
+    }
+
+    #[test]
+    fn bob_refuses_a_repeated_fingerprint() {
+        let bob: Vec<ChildSet> = vec![vec![1], vec![2], vec![3]];
+        let (state, _, _) = through_round2(&[], &bob);
+        let r2 = Round2 {
+            requested: vec![state.tagged[1], state.tagged[1]],
+        };
+        assert_eq!(
+            bob_round3(&bob, &state, &r2).unwrap_err(),
+            SosError::RepeatedRequest
+        );
+    }
+
+    #[test]
+    fn bob_refuses_an_unknown_fingerprint() {
+        let bob: Vec<ChildSet> = vec![vec![1], vec![2]];
+        let (state, _, _) = through_round2(&[], &bob);
+        let r2 = Round2 {
+            requested: vec![state.tagged[0], 12345],
+        };
+        assert_eq!(
+            bob_round3(&bob, &state, &r2).unwrap_err(),
+            SosError::UnknownFingerprint
+        );
+    }
+
+    /// Alice's finish on a round 3 whose children are edited by `edit`.
+    fn finish_with(edit: impl FnOnce(&mut Vec<(u64, ChildSet)>)) -> Result<Splice, SosError> {
+        let alice: Vec<ChildSet> = vec![vec![1, 2], vec![3, 4]];
+        let bob: Vec<ChildSet> = vec![vec![1, 2], vec![5, 6], vec![7, 8], vec![7, 8]];
+        let (bob_state, r2, alice_state) = through_round2(&alice, &bob);
+        let mut r3 = bob_round3(&bob, &bob_state, &r2).unwrap();
+        assert_eq!(r3.children.len(), 3);
+        edit(&mut r3.children);
+        alice_finish(&alice, &alice_state, r3, &cfg(40))
+    }
+
+    #[test]
+    fn alice_accepts_the_requested_children_in_any_order() {
+        let splice = finish_with(|c| c.reverse()).unwrap();
+        assert_eq!(splice.kept, vec![true, false]);
+        assert_eq!(splice.bob_only.len(), 3);
+    }
+
+    #[test]
+    fn alice_refuses_an_unrequested_fingerprint() {
+        let err = finish_with(|c| c[0].0 ^= 1).unwrap_err();
+        assert_eq!(err, SosError::UnrequestedContent);
+    }
+
+    #[test]
+    fn alice_refuses_a_repeated_fingerprint() {
+        let err = finish_with(|c| c.push(c[0].clone())).unwrap_err();
+        assert_eq!(err, SosError::UnrequestedContent);
+        // Same count as requested, one fingerprint twice.
+        let err = finish_with(|c| c[1] = c[0].clone()).unwrap_err();
+        assert_eq!(err, SosError::UnrequestedContent);
+    }
+
+    #[test]
+    fn alice_refuses_a_missing_child() {
+        let err = finish_with(|c| {
+            c.pop();
+        })
+        .unwrap_err();
+        assert_eq!(err, SosError::UnrequestedContent);
+    }
+
+    #[test]
+    fn alice_refuses_content_that_does_not_hash_to_its_fingerprint() {
+        let err = finish_with(|c| c[0].1[0] ^= 1).unwrap_err();
+        assert_eq!(err, SosError::ContentVerificationFailed);
+        // Both copies of a duplicate must carry distinct ranks: swapping
+        // one copy's content for another Bob-only child's is caught.
+        let err = finish_with(|c| {
+            let other = c.iter().position(|(_, x)| *x == vec![5, 6]).unwrap();
+            let dup = c.iter().position(|(_, x)| *x == vec![7, 8]).unwrap();
+            c[other].1 = c[dup].1.clone();
+        })
+        .unwrap_err();
+        assert_eq!(err, SosError::ContentVerificationFailed);
     }
 
     #[test]

@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn round1_roundtrips_and_measures() {
         let bob: Vec<ChildSet> = vec![vec![1, 2], vec![3, 4], vec![9, 9]];
-        let r1 = bob_round1(&bob, &cfg());
+        let (r1, _) = bob_round1(&bob, &cfg());
         let mut w = BitWriter::new();
         put_round1(&mut w, &r1);
         assert_eq!(w.bit_len(), round1_wire_bits(&r1));
@@ -180,9 +180,9 @@ mod tests {
         let alice: Vec<ChildSet> = vec![vec![1, 2]];
         let bob: Vec<ChildSet> = vec![vec![1, 2], vec![7, 8, 9]];
         let c = cfg();
-        let r1 = bob_round1(&bob, &c);
+        let (r1, bob_state) = bob_round1(&bob, &c);
         let (r2, _) = alice_round2(&alice, &r1, &c).unwrap();
-        let r3 = bob_round3(&bob, &r2, &c).unwrap();
+        let r3 = bob_round3(&bob, &bob_state, &r2).unwrap();
         let mut w = BitWriter::new();
         put_round3(&mut w, &r3, &c);
         assert_eq!(w.bit_len(), round3_wire_bits(&r3, &c));

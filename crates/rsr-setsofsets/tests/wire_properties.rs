@@ -28,7 +28,7 @@ proptest! {
             seed,
             entry_bits: 24,
         };
-        let r1 = bob_round1(&bob, &cfg);
+        let (r1, _) = bob_round1(&bob, &cfg);
         let mut w = BitWriter::new();
         wire::put_round1(&mut w, &r1);
         prop_assert_eq!(w.bit_len(), wire::round1_wire_bits(&r1));
@@ -68,7 +68,7 @@ proptest! {
             seed,
             entry_bits: 24,
         };
-        let r1 = bob_round1(&bob, &cfg);
+        let (r1, bob_state) = bob_round1(&bob, &cfg);
         let Ok((r2, _)) = alice_round2(&alice, &r1, &cfg) else {
             return Ok(()); // fingerprint table overloaded: sizing, not codec
         };
@@ -81,7 +81,7 @@ proptest! {
         wire::put_round2(&mut w2, &r2_back);
         prop_assert_eq!(w2.finish(), buf);
 
-        let r3 = bob_round3(&bob, &r2_back, &cfg).expect("requests are honest");
+        let r3 = bob_round3(&bob, &bob_state, &r2_back).expect("requests are honest");
         let mut w3 = BitWriter::new();
         wire::put_round3(&mut w3, &r3, &cfg);
         prop_assert_eq!(w3.bit_len(), wire::round3_wire_bits(&r3, &cfg));

@@ -130,26 +130,35 @@ fn level_keys_are_pinned_under_every_family() {
     }
 }
 
-fn gap_instance() -> (
-    MetricSpace,
-    GapProtocol<BitSamplingFamily>,
-    Vec<Point>,
-    Vec<Point>,
-) {
-    let (n, k, dim, r1, r2) = (40, 2, 128, 2.0, 44.0);
+/// A Gap instance on the 128-bit cube with the benchmark's radii
+/// (r1 = 2, r2 = 44) and `sensor_pairs` points.
+fn gap_instance_of(
+    n: usize,
+    k: usize,
+    seed: u64,
+    proto_seed: u64,
+) -> (GapProtocol<BitSamplingFamily>, Vec<Point>, Vec<Point>) {
+    let (dim, r1, r2) = (128, 2.0, 44.0);
     let space = MetricSpace::hamming(dim);
     let fam = BitSamplingFamily::new(dim, dim as f64);
     let params = LshParams::new(r1, r2, 1.0 - r1 / dim as f64, 1.0 - r2 / dim as f64);
-    let w = sensor_pairs(space, n, k, r1, r2, 222);
-    let proto = GapProtocol::new(space, &fam, GapConfig::for_params(params, n, k), 222);
-    (space, proto, w.alice, w.bob)
+    let w = sensor_pairs(space, n, k, r1, r2, seed);
+    let proto = GapProtocol::new(space, &fam, GapConfig::for_params(params, n, k), proto_seed);
+    (proto, w.alice, w.bob)
 }
 
-#[test]
-fn gap_protocol_frames_are_pinned() {
-    let (_, proto, alice, bob) = gap_instance();
-    let mut a = proto.alice_session(&alice);
-    let mut b = proto.bob_session(&bob);
+fn gap_instance() -> (GapProtocol<BitSamplingFamily>, Vec<Point>, Vec<Point>) {
+    gap_instance_of(40, 2, 222, 222)
+}
+
+/// The four frames of one Gap settle, in wire order.
+fn gap_frames(
+    proto: &GapProtocol<BitSamplingFamily>,
+    alice: &[Point],
+    bob: &[Point],
+) -> Vec<Frame> {
+    let mut a = proto.alice_session(alice);
+    let mut b = proto.bob_session(bob);
     let mut frames = Vec::new();
     // Bob → Alice → Bob → Alice, then Alice's far elements.
     for sender_is_bob in [true, false, true, false] {
@@ -168,12 +177,36 @@ fn gap_protocol_frames_are_pinned() {
         }
     }
     assert!(a.is_done() && b.is_done());
-    assert_eq!(frames_digest(&frames), 0xfc0e_7afd_48c9_a85a);
+    frames
+}
+
+#[test]
+fn gap_protocol_frames_are_pinned() {
+    let (proto, alice, bob) = gap_instance();
+    assert_eq!(
+        frames_digest(&gap_frames(&proto, &alice, &bob)),
+        0xfc0e_7afd_48c9_a85a
+    );
+}
+
+#[test]
+fn benchmark_shaped_gap_settle_is_pinned() {
+    // The shape of the benchmark's `local_gap` instances (n = 256, k = 4,
+    // d = 128): large enough that the far test, the fingerprint rounds
+    // and the keyer's lane blocks all run at scale.
+    let (proto, alice, bob) = gap_instance_of(256, 4, 2_828, 2_828 ^ 0x6a6a);
+    assert_eq!(proto.config().h, 64);
+    assert_eq!(
+        frames_digest(&gap_frames(&proto, &alice, &bob)),
+        0xd15c_015b_d513_a4da
+    );
+    let keys: Vec<u64> = alice[..8].iter().flat_map(|p| proto.key_of(p)).collect();
+    assert_eq!(hash_words(4, &keys), 0x82fe_bb0d_11bd_2762);
 }
 
 #[test]
 fn gap_keys_are_pinned_under_both_batch_families() {
-    let (_, proto, alice, _) = gap_instance();
+    let (proto, alice, _) = gap_instance();
     let keys: Vec<u64> = alice.iter().flat_map(|p| proto.key_of(p)).collect();
     assert_eq!(
         hash_words(2, &keys),
