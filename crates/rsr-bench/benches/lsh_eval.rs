@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsr_hash::keys::{BatchKeyer, MultiScaleKeyer};
-use rsr_hash::{BitSamplingFamily, GridFamily, LshFamily, LshFunction, PStableFamily};
+use rsr_hash::{BitSamplingFamily, GridFamily, LshFamily, PStableFamily};
 use rsr_metric::Point;
 use std::hint::black_box;
 
@@ -16,14 +16,17 @@ fn bench_single_eval(c: &mut Criterion) {
     let p = Point::new((0..dim as i64).map(|i| i % 2).collect());
     let mut rng = StdRng::seed_from_u64(1);
 
-    let bit = BitSamplingFamily::new(dim, 128.0).sample(&mut rng);
-    group.bench_function("bit_sampling_d64", |b| b.iter(|| bit.hash(black_box(&p))));
+    // One sampled function each: a one-draw set, evaluated alone.
+    let bit = BitSamplingFamily::new(dim, 128.0).sample_draws(&mut rng, 1);
+    group.bench_function("bit_sampling_d64", |b| {
+        b.iter(|| bit.hash(0, black_box(&p)))
+    });
 
-    let grid = GridFamily::new(dim, 20.0).sample(&mut rng);
-    group.bench_function("grid_d64", |b| b.iter(|| grid.hash(black_box(&p))));
+    let grid = GridFamily::new(dim, 20.0).sample_draws(&mut rng, 1);
+    group.bench_function("grid_d64", |b| b.iter(|| grid.hash(0, black_box(&p))));
 
-    let ps = PStableFamily::new(dim, 20.0).sample(&mut rng);
-    group.bench_function("pstable_d64", |b| b.iter(|| ps.hash(black_box(&p))));
+    let ps = PStableFamily::new(dim, 20.0).sample_draws(&mut rng, 1);
+    group.bench_function("pstable_d64", |b| b.iter(|| ps.hash(0, black_box(&p))));
     group.finish();
 }
 

@@ -6,19 +6,16 @@
 use crate::table::{f as ff, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsr_hash::{BitSamplingFamily, GridFamily, LshFamily, LshFunction, MlshFamily, PStableFamily};
+use rsr_hash::{BitSamplingFamily, GridFamily, LshFamily, MlshFamily, PStableFamily};
 use rsr_metric::Point;
 
-fn measure<F: LshFamily>(family: &F, x: &Point, y: &Point, trials: u32, seed: u64) -> f64
-where
-    F::Function: LshFunction,
-{
-    let mut rng = StdRng::seed_from_u64(seed);
-    let hits = (0..trials)
-        .filter(|_| {
-            let h = family.sample(&mut rng);
-            h.hash(x) == h.hash(y)
-        })
+/// Share of `trials` sampled functions under which `x` and `y` collide:
+/// one draw set of `trials` draws, each draw one function (draws split,
+/// so this is `trials` one-draw samples from the same RNG).
+fn measure<F: LshFamily>(family: &F, x: &Point, y: &Point, trials: u32, seed: u64) -> f64 {
+    let draws = family.sample_draws(&mut StdRng::seed_from_u64(seed), trials as usize);
+    let hits = (0..trials as usize)
+        .filter(|&j| draws.hash(j, x) == draws.hash(j, y))
         .count();
     hits as f64 / f64::from(trials)
 }

@@ -16,7 +16,7 @@
 //! `O(k·d·log(Δn)·log(D2/D1))` bits.
 
 use crate::channel::Frame;
-use crate::mlsh_select::{select_mlsh, AnyMlsh};
+use crate::mlsh_select::select_mlsh;
 use crate::session::{drive_in_memory, Session};
 use crate::transcript::{Party, Transcript};
 use rand::rngs::StdRng;
@@ -170,7 +170,7 @@ impl std::error::Error for EmdFailure {}
 pub struct EmdProtocol {
     space: MetricSpace,
     config: EmdProtocolConfig,
-    keyer: MultiScaleKeyer<AnyMlsh>,
+    keyer: MultiScaleKeyer,
     /// Prefix length `s_i` per level (non-decreasing).
     prefix_lens: Vec<usize>,
     seed: u64,

@@ -27,6 +27,7 @@ use rsr_setsofsets::{
     estimate_fp_cells, AliceState, BobState, Round2, SosConfig, SosError, Splice,
 };
 use std::fmt;
+use std::marker::PhantomData;
 
 /// Transcript labels of the four messages, in order.
 pub(crate) const GAP_LABELS: [&str; 4] = [
@@ -149,11 +150,13 @@ pub struct GapOutcome {
     pub transcript: Transcript,
 }
 
-/// The Gap Guarantee protocol, generic over the LSH family.
+/// The Gap Guarantee protocol, generic over the LSH family. The family
+/// is a name only: its draws live in the keyer.
 pub struct GapProtocol<F: LshFamily> {
     space: MetricSpace,
     config: GapConfig,
-    keyer: BatchKeyer<F>,
+    keyer: BatchKeyer,
+    family: PhantomData<F>,
 }
 
 impl<F: LshFamily> GapProtocol<F> {
@@ -169,6 +172,7 @@ impl<F: LshFamily> GapProtocol<F> {
             space,
             config,
             keyer,
+            family: PhantomData,
         }
     }
 
@@ -328,8 +332,7 @@ impl<F: LshFamily> Session for GapAliceSession<'_, F> {
                         got: key.len(),
                     });
                 }
-                let far_mask =
-                    far_keys::<F>(&self.keys, h, &splice, self.proto.config.close_threshold);
+                let far_mask = far_keys(&self.keys, h, &splice, self.proto.config.close_threshold);
                 let far: Vec<Point> = self
                     .alice
                     .iter()
@@ -355,7 +358,7 @@ impl<F: LshFamily> Session for GapAliceSession<'_, F> {
 /// `h ≥ threshold` entries and is close. Only the Alice-only keys are
 /// scanned: against the children first (a noisy close partner is a
 /// Bob-only key), then against the kept keys.
-fn far_keys<F: LshFamily>(keys: &[u64], h: usize, splice: &Splice, threshold: usize) -> Vec<bool> {
+fn far_keys(keys: &[u64], h: usize, splice: &Splice, threshold: usize) -> Vec<bool> {
     debug_assert!(threshold <= h);
     let kept = || {
         keys.chunks_exact(h)
@@ -372,7 +375,7 @@ fn far_keys<F: LshFamily>(keys: &[u64], h: usize, splice: &Splice, threshold: us
                     .iter()
                     .map(Vec::as_slice)
                     .chain(kept())
-                    .any(|bk| BatchKeyer::<F>::matches(key, bk) >= threshold)
+                    .any(|bk| BatchKeyer::matches(key, bk) >= threshold)
         })
         .collect()
 }
@@ -618,7 +621,7 @@ mod tests {
             .map(|key| {
                 !bob_multiset
                     .iter()
-                    .any(|bk| BatchKeyer::<BitSamplingFamily>::matches(key, bk) >= threshold)
+                    .any(|bk| BatchKeyer::matches(key, bk) >= threshold)
             })
             .collect()
     }
@@ -706,7 +709,7 @@ mod tests {
             want.sort();
             assert_eq!(got, want, "case {case}: splice is Bob's multiset");
             for threshold in [1, h, rng.gen_range(1..=h)] {
-                let fast = far_keys::<BitSamplingFamily>(&alice, h, &splice, threshold);
+                let fast = far_keys(&alice, h, &splice, threshold);
                 assert_eq!(
                     fast,
                     far_keys_all_pairs(&alice, h, &multiset, threshold),

@@ -10,12 +10,12 @@
 //! compact [`DrawSet`], so a keyer dispatches on the family once per call.
 
 use rand::Rng;
-use rsr_hash::bit_sampling::{BitSamplingFamily, BitSamplingFn};
-use rsr_hash::grid::{GridFamily, GridFn};
+use rsr_hash::bit_sampling::BitSamplingFamily;
+use rsr_hash::grid::GridFamily;
 use rsr_hash::lsh::LshParams;
-use rsr_hash::pstable::{PStableFamily, PStableFn};
-use rsr_hash::{DrawSet, LshFamily, LshFunction, MlshFamily, MlshParams};
-use rsr_metric::{Metric, MetricSpace, Point};
+use rsr_hash::pstable::PStableFamily;
+use rsr_hash::{DrawSet, LshFamily, MlshFamily, MlshParams};
+use rsr_metric::{Metric, MetricSpace};
 
 /// An MLSH family chosen to match a metric space.
 #[derive(Clone, Debug)]
@@ -28,38 +28,7 @@ pub enum AnyMlsh {
     PStable(PStableFamily),
 }
 
-/// A function drawn from [`AnyMlsh`].
-#[derive(Clone, Debug)]
-pub enum AnyMlshFn {
-    /// Bit-sampling draw.
-    Hamming(BitSamplingFn),
-    /// Grid draw.
-    Grid(GridFn),
-    /// 2-stable draw.
-    PStable(PStableFn),
-}
-
-impl LshFunction for AnyMlshFn {
-    fn hash(&self, p: &Point) -> u64 {
-        match self {
-            AnyMlshFn::Hamming(f) => f.hash(p),
-            AnyMlshFn::Grid(f) => f.hash(p),
-            AnyMlshFn::PStable(f) => f.hash(p),
-        }
-    }
-}
-
 impl LshFamily for AnyMlsh {
-    type Function = AnyMlshFn;
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> AnyMlshFn {
-        match self {
-            AnyMlsh::Hamming(f) => AnyMlshFn::Hamming(f.sample(rng)),
-            AnyMlsh::Grid(f) => AnyMlshFn::Grid(f.sample(rng)),
-            AnyMlsh::PStable(f) => AnyMlshFn::PStable(f.sample(rng)),
-        }
-    }
-
     fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
         match self {
             AnyMlsh::Hamming(f) => f.sample_draws(rng, count),
@@ -195,11 +164,12 @@ mod tests {
     fn sampled_functions_evaluate() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        use rsr_metric::Point;
         let mut rng = StdRng::seed_from_u64(70);
         let space = MetricSpace::l2(100, 3);
         let fam = select_mlsh(&space, 4, 200.0);
-        let f = fam.sample(&mut rng);
+        let f = fam.sample_draws(&mut rng, 1);
         let p = Point::new(vec![1, 2, 3]);
-        assert_eq!(f.hash(&p), f.hash(&p));
+        assert_eq!(f.hash(0, &p), f.hash(0, &p));
     }
 }

@@ -30,11 +30,13 @@ pub fn put_points(w: &mut BitWriter, points: &[Point], universe: &GridUniverse) 
 }
 
 /// Decodes a point list written by [`put_points`]. Returns `None` on
-/// buffer exhaustion or a coordinate outside the universe.
+/// buffer exhaustion or a coordinate outside the universe. The list grows
+/// as points decode: a declared count the frame cannot back allocates
+/// nothing.
 pub fn get_points(r: &mut BitReader<'_>, universe: &GridUniverse) -> Option<Vec<Point>> {
     let count = get_len(r)?;
     let width = universe.coord_wire_bits();
-    let mut points = Vec::with_capacity(count.min(1 << 20));
+    let mut points = Vec::new();
     for _ in 0..count {
         let coords = (0..universe.dim())
             .map(|_| r.read(width).map(|v| v as i64))

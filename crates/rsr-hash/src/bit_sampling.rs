@@ -10,10 +10,9 @@
 //! `f ≤ 0.79·w`, i.e. MLSH parameters `(0.79·w, e^{−2/w}, 1/2)`.
 
 use crate::draws::DrawSet;
-use crate::lsh::{LshFamily, LshFunction, LshParams};
+use crate::lsh::{LshFamily, LshParams};
 use crate::mlsh::{MlshFamily, MlshParams};
 use rand::Rng;
-use rsr_metric::Point;
 
 /// The bit-sampling MLSH family over `({0,1}^d, Hamming)` with virtual
 /// width `w ≥ d`.
@@ -21,16 +20,6 @@ use rsr_metric::Point;
 pub struct BitSamplingFamily {
     dim: usize,
     width: f64,
-}
-
-/// One sampled bit-sampling function: either "read coordinate `j`" or the
-/// constant 0 function.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BitSamplingFn {
-    /// Reads coordinate `j` of the point.
-    Coordinate(usize),
-    /// Constant 0 (a padding coordinate was sampled).
-    Constant,
 }
 
 impl BitSamplingFamily {
@@ -59,31 +48,12 @@ impl BitSamplingFamily {
     }
 }
 
-impl LshFunction for BitSamplingFn {
-    fn hash(&self, p: &Point) -> u64 {
-        match *self {
-            BitSamplingFn::Coordinate(j) => p.coord(j) as u64,
-            BitSamplingFn::Constant => 0,
-        }
-    }
-}
-
 impl LshFamily for BitSamplingFamily {
-    type Function = BitSamplingFn;
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> BitSamplingFn {
-        // Sample a virtual coordinate in [0, w); those ≥ d are padding.
-        if rng.gen::<f64>() * self.width < self.dim as f64 {
-            BitSamplingFn::Coordinate(rng.gen_range(0..self.dim))
-        } else {
-            BitSamplingFn::Constant
-        }
-    }
-
     fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
-        DrawSet::coords((0..count).map(|_| match self.sample(rng) {
-            BitSamplingFn::Coordinate(j) => Some(j),
-            BitSamplingFn::Constant => None,
+        // Each draw samples a virtual coordinate in [0, w); those ≥ d are
+        // padding, and only a real one spends a second RNG call.
+        DrawSet::coords((0..count).map(|_| {
+            (rng.gen::<f64>() * self.width < self.dim as f64).then(|| rng.gen_range(0..self.dim))
         }))
     }
 
@@ -108,7 +78,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rsr_metric::Metric;
+    use rsr_metric::{Metric, Point};
 
     #[test]
     fn exact_collision_probability() {
@@ -128,8 +98,8 @@ mod tests {
         let trials = 20_000;
         let mut coll = 0;
         for _ in 0..trials {
-            let h = fam.sample(&mut rng);
-            if h.hash(&x) == h.hash(&y) {
+            let h = fam.sample_draws(&mut rng, 1);
+            if h.hash(0, &x) == h.hash(0, &y) {
                 coll += 1;
             }
         }
@@ -154,8 +124,8 @@ mod tests {
             let trials = 40_000;
             let coll = (0..trials)
                 .filter(|_| {
-                    let h = fam.sample(&mut rng);
-                    h.hash(&x) == h.hash(&y)
+                    let h = fam.sample_draws(&mut rng, 1);
+                    h.hash(0, &x) == h.hash(0, &y)
                 })
                 .count();
             let emp = coll as f64 / trials as f64;

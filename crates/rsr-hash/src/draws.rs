@@ -1,34 +1,41 @@
-//! Compact draw sets: `s` functions of one LSH family, stored flat.
+//! Draw sets: the one form a sampled LSH function takes.
 //!
+//! The paper samples functions `g ∼ H` only to evaluate them in bulk:
 //! Algorithm 1 keys every point by `h(g_1(a), …, g_{s_i}(a))` over
-//! `s = Θ(n·d)` draws, and the Gap protocol by `h·m` draws in batches.
-//! A [`DrawSet`] holds all of them in the cheapest form the family
+//! `s = Θ(n·d)` draws, the Gap protocol by `h·m` draws in batches, and
+//! the distance-sensitive Bloom filter by `l` groups of `m`. A
+//! [`DrawSet`] holds `count` draws in the cheapest form the family
 //! allows — one `u32` per bit-sampling draw (a coordinate, or a sentinel
 //! for the padding constant of footnote 3), one row-major `f64` array for
-//! grid offsets or 2-stable directions — and is evaluated as a block, so
-//! a caller dispatches on the family once per call instead of once per
-//! draw.
+//! grid offsets or 2-stable directions. One sampled function is one draw
+//! of a set, evaluated alone by [`DrawSet::hash`].
 //!
-//! A draw set is built by [`crate::LshFamily::sample_draws`] from exactly
-//! the RNG calls `count` successive [`crate::LshFamily::sample`]s make,
-//! and draw `j` hashes every point to the same word as the `j`-th of
-//! those functions.
+//! Keyers evaluate a set as a block through one lane kernel: eight
+//! points' hash chains side by side, each emitting a word at every entry
+//! of an `ends` list — prefix lengths for Algorithm 1's levels (the chain
+//! runs on), batch boundaries for Gap keys and Bloom groups (the chain
+//! restarts). A caller dispatches on the family once per call instead of
+//! once per draw.
+//!
+//! A draw set is built by [`crate::LshFamily::sample_draws`], and a set
+//! of `a + b` draws is the set of `a` followed by the set of `b` drawn
+//! from the same RNG, which is left in the same state.
 
 use crate::mix::IncrementalHasher;
 use rsr_metric::Point;
-use std::ops::Range;
 
-/// Points whose prefix chains [`DrawSet::prefix_hashes`] (and batch
-/// chains, [`DrawSet::batch_hashes`]) runs side by side. One point's
+/// Points whose chains [`DrawSet::prefix_hashes`] and
+/// [`DrawSet::batch_hashes`] run side by side. One point's
 /// chain is a dependent sequence of `mix64` steps, so it is
 /// latency-bound; independent chains fill the pipeline. Eight beat
 /// four by ≈ 1.5× on an x86-64 host and still fit the registers; twelve
 /// and sixteen spill and lose.
 const LANES: usize = 8;
 
-/// `s` sampled functions of one family. Opaque outside this crate: the
-/// keyers here ([`crate::keys`], [`crate::dsbf`]) are what evaluate it,
-/// and a new family adds its representation here.
+/// `s` sampled functions of one family. Opaque outside this crate apart
+/// from [`DrawSet::hash`]: the keyers here ([`crate::keys`],
+/// [`crate::dsbf`]) evaluate it in bulk, and a new family adds its
+/// representation here.
 #[derive(Clone, Debug)]
 pub struct DrawSet(Kind);
 
@@ -108,7 +115,7 @@ impl Eval for Projections {
 /// The grid cell `p` falls in under `offsets`, hashed as a tuple under
 /// `seed` — what one grid draw maps a point to.
 #[inline]
-pub(crate) fn cell_hash(seed: u64, offsets: &[f64], width: f64, p: &Point) -> u64 {
+fn cell_hash(seed: u64, offsets: &[f64], width: f64, p: &Point) -> u64 {
     let mut inc = IncrementalHasher::new(seed);
     for (&c, &offset) in p.coords().iter().zip(offsets) {
         inc.update(((c as f64 + offset) / width).floor() as i64 as u64);
@@ -118,7 +125,7 @@ pub(crate) fn cell_hash(seed: u64, offsets: &[f64], width: f64, p: &Point) -> u6
 
 /// The bucket `⌊(r·p + a)/w⌋` of one 2-stable draw.
 #[inline]
-pub(crate) fn bucket(direction: &[f64], offset: f64, width: f64, p: &Point) -> u64 {
+fn bucket(direction: &[f64], offset: f64, width: f64, p: &Point) -> u64 {
     let dot: f64 = p
         .coords()
         .iter()
@@ -177,28 +184,14 @@ impl DrawSet {
         }
     }
 
-    /// Draw `j`'s hash of `p`.
-    #[cfg(test)]
-    pub(crate) fn hash(&self, j: usize, p: &Point) -> u64 {
+    /// Draw `j`'s hash of `p`: the sampled function `g_j` evaluated once.
+    /// Keyers evaluate a set in bulk; this is the one-draw form the
+    /// collision experiments and the family tests measure.
+    pub fn hash(&self, j: usize, p: &Point) -> u64 {
         match &self.0 {
             Kind::Coords(e) => e.eval(j, p),
             Kind::Grid(e) => e.eval(j, p),
             Kind::Projection(e) => e.eval(j, p),
-        }
-    }
-
-    /// Feeds draws `range`, evaluated on `p`, into `inc` in order — one
-    /// Bloom-filter group.
-    pub(crate) fn feed(&self, range: Range<usize>, p: &Point, inc: &mut IncrementalHasher) {
-        fn run(e: &impl Eval, range: Range<usize>, p: &Point, inc: &mut IncrementalHasher) {
-            for j in range {
-                inc.update(e.eval(j, p));
-            }
-        }
-        match &self.0 {
-            Kind::Coords(e) => run(e, range, p, inc),
-            Kind::Grid(e) => run(e, range, p, inc),
-            Kind::Projection(e) => run(e, range, p, inc),
         }
     }
 
@@ -227,18 +220,15 @@ impl DrawSet {
             points.len() * lens.len(),
             "one word per point and level"
         );
-        match &self.0 {
-            Kind::Coords(e) => prefix_lanes(e, seed, points, lens, out),
-            Kind::Grid(e) => prefix_lanes(e, seed, points, lens, out),
-            Kind::Projection(e) => prefix_lanes(e, seed, points, lens, out),
-        }
+        self.hash_chains(seed, points, lens.iter().copied(), false, out);
     }
 
     /// The hash of every batch of `m` consecutive draws over every point:
     /// `out[i·B + b]` is `hash_words(seed, [g_{bm}(p_i), …, g_{bm+m−1}(p_i)])`
     /// for `B = len / m` batches — the Gap keys before their per-batch
-    /// pairwise hash. Eight points at a time. Panics unless `m` divides
-    /// [`DrawSet::len`] and `out` holds exactly `points.len() · B` words.
+    /// pairwise hash, and the Bloom filter's groups. Eight points at a
+    /// time. Panics unless `m` divides [`DrawSet::len`] and `out` holds
+    /// exactly `points.len() · B` words.
     pub(crate) fn batch_hashes(&self, seed: u64, m: usize, points: &[Point], out: &mut [u64]) {
         assert!(
             m >= 1 && self.len().is_multiple_of(m),
@@ -249,125 +239,95 @@ impl DrawSet {
             points.len() * (self.len() / m),
             "one word per point and batch"
         );
+        self.hash_chains(seed, points, (m..=self.len()).step_by(m), true, out);
+    }
+
+    /// Dispatches on the family once, then runs [`drive_lanes`].
+    fn hash_chains(
+        &self,
+        seed: u64,
+        points: &[Point],
+        ends: impl Iterator<Item = usize> + Clone,
+        restart: bool,
+        out: &mut [u64],
+    ) {
         match &self.0 {
-            Kind::Coords(e) => batch_lanes(e, seed, m, points, out),
-            Kind::Grid(e) => batch_lanes(e, seed, m, points, out),
-            Kind::Projection(e) => batch_lanes(e, seed, m, points, out),
+            Kind::Coords(e) => drive_lanes(e, seed, points, ends, restart, out),
+            Kind::Grid(e) => drive_lanes(e, seed, points, ends, restart, out),
+            Kind::Projection(e) => drive_lanes(e, seed, points, ends, restart, out),
         }
     }
 }
 
-fn batch_lanes(e: &impl Eval, seed: u64, m: usize, points: &[Point], out: &mut [u64]) {
-    if points.is_empty() {
+/// The block driver: runs every point's chain through [`chains`],
+/// [`LANES`] points at a time; `out` is point-major, `out.len() /
+/// points.len()` words per point.
+fn drive_lanes(
+    e: &impl Eval,
+    seed: u64,
+    points: &[Point],
+    ends: impl Iterator<Item = usize> + Clone,
+    restart: bool,
+    out: &mut [u64],
+) {
+    if out.is_empty() {
         return;
     }
     let width = out.len() / points.len();
-    if points.len() == 1 {
-        // A lone point (`BatchKeyer::key`): its batches are independent
-        // chains already.
-        return batches(e, seed, m, [&points[0]], out);
+    if let [p] = points {
+        // A lone point (`level_keys`, `BatchKeyer::key`) is one chain: no
+        // lanes to fill.
+        return chains(e, seed, [p], ends, restart, out);
     }
     let mut blocks = points.chunks_exact(LANES);
     let mut outs = out.chunks_exact_mut(LANES * width);
     for (block, out) in (&mut blocks).zip(&mut outs) {
-        batches(
-            e,
-            seed,
-            m,
-            std::array::from_fn::<_, LANES, _>(|i| &block[i]),
-            out,
-        );
-    }
-    // As in `prefix_lanes`: a short last block runs every lane, repeating
-    // its last point, and keeps the words of the points it has.
-    let rest = blocks.remainder();
-    if let Some(last) = rest.last() {
-        let lanes = std::array::from_fn::<_, LANES, _>(|i| rest.get(i).unwrap_or(last));
-        let mut block_out = vec![0; LANES * width];
-        batches(e, seed, m, lanes, &mut block_out);
-        let tail = outs.into_remainder();
-        tail.copy_from_slice(&block_out[..tail.len()]);
-    }
-}
-
-/// `N` points' batch chains, interleaved draw by draw; `out` is
-/// point-major, `out.len() / N` batches per point.
-#[inline(always)]
-fn batches<const N: usize>(
-    e: &impl Eval,
-    seed: u64,
-    m: usize,
-    points: [&Point; N],
-    out: &mut [u64],
-) {
-    let width = out.len() / N;
-    let start = IncrementalHasher::new(seed);
-    for b in 0..width {
-        let mut inc: [IncrementalHasher; N] = std::array::from_fn(|_| start.clone());
-        for j in b * m..(b + 1) * m {
-            for (inc, p) in inc.iter_mut().zip(points) {
-                inc.update(e.eval(j, p));
-            }
-        }
-        for (lane, inc) in inc.iter().enumerate() {
-            out[lane * width + b] = inc.current();
-        }
-    }
-}
-
-fn prefix_lanes(e: &impl Eval, seed: u64, points: &[Point], lens: &[usize], out: &mut [u64]) {
-    let levels = lens.len();
-    if levels == 0 || points.is_empty() {
-        return;
-    }
-    if points.len() == 1 {
-        // A lone point (`level_keys`) is one chain: no lanes to fill.
-        return chains(e, seed, [&points[0]], lens, out);
-    }
-    let mut blocks = points.chunks_exact(LANES);
-    let mut outs = out.chunks_exact_mut(LANES * levels);
-    for (block, out) in (&mut blocks).zip(&mut outs) {
-        chains(
-            e,
-            seed,
-            std::array::from_fn::<_, LANES, _>(|i| &block[i]),
-            lens,
-            out,
-        );
+        let block = std::array::from_fn::<_, LANES, _>(|i| &block[i]);
+        chains(e, seed, block, ends.clone(), restart, out);
     }
     // A short last block still runs every lane, repeating its last point,
     // and keeps the words of the points it has.
     let rest = blocks.remainder();
     if let Some(last) = rest.last() {
         let lanes = std::array::from_fn::<_, LANES, _>(|i| rest.get(i).unwrap_or(last));
-        let mut block_out = vec![0; LANES * levels];
-        chains(e, seed, lanes, lens, &mut block_out);
+        let mut block_out = vec![0; LANES * width];
+        chains(e, seed, lanes, ends, restart, &mut block_out);
         let tail = outs.into_remainder();
         tail.copy_from_slice(&block_out[..tail.len()]);
     }
 }
 
-/// `N` points' prefix chains, interleaved draw by draw.
+/// The chain kernel: `N` points' hash chains, interleaved draw by draw.
+/// Each lane feeds
+/// draws `0, 1, …` in order and emits its running hash at every entry of
+/// `ends` (word `w` of lane `i` lands at `out[i · out.len()/N + w]`).
+/// With `restart` the chain begins afresh after each word, so word `w`
+/// hashes only the draws since the previous end: a batch, not a prefix.
 #[inline(always)]
 fn chains<const N: usize>(
     e: &impl Eval,
     seed: u64,
     points: [&Point; N],
-    lens: &[usize],
+    ends: impl Iterator<Item = usize>,
+    restart: bool,
     out: &mut [u64],
 ) {
-    let levels = lens.len();
-    let mut inc: [IncrementalHasher; N] = std::array::from_fn(|_| IncrementalHasher::new(seed));
+    let width = out.len() / N;
+    let start = IncrementalHasher::new(seed);
+    let mut inc: [IncrementalHasher; N] = std::array::from_fn(|_| start.clone());
     let mut fed = 0;
-    for (level, &len) in lens.iter().enumerate() {
-        for j in fed..len {
+    for (w, end) in ends.enumerate() {
+        for j in fed..end {
             for (inc, p) in inc.iter_mut().zip(points) {
                 inc.update(e.eval(j, p));
             }
         }
-        fed = len;
-        for (lane, inc) in inc.iter().enumerate() {
-            out[lane * levels + level] = inc.current();
+        fed = end;
+        for (lane, inc) in inc.iter_mut().enumerate() {
+            out[lane * width + w] = inc.current();
+            if restart {
+                *inc = start.clone();
+            }
         }
     }
 }
@@ -376,9 +336,7 @@ fn chains<const N: usize>(
 mod tests {
     use super::*;
     use crate::mix::hash_words;
-    use crate::{
-        BitSamplingFamily, GridFamily, LshFamily, LshFunction, OneSidedGridFamily, PStableFamily,
-    };
+    use crate::{BitSamplingFamily, GridFamily, LshFamily, OneSidedGridFamily, PStableFamily};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -389,56 +347,87 @@ mod tests {
             .collect()
     }
 
-    /// `sample_draws(count)` spends the RNG exactly as `count` calls of
-    /// `sample` do, and draw `j` agrees with the `j`-th function.
-    fn agrees_with_sampled_functions<F: LshFamily>(family: &F, dim: usize, delta: i64) {
-        let count = 64;
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        let draws = family.sample_draws(&mut a, count);
-        let functions: Vec<F::Function> = (0..count).map(|_| family.sample(&mut b)).collect();
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "same RNG calls");
-        assert_eq!(draws.len(), count);
-        for p in points(dim, 16, delta, 10) {
-            for (j, f) in functions.iter().enumerate() {
-                assert_eq!(draws.hash(j, &p), f.hash(&p), "draw {j} on {p:?}");
+    /// `sample_draws(rng, a + b)` is `sample_draws(rng, a)` followed by
+    /// `sample_draws(rng, b)`, draw for draw, and leaves the RNG where the
+    /// two calls leave it: so `count` one-draw sets are one `count`-draw
+    /// set, which is what the collision measurements rely on.
+    fn draws_split<F: LshFamily>(family: &F, dim: usize, delta: i64) {
+        // Coordinates from 1 up, so a bit-sampling draw's hash names the
+        // coordinate it reads and padding (0) differs from every read.
+        let pts = points(dim, 16, delta + 1000, 10)
+            .into_iter()
+            .map(|p| Point::new(p.coords().iter().map(|&c| c + 1).collect()))
+            .collect::<Vec<_>>();
+        for (a, b) in [(0, 5), (1, 0), (1, 1), (3, 61), (40, 24)] {
+            let mut whole = StdRng::seed_from_u64(9);
+            let mut split = StdRng::seed_from_u64(9);
+            let all = family.sample_draws(&mut whole, a + b);
+            let head = family.sample_draws(&mut split, a);
+            let tail = family.sample_draws(&mut split, b);
+            assert_eq!(whole.gen::<u64>(), split.gen::<u64>(), "same RNG calls");
+            assert_eq!((all.len(), head.len(), tail.len()), (a + b, a, b));
+            for p in &pts {
+                for j in 0..a + b {
+                    let part = if j < a {
+                        head.hash(j, p)
+                    } else {
+                        tail.hash(j - a, p)
+                    };
+                    assert_eq!(all.hash(j, p), part, "draw {j} of {a} + {b} on {p:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn every_family_draws_the_functions_sample_draws() {
-        agrees_with_sampled_functions(&BitSamplingFamily::new(24, 40.0), 24, 2);
-        agrees_with_sampled_functions(&GridFamily::new(3, 17.0), 3, 100);
-        agrees_with_sampled_functions(&PStableFamily::new(3, 17.0), 3, 100);
-        agrees_with_sampled_functions(&OneSidedGridFamily::new(2, 1.0, 1.0, 40.0), 2, 100);
+    fn bit_sampling_draws_split() {
+        draws_split(&BitSamplingFamily::new(24, 40.0), 24, 2);
+    }
+
+    #[test]
+    fn grid_draws_split() {
+        draws_split(&GridFamily::new(3, 17.0), 3, 100);
+    }
+
+    #[test]
+    fn one_sided_grid_draws_split() {
+        draws_split(&OneSidedGridFamily::new(2, 1.0, 1.0, 40.0), 2, 100);
+    }
+
+    #[test]
+    fn pstable_draws_split() {
+        draws_split(&PStableFamily::new(3, 17.0), 3, 100);
+    }
+
+    /// Every prefix word of every point equals `hash_words` over the
+    /// point's one-draw hashes, for point counts that exercise a lone
+    /// chain, a short block, full blocks and full blocks plus a remainder.
+    fn prefixes_match_definition<F: LshFamily>(family: &F, dim: usize, delta: i64) {
+        let draws = family.sample_draws(&mut StdRng::seed_from_u64(1), 20);
+        let lens = [0, 3, 3, 7, 20];
+        for count in [0, 1, 7, 8, 9, 2 * LANES + 1] {
+            let pts = points(dim, count, delta, 2);
+            let mut out = vec![0; pts.len() * lens.len()];
+            draws.prefix_hashes(77, &pts, &lens, &mut out);
+            for (i, p) in pts.iter().enumerate() {
+                let words: Vec<u64> = (0..20).map(|j| draws.hash(j, p)).collect();
+                for (l, &len) in lens.iter().enumerate() {
+                    assert_eq!(
+                        out[i * lens.len() + l],
+                        hash_words(77, &words[..len]),
+                        "{count} points"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn prefix_hashes_hash_each_prefix_of_each_point() {
-        let family = GridFamily::new(3, 9.0);
-        let draws = family.sample_draws(&mut StdRng::seed_from_u64(1), 20);
-        let lens = [0, 3, 3, 7, 20];
-        // Full lane blocks plus a remainder.
-        let pts = points(3, 2 * LANES + 3, 50, 2);
-        let mut out = vec![0; pts.len() * lens.len()];
-        draws.prefix_hashes(77, &pts, &lens, &mut out);
-        for (i, p) in pts.iter().enumerate() {
-            let words: Vec<u64> = (0..20).map(|j| draws.hash(j, p)).collect();
-            for (l, &len) in lens.iter().enumerate() {
-                assert_eq!(out[i * lens.len() + l], hash_words(77, &words[..len]));
-            }
-        }
-    }
-
-    #[test]
-    fn feed_hashes_a_range_in_order() {
-        let draws = BitSamplingFamily::new(8, 8.0).sample_draws(&mut StdRng::seed_from_u64(3), 12);
-        let p = &points(8, 1, 2, 4)[0];
-        let mut inc = IncrementalHasher::new(5);
-        draws.feed(4..9, p, &mut inc);
-        let words: Vec<u64> = (4..9).map(|j| draws.hash(j, p)).collect();
-        assert_eq!(inc.current(), hash_words(5, &words));
+        prefixes_match_definition(&BitSamplingFamily::new(24, 40.0), 24, 2);
+        prefixes_match_definition(&GridFamily::new(3, 9.0), 3, 50);
+        prefixes_match_definition(&OneSidedGridFamily::new(2, 1.0, 1.0, 40.0), 2, 100);
+        prefixes_match_definition(&PStableFamily::new(3, 9.0), 3, 50);
     }
 
     #[test]

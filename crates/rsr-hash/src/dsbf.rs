@@ -13,30 +13,31 @@
 //!
 //! Construction: `l` groups, each a concatenation of `m` LSH draws mapped
 //! into a `b`-bit array. A query is *near* if at least `τ·l` groups hit a
-//! set bit.
+//! set bit. The `l·m` draws are one [`DrawSet`] and a group is one of its
+//! batches of `m`, hashed by the same lane kernel as a Gap key's batches.
 
 use crate::draws::DrawSet;
 use crate::lsh::LshFamily;
-use crate::mix::IncrementalHasher;
 use rand::Rng;
 use rsr_metric::Point;
-use std::marker::PhantomData;
+
+/// Seed of the tuple hash over one group's `m` draws.
+const GROUP_SEED: u64 = 0xd5bf;
 
 /// A distance-sensitive Bloom filter over an LSH family.
-pub struct DistanceSensitiveBloom<F: LshFamily> {
+pub struct DistanceSensitiveBloom {
     /// `l·m` draws, group-major.
     draws: DrawSet,
     m: usize,
     bits: Vec<Vec<bool>>,
     bits_per_group: usize,
     threshold: f64,
-    family: PhantomData<F>,
 }
 
-impl<F: LshFamily> DistanceSensitiveBloom<F> {
+impl DistanceSensitiveBloom {
     /// Creates an empty filter: `l` groups of `m` concatenated LSH draws,
     /// `bits_per_group` bits each, near-decision threshold `τ ∈ (0, 1]`.
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new<F: LshFamily, R: Rng + ?Sized>(
         family: &F,
         l: usize,
         m: usize,
@@ -52,29 +53,31 @@ impl<F: LshFamily> DistanceSensitiveBloom<F> {
             bits: vec![vec![false; bits_per_group]; l],
             bits_per_group,
             threshold,
-            family: PhantomData,
         }
     }
 
-    fn bucket(&self, group: usize, p: &Point) -> usize {
-        let mut inc = IncrementalHasher::new(0xd5bf ^ group as u64);
+    /// The bucket of `p` in every group, in group order.
+    fn buckets(&self, p: &Point) -> impl Iterator<Item = usize> {
+        let mut words = vec![0; self.bits.len()];
         self.draws
-            .feed(group * self.m..(group + 1) * self.m, p, &mut inc);
-        (inc.current() % self.bits_per_group as u64) as usize
+            .batch_hashes(GROUP_SEED, self.m, std::slice::from_ref(p), &mut words);
+        let width = self.bits_per_group as u64;
+        words.into_iter().map(move |w| (w % width) as usize)
     }
 
     /// Inserts a point.
     pub fn insert(&mut self, p: &Point) {
-        for g in 0..self.bits.len() {
-            let b = self.bucket(g, p);
-            self.bits[g][b] = true;
+        for (b, bits) in self.buckets(p).zip(&mut self.bits) {
+            bits[b] = true;
         }
     }
 
     /// Fraction of groups whose bucket for `q` is set.
     pub fn hit_fraction(&self, q: &Point) -> f64 {
-        let hits = (0..self.bits.len())
-            .filter(|&g| self.bits[g][self.bucket(g, q)])
+        let hits = self
+            .buckets(q)
+            .zip(&self.bits)
+            .filter(|&(b, bits)| bits[b])
             .count();
         hits as f64 / self.bits.len() as f64
     }
@@ -98,7 +101,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn build(dim: usize, pts: &[Point], seed: u64) -> DistanceSensitiveBloom<BitSamplingFamily> {
+    fn build(dim: usize, pts: &[Point], seed: u64) -> DistanceSensitiveBloom {
         let fam = BitSamplingFamily::new(dim, dim as f64);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut f = DistanceSensitiveBloom::new(&fam, 32, 10, 256, 0.5, &mut rng);

@@ -6,11 +6,10 @@
 //! `x ≤ 0.79w`) and `(1 − x/(dw))^d ≤ e^{−x/w}`, giving MLSH parameters
 //! `(0.79·w, e^{−2/w}, 1/2)`.
 
-use crate::draws::{cell_hash, DrawSet};
-use crate::lsh::{LshFamily, LshFunction, LshParams};
+use crate::draws::DrawSet;
+use crate::lsh::{LshFamily, LshParams};
 use crate::mlsh::{MlshFamily, MlshParams};
 use rand::Rng;
-use rsr_metric::Point;
 
 /// The shifted-grid MLSH family over `([Δ]^d, ℓ1)` with lattice width `w`.
 #[derive(Clone, Copy, Debug)]
@@ -19,15 +18,8 @@ pub struct GridFamily {
     width: f64,
 }
 
-/// Seed of the tuple hash a grid function applies to its cell.
+/// Seed of the tuple hash a grid draw applies to its cell.
 const CELL_SEED: u64 = 0x6e1d_77aa;
-
-/// One sampled grid function: per-dimension offsets plus the lattice width.
-#[derive(Clone, Debug)]
-pub struct GridFn {
-    offsets: Vec<f64>,
-    width: f64,
-}
 
 impl GridFamily {
     /// Creates the family with lattice width `w > 0` in dimension `d`.
@@ -43,25 +35,7 @@ impl GridFamily {
     }
 }
 
-impl LshFunction for GridFn {
-    fn hash(&self, p: &Point) -> u64 {
-        debug_assert_eq!(p.dim(), self.offsets.len());
-        cell_hash(CELL_SEED, &self.offsets, self.width, p)
-    }
-}
-
 impl LshFamily for GridFamily {
-    type Function = GridFn;
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> GridFn {
-        GridFn {
-            offsets: (0..self.dim)
-                .map(|_| rng.gen::<f64>() * self.width)
-                .collect(),
-            width: self.width,
-        }
-    }
-
     fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
         let offsets = (0..count * self.dim)
             .map(|_| rng.gen::<f64>() * self.width)
@@ -89,13 +63,14 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rsr_metric::Point;
 
     fn collision_rate(fam: &GridFamily, x: &Point, y: &Point, trials: u32, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let coll = (0..trials)
             .filter(|_| {
-                let h = fam.sample(&mut rng);
-                h.hash(x) == h.hash(y)
+                let h = fam.sample_draws(&mut rng, 1);
+                h.hash(0, x) == h.hash(0, y)
             })
             .count();
         coll as f64 / f64::from(trials)

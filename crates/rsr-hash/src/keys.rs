@@ -14,14 +14,17 @@
 //!   batch hashes. [`BatchKeyer`] builds those, a side at a time with
 //!   eight points' batch chains interleaved.
 //!
-//! Both hold their draws as one compact [`DrawSet`].
+//! Both hold their draws as one [`DrawSet`] and evaluate it through its
+//! one lane kernel: level keys are the chain's words at the prefix
+//! lengths, Gap entries its words at every `m`-th draw with the chain
+//! restarted between batches. Neither keeps the family it was sampled
+//! from: the draws are all a keyer needs.
 
 use crate::draws::DrawSet;
 use crate::lsh::LshFamily;
 use crate::pairwise::PairwiseHash;
 use rand::Rng;
 use rsr_metric::Point;
-use std::marker::PhantomData;
 
 /// Seed of the incremental hash over a point's MLSH vector.
 const PREFIX_SEED: u64 = 0x4c53_4852;
@@ -30,21 +33,24 @@ const PREFIX_SEED: u64 = 0x4c53_4852;
 const BATCH_SEED: u64 = 0x7157_1d2b;
 
 /// Multi-resolution prefix keyer for Algorithm 1.
-pub struct MultiScaleKeyer<F: LshFamily> {
+pub struct MultiScaleKeyer {
     draws: DrawSet,
     outer: PairwiseHash,
-    family: PhantomData<F>,
 }
 
-impl<F: LshFamily> MultiScaleKeyer<F> {
+impl MultiScaleKeyer {
     /// Draws `s` functions from `family` and an outer pairwise hash with
     /// `key_bits`-bit range (the paper's `Θ(log n)`).
-    pub fn sample<R: Rng + ?Sized>(family: &F, s: usize, key_bits: u32, rng: &mut R) -> Self {
+    pub fn sample<F: LshFamily, R: Rng + ?Sized>(
+        family: &F,
+        s: usize,
+        key_bits: u32,
+        rng: &mut R,
+    ) -> Self {
         assert!(s >= 1, "need at least one LSH draw");
         MultiScaleKeyer {
             draws: family.sample_draws(rng, s),
             outer: PairwiseHash::sample(rng, key_bits),
-            family: PhantomData,
         }
     }
 
@@ -87,18 +93,17 @@ pub type GapKey = Vec<u64>;
 
 /// Batched keyer for the Gap Guarantee protocol (§4.1): `h` batches of `m`
 /// LSH values, each batch collapsed by its own pairwise hash.
-pub struct BatchKeyer<F: LshFamily> {
+pub struct BatchKeyer {
     /// `h·m` draws, batch-major.
     draws: DrawSet,
     m: usize,
     hashers: Vec<PairwiseHash>,
-    family: PhantomData<F>,
 }
 
-impl<F: LshFamily> BatchKeyer<F> {
+impl BatchKeyer {
     /// Draws `h·m` functions plus `h` pairwise batch hashes with
     /// `entry_bits`-bit outputs.
-    pub fn sample<R: Rng + ?Sized>(
+    pub fn sample<F: LshFamily, R: Rng + ?Sized>(
         family: &F,
         h: usize,
         m: usize,
@@ -112,7 +117,6 @@ impl<F: LshFamily> BatchKeyer<F> {
             hashers: (0..h)
                 .map(|_| PairwiseHash::sample(rng, entry_bits))
                 .collect(),
-            family: PhantomData,
         }
     }
 
@@ -251,8 +255,8 @@ mod tests {
         let (x, near) = hamming_pair(d, 2);
         let (_, far) = hamming_pair(d, 100);
         let kx = keyer.key(&x);
-        let m_near = BatchKeyer::<BitSamplingFamily>::matches(&kx, &keyer.key(&near));
-        let m_far = BatchKeyer::<BitSamplingFamily>::matches(&kx, &keyer.key(&far));
+        let m_near = BatchKeyer::matches(&kx, &keyer.key(&near));
+        let m_far = BatchKeyer::matches(&kx, &keyer.key(&far));
         assert!(m_near > m_far, "near {m_near} vs far {m_far}");
     }
 
@@ -327,7 +331,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "keys of unequal length")]
     fn keys_of_unequal_length_do_not_match() {
-        BatchKeyer::<BitSamplingFamily>::matches(&[1, 2, 3], &[1, 2]);
+        BatchKeyer::matches(&[1, 2, 3], &[1, 2]);
     }
 
     #[test]

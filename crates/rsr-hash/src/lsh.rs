@@ -1,8 +1,9 @@
-//! Locality sensitive hashing (Definition 2.1 of the paper).
+//! Locality sensitive hashing (Definition 2.1 of the paper): the family
+//! trait and its `(r1, r2, p1, p2)` parameters. A sampled function is one
+//! draw of a [`DrawSet`].
 
 use crate::draws::DrawSet;
 use rand::Rng;
-use rsr_metric::Point;
 
 /// Parameters `(r1, r2, p1, p2)` of an LSH family (Definition 2.1):
 /// points within `r1` collide with probability ≥ `p1`; points farther than
@@ -40,28 +41,20 @@ impl LshParams {
     }
 }
 
-/// One sampled hash function `h : U → V` (we encode the range `V` as `u64`).
-pub trait LshFunction {
-    /// Evaluates the function on a point.
-    fn hash(&self, p: &Point) -> u64;
-}
-
 /// A locality sensitive hash family `H` with respect to some `(U, f)`.
+///
+/// A family is sampled only in bulk: `sample_draws(rng, s)` draws
+/// `g_1, …, g_s ∼ H` as one [`DrawSet`], and one sampled function is one
+/// draw of it ([`DrawSet::hash`]).
 pub trait LshFamily {
-    /// The type of sampled functions.
-    type Function: LshFunction;
-
-    /// Samples `h ∼ H`.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Self::Function;
-
     /// The `(r1, r2, p1, p2)` guarantee this family provides.
     fn params(&self) -> LshParams;
 
-    /// Samples `count` independent functions as one compact block, from
-    /// exactly the RNG calls `count` successive [`LshFamily::sample`]s
-    /// make: draw `j` of the set is the `j`-th function they return. A
-    /// family defined outside this crate delegates to one inside it, as
-    /// a wrapper over several families does.
+    /// Samples `count` independent functions as one compact block. Draws
+    /// split: `count = a + b` spends the RNG exactly as `a` draws then `b`
+    /// draws do, and yields the same draws in the same order. A family
+    /// defined outside this crate delegates to one inside it, as a
+    /// wrapper over several families does.
     fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet;
 }
 

@@ -6,10 +6,9 @@
 //! The near probability is `p1 ≥ 1 − r1·d/r2` (union bound + Jensen), so
 //! the family's quality parameter is `ρ̂ = r1·d/r2`.
 
-use crate::draws::{cell_hash, DrawSet};
-use crate::lsh::{LshFamily, LshFunction, LshParams};
+use crate::draws::DrawSet;
+use crate::lsh::{LshFamily, LshParams};
 use rand::Rng;
-use rsr_metric::Point;
 
 /// The one-sided grid family for `([Δ]^d, ℓ_p)` with gap radii `(r1, r2)`.
 #[derive(Clone, Copy, Debug)]
@@ -20,15 +19,8 @@ pub struct OneSidedGridFamily {
     r2: f64,
 }
 
-/// Seed of the tuple hash a one-sided function applies to its cell.
+/// Seed of the tuple hash a one-sided draw applies to its cell.
 const CELL_SEED: u64 = 0x05e1_ded1;
-
-/// One sampled one-sided function (a shifted grid of width `r2/d^{1/p}`).
-#[derive(Clone, Debug)]
-pub struct OneSidedGridFn {
-    offsets: Vec<f64>,
-    width: f64,
-}
 
 impl OneSidedGridFamily {
     /// Creates the family. `p` is the norm exponent (`p ≥ 1`); requires
@@ -51,23 +43,7 @@ impl OneSidedGridFamily {
     }
 }
 
-impl LshFunction for OneSidedGridFn {
-    fn hash(&self, p: &Point) -> u64 {
-        cell_hash(CELL_SEED, &self.offsets, self.width, p)
-    }
-}
-
 impl LshFamily for OneSidedGridFamily {
-    type Function = OneSidedGridFn;
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> OneSidedGridFn {
-        let width = self.cell_width();
-        OneSidedGridFn {
-            offsets: (0..self.dim).map(|_| rng.gen::<f64>() * width).collect(),
-            width,
-        }
-    }
-
     fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
         let width = self.cell_width();
         let offsets = (0..count * self.dim)
@@ -87,7 +63,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rsr_metric::Metric;
+    use rsr_metric::{Metric, Point};
 
     #[test]
     fn same_cell_implies_within_r2() {
@@ -97,10 +73,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(30);
         let m = Metric::L2;
         for _ in 0..2000 {
-            let h = fam.sample(&mut rng);
+            let h = fam.sample_draws(&mut rng, 1);
             let x = Point::new((0..dim).map(|_| rng.gen_range(0..100)).collect());
             let y = Point::new((0..dim).map(|_| rng.gen_range(0..100)).collect());
-            if h.hash(&x) == h.hash(&y) && m.distance(&x, &y) > 30.0 + 1e-9 {
+            if h.hash(0, &x) == h.hash(0, &y) && m.distance(&x, &y) > 30.0 + 1e-9 {
                 // A mixing collision of the cell tuple is astronomically
                 // unlikely; same hash must mean same cell ⇒ within r2.
                 panic!(
@@ -124,8 +100,8 @@ mod tests {
         let trials = 20_000;
         let coll = (0..trials)
             .filter(|_| {
-                let h = fam.sample(&mut rng);
-                h.hash(&x) == h.hash(&y)
+                let h = fam.sample_draws(&mut rng, 1);
+                h.hash(0, &x) == h.hash(0, &y)
             })
             .count();
         let emp = coll as f64 / trials as f64;

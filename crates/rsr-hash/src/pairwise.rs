@@ -52,13 +52,6 @@ impl PairwiseHash {
         }
     }
 
-    /// Deterministic construction from explicit coefficients (tests).
-    pub fn from_coefficients(a: u64, b: u64, bits: u32) -> Self {
-        assert!((1..=61).contains(&bits));
-        assert!((1..MERSENNE_61).contains(&a) && b < MERSENNE_61);
-        PairwiseHash { a, b, bits }
-    }
-
     /// Evaluates the function. Inputs wider than 61 bits are first reduced
     /// by an *injective-enough* premix: `x mod p` after [`mix64`]; for
     /// protocol purposes collisions of the premix are absorbed into the
@@ -72,11 +65,6 @@ impl PairwiseHash {
         } else {
             v & ((1u64 << self.bits) - 1)
         }
-    }
-
-    /// Output width in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
     }
 }
 

@@ -9,11 +9,10 @@
 //! Gaussians are generated with the Box–Muller transform so that we need no
 //! crate beyond `rand`.
 
-use crate::draws::{bucket, DrawSet};
-use crate::lsh::{LshFamily, LshFunction, LshParams};
+use crate::draws::DrawSet;
+use crate::lsh::{LshFamily, LshParams};
 use crate::mlsh::{MlshFamily, MlshParams};
 use rand::Rng;
-use rsr_metric::Point;
 use std::f64::consts::PI;
 
 /// Draws one standard normal variate via Box–Muller.
@@ -28,14 +27,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[derive(Clone, Copy, Debug)]
 pub struct PStableFamily {
     dim: usize,
-    width: f64,
-}
-
-/// One sampled projection function `x ↦ ⌊(r·x + a)/w⌋`.
-#[derive(Clone, Debug)]
-pub struct PStableFn {
-    direction: Vec<f64>,
-    offset: f64,
     width: f64,
 }
 
@@ -60,24 +51,7 @@ impl PStableFamily {
     }
 }
 
-impl LshFunction for PStableFn {
-    fn hash(&self, p: &Point) -> u64 {
-        debug_assert_eq!(p.dim(), self.direction.len());
-        bucket(&self.direction, self.offset, self.width, p)
-    }
-}
-
 impl LshFamily for PStableFamily {
-    type Function = PStableFn;
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> PStableFn {
-        PStableFn {
-            direction: (0..self.dim).map(|_| standard_normal(rng)).collect(),
-            offset: rng.gen::<f64>() * self.width,
-            width: self.width,
-        }
-    }
-
     fn sample_draws<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> DrawSet {
         let mut directions = Vec::with_capacity(count * self.dim);
         let mut offsets = Vec::with_capacity(count);
@@ -116,6 +90,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rsr_metric::Point;
 
     #[test]
     fn box_muller_moments() {
@@ -132,8 +107,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let coll = (0..trials)
             .filter(|_| {
-                let h = fam.sample(&mut rng);
-                h.hash(x) == h.hash(y)
+                let h = fam.sample_draws(&mut rng, 1);
+                h.hash(0, x) == h.hash(0, y)
             })
             .count();
         coll as f64 / f64::from(trials)

@@ -24,8 +24,11 @@
 //! compiler can vectorize, instead of strided walks over an
 //! array-of-structs.
 
-use rsr_hash::checksum::CHECKSUM_BITS;
 use rsr_hash::mix::mix64;
+
+/// Width in bits of a cell checksum: 62, so RIBLT sums of up to `2^64`
+/// checksums still fit an `i128`.
+pub const CHECKSUM_BITS: u32 = 62;
 
 /// The cell layout of a table: `q` partitions of `m/q` cells each, with a
 /// per-table seed so independently created tables use independent hashes.

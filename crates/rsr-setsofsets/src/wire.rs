@@ -97,14 +97,15 @@ pub fn put_round3(w: &mut BitWriter, r3: &Round3, cfg: &SosConfig) {
     }
 }
 
-/// Decodes a round-3 message.
+/// Decodes a round-3 message. The child list grows as children decode:
+/// a declared count the frame cannot back allocates nothing.
 pub fn get_round3(r: &mut BitReader<'_>) -> Option<Round3> {
     let count = get_len(r)?;
     let width = r.read(8)? as u32;
     if !(1..=64).contains(&width) {
         return None;
     }
-    let mut children = Vec::with_capacity(count.min(1 << 20));
+    let mut children = Vec::new();
     for _ in 0..count {
         let tfp = r.read(64)?;
         let len = get_len(r)?;

@@ -114,9 +114,9 @@ fn gap_session_matches_legacy_over_seed_matrix() {
                     .iter()
                     .zip(&alice_keys)
                     .filter(|(_, key)| {
-                        !sos.bob_multiset.iter().any(|bk| {
-                            BatchKeyer::<BitSamplingFamily>::matches(key, bk) >= cfg.close_threshold
-                        })
+                        !sos.bob_multiset
+                            .iter()
+                            .any(|bk| BatchKeyer::matches(key, bk) >= cfg.close_threshold)
                     })
                     .map(|(p, _)| p.clone())
                     .collect();
