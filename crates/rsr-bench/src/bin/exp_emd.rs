@@ -1,5 +1,6 @@
-//! Regenerates the P1 assignment-solver table (Hungarian vs ε-scaling
-//! auction vs greedy across the EMD hot paths). Pass `--quick` for a
+//! Regenerates the P1 assignment-solver table (the repair step under the
+//! Hungarian reference and the ε-scaling auction, the shipped decode, and
+//! exact `EMD_k`). Pass `--quick` for a
 //! reduced-size smoke run; `--json` additionally writes `BENCH_emd.json`
 //! (`--json-out PATH` to redirect it) — the machine-readable report CI
 //! gates against the committed baseline (see docs/benchmarks.md).

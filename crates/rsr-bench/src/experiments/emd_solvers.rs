@@ -1,52 +1,39 @@
-//! P1 — assignment-solver throughput in the EMD hot paths: the
-//! Hungarian legacy solver vs the ε-scaling auction vs the greedy
-//! matcher, swept over instance size `n`.
+//! P1 — assignment-solver throughput in the EMD hot paths, swept over
+//! instance size `n`. Every timed call is one the code makes:
 //!
-//! Two measurements per (solver, n) cell:
-//!
-//! * `bob_decode` — the full `EmdProtocol::bob_decode` path (level
-//!   search, RIBLT peel, matched replacement) with the solver plumbed in
-//!   through `EmdProtocolConfig::with_solver`, on a **catch-up**
-//!   workload: Bob holds `n` points, Alice holds the same `n` plus `n`
+//! * `repair` — `replace_matched_with` under each exact solver (the
+//!   Hungarian reference and the ε-scaling auction) at the **catch-up**
+//!   shape: Bob holds `n` points, Alice holds the same `n` plus `n`
 //!   fresh ones (`k = n/2`, so the `2k` budget admits every new point).
 //!   All of Bob's pairs cancel, the decode yields `(X_A, X_B) = (n, 0)`,
 //!   and the repair step becomes a *square* min-cost matching of `n`
 //!   fresh points against Bob's `n` — the regime where the assignment
 //!   solver, not the sketch machinery, dominates decode time. (When
 //!   `X_B` decodes non-empty its matching against `S_B` has a zero-cost
-//!   pairing per row — Bob's own points — and every solver dispatches it
-//!   in near-linear scans; the catch-up shape is the one that actually
-//!   stresses the seam.) Alice's message is encoded once, outside the
-//!   clocks; every solver must decode at the same level with the same
-//!   survivor counts.
-//! * `emd_k` — the exact `EMD_k` measurement between the two fresh
-//!   `n`-point sets via `emd_k_with`: a dummy-augmented `(n+k)²` square
-//!   assignment whose zero-cost border is the classic worst case for
-//!   shortest-augmenting-path solvers. The two exact solvers must agree
-//!   on the value (asserted); the greedy value is reported as the upper
-//!   bound it is.
+//!   pairing per row — Bob's own points — and either solver dispatches
+//!   it in near-linear scans.) This is the one gated comparison of the
+//!   two solvers; both must return the same set.
+//! * `bob_decode` — the full `EmdProtocol::bob_decode` path as shipped
+//!   (level search, RIBLT peel, auction repair) on the same catch-up
+//!   workload. Alice's message is encoded once, outside the clock.
+//! * `emd_k` — the exact `EMD_k` measurement (`rsr_emd::emd_k`, under
+//!   the Hungarian reference) between the two fresh `n`-point sets: a
+//!   dummy-augmented `(n+k)²` square assignment whose zero-cost border
+//!   is the classic worst case for shortest-augmenting-path solvers.
 //!
 //! With `--json` the measured rates are emitted as `BENCH_emd.json`
-//! (flat `*_per_sec` keys, one per solver × n × path) and CI gates them
-//! against the committed baseline like the net and gap reports — this is
-//! what pins the auction speedup permanently (see docs/benchmarks.md).
+//! (flat `*_per_sec` keys, one per timed call × n) and CI gates them
+//! against the committed baseline like the net and gap reports (see
+//! docs/benchmarks.md).
 
 use crate::benchjson::BenchReport;
 use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsr_core::emd_protocol::{EmdProtocol, EmdProtocolConfig};
-use rsr_emd::{emd_k_with, AssignmentSolver};
+use rsr_emd::{emd_k, replace_matched_with, AssignmentSolver};
 use rsr_metric::{MetricSpace, Point};
 use std::time::Instant;
-
-/// The three solvers, with the stable lowercase names used in metric
-/// keys and table rows.
-const SOLVERS: [(AssignmentSolver, &str); 3] = [
-    (AssignmentSolver::Hungarian, "hungarian"),
-    (AssignmentSolver::Auction, "auction"),
-    (AssignmentSolver::Greedy, "greedy"),
-];
 
 /// Mean seconds per call, over enough repetitions to fill `budget`
 /// seconds of measured work (at least `min_reps`): sub-millisecond
@@ -75,16 +62,17 @@ pub fn run(quick: bool) -> String {
 pub fn run_with_json(quick: bool) -> (String, BenchReport) {
     let dim = 64;
     let ns: &[usize] = if quick { &[32, 64] } else { &[64, 128, 256] };
-    let decode_reps = if quick { 3 } else { 5 };
+    let reps = if quick { 3 } else { 5 };
     let time_budget = if quick { 0.01 } else { 0.06 };
     let seed = 0x00ed_bea7u64;
     let mut bench = BenchReport::new("emd", quick);
     let mut table = Table::new(&[
         "n",
-        "solver",
+        "hungarian repair ms",
+        "auction repair ms",
+        "auction speedup",
         "bob_decode ms",
         "bob_decode/sec",
-        "vs hungarian",
         "emd_k ms",
         "emd_k value",
     ]);
@@ -92,100 +80,76 @@ pub fn run_with_json(quick: bool) -> (String, BenchReport) {
     for &n in ns {
         let k = n / 2;
         let space = MetricSpace::hamming(dim);
+        let metric = space.metric();
         let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
         let mut point = || Point::from_bits(&(0..dim).map(|_| rng.gen()).collect::<Vec<bool>>());
         let bob: Vec<Point> = (0..n).map(|_| point()).collect();
         let fresh: Vec<Point> = (0..n).map(|_| point()).collect();
-        let mut alice = bob.clone();
-        alice.extend(fresh.iter().cloned());
+
+        // Timed: the repair step at the catch-up shape, under each solver.
+        let repair = |solver| {
+            time_per_call(time_budget, reps, || {
+                replace_matched_with(solver, metric, &bob, &[], &fresh)
+            })
+        };
+        let (hungarian_s, hungarian_set) = repair(AssignmentSolver::Hungarian);
+        let (auction_s, auction_set) = repair(AssignmentSolver::Auction);
+        assert_eq!(hungarian_set, auction_set, "n={n}: repairs disagree");
+
+        // Timed: the whole decode path, auction repair included.
         // Catch-up configuration: a coarse prior D1 (the difference is n
         // far outliers, far above 1) keeps the level schedule short, and
         // a small MLSH draw cap suffices because far points never
         // collide — both keep the sketch-side work proportionate so the
         // measurement exercises the repair matching.
+        let mut alice = bob.clone();
+        alice.extend(fresh.iter().cloned());
         let mut cfg = EmdProtocolConfig::for_space(&space, alice.len(), k);
         cfg.d1 = 256.0;
         cfg.max_s = 32;
-        // One protocol object per solver, all from the same seed: the
-        // public coins (and therefore Alice's message) are identical, so
-        // each solver decodes the *same* wire bytes.
-        let protos: Vec<EmdProtocol> = SOLVERS
-            .iter()
-            .map(|&(solver, _)| {
-                EmdProtocol::new(space, cfg.with_solver(solver), seed ^ 0x5e55 ^ n as u64)
-            })
-            .collect();
-        let msg = protos[0].alice_encode(&alice);
+        let proto = EmdProtocol::new(space, cfg, seed ^ 0x5e55 ^ n as u64);
+        let msg = proto.alice_encode(&alice);
+        let (decode_s, outcome) = time_per_call(time_budget, reps, || {
+            proto
+                .bob_decode(&msg, &bob)
+                .unwrap_or_else(|e| panic!("n={n} k={k}: decode failed: {e}"))
+        });
+        assert_eq!(outcome.decoded, (n, 0), "n={n}: not a catch-up decode");
+        assert_eq!(outcome.reconciled.len(), n, "n={n}: size drift");
 
-        let mut hungarian_decode_rate = 0.0f64;
-        let mut exact_emdk: Option<f64> = None;
-        let mut reference_i_star: Option<usize> = None;
-        for (proto, &(solver, name)) in protos.iter().zip(&SOLVERS) {
-            // Timed: the whole decode path, repair matching included.
-            let (decode_elapsed, outcome) = time_per_call(time_budget, decode_reps, || {
-                proto
-                    .bob_decode(&msg, &bob)
-                    .unwrap_or_else(|e| panic!("n={n} k={k} {name}: decode failed: {e}"))
-            });
-            // Every solver walks the same solver-independent level
-            // schedule and sees the catch-up survivor shape.
-            let i_star = *reference_i_star.get_or_insert(outcome.i_star);
-            assert_eq!(outcome.i_star, i_star, "n={n} {name}: level disagreement");
-            assert_eq!(
-                outcome.decoded,
-                (n, 0),
-                "n={n} {name}: not a catch-up decode"
-            );
-            assert_eq!(outcome.reconciled.len(), n, "n={n} {name}: size drift");
-            let decode_rate = 1.0 / decode_elapsed;
-            if solver == AssignmentSolver::Hungarian {
-                hungarian_decode_rate = decode_rate;
-            }
+        // Timed: exact EMD_k between the two fresh n-point sets — the
+        // dummy-augmented square assignment on the measurement side.
+        let (emdk_s, emdk) =
+            time_per_call(time_budget, reps, || emd_k(metric, &fresh, &bob, n / 4));
 
-            // Timed: exact EMD_k between the two fresh n-point sets —
-            // the dummy-augmented square assignment on the measurement
-            // side of the crate.
-            let (emdk_elapsed, emdk) = time_per_call(time_budget, decode_reps, || {
-                emd_k_with(solver, space.metric(), &fresh, &bob, n / 4)
-            });
-            match (solver.is_exact(), exact_emdk) {
-                (true, None) => exact_emdk = Some(emdk),
-                (true, Some(reference)) => assert!(
-                    (emdk - reference).abs() < 1e-6,
-                    "n={n} {name}: EMD_k {emdk} disagrees with exact {reference}"
-                ),
-                (false, reference) => assert!(
-                    emdk + 1e-9 >= reference.expect("exact solvers run first"),
-                    "n={n} greedy EMD_k {emdk} below exact"
-                ),
-            }
-
-            bench.push(format!("{name}_n{n}_bob_decode_per_sec"), decode_rate);
-            bench.push(format!("{name}_n{n}_emdk_per_sec"), 1.0 / emdk_elapsed);
-            table.row(vec![
-                n.to_string(),
-                name.into(),
-                format!("{:.2}", decode_elapsed * 1e3),
-                format!("{decode_rate:.1}"),
-                format!("{:.2}x", decode_rate / hungarian_decode_rate),
-                format!("{:.2}", emdk_elapsed * 1e3),
-                format!("{emdk:.1}"),
-            ]);
-        }
+        bench.push(format!("hungarian_n{n}_repair_per_sec"), 1.0 / hungarian_s);
+        bench.push(format!("auction_n{n}_repair_per_sec"), 1.0 / auction_s);
+        bench.push(format!("auction_n{n}_bob_decode_per_sec"), 1.0 / decode_s);
+        bench.push(format!("hungarian_n{n}_emdk_per_sec"), 1.0 / emdk_s);
+        table.row(vec![
+            n.to_string(),
+            format!("{:.2}", hungarian_s * 1e3),
+            format!("{:.2}", auction_s * 1e3),
+            format!("{:.2}x", hungarian_s / auction_s),
+            format!("{:.2}", decode_s * 1e3),
+            format!("{:.1}", 1.0 / decode_s),
+            format!("{:.2}", emdk_s * 1e3),
+            format!("{emdk:.1}"),
+        ]);
     }
 
     let report = format!(
-        "## P1 — EMD assignment solvers: Hungarian vs ε-scaling auction vs greedy\n\n\
+        "## P1 — EMD assignment solvers: the repair step under Hungarian and the ε-scaling auction\n\n\
          Catch-up workloads on the d = {dim} Hamming cube (Bob holds n points, \
-         Alice those plus n fresh ones, k = n/2): Alice's message is encoded \
-         once per n and each solver decodes the same bytes, timed over enough \
-         reps (≥ {decode_reps}) to fill a {time_budget}s budget per cell; \
-         decode yields (n, 0) survivors, so the repair step is a square n×n \
-         min-cost matching. The exact solvers are asserted to \
-         agree on EMD_k (a dummy-augmented square instance) and to decode at \
-         the same RIBLT level; greedy is reported as the upper bound it is. \
-         `bob_decode` is the protocol hot path the solver seam accelerates; \
-         `emd_k` is the assignment used by the measurement harness.\n\n{}",
+         Alice those plus n fresh ones, k = n/2), each cell timed over enough \
+         reps (≥ {reps}) to fill a {time_budget}s budget. `repair` is \
+         `replace_matched_with` at the shape the decode hands it — (n, 0) \
+         survivors, so a square n×n min-cost matching — under each exact \
+         solver; both are asserted to return the same set. `bob_decode` is \
+         the protocol's decode as shipped (auction repair; Alice's message \
+         encoded once per n). `emd_k` is \
+         the exact EMD_k the measurement harness computes (Hungarian, a \
+         dummy-augmented square instance).\n\n{}",
         table.render()
     );
     (report, bench)

@@ -3,8 +3,6 @@
 //! load), and P1 (assignment solvers) measure the layers this repo
 //! added.
 
-pub mod ablation_dsbf;
-pub mod ablation_peel;
 pub mod baseline_quadtree;
 pub mod churn;
 pub mod emd_hamming;
@@ -50,7 +48,5 @@ pub fn all() -> Vec<Experiment> {
         ("L1", "load", load::run),
         ("C1", "churn", churn::run),
         ("P1", "emd_solvers", emd_solvers::run),
-        ("A1/A2", "ablation_peel", ablation_peel::run),
-        ("A3", "ablation_dsbf", ablation_dsbf::run),
     ]
 }

@@ -8,7 +8,8 @@
 //! `s_i = 2^{i−1}·s·D1/D2`) and value `a`. Bob deletes his points the same
 //! way, finds `i*` — the largest level that decodes to at most `2k` pairs
 //! per party — and repairs: he matches the decoded survivors from his side
-//! (`X_B`) against `S_B` via the Hungarian method, removes the matched
+//! (`X_B`) against `S_B` by an exact min-cost matching (the ε-scaling
+//! auction, `rsr_emd::AssignmentSolver::Auction`), removes the matched
 //! subset `Y_B`, and adds Alice's decoded survivors `X_A`.
 //!
 //! Guarantee (Theorem 3.4): with the stated probabilities,
@@ -21,7 +22,7 @@ use crate::session::{drive_in_memory, Session};
 use crate::transcript::{Party, Transcript};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-pub use rsr_emd::AssignmentSolver;
+use rsr_emd::AssignmentSolver;
 use rsr_hash::keys::MultiScaleKeyer;
 use rsr_hash::MlshFamily;
 use rsr_iblt::bits::{BitReader, BitWriter};
@@ -52,11 +53,6 @@ pub struct EmdProtocolConfig {
     /// parameter choices on huge `D2/D1` ratios; the scaled wrapper keeps
     /// `s` tiny by construction).
     pub max_s: usize,
-    /// Which assignment solver Bob's repair step uses (Algorithm 1's
-    /// min-cost matching between `X_B` and `S_B`). Defaults to the exact
-    /// ε-scaling auction; `Hungarian` restores the legacy exact path and
-    /// `Greedy` trades matching optimality for speed.
-    pub solver: AssignmentSolver,
 }
 
 impl EmdProtocolConfig {
@@ -74,14 +70,7 @@ impl EmdProtocolConfig {
             q: 3,
             key_bits: (2 * log_n + 8).clamp(16, 61),
             max_s: 1 << 22,
-            solver: AssignmentSolver::default(),
         }
-    }
-
-    /// Returns the config with the repair-step solver replaced.
-    pub fn with_solver(mut self, solver: AssignmentSolver) -> Self {
-        self.solver = solver;
-        self
     }
 
     /// Number of levels `t = ⌈log2(D2/D1)⌉ + 1`.
@@ -217,19 +206,6 @@ impl EmdProtocol {
         &self.config
     }
 
-    /// The assignment solver Bob's repair step uses.
-    pub fn solver(&self) -> AssignmentSolver {
-        self.config.solver
-    }
-
-    /// Returns the protocol with the repair-step solver replaced. Only
-    /// Bob's decode path depends on it: Alice's message, the wire format,
-    /// and all transcript accounting are solver-independent.
-    pub fn with_solver(mut self, solver: AssignmentSolver) -> Self {
-        self.config.solver = solver;
-        self
-    }
-
     /// The per-level key prefix lengths `s_1 ≤ … ≤ s_t`.
     pub fn prefix_lens(&self) -> &[usize] {
         &self.prefix_lens
@@ -293,7 +269,7 @@ impl EmdProtocol {
             let x_a: Vec<Point> = d.inserted.iter().map(|p| p.value.clone()).collect();
             let x_b: Vec<Point> = d.deleted.iter().map(|p| p.value.clone()).collect();
             let reconciled = rsr_emd::replace_matched_with(
-                self.config.solver,
+                AssignmentSolver::Auction,
                 self.space.metric(),
                 bob,
                 &x_b,

@@ -9,9 +9,7 @@
 //! yields `O(k·d·log(nΔ)·log(D2/D1))` total communication.
 
 use crate::channel::Frame;
-use crate::emd_protocol::{
-    AssignmentSolver, EmdFailure, EmdMessage, EmdOutcome, EmdProtocol, EmdProtocolConfig,
-};
+use crate::emd_protocol::{EmdFailure, EmdMessage, EmdOutcome, EmdProtocol, EmdProtocolConfig};
 use crate::session::{drive_in_memory, Session};
 use crate::transcript::{Party, Transcript};
 use rsr_iblt::bits::BitWriter;
@@ -88,7 +86,6 @@ impl ScaledEmdProtocol {
                 q: base.q,
                 key_bits: base.key_bits,
                 max_s: base.max_s,
-                solver: base.solver,
             };
             protocols.push(EmdProtocol::new(space, config, seed ^ (idx << 40)));
             if hi >= d2 {
@@ -103,18 +100,6 @@ impl ScaledEmdProtocol {
     /// Number of intervals `I`.
     pub fn num_intervals(&self) -> usize {
         self.protocols.len()
-    }
-
-    /// Returns the protocol with every interval's repair-step solver
-    /// replaced (see [`EmdProtocol::with_solver`]); messages and
-    /// transcripts are solver-independent.
-    pub fn with_solver(mut self, solver: AssignmentSolver) -> Self {
-        self.protocols = self
-            .protocols
-            .into_iter()
-            .map(|p| p.with_solver(solver))
-            .collect();
-        self
     }
 
     /// Alice's side: encode every interval.

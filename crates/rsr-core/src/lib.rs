@@ -56,8 +56,8 @@ pub use continuous::{
     ContinuousSession, SessionPhase, SharedParty,
 };
 pub use emd_protocol::{
-    AssignmentSolver, EmdAliceSession, EmdBobSession, EmdFailure, EmdMessage, EmdOutcome,
-    EmdProtocol, EmdProtocolConfig,
+    EmdAliceSession, EmdBobSession, EmdFailure, EmdMessage, EmdOutcome, EmdProtocol,
+    EmdProtocolConfig,
 };
 pub use emd_scaled::{ScaledEmdAliceSession, ScaledEmdBobSession, ScaledEmdProtocol};
 pub use executor::{

@@ -1,17 +1,19 @@
-//! Pluggable assignment solvers: exact-legacy, exact-fast, and approximate.
+//! The two exact assignment solvers: the Hungarian reference and the
+//! ε-scaling auction the protocol runs.
 //!
-//! Every hot path in this crate — the [`emd`](mod@crate::emd) module's exact `EMD`/`EMD_k`,
-//! [`crate::repair`]'s matched-replacement step, and through them
-//! `EmdProtocol::bob_decode` in `rsr-core` — bottoms out in one rectangular
-//! assignment problem: minimize `Σ_i cost(i, σ(i))` over injections `σ`
-//! from `n` rows into `m ≥ n` columns. [`AssignmentSolver`] names the three
-//! ways this crate can solve it, so callers pick the cost/exactness point
-//! they need instead of being hard-wired to the O(n³) Hungarian method:
+//! Every matching in this crate — the [`emd`](mod@crate::emd) module's
+//! exact `EMD`/`EMD_k`, [`crate::repair`]'s matched-replacement step, and
+//! through it `EmdProtocol::bob_decode` in `rsr-core` — bottoms out in one
+//! rectangular assignment problem: minimize `Σ_i cost(i, σ(i))` over
+//! injections `σ` from `n` rows into `m ≥ n` columns. [`AssignmentSolver`]
+//! names the two ways this crate solves it:
 //!
-//! * [`AssignmentSolver::Hungarian`] — the legacy exact solver
+//! * [`AssignmentSolver::Hungarian`] — the reference solver
 //!   ([`crate::hungarian::assign`]): shortest augmenting paths with dual
 //!   potentials, O(n²m) and it re-evaluates the cost closure inside the
-//!   innermost loop. Kept as the reference implementation.
+//!   innermost loop. `emd`, `emd_k` and [`crate::replace_matched`] (the
+//!   quadtree baseline's repair) use it, so the measure a protocol is
+//!   judged by never comes from the solver under test.
 //! * [`AssignmentSolver::Auction`] — Bertsekas' forward auction with
 //!   ε-scaling ([`auction_assign`]): materializes the costs once as
 //!   fixed-point integers and then runs integer-only bidding phases,
@@ -19,35 +21,28 @@
 //!   conversion is (always for integer-valued costs such as ℓ1/Hamming
 //!   distances; to ~2⁻¹⁶ relative quantization otherwise), because the
 //!   final phase runs at ε < 1/n where ε-complementary-slackness pins the
-//!   optimum — see [`auction_assign`] for the argument.
-//! * [`AssignmentSolver::Greedy`] — globally-cheapest-pair-first
-//!   ([`greedy_assign`]), O(nm·log(nm)). An upper bound only: on metric
-//!   instances Reingold–Tarjan bound the ratio by Θ(n^{log₂ 3/2}) ≈
-//!   n^0.585, and the property suite pins `cost(Greedy) ≤
-//!   2·n^{log₂ 3/2}·cost(optimal)` on random ℓ1 instances; on arbitrary
-//!   non-negative costs no multiplicative bound exists.
+//!   optimum — see [`auction_assign`] for the argument. Bob's repair step
+//!   in the EMD protocol runs it.
 //!
-//! The solvers agree on *total cost* (exact ones), not necessarily on the
-//! assignment itself: when several matchings are optimal, each solver
+//! The solvers agree on *total cost*, not necessarily on the assignment
+//! itself: when several matchings are optimal, each solver
 //! deterministically picks one of them, but not the same one.
 
 use crate::hungarian;
 
 /// Which algorithm resolves a rectangular assignment problem.
 ///
-/// See the [module docs](self) for the cost/exactness trade-off. The
-/// default is [`AssignmentSolver::Auction`] — exact at integer costs and
-/// asymptotically the fastest exact option.
+/// See the [module docs](self) for which caller uses which. The default
+/// is [`AssignmentSolver::Auction`] — exact at integer costs and
+/// asymptotically the faster of the two.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum AssignmentSolver {
-    /// Exact-legacy: Kuhn–Munkres with potentials, O(n²m).
+    /// The reference: Kuhn–Munkres with potentials, O(n²m).
     Hungarian,
-    /// Exact-fast: ε-scaling forward auction on fixed-point integer
-    /// costs, O(n²·log n·log(nC)) in practice.
+    /// ε-scaling forward auction on fixed-point integer costs,
+    /// O(n²·log n·log(nC)) in practice.
     #[default]
     Auction,
-    /// Approximate: cheapest-pair-first greedy, O(nm·log(nm)).
-    Greedy,
 }
 
 impl AssignmentSolver {
@@ -62,11 +57,7 @@ impl AssignmentSolver {
     /// use rsr_emd::AssignmentSolver;
     ///
     /// let c = [[10.0, 1.0], [1.0, 10.0]];
-    /// for solver in [
-    ///     AssignmentSolver::Hungarian,
-    ///     AssignmentSolver::Auction,
-    ///     AssignmentSolver::Greedy,
-    /// ] {
+    /// for solver in [AssignmentSolver::Hungarian, AssignmentSolver::Auction] {
     ///     assert_eq!(solver.assign(2, 2, |i, j| c[i][j]), vec![1, 0]);
     /// }
     /// ```
@@ -77,14 +68,7 @@ impl AssignmentSolver {
         match self {
             AssignmentSolver::Hungarian => hungarian::assign(n, m, cost),
             AssignmentSolver::Auction => auction_assign(n, m, cost),
-            AssignmentSolver::Greedy => greedy_assign(n, m, cost),
         }
-    }
-
-    /// True for the solvers that return a minimum-cost assignment
-    /// (everything except [`AssignmentSolver::Greedy`]).
-    pub fn is_exact(self) -> bool {
-        !matches!(self, AssignmentSolver::Greedy)
     }
 }
 
@@ -236,50 +220,6 @@ where
     assigned
 }
 
-/// Solves the rectangular assignment problem greedily: sort all `n·m`
-/// pairs by cost and take each pair whose row and column are both still
-/// free. Requires `n ≤ m` and finite costs. Deterministic (ties break
-/// by row then column), O(nm·log(nm)), and an upper bound only — see
-/// the [module docs](self) for the bound the test suite pins.
-pub fn greedy_assign<F>(n: usize, m: usize, cost: F) -> Vec<usize>
-where
-    F: Fn(usize, usize) -> f64,
-{
-    assert!(n <= m, "need at most as many rows ({n}) as columns ({m})");
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(n * m);
-    for i in 0..n {
-        for j in 0..m {
-            let c = cost(i, j);
-            assert!(c.is_finite(), "cost({i}, {j}) not finite");
-            pairs.push((c, i, j));
-        }
-    }
-    pairs.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("finite costs")
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-    let mut result = vec![usize::MAX; n];
-    let mut col_used = vec![false; m];
-    let mut matched = 0;
-    for (_, i, j) in pairs {
-        if result[i] == usize::MAX && !col_used[j] {
-            result[i] = j;
-            col_used[j] = true;
-            matched += 1;
-            if matched == n {
-                break;
-            }
-        }
-    }
-    debug_assert!(result.iter().all(|&j| j != usize::MAX));
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,23 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_is_injective_and_upper_bounds() {
-        let mut rng = StdRng::seed_from_u64(72);
-        for _ in 0..100 {
-            let n = rng.gen_range(1..=6);
-            let m = rng.gen_range(n..=8);
-            let costs: Vec<Vec<f64>> = (0..n)
-                .map(|_| (0..m).map(|_| rng.gen_range(0..100) as f64).collect())
-                .collect();
-            let g = greedy_assign(n, m, |i, j| costs[i][j]);
-            injective(&g, n);
-            let got = assignment_cost(&g, |i, j| costs[i][j]);
-            let want = assign_brute_force(n, m, |i, j| costs[i][j]);
-            assert!(got + 1e-9 >= want, "greedy {got} below optimal {want}");
-        }
-    }
-
-    #[test]
     fn solver_dispatch_agrees_on_cost_for_exact_solvers() {
         let mut rng = StdRng::seed_from_u64(73);
         let (n, m) = (20, 30);
@@ -411,7 +334,6 @@ mod tests {
             |i, j| costs[i][j],
         );
         for solver in [AssignmentSolver::Hungarian, AssignmentSolver::Auction] {
-            assert!(solver.is_exact());
             let a = solver.assign(n, m, |i, j| costs[i][j]);
             let c = assignment_cost(&a, |i, j| costs[i][j]);
             assert!(
@@ -419,7 +341,6 @@ mod tests {
                 "{solver:?}: {c} vs {reference}"
             );
         }
-        assert!(!AssignmentSolver::Greedy.is_exact());
     }
 
     #[test]

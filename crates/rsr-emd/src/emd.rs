@@ -8,66 +8,33 @@
 //! absorbs one excluded point of `Y`, a dummy column one excluded point of
 //! `X`, and since costs are non-negative the optimum uses the dummies
 //! exactly when exclusion helps.
+//!
+//! Both use the Hungarian reference solver, so the measure a protocol's
+//! output is judged by never depends on the solver its repair step runs.
 
-use crate::assignment::AssignmentSolver;
-use crate::hungarian::assignment_cost;
+use crate::hungarian::{assign, assignment_cost};
 use rsr_metric::{Metric, Point};
 
 /// Exact earth mover's distance between equal-size point sets
 /// (Definition 3.2). Panics if `|X| ≠ |Y|`.
-///
-/// Uses the Hungarian reference solver; [`emd_with`] picks the solver.
 pub fn emd(metric: Metric, x: &[Point], y: &[Point]) -> f64 {
-    emd_with(AssignmentSolver::Hungarian, metric, x, y)
-}
-
-/// [`emd`] under a chosen [`AssignmentSolver`]: same value for the exact
-/// solvers (up to fixed-point quantization of fractional ℓ2/ℓp
-/// distances), an upper bound for [`AssignmentSolver::Greedy`].
-pub fn emd_with(solver: AssignmentSolver, metric: Metric, x: &[Point], y: &[Point]) -> f64 {
     assert_eq!(x.len(), y.len(), "EMD requires equal-size sets");
     if x.is_empty() {
         return 0.0;
     }
-    let a = solver.assign(x.len(), y.len(), |i, j| metric.distance(&x[i], &y[j]));
+    let a = assign(x.len(), y.len(), |i, j| metric.distance(&x[i], &y[j]));
     assignment_cost(&a, |i, j| metric.distance(&x[i], &y[j]))
 }
 
 /// Exact `EMD_k` (Definition 3.3): the minimum EMD between `X` and `Y`
 /// after removing `k` points from each. `EMD_0 = EMD`.
-///
-/// Uses the Hungarian reference solver; [`emd_k_with`] picks the solver.
 pub fn emd_k(metric: Metric, x: &[Point], y: &[Point], k: usize) -> f64 {
     emd_k_with_exclusions(metric, x, y, k).0
-}
-
-/// [`emd_k`] under a chosen [`AssignmentSolver`].
-pub fn emd_k_with(
-    solver: AssignmentSolver,
-    metric: Metric,
-    x: &[Point],
-    y: &[Point],
-    k: usize,
-) -> f64 {
-    emd_k_with_exclusions_with(solver, metric, x, y, k).0
 }
 
 /// Exact `EMD_k` together with the excluded index sets `(cost, excluded_x,
 /// excluded_y)`. The exclusion sets have exactly `min(k, n)` indices each.
 pub fn emd_k_with_exclusions(
-    metric: Metric,
-    x: &[Point],
-    y: &[Point],
-    k: usize,
-) -> (f64, Vec<usize>, Vec<usize>) {
-    emd_k_with_exclusions_with(AssignmentSolver::Hungarian, metric, x, y, k)
-}
-
-/// [`emd_k_with_exclusions`] under a chosen [`AssignmentSolver`]. The
-/// exact solvers agree on the cost but may exclude different (equally
-/// optimal) index sets.
-pub fn emd_k_with_exclusions_with(
-    solver: AssignmentSolver,
     metric: Metric,
     x: &[Point],
     y: &[Point],
@@ -89,7 +56,7 @@ pub fn emd_k_with_exclusions_with(
             metric.distance(&x[i], &y[j])
         }
     };
-    let a = solver.assign(size, size, cost);
+    let a = assign(size, size, cost);
     let total = assignment_cost(&a, cost);
     // X points assigned to dummy columns are excluded from X; Y points
     // taken by dummy rows are excluded from Y.
@@ -114,14 +81,6 @@ pub fn emd_k_with_exclusions_with(
         j += 1;
     }
     (total, ex.0, ex.1)
-}
-
-/// Greedy EMD upper bound: repeatedly match the globally closest remaining
-/// pair ([`AssignmentSolver::Greedy`]). O(n² log n); useful as a scalable
-/// sanity bound in experiments.
-pub fn emd_greedy(metric: Metric, x: &[Point], y: &[Point]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    emd_with(AssignmentSolver::Greedy, metric, x, y)
 }
 
 #[cfg(test)]
@@ -208,25 +167,6 @@ mod tests {
         assert_eq!(cost, 0.0);
         assert_eq!(ex, vec![1]); // x[1] = 500 excluded
         assert_eq!(ey, vec![2]); // y[2] = 900 excluded
-    }
-
-    #[test]
-    fn greedy_upper_bounds_exact() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(61);
-        for _ in 0..20 {
-            let n = rng.gen_range(1..12);
-            let x: Vec<Point> = (0..n)
-                .map(|_| Point::new(vec![rng.gen_range(0..100), rng.gen_range(0..100)]))
-                .collect();
-            let y: Vec<Point> = (0..n)
-                .map(|_| Point::new(vec![rng.gen_range(0..100), rng.gen_range(0..100)]))
-                .collect();
-            let exact = emd(Metric::L1, &x, &y);
-            let greedy = emd_greedy(Metric::L1, &x, &y);
-            assert!(greedy + 1e-9 >= exact, "greedy {greedy} < exact {exact}");
-        }
     }
 
     #[test]

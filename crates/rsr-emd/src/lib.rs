@@ -4,17 +4,18 @@
 //! `EMD(S_A, S'_B)` relative to `EMD_k(S_A, S_B)`. This crate provides the
 //! exact machinery:
 //!
-//! * [`assignment`] — the pluggable [`AssignmentSolver`] seam every
-//!   matching in this crate routes through: `Hungarian` (exact-legacy),
-//!   `Auction` (exact-fast ε-scaling auction), `Greedy` (approximate);
+//! * [`assignment`] — [`AssignmentSolver`], the two exact solvers:
+//!   `Hungarian` (the reference) and the ε-scaling `Auction` (Bob's
+//!   repair step in the EMD protocol);
 //! * [`hungarian`] — the Kuhn–Munkres assignment algorithm with potentials,
 //!   O(n²m) for rectangular `n×m` problems (the "Hungarian method" the
 //!   paper invokes for Bob's repair step, §3);
 //! * [`mod@emd`] — exact [`emd::emd`] (Definition 3.2) and exact
-//!   [`emd::emd_k`] (Definition 3.3) via a dummy-augmented assignment, plus
-//!   a greedy upper bound for large instances;
+//!   [`emd::emd_k`] (Definition 3.3) via a dummy-augmented assignment,
+//!   both under the Hungarian reference;
 //! * [`repair`] — Bob's matched-replacement step (Algorithm 1's last
-//!   line), shared by the EMD protocol and the quadtree baseline;
+//!   line), shared by the EMD protocol (auction) and the quadtree
+//!   baseline (Hungarian);
 //! * brute-force reference implementations used by the property tests.
 
 pub mod assignment;
@@ -22,9 +23,7 @@ pub mod emd;
 pub mod hungarian;
 pub mod repair;
 
-pub use assignment::{auction_assign, greedy_assign, AssignmentSolver};
-pub use emd::{
-    emd, emd_greedy, emd_k, emd_k_with, emd_k_with_exclusions, emd_k_with_exclusions_with, emd_with,
-};
+pub use assignment::{auction_assign, AssignmentSolver};
+pub use emd::{emd, emd_k, emd_k_with_exclusions};
 pub use hungarian::{assign, assignment_cost};
 pub use repair::{replace_matched, replace_matched_with};

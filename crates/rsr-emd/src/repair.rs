@@ -15,8 +15,8 @@ use crate::assignment::AssignmentSolver;
 use rsr_metric::{Metric, Point};
 
 /// Computes `S'_B = (S_B \ Y_B) ∪ X_A` with `|S'_B| = |S_B|`, matching
-/// with the Hungarian reference solver; [`replace_matched_with`] picks
-/// the solver (the protocol decode paths default to the auction).
+/// with the Hungarian reference solver (the quadtree baseline's repair);
+/// the EMD protocol runs [`replace_matched_with`] under the auction.
 ///
 /// Policy when `|X_A| ≠ |X_B|`:
 /// * The removal budget is `min(|X_A|, |S_B|)` — one removal per inserted
@@ -32,10 +32,9 @@ pub fn replace_matched(metric: Metric, s_b: &[Point], x_b: &[Point], x_a: &[Poin
     replace_matched_with(AssignmentSolver::Hungarian, metric, s_b, x_b, x_a)
 }
 
-/// [`replace_matched`] under a chosen [`AssignmentSolver`]. The exact
-/// solvers remove equally-cheap matched subsets (ties may break towards
-/// different, equally optimal matchings); `Greedy` trades optimality of
-/// the matching for speed.
+/// [`replace_matched`] under a chosen [`AssignmentSolver`]. Both solvers
+/// are exact and remove equally cheap matched subsets; ties may break
+/// towards different, equally optimal matchings.
 pub fn replace_matched_with(
     solver: AssignmentSolver,
     metric: Metric,

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rsr_emd::hungarian::assign_brute_force;
-use rsr_emd::{emd, emd_greedy, emd_k};
+use rsr_emd::{emd, emd_k};
 use rsr_metric::{Metric, Point};
 
 fn point_set(n: usize, dim: usize, delta: i64) -> impl Strategy<Value = Vec<Point>> {
@@ -75,13 +75,6 @@ proptest! {
         prop_assert!(emd_k(Metric::L1, x, y, k) <= emd(Metric::L1, x, y) + 1e-9);
     }
 
-    /// Greedy matching is an upper bound for the exact EMD.
-    #[test]
-    fn greedy_upper_bound(n in 1usize..8, xs in point_set(8, 3, 40), ys in point_set(8, 3, 40)) {
-        let (x, y) = (&xs[..n], &ys[..n]);
-        prop_assert!(emd_greedy(Metric::L2, x, y) + 1e-9 >= emd(Metric::L2, x, y));
-    }
-
     /// Identity: EMD(X, X) = 0 for any set.
     #[test]
     fn emd_identity(n in 1usize..8, xs in point_set(8, 2, 100)) {
@@ -93,7 +86,7 @@ proptest! {
 // ---------------------------------------------------------------------
 // Assignment-solver properties: the ε-scaling auction must be *exact*
 // (equal total cost to the Hungarian reference on integer cost
-// matrices), and greedy must stay within its documented bound.
+// matrices).
 
 fn cost_matrix(n: usize, m: usize, max: i64) -> impl Strategy<Value = Vec<Vec<i64>>> {
     prop::collection::vec(prop::collection::vec(0..max, m..=m), n..=n)
@@ -133,47 +126,5 @@ proptest! {
         use rsr_emd::AssignmentSolver as S;
         prop_assert_eq!(S::Hungarian.assign(n, m, cost), rsr_emd::assign(n, m, cost));
         prop_assert_eq!(S::Auction.assign(n, m, cost), rsr_emd::auction_assign(n, m, cost));
-        prop_assert_eq!(S::Greedy.assign(n, m, cost), rsr_emd::greedy_assign(n, m, cost));
-    }
-
-    /// Greedy stays within its documented bound on metric instances:
-    /// cost(Greedy) ≤ 2·n^{log₂(3/2)}·cost(optimal) (Reingold–Tarjan
-    /// worst case is Θ(n^{log₂ 3/2})), with an additive slack for
-    /// instances whose optimum is 0 (a maximal zero-cost matching found
-    /// greedily need not be a perfect one).
-    #[test]
-    fn greedy_within_documented_bound(
-        n in 1usize..=24,
-        xs in point_set(24, 2, 64),
-        ys in point_set(24, 2, 64),
-    ) {
-        let (x, y) = (&xs[..n], &ys[..n]);
-        let cost = |i: usize, j: usize| Metric::L1.distance(&x[i], &y[j]);
-        let opt = rsr_emd::assignment_cost(&rsr_emd::assign(n, n, cost), cost);
-        let greedy = rsr_emd::assignment_cost(&rsr_emd::greedy_assign(n, n, cost), cost);
-        let ratio_bound = 2.0 * (n as f64).powf(1.5f64.log2());
-        prop_assert!(
-            greedy <= ratio_bound * opt + 1e-9,
-            "greedy {} vs bound {} (opt {})", greedy, ratio_bound * opt, opt
-        );
-    }
-
-    /// EMD under the auction solver equals EMD under the Hungarian
-    /// reference (both exact; ℓ1 distances are integers).
-    #[test]
-    fn emd_with_auction_equals_reference(
-        n in 1usize..10,
-        xs in point_set(10, 3, 100),
-        ys in point_set(10, 3, 100),
-        k in 0usize..4,
-    ) {
-        use rsr_emd::AssignmentSolver as S;
-        let (x, y) = (&xs[..n], &ys[..n]);
-        let reference = emd(Metric::L1, x, y);
-        prop_assert!((rsr_emd::emd_with(S::Auction, Metric::L1, x, y) - reference).abs() < 1e-9);
-        let reference_k = emd_k(Metric::L1, x, y, k);
-        prop_assert!(
-            (rsr_emd::emd_k_with(S::Auction, Metric::L1, x, y, k) - reference_k).abs() < 1e-9
-        );
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! The paper samples functions `g ∼ H` only to evaluate them in bulk:
 //! Algorithm 1 keys every point by `h(g_1(a), …, g_{s_i}(a))` over
-//! `s = Θ(n·d)` draws, the Gap protocol by `h·m` draws in batches, and
-//! the distance-sensitive Bloom filter by `l` groups of `m`. A
+//! `s = Θ(n·d)` draws, and the Gap protocol by `h·m` draws in batches. A
 //! [`DrawSet`] holds `count` draws in the cheapest form the family
 //! allows — one `u32` per bit-sampling draw (a coordinate, or a sentinel
 //! for the padding constant of footnote 3), one row-major `f64` array for
@@ -13,8 +12,7 @@
 //! Keyers evaluate a set as a block through one lane kernel: eight
 //! points' hash chains side by side, each emitting a word at every entry
 //! of an `ends` list — prefix lengths for Algorithm 1's levels (the chain
-//! runs on), batch boundaries for Gap keys and Bloom groups (the chain
-//! restarts). A caller dispatches on the family once per call instead of
+//! runs on), batch boundaries for Gap keys (the chain restarts). A caller dispatches on the family once per call instead of
 //! once per draw.
 //!
 //! A draw set is built by [`crate::LshFamily::sample_draws`], and a set
@@ -33,9 +31,8 @@ use rsr_metric::Point;
 const LANES: usize = 8;
 
 /// `s` sampled functions of one family. Opaque outside this crate apart
-/// from [`DrawSet::hash`]: the keyers here ([`crate::keys`],
-/// [`crate::dsbf`]) evaluate it in bulk, and a new family adds its
-/// representation here.
+/// from [`DrawSet::hash`]: the keyers in [`crate::keys`] evaluate it in
+/// bulk, and a new family adds its representation here.
 #[derive(Clone, Debug)]
 pub struct DrawSet(Kind);
 
@@ -226,9 +223,8 @@ impl DrawSet {
     /// The hash of every batch of `m` consecutive draws over every point:
     /// `out[i·B + b]` is `hash_words(seed, [g_{bm}(p_i), …, g_{bm+m−1}(p_i)])`
     /// for `B = len / m` batches — the Gap keys before their per-batch
-    /// pairwise hash, and the Bloom filter's groups. Eight points at a
-    /// time. Panics unless `m` divides [`DrawSet::len`] and `out` holds
-    /// exactly `points.len() · B` words.
+    /// pairwise hash. Eight points at a time. Panics unless `m` divides
+    /// [`DrawSet::len`] and `out` holds exactly `points.len() · B` words.
     pub(crate) fn batch_hashes(&self, seed: u64, m: usize, points: &[Point], out: &mut [u64]) {
         assert!(
             m >= 1 && self.len().is_multiple_of(m),

@@ -18,9 +18,7 @@
 //! * [`pstable`] — the 2-stable (Gaussian) ℓ2 MLSH of Lemma 2.5;
 //! * [`onesided`] — the one-sided (`p2 = 0`) grid LSH of §E.1/Thm 4.5;
 //! * [`keys`] — LSH-vector key construction: multi-resolution prefix keys
-//!   for Algorithm 1 and batched Gap-Guarantee keys for §4.1;
-//! * [`dsbf`] — the distance-sensitive Bloom filter of reference \[18\],
-//!   the ablation's straw-man far-point detector.
+//!   for Algorithm 1 and batched Gap-Guarantee keys for §4.1.
 //!
 //! All randomness is drawn through caller-provided RNGs so that Alice and
 //! Bob can derive identical hash functions from a shared seed ("public
@@ -28,7 +26,6 @@
 
 pub mod bit_sampling;
 pub mod draws;
-pub mod dsbf;
 pub mod grid;
 pub mod keys;
 pub mod lsh;
@@ -40,7 +37,6 @@ pub mod pstable;
 
 pub use bit_sampling::BitSamplingFamily;
 pub use draws::DrawSet;
-pub use dsbf::DistanceSensitiveBloom;
 pub use grid::GridFamily;
 pub use lsh::{LshFamily, LshParams};
 pub use mlsh::{MlshFamily, MlshParams};

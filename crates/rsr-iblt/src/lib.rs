@@ -23,20 +23,23 @@
 //!   tables (single-pass key+checksum hashing, struct-of-arrays cells);
 //! * [`iblt`] — the standard XOR IBLT (keys only), used for exact set
 //!   reconciliation and by the quadtree baseline;
-//! * [`riblt`] — the Robust IBLT (key–value pairs, values are grid points);
+//! * [`riblt`] — the Robust IBLT (key–value pairs, values are grid
+//!   points), decoded one way: breadth-first peeling with randomized
+//!   rounding;
 //! * [`hypergraph`] — random-hypergraph analysis: 2-cores, component
 //!   classification (Lemma B.3), and the Lemma 3.10 error-propagation
-//!   process.
+//!   process;
+//! * [`bits`] and [`wire`] — the bit-packed cell codec both tables ship
+//!   through: a word-at-a-time bit writer/reader and the per-field
+//!   widths sized from the sender's declared set size.
 
 pub mod bits;
 pub mod hypergraph;
 pub mod iblt;
 pub mod layout;
 pub mod riblt;
-pub mod strata;
 pub mod wire;
 
 pub use iblt::{Iblt, IbltDecode};
 pub use layout::{CellLayout, CellStore};
-pub use riblt::{DecodeOptions, PeelOrder, Riblt, RibltConfig, RibltDecode, RoundingMode};
-pub use strata::StrataEstimator;
+pub use riblt::{Riblt, RibltConfig, RibltDecode};

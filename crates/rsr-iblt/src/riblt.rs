@@ -20,8 +20,9 @@
 //! When a near-pair with equal keys but different values cancels, the value
 //! difference stays behind as an *error* that is added to whatever is
 //! peeled from those cells later — the paper's Figure 1. The decoder
-//! optionally reports how many extracted pairs were contaminated
-//! ([`RibltDecode::contaminated`]) for the F1 experiment.
+//! counts the extracted pairs whose value was visibly averaged
+//! ([`RibltDecode::contaminated`]) and the cells left holding only a value
+//! residual ([`RibltDecode::value_residual_cells`]).
 
 use crate::layout::CellLayout;
 use rand::Rng;
@@ -87,41 +88,6 @@ impl SumCell {
     }
 }
 
-/// Peeling order of the decode loop. The paper *requires* breadth-first
-/// ("first-come first-served", §2.2 item 1) — Lemma 3.10's bound on error
-/// propagation is proved for that order. Depth-first is provided as an
-/// ablation: it chases errors along chains, inflating the contamination
-/// of extracted values (experiment A1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PeelOrder {
-    /// FIFO over cells that became pure (the paper's order).
-    #[default]
-    BreadthFirst,
-    /// LIFO — the ablation.
-    DepthFirst,
-}
-
-/// Rounding of averaged duplicate-key values (§2.2 item 5). Randomized
-/// rounding keeps the extraction unbiased; plain flooring is the ablation
-/// (experiment A2) and introduces a systematic downward drift.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RoundingMode {
-    /// Round up with probability equal to the fractional part.
-    #[default]
-    Randomized,
-    /// Always round down.
-    Floor,
-}
-
-/// Ablation knobs for [`Riblt::decode_with`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DecodeOptions {
-    /// Peel order (default: the paper's breadth-first).
-    pub order: PeelOrder,
-    /// Rounding mode (default: the paper's randomized rounding).
-    pub rounding: RoundingMode,
-}
-
 /// A decoded key–value pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodedPair {
@@ -157,8 +123,6 @@ pub struct Riblt {
     config: RibltConfig,
     layout: CellLayout,
     cells: Vec<SumCell>,
-    /// Total number of insert/delete operations (sizes the peel guard).
-    ops: usize,
 }
 
 impl Riblt {
@@ -171,7 +135,6 @@ impl Riblt {
             cells: (0..layout.num_cells())
                 .map(|_| SumCell::empty(config.dim))
                 .collect(),
-            ops: 0,
         }
     }
 
@@ -197,7 +160,6 @@ impl Riblt {
 
     fn update(&mut self, key: u64, value: &Point, sign: i64) {
         assert_eq!(value.dim(), self.config.dim, "value dimension mismatch");
-        self.ops += 1;
         // Single-pass hashing: one base hash yields the checksum and all
         // q cell indices.
         let base = self.layout.key_hash(key);
@@ -245,36 +207,27 @@ impl Riblt {
     /// `rng` drives the randomized rounding of averaged values (§2.2 item
     /// 5); the rounding is the only randomness, so decoding is otherwise
     /// deterministic given the table contents.
-    pub fn decode<R: Rng + ?Sized>(self, rng: &mut R) -> RibltDecode {
-        self.decode_with(rng, DecodeOptions::default())
-    }
-
-    /// [`Riblt::decode`] with explicit ablation knobs. The defaults are
-    /// the paper's choices; the alternatives exist to *measure* why the
-    /// paper makes them (experiments A1/A2, `rsr-exp ablation_peel`).
-    pub fn decode_with<R: Rng + ?Sized>(
-        mut self,
-        rng: &mut R,
-        options: DecodeOptions,
-    ) -> RibltDecode {
+    pub fn decode<R: Rng + ?Sized>(mut self, rng: &mut R) -> RibltDecode {
         let mut result = RibltDecode::default();
         let mut queue: std::collections::VecDeque<usize> = (0..self.cells.len())
             .filter(|&i| self.pure_key(i).is_some())
             .collect();
-        // Each successful peel zeroes the peeled cell; bound the number of
-        // stale re-checks to keep the loop linear-ish and safe.
-        let mut guard = 8 * (self.cells.len() + self.ops) + 64;
-        while let Some(idx) = match options.order {
-            PeelOrder::BreadthFirst => queue.pop_front(),
-            PeelOrder::DepthFirst => queue.pop_back(),
-        } {
-            if guard == 0 {
-                break;
-            }
-            guard -= 1;
+        // Honest peeling empties the source cell of every peel, and a
+        // clean cell holds no key a later peel removes, so it makes at
+        // most one peel per cell. A received table need not be a sum of
+        // keys (one holding a key in a single cell re-plants it in the
+        // key's other cells, which peel it back, forever), so the bound
+        // is enforced, not assumed — it is what caps the pairs a hostile
+        // table can make decode fabricate.
+        let mut budget = self.cells.len();
+        while let Some(idx) = queue.pop_front() {
             let Some(key) = self.pure_key(idx) else {
                 continue; // stale
             };
+            if budget == 0 {
+                break;
+            }
+            budget -= 1;
             // Snapshot the cell before mutation.
             let snapshot = self.cells[idx].clone();
             let copies = snapshot.count.unsigned_abs() as usize;
@@ -282,7 +235,7 @@ impl Riblt {
             // Extract `copies` values, each the (clamped, randomly
             // rounded) coordinate-wise average V/C.
             for _ in 0..copies {
-                let value = self.round_average(&snapshot, rng, options.rounding);
+                let value = self.round_average(&snapshot, rng);
                 let pair = DecodedPair { key, value };
                 if snapshot.count > 0 {
                     result.inserted.push(pair);
@@ -319,12 +272,7 @@ impl Riblt {
     /// Computes one extracted value: `V/C` per coordinate, shifted into the
     /// grid and randomly rounded (probability of rounding up equal to the
     /// fractional remainder), per §2.2 item 5.
-    fn round_average<R: Rng + ?Sized>(
-        &self,
-        cell: &SumCell,
-        rng: &mut R,
-        rounding: RoundingMode,
-    ) -> Point {
+    fn round_average<R: Rng + ?Sized>(&self, cell: &SumCell, rng: &mut R) -> Point {
         let c = cell.count as f64;
         let coords = cell
             .value_sum
@@ -334,10 +282,7 @@ impl Riblt {
                 let clamped = avg.clamp(0.0, (self.config.delta - 1) as f64);
                 let floor = clamped.floor();
                 let frac = clamped - floor;
-                let up = match rounding {
-                    RoundingMode::Randomized => frac > 0.0 && rng.gen::<f64>() < frac,
-                    RoundingMode::Floor => false,
-                };
+                let up = frac > 0.0 && rng.gen::<f64>() < frac;
                 floor as i64 + i64::from(up)
             })
             .collect();
@@ -380,7 +325,6 @@ impl Riblt {
         n_bound: usize,
     ) -> Option<Riblt> {
         let mut table = Riblt::new(config);
-        table.ops = n_bound; // sizes the peel guard for received contents
         let widths = crate::wire::CellWidths::sum(n_bound, config.delta);
         for cell in &mut table.cells {
             let count = crate::wire::get_i64(r, widths.count)?;
@@ -596,6 +540,48 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let d = t.decode(&mut rng);
         assert!(!d.complete);
+    }
+
+    #[test]
+    fn a_key_held_in_one_cell_only_fabricates_at_most_one_pair_per_cell() {
+        // A well-formed table no honest party builds, at Algorithm 1's
+        // shape (k = 4, q = 3, Hamming d = 64) and the largest declared n:
+        // key `x` in one of its q cells, every other cell zero. Peeling it
+        // plants −x in x's other cells, which peel it straight back, and
+        // every lap extracts a d-coordinate pair; only the peel budget
+        // stops it.
+        let n_bound = u32::MAX as usize;
+        let config = RibltConfig::for_pairs(4, 3, 64, 2, 9);
+        let layout = CellLayout::new(config.min_cells, config.q, config.seed);
+        let x = 0xfeed_u64;
+        let lone = layout.cells_of(x)[0];
+        let widths = crate::wire::CellWidths::sum(n_bound, config.delta);
+        let mut w = crate::bits::BitWriter::new();
+        for idx in 0..layout.num_cells() {
+            let (count, key, check) = if idx == lone {
+                (1, x as i128, layout.check_of(x) as i128)
+            } else {
+                (0, 0, 0)
+            };
+            crate::wire::put_i64(&mut w, count, widths.count);
+            crate::wire::put_i128(&mut w, key, widths.key);
+            crate::wire::put_i128(&mut w, check, widths.check);
+            for _ in 0..config.dim {
+                crate::wire::put_i64(&mut w, count, widths.value);
+            }
+        }
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), 43_218);
+        let table = Riblt::from_bytes(&bytes, config, n_bound).expect("well-formed");
+        let cells = table.num_cells();
+        let d = table.decode(&mut StdRng::seed_from_u64(0));
+        assert!(!d.complete);
+        assert!(
+            d.inserted.len() + d.deleted.len() <= cells,
+            "{} + {} pairs from {cells} cells",
+            d.inserted.len(),
+            d.deleted.len()
+        );
     }
 
     #[test]

@@ -9,12 +9,14 @@ use rsr_core::channel::Frame;
 use rsr_core::continuous::{
     shared, ContinuousConfig, ContinuousParty, ContinuousSession, SharedParty,
 };
+use rsr_core::emd_protocol::{EmdProtocol, EmdProtocolConfig};
 use rsr_core::gap_protocol::{GapConfig, GapProtocol};
 use rsr_core::session::Session;
 use rsr_hash::lsh::LshParams;
 use rsr_hash::BitSamplingFamily;
 use rsr_iblt::bits::BitWriter;
-use rsr_iblt::wire::{put_i64, CellWidths};
+use rsr_iblt::riblt::RibltConfig;
+use rsr_iblt::wire::{put_i128, put_i64, put_len, CellWidths};
 use rsr_iblt::CellLayout;
 use rsr_metric::{MetricSpace, Point};
 use rsr_net::{
@@ -701,6 +703,101 @@ fn a_frame_for_a_retired_continuous_id_is_dropped_as_stale() {
     });
     assert_eq!(reply, None, "a stale frame opens nothing and says nothing");
     assert_eq!(report.frames_in, 1);
+}
+
+// ------------------------------------------------------------ served emd
+
+/// Serves Bob's half of one Algorithm 1 instance for every id.
+struct EmdBobFactory {
+    proto: EmdProtocol,
+    bob: Vec<Point>,
+}
+
+impl SessionFactory for EmdBobFactory {
+    fn open_spec(&self, _: u64, _: Option<&SessionSpec>) -> Option<Box<dyn NetSession + '_>> {
+        Some(Box::new(self.proto.bob_session(&self.bob)))
+    }
+}
+
+/// An Algorithm 1 message that is well-formed and no honest Alice sends:
+/// it declares `n = 2³² − 1` (which sizes every cell field) and each
+/// level table holds key `x` in one of its q cells, every other cell
+/// zero. Peeling such a table moves `x` between its cells forever, one
+/// fabricated `dim`-coordinate pair per lap, unless peels are bounded.
+fn lone_cell_emd_message(proto: &EmdProtocol, seed: u64) -> Frame {
+    let (n, cfg, space) = (u32::MAX as usize, proto.config(), proto.space());
+    let widths = CellWidths::sum(n, space.delta());
+    let x = 0xfeed_u64;
+    let mut w = BitWriter::new();
+    put_len(&mut w, n);
+    for level in 0..proto.prefix_lens().len() {
+        // The level's public coins, as `EmdProtocol` derives them.
+        let level_seed = seed ^ ((level as u64 + 1) << 24);
+        let table = RibltConfig::for_pairs(cfg.k, cfg.q, space.dim(), space.delta(), level_seed);
+        let layout = CellLayout::new(table.min_cells, table.q, table.seed);
+        let lone = layout.cells_of(x)[0];
+        for idx in 0..layout.num_cells() {
+            let count = i64::from(idx == lone);
+            put_i64(&mut w, count, widths.count);
+            put_i128(&mut w, i128::from(count) * i128::from(x), widths.key);
+            let check = i128::from(count) * i128::from(layout.check_of(x));
+            put_i128(&mut w, check, widths.check);
+            for _ in 0..space.dim() {
+                put_i64(&mut w, count, widths.value);
+            }
+        }
+    }
+    Frame::seal("alice→bob: RIBLTs", w)
+}
+
+#[test]
+fn a_riblt_that_never_peels_costs_its_session_not_the_server() {
+    // Algorithm 1's shape: k = 4, q = 3, Hamming d = 64. One worker: if
+    // decoding the hostile message did not return — or exhausted the
+    // process's memory on fabricated pairs — nothing else on the
+    // connection could settle.
+    let (n, k, dim, seed) = (32, 4, 64, 30);
+    let space = MetricSpace::hamming(dim);
+    let w = rsr_workloads::planted_emd(space, n, k, 1, seed);
+    let proto = || EmdProtocol::new(space, EmdProtocolConfig::for_space(&space, n, k), seed);
+    let factory = Arc::new(EmdBobFactory {
+        proto: proto(),
+        bob: w.bob,
+    });
+    let hostile_frame = lone_cell_emd_message(&factory.proto, seed);
+    let server = ReconServer::bind("127.0.0.1:0", Arc::clone(&factory))
+        .unwrap()
+        .with_shards(1);
+    let addr = server.local_addr().unwrap();
+    let server = std::thread::spawn(move || server.serve_one());
+
+    let alice = proto();
+    let hostile = OneFrameSource {
+        frame: Some(hostile_frame),
+    };
+    let report = Driver::new(addr)
+        .idle_timeout(Some(Duration::from_secs(10)))
+        .batch(vec![vec![
+            SessionPlan::new(5, Box::new(hostile)),
+            SessionPlan::new(6, Box::new(alice.alice_session(&w.alice))),
+        ]])
+        .expect("batch runs");
+    server.join().unwrap().expect("connection served");
+    assert!(
+        report.transport_error().is_none(),
+        "transport stays healthy: {:?}",
+        report.transport_error()
+    );
+    let failed = report.sessions().find(|s| s.id == 5).unwrap();
+    assert!(
+        failed
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("no RIBLT level decoded")),
+        "unexpected outcome: {:?}",
+        failed.error
+    );
+    assert_eq!(report.completed(), 1, "{:?}", report.conns[0].sessions);
 }
 
 // ------------------------------------------------------------ served gap
