@@ -1,10 +1,9 @@
-//! Machine-readable benchmark reports: the `BENCH_*.json` format.
+//! Machine-readable benchmark reports: the `BENCH_*.json` format, and
+//! the one gate that compares a fresh report against its baseline.
 //!
-//! Experiments that measure throughput emit a [`BenchReport`] next to
-//! their markdown table when run with `--json`. The schema is flat by
-//! design — one metrics object of `"key": number` pairs — so CI can
-//! compare a fresh run against the committed baseline without a JSON
-//! library on either side:
+//! The schema is flat by design — one metrics object of `"key": number`
+//! pairs — so CI can compare a fresh run against the committed baseline
+//! without a JSON library on either side:
 //!
 //! ```json
 //! {
@@ -18,12 +17,14 @@
 //! }
 //! ```
 //!
-//! Keys ending in `_per_sec` are throughputs: [`regressions`] flags any
-//! of them that dropped by more than the tolerance against a baseline
-//! (slower wall times follow from lower throughput, so only the rates
-//! are gated). The emitter writes one key per line and the parser reads
-//! exactly that shape — this module is the single owner of both sides.
+//! [`gate`] picks one [`Rule`] per key by its suffix; keys no rule names
+//! (wall times, counts, sizes) are context, not contract. Every value is
+//! finite: JSON cannot carry `NaN` or `inf`, and no rule could compare
+//! one. The emitter writes one key per line and the parser reads exactly
+//! that shape — this module is the single owner of both sides, and of
+//! the flat-object parser metrics snapshots are read with.
 
+use std::fmt;
 use std::fmt::Write as _;
 
 /// One experiment's machine-readable results.
@@ -50,8 +51,11 @@ impl BenchReport {
     }
 
     /// Appends a metric. Keys must be unique; the parser keeps the first.
+    /// Panics on a non-finite value, which no report may carry.
     pub fn push(&mut self, key: impl Into<String>, value: f64) {
-        self.metrics.push((key.into(), value));
+        let key = key.into();
+        assert!(value.is_finite(), "metric {key:?} is not finite: {value}");
+        self.metrics.push((key, value));
     }
 
     /// Looks a metric up by key.
@@ -74,24 +78,13 @@ impl BenchReport {
     }
 
     /// Parses the canonical format back. Tolerates whitespace and key
-    /// order but not structural deviations; unknown non-numeric values
-    /// are an error so a corrupted baseline fails loudly.
+    /// order but not structural deviations; a metric that is not a
+    /// finite number is an error, so a corrupted baseline fails loudly.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         let mut bench: Option<String> = None;
         let mut quick: Option<bool> = None;
         let mut metrics: Vec<(String, f64)> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim().trim_end_matches(',');
-            let Some(rest) = line.strip_prefix('"') else {
-                continue; // braces and blank lines
-            };
-            let Some((key, rest)) = rest.split_once('"') else {
-                return Err(format!("unterminated key on line: {line}"));
-            };
-            let Some(value) = rest.trim_start().strip_prefix(':') else {
-                return Err(format!("missing ':' after key {key:?}"));
-            };
-            let value = value.trim();
+        for (key, value) in pairs(text)? {
             match key {
                 "bench" => {
                     bench = Some(
@@ -109,9 +102,7 @@ impl BenchReport {
                 },
                 "metrics" => {} // the opening brace of the metrics object
                 key => {
-                    let parsed: f64 = value
-                        .parse()
-                        .map_err(|_| format!("metric {key:?} is not a number: {value}"))?;
+                    let parsed = number(key, value)?;
                     if !metrics.iter().any(|(k, _)| k == key) {
                         metrics.push((key.to_owned(), parsed));
                     }
@@ -126,151 +117,165 @@ impl BenchReport {
     }
 }
 
-/// One throughput metric that fell below the tolerated floor.
-#[derive(Clone, Debug)]
-pub struct Regression {
-    /// The metric key.
-    pub key: String,
-    /// The committed baseline value.
-    pub baseline: f64,
-    /// The fresh measurement.
-    pub fresh: f64,
+/// Parses a flat JSON object of finite numbers, one `"key": value` pair
+/// per line — the shape [`rsr_obs::MetricsSnapshot::to_json`] writes.
+pub fn parse_flat(text: &str) -> Result<Vec<(String, f64)>, String> {
+    pairs(text)?
+        .into_iter()
+        .map(|(key, value)| Ok((key.to_owned(), number(key, value)?)))
+        .collect()
 }
 
-impl Regression {
-    /// Fractional drop, e.g. `0.42` for a 42% slowdown.
-    pub fn drop_fraction(&self) -> f64 {
-        1.0 - self.fresh / self.baseline
+/// The `"key": value` pairs of a one-pair-per-line JSON text, values
+/// still raw. Lines without a leading quote (braces, blanks) are skipped;
+/// any other structural deviation is an error, so a truncated file
+/// cannot pass as "keys missing, but parseable".
+fn pairs(text: &str) -> Result<Vec<(&str, &str)>, String> {
+    let mut out = Vec::new();
+    for line in text.lines() {
+        let line = line.trim().trim_end_matches(',');
+        let Some(rest) = line.strip_prefix('"') else {
+            continue;
+        };
+        let Some((key, rest)) = rest.split_once('"') else {
+            return Err(format!("unterminated key on line: {line}"));
+        };
+        let Some(value) = rest.trim_start().strip_prefix(':') else {
+            return Err(format!("missing ':' after key {key:?}"));
+        };
+        out.push((key, value.trim()));
     }
-
-    /// Fractional increase, e.g. `0.42` for a latency 42% above its
-    /// baseline (infinite when the fresh key is missing).
-    pub fn increase_fraction(&self) -> f64 {
-        self.fresh / self.baseline - 1.0
-    }
+    Ok(out)
 }
 
-/// Key suffixes marking latency percentiles (milliseconds). These are
-/// gated in the *opposite* direction from throughputs: increases are
-/// regressions.
-const LATENCY_SUFFIXES: [&str; 5] = ["_p50_ms", "_p90_ms", "_p95_ms", "_p99_ms", "_max_ms"];
+/// `raw` as a finite number (Rust's float parser also accepts `NaN` and
+/// `inf`, which would slip past every rule's comparison).
+fn number(key: &str, raw: &str) -> Result<f64, String> {
+    raw.parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| format!("metric {key:?} is not a finite number: {raw}"))
+}
 
-/// The subset of latency keys that are tail percentiles, gated with a
-/// separate (looser) tolerance — tails are the first casualty of
-/// scheduling noise, especially on small-core CI hosts.
-const TAIL_SUFFIXES: [&str; 2] = ["_p99_ms", "_max_ms"];
+/// How far a throughput may fall below its baseline.
+const THROUGHPUT_DROP: f64 = 0.30;
+
+/// How far a body latency percentile may rise above its baseline.
+const BODY_RISE: f64 = 1.00;
+
+/// How far a tail latency percentile may rise above its baseline —
+/// looser than the body, since tails are the first casualty of
+/// scheduling noise on small-core hosts.
+const TAIL_RISE: f64 = 3.00;
 
 /// Latency increases below this absolute delta never gate, regardless of
 /// ratio: sub-millisecond percentiles would otherwise flap on scheduler
 /// jitter alone (a 0.3 ms → 0.8 ms p50 is noise, not a regression).
-pub const LATENCY_FLOOR_MS: f64 = 1.0;
+const LATENCY_FLOOR_MS: f64 = 1.0;
 
-/// Whether `key` is a gated latency percentile.
-pub fn is_latency_key(key: &str) -> bool {
-    LATENCY_SUFFIXES.iter().any(|s| key.ends_with(s))
+/// A gate rule: the keys it covers (by suffix) and how far their fresh
+/// values may move from the baseline. The bounds are constants, not
+/// flags; `Display` states each one, and docs/benchmarks.md gives the
+/// rationale.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rule {
+    /// `_per_sec`: a bounded drop below baseline.
+    Throughput,
+    /// `_p50_ms`, `_p90_ms`, `_p95_ms`: a bounded rise above baseline.
+    LatencyBody,
+    /// `_p99_ms`, `_max_ms`: a looser bounded rise above baseline.
+    LatencyTail,
+    /// `_threads`: never above baseline. Thread counts are structural
+    /// (one reactor plus a fixed executor pool per endpoint), so any
+    /// increase is a per-connection thread leaking back in.
+    Threads,
+    /// `_success_rate`: never below baseline. The rates come from fixed
+    /// seeds with no clock in any decode path, so any dip is a real
+    /// decoder regression.
+    SuccessRate,
 }
 
-/// Whether `key` is a tail percentile (gated with the tail tolerance).
-pub fn is_tail_latency_key(key: &str) -> bool {
-    TAIL_SUFFIXES.iter().any(|s| key.ends_with(s))
+impl Rule {
+    /// The rule gating `key`, if any.
+    fn of(key: &str) -> Option<Rule> {
+        const SUFFIXES: [(&str, Rule); 8] = [
+            ("_per_sec", Rule::Throughput),
+            ("_p50_ms", Rule::LatencyBody),
+            ("_p90_ms", Rule::LatencyBody),
+            ("_p95_ms", Rule::LatencyBody),
+            ("_p99_ms", Rule::LatencyTail),
+            ("_max_ms", Rule::LatencyTail),
+            ("_threads", Rule::Threads),
+            ("_success_rate", Rule::SuccessRate),
+        ];
+        SUFFIXES
+            .iter()
+            .find(|(suffix, _)| key.ends_with(suffix))
+            .map(|&(_, rule)| rule)
+    }
+
+    /// Whether `fresh` is within this rule's bound of `baseline`. Each
+    /// test asks "provably within", so a `NaN` never holds.
+    fn holds(self, baseline: f64, fresh: f64) -> bool {
+        let latency =
+            |rise: f64| fresh <= baseline * (1.0 + rise) || fresh <= baseline + LATENCY_FLOOR_MS;
+        match self {
+            Rule::Throughput => fresh >= baseline * (1.0 - THROUGHPUT_DROP),
+            Rule::LatencyBody => latency(BODY_RISE),
+            Rule::LatencyTail => latency(TAIL_RISE),
+            Rule::Threads => fresh <= baseline,
+            Rule::SuccessRate => fresh >= baseline,
+        }
+    }
 }
 
-/// Compares every baseline latency-percentile metric against the fresh
-/// report and returns those where
-/// `fresh > baseline * (1 + tol) && fresh > baseline + LATENCY_FLOOR_MS`,
-/// with `tol` being `tail_tolerance` for tail keys (`_p99_ms`,
-/// `_max_ms`) and `tolerance` for the body (`_p50_ms`, `_p90_ms`,
-/// `_p95_ms`). A baseline latency key *missing* from the fresh report is
-/// reported as `fresh = +∞` and always flagged — dropping a percentile
-/// must fail loudly, exactly like dropping a throughput. Decreases and
-/// fresh-only keys never flag.
-pub fn latency_regressions(
-    baseline: &BenchReport,
-    fresh: &BenchReport,
-    tolerance: f64,
-    tail_tolerance: f64,
-) -> Vec<Regression> {
+impl fmt::Display for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pct = |x: f64| x * 100.0;
+        match self {
+            Rule::Throughput => write!(f, "throughput, at most {:.0}% drop", pct(THROUGHPUT_DROP)),
+            Rule::LatencyBody => write!(
+                f,
+                "latency body, at most +{:.0}% or +{LATENCY_FLOOR_MS} ms",
+                pct(BODY_RISE)
+            ),
+            Rule::LatencyTail => write!(
+                f,
+                "latency tail, at most +{:.0}% or +{LATENCY_FLOOR_MS} ms",
+                pct(TAIL_RISE)
+            ),
+            Rule::Threads => f.write_str("threads, zero tolerance"),
+            Rule::SuccessRate => f.write_str("success rate, zero tolerance"),
+        }
+    }
+}
+
+/// One gated baseline key the fresh report broke.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Regression {
+    /// The metric key.
+    pub key: String,
+    /// The rule it broke.
+    pub rule: Rule,
+}
+
+/// Compares every gated baseline key against the fresh report. A gated
+/// key missing from the fresh report always regresses — a renamed or
+/// dropped metric must fail loudly, never silently leave a path ungated.
+/// Improvements, ungated keys and fresh-only keys (an experiment may
+/// grow new rows) never regress.
+pub fn gate(baseline: &BenchReport, fresh: &BenchReport) -> Vec<Regression> {
     baseline
         .metrics
         .iter()
-        .filter(|(k, _)| is_latency_key(k))
-        .map(|(key, base)| Regression {
-            key: key.clone(),
-            baseline: *base,
-            fresh: fresh.metric(key).unwrap_or(f64::INFINITY),
+        .filter_map(|(key, base)| {
+            let rule = Rule::of(key)?;
+            let holds = fresh.metric(key).is_some_and(|v| rule.holds(*base, v));
+            (!holds).then(|| Regression {
+                key: key.clone(),
+                rule,
+            })
         })
-        .filter(|r| {
-            let tol = if is_tail_latency_key(&r.key) {
-                tail_tolerance
-            } else {
-                tolerance
-            };
-            r.fresh > r.baseline * (1.0 + tol) && r.fresh > r.baseline + LATENCY_FLOOR_MS
-        })
-        .collect()
-}
-
-/// Compares every baseline `_threads` metric against the fresh report
-/// and returns those that **increased at all** — zero tolerance. Thread
-/// counts are structural, not noisy: the reactor architecture pins one
-/// reactor thread plus a fixed executor pool per endpoint regardless of
-/// connection count, so any upward drift is a per-connection thread
-/// leaking back in, not scheduler jitter. A baseline key missing from
-/// the fresh report is treated as `+∞` and always flagged; decreases
-/// and fresh-only keys never flag.
-pub fn thread_regressions(baseline: &BenchReport, fresh: &BenchReport) -> Vec<Regression> {
-    baseline
-        .metrics
-        .iter()
-        .filter(|(k, _)| k.ends_with("_threads"))
-        .map(|(key, base)| Regression {
-            key: key.clone(),
-            baseline: *base,
-            fresh: fresh.metric(key).unwrap_or(f64::INFINITY),
-        })
-        .filter(|r| r.fresh > r.baseline)
-        .collect()
-}
-
-/// Compares every baseline `_success_rate` metric against the fresh
-/// report and returns those that **decreased at all** — zero downward
-/// tolerance. Success rates in the gated reports are deterministic
-/// (fixed seeds, no wall-clock in any decode path), so unlike
-/// throughputs there is no noise band to tolerate: any dip is a real
-/// decoder regression. A baseline key missing from the fresh report is
-/// treated as `-∞` and always flagged; increases and fresh-only keys
-/// never flag.
-pub fn success_regressions(baseline: &BenchReport, fresh: &BenchReport) -> Vec<Regression> {
-    baseline
-        .metrics
-        .iter()
-        .filter(|(k, _)| k.ends_with("_success_rate"))
-        .map(|(key, base)| Regression {
-            key: key.clone(),
-            baseline: *base,
-            fresh: fresh.metric(key).unwrap_or(f64::NEG_INFINITY),
-        })
-        .filter(|r| r.fresh < r.baseline)
-        .collect()
-}
-
-/// Compares every baseline `_per_sec` metric against the fresh report
-/// and returns those where `fresh < baseline * (1 - tolerance)`. A
-/// baseline throughput key *missing* from the fresh report is treated
-/// as `fresh = 0` and always flagged — a renamed or dropped metric must
-/// fail CI loudly, never silently leave a path ungated. Fresh-only
-/// metrics are ignored (an experiment may grow new rows).
-pub fn regressions(baseline: &BenchReport, fresh: &BenchReport, tolerance: f64) -> Vec<Regression> {
-    baseline
-        .metrics
-        .iter()
-        .filter(|(k, _)| k.ends_with("_per_sec"))
-        .map(|(key, base)| Regression {
-            key: key.clone(),
-            baseline: *base,
-            fresh: fresh.metric(key).unwrap_or(0.0),
-        })
-        .filter(|r| r.fresh < r.baseline * (1.0 - tolerance))
         .collect()
 }
 
@@ -278,20 +283,48 @@ pub fn regressions(baseline: &BenchReport, fresh: &BenchReport, tolerance: f64) 
 mod tests {
     use super::*;
 
-    fn sample() -> BenchReport {
-        let mut r = BenchReport::new("net", true);
-        r.push("sessions", 64.0);
-        r.push("serial_wall_ms", 152.25);
-        r.push("serial_sessions_per_sec", 420.5);
-        r.push("shards4_sessions_per_sec", 1300.0);
+    fn report(metrics: &[(&str, f64)]) -> BenchReport {
+        let mut r = BenchReport::new("net", false);
+        for &(key, value) in metrics {
+            r.push(key, value);
+        }
         r
+    }
+
+    fn sample() -> BenchReport {
+        report(&[
+            ("sessions", 64.0),
+            ("serial_wall_ms", 152.25),
+            ("serial_sessions_per_sec", 420.5),
+            ("shards4_sessions_per_sec", 1300.0),
+            ("load_r100_s4_offered_per_sec", 100.0),
+            ("load_r100_s4_p50_ms", 8.0),
+            ("load_r100_s4_p99_ms", 40.0),
+            ("load_r100_s4_max_ms", 55.0),
+            ("load_r100_s4_inject_lag_ms", 0.2),
+            ("sweep_c16_s64_threads", 11.0),
+            ("iblt_threshold_q3_l80_peel_success_rate", 0.85),
+        ])
+    }
+
+    /// `sample()` with `key` set to `value` (or dropped, for `None`), and
+    /// the keys the gate then flags.
+    fn flagged(key: &str, value: Option<f64>) -> Vec<String> {
+        let mut fresh = sample();
+        fresh.metrics.retain(|(k, _)| k != key);
+        if let Some(v) = value {
+            fresh.metrics.push((key.to_owned(), v));
+        }
+        gate(&sample(), &fresh).into_iter().map(|r| r.key).collect()
     }
 
     #[test]
     fn json_round_trips() {
         let report = sample();
-        let text = report.to_json();
-        assert_eq!(BenchReport::parse(&text).expect("parses"), report);
+        assert_eq!(
+            BenchReport::parse(&report.to_json()).expect("parses"),
+            report
+        );
     }
 
     #[test]
@@ -307,208 +340,140 @@ mod tests {
     }
 
     #[test]
-    fn regressions_gate_only_per_sec_drops() {
-        let baseline = sample();
-        let mut fresh = sample();
-        // Wall time exploding alone is not gated…
-        fresh.metrics[1].1 = 1e6;
-        assert!(regressions(&baseline, &fresh, 0.3).is_empty());
-        // …a small throughput dip within tolerance passes…
-        fresh.metrics[2].1 = 420.5 * 0.8;
-        assert!(regressions(&baseline, &fresh, 0.3).is_empty());
-        // …a drop past the tolerance is flagged.
-        fresh.metrics[2].1 = 420.5 * 0.5;
-        let regs = regressions(&baseline, &fresh, 0.3);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "serial_sessions_per_sec");
-        assert!((regs[0].drop_fraction() - 0.5).abs() < 1e-9);
+    fn a_report_never_regresses_against_itself() {
+        assert!(gate(&sample(), &sample()).is_empty());
     }
 
     #[test]
-    fn disjoint_metric_sets_fail_loudly() {
-        let baseline = sample();
-        let mut fresh = BenchReport::new("net", true);
-        fresh.push("renamed_sessions_per_sec", 9e9);
-        let regs = regressions(&baseline, &fresh, 0.3);
-        assert_eq!(regs.len(), 2, "every baseline throughput is flagged");
-    }
-
-    #[test]
-    fn single_missing_throughput_key_is_flagged() {
-        // One renamed/dropped key must fail even when other throughput
-        // keys still match — a partial overlap is not a pass.
-        let baseline = sample();
-        let mut fresh = sample();
-        fresh
-            .metrics
-            .retain(|(k, _)| k != "shards4_sessions_per_sec");
-        let regs = regressions(&baseline, &fresh, 0.3);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "shards4_sessions_per_sec");
-        assert_eq!(regs[0].fresh, 0.0);
-    }
-
-    fn latency_sample() -> BenchReport {
-        let mut r = BenchReport::new("net", false);
-        r.push("load_r100_s4_offered_per_sec", 100.0);
-        r.push("load_r100_s4_p50_ms", 8.0);
-        r.push("load_r100_s4_p99_ms", 40.0);
-        r.push("load_r100_s4_max_ms", 55.0);
-        r.push("load_r100_s4_inject_lag_ms", 0.2); // not a gated key
-        r
-    }
-
-    #[test]
-    fn latency_keys_are_classified_by_suffix() {
-        assert!(is_latency_key("load_r100_s4_p50_ms"));
-        assert!(is_latency_key("load_r100_s4_max_ms"));
-        assert!(!is_latency_key("load_r100_s4_inject_lag_ms"));
-        assert!(!is_latency_key("serial_wall_ms"));
-        assert!(is_tail_latency_key("load_r100_s4_p99_ms"));
-        assert!(!is_tail_latency_key("load_r100_s4_p50_ms"));
-    }
-
-    #[test]
-    fn latency_gate_flags_increases_not_decreases() {
-        let baseline = latency_sample();
-        let mut fresh = latency_sample();
-        // Identical (the round-trip self-compare) passes.
-        assert!(latency_regressions(&baseline, &fresh, 1.0, 3.0).is_empty());
-        // A large improvement passes.
-        fresh.metrics[1].1 = 1.0;
-        assert!(latency_regressions(&baseline, &fresh, 1.0, 3.0).is_empty());
-        // Body percentile past its tolerance is flagged.
-        fresh.metrics[1].1 = 8.0 * 2.5;
-        let regs = latency_regressions(&baseline, &fresh, 1.0, 3.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "load_r100_s4_p50_ms");
-        assert!((regs[0].increase_fraction() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tail_percentiles_use_the_looser_tolerance() {
-        let baseline = latency_sample();
-        let mut fresh = latency_sample();
-        // 3x on p99 is within the 300% tail tolerance…
-        fresh.metrics[2].1 = 40.0 * 3.5;
-        assert!(latency_regressions(&baseline, &fresh, 1.0, 3.0).is_empty());
-        // …but past it flags; the same ratio on a body key would have
-        // flagged at the tighter body tolerance already.
-        fresh.metrics[2].1 = 40.0 * 4.5;
-        let regs = latency_regressions(&baseline, &fresh, 1.0, 3.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "load_r100_s4_p99_ms");
-    }
-
-    #[test]
-    fn sub_millisecond_jitter_never_gates() {
-        let mut baseline = latency_sample();
-        baseline.metrics[1].1 = 0.3; // p50 of 0.3 ms
-        let mut fresh = latency_sample();
-        fresh.metrics[1].1 = 0.9; // 3x, but only +0.6 ms
-        assert!(latency_regressions(&baseline, &fresh, 1.0, 3.0).is_empty());
-        fresh.metrics[1].1 = 2.5; // past the 1 ms absolute floor too
-        assert_eq!(latency_regressions(&baseline, &fresh, 1.0, 3.0).len(), 1);
-    }
-
-    #[test]
-    fn missing_latency_key_is_flagged_as_infinite() {
-        let baseline = latency_sample();
-        let mut fresh = latency_sample();
-        fresh.metrics.retain(|(k, _)| k != "load_r100_s4_max_ms");
-        let regs = latency_regressions(&baseline, &fresh, 1.0, 3.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "load_r100_s4_max_ms");
-        assert!(regs[0].fresh.is_infinite());
-    }
-
-    #[test]
-    fn churn_key_family_is_gated_by_the_standard_suffixes() {
-        // The C1 experiment's keys ride the same suffix-driven gates as
-        // the N1/L1 families: `_rounds_per_sec` is a throughput key,
-        // `_round_p50_ms`/`_round_max_ms` are latency keys, and the
-        // informational keys (`_round_bits`, `_flat_time_ratio`) gate
-        // nothing.
-        let mut baseline = BenchReport::new("net", false);
-        baseline.push("churn_n4096_c32_rounds_per_sec", 9000.0);
-        baseline.push("churn_n4096_c32_round_p50_ms", 5.0);
-        baseline.push("churn_n4096_c32_round_max_ms", 9.0);
-        baseline.push("churn_n4096_c32_round_bits", 13731.0);
-        baseline.push("churn_flat_time_ratio", 1.1);
-
-        let mut fresh = baseline.clone();
-        assert!(regressions(&baseline, &fresh, 0.3).is_empty());
-        assert!(latency_regressions(&baseline, &fresh, 1.0, 3.0).is_empty());
-
-        fresh.metrics[0].1 = 9000.0 * 0.5; // throughput halved
-        fresh.metrics[1].1 = 5.0 * 2.5; // body latency past 100%
-        fresh.metrics[2].1 = 9.0 * 4.5; // tail latency past 300%
-        fresh.metrics[3].1 = 1e9; // bits are informational
-        fresh.metrics[4].1 = 50.0; // so is the flatness ratio
-        let throughput = regressions(&baseline, &fresh, 0.3);
-        assert_eq!(throughput.len(), 1);
-        assert_eq!(throughput[0].key, "churn_n4096_c32_rounds_per_sec");
-        let latency = latency_regressions(&baseline, &fresh, 1.0, 3.0);
-        let keys: Vec<&str> = latency.iter().map(|r| r.key.as_str()).collect();
+    fn keys_are_classified_by_suffix() {
+        let rule = |k| Rule::of(k);
+        assert_eq!(rule("serial_sessions_per_sec"), Some(Rule::Throughput));
         assert_eq!(
-            keys,
-            [
-                "churn_n4096_c32_round_p50_ms",
-                "churn_n4096_c32_round_max_ms"
-            ]
+            rule("churn_n4096_c32_rounds_per_sec"),
+            Some(Rule::Throughput)
+        );
+        assert_eq!(rule("load_r100_s4_p50_ms"), Some(Rule::LatencyBody));
+        assert_eq!(
+            rule("churn_n4096_c32_round_p50_ms"),
+            Some(Rule::LatencyBody)
+        );
+        assert_eq!(rule("load_r100_s4_p99_ms"), Some(Rule::LatencyTail));
+        assert_eq!(
+            rule("churn_n4096_c32_round_max_ms"),
+            Some(Rule::LatencyTail)
+        );
+        assert_eq!(rule("sweep_c16_s64_threads"), Some(Rule::Threads));
+        assert_eq!(
+            rule("riblt_recover_peel_success_rate"),
+            Some(Rule::SuccessRate)
+        );
+        for context in [
+            "serial_wall_ms",
+            "load_r100_s4_inject_lag_ms",
+            "churn_n4096_c32_round_bits",
+            "churn_flat_time_ratio",
+            "riblt_unrecovered_keys_peel",
+        ] {
+            assert_eq!(rule(context), None, "{context} is context, not contract");
+        }
+    }
+
+    #[test]
+    fn throughput_tolerates_a_30_percent_drop() {
+        assert!(
+            flagged("serial_wall_ms", Some(1e6)).is_empty(),
+            "wall times are not gated"
+        );
+        assert!(
+            flagged("serial_sessions_per_sec", Some(420.5 * 10.0)).is_empty(),
+            "improvements pass"
+        );
+        assert!(flagged("serial_sessions_per_sec", Some(420.5 * 0.8)).is_empty());
+        assert_eq!(
+            flagged("serial_sessions_per_sec", Some(420.5 * 0.5)),
+            ["serial_sessions_per_sec"]
         );
     }
 
     #[test]
-    fn success_rates_gate_with_zero_downward_tolerance() {
-        let mut baseline = BenchReport::new("iblt", true);
-        baseline.push("iblt_threshold_q3_l80_peel_success_rate", 0.85);
-        baseline.push("iblt_decode_peel_keys_per_sec", 1e6); // not this gate
-        let mut fresh = baseline.clone();
-        // Identical passes; so does an improvement.
-        assert!(success_regressions(&baseline, &fresh).is_empty());
-        fresh.metrics[0].1 = 0.90;
-        assert!(success_regressions(&baseline, &fresh).is_empty());
-        // Any decrease flags — no tolerance band.
-        fresh.metrics[0].1 = 0.8499;
-        let regs = success_regressions(&baseline, &fresh);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "iblt_threshold_q3_l80_peel_success_rate");
-        // A dropped key fails loudly.
-        fresh.metrics.retain(|(k, _)| !k.ends_with("_success_rate"));
-        let regs = success_regressions(&baseline, &fresh);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].fresh.is_infinite());
+    fn latency_body_and_tail_use_their_own_bounds() {
+        assert!(
+            flagged("load_r100_s4_p50_ms", Some(1.0)).is_empty(),
+            "improvements pass"
+        );
+        assert_eq!(
+            flagged("load_r100_s4_p50_ms", Some(8.0 * 2.5)),
+            ["load_r100_s4_p50_ms"]
+        );
+        // 3.5× on p99 is within the tail bound; the same ratio on a body
+        // key would already have flagged.
+        assert!(flagged("load_r100_s4_p99_ms", Some(40.0 * 3.5)).is_empty());
+        assert_eq!(
+            flagged("load_r100_s4_p99_ms", Some(40.0 * 4.5)),
+            ["load_r100_s4_p99_ms"]
+        );
     }
 
     #[test]
-    fn thread_counts_gate_with_zero_tolerance() {
-        let mut baseline = BenchReport::new("net", true);
-        baseline.push("sweep_c16_s64_sessions_per_sec", 400.0);
-        baseline.push("sweep_c16_s64_threads", 11.0);
-        let mut fresh = baseline.clone();
-        // Identical passes; so does a decrease.
-        assert!(thread_regressions(&baseline, &fresh).is_empty());
-        fresh.metrics[1].1 = 9.0;
-        assert!(thread_regressions(&baseline, &fresh).is_empty());
-        // Even one extra thread flags — no tolerance band.
-        fresh.metrics[1].1 = 12.0;
-        let regs = thread_regressions(&baseline, &fresh);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "sweep_c16_s64_threads");
-        // A dropped key fails loudly as infinite.
-        fresh.metrics.retain(|(k, _)| k != "sweep_c16_s64_threads");
-        let regs = thread_regressions(&baseline, &fresh);
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].fresh.is_infinite());
+    fn sub_millisecond_jitter_never_gates() {
+        let baseline = report(&[("x_p50_ms", 0.3)]);
+        assert!(
+            gate(&baseline, &report(&[("x_p50_ms", 0.9)])).is_empty(),
+            "3×, but +0.6 ms"
+        );
+        assert_eq!(gate(&baseline, &report(&[("x_p50_ms", 2.5)])).len(), 1);
     }
 
     #[test]
-    fn improvements_never_flag() {
-        let baseline = sample();
-        let mut fresh = sample();
-        fresh.metrics[2].1 *= 10.0;
-        fresh.metrics[3].1 *= 10.0;
-        assert!(regressions(&baseline, &fresh, 0.3).is_empty());
+    fn threads_and_success_rates_have_zero_tolerance() {
+        assert!(flagged("sweep_c16_s64_threads", Some(9.0)).is_empty());
+        assert_eq!(
+            flagged("sweep_c16_s64_threads", Some(12.0)),
+            ["sweep_c16_s64_threads"]
+        );
+        let rate = "iblt_threshold_q3_l80_peel_success_rate";
+        assert!(flagged(rate, Some(0.90)).is_empty());
+        assert_eq!(flagged(rate, Some(0.8499)), [rate]);
+    }
+
+    #[test]
+    fn every_missing_gated_key_regresses() {
+        for (key, _) in sample().metrics {
+            let regs = flagged(&key, None);
+            assert_eq!(regs.len(), usize::from(Rule::of(&key).is_some()), "{key}");
+        }
+        let regs = gate(&sample(), &report(&[("renamed_sessions_per_sec", 9e9)]));
+        assert_eq!(
+            regs.len(),
+            8,
+            "a disjoint fresh report flags every gated key"
+        );
+    }
+
+    #[test]
+    fn a_nan_fails_the_check() {
+        // Every rule tests "provably within", which NaN never is…
+        for key in [
+            "serial_sessions_per_sec",
+            "load_r100_s4_p99_ms",
+            "sweep_c16_s64_threads",
+            "iblt_threshold_q3_l80_peel_success_rate",
+        ] {
+            assert_eq!(flagged(key, Some(f64::NAN)), [key]);
+        }
+        // …and no NaN gets that far: a report carrying one does not parse.
+        let fresh = "{\n\"bench\": \"net\",\n\"quick\": false,\n\"metrics\": {\n\
+                     \"serial_sessions_per_sec\": NaN,\n\"load_r100_s4_p99_ms\": NaN,\n\
+                     \"sweep_c16_s64_threads\": NaN,\n\
+                     \"iblt_threshold_q3_l80_peel_success_rate\": NaN\n}\n}";
+        assert!(BenchReport::parse(fresh).is_err());
+        assert!(BenchReport::parse(&fresh.replace("NaN", "inf")).is_err());
+        assert!(parse_flat("{\n\"x\": NaN\n}").is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn push_rejects_non_finite_values() {
+        BenchReport::new("net", true).push("x_per_sec", f64::INFINITY);
     }
 }

@@ -1,177 +1,59 @@
 //! Gates a fresh `BENCH_*.json` against a committed baseline.
 //!
 //! ```text
-//! bench_check <baseline.json> <fresh.json> [--tolerance 0.30]
-//!             [--latency-tolerance 1.00] [--tail-tolerance 3.00]
+//! bench_check <baseline.json> <fresh.json>
 //! ```
 //!
-//! Exits non-zero if any shared `_per_sec` metric in the fresh run is
-//! more than the throughput tolerance below the baseline (default 30%),
-//! if any shared latency percentile (`_p50_ms`/`_p90_ms`/`_p95_ms`
-//! body keys, `_p99_ms`/`_max_ms` tail keys) is above its baseline by
-//! more than the latency tolerance (default 100% body, 300% tail, and
-//! never for sub-millisecond deltas), if any `_threads` metric increased
-//! at all (thread counts are structural — zero tolerance, no flag to
-//! loosen it), if any `_success_rate` metric decreased at all (success
-//! rates are deterministic — zero downward tolerance, no flag to loosen
-//! it), if the two files describe different benches or modes, or
-//! if either file fails to parse.
-//! Improvements never fail the check; a baseline key missing from the
-//! fresh run fails loudly in both gates (a silent rename must not pass
-//! as green). Rules and rationale: docs/benchmarks.md.
+//! Prints every baseline key against its fresh value, and exits 1 if
+//! [`gate`] finds a regression under any [`Rule`](rsr_bench::Rule), if
+//! the two files describe different benches or modes, or if either file
+//! fails to parse. The rules are constants, not options; each
+//! regression line names the rule and its bound, and docs/benchmarks.md
+//! tabulates them with their rationale. A baseline key missing from the
+//! fresh run fails under its rule.
 
-use rsr_bench::{
-    latency_regressions, regressions, success_regressions, thread_regressions, BenchReport,
-};
+use rsr_bench::{gate, BenchReport};
 use std::process::exit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut tolerance = 0.30f64;
-    let mut latency_tolerance = 1.00f64;
-    let mut tail_tolerance = 3.00f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut fraction = |what: &str| -> f64 {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage(&format!("{what} takes a fraction like 0.30")))
-        };
-        match arg.as_str() {
-            "--tolerance" => tolerance = fraction("--tolerance"),
-            "--latency-tolerance" => latency_tolerance = fraction("--latency-tolerance"),
-            "--tail-tolerance" => tail_tolerance = fraction("--tail-tolerance"),
-            _ => paths.push(arg.clone()),
-        }
-    }
-    let [baseline_path, fresh_path] = paths.as_slice() else {
-        usage("expected exactly two file arguments");
+    let [baseline_path, fresh_path] = args.as_slice() else {
+        eprintln!("usage: bench_check <baseline.json> <fresh.json>");
+        exit(2)
     };
-
-    let baseline = load(baseline_path);
-    let fresh = load(fresh_path);
-    if baseline.bench != fresh.bench {
+    let (baseline, fresh) = (load(baseline_path), load(fresh_path));
+    if (&baseline.bench, baseline.quick) != (&fresh.bench, fresh.quick) {
         eprintln!(
-            "bench_check: comparing different benches: baseline {:?} vs fresh {:?}",
-            baseline.bench, fresh.bench
-        );
-        exit(1);
-    }
-    if baseline.quick != fresh.quick {
-        eprintln!(
-            "bench_check: mode mismatch: baseline quick={} vs fresh quick={}",
-            baseline.quick, fresh.quick
+            "bench_check: cannot compare bench {:?} (quick={}) with {:?} (quick={})",
+            baseline.bench, baseline.quick, fresh.bench, fresh.quick
         );
         exit(1);
     }
 
-    println!(
-        "bench {} ({} mode), throughput tolerance {:.0}%, latency {:.0}% (tail {:.0}%):",
-        baseline.bench,
-        if baseline.quick { "quick" } else { "full" },
-        tolerance * 100.0,
-        latency_tolerance * 100.0,
-        tail_tolerance * 100.0
-    );
+    let mode = if baseline.quick { "quick" } else { "full" };
+    println!("bench {} ({mode} mode):", baseline.bench);
+    let regressions = gate(&baseline, &fresh);
+    // Every regression line names the fresh file, the key and the rule
+    // it broke, so a CI log line is actionable on its own.
     for (key, base) in &baseline.metrics {
-        match fresh.metric(key) {
-            Some(now) => println!("  {key}: baseline {base:.3} -> fresh {now:.3}"),
-            None => println!("  {key}: baseline {base:.3} -> (absent)"),
+        let now = fresh
+            .metric(key)
+            .map_or_else(|| "(absent)".to_owned(), |v| format!("{v:.3}"));
+        match regressions.iter().find(|r| r.key == *key) {
+            Some(r) => eprintln!(
+                "REGRESSION {fresh_path}: {key} [{}]: baseline {base:.3} -> fresh {now}",
+                r.rule
+            ),
+            None => println!("  {key}: baseline {base:.3} -> fresh {now}"),
         }
     }
-
-    let throughput_regs = regressions(&baseline, &fresh, tolerance);
-    let latency_regs = latency_regressions(&baseline, &fresh, latency_tolerance, tail_tolerance);
-    let thread_regs = thread_regressions(&baseline, &fresh);
-    let success_regs = success_regressions(&baseline, &fresh);
-    if throughput_regs.is_empty()
-        && latency_regs.is_empty()
-        && thread_regs.is_empty()
-        && success_regs.is_empty()
-    {
-        println!(
-            "ok: no throughput regression beyond {:.0}%, no latency regression beyond {:.0}% (tail {:.0}%), no thread-count increase, no success-rate decrease",
-            tolerance * 100.0,
-            latency_tolerance * 100.0,
-            tail_tolerance * 100.0
-        );
+    if regressions.is_empty() {
+        println!("ok: no key broke its rule");
         return;
-    }
-    // Every regression line names the offending file, the key, and the
-    // tolerance class that flagged it, so a CI log line is actionable
-    // on its own — no cross-referencing the invocation to find out
-    // which report or which rule tripped.
-    for r in &throughput_regs {
-        eprintln!(
-            "REGRESSION {fresh_path}: {} [throughput, tolerance {:.0}% drop]: \
-             baseline {:.3} -> fresh {:.3} ({:.0}% drop)",
-            r.key,
-            tolerance * 100.0,
-            r.baseline,
-            r.fresh,
-            r.drop_fraction() * 100.0,
-        );
-    }
-    for r in &thread_regs {
-        if r.fresh.is_infinite() {
-            eprintln!(
-                "REGRESSION {fresh_path}: {} [threads, zero tolerance]: \
-                 baseline {:.0} -> (absent from fresh report)",
-                r.key, r.baseline
-            );
-        } else {
-            eprintln!(
-                "REGRESSION {fresh_path}: {} [threads, zero tolerance]: \
-                 baseline {:.0} -> fresh {:.0} (thread counts must never increase)",
-                r.key, r.baseline, r.fresh
-            );
-        }
-    }
-    for r in &success_regs {
-        if r.fresh.is_infinite() {
-            eprintln!(
-                "REGRESSION {fresh_path}: {} [success rate, zero tolerance]: \
-                 baseline {:.4} -> (absent from fresh report)",
-                r.key, r.baseline
-            );
-        } else {
-            eprintln!(
-                "REGRESSION {fresh_path}: {} [success rate, zero tolerance]: \
-                 baseline {:.4} -> fresh {:.4} (deterministic rates must never decrease)",
-                r.key, r.baseline, r.fresh
-            );
-        }
-    }
-    for r in &latency_regs {
-        let (class, tol) = if rsr_bench::benchjson::is_tail_latency_key(&r.key) {
-            ("latency tail", tail_tolerance)
-        } else {
-            ("latency body", latency_tolerance)
-        };
-        if r.fresh.is_infinite() {
-            eprintln!(
-                "REGRESSION {fresh_path}: {} [{class}, tolerance +{:.0}%]: \
-                 baseline {:.3} ms -> (absent from fresh report)",
-                r.key,
-                tol * 100.0,
-                r.baseline
-            );
-        } else {
-            eprintln!(
-                "REGRESSION {fresh_path}: {} [{class}, tolerance +{:.0}%]: \
-                 baseline {:.3} ms -> fresh {:.3} ms (+{:.0}%)",
-                r.key,
-                tol * 100.0,
-                r.baseline,
-                r.fresh,
-                r.increase_fraction() * 100.0,
-            );
-        }
     }
     eprintln!(
         "bench_check: {} regression(s) in {fresh_path} vs baseline {baseline_path}",
-        throughput_regs.len() + thread_regs.len() + latency_regs.len() + success_regs.len()
+        regressions.len()
     );
     exit(1);
 }
@@ -185,13 +67,4 @@ fn load(path: &str) -> BenchReport {
         eprintln!("bench_check: cannot parse {path}: {e}");
         exit(1)
     })
-}
-
-fn usage(what: &str) -> ! {
-    eprintln!("bench_check: {what}");
-    eprintln!(
-        "usage: bench_check <baseline.json> <fresh.json> [--tolerance 0.30] \
-         [--latency-tolerance 1.00] [--tail-tolerance 3.00]"
-    );
-    exit(2)
 }

@@ -5,13 +5,15 @@
 //! obs_check <snapshot.json> <key> [key...]
 //! ```
 //!
-//! The snapshot is the flat object `exp_net --metrics-out` writes (one
-//! `"key": value` pair per line — [`rsr_obs::MetricsSnapshot::to_json`]).
-//! A key that is present but zero fails just like a missing one: the
-//! smoke run drives real traffic, so a zero poll count or byte counter
-//! means the instrumentation came unwired, not that nothing happened.
-//! Key inventory and semantics: docs/observability.md.
+//! The snapshot is the flat object `rsr-exp --metrics-out` writes (one
+//! `"key": value` pair per line — [`rsr_obs::MetricsSnapshot::to_json`]),
+//! read with the `BENCH_*.json` parser's [`parse_flat`]. A key that is
+//! present but zero fails just like a missing one: the smoke run drives
+//! real traffic, so a zero poll count or byte counter means the
+//! instrumentation came unwired, not that nothing happened. Key
+//! inventory and semantics: docs/observability.md.
 
+use rsr_bench::benchjson::parse_flat;
 use std::process::exit;
 
 fn main() {
@@ -27,7 +29,7 @@ fn main() {
         eprintln!("obs_check: cannot read {path}: {e}");
         exit(1)
     });
-    let entries = parse_flat_object(&text).unwrap_or_else(|e| {
+    let entries = parse_flat(&text).unwrap_or_else(|e| {
         eprintln!("obs_check: cannot parse {path}: {e}");
         exit(1)
     });
@@ -57,34 +59,6 @@ fn main() {
         "ok: all {} required keys present and non-zero in {path}",
         keys.len()
     );
-}
-
-/// Parses the one-pair-per-line flat JSON object the snapshot writer
-/// emits. Structural deviations are errors — a truncated file must not
-/// pass as "keys missing, but parseable".
-fn parse_flat_object(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue; // braces and blank lines
-        };
-        let Some((key, rest)) = rest.split_once('"') else {
-            return Err(format!("unterminated key on line: {line}"));
-        };
-        let Some(value) = rest.trim_start().strip_prefix(':') else {
-            return Err(format!("missing ':' after key {key:?}"));
-        };
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("key {key:?} has a non-numeric value: {}", value.trim()))?;
-        entries.push((key.to_owned(), value));
-    }
-    if entries.is_empty() {
-        return Err("no key/value pairs found".into());
-    }
-    Ok(entries)
 }
 
 fn usage(what: &str) -> ! {

@@ -21,7 +21,7 @@
 //! Gated keys (`churn_…_rounds_per_sec`, `churn_…_round_p50_ms`,
 //! `churn_…_round_max_ms`) land in `BENCH_net.json` next to the N1/L1
 //! families; `bench_check` applies the standard throughput and latency
-//! tolerances (docs/benchmarks.md).
+//! rules (docs/benchmarks.md).
 
 use crate::benchjson::BenchReport;
 use crate::experiments::net::{continuous_party_of, continuous_spec, InstanceFactory};
@@ -314,15 +314,9 @@ fn per_sec(rounds: usize, times: &[Duration]) -> f64 {
     }
 }
 
-/// Runs the experiment, discarding the machine-readable report.
-pub fn run(quick: bool) -> String {
-    let mut bench = BenchReport::new("net", quick);
-    extend(&mut bench, quick)
-}
-
 /// Runs the sweep and appends the `churn_*` metric family to `bench`
-/// (the combined `BENCH_net.json` the `exp_net --json` path commits).
-/// Returns the markdown section.
+/// (the `net` entry's combined `BENCH_net.json` report). Returns the
+/// markdown section.
 pub fn extend(bench: &mut BenchReport, quick: bool) -> String {
     let seed = 0xc402_2026_u64;
     let cells = cells(quick);

@@ -21,9 +21,9 @@
 //!   dummy-augmented `(n+k)²` square assignment whose zero-cost border
 //!   is the classic worst case for shortest-augmenting-path solvers.
 //!
-//! With `--json` the measured rates are emitted as `BENCH_emd.json`
-//! (flat `*_per_sec` keys, one per timed call × n) and CI gates them
-//! against the committed baseline like the net and gap reports (see
+//! The measured rates form the `BENCH_emd.json` report (flat
+//! `*_per_sec` keys, one per timed call × n), which CI gates against the
+//! committed baseline like the net and gap reports (see
 //! docs/benchmarks.md).
 
 use crate::benchjson::BenchReport;
@@ -52,14 +52,9 @@ fn time_per_call<T>(budget: f64, min_reps: usize, mut f: impl FnMut() -> T) -> (
     (t0.elapsed().as_secs_f64() / reps as f64, value)
 }
 
-/// Runs the experiment, discarding the machine-readable report.
-pub fn run(quick: bool) -> String {
-    run_with_json(quick).0
-}
-
 /// Runs the experiment; returns the markdown section and the
 /// `BENCH_emd.json` report.
-pub fn run_with_json(quick: bool) -> (String, BenchReport) {
+pub fn run(quick: bool) -> (String, BenchReport) {
     let dim = 64;
     let ns: &[usize] = if quick { &[32, 64] } else { &[64, 128, 256] };
     let reps = if quick { 3 } else { 5 };

@@ -13,18 +13,13 @@ use rsr_metric::MetricSpace;
 use rsr_workloads::sensor_pairs;
 use std::time::Instant;
 
-/// Runs the experiment, discarding the machine-readable report.
-pub fn run(quick: bool) -> String {
-    run_with_json(quick).0
-}
-
 /// Runs the experiment; returns the markdown section and the
 /// `BENCH_gap.json` report (wall time and *completed* protocol runs/sec
 /// over the whole trial grid — failed trials don't count, so a
 /// regression that makes runs fail fast lowers the rate rather than
 /// inflating it; session construction and drive are included, as that
 /// *is* the protocol's unit of work).
-pub fn run_with_json(quick: bool) -> (String, BenchReport) {
+pub fn run(quick: bool) -> (String, BenchReport) {
     let trials = if quick { 3 } else { 10 };
     let mut table = Table::new(&[
         "n",
@@ -122,6 +117,6 @@ pub fn run_with_json(quick: bool) -> (String, BenchReport) {
 mod tests {
     #[test]
     fn report_renders() {
-        assert!(super::run(true).contains("## T7"));
+        assert!(super::run(true).0.contains("## T7"));
     }
 }

@@ -13,7 +13,9 @@
 //! Every success rate is deterministic (fixed seeds, no wall-clock in
 //! the decode path), so the emitted `iblt_threshold_*_success_rate` keys
 //! are gated with **zero downward tolerance** in CI — any dip is a real
-//! decoder regression, not noise (docs/benchmarks.md).
+//! decoder regression, not noise (docs/benchmarks.md). The report also
+//! carries F1b's unrecovered-key floor ([`super::riblt_error::extend`]),
+//! so one run regenerates the whole `BENCH_iblt.json`.
 
 use crate::benchjson::BenchReport;
 use crate::table::{f, Table};
@@ -68,14 +70,9 @@ fn keys_per_sec(trials: usize) -> f64 {
     decoded as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Runs the experiment (markdown only).
-pub fn run(quick: bool) -> String {
-    run_with_json(quick).0
-}
-
-/// Runs the experiment, returning both the markdown section and the
-/// `BENCH_iblt.json` report.
-pub fn run_with_json(quick: bool) -> (String, BenchReport) {
+/// Runs the experiment, F1b's unrecovered-key floor included; returns
+/// the markdown section and the `BENCH_iblt.json` report.
+pub fn run(quick: bool) -> (String, BenchReport) {
     let mut bench = BenchReport::new("iblt", quick);
     let mut out = String::new();
 
@@ -130,6 +127,8 @@ pub fn run_with_json(quick: bool) -> (String, BenchReport) {
          {peel_rate:.0} keys/s.\n"
     ));
 
+    out.push_str("\n\n");
+    out.push_str(&super::riblt_error::extend(&mut bench, quick));
     (out, bench)
 }
 
@@ -139,8 +138,8 @@ mod tests {
 
     #[test]
     fn runs_and_shows_phase_transition() {
-        let (report, bench) = run_with_json(true);
-        assert!(report.contains("## T1"));
+        let (report, bench) = run(true);
+        assert!(report.contains("## T1") && report.contains("## F1b"));
         // Sanity: the part-1 table has 3 q-values × 7 loads rows.
         assert_eq!(
             report.matches("\n| 3").count()
@@ -148,15 +147,15 @@ mod tests {
                 + report.matches("\n| 5").count(),
             21
         );
-        // Key inventory: 21 large-m points + 6 small-m loads, plus the
-        // one throughput.
+        // Key inventory: 21 large-m points + 6 small-m loads + F1b's
+        // recovery rate, plus the one throughput and F1b's floor.
         let rates = bench
             .metrics
             .iter()
             .filter(|(k, _)| k.ends_with("_success_rate"))
             .count();
-        assert_eq!(rates, 21 + 6);
-        assert_eq!(bench.metrics.len(), rates + 1);
+        assert_eq!(rates, 21 + 6 + 1);
+        assert_eq!(bench.metrics.len(), rates + 2);
         assert!(bench.metric("iblt_decode_peel_keys_per_sec").unwrap() > 0.0);
     }
 
@@ -164,8 +163,8 @@ mod tests {
     fn success_rates_are_deterministic() {
         // The zero-tolerance CI gate on `_success_rate` keys is only
         // sound if reruns reproduce bit-identical rates.
-        let (_, a) = run_with_json(true);
-        let (_, b) = run_with_json(true);
+        let (_, a) = run(true);
+        let (_, b) = run(true);
         let rates = |r: &BenchReport| -> Vec<(String, f64)> {
             r.metrics
                 .iter()

@@ -18,45 +18,17 @@
 //! queueing delay dominates), a two-connection cell, and a double-size
 //! payload cell. Each cell's percentiles land in `BENCH_net.json` as
 //! `load_<cell>_p50_ms` … `_max_ms` keys that `bench_check` gates with
-//! the latency tolerances (docs/benchmarks.md).
+//! the latency rules (docs/benchmarks.md).
 
 use crate::benchjson::BenchReport;
 use crate::experiments::net::{Instance, InstanceFactory};
-use crate::loadgen::{self, Arrival};
+use crate::loadgen;
 use crate::table::Table;
 use rsr_net::{Driver, ReconServer, SessionPlan};
 use rsr_obs::hist::{LogHistogram, DEFAULT_SUB_BITS};
 use rsr_workloads::trace::{sample_trace_with, TraceMix};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Sweep axes the `exp_net --load` CLI can override; `None` keeps the
-/// built-in grid for the mode.
-#[derive(Clone, Debug, Default)]
-pub struct LoadOptions {
-    /// Offered rates (sessions/sec) to sweep.
-    pub rates: Option<Vec<f64>>,
-    /// Arrival law; defaults to [`Arrival::Exponential`] (Poisson).
-    pub arrival: Option<Arrival>,
-    /// Sessions per cell.
-    pub sessions: Option<usize>,
-    /// Executor shard widths to sweep (both endpoints).
-    pub shards: Option<Vec<usize>>,
-    /// Client connections per cell.
-    pub conns: Option<usize>,
-    /// Instance-size multiplier applied to every cell's trace mix.
-    pub payload_scale: Option<f64>,
-}
-
-impl LoadOptions {
-    fn is_default_grid(&self) -> bool {
-        self.rates.is_none()
-            && self.sessions.is_none()
-            && self.shards.is_none()
-            && self.conns.is_none()
-            && self.payload_scale.is_none()
-    }
-}
 
 /// One cell of the load sweep.
 #[derive(Clone, Debug)]
@@ -65,10 +37,8 @@ pub struct LoadCell {
     pub key: String,
     /// Sessions injected.
     pub sessions: usize,
-    /// Target offered rate, sessions/sec.
+    /// Target offered rate, sessions/sec (exponential arrivals).
     pub rate: f64,
-    /// Inter-arrival law.
-    pub arrival: Arrival,
     /// Executor shards on both endpoints.
     pub shards: usize,
     /// Concurrent client connections (sessions split round-robin).
@@ -106,43 +76,32 @@ impl CellResult {
     }
 }
 
-/// The default sweep for the mode, with CLI overrides applied. Quick
-/// mode is a small rate × shard grid sized for CI smoke; full mode adds
-/// the overload, multi-connection, and big-payload cells (only when no
-/// axis was overridden — an explicit sweep means the caller wants
-/// exactly that grid).
-pub fn cells(quick: bool, opts: &LoadOptions) -> Vec<LoadCell> {
-    let sessions = opts.sessions.unwrap_or(if quick { 48 } else { 160 });
-    let rates = opts.rates.clone().unwrap_or_else(|| {
-        if quick {
-            vec![50.0, 200.0]
-        } else {
-            vec![100.0, 300.0]
-        }
-    });
-    let shard_sweep =
-        opts.shards
-            .clone()
-            .unwrap_or_else(|| if quick { vec![1, 2] } else { vec![1, 4] });
-    let arrival = opts.arrival.unwrap_or(Arrival::Exponential);
-    let conns = opts.conns.unwrap_or(1);
-    let mix = TraceMix::production_day().scaled(opts.payload_scale.unwrap_or(1.0));
+/// The sweep for the mode. Quick mode is a small rate × shard grid
+/// sized for CI smoke; full mode adds an overload, a multi-connection,
+/// and a big-payload cell.
+pub fn cells(quick: bool) -> Vec<LoadCell> {
+    let sessions = if quick { 48 } else { 160 };
+    let (rates, shard_sweep): (&[f64], &[usize]) = if quick {
+        (&[50.0, 200.0], &[1, 2])
+    } else {
+        (&[100.0, 300.0], &[1, 4])
+    };
+    let mix = TraceMix::production_day();
 
     let mut cells = Vec::new();
-    for &rate in &rates {
-        for &shards in &shard_sweep {
+    for &rate in rates {
+        for &shards in shard_sweep {
             cells.push(LoadCell {
-                key: format!("r{}_s{shards}", rate_token(rate)),
+                key: format!("r{rate:.0}_s{shards}"),
                 sessions,
                 rate,
-                arrival,
                 shards,
-                conns,
+                conns: 1,
                 mix,
             });
         }
     }
-    if !quick && opts.is_default_grid() {
+    if !quick {
         // Overload: offered well above the 1-core capacity N1 measures
         // (~500 sessions/sec), so the queue — not the service time —
         // sets the tail.
@@ -150,7 +109,6 @@ pub fn cells(quick: bool, opts: &LoadOptions) -> Vec<LoadCell> {
             key: "r900_s4".into(),
             sessions,
             rate: 900.0,
-            arrival,
             shards: 4,
             conns: 1,
             mix,
@@ -160,7 +118,6 @@ pub fn cells(quick: bool, opts: &LoadOptions) -> Vec<LoadCell> {
             key: "c2_r300_s2".into(),
             sessions,
             rate: 300.0,
-            arrival,
             shards: 2,
             conns: 2,
             mix,
@@ -170,21 +127,12 @@ pub fn cells(quick: bool, opts: &LoadOptions) -> Vec<LoadCell> {
             key: "big_r100_s4".into(),
             sessions: 96,
             rate: 100.0,
-            arrival,
             shards: 4,
             conns: 1,
             mix: mix.scaled(2.0),
         });
     }
     cells
-}
-
-fn rate_token(rate: f64) -> String {
-    if rate.fract() == 0.0 {
-        format!("{rate:.0}")
-    } else {
-        format!("{rate}").replace('.', "p")
-    }
 }
 
 /// Runs one cell: builds the trace, binds a loopback server, injects the
@@ -202,7 +150,7 @@ pub fn run_cell(cell: &LoadCell, seed: u64) -> CellResult {
         .iter()
         .map(Instance::run_in_memory)
         .collect();
-    let schedule = loadgen::schedule(cell.sessions, cell.rate, cell.arrival, seed);
+    let schedule = loadgen::schedule(cell.sessions, cell.rate, seed);
 
     let server = ReconServer::bind("127.0.0.1:0", Arc::clone(&factory))
         .expect("bind loopback")
@@ -319,19 +267,10 @@ pub fn run_cell(cell: &LoadCell, seed: u64) -> CellResult {
     }
 }
 
-/// Runs the sweep with default options, discarding the JSON keys — the
-/// `rsr-exp load` / full-report entry point.
-pub fn run(quick: bool) -> String {
-    let mut bench = BenchReport::new("net", quick);
-    extend(&mut bench, quick, &LoadOptions::default())
-}
-
-/// Runs the sweep and appends every cell's metrics to `bench` (the
-/// combined `BENCH_net.json` the `exp_net --load --json` path commits).
-/// Returns the markdown section.
-pub fn extend(bench: &mut BenchReport, quick: bool, opts: &LoadOptions) -> String {
-    let cells = cells(quick, opts);
-    let arrival = opts.arrival.unwrap_or(Arrival::Exponential);
+/// Runs `cells` and appends every cell's metrics to `bench` (the `net`
+/// entry's combined `BENCH_net.json` report). Returns the markdown
+/// section.
+pub fn extend(bench: &mut BenchReport, cells: &[LoadCell]) -> String {
     let base_seed = 0x10ad_7ace_u64;
 
     let mut table = Table::new(&[
@@ -399,13 +338,9 @@ pub fn extend(bench: &mut BenchReport, quick: bool, opts: &LoadOptions) -> Strin
             }
         }
         sections.push(format!(
-            "cell `{k}`: {} sessions over {} connection(s), {} arrivals at \
+            "cell `{k}`: {} sessions over {} connection(s), exp arrivals at \
              {:.0}/s offered, {} shards",
-            cell.sessions,
-            cell.conns,
-            arrival.token(),
-            cell.rate,
-            cell.shards
+            cell.sessions, cell.conns, cell.rate, cell.shards
         ));
     }
 
@@ -413,7 +348,7 @@ pub fn extend(bench: &mut BenchReport, quick: bool, opts: &LoadOptions) -> Strin
         "## L1 — open-loop latency under load\n\n\
          Injected each cell's production-day trace \
          (emd-heavy blend, periodic bulk sessions) on a pre-computed \
-         {}-arrival schedule against the loopback server; every session's \
+         exp-arrival schedule against the loopback server; every session's \
          outcome and transcript bits matched the serial in-memory \
          reference (instances whose decode intrinsically fails must fail \
          identically under load). Latency is measured from the *scheduled* \
@@ -422,7 +357,6 @@ pub fn extend(bench: &mut BenchReport, quick: bool, opts: &LoadOptions) -> Strin
          (coordinated omission — docs/loadgen.md). Percentiles come from a \
          log-bucketed histogram with ≤{:.1}% relative bucket error.\n\n\
          Cells: {}.\n\n{}",
-        arrival.token(),
         LogHistogram::new(DEFAULT_SUB_BITS).relative_error() * 100.0,
         sections.join("; "),
         table.render()

@@ -14,11 +14,12 @@
 //!
 //! The session batch comes from `rsr-workloads`' replayable trace
 //! format: the trace is written out, parsed back, and every driver
-//! replays the parsed copy. With `--json` the measured rates are also
-//! emitted as a `BENCH_net.json` [`BenchReport`] that CI gates against
-//! the committed baseline.
+//! replays the parsed copy. The `net` entry appends the L1 and C1
+//! sweeps, so its [`BenchReport`] is the whole `BENCH_net.json` CI gates
+//! against the committed baseline.
 
 use crate::benchjson::BenchReport;
+use crate::experiments::{churn, load};
 use crate::table::Table;
 use rsr_core::channel::Frame;
 use rsr_core::continuous::{shared, ContinuousConfig, ContinuousParty, SharedParty};
@@ -334,27 +335,14 @@ impl NetSession for OwnedBobSession {
 /// rate.
 pub const METRICS_OVERHEAD_BUDGET_PCT: f64 = 5.0;
 
-/// Runs the experiment, discarding the machine-readable report.
-pub fn run(quick: bool) -> String {
-    run_with_json(quick).0
-}
-
-/// Runs the experiment with metrics recording off; returns the markdown
-/// section and the `BENCH_net.json` report.
-pub fn run_with_json(quick: bool) -> (String, BenchReport) {
-    run_with_json_metrics(quick, false)
-}
-
-/// Runs the experiment; returns the markdown section and the
-/// `BENCH_net.json` report. With `metrics` the `rsr-obs` registry
-/// records throughout, the single-connection sweep cell is measured
-/// both with and without recording (asserting the overhead stays within
-/// [`METRICS_OVERHEAD_BUDGET_PCT`]), and the gated throughput keys come
-/// from the metrics-on timing.
-pub fn run_with_json_metrics(quick: bool, metrics: bool) -> (String, BenchReport) {
-    if metrics {
-        rsr_obs::set_enabled(true);
-    }
+/// Runs N1, then the L1 load sweep and the C1 churn sweep; returns the
+/// markdown sections and the one `BENCH_net.json` report all three
+/// fill. While `rsr-obs` recording is on, the single-connection sweep
+/// cell is measured both with and without it (asserting the overhead
+/// stays within [`METRICS_OVERHEAD_BUDGET_PCT`]), and the gated
+/// throughput keys come from the recording-on timing.
+pub fn run(quick: bool) -> (String, BenchReport) {
+    let metrics = rsr_obs::enabled();
     let count = if quick { 64 } else { 256 };
     let shard_sweep: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let tcp_shards = *shard_sweep.last().expect("non-empty sweep");
@@ -630,7 +618,7 @@ pub fn run_with_json_metrics(quick: bool, metrics: bool) -> (String, BenchReport
         "thread count must stay flat across the connection sweep: {peaks:?}"
     );
 
-    let report = format!(
+    let mut report = format!(
         "## N1 — session throughput: serial vs sharded executor vs TCP\n\n\
          Replayed one {count}-session trace (seed {trace_seed:#x}; emd/semd/gap \
          mix) over every driver; each executor width and both TCP endpoints \
@@ -655,6 +643,13 @@ pub fn run_with_json_metrics(quick: bool, metrics: bool) -> (String, BenchReport
         table.render(),
         sweep_table.render()
     );
+    for section in [
+        load::extend(&mut bench, &load::cells(quick)),
+        churn::extend(&mut bench, quick),
+    ] {
+        report.push_str("\n\n");
+        report.push_str(&section);
+    }
     (report, bench)
 }
 

@@ -134,10 +134,10 @@ pub fn run(quick: bool) -> String {
     out
 }
 
-/// Part 3: the unrecovered-key floor of an overloaded table, appended
-/// to `bench` as the `riblt_recover_*` key family (the success rate is
-/// deterministic — fixed seeds — so CI gates it with zero downward
-/// tolerance).
+/// F1b: the unrecovered-key floor of an overloaded table, appended to
+/// `bench` (the `iblt_threshold` entry's report) as the
+/// `riblt_recover_*` key family (the success rate is deterministic —
+/// fixed seeds — so CI gates it with zero downward tolerance).
 ///
 /// 24 exact-valued keys in a 30-cell q = 3 table sit past the peeling
 /// threshold often enough that the decode stalls in most trials. A

@@ -1,7 +1,7 @@
 //! Open-loop arrival schedules for the load harness.
 //!
-//! A *closed-loop* driver (everything `exp_net` measured before the load
-//! mode) starts the next session when a previous one finishes, so the
+//! A *closed-loop* driver (every driver the N1 throughput table times)
+//! starts the next session when a previous one finishes, so the
 //! measured system throttles its own offered load and queueing delay
 //! never shows up in the numbers. The load harness is *open-loop*: session
 //! arrival times are **pre-computed here, before the run starts**, from a
@@ -22,67 +22,29 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// The inter-arrival law of an open-loop schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Arrival {
-    /// Deterministic, evenly spaced arrivals: session `i` at `i / rate`.
-    /// The gentlest arrival process at a given rate — no bursts — so it
-    /// isolates the service-time component of latency.
-    Uniform,
-    /// Seeded-exponential inter-arrival gaps (a Poisson process): the
-    /// memoryless arrival law production traffic is usually modeled by,
-    /// and the honest default — bursts arrive for free.
-    Exponential,
-}
-
-impl Arrival {
-    /// The canonical CLI token.
-    pub fn token(self) -> &'static str {
-        match self {
-            Arrival::Uniform => "uniform",
-            Arrival::Exponential => "exp",
-        }
-    }
-
-    /// Parses a CLI token (`uniform` | `exp` | `exponential` | `poisson`).
-    pub fn parse(token: &str) -> Option<Arrival> {
-        match token {
-            "uniform" => Some(Arrival::Uniform),
-            "exp" | "exponential" | "poisson" => Some(Arrival::Exponential),
-            _ => None,
-        }
-    }
-}
-
 /// Pre-computes an open-loop arrival schedule: `count` non-decreasing
 /// offsets from the run's start, targeting `rate_per_sec` offered
-/// sessions per second. Deterministic in `(count, rate, arrival, seed)`
-/// — the seed only matters for [`Arrival::Exponential`], whose gaps are
-/// drawn with inverse-CDF sampling from the workspace's seeded RNG, so a
-/// committed baseline pins its exact arrival pattern.
-pub fn schedule(count: usize, rate_per_sec: f64, arrival: Arrival, seed: u64) -> Vec<Duration> {
+/// sessions per second. The gaps are seeded-exponential (a Poisson
+/// process: the memoryless arrival law production traffic is usually
+/// modeled by, bursts included), drawn with inverse-CDF sampling from
+/// the workspace's seeded RNG. Deterministic in `(count, rate, seed)`,
+/// so a committed baseline pins its exact arrival pattern.
+pub fn schedule(count: usize, rate_per_sec: f64, seed: u64) -> Vec<Duration> {
     assert!(
         rate_per_sec.is_finite() && rate_per_sec > 0.0,
         "offered rate must be a positive, finite sessions/sec"
     );
-    match arrival {
-        Arrival::Uniform => (0..count)
-            .map(|i| Duration::from_secs_f64(i as f64 / rate_per_sec))
-            .collect(),
-        Arrival::Exponential => {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x10ad_6e4a_2242_1a77);
-            let mut at = 0.0f64;
-            (0..count)
-                .map(|_| {
-                    // Inverse CDF of Exp(rate): -ln(1 - U) / rate, with
-                    // U in [0, 1) so the argument never hits zero.
-                    let u: f64 = rng.gen();
-                    at += -(1.0 - u).ln() / rate_per_sec;
-                    Duration::from_secs_f64(at)
-                })
-                .collect()
-        }
-    }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x10ad_6e4a_2242_1a77);
+    let mut at = 0.0f64;
+    (0..count)
+        .map(|_| {
+            // Inverse CDF of Exp(rate): -ln(1 - U) / rate, with U in
+            // [0, 1) so the argument never hits zero.
+            let u: f64 = rng.gen();
+            at += -(1.0 - u).ln() / rate_per_sec;
+            Duration::from_secs_f64(at)
+        })
+        .collect()
 }
 
 /// The offered rate a schedule encodes, in sessions/sec: arrivals per
@@ -103,25 +65,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_schedule_is_exact() {
-        let s = schedule(5, 100.0, Arrival::Uniform, 99);
-        let expect: Vec<Duration> = (0..5).map(|i| Duration::from_millis(10 * i)).collect();
-        assert_eq!(s, expect);
-        assert!((offered_rate(&s) - 100.0).abs() < 1e-9);
+    fn schedule_offsets_are_pinned() {
+        // The offsets the committed `load_*_offered_per_sec` keys were
+        // generated from: any change to the seeding, the RNG draw or the
+        // inverse CDF moves them, and fails here first.
+        let nanos = [
+            1_440_094, 4_689_687, 5_119_301, 5_797_312, 8_532_237, 12_940_246, 14_213_776,
+            23_017_866,
+        ];
+        let expect: Vec<Duration> = nanos.into_iter().map(Duration::from_nanos).collect();
+        assert_eq!(schedule(8, 200.0, 7), expect);
     }
 
     #[test]
     fn exponential_schedule_is_deterministic_per_seed() {
-        let a = schedule(64, 200.0, Arrival::Exponential, 7);
-        let b = schedule(64, 200.0, Arrival::Exponential, 7);
+        let a = schedule(64, 200.0, 7);
+        let b = schedule(64, 200.0, 7);
         assert_eq!(a, b, "same seed must reproduce the schedule exactly");
-        let c = schedule(64, 200.0, Arrival::Exponential, 8);
+        let c = schedule(64, 200.0, 8);
         assert_ne!(a, c, "the seed must matter");
     }
 
     #[test]
     fn exponential_schedule_is_sorted_with_plausible_rate() {
-        let s = schedule(2000, 500.0, Arrival::Exponential, 3);
+        let s = schedule(2000, 500.0, 3);
         assert!(
             s.windows(2).all(|w| w[0] <= w[1]),
             "offsets must not go back in time"
@@ -140,14 +107,5 @@ mod tests {
         assert_eq!(offered_rate(&[]), 0.0);
         assert_eq!(offered_rate(&[Duration::ZERO]), 0.0);
         assert_eq!(offered_rate(&[Duration::ZERO, Duration::ZERO]), 0.0);
-    }
-
-    #[test]
-    fn arrival_tokens_round_trip() {
-        for a in [Arrival::Uniform, Arrival::Exponential] {
-            assert_eq!(Arrival::parse(a.token()), Some(a));
-        }
-        assert_eq!(Arrival::parse("poisson"), Some(Arrival::Exponential));
-        assert_eq!(Arrival::parse("bursty"), None);
     }
 }

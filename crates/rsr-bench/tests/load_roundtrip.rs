@@ -1,26 +1,27 @@
 //! The round-trip gate: a real (tiny) load sweep must emit a
 //! `BENCH_net.json` latency section that parses back verbatim, carries
 //! every key the schema promises, and compares cleanly against itself
-//! under both `bench_check` gates — the same self-comparison CI's
-//! bench-baseline job runs with the actual binaries.
+//! under `gate` — the same self-comparison CI's bench-baseline job runs
+//! with the actual binaries.
 
-use rsr_bench::experiments::load::{self, LoadOptions};
-use rsr_bench::{latency_regressions, regressions, Arrival, BenchReport};
+use rsr_bench::experiments::load::{self, LoadCell};
+use rsr_bench::{gate, BenchReport};
+use rsr_workloads::trace::TraceMix;
 
 /// One 24-session cell at a gentle rate: fast enough for the debug test
 /// profile, real enough to exercise the whole server/client/histogram
 /// path.
 fn tiny_sweep() -> BenchReport {
     let mut bench = BenchReport::new("net", true);
-    let opts = LoadOptions {
-        rates: Some(vec![150.0]),
-        arrival: Some(Arrival::Exponential),
-        sessions: Some(24),
-        shards: Some(vec![1]),
-        conns: None,
-        payload_scale: None,
+    let cell = LoadCell {
+        key: "r150_s1".into(),
+        sessions: 24,
+        rate: 150.0,
+        shards: 1,
+        conns: 1,
+        mix: TraceMix::production_day(),
     };
-    let section = load::extend(&mut bench, true, &opts);
+    let section = load::extend(&mut bench, &[cell]);
     assert!(
         section.contains("L1") && section.contains("r150_s1"),
         "markdown section must name the experiment and the cell"
@@ -65,16 +66,12 @@ fn load_json_round_trips_and_gates_cleanly() {
         "percentiles must be monotone: {p50} {p90} {p95} {p99} {max}"
     );
 
-    // Serialize, parse back, and self-compare under both gates — the
+    // Serialize, parse back, and self-compare through the gate — the
     // exact pipeline bench-baseline runs against the committed file.
     let parsed = BenchReport::parse(&bench.to_json()).expect("own JSON parses");
     assert_eq!(parsed, bench, "JSON round trip must be lossless");
     assert!(
-        regressions(&parsed, &parsed, 0.30).is_empty(),
+        gate(&parsed, &parsed).is_empty(),
         "a report must never regress against itself"
-    );
-    assert!(
-        latency_regressions(&parsed, &parsed, 1.00, 3.00).is_empty(),
-        "a report must never show latency regressions against itself"
     );
 }

@@ -628,7 +628,8 @@ impl Drop for BobRound {
 
 /// An in-process continuous pair plus its per-round transcript
 /// segments — the single-process counterpart of driving round sessions
-/// over a transport, and the reference driver `exp_churn` measures.
+/// over a transport, and the reference driver the C1 churn sweep
+/// (`rsr-exp net`) measures.
 pub struct ContinuousSession {
     alice: SharedParty,
     bob: SharedParty,

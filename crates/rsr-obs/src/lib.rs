@@ -11,7 +11,7 @@
 //! marks, connection lifecycle), the `rsr-core` executor (mailbox
 //! depths, shard occupancy, open→first-frame→settle phase timings,
 //! event-channel depth), and the session layer (frames and bits per
-//! protocol, `on_frame` decode duration). `exp_net --metrics-out`
+//! protocol, `on_frame` decode duration). `rsr-exp --metrics-out`
 //! exports the whole registry as a flat JSON snapshot in the
 //! `BENCH_*.json` key style; see docs/observability.md for the key
 //! inventory and the overhead budget.

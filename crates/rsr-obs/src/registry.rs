@@ -6,7 +6,7 @@
 //! and every subsequent record is one or two relaxed atomic operations
 //! on the handle itself. That keeps the hot-path cost of a counter at
 //! roughly a cache-line touch, which is what makes the ≤ 5% overhead
-//! budget in `exp_net` achievable (see docs/observability.md).
+//! budget in `rsr-exp net` achievable (see docs/observability.md).
 //!
 //! Recording is additionally gated by a global enable flag
 //! ([`crate::enabled`]): the registry always exists, but layers skip

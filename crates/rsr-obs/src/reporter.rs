@@ -5,7 +5,7 @@
 //! on drop — never a thread per tick — so a process holding a reporter
 //! adds a constant `+1` to its thread count for the reporter's whole
 //! lifetime. That constant-ness is what keeps the bench harness's
-//! zero-tolerance `_threads` gate honest when `exp_net --metrics-out`
+//! zero-tolerance `_threads` gate honest when `rsr-exp --metrics-out`
 //! turns reporting on: the peak thread count stays flat across sweep
 //! cells, just one higher than a run without the reporter.
 

@@ -2,7 +2,7 @@
 //!
 //! A *trace* is a line-based description of a batch of reconciliation
 //! sessions — which protocol, how big, which seed — so the exact same
-//! batch can be replayed against different transports (`exp_net` runs
+//! batch can be replayed against different transports (`rsr-exp net` runs
 //! one trace over the in-memory driver and over TCP loopback) or
 //! regenerated across machines from the one seed that produced it. One
 //! session per line, `#` comments and blank lines ignored:

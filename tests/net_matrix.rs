@@ -357,7 +357,7 @@ fn spec_negotiated_multi_connection_batches_match_in_memory() {
 #[test]
 fn multiplexed_batch_matches_in_memory() {
     // A smaller mixed batch through the ReconServer/Driver mux
-    // (exp_net drives ≥ 64); both endpoints' transcripts must match the
+    // (`rsr-exp net` drives ≥ 64); both endpoints' transcripts must match the
     // in-memory totals session by session. Both endpoints run the
     // sharded executor at an explicit width — more shards than this
     // box may have cores — so session→shard fan-out is exercised even
