@@ -173,6 +173,10 @@ const TAIL_RISE: f64 = 3.00;
 /// jitter alone (a 0.3 ms → 0.8 ms p50 is noise, not a regression).
 const LATENCY_FLOOR_MS: f64 = 1.0;
 
+/// How far an approximation-ratio quantile may rise above its baseline:
+/// the repo benchmark's `quality_ratio_p50` bound.
+const RATIO_RISE: f64 = 0.12;
+
 /// A gate rule: the keys it covers (by suffix) and how far their fresh
 /// values may move from the baseline. The bounds are constants, not
 /// flags; `Display` states each one, and docs/benchmarks.md gives the
@@ -193,12 +197,19 @@ pub enum Rule {
     /// seeds with no clock in any decode path, so any dip is a real
     /// decoder regression.
     SuccessRate,
+    /// `_ratio_p50`, `_ratio_p90`: a bounded rise above baseline. A
+    /// quality ratio is seeded too, but a change may legitimately trade
+    /// a little of it, as the benchmark's quality bound allows.
+    Ratio,
+    /// `_bits`: never above baseline. Seeded bit counts repeat exactly,
+    /// so any rise is a wire change.
+    Bits,
 }
 
 impl Rule {
     /// The rule gating `key`, if any.
     fn of(key: &str) -> Option<Rule> {
-        const SUFFIXES: [(&str, Rule); 8] = [
+        const SUFFIXES: [(&str, Rule); 11] = [
             ("_per_sec", Rule::Throughput),
             ("_p50_ms", Rule::LatencyBody),
             ("_p90_ms", Rule::LatencyBody),
@@ -207,6 +218,9 @@ impl Rule {
             ("_max_ms", Rule::LatencyTail),
             ("_threads", Rule::Threads),
             ("_success_rate", Rule::SuccessRate),
+            ("_ratio_p50", Rule::Ratio),
+            ("_ratio_p90", Rule::Ratio),
+            ("_bits", Rule::Bits),
         ];
         SUFFIXES
             .iter()
@@ -223,8 +237,9 @@ impl Rule {
             Rule::Throughput => fresh >= baseline * (1.0 - THROUGHPUT_DROP),
             Rule::LatencyBody => latency(BODY_RISE),
             Rule::LatencyTail => latency(TAIL_RISE),
-            Rule::Threads => fresh <= baseline,
+            Rule::Threads | Rule::Bits => fresh <= baseline,
             Rule::SuccessRate => fresh >= baseline,
+            Rule::Ratio => fresh <= baseline * (1.0 + RATIO_RISE),
         }
     }
 }
@@ -246,6 +261,8 @@ impl fmt::Display for Rule {
             ),
             Rule::Threads => f.write_str("threads, zero tolerance"),
             Rule::SuccessRate => f.write_str("success rate, zero tolerance"),
+            Rule::Ratio => write!(f, "quality ratio, at most +{:.0}%", pct(RATIO_RISE)),
+            Rule::Bits => f.write_str("bits, zero tolerance"),
         }
     }
 }
@@ -304,6 +321,8 @@ mod tests {
             ("load_r100_s4_inject_lag_ms", 0.2),
             ("sweep_c16_s64_threads", 11.0),
             ("iblt_threshold_q3_l80_peel_success_rate", 0.85),
+            ("hamming_n100_d64_k4_ratio_p50", 0.9),
+            ("hamming_n100_d64_k4_bits", 1_463_648.0),
         ])
     }
 
@@ -367,10 +386,13 @@ mod tests {
             rule("riblt_recover_peel_success_rate"),
             Some(Rule::SuccessRate)
         );
+        assert_eq!(rule("l2_n100_delta1024_k3_ratio_p90"), Some(Rule::Ratio));
+        assert_eq!(rule("riblt_mu20_error_ratio_p50"), Some(Rule::Ratio));
+        assert_eq!(rule("churn_n4096_c32_round_bits"), Some(Rule::Bits));
+        assert_eq!(rule("sum_total_bits"), Some(Rule::Bits));
         for context in [
             "serial_wall_ms",
             "load_r100_s4_inject_lag_ms",
-            "churn_n4096_c32_round_bits",
             "churn_flat_time_ratio",
             "riblt_unrecovered_keys_peel",
         ] {
@@ -437,6 +459,20 @@ mod tests {
     }
 
     #[test]
+    fn ratios_tolerate_a_12_percent_rise_and_bits_none() {
+        let ratio = "hamming_n100_d64_k4_ratio_p50";
+        assert!(flagged(ratio, Some(0.5)).is_empty(), "improvements pass");
+        assert!(flagged(ratio, Some(0.9 * 1.11)).is_empty());
+        assert_eq!(flagged(ratio, Some(0.9 * 1.13)), [ratio]);
+        let bits = "hamming_n100_d64_k4_bits";
+        assert!(
+            flagged(bits, Some(1_463_000.0)).is_empty(),
+            "fewer bits pass"
+        );
+        assert_eq!(flagged(bits, Some(1_463_649.0)), [bits]);
+    }
+
+    #[test]
     fn every_missing_gated_key_regresses() {
         for (key, _) in sample().metrics {
             let regs = flagged(&key, None);
@@ -445,7 +481,7 @@ mod tests {
         let regs = gate(&sample(), &report(&[("renamed_sessions_per_sec", 9e9)]));
         assert_eq!(
             regs.len(),
-            8,
+            10,
             "a disjoint fresh report flags every gated key"
         );
     }
@@ -458,6 +494,8 @@ mod tests {
             "load_r100_s4_p99_ms",
             "sweep_c16_s64_threads",
             "iblt_threshold_q3_l80_peel_success_rate",
+            "hamming_n100_d64_k4_ratio_p50",
+            "hamming_n100_d64_k4_bits",
         ] {
             assert_eq!(flagged(key, Some(f64::NAN)), [key]);
         }

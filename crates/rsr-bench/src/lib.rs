@@ -1,11 +1,12 @@
 //! Experiment harness for the paper's quantitative claims.
 //!
-//! Each module under [`experiments`] regenerates one table or figure
-//! (T1–T12 and F1 reproduce the paper's evaluation; N1, L1, C1 and P1
-//! measure the transport and solver layers this repo added). Every entry
-//! of [`experiments::all`] is one function `run(quick)` returning a
-//! markdown section and a [`BenchReport`]; a table-only experiment's
-//! report is empty. One binary runs any entry by name, or all of them as
+//! Each module under [`experiments`] regenerates one committed
+//! `BENCH_*.json` baseline: `paper` turns the paper's statistical claims
+//! into gated keys, T1/F1b and T7 measure the IBLT threshold and the Gap
+//! protocol, and N1, L1, C1 and P1 measure the transport and solver
+//! layers this repo added. Every entry of [`experiments::all`] is one
+//! function `run(quick)` returning a markdown section and a
+//! [`BenchReport`]. One binary runs any entry by name, or all of them as
 //! the full report:
 //!
 //! ```text

@@ -11,7 +11,6 @@ fn misuse_exits_2_and_lists_every_name() {
         "gap --json-out",
         "gap --json-out --quick",
         "all --json-out x.json",
-        "hypergraph --json-out x.json",
         "gap net",
         "no_such_experiment",
         "",

@@ -480,7 +480,7 @@ mod tests {
 
     #[test]
     fn approximation_within_log_factor() {
-        // Single-trial smoke version of experiment T5: the ratio
+        // Smoke version of `rsr-exp paper`'s ratio keys: the ratio
         // EMD(S_A, S'_B)/EMD_k should be modest (the guarantee is
         // O(log n) with constant probability; we allow generous slack
         // and retry over seeds to keep the test deterministic-ish).

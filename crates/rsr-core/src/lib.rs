@@ -18,8 +18,8 @@
 //!   implementing the parameter requirements of Theorem 3.4
 //!   (`r ≥ min(M, D2)`, `p ≥ e^{−k/(24·D2)}`).
 //! * [`lower_bound`] — the Theorem 4.6 reduction from the index problem
-//!   (with a greedy Gilbert–Varshamov code standing in for Reed–Muller),
-//!   plus a one-round straw-man protocol to measure against.
+//!   (with a greedy Gilbert–Varshamov code standing in for Reed–Muller):
+//!   the hard instances the Gap protocol is run on.
 //! * [`transcript`] — bit-exact communication accounting (measured sizes,
 //!   message and round counts).
 //! * [`channel`] / [`session`] — the two-party message-passing substrate:

@@ -11,17 +11,14 @@
 //! Gap protocol forces the recovery of `c_i ‖ x_i`, i.e. of `x_i` —
 //! which costs Ω(n) bits in one round.
 //!
-//! We implement the reduction's ingredients so experiments can *measure*
-//! the phenomenon: [`gv_code`] builds the codeword set (greedy
-//! Gilbert–Varshamov in place of the paper's Reed–Muller — any code with
-//! these parameters works), [`IndexInstance`] builds the
-//! hard instances, and [`one_round_bloom_guess`] is a natural O(n)-bit
-//! one-round straw-man whose measured success rate stays below 2/3 while
-//! the four-round protocol solves the same instances exactly.
+//! We implement the reduction's ingredients so experiments can run the
+//! four-round protocol on the hard instances: [`gv_code`] builds the
+//! codeword set (greedy Gilbert–Varshamov in place of the paper's
+//! Reed–Muller — any code with these parameters works), and
+//! [`IndexInstance`] builds the instances.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rsr_hash::mix::mix64;
 use rsr_metric::{MetricSpace, Point};
 
 /// Greedily builds `count` binary codewords of length `len` with pairwise
@@ -127,39 +124,6 @@ impl IndexInstance {
     }
 }
 
-/// A natural one-round, O(n)-bit straw-man: Alice sends a Bloom filter of
-/// her point set with `bits_budget` bits and 3 hash functions; Bob guesses
-/// `x_i` by querying `c_i ‖ 1`. Returns whether the guess equals `x_i`.
-///
-/// With only O(1) bits per point the filter's false-positive rate is a
-/// constant, so over random instances the success probability is bounded
-/// away from 1 — empirically below the 2/3 bar of Theorem 4.6 for small
-/// budgets (experiment T9).
-pub fn one_round_bloom_guess(instance: &IndexInstance, bits_budget: usize, seed: u64) -> bool {
-    let m = bits_budget.max(8);
-    let mut filter = vec![false; m];
-    let hash = |p: &Point, salt: u64| -> usize {
-        let words: Vec<u64> = p.coords().iter().map(|&c| c as u64).collect();
-        (rsr_hash::mix::hash_words(seed ^ mix64(salt), &words) % m as u64) as usize
-    };
-    for p in &instance.alice {
-        for salt in 0..3u64 {
-            let idx = hash(p, salt);
-            filter[idx] = true;
-        }
-    }
-    // Bob's query: is c_i ‖ 1 in Alice's set?
-    let mut bits: Vec<bool> = instance.alice[instance.i]
-        .as_bits()
-        .expect("binary instance");
-    let d = bits.len();
-    bits[d - 1] = true;
-    let query = Point::from_bits(&bits);
-    let positive = (0..3u64).all(|salt| filter[hash(&query, salt)]);
-    let guess = positive;
-    guess == instance.x[instance.i]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,23 +193,5 @@ mod tests {
             correct >= 8,
             "4-round protocol solved only {correct}/{trials}"
         );
-    }
-
-    #[test]
-    fn one_round_strawman_fails_often() {
-        // With ~2 bits/point the Bloom straw-man's success rate must stay
-        // visibly below 1 (Theorem 4.6 says no 1-round O(n)-bit protocol
-        // reaches 2/3; the straw-man errs on x_i = 0 via false positives).
-        let trials = 200;
-        let mut correct = 0u64;
-        for t in 0..trials {
-            let inst = IndexInstance::build(24, 8, 300 + t).unwrap();
-            if one_round_bloom_guess(&inst, 24, 400 + t) {
-                correct += 1;
-            }
-        }
-        let rate = correct as f64 / trials as f64;
-        assert!(rate < 0.95, "straw-man suspiciously good: {rate}");
-        assert!(rate > 0.3, "straw-man suspiciously bad: {rate}");
     }
 }

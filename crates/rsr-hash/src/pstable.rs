@@ -140,6 +140,30 @@ mod tests {
     }
 
     #[test]
+    fn collision_within_mlsh_envelope_across_distances() {
+        // Lemma 2.5 at d = 2, w = 24: the share of 40,000 sampled functions
+        // under which points at ℓ2 distance f collide lies in
+        // [p^f, p^(αf)], with ±0.02 sampling slack.
+        let fam = PStableFamily::new(2, 24.0);
+        let m = fam.mlsh_params();
+        let trials = 40_000;
+        let x = Point::new(vec![100, 100]);
+        for (dx, dy, dist) in [(3i64, 4i64, 5.0f64), (6, 8, 10.0), (9, 12, 15.0)] {
+            let y = Point::new(vec![100 + dx, 100 + dy]);
+            let draws = fam.sample_draws(&mut StdRng::seed_from_u64(0x400 + dx as u64), trials);
+            let hits = (0..trials)
+                .filter(|&j| draws.hash(j, &x) == draws.hash(j, &y))
+                .count();
+            let emp = hits as f64 / trials as f64;
+            let (lo, hi) = (m.lower_envelope(dist), m.upper_envelope(dist));
+            assert!(
+                emp >= lo - 0.02 && emp <= hi + 0.02,
+                "distance {dist}: {emp} outside [{lo}, {hi}]"
+            );
+        }
+    }
+
+    #[test]
     fn far_points_rarely_collide() {
         let fam = PStableFamily::new(2, 2.0);
         let x = Point::new(vec![0, 0]);

@@ -1,22 +1,13 @@
-//! Random-hypergraph analysis behind IBLT peeling.
+//! The hypergraph behind IBLT peeling.
 //!
-//! An IBLT with `m` cells and `q` hashes per key is the random `q`-uniform
-//! hypergraph `G^q_{m,cm}`: cells are vertices, keys are hyperedges.
-//! Peeling the table is peeling vertices of degree 1. This module provides:
-//!
-//! * [`Hypergraph`] — explicit hypergraphs, either sampled uniformly
-//!   (`G^q_{m,cm}`) or extracted from a concrete [`crate::CellLayout`];
-//! * [`Hypergraph::peel`] — the peeling process, reporting the 2-core;
-//! * [`Hypergraph::classify_components`] — trees / unicyclic / complex
-//!   component counts (Lemma B.3: below density `1/(q(q−1))` everything is
-//!   a tree or unicyclic w.h.p.);
-//! * [`Hypergraph::error_propagation`] — the Lemma 3.10 process: one random
-//!   vertex starts with error count 1; peeling a vertex adds its error
-//!   count to every vertex of the peeled edge. The final `Σ C_v` is O(1)
-//!   below the density threshold — experiment F1 measures this.
+//! An IBLT with `m` cells and `q` hashes per key is a `q`-uniform
+//! hypergraph: cells are vertices, keys are hyperedges. Peeling the table
+//! is peeling vertices of degree 1. [`Hypergraph::from_layout`] builds the
+//! exact graph a concrete [`crate::CellLayout`] induces, and
+//! [`Hypergraph::peel`] runs the peeling process and reports the 2-core —
+//! the structural reference the IBLT decoder is tested against.
 
 use crate::layout::CellLayout;
-use rand::Rng;
 
 /// An explicit `q`-uniform hypergraph on `m` vertices.
 #[derive(Clone, Debug)]
@@ -36,17 +27,6 @@ pub struct PeelOutcome {
     pub rounds: usize,
 }
 
-/// Component census (Lemma B.3).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ComponentCensus {
-    /// Components that are hypertrees (`V = E(q−1) + 1`).
-    pub trees: usize,
-    /// Unicyclic components (`V = E(q−1)`).
-    pub unicyclic: usize,
-    /// Anything denser.
-    pub complex: usize,
-}
-
 impl Hypergraph {
     /// Creates a hypergraph from explicit edges.
     pub fn new(num_vertices: usize, edges: Vec<Vec<usize>>) -> Self {
@@ -61,33 +41,6 @@ impl Hypergraph {
         }
     }
 
-    /// Samples `G^q_{m,em}`: `num_edges` edges drawn uniformly (each edge a
-    /// uniform `q`-subset of the `m` vertices).
-    pub fn sample_uniform<R: Rng + ?Sized>(
-        num_vertices: usize,
-        num_edges: usize,
-        q: usize,
-        rng: &mut R,
-    ) -> Self {
-        assert!(q <= num_vertices);
-        let edges = (0..num_edges)
-            .map(|_| {
-                let mut verts = Vec::with_capacity(q);
-                while verts.len() < q {
-                    let v = rng.gen_range(0..num_vertices);
-                    if !verts.contains(&v) {
-                        verts.push(v);
-                    }
-                }
-                verts
-            })
-            .collect();
-        Hypergraph {
-            num_vertices,
-            edges,
-        }
-    }
-
     /// Builds the hypergraph a set of keys induces on a [`CellLayout`] —
     /// the exact graph the corresponding (R)IBLT peels.
     pub fn from_layout(layout: &CellLayout, keys: &[u64]) -> Self {
@@ -95,21 +48,6 @@ impl Hypergraph {
             num_vertices: layout.num_cells(),
             edges: keys.iter().map(|&k| layout.cells_of(k)).collect(),
         }
-    }
-
-    /// Number of vertices `m`.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Edge density `c = edges/vertices`.
-    pub fn density(&self) -> f64 {
-        self.edges.len() as f64 / self.num_vertices as f64
     }
 
     fn degrees(&self) -> Vec<usize> {
@@ -132,16 +70,13 @@ impl Hypergraph {
         inc
     }
 
-    /// The structural purity predicate, shared by every peeling process
-    /// in this module: a vertex is *peelable* when exactly one live edge
-    /// remains on it, and that edge is what it peels. This is the
-    /// hypergraph face of the IBLT's pure-cell test
+    /// The structural purity predicate: a vertex is *peelable* when
+    /// exactly one live edge remains on it, and that edge is what it
+    /// peels. This is the hypergraph face of the IBLT's pure-cell test
     /// ([`CellLayout::pure_cell_sign`]): a degree-1 cell holds exactly
-    /// one key, so its count is ±1 and its checksum matches. Both
-    /// [`Hypergraph::peel`] and [`Hypergraph::error_propagation`] resolve
-    /// peelability through this one helper (they used to duplicate the
-    /// scan), and the `pure_cells_match_degree_one_vertices` regression
-    /// test pins the correspondence to the concrete table.
+    /// one key, so its count is ±1 and its checksum matches. The
+    /// `pure_cells_match_degree_one_vertices` regression test pins the
+    /// correspondence to the concrete table.
     fn peelable_edge(deg: &[usize], inc: &[Vec<usize>], alive: &[bool], v: usize) -> Option<usize> {
         if deg[v] != 1 {
             return None;
@@ -190,91 +125,13 @@ impl Hypergraph {
             rounds,
         }
     }
-
-    /// Classifies connected components as hypertrees, unicyclic, or complex
-    /// (Lemma B.3). Isolated vertices are ignored.
-    pub fn classify_components(&self) -> ComponentCensus {
-        let inc = self.incidence();
-        let mut seen_edge = vec![false; self.edges.len()];
-        let mut seen_vertex = vec![false; self.num_vertices];
-        let mut census = ComponentCensus::default();
-        for start in 0..self.edges.len() {
-            if seen_edge[start] {
-                continue;
-            }
-            // BFS over edges via shared vertices.
-            let mut stack = vec![start];
-            seen_edge[start] = true;
-            let mut edge_count = 0usize;
-            let mut vertex_count = 0usize;
-            let mut weight = 0usize; // Σ (|e| − 1)
-            while let Some(e) = stack.pop() {
-                edge_count += 1;
-                weight += self.edges[e].len() - 1;
-                for &v in &self.edges[e] {
-                    if !seen_vertex[v] {
-                        seen_vertex[v] = true;
-                        vertex_count += 1;
-                    }
-                    for &e2 in &inc[v] {
-                        if !seen_edge[e2] {
-                            seen_edge[e2] = true;
-                            stack.push(e2);
-                        }
-                    }
-                }
-            }
-            let _ = edge_count;
-            if vertex_count == weight + 1 {
-                census.trees += 1;
-            } else if vertex_count == weight {
-                census.unicyclic += 1;
-            } else {
-                census.complex += 1;
-            }
-        }
-        census
-    }
-
-    /// The Lemma 3.10 error-propagation process under breadth-first
-    /// peeling: vertex `seed_vertex` starts with error count 1, every other
-    /// vertex 0. We repeatedly take the earliest vertex that has degree 1,
-    /// peel its unique remaining edge, and add the vertex's error count to
-    /// every other vertex of that edge. Returns the final `Σ_v C_v`.
-    pub fn error_propagation(&self, seed_vertex: usize) -> u64 {
-        assert!(seed_vertex < self.num_vertices);
-        let inc = self.incidence();
-        let mut deg = self.degrees();
-        let mut alive = vec![true; self.edges.len()];
-        let mut error = vec![0u64; self.num_vertices];
-        error[seed_vertex] = 1;
-        let mut queue: std::collections::VecDeque<usize> =
-            (0..self.num_vertices).filter(|&v| deg[v] == 1).collect();
-        while let Some(v) = queue.pop_front() {
-            let Some(e) = Self::peelable_edge(&deg, &inc, &alive, v) else {
-                continue; // stale
-            };
-            alive[e] = false;
-            let c_v = error[v];
-            for &u in &self.edges[e] {
-                deg[u] -= 1;
-                if u != v {
-                    error[u] += c_v;
-                    if deg[u] == 1 {
-                        queue.push_back(u);
-                    }
-                }
-            }
-        }
-        error.iter().sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn single_edge_peels_in_one_round() {
@@ -287,9 +144,10 @@ mod tests {
 
     #[test]
     fn sparse_graph_fully_peels() {
+        // Ten random keys in 201 cells: density 0.05 ≪ any threshold.
         let mut rng = StdRng::seed_from_u64(50);
-        // Density 0.05 ≪ any threshold.
-        let g = Hypergraph::sample_uniform(200, 10, 3, &mut rng);
+        let keys: Vec<u64> = (0..10).map(|_| rng.gen()).collect();
+        let g = Hypergraph::from_layout(&CellLayout::new(200, 3, 50), &keys);
         assert!(g.peel().core.is_empty());
     }
 
@@ -304,82 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn census_classifies_tree_and_cycle() {
-        // Tree: two triples sharing one vertex: V=5, E=2, weight=4 → tree.
-        let g = Hypergraph::new(5, vec![vec![0, 1, 2], vec![2, 3, 4]]);
-        let c = g.classify_components();
-        assert_eq!(
-            c,
-            ComponentCensus {
-                trees: 1,
-                unicyclic: 0,
-                complex: 0
-            }
-        );
-        // 2-uniform cycle: V=3, E=3, weight=3 → unicyclic.
-        let g = Hypergraph::new(3, vec![vec![0, 1], vec![1, 2], vec![2, 0]]);
-        let c = g.classify_components();
-        assert_eq!(c.unicyclic, 1);
-        assert_eq!(c.trees, 0);
-    }
-
-    #[test]
-    fn sparse_random_graphs_have_no_complex_components() {
-        // Lemma B.3: density < 1/(q(q−1)) ⇒ trees + unicyclic w.h.p.
-        let mut rng = StdRng::seed_from_u64(51);
-        let q = 3;
-        let m = 600;
-        let c = 1.0 / (q as f64 * (q - 1) as f64) * 0.8;
-        let mut complex = 0;
-        for _ in 0..10 {
-            let g = Hypergraph::sample_uniform(m, (c * m as f64) as usize, q, &mut rng);
-            complex += g.classify_components().complex;
-        }
-        // Lemma B.3 is a w.h.p. statement; allow a rare straggler.
-        assert!(complex <= 2, "too many complex components: {complex}");
-    }
-
-    #[test]
-    fn error_propagation_zero_if_seed_untouched() {
-        // Seed vertex isolated from the single edge: error never moves.
-        let g = Hypergraph::new(5, vec![vec![0, 1, 2]]);
-        assert_eq!(g.error_propagation(4), 1);
-    }
-
-    #[test]
-    fn error_propagation_spreads_along_path() {
-        // Path of 2-uniform edges: 0-1, 1-2, 2-3. BFS peeling from both
-        // ends; seeding at vertex 0 contaminates its neighbours.
-        let g = Hypergraph::new(4, vec![vec![0, 1], vec![1, 2], vec![2, 3]]);
-        let total = g.error_propagation(0);
-        assert!(total >= 2, "error never propagated: {total}");
-    }
-
-    #[test]
-    fn error_propagation_is_constant_on_sparse_graphs() {
-        // Empirical Lemma 3.10: mean Σ C_v stays O(1) below the density
-        // threshold 1/(q(q−1)).
-        let mut rng = StdRng::seed_from_u64(52);
-        let q = 3;
-        let m = 400;
-        let c = 0.8 / (q as f64 * (q - 1) as f64);
-        let trials = 60;
-        let mut total = 0u64;
-        for _ in 0..trials {
-            let g = Hypergraph::sample_uniform(m, (c * m as f64) as usize, q, &mut rng);
-            total += g.error_propagation(rng.gen_range(0..m));
-        }
-        let mean = total as f64 / trials as f64;
-        assert!(mean < 8.0, "mean error mass too large: {mean}");
-    }
-
-    #[test]
     fn from_layout_matches_table_structure() {
         let layout = CellLayout::new(30, 3, 5);
         let keys = vec![1u64, 2, 3];
         let g = Hypergraph::from_layout(&layout, &keys);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.num_vertices(), layout.num_cells());
+        assert_eq!(g.edges.len(), 3);
+        assert_eq!(g.num_vertices, layout.num_cells());
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(g.edges[i], layout.cells_of(k));
         }
@@ -422,7 +210,7 @@ mod tests {
             let keys: Vec<u64> = (0..18).map(|_| rng.gen()).collect();
             let g = Hypergraph::from_layout(&layout, &keys);
             let deg = g.degrees();
-            let degree_one: Vec<usize> = (0..g.num_vertices()).filter(|&v| deg[v] == 1).collect();
+            let degree_one: Vec<usize> = (0..g.num_vertices).filter(|&v| deg[v] == 1).collect();
             let mut t = crate::Iblt::new(30, 3, seed);
             for &k in &keys {
                 t.insert(k);

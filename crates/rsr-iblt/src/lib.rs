@@ -14,8 +14,8 @@
 //! with different values* can still be peeled — the values are averaged and
 //! randomly rounded back into the grid. The error a cancelled near-pair
 //! leaves behind propagates through peeling exactly as in the paper's
-//! Figure 1; [`hypergraph`] contains the idealized error-propagation model
-//! of Lemma 3.10 for the experiments.
+//! Figure 1; `rsr-exp paper` gates the end-to-end error against the
+//! planted error mass (Lemma 3.10).
 //!
 //! Modules:
 //!
@@ -26,9 +26,8 @@
 //! * [`riblt`] — the Robust IBLT (key–value pairs, values are grid
 //!   points), decoded one way: breadth-first peeling with randomized
 //!   rounding;
-//! * [`hypergraph`] — random-hypergraph analysis: 2-cores, component
-//!   classification (Lemma B.3), and the Lemma 3.10 error-propagation
-//!   process;
+//! * [`hypergraph`] — the hypergraph a layout induces and its peeling
+//!   process, the structural reference the decoder is tested against;
 //! * [`bits`] and [`wire`] — the bit-packed cell codec both tables ship
 //!   through: a word-at-a-time bit writer/reader and the per-field
 //!   widths sized from the sender's declared set size.

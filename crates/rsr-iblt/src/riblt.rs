@@ -19,10 +19,7 @@
 //!
 //! When a near-pair with equal keys but different values cancels, the value
 //! difference stays behind as an *error* that is added to whatever is
-//! peeled from those cells later — the paper's Figure 1. The decoder
-//! counts the extracted pairs whose value was visibly averaged
-//! ([`RibltDecode::contaminated`]) and the cells left holding only a value
-//! residual ([`RibltDecode::value_residual_cells`]).
+//! peeled from those cells later — the paper's Figure 1.
 
 use crate::layout::CellLayout;
 use rand::Rng;
@@ -80,12 +77,6 @@ impl SumCell {
     fn is_clean(&self) -> bool {
         self.count == 0 && self.key_sum == 0 && self.check_sum == 0
     }
-
-    /// True if the cell still carries a value residual after all keys
-    /// cancelled — the footprint of a cancelled near-pair.
-    fn has_value_residual(&self) -> bool {
-        self.is_clean() && self.value_sum.iter().any(|&v| v != 0)
-    }
 }
 
 /// A decoded key–value pair.
@@ -106,15 +97,6 @@ pub struct RibltDecode {
     pub deleted: Vec<DecodedPair>,
     /// True if every key was recovered (all counts and key sums zero).
     pub complete: bool,
-    /// Number of extracted pairs whose cell value sum was not an exact
-    /// multiple of the count, i.e. pairs whose value was visibly averaged
-    /// or fractionally contaminated. (An error absorbed at count ±1 divides
-    /// exactly and is *not* counted — detecting those requires ground
-    /// truth, which is what the F1 experiment does.)
-    pub contaminated: usize,
-    /// Number of cells left with a pure value residual (cancelled
-    /// near-pairs whose error was never picked up by a peel).
-    pub value_residual_cells: usize,
 }
 
 /// The Robust IBLT.
@@ -231,7 +213,6 @@ impl Riblt {
             // Snapshot the cell before mutation.
             let snapshot = self.cells[idx].clone();
             let copies = snapshot.count.unsigned_abs() as usize;
-            let exact = snapshot.value_sum.iter().all(|&v| v % snapshot.count == 0);
             // Extract `copies` values, each the (clamped, randomly
             // rounded) coordinate-wise average V/C.
             for _ in 0..copies {
@@ -241,9 +222,6 @@ impl Riblt {
                     result.inserted.push(pair);
                 } else {
                     result.deleted.push(pair);
-                }
-                if !exact {
-                    result.contaminated += 1;
                 }
             }
             // Subtract the snapshot from every cell the key hashes to
@@ -265,7 +243,6 @@ impl Riblt {
             }
         }
         result.complete = self.cells.iter().all(SumCell::is_clean);
-        result.value_residual_cells = self.cells.iter().filter(|c| c.has_value_residual()).count();
         result
     }
 
@@ -388,7 +365,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let d = t.decode(&mut rng);
         assert!(d.complete);
-        assert_eq!(d.contaminated, 0);
         let mut got: Vec<_> = d
             .inserted
             .iter()
@@ -409,7 +385,6 @@ mod tests {
         let d = t.decode(&mut rng);
         assert!(d.complete);
         assert!(d.inserted.is_empty() && d.deleted.is_empty());
-        assert_eq!(d.value_residual_cells, 0);
     }
 
     #[test]
@@ -418,10 +393,20 @@ mod tests {
         let mut t = Riblt::new(cfg(90, 2, 100, 3));
         t.insert(5, &p(&[7, 7]));
         t.delete(5, &p(&[8, 7]));
-        let mut rng = StdRng::seed_from_u64(0);
-        let d = t.decode(&mut rng);
+        let d = t.clone().decode(&mut StdRng::seed_from_u64(0));
         assert!(d.complete); // keys all cancelled
-        assert_eq!(d.value_residual_cells, 3); // q = 3 cells carry the error
+        assert!(d.inserted.is_empty() && d.deleted.is_empty());
+        // The error sits in every one of key 5's cells, so a later copy of
+        // the key decodes with it absorbed.
+        t.insert(5, &p(&[20, 20]));
+        let d = t.decode(&mut StdRng::seed_from_u64(0));
+        assert!(d.complete);
+        let got: Vec<_> = d
+            .inserted
+            .iter()
+            .map(|x| (x.key, x.value.clone()))
+            .collect();
+        assert_eq!(got, [(5, p(&[19, 20]))]);
     }
 
     #[test]
@@ -447,9 +432,6 @@ mod tests {
         // Which of `other`'s q cells peels first decides whether the error
         // is absorbed (496) or left behind as a residual (500).
         assert!(got == 496 || got == 500, "got {got}");
-        if got == 500 {
-            assert!(d.value_residual_cells > 0);
-        }
     }
 
     #[test]
@@ -471,7 +453,6 @@ mod tests {
                 pair.value.coord(0)
             );
         }
-        assert_eq!(d.contaminated, 2);
     }
 
     #[test]

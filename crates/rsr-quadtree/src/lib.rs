@@ -12,7 +12,8 @@
 //! *diameter*, which in `ℓ1` is `d·width` — this is where the baseline's
 //! `O(d)` approximation factor comes from, versus the paper's `O(log n)`
 //! (§1: "an O(d) approximation … essentially useless for Hamming space").
-//! Experiment T6 measures exactly this crossover.
+//! `tests/baselines.rs` checks this crossover in miniature; the last
+//! full d-sweep is recorded in docs/architecture.md.
 //!
 //! Implementation note (documented substitution): Chen et al. insert the
 //! rounded points directly into XOR IBLTs keyed by the point encoding. For

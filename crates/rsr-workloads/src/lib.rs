@@ -8,14 +8,14 @@
 //!
 //! * [`planted_emd`] — `n − k` shared points with bounded per-point noise
 //!   plus `k` independent outliers per side: the canonical EMD-model
-//!   workload (experiments T3–T6);
+//!   workload (the EMD cells of `rsr-exp paper`);
 //! * [`sensor_pairs`] — the Gap-model variant with guaranteed `r1`/`r2`
-//!   separation (experiments T7, T8);
+//!   separation (`rsr-exp gap` and the low-dimension cells of `paper`);
 //! * [`trace`] — a line-based, seedable trace format so the same session
 //!   batch can be replayed across transports and machines;
 //! * [`churn`] — per-round insert/delete drift traces for continuous
 //!   reconciliation (rate, skew, bursts), replayable the same way;
-//! * [`stats`] — small summary-statistics helpers for the harness.
+//! * [`stats`] — the quantile the harness reports ratios with.
 
 pub mod churn;
 pub mod generators;

@@ -1,46 +1,17 @@
 //! Summary statistics for the experiment harness.
 
-/// Mean of a sample (0 for empty).
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank on a sorted copy.
-pub fn quantile(xs: &[f64], q: f64) -> f64 {
+/// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank on a sorted copy, or
+/// `None` for an empty sample — no value stands in for missing data, so
+/// a cell with no successful trial cannot read as a perfect one.
+pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     assert!((0.0..=1.0).contains(&q));
     if xs.is_empty() {
-        return 0.0;
+        return None;
     }
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-    sorted[idx]
-}
-
-/// Maximum (−∞ for empty — callers treat that as "no data").
-pub fn max(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Fraction of samples satisfying a predicate.
-pub fn fraction<T>(xs: &[T], pred: impl Fn(&T) -> bool) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().filter(|x| pred(x)).count() as f64 / xs.len() as f64
+    Some(sorted[idx])
 }
 
 #[cfg(test)]
@@ -48,30 +19,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&xs), 5.0);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn quantiles() {
         let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile(&xs, 0.0), 1.0);
-        assert_eq!(quantile(&xs, 0.5), 3.0);
-        assert_eq!(quantile(&xs, 1.0), 5.0);
+        assert_eq!(quantile(&xs, 0.0), Some(1.0));
+        assert_eq!(quantile(&xs, 0.5), Some(3.0));
+        assert_eq!(quantile(&xs, 1.0), Some(5.0));
     }
 
     #[test]
-    fn empty_inputs() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
-        assert_eq!(quantile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn fraction_counts() {
-        let xs = [1, 2, 3, 4];
-        assert_eq!(fraction(&xs, |&x| x > 2), 0.5);
+    fn an_empty_sample_has_no_quantile() {
+        assert_eq!(quantile(&[], 0.5), None);
     }
 }

@@ -62,7 +62,7 @@ fn main() {
     println!("naive transfer    : {naive_bits:>9} bits, EMD after = 0.0");
     println!(
         "\n(the paper's win is the approximation *guarantee*: O(log n) \
-         independent of dimension, vs O(d) for the quadtree — run \
-         `rsr-exp baseline_quadtree` for the d-sweep where the quadtree degrades)"
+         independent of dimension, vs O(d) for the quadtree — the last \
+         d-sweep where the quadtree degrades is in docs/architecture.md)"
     );
 }

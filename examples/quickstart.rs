@@ -34,8 +34,8 @@ fn main() {
     println!(
         "Alice → Bob: {} levels, {} KiB \
          (sized for k = {k} differences: grows with k·log(n·Δ), not with n — \
-         the win over full transfer kicks in for n ≫ k·log²n; see the \
-         `rsr-exp emd_hamming` experiment for the sweep)",
+         the win over full transfer kicks in for n ≫ k·log²n; `rsr-exp \
+         paper` gates the bits and quality across n, d and k)",
         message.num_levels(),
         message.wire_bits() / 8 / 1024
     );

@@ -25,9 +25,10 @@ fn quadtree_baseline_reconciles_l1_outliers() {
 
 #[test]
 fn ours_beats_quadtree_on_high_dimension() {
-    // T6's claim in miniature: at d ≫ log n the quadtree's O(d) rounding
-    // error dominates while ours stays O(log n). Compare final EMD on a
-    // high-dimensional Hamming workload, aggregated over seeds.
+    // The baseline comparison in miniature: at d ≫ log n the quadtree's
+    // O(d) rounding error dominates while ours stays O(log n). Compare
+    // final EMD on a high-dimensional Hamming workload, aggregated over
+    // seeds.
     let dim = 96;
     let space = MetricSpace::hamming(dim);
     let n = 60;
