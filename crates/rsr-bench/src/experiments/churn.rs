@@ -13,10 +13,11 @@
 //! pre-round sets, driven one round, and its settled set must equal the
 //! incremental round's settled set key-for-key (which the continuous
 //! module's algebra promises — see `rsr_core::continuous`). The sweep
-//! also re-runs the same churn trace over the wire — `OPEN` + `ROUND`
-//! records against a spec-only server whose factory builds its resident
-//! Bob from the wire spec alone — asserting the client party converges
-//! to the same union every round.
+//! also re-runs the same churn trace over the wire — one `OPEN`, then
+//! one delta `FRAME` out and one reply `FRAME` back per round, against a
+//! spec-only server whose factory builds its resident Bob from the wire
+//! spec alone — asserting the client party converges to the same union
+//! every round.
 //!
 //! Gated keys (`churn_…_rounds_per_sec`, `churn_…_round_p50_ms`,
 //! `churn_…_round_max_ms`) land in `BENCH_net.json` next to the N1/L1
@@ -195,15 +196,15 @@ pub struct WireResult {
     /// Cell key (`wire_<key>` in metric names).
     pub key: String,
     /// Per-round wall times as the driver saw them (connect and churn
-    /// excluded; `OPEN`+`ROUND` round trip included for round 0).
+    /// excluded; round 0's `OPEN` included).
     pub round_times: Vec<Duration>,
     /// Final settled set size on the client party.
     pub final_keys: usize,
 }
 
 /// Replays a skewed churn trace over TCP: one continuous session opened
-/// with `OPEN`(spec, continuous)+`ROUND 0`, then incremental `ROUND`s
-/// under the same id on a persistent connection. The server's factory
+/// with `OPEN`(spec, continuous) and round 0, then incremental rounds —
+/// one `FRAME` each way — under the same id on a persistent connection. The server's factory
 /// builds its resident Bob from the wire spec alone, so the only state
 /// crossing the wire is the per-round delta. All churn lands on the
 /// client (skew 1.0) — the server party is mutated by settles only.
@@ -429,10 +430,10 @@ pub fn extend(bench: &mut BenchReport, quick: bool) -> String {
          slack) and the median round time within {:.0}× (measured \
          {ratio:.2}×) — the from-scratch column grows with n, the \
          incremental columns do not. The `wire_*` row replays the trace \
-         over TCP: one `OPEN`(continuous spec) + `ROUND 0`, then \
-         incremental `ROUND`s on a persistent connection against a \
-         spec-only factory, client party asserted against the expected \
-         union every round.\n\n{}",
+         over TCP: one `OPEN`(continuous spec) and round 0, then \
+         incremental rounds, one `FRAME` each way, on a persistent \
+         connection against a spec-only factory, client party asserted \
+         against the expected union every round.\n\n{}",
         cells[0].rounds,
         cells[0].rate,
         FLATNESS_BUDGET,

@@ -91,8 +91,8 @@ struct ContMetrics {
     rounds_failed: Arc<Counter>,
     /// `begin_round`→settle latency per party (`cont_round_settle_us`).
     settle_us: Arc<AtomicHistogram>,
-    /// Rounds a party settled over its whole lifetime, recorded at drop
-    /// (`cont_rounds_per_session`).
+    /// Rounds a party settled over its whole lifetime, resyncs
+    /// included, recorded at drop (`cont_rounds_per_session`).
     rounds_per_session: Arc<AtomicHistogram>,
 }
 
@@ -181,12 +181,16 @@ pub struct ContinuousConfig {
 }
 
 impl ContinuousConfig {
-    /// A config sized so any round whose symmetric difference is at
-    /// most `churn_bound` keys peels with high probability: 2 cells per
-    /// expected difference key (comfortably above the q = 3 peeling
-    /// threshold of ≈1.22), floored for tiny bounds where the
-    /// concentration argument needs slack. The wire count bound is set
-    /// for sets up to 2²⁰ keys; override `n_bound` for larger sets.
+    /// A config for rounds whose symmetric difference is at most
+    /// `churn_bound` keys: 2 cells per difference key (above the q = 3
+    /// peeling threshold of ≈1.22), floored at 24 cells for tiny bounds.
+    /// That is not "with high probability" at small sizes: a round fails
+    /// when two of its keys share a cell in every partition, and at
+    /// `for_churn(42)` (84 cells) with 32 keys 966 of 40,000 seeded
+    /// tables did not peel, about 1 round in 41 (`docs/architecture.md`,
+    /// "Decode: peeling only"). A failed round mutates nothing and can
+    /// be retried. The wire count bound is set for sets up to 2²⁰ keys;
+    /// override `n_bound` for larger sets.
     pub fn for_churn(churn_bound: usize, seed: u64) -> ContinuousConfig {
         ContinuousConfig {
             cells: (2 * churn_bound).max(24),
@@ -212,6 +216,8 @@ pub struct ContinuousParty {
     snapshot: Iblt,
     phase: SessionPhase,
     rounds_settled: u32,
+    /// Rounds settled since construction, across resyncs.
+    lifetime_settled: u32,
     rounds_failed: u32,
     round_started: Option<Instant>,
 }
@@ -236,6 +242,7 @@ impl ContinuousParty {
             snapshot: cfg.empty_table(),
             phase: SessionPhase::Idle,
             rounds_settled: 0,
+            lifetime_settled: 0,
             rounds_failed: 0,
             round_started: None,
         }
@@ -256,8 +263,10 @@ impl ContinuousParty {
         self.phase
     }
 
-    /// Rounds this party has settled since construction (or the last
-    /// failure-free stretch — failed rounds do not advance it).
+    /// Rounds this party has settled since construction or its last
+    /// [`resync`](ContinuousParty::resync), which resets it — it is the
+    /// round index the next round's frames carry. Failed rounds do not
+    /// advance it.
     pub fn rounds_settled(&self) -> u32 {
         self.rounds_settled
     }
@@ -326,6 +335,7 @@ impl ContinuousParty {
         self.snapshot = self.table.snapshot();
         self.phase = SessionPhase::Settled;
         self.rounds_settled += 1;
+        self.lifetime_settled += 1;
         if rsr_obs::enabled() {
             let m = cont_metrics();
             m.rounds_settled.inc();
@@ -397,10 +407,10 @@ impl ContinuousParty {
 
 impl Drop for ContinuousParty {
     fn drop(&mut self) {
-        if rsr_obs::enabled() && self.rounds_settled > 0 {
+        if rsr_obs::enabled() && self.lifetime_settled > 0 {
             cont_metrics()
                 .rounds_per_session
-                .record(self.rounds_settled as u64);
+                .record(u64::from(self.lifetime_settled));
         }
     }
 }
@@ -546,11 +556,6 @@ impl BobRound {
             reply: None,
             replied: false,
         })
-    }
-
-    /// The round index this session is driving.
-    pub fn round(&self) -> u32 {
-        self.round
     }
 
     fn fail(&mut self, msg: String) -> String {

@@ -9,13 +9,15 @@
 //! instead of out-of-band trace state — then submits all Alice halves
 //! to the shared worker-pool executor: each half's opening say is
 //! pumped on its shard and the frames of different sessions (and
-//! different connections) interleave. The reactor loop owns every
-//! socket: nonblocking reads run through the incremental record
-//! decoder, routed to sessions by id — wake-on-frame, each record
-//! waking exactly one session — while produced frames queue per
-//! connection and drain as sockets accept them. No reader threads, no
-//! writer threads: a client drives C connections with `1 + shards`
-//! threads total.
+//! different connections) interleave. A one-shot session settles on the
+//! server's `DONE`; a continuous round sends only its delta `FRAME`
+//! (round 0 after its `OPEN`) and settles on the server's one reply
+//! `FRAME`. The reactor loop owns every socket: nonblocking reads run
+//! through the incremental record decoder, routed to sessions by id —
+//! wake-on-frame, each record waking exactly one session — while
+//! produced frames queue per connection and drain as sockets accept
+//! them. No reader threads, no writer threads: a client drives C
+//! connections with `1 + shards` threads total.
 //!
 //! The loop itself keeps only what is cross-connection — the executor
 //! scope, the executor-id routes, the poller, the termination test.
@@ -65,8 +67,8 @@ pub struct SessionPlan<'s> {
     /// For a continuous session, the round index this plan drives:
     /// `Some(0)` opens the session (the spec must be marked continuous)
     /// and runs round 0; `Some(r > 0)` runs round `r` on the
-    /// already-open id, sending only a `ROUND` record. `None` is an
-    /// ordinary one-shot session.
+    /// already-open id, sending only the round's delta `FRAME`. `None`
+    /// is an ordinary one-shot session.
     pub round: Option<u32>,
 }
 
@@ -115,7 +117,8 @@ impl<'s> SessionPlan<'s> {
     }
 
     /// Drives the next incremental round of an already-open continuous
-    /// session: only a `ROUND` record travels, no `OPEN`.
+    /// session: only the delta `FRAME` travels, no `OPEN`. After a failed
+    /// round the id stays open on the server, so this is also the retry.
     pub fn next_round(
         id: u64,
         party: &SharedParty,
@@ -246,9 +249,9 @@ fn admit(pool: &[PoolConn], plans: &[ConnPlan<'_>]) -> Result<(), NetError> {
 /// Engine-side state of one session of a round, beside the
 /// [`RunSession`] the report carries for it.
 struct Slot {
-    /// `Some(r)` for a continuous round plan: the slot settles on the
-    /// server's `ROUND` ack for exactly round `r`, not on `DONE`.
-    round: Option<u32>,
+    /// A continuous round: the slot settles when the server's one reply
+    /// `FRAME` arrives — the reply is the ack — not on `DONE`.
+    round: bool,
     /// Its executor id, once injected.
     exec: Option<u64>,
     /// The server said `DONE` (or we abandoned / lost the connection):
@@ -342,7 +345,7 @@ impl<'p, 's> RoundConn<'p, 's> {
         let slots = sessions
             .iter()
             .map(|s| Slot {
-                round: s.round,
+                round: s.round.is_some(),
                 exec: None,
                 settled: lost.is_some(),
                 local_done: lost.is_some(),
@@ -478,25 +481,17 @@ impl<'p, 's> RoundConn<'p, 's> {
                 self.report.sessions[s].injected = Some(self.t0.elapsed());
             }
             self.next_up += 1;
-            // A one-shot session OPENs; a continuous round 0 OPENs (spec
-            // marked continuous) then announces round 0; a later round
-            // sends only ROUND — the id is already resident on the
-            // server.
-            let mut queued = Ok(());
+            // A one-shot session and a continuous round 0 (spec marked
+            // continuous) OPEN; a later round sends only its delta frame
+            // — the id is already resident on the server.
             if matches!(plan.round, None | Some(0)) {
-                queued = io.queue(&Record::Open {
+                let open = Record::Open {
                     session: plan.id,
                     spec: plan.spec,
-                });
-            }
-            if let (Ok(()), Some(round)) = (&queued, plan.round) {
-                queued = io.queue(&Record::Round {
-                    session: plan.id,
-                    round,
-                });
-            }
-            if let Err(e) = queued {
-                self.fail(injector, e);
+                };
+                if let Err(e) = io.queue(&open) {
+                    self.fail(injector, e);
+                }
             }
         }
     }
@@ -626,8 +621,15 @@ impl<'p, 's> RoundConn<'p, 's> {
         match record {
             Record::Open { .. } => Err(NetError::Malformed("server sent an open record")),
             Record::Frame { session, frame } => {
-                let (_, exec) = self.lookup(session)?;
+                let (s, exec) = self.lookup(session)?;
                 self.report.frames_in += 1;
+                // A round's one reply frame is the server's ack: the
+                // round settled there. Settled first, a local failure on
+                // the reply does not DONE the id away server-side.
+                if self.slots[s].round {
+                    self.slots[s].settled = true;
+                    self.note_progress(s);
+                }
                 injector.deliver(exec, frame);
                 Ok(())
             }
@@ -651,22 +653,6 @@ impl<'p, 's> RoundConn<'p, 's> {
                     e
                 };
                 injector.close(exec, reason);
-                self.note_progress(s);
-                Ok(())
-            }
-            Record::Round { session, round } => {
-                // The server acknowledges a settled continuous round by
-                // echoing the ROUND record (its keys frame, if any, was
-                // already on the wire before the ack). The local Alice half
-                // finishes on its own from that frame, so nothing is closed
-                // here — the slot just stops expecting wire traffic.
-                let (s, _) = self.lookup(session)?;
-                if self.slots[s].round != Some(round) {
-                    return Err(NetError::Malformed(
-                        "round ack for a round this batch is not driving",
-                    ));
-                }
-                self.slots[s].settled = true;
                 self.note_progress(s);
                 Ok(())
             }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! u32  body_len   big-endian count of the bytes that follow
-//! u8   kind       0 = OPEN, 1 = FRAME, 2 = DONE, 3 = ROUND
+//! u8   kind       0 = OPEN, 1 = FRAME, 2 = DONE
 //! u64  session    session id (multiplexing key), big-endian
 //! ...  kind-specific body (see below)
 //! ```
@@ -16,12 +16,12 @@
 //!   flag, `u8` protocol code, `u32` n, `u32` k, `u32` dim, `u64`
 //!   seed, all big-endian. The flag is a bitfield: bit 0 set means a
 //!   spec block follows (flag `1`), bit 1 set marks the session
-//!   *continuous* (flag `3`) — the id stays live across many `ROUND`
-//!   exchanges instead of retiring on the first `DONE`. Any other flag
-//!   value is malformed. The spec tells the server which protocol
-//!   instance to build for the session — the session-id → instance
-//!   mapping travels on the wire instead of living in out-of-band
-//!   trace state.
+//!   *continuous* (flag `3`) — the id stays live across many rounds,
+//!   each one `FRAME` out and one `FRAME` back, instead of retiring on
+//!   the first `DONE`. Any other flag value is malformed. The spec tells
+//!   the server which protocol instance to build for the session — the
+//!   session-id → instance mapping travels on the wire instead of living
+//!   in out-of-band trace state.
 //! * `FRAME` — `u16` label length, the UTF-8 label, `u64` exact bit
 //!   length, then the payload bytes (exactly `bit_len.div_ceil(8)` of
 //!   them). This is a [`Frame`] as the session layer knows it; the label
@@ -31,14 +31,8 @@
 //!   [`STATUS_UNKNOWN_SESSION`]), `u16` message length, UTF-8 message.
 //!   Sent by the server when a session's server half finishes (or fails),
 //!   and by the client to abandon a session it cannot continue. For a
-//!   continuous session, `DONE` ends the *whole* session (all rounds),
-//!   not the round in flight.
-//! * `ROUND` — `u32` round index, big-endian. Client → server it opens
-//!   incremental round `r` on a continuous session (the server builds a
-//!   fresh Bob round over its resident state); server → client it
-//!   acknowledges that round `r` settled server-side, leaving the
-//!   session open for round `r + 1` — the continuous counterpart of a
-//!   `STATUS_OK` `DONE`, which would retire the id.
+//!   continuous session, a client `DONE` ends the *whole* session (all
+//!   rounds); a server `DONE(1)` fails only the round in flight.
 //!
 //! Decoding is strict: a record whose body disagrees with its length
 //! prefix, whose frame payload disagrees with its bit length, or whose
@@ -69,7 +63,6 @@ pub const STATUS_UNKNOWN_SESSION: u8 = 2;
 const KIND_OPEN: u8 = 0;
 const KIND_FRAME: u8 = 1;
 const KIND_DONE: u8 = 2;
-const KIND_ROUND: u8 = 3;
 
 /// `OPEN` negotiation flag bit: a [`SessionSpec`] block follows.
 const OPEN_FLAG_SPEC: u8 = 1;
@@ -112,9 +105,10 @@ pub struct SessionSpec {
     /// Instance seed.
     pub seed: u64,
     /// Marks the session *continuous*: instead of retiring on its first
-    /// `DONE`, the id stays live on the connection and each `ROUND`
-    /// record reconciles one incremental delta against state both sides
-    /// keep resident between rounds. Carried as a flag bit, so the spec
+    /// `DONE`, the id stays live on the connection and each `FRAME` the
+    /// client sends on it while no round is in flight begins one round
+    /// that reconciles an incremental delta against state both sides keep
+    /// resident between rounds. Carried as a flag bit, so the spec
     /// block's size (and every one-shot spec's wire form) is unchanged.
     pub continuous: bool,
 }
@@ -205,16 +199,6 @@ pub enum Record {
         /// Human-readable detail for non-OK statuses.
         message: String,
     },
-    /// One incremental round of a continuous session: the client sends
-    /// it to start round `round`, the server echoes it to acknowledge
-    /// that round settled server-side — the session id stays live for
-    /// the next round (a `DONE` would retire it).
-    Round {
-        /// The continuous session the round belongs to.
-        session: u64,
-        /// The round index, counted from 0 over the session's lifetime.
-        round: u32,
-    },
 }
 
 impl Record {
@@ -223,8 +207,7 @@ impl Record {
         match *self {
             Record::Open { session, .. }
             | Record::Frame { session, .. }
-            | Record::Done { session, .. }
-            | Record::Round { session, .. } => session,
+            | Record::Done { session, .. } => session,
         }
     }
 
@@ -235,7 +218,6 @@ impl Record {
                 Record::Open { spec: Some(_), .. } => SPEC_WIRE_BYTES,
                 Record::Frame { frame, .. } => 2 + frame.label.len() + 8 + frame.payload.len(),
                 Record::Done { message, .. } => 1 + 2 + message.len(),
-                Record::Round { .. } => 4,
             }
     }
 
@@ -270,7 +252,6 @@ pub fn write_record<W: Write>(w: &mut W, record: &Record) -> Result<u64, NetErro
                 return Err(NetError::Malformed("done message longer than u16"));
             }
         }
-        Record::Round { .. } => {}
     }
     w.write_all(&(body_len as u32).to_be_bytes())?;
     match record {
@@ -309,11 +290,6 @@ pub fn write_record<W: Write>(w: &mut W, record: &Record) -> Result<u64, NetErro
             w.write_all(&[*status])?;
             w.write_all(&(message.len() as u16).to_be_bytes())?;
             w.write_all(message.as_bytes())?;
-        }
-        Record::Round { session, round } => {
-            w.write_all(&[KIND_ROUND])?;
-            w.write_all(&session.to_be_bytes())?;
-            w.write_all(&round.to_be_bytes())?;
         }
     }
     Ok(4 + body_len as u64)
@@ -413,13 +389,6 @@ fn parse_body(body: &[u8]) -> Result<Record, NetError> {
                 status,
                 message,
             }
-        }
-        KIND_ROUND => {
-            let round = cur.u32().ok_or(TRUNCATED)?;
-            if !cur.rest().is_empty() {
-                return Err(NetError::Malformed("trailing bytes after round record"));
-            }
-            Record::Round { session, round }
         }
         other => return Err(NetError::UnknownKind(other)),
     };
@@ -646,41 +615,6 @@ mod tests {
         assert_eq!(diff, vec![13]);
         assert_eq!(a[13], 1);
         assert_eq!(b[13], 3);
-    }
-
-    #[test]
-    fn round_record_round_trips() {
-        match roundtrip(Record::Round {
-            session: 17,
-            round: 0xAABB_CCDD,
-        }) {
-            Record::Round { session, round } => {
-                assert_eq!(session, 17);
-                assert_eq!(round, 0xAABB_CCDD);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn round_record_with_trailing_bytes_is_malformed() {
-        let mut buf = Vec::new();
-        write_record(
-            &mut buf,
-            &Record::Round {
-                session: 1,
-                round: 2,
-            },
-        )
-        .unwrap();
-        buf.push(0xEE);
-        let new_len = (buf.len() as u32 - 4).to_be_bytes();
-        buf[..4].copy_from_slice(&new_len);
-        let mut r = &buf[..];
-        assert!(matches!(
-            read_record(&mut r),
-            Err(NetError::Malformed("trailing bytes after round record"))
-        ));
     }
 
     #[test]

@@ -48,8 +48,9 @@ pub struct RunSession {
     pub scheduled: Option<Duration>,
     /// Open-loop only: when the generator actually injected it.
     pub injected: Option<Duration>,
-    /// Open-loop only: when it fully settled (local half done and the
-    /// server's ack received); `None` also when it never settled.
+    /// Open-loop only: when it fully settled (local half done, and the
+    /// server's `DONE` received — for a continuous round, its reply
+    /// frame); `None` also when it never settled.
     pub settled: Option<Duration>,
 }
 

@@ -7,10 +7,11 @@
 //! crate carries those frames over sockets and hands the transcripts
 //! back bit for bit. Three layers, std-only:
 //!
-//! * [`codec`] — the length-prefixed record grammar: every record carries
-//!   a session id, and a `FRAME` record carries a session-layer `Frame`
-//!   (label, payload, exact bit length) verbatim, so transcript
-//!   accounting on the two endpoints agrees bit for bit.
+//! * [`codec`] — the length-prefixed record grammar, three kinds (`OPEN`,
+//!   `FRAME`, `DONE`): every record carries a session id, and a `FRAME`
+//!   record carries a session-layer `Frame` (label, payload, exact bit
+//!   length) verbatim, so transcript accounting on the two endpoints
+//!   agrees bit for bit.
 //! * [`ReconServer`] — many concurrent sessions multiplexed over many
 //!   connections: it holds the Bob half of every session (created on
 //!   demand by a [`SessionFactory`], placed on a shard of `rsr-core`'s
@@ -24,10 +25,10 @@
 //!   then [`Driver::batch`] (closed loop), [`Driver::load`] (open
 //!   loop), or [`Driver::connect`] for a [`ConnectedDriver`] whose pool
 //!   runs many rounds — including **continuous** sessions, whose
-//!   resident state spans rounds under one wire id (see
-//!   [`SessionPlan::open_continuous`]). It plays Alice for every
-//!   [`SessionPlan`], interleaves their frames over the same reactor
-//!   and executor design, and returns one [`DriverReport`].
+//!   resident state spans rounds under one wire id, each round one
+//!   `FRAME` each way (see [`SessionPlan::open_continuous`]). It plays
+//!   Alice for every [`SessionPlan`], interleaves their frames over the
+//!   same reactor and executor design, and returns one [`DriverReport`].
 //!
 //! See `docs/transport.md` for the wire layout and error-handling rules.
 

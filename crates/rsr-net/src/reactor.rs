@@ -29,7 +29,10 @@
 //! one table ([`Entry`]: the executor session in flight, the resident
 //! continuous party, the summary), and one function —
 //! [`ServerConn::admit`] — decides what a record may do with the id it
-//! names; `docs/transport.md` prints that decision as a table. Each
+//! names; `docs/transport.md` prints that decision as a table. A
+//! continuous round is one `FRAME` each way: the client's delta begins
+//! it, and the row holds the round's reply until the round reports in,
+//! because the reply is the round's ack. Each
 //! loop iteration runs the connection's phases in a fixed order:
 //! `poll_interest`, then (after the poll and the accepts)
 //! `drain_readable` → `on_record`, `on_event`, `flush_and_sweep`, and
@@ -301,13 +304,14 @@ impl<K: Copy> Routes<K> {
 }
 
 /// An executor session in flight under a wire id.
-#[derive(Clone, Copy)]
 struct Running {
     exec: u64,
-    /// `Some(r)` when it is round `r` of a continuous session: a clean
-    /// finish is then acknowledged with `ROUND`, not `DONE`, and its
-    /// transcript is appended to the session's summary.
-    round: Option<u32>,
+    /// One round of a continuous session, begun by the client's delta
+    /// `FRAME` and taking no other. Its reply waits in `reply` until the
+    /// round reports in: sent any earlier, it could bring the client's
+    /// next delta while this row still shows the round running.
+    round: bool,
+    reply: Option<Frame>,
 }
 
 /// What a connection knows about one wire id it admitted. Rows are never
@@ -316,7 +320,8 @@ struct Running {
 struct Entry {
     running: Option<Running>,
     /// A continuous session's Bob party, resident between rounds until
-    /// the client `DONE`s the id, a round fails, or the connection ends.
+    /// the client `DONE`s the id or the connection ends. A failed round
+    /// rolls it back and leaves it here, so the client may retry.
     resident: Option<SharedParty>,
     summary: SessionSummary,
 }
@@ -325,12 +330,17 @@ struct Entry {
 enum Plan<'c> {
     /// `OPEN` of a fresh id: ask the factory for its Bob half.
     Open { spec: Option<SessionSpec> },
-    /// `ROUND` on an idle continuous session: begin it over `party`.
-    Round { party: &'c SharedParty, round: u32 },
-    /// `FRAME` for the session in flight under the id.
+    /// `FRAME` on a resident continuous id with no round in flight: begin
+    /// a round over `party`, with `frame` as its delta.
+    Begin {
+        party: &'c SharedParty,
+        frame: Frame,
+    },
+    /// `FRAME` for the one-shot session in flight under the id.
     Route { exec: u64, frame: Frame },
-    /// `FRAME` for an admitted id with nothing in flight (its session or
-    /// round already resolved): counted, then dropped.
+    /// `FRAME` for an admitted id with nothing in flight and nothing
+    /// resident (its session resolved, or its continuous session was
+    /// retired): counted, then dropped.
     Stale,
     /// Client `DONE`: close the half in flight, if any, and drop the
     /// resident party, if any. Ids with neither are left as they are.
@@ -417,38 +427,32 @@ impl ServerConn {
 
     /// The single admission point: what `record` may do, given what the
     /// connection knows of the wire id it names. An `OPEN` of any
-    /// flavour needs an id never admitted before; a `ROUND` needs a
-    /// resident party with no round in flight; a `FRAME` needs an id
-    /// that was opened. Decides only — [`ServerConn::on_record`] acts.
+    /// flavour needs an id never admitted before; a `FRAME` needs an id
+    /// that was opened, and on a resident continuous id it begins a
+    /// round unless one is already in flight. Decides only —
+    /// [`ServerConn::on_record`] acts.
     fn admit(&self, record: Record) -> Plan<'_> {
         let entry = self.table.get(&record.session());
-        let running = entry.and_then(|e| e.running);
+        let running = entry.and_then(|e| e.running.as_ref().map(|r| (r.exec, r.round)));
         let refuse = |status, message| Plan::Refuse { status, message };
         match record {
             Record::Open { spec, .. } => match entry {
                 None => Plan::Open { spec },
                 Some(_) => refuse(STATUS_SESSION_ERROR, "session opened twice"),
             },
-            Record::Round { round, .. } => {
-                match (entry.and_then(|e| e.resident.as_ref()), running) {
-                    (Some(party), None) => Plan::Round { party, round },
-                    (Some(_), Some(_)) => refuse(
-                        STATUS_SESSION_ERROR,
-                        "round opened while another is in flight",
-                    ),
-                    (None, _) => refuse(
-                        STATUS_UNKNOWN_SESSION,
-                        "round for a session not open as continuous",
-                    ),
-                }
-            }
             Record::Frame { frame, .. } => match (entry, running) {
                 (None, _) => refuse(STATUS_UNKNOWN_SESSION, "unknown session id"),
-                (Some(_), Some(Running { exec, .. })) => Plan::Route { exec, frame },
-                (Some(_), None) => Plan::Stale,
+                (Some(_), Some((exec, false))) => Plan::Route { exec, frame },
+                (Some(_), Some(_)) => {
+                    refuse(STATUS_SESSION_ERROR, "frame for a round already in flight")
+                }
+                (Some(entry), None) => match &entry.resident {
+                    Some(party) => Plan::Begin { party, frame },
+                    None => Plan::Stale,
+                },
             },
             Record::Done { .. } => Plan::Retire {
-                exec: running.map(|r| r.exec),
+                exec: running.map(|(exec, _)| exec),
             },
         }
     }
@@ -468,7 +472,7 @@ impl ServerConn {
         match self.admit(record) {
             Plan::Refuse { status, message } => self.refuse(wire, status, message),
             // A continuous open installs resident state; the first
-            // executor work happens at the first ROUND.
+            // executor work happens at the first FRAME.
             Plan::Open { spec: Some(spec) } if spec.continuous => {
                 match factory.open_continuous(wire, &spec) {
                     Some(party) => {
@@ -485,29 +489,24 @@ impl ServerConn {
             }
             Plan::Open { spec } => match factory.open_spec(wire, spec.as_ref()) {
                 Some(session) => {
-                    self.start(wire, None, session, routes, injector);
+                    self.start(wire, false, session, routes, injector);
                     Ok(())
                 }
                 None => self.refuse(wire, STATUS_UNKNOWN_SESSION, "unknown session id"),
             },
-            Plan::Round { party, round } => {
-                let refusal = match BobRound::begin(party) {
-                    Ok(bob) if bob.round() == round => {
-                        self.start(wire, Some(round), Box::new(bob), routes, injector);
-                        return Ok(());
+            // The delta carries its round index; `BobRound` fails the
+            // round if it disagrees with the resident party.
+            Plan::Begin { party, frame } => {
+                let begun = BobRound::begin(party);
+                self.frames_in += 1;
+                match begun {
+                    Ok(bob) => {
+                        let exec = self.start(wire, true, Box::new(bob), routes, injector);
+                        injector.deliver(exec, frame);
+                        Ok(())
                     }
-                    // Desync: the client's round counter disagrees with
-                    // the resident state (e.g. a half-settled previous
-                    // round). Fail loudly and retire the id — `bob`,
-                    // dropped unstarted, rolls the server party back.
-                    Ok(bob) => format!(
-                        "continuous round desync: client at round {round}, server at {}",
-                        bob.round()
-                    ),
-                    Err(e) => format!("cannot begin round {round}: {e}"),
-                };
-                self.evict(wire);
-                self.refuse(wire, STATUS_SESSION_ERROR, refusal)
+                    Err(e) => self.refuse(wire, STATUS_SESSION_ERROR, e.to_string()),
+                }
             }
             Plan::Route { exec, frame } => {
                 self.frames_in += 1;
@@ -526,7 +525,10 @@ impl ServerConn {
                 if let Some(exec) = exec {
                     injector.close(exec, ABANDONED);
                 }
-                self.evict(wire);
+                let entry = self.table.get_mut(&wire);
+                if entry.and_then(|e| e.resident.take()).is_some() {
+                    self.residents -= 1;
+                }
                 Ok(())
             }
         }
@@ -546,29 +548,26 @@ impl ServerConn {
         })
     }
 
-    /// Puts `session` in flight under `wire`: a fresh id's one-shot
-    /// session (`round` = `None`), or round `round` of a resident one.
+    /// Puts `session` in flight under `wire` — a fresh id's one-shot
+    /// session, or a round of a resident one — and returns its executor
+    /// id.
     fn start<'f>(
         &mut self,
         wire: u64,
-        round: Option<u32>,
+        round: bool,
         session: Box<dyn NetSession + 'f>,
         routes: &mut Routes<u64>,
         injector: &mut Injector<'f>,
-    ) {
+    ) -> u64 {
         let exec = routes.assign(self.slot, wire);
-        self.entry(wire).running = Some(Running { exec, round });
+        self.entry(wire).running = Some(Running {
+            exec,
+            round,
+            reply: None,
+        });
         self.in_flight += 1;
         injector.submit(exec, Party::Bob, session);
-    }
-
-    /// Drops `wire`'s resident party, if it holds one.
-    fn evict(&mut self, wire: u64) {
-        if let Some(entry) = self.table.get_mut(&wire) {
-            if entry.resident.take().is_some() {
-                self.residents -= 1;
-            }
-        }
+        exec
     }
 
     /// Queues `record` at a socket that can still take it.
@@ -580,17 +579,31 @@ impl ServerConn {
         }
     }
 
+    /// Queues one of `wire`'s frames.
+    fn send(&mut self, wire: u64, frame: Frame, injector: &Injector<'_>) {
+        self.frames_out += 1;
+        let record = Record::Frame {
+            session: wire,
+            frame,
+        };
+        self.reply(&record, injector);
+    }
+
     /// Applies one executor event for the session in flight under
-    /// `wire`: a frame to send, or the session reporting in.
+    /// `wire`: a frame to send (or, a round's reply, to hold), or the
+    /// session reporting in.
     fn on_event(&mut self, wire: u64, ev: ExecEvent, injector: &Injector<'_>) {
+        // Events are routed here by `start`, which claimed the row.
+        let Some(entry) = self.table.get_mut(&wire) else {
+            return;
+        };
         let (transcript, error) = match ev {
             ExecEvent::Frame { frame, .. } => {
-                self.frames_out += 1;
-                let record = Record::Frame {
-                    session: wire,
-                    frame,
-                };
-                return self.reply(&record, injector);
+                match &mut entry.running {
+                    Some(running) if running.round => running.reply = Some(frame),
+                    _ => self.send(wire, frame, injector),
+                }
+                return;
             }
             ExecEvent::Done {
                 transcript, error, ..
@@ -599,44 +612,30 @@ impl ServerConn {
                 (transcript, Some(Cow::Borrowed(CLOSED_MID_SESSION)))
             }
         };
-        // Events are routed here by `start`, which claimed the row.
-        let Some(entry) = self.table.get_mut(&wire) else {
-            return;
-        };
-        let round = entry.running.take().and_then(|r| r.round);
-        match round {
-            Some(_) => entry.summary.transcript.append(transcript),
-            None => entry.summary.transcript = transcript,
-        }
+        let reply = entry.running.take().and_then(|r| r.reply);
+        entry.summary.transcript.append(transcript);
         if let Some(e) = &error {
             entry.summary.error.get_or_insert_with(|| e.to_string());
         }
         self.in_flight -= 1;
-        // A failed round retires the resident state — the client sees a
-        // DONE and will not send further rounds for this id.
-        if round.is_some() && error.is_some() {
-            self.evict(wire);
-        }
-        let done = |status, message| Record::Done {
+        let (status, message) = match (error.as_deref(), reply) {
+            // The client walked away (or the connection did); answering
+            // would be noise.
+            (Some(ABANDONED | CLOSED_MID_SESSION), _) => return,
+            // A failed round has rolled the party back, which stays
+            // resident for a retry.
+            (Some(reason), _) => (STATUS_SESSION_ERROR, reason.to_owned()),
+            // A settled round's reply is its ack: the id stays live for
+            // the next round, where a DONE would retire it.
+            (None, Some(frame)) => return self.send(wire, frame, injector),
+            (None, None) => (STATUS_OK, String::new()),
+        };
+        let done = Record::Done {
             session: wire,
             status,
             message,
         };
-        let ack = match (round, error.as_deref()) {
-            // A settled continuous round: acknowledge with ROUND so the
-            // wire id stays live for the next round (a DONE would retire
-            // it).
-            (Some(round), None) => Record::Round {
-                session: wire,
-                round,
-            },
-            (None, None) => done(STATUS_OK, String::new()),
-            // The client walked away (or the connection did); echoing
-            // DONE at it would be noise.
-            (_, Some(ABANDONED | CLOSED_MID_SESSION)) => return,
-            (_, Some(reason)) => done(STATUS_SESSION_ERROR, reason.to_owned()),
-        };
-        self.reply(&ack, injector);
+        self.reply(&done, injector);
     }
 
     /// Closes every half in flight so each reports in (as `Done` with
@@ -644,7 +643,7 @@ impl ServerConn {
     /// the closes, those halves never produce an event and the reactor
     /// would wait on them forever.
     fn close_in_flight(&self, injector: &Injector<'_>) {
-        for running in self.table.values().filter_map(|e| e.running) {
+        for running in self.table.values().filter_map(|e| e.running.as_ref()) {
             injector.close(running.exec, CLOSED_MID_SESSION);
         }
     }

@@ -23,11 +23,13 @@
 //! A session whose `OPEN` spec is marked continuous works differently:
 //! [`SessionFactory::open_continuous`] supplies a *resident*
 //! [`ContinuousParty`](rsr_core::continuous::ContinuousParty) that
-//! stays on the connection across rounds, each client `ROUND` record
-//! spins a fresh one-round Bob executor session over it, and a settled
-//! round is acknowledged with an echoed `ROUND` instead of a `DONE` —
-//! the id stays live for the next round until the client sends `DONE`
-//! or closes the connection.
+//! stays on the connection across rounds. A round is one `FRAME` each
+//! way: the client's delta spins a fresh one-round Bob executor session
+//! over the party, and once that round has settled its reply frame goes
+//! back — the reply is the ack, no `DONE` follows. A failed round is
+//! answered `DONE(1)` and leaves the party resident, rolled back, for a
+//! retry. The id stays live until the client sends `DONE` or closes the
+//! connection.
 //!
 //! [`ReconServer::serve`] and [`ReconServer::serve_one`] run a single
 //! reactor thread for every connection at once: sockets are
@@ -99,8 +101,9 @@ pub trait SessionFactory: Send + Sync {
     /// [`continuous`](SessionSpec::continuous): the server keeps the
     /// returned party alive on the connection and spins one
     /// [`BobRound`](rsr_core::continuous::BobRound) executor session
-    /// per `ROUND` record over it. The default refuses (one-shot
-    /// factories need not know continuous mode exists).
+    /// over it per round, each begun by the client's delta `FRAME`. The
+    /// default refuses (one-shot factories need not know continuous mode
+    /// exists).
     fn open_continuous(&self, session_id: u64, spec: &SessionSpec) -> Option<SharedParty> {
         let _ = (session_id, spec);
         None
@@ -117,7 +120,8 @@ pub struct SessionSummary {
     /// in-memory driver would produce.
     pub transcript: Transcript,
     /// `None` if the session completed; the protocol or protocol-order
-    /// error otherwise.
+    /// error otherwise — for a continuous session, its first failed
+    /// round's, even when a retry settled.
     pub error: Option<String>,
 }
 

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rsr_core::channel::Frame;
 use rsr_core::continuous::{
-    shared, ContinuousConfig, ContinuousParty, ContinuousSession, SharedParty,
+    shared, AliceRound, ContinuousConfig, ContinuousParty, ContinuousSession, SharedParty,
 };
 use rsr_core::emd_protocol::{EmdProtocol, EmdProtocolConfig};
 use rsr_core::gap_protocol::{GapConfig, GapProtocol};
@@ -90,13 +90,16 @@ fn record_shorter_than_its_header_is_malformed() {
 
 #[test]
 fn unknown_record_kind_is_rejected() {
-    let mut bytes = open_record(1);
-    bytes[4] = 0x7F; // corrupt the kind byte
-    let mut r: &[u8] = &bytes;
-    assert!(matches!(
-        read_record(&mut r),
-        Err(NetError::UnknownKind(0x7F))
-    ));
+    // OPEN, FRAME and DONE are the whole grammar.
+    for kind in [3, 0x7F] {
+        let mut bytes = open_record(1);
+        bytes[4] = kind; // corrupt the kind byte
+        let mut r: &[u8] = &bytes;
+        match read_record(&mut r) {
+            Err(NetError::UnknownKind(got)) => assert_eq!(got, kind),
+            other => panic!("kind {kind}: expected UnknownKind, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -407,8 +410,9 @@ fn a_rejected_open_continuous_leaves_no_continuous_standing() {
     );
 
     // Id 5 was never opened, so a later round under it must still be
-    // refused instead of sending ROUND for a session the server has not
-    // got. (The plan comes from a party that is genuinely past round 0.)
+    // refused instead of sending a delta for a session the server has
+    // not got. (The plan comes from a party that is genuinely past round
+    // 0.)
     let mut settled = ContinuousSession::new(resident_party(1, 0..4), resident_party(1, 0..3));
     settled.drive_round().expect("in-memory round 0");
     let later = SessionPlan::next_round(5, &settled.alice()).unwrap();
@@ -705,6 +709,223 @@ fn a_frame_for_a_retired_continuous_id_is_dropped_as_stale() {
     assert_eq!(report.frames_in, 1);
 }
 
+// ------------------------------------------------- continuous admission
+
+/// `party`'s delta frame for round index `round`, whatever round the
+/// party is really at: the same bytes `AliceRound` sends, index aside.
+fn delta_at(party: &ContinuousParty, round: u32) -> Frame {
+    let mut w = BitWriter::new();
+    w.write(u64::from(round), 32);
+    party.delta().write_to(&mut w, party.config().n_bound);
+    Frame::seal("round: delta table", w)
+}
+
+/// Serves one connection with [`ResidentFactory`]; returns the address
+/// and the server thread.
+fn spawn_resident_server() -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<Result<ConnectionReport, NetError>>,
+) {
+    let server = ReconServer::bind("127.0.0.1:0", Arc::new(ResidentFactory))
+        .unwrap()
+        .with_shards(1);
+    let addr = server.local_addr().unwrap();
+    (addr, std::thread::spawn(move || server.serve_one()))
+}
+
+/// The next record off `stream`, which must be a `FRAME` for `session`.
+fn expect_frame(stream: &mut TcpStream, session: u64) -> Frame {
+    match read_record(stream).unwrap().expect("a reply").0 {
+        Record::Frame {
+            session: got,
+            frame,
+        } if got == session => frame,
+        other => panic!("expected FRAME for session {session}, got {other:?}"),
+    }
+}
+
+/// Half-closes `stream`, checks the server said nothing more, and
+/// returns the connection's report.
+fn hang_up(
+    mut stream: TcpStream,
+    server: std::thread::JoinHandle<Result<ConnectionReport, NetError>>,
+) -> ConnectionReport {
+    stream.shutdown(Shutdown::Write).unwrap();
+    if let Some((record, _)) = read_record(&mut stream).expect("replies decode") {
+        panic!("unexpected reply: {record:?}");
+    }
+    server.join().unwrap().expect("an orderly close")
+}
+
+#[test]
+fn a_frame_on_a_resident_idle_id_begins_a_round_and_gets_one_frame_back() {
+    let (addr, server) = spawn_resident_server();
+    let mut stream = raw_client(addr);
+    // The server's party holds 0..16; this client holds 0..14 and 20.
+    let party = shared(resident_party(cont_spec().seed, 0..14));
+    party.lock().unwrap().insert(20).unwrap();
+    let mut alice = AliceRound::begin(&party).unwrap();
+    let delta = Session::poll_send(&mut alice).unwrap().expect("the delta");
+    let mut bytes = encoded(&Record::Open {
+        session: 5,
+        spec: Some(cont_spec()),
+    });
+    bytes.extend(encoded(&Record::Frame {
+        session: 5,
+        frame: delta,
+    }));
+    stream.write_all(&bytes).unwrap();
+
+    // The reply is the whole answer: it settles the client's round.
+    Session::on_frame(&mut alice, expect_frame(&mut stream, 5)).unwrap();
+    assert!(Session::is_done(&alice));
+    let union: Vec<u64> = (0..16).chain([20]).collect();
+    assert!(party.lock().unwrap().set().iter().eq(&union));
+    let report = hang_up(stream, server);
+    assert_eq!((report.frames_in, report.frames_out), (1, 1));
+    assert_eq!(report.sessions.len(), 1);
+    assert_eq!(report.sessions[0].error, None);
+}
+
+#[test]
+fn a_second_frame_mid_round_is_refused_and_the_id_stays_resident() {
+    let (addr, server) = spawn_resident_server();
+    let mut stream = raw_client(addr);
+    let party = shared(resident_party(cont_spec().seed, 0..16));
+    let mut alice = AliceRound::begin(&party).unwrap();
+    let delta = Session::poll_send(&mut alice).unwrap().expect("the delta");
+    let mut bytes = encoded(&Record::Open {
+        session: 5,
+        spec: Some(cont_spec()),
+    });
+    for _ in 0..2 {
+        bytes.extend(encoded(&Record::Frame {
+            session: 5,
+            frame: delta.clone(),
+        }));
+    }
+    stream.write_all(&bytes).unwrap();
+
+    // The first frame's round settles and replies. The second is
+    // refused while that round is in flight — or, read after it
+    // settled, it begins round 1 with round 0's index and fails there.
+    // Either way: one FRAME and one DONE(1), in either order.
+    let (mut reply, mut refusal) = (None, None);
+    for _ in 0..2 {
+        match read_record(&mut stream).unwrap().expect("a reply").0 {
+            Record::Frame { session: 5, frame } => reply = Some(frame),
+            Record::Done {
+                session: 5,
+                status,
+                message,
+            } => refusal = Some((status, message)),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+    let (status, message) = refusal.expect("a DONE");
+    assert_eq!(status, STATUS_SESSION_ERROR, "{message}");
+    assert!(
+        message.contains("frame for a round already in flight") || message.contains("desynced"),
+        "{message}"
+    );
+    Session::on_frame(&mut alice, reply.expect("a FRAME")).unwrap();
+    drop(alice);
+
+    // The id is still resident: round 1 runs on it.
+    let mut alice = AliceRound::begin(&party).unwrap();
+    let delta = Session::poll_send(&mut alice)
+        .unwrap()
+        .expect("round 1's delta");
+    stream
+        .write_all(&encoded(&Record::Frame {
+            session: 5,
+            frame: delta,
+        }))
+        .unwrap();
+    Session::on_frame(&mut alice, expect_frame(&mut stream, 5)).unwrap();
+    assert_eq!(party.lock().unwrap().rounds_settled(), 2);
+    let report = hang_up(stream, server);
+    assert_eq!(report.frames_out, 2, "two settled rounds, two replies");
+}
+
+#[test]
+fn a_delta_with_the_wrong_index_fails_its_round_only() {
+    let (addr, server) = spawn_resident_server();
+    let mut stream = raw_client(addr);
+    let party = resident_party(cont_spec().seed, 0..16);
+    let mut bytes = encoded(&Record::Open {
+        session: 5,
+        spec: Some(cont_spec()),
+    });
+    bytes.extend(encoded(&Record::Frame {
+        session: 5,
+        frame: delta_at(&party, 3),
+    }));
+    stream.write_all(&bytes).unwrap();
+    let (status, message) = expect_done(&mut stream, 5);
+    assert_eq!(status, STATUS_SESSION_ERROR);
+    assert!(
+        message.contains("desynced peer: delta for round 3, expected 0"),
+        "{message}"
+    );
+
+    // The failed round rolled the server's party back; round 0 runs.
+    stream
+        .write_all(&encoded(&Record::Frame {
+            session: 5,
+            frame: delta_at(&party, 0),
+        }))
+        .unwrap();
+    expect_frame(&mut stream, 5);
+    let report = hang_up(stream, server);
+    assert_eq!((report.frames_in, report.frames_out), (2, 1));
+}
+
+#[test]
+fn a_round_over_its_churn_bound_fails_and_its_retry_settles() {
+    let (addr, server) = spawn_resident_server();
+    let mut driver = Driver::new(addr)
+        .shards(1)
+        .idle_timeout(Some(Duration::from_secs(10)))
+        .connect()
+        .unwrap();
+    let party = shared(resident_party(cont_spec().seed, 0..16));
+    let open = SessionPlan::open_continuous(5, cont_spec(), &party).unwrap();
+    let report = driver.batch(vec![vec![open]]).expect("round 0 runs");
+    assert_eq!(report.completed(), 1, "{:?}", report.conns[0].sessions);
+
+    // 100 new keys against an 8-key churn bound cannot peel.
+    for key in 1000..1100 {
+        party.lock().unwrap().insert(key).unwrap();
+    }
+    let over = SessionPlan::next_round(5, &party).unwrap();
+    let report = driver.batch(vec![vec![over]]).expect("round 1 runs");
+    let failed = &report.conns[0].sessions[0];
+    assert!(
+        failed
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("delta did not decode")),
+        "unexpected outcome: {:?}",
+        failed.error
+    );
+    assert_eq!(party.lock().unwrap().rounds_settled(), 1, "rolled back");
+
+    // Delete the excess and retry under the same id.
+    for key in 1002..1100 {
+        party.lock().unwrap().remove(key).unwrap();
+    }
+    let retry = SessionPlan::next_round(5, &party).unwrap();
+    let report = driver.batch(vec![vec![retry]]).expect("the retry runs");
+    assert_eq!(report.completed(), 1, "{:?}", report.conns[0].sessions);
+    let union: Vec<u64> = (0..16).chain([1000, 1001]).collect();
+    assert!(party.lock().unwrap().set().iter().eq(&union));
+    driver.close_session(0, 5).expect("retire the session");
+    driver.finish();
+    let report = server.join().unwrap().expect("connection served");
+    assert_eq!(report.frames_out, 2, "two settled rounds, two replies");
+}
+
 // ------------------------------------------------------------ served emd
 
 /// Serves Bob's half of one Algorithm 1 instance for every id.
@@ -949,7 +1170,8 @@ impl SessionFactory for PickyFactory {
     }
 }
 
-/// The well-formed record `kind` selects, addressed to `session`.
+/// The well-formed record `kind` selects, addressed to `session`; kind 6
+/// is a continuous round's delta at index `round`.
 fn record_of(kind: u8, session: u64, round: u32) -> Record {
     let mut spec = cont_spec();
     match kind {
@@ -984,14 +1206,17 @@ fn record_of(kind: u8, session: u64, round: u32) -> Record {
             status: STATUS_OK,
             message: String::new(),
         },
-        _ => Record::Round { session, round },
+        _ => Record::Frame {
+            session,
+            frame: delta_at(&resident_party(cont_spec().seed, 0..16), round),
+        },
     }
 }
 
 proptest! {
     /// Any sequence of well-formed records over a few wire ids — opens
-    /// of every flavour, good and session-failing frames, `DONE`s,
-    /// `ROUND`s, in any order — then EOF: `serve_one` returns (no panic,
+    /// of every flavour, good and session-failing frames, round deltas,
+    /// `DONE`s, in any order — then EOF: `serve_one` returns (no panic,
     /// no hang) an orderly report that lists each wire id at most once.
     #[test]
     fn any_well_formed_record_sequence_is_served_to_a_clean_report(

@@ -25,9 +25,10 @@
 //! `--rounds R` switches the client to **continuous** mode: it opens
 //! one long-lived session (`--sessions` becomes the shared base-set
 //! size), streams churn between rounds, and drives R incremental
-//! rounds under the same session id — each shipping only the delta
-//! since the last settle. The server needs no extra flag: its factory
-//! builds the resident Bob half from the wire spec alone.
+//! rounds under the same session id — each one `FRAME` out, the delta
+//! since the last settle, and one `FRAME` back, the keys only the
+//! server held. The server needs no extra flag: its factory builds the
+//! resident Bob half from the wire spec alone.
 
 use robust_set_recon::core::continuous::shared;
 use robust_set_recon::net::{default_shards, ConnectedDriver, Driver, ReconServer, SessionPlan};
