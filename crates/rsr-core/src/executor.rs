@@ -15,9 +15,10 @@
 //!   shard message carries the session id), so a session blocked waiting
 //!   for its peer simply has no entries and can never stall its shard.
 //! * **Wake-on-frame** — delivering a frame ([`Injector::deliver`])
-//!   enqueues a wake for that one session; the shard worker runs its
-//!   `on_frame`, then pumps `poll_send` until the session has nothing
-//!   more to say, emitting every produced frame as an [`ExecEvent`].
+//!   enqueues a wake for that one session; the shard worker runs one
+//!   [`step`] of it — `on_frame`, then `poll_send` until the session has
+//!   nothing more to say — emitting every produced frame as an
+//!   [`ExecEvent`].
 //!
 //! The executor never touches a socket: frames *out of* sessions surface
 //! on the [`Events`] stream and frames *into* sessions enter through the
@@ -25,7 +26,9 @@
 //! [`drive_batch`] driver and `rsr-net`'s multiplexed connections.
 //! Workers keep one [`Transcript`] per session, recording both
 //! directions in processing order — entry-for-entry what the serial
-//! drivers record for the same session.
+//! drivers record for the same session. [`step`] is that sequence, and
+//! the one definition of it: a transport that runs a cheap session
+//! inline on its own thread calls the same function.
 
 use crate::channel::Frame;
 use crate::session::Session;
@@ -405,11 +408,6 @@ impl<'env> Injector<'env> {
     pub fn loads(&self) -> &[usize] {
         self.placement.loads()
     }
-
-    /// Number of worker shards.
-    pub fn shards(&self) -> usize {
-        self.shard_txs.len()
-    }
 }
 
 /// One poll of the event stream.
@@ -523,34 +521,24 @@ pub fn with_executor_notified<'env, R>(
 }
 
 /// Metrics state carried per adopted session while recording is on:
-/// the phase clock plus this session's protocol-attributed counters
-/// (`session_frames_<proto>` / `session_bits_<proto>`), resolved once
-/// at adoption so the pump loop touches only atomics.
+/// the phase clock behind the executor's settle histograms.
 struct SlotObs {
     opened_at: Instant,
     first_frame_seen: bool,
-    frames: Arc<Counter>,
-    bits: Arc<Counter>,
 }
 
 impl SlotObs {
-    fn open(session: &dyn DynSession) -> SlotObs {
-        let reg = rsr_obs::global();
-        let proto = session.protocol();
+    fn open() -> SlotObs {
         let m = exec_metrics();
         m.submitted.inc();
         m.live.inc();
         SlotObs {
             opened_at: Instant::now(),
             first_frame_seen: false,
-            frames: reg.counter(&format!("session_frames_{proto}")),
-            bits: reg.counter(&format!("session_bits_{proto}")),
         }
     }
 
-    fn note_frame_out(&mut self, bit_len: u64) {
-        self.frames.inc();
-        self.bits.add(bit_len);
+    fn note_frame_out(&mut self) {
         if !self.first_frame_seen {
             self.first_frame_seen = true;
             exec_metrics()
@@ -576,6 +564,47 @@ impl SlotObs {
     }
 }
 
+/// Wakes `session` once — the sequence every driver of a session runs,
+/// so transcript order has one definition. An `incoming` frame is
+/// recorded as sent by `party.peer()` and handed to `on_frame` (timed
+/// into `on_frame_us`, when given). Then `poll_send` is pumped until the
+/// session has nothing more to say: each frame is recorded as sent by
+/// `party`, counted under `session_frames_<proto>` /
+/// `session_bits_<proto>` while recording is on, and passed to `send`.
+/// Returns whether the session is done; `Err` is the session's own
+/// error.
+pub fn step(
+    session: &mut (dyn DynSession + '_),
+    party: Party,
+    transcript: &mut Transcript,
+    incoming: Option<Frame>,
+    on_frame_us: Option<&AtomicHistogram>,
+    mut send: impl FnMut(Frame),
+) -> Result<bool, String> {
+    if let Some(frame) = incoming {
+        transcript.record_from(party.peer(), frame.label.clone(), frame.bit_len);
+        let _span = on_frame_us.map(Span::new);
+        session.on_frame(frame)?;
+    }
+    let mut counters = None;
+    while let Some(frame) = session.poll_send()? {
+        transcript.record_from(party, frame.label.clone(), frame.bit_len);
+        if rsr_obs::enabled() {
+            let (frames, bits) = counters.get_or_insert_with(|| {
+                let (reg, proto) = (rsr_obs::global(), session.protocol());
+                (
+                    reg.counter(&format!("session_frames_{proto}")),
+                    reg.counter(&format!("session_bits_{proto}")),
+                )
+            });
+            frames.inc();
+            bits.add(frame.bit_len);
+        }
+        send(frame);
+    }
+    Ok(session.is_done())
+}
+
 /// A session adopted by a shard worker.
 struct WorkerSlot<'env> {
     session: Box<dyn DynSession + 'env>,
@@ -592,14 +621,13 @@ fn shard_worker(rx: mpsc::Receiver<ShardMsg<'_>>, events: EventTx, shard_obs: Sh
         }
         match msg {
             ShardMsg::Open { id, party, session } => {
-                let obs = rsr_obs::enabled().then(|| SlotObs::open(&*session));
                 let mut slot = WorkerSlot {
                     session,
                     party,
                     transcript: Transcript::new(),
-                    obs,
+                    obs: rsr_obs::enabled().then(SlotObs::open),
                 };
-                if pump(id, &mut slot, &events) {
+                if wake(id, &mut slot, None, &events) {
                     if slot.obs.is_some() {
                         shard_obs.occupancy.inc();
                     }
@@ -612,22 +640,7 @@ fn shard_worker(rx: mpsc::Receiver<ShardMsg<'_>>, events: EventTx, shard_obs: Sh
                 let Some(slot) = slots.get_mut(&id) else {
                     continue;
                 };
-                slot.transcript
-                    .record_from(slot.party.peer(), frame.label.clone(), frame.bit_len);
-                let span = slot
-                    .obs
-                    .as_ref()
-                    .map(|_| Span::new(&exec_metrics().on_frame_us));
-                let handled = slot.session.on_frame(frame);
-                drop(span);
-                let live = match handled {
-                    Ok(()) => pump(id, slot, &events),
-                    Err(e) => {
-                        emit_done(id, slot, &events, Some(Cow::Owned(e)));
-                        false
-                    }
-                };
-                if !live {
+                if !wake(id, slot, Some(frame), &events) {
                     if let Some(slot) = slots.remove(&id) {
                         if slot.obs.is_some() {
                             shard_obs.occupancy.dec();
@@ -676,33 +689,38 @@ fn emit_done(
     });
 }
 
-/// Pumps everything `slot` can say, emitting frames (and `Done` when the
-/// session finishes or errors). Returns whether the slot is still live.
-fn pump(id: u64, slot: &mut WorkerSlot<'_>, events: &EventTx) -> bool {
-    loop {
-        match slot.session.poll_send() {
-            Ok(Some(frame)) => {
-                slot.transcript
-                    .record_from(slot.party, frame.label.clone(), frame.bit_len);
-                if let Some(obs) = &mut slot.obs {
-                    obs.note_frame_out(frame.bit_len);
-                }
-                if events.send(ExecEvent::Frame { id, frame }).is_err() {
-                    return false; // consumer is gone; stop producing
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                emit_done(id, slot, events, Some(Cow::Owned(e)));
-                return false;
-            }
+/// Runs one [`step`] of `slot`, emitting its frames and — when it
+/// finishes or errors — its `Done`. Returns whether the slot is still
+/// live.
+fn wake(id: u64, slot: &mut WorkerSlot<'_>, incoming: Option<Frame>, events: &EventTx) -> bool {
+    let on_frame_us = slot.obs.as_ref().map(|_| &*exec_metrics().on_frame_us);
+    let WorkerSlot {
+        session,
+        party,
+        transcript,
+        obs,
+    } = slot;
+    let send = |frame| {
+        if let Some(obs) = obs {
+            obs.note_frame_out();
         }
-    }
-    if slot.session.is_done() {
-        emit_done(id, slot, events, None);
-        return false;
-    }
-    true
+        let _ = events.send(ExecEvent::Frame { id, frame });
+    };
+    let outcome = step(
+        &mut **session,
+        *party,
+        transcript,
+        incoming,
+        on_frame_us,
+        send,
+    );
+    let error = match outcome {
+        Ok(false) => return true,
+        Ok(true) => None,
+        Err(e) => Some(Cow::Owned(e)),
+    };
+    emit_done(id, slot, events, error);
+    false
 }
 
 /// One session pair's result from [`drive_batch`].

@@ -3,16 +3,17 @@
 //! executor behind the readiness reactor, and writes the
 //! [`RunReport`]s the [`Driver`](crate::Driver) surface returns.
 //!
-//! The client plays **Alice** for every session it runs. A round first
-//! `OPEN`s every session — each `OPEN` optionally carrying a negotiated
-//! [`SessionSpec`] so the server can build its Bob half from the wire
-//! instead of out-of-band trace state — then submits all Alice halves
-//! to the shared worker-pool executor: each half's opening say is
-//! pumped on its shard and the frames of different sessions (and
-//! different connections) interleave. A one-shot session settles on the
-//! server's `DONE`; a continuous round sends only its delta `FRAME`
-//! (round 0 after its `OPEN`) and settles on the server's one reply
-//! `FRAME`. The reactor loop owns every socket: nonblocking reads run
+//! The client plays **Alice** for every session it runs. A one-shot
+//! session `OPEN`s — optionally carrying a negotiated [`SessionSpec`] so
+//! the server can build its Bob half from the wire instead of
+//! out-of-band trace state — and its Alice half goes to the shared
+//! worker-pool executor: each half's opening say is pumped on its shard
+//! and the frames of different sessions (and different connections)
+//! interleave. It settles on the server's `DONE`. A continuous round
+//! never enters the executor: its half stays in its slot and runs on the
+//! caller's thread, which queues the round's delta `FRAME` (round 0
+//! after its `OPEN`) and applies the server's one reply `FRAME`, which
+//! settles it. The reactor loop owns every socket: nonblocking reads run
 //! through the incremental record decoder, routed to sessions by id —
 //! wake-on-frame, each record waking exactly one session — while
 //! produced frames queue per connection and drain as sockets accept
@@ -42,8 +43,9 @@ use crate::driver::{RunReport, RunSession};
 use crate::reactor::{sooner, timed_out, ConnIo, Routes, PLACEMENT_SEED, READ_CHUNK};
 use crate::server::NetSession;
 use netpoll::{PollFd, Poller, POLLIN};
+use rsr_core::channel::Frame;
 use rsr_core::continuous::{AliceRound, ContinuousError, SharedParty};
-use rsr_core::executor::{with_executor_notified, ExecEvent, Injector, Notify};
+use rsr_core::executor::{step, with_executor_notified, ExecEvent, Injector, Notify};
 use rsr_core::transcript::{Party, Transcript};
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -248,12 +250,15 @@ fn admit(pool: &[PoolConn], plans: &[ConnPlan<'_>]) -> Result<(), NetError> {
 
 /// Engine-side state of one session of a round, beside the
 /// [`RunSession`] the report carries for it.
-struct Slot {
-    /// A continuous round: the slot settles when the server's one reply
-    /// `FRAME` arrives — the reply is the ack — not on `DONE`.
-    round: bool,
-    /// Its executor id, once injected.
+struct Slot<'s> {
+    /// A one-shot session's executor id, once injected. An injected slot
+    /// without one is a continuous round: it settles when the server's
+    /// one reply `FRAME` arrives — the reply is the ack — not on `DONE`.
     exec: Option<u64>,
+    /// A continuous round's local half while it waits on the wire. It
+    /// runs on the caller's thread; dropping it unsettled (a `DONE`, a
+    /// lost connection) rolls the round back.
+    round: Option<Box<dyn NetSession + 's>>,
     /// The server said `DONE` (or we abandoned / lost the connection):
     /// nothing further is expected on the wire for it.
     settled: bool,
@@ -263,7 +268,7 @@ struct Slot {
     local_done: bool,
 }
 
-impl Slot {
+impl Slot<'_> {
     fn resolved(&self) -> bool {
         self.settled && self.local_done
     }
@@ -271,11 +276,11 @@ impl Slot {
 
 /// Sessions already on the wire (`injected` = the slots before
 /// `next_up`) and not yet settled — the ones an idle deadline protects.
-fn in_flight(injected: &[Slot]) -> bool {
+fn in_flight(injected: &[Slot<'_>]) -> bool {
     injected.iter().any(|s| !s.settled)
 }
 
-fn all_resolved(slots: &[Slot]) -> bool {
+fn all_resolved(slots: &[Slot<'_>]) -> bool {
     slots.iter().all(Slot::resolved)
 }
 
@@ -290,7 +295,7 @@ struct RoundConn<'p, 's> {
     /// What the round returns for this connection.
     report: RunReport,
     /// Parallel to `report.sessions`.
-    slots: Vec<Slot>,
+    slots: Vec<Slot<'s>>,
     wire_to_slot: HashMap<u64, usize>,
     pending: std::vec::IntoIter<SessionPlan<'s>>,
     /// Open-loop arrival offsets from `t0`; `None` injects everything at
@@ -344,9 +349,9 @@ impl<'p, 's> RoundConn<'p, 's> {
         };
         let slots = sessions
             .iter()
-            .map(|s| Slot {
-                round: s.round.is_some(),
+            .map(|_| Slot {
                 exec: None,
+                round: None,
                 settled: lost.is_some(),
                 local_done: lost.is_some(),
             })
@@ -448,8 +453,12 @@ impl<'p, 's> RoundConn<'p, 's> {
                 Some(exec) => {
                     injector.close(exec, msg.to_owned());
                 }
-                // Never injected: there is no local half to wait for.
-                None => slot.local_done = true,
+                // A round's half is dropped here, rolling it back; a slot
+                // never injected has no local half at all.
+                None => {
+                    slot.round = None;
+                    slot.local_done = true;
+                }
             }
             self.report.sessions[s]
                 .error
@@ -459,9 +468,7 @@ impl<'p, 's> RoundConn<'p, 's> {
     }
 
     /// Phase 1: injects every session that is due (all of them at once
-    /// without a schedule). Submit before queueing `OPEN`: were `OPEN`
-    /// flushed first, the server could answer before the executor knows
-    /// the id.
+    /// without a schedule).
     fn inject_due(&mut self, conn: usize, routes: &mut Routes<usize>, injector: &mut Injector<'s>) {
         let elapsed = self.t0.elapsed();
         while self.next_up < self.slots.len() {
@@ -473,27 +480,89 @@ impl<'p, 's> RoundConn<'p, 's> {
                 return;
             }
             let plan = self.pending.next().expect("pending matches slots");
-            let exec = routes.assign(conn, s);
-            self.slots[s].exec = Some(exec);
-            injector.submit(exec, Party::Alice, plan.session);
             io.last_activity = Instant::now();
             if self.schedule.is_some() {
                 self.report.sessions[s].injected = Some(self.t0.elapsed());
             }
             self.next_up += 1;
-            // A one-shot session and a continuous round 0 (spec marked
-            // continuous) OPEN; a later round sends only its delta frame
-            // — the id is already resident on the server.
-            if matches!(plan.round, None | Some(0)) {
-                let open = Record::Open {
-                    session: plan.id,
-                    spec: plan.spec,
-                };
-                if let Err(e) = io.queue(&open) {
-                    self.fail(injector, e);
+            let open = Record::Open {
+                session: plan.id,
+                spec: plan.spec,
+            };
+            let queued = match plan.round {
+                // Submit before queueing `OPEN`: were `OPEN` flushed
+                // first, the server could answer before the executor
+                // knows the id.
+                None => {
+                    let exec = routes.assign(conn, s);
+                    self.slots[s].exec = Some(exec);
+                    injector.submit(exec, Party::Alice, plan.session);
+                    self.queue(&open)
                 }
+                // Round 0 opens the id (its spec marked continuous); a
+                // later round sends only its delta — the id is already
+                // resident on the server.
+                Some(0) => self
+                    .queue(&open)
+                    .and_then(|()| self.step_round(s, plan.session, None)),
+                Some(_) => self.step_round(s, plan.session, None),
+            };
+            if let Err(e) = queued {
+                self.fail(injector, e);
             }
         }
+    }
+
+    /// Runs one [`step`] of slot `s`'s round half on this thread — its
+    /// delta when `incoming` is `None`, else the server's reply — and
+    /// queues what it says. The half goes back into the slot to wait for
+    /// its reply; once done or failed it is dropped, and a failure rolls
+    /// the round back.
+    fn step_round(
+        &mut self,
+        s: usize,
+        mut half: Box<dyn NetSession + 's>,
+        incoming: Option<Frame>,
+    ) -> Result<(), NetError> {
+        let session = &mut self.report.sessions[s];
+        let id = session.id;
+        let mut said = Vec::new();
+        let outcome = step(
+            &mut *half,
+            Party::Alice,
+            &mut session.transcript,
+            incoming,
+            None,
+            |frame| said.push(Record::Frame { session: id, frame }),
+        );
+        self.report.frames_out += said.len();
+        let slot = &mut self.slots[s];
+        let error = match outcome {
+            Ok(false) if !slot.settled => {
+                slot.round = Some(half);
+                None
+            }
+            Ok(false) => Some("the reply left the round unfinished".to_owned()),
+            Ok(true) => None,
+            Err(e) => Some(e),
+        };
+        slot.local_done = slot.round.is_none();
+        if let Some(e) = error {
+            // A local failure before the reply abandons the round, so the
+            // server's Bob does not wait on it. After the reply the round
+            // already settled there.
+            if !slot.settled {
+                slot.settled = true;
+                said.push(Record::Done {
+                    session: id,
+                    status: STATUS_SESSION_ERROR,
+                    message: e.clone(),
+                });
+            }
+            self.report.sessions[s].error.get_or_insert(e);
+        }
+        self.note_progress(s);
+        said.iter().try_for_each(|record| self.queue(record))
     }
 
     /// Phase 2: applies one executor event for slot `s` — a frame to
@@ -621,28 +690,31 @@ impl<'p, 's> RoundConn<'p, 's> {
         match record {
             Record::Open { .. } => Err(NetError::Malformed("server sent an open record")),
             Record::Frame { session, frame } => {
-                let (s, exec) = self.lookup(session)?;
+                let s = self.lookup(session)?;
                 self.report.frames_in += 1;
+                if let Some(exec) = self.slots[s].exec {
+                    injector.deliver(exec, frame);
+                    return Ok(());
+                }
                 // A round's one reply frame is the server's ack: the
                 // round settled there. Settled first, a local failure on
                 // the reply does not DONE the id away server-side.
-                if self.slots[s].round {
-                    self.slots[s].settled = true;
-                    self.note_progress(s);
+                self.slots[s].settled = true;
+                match self.slots[s].round.take() {
+                    Some(half) => self.step_round(s, half, Some(frame)),
+                    None => {
+                        self.note_progress(s);
+                        Ok(())
+                    }
                 }
-                injector.deliver(exec, frame);
-                Ok(())
             }
             Record::Done {
                 session,
                 status,
                 message,
             } => {
-                let (s, exec) = self.lookup(session)?;
+                let s = self.lookup(session)?;
                 self.slots[s].settled = true;
-                // Close the local half so it reports in even if it cannot
-                // finish on its own; the close is stale — a silent no-op —
-                // whenever the half already completed.
                 let reason = if status == STATUS_OK {
                     "server finished but the local session is incomplete".to_owned()
                 } else {
@@ -652,20 +724,35 @@ impl<'p, 's> RoundConn<'p, 's> {
                         .get_or_insert_with(|| e.clone());
                     e
                 };
-                injector.close(exec, reason);
+                let slot = &mut self.slots[s];
+                match slot.exec {
+                    // Close the local half so it reports in even if it
+                    // cannot finish on its own; the close is stale — a
+                    // silent no-op — whenever the half already completed.
+                    Some(exec) => {
+                        injector.close(exec, reason);
+                    }
+                    // Dropping a round's waiting half rolls it back.
+                    None => {
+                        if slot.round.take().is_some() {
+                            slot.local_done = true;
+                            self.report.sessions[s].error.get_or_insert(reason);
+                        }
+                    }
+                }
                 self.note_progress(s);
                 Ok(())
             }
         }
     }
 
-    /// Resolves a wire session id to `(slot index, executor id)`; a
-    /// record for an id this round never injected is a contract
-    /// violation.
-    fn lookup(&self, wire: u64) -> Result<(usize, u64), NetError> {
+    /// Resolves a wire session id to its slot index; a record for an id
+    /// this round never injected is a contract violation.
+    fn lookup(&self, wire: u64) -> Result<usize, NetError> {
         self.wire_to_slot
             .get(&wire)
-            .and_then(|&s| Some((s, self.slots[s].exec?)))
+            .copied()
+            .filter(|&s| s < self.next_up)
             .ok_or(NetError::Malformed(
                 "record for a session id not in the batch",
             ))

@@ -32,7 +32,7 @@
 //!   Sent by the server when a session's server half finishes (or fails),
 //!   and by the client to abandon a session it cannot continue. For a
 //!   continuous session, a client `DONE` ends the *whole* session (all
-//!   rounds); a server `DONE(1)` fails only the round in flight.
+//!   rounds); a server `DONE(1)` fails only the round its delta began.
 //!
 //! Decoding is strict: a record whose body disagrees with its length
 //! prefix, whose frame payload disagrees with its bit length, or whose
@@ -106,10 +106,10 @@ pub struct SessionSpec {
     pub seed: u64,
     /// Marks the session *continuous*: instead of retiring on its first
     /// `DONE`, the id stays live on the connection and each `FRAME` the
-    /// client sends on it while no round is in flight begins one round
-    /// that reconciles an incremental delta against state both sides keep
-    /// resident between rounds. Carried as a flag bit, so the spec
-    /// block's size (and every one-shot spec's wire form) is unchanged.
+    /// client sends on it is one round's delta, reconciled against state
+    /// both sides keep resident between rounds. Carried as a flag bit, so
+    /// the spec block's size (and every one-shot spec's wire form) is
+    /// unchanged.
     pub continuous: bool,
 }
 

@@ -14,10 +14,11 @@
 //!   agrees bit for bit.
 //! * [`ReconServer`] — many concurrent sessions multiplexed over many
 //!   connections: it holds the Bob half of every session (created on
-//!   demand by a [`SessionFactory`], placed on a shard of `rsr-core`'s
-//!   worker-pool executor by power-of-two choices) behind one readiness
-//!   reactor, `1 + shards` threads ([`default_shards`]) however many
-//!   connections are live. It keeps per-session
+//!   demand by a [`SessionFactory`]; a one-shot half is placed on a shard
+//!   of `rsr-core`'s worker-pool executor by power-of-two choices, a
+//!   continuous round runs inline on the reactor thread) behind one
+//!   readiness reactor, `1 + shards` threads ([`default_shards`]) however
+//!   many connections are live. It keeps per-session
 //!   [`Transcript`](rsr_core::transcript::Transcript)s and
 //!   per-connection byte counters that must — and are tested to — agree
 //!   with the in-memory driver's accounting.
@@ -26,9 +27,10 @@
 //!   loop), or [`Driver::connect`] for a [`ConnectedDriver`] whose pool
 //!   runs many rounds — including **continuous** sessions, whose
 //!   resident state spans rounds under one wire id, each round one
-//!   `FRAME` each way (see [`SessionPlan::open_continuous`]). It plays
-//!   Alice for every [`SessionPlan`], interleaves their frames over the
-//!   same reactor and executor design, and returns one [`DriverReport`].
+//!   `FRAME` each way, run on the caller's thread with no executor hop
+//!   (see [`SessionPlan::open_continuous`]). It plays Alice for every
+//!   [`SessionPlan`], interleaves their frames over the same reactor and
+//!   executor design, and returns one [`DriverReport`].
 //!
 //! See `docs/transport.md` for the wire layout and error-handling rules.
 

@@ -24,15 +24,17 @@
 //! * The reactor is the only thread touching sockets, so control
 //!   replies (unknown session id, duplicate `OPEN`) are written straight
 //!   to the connection's output buffer.
+//! * A continuous round never enters the executor. It runs to completion
+//!   on the reactor thread within the record that begins it: the
+//!   client's delta `FRAME` goes through [`step`] and the reply `FRAME`
+//!   is queued before the next record is read. The executor is for
+//!   one-shot sessions, whose CPU-bound halves are worth a shard.
 //!
 //! Everything a server connection knows about a wire id is one row of
-//! one table ([`Entry`]: the executor session in flight, the resident
+//! one table ([`Entry`]: the one-shot session in flight, the resident
 //! continuous party, the summary), and one function —
 //! [`ServerConn::admit`] — decides what a record may do with the id it
-//! names; `docs/transport.md` prints that decision as a table. A
-//! continuous round is one `FRAME` each way: the client's delta begins
-//! it, and the row holds the round's reply until the round reports in,
-//! because the reply is the round's ack. Each
+//! names; `docs/transport.md` prints that decision as a table. Each
 //! loop iteration runs the connection's phases in a fixed order:
 //! `poll_interest`, then (after the poll and the accepts)
 //! `drain_readable` → `on_record`, `on_event`, `flush_and_sweep`, and
@@ -54,7 +56,7 @@ use crate::server::{ConnectionReport, NetSession, SessionFactory, SessionSummary
 use netpoll::{listener_fd, stream_fd, PollFd, Poller, POLLIN, POLLOUT};
 use rsr_core::channel::Frame;
 use rsr_core::continuous::{BobRound, SharedParty};
-use rsr_core::executor::{with_executor_notified, ExecEvent, Injector, Notify};
+use rsr_core::executor::{step, with_executor_notified, ExecEvent, Injector, Notify};
 use rsr_core::transcript::{Party, Transcript};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -303,22 +305,12 @@ impl<K: Copy> Routes<K> {
     }
 }
 
-/// An executor session in flight under a wire id.
-struct Running {
-    exec: u64,
-    /// One round of a continuous session, begun by the client's delta
-    /// `FRAME` and taking no other. Its reply waits in `reply` until the
-    /// round reports in: sent any earlier, it could bring the client's
-    /// next delta while this row still shows the round running.
-    round: bool,
-    reply: Option<Frame>,
-}
-
 /// What a connection knows about one wire id it admitted. Rows are never
 /// removed: a retired id (`running` and `resident` both `None`) stays
 /// used — re-opening it is a duplicate — and its summary is the report's.
 struct Entry {
-    running: Option<Running>,
+    /// The executor id of the one-shot session in flight under the id.
+    running: Option<u64>,
     /// A continuous session's Bob party, resident between rounds until
     /// the client `DONE`s the id or the connection ends. A failed round
     /// rolls it back and leaves it here, so the client may retry.
@@ -330,8 +322,8 @@ struct Entry {
 enum Plan<'c> {
     /// `OPEN` of a fresh id: ask the factory for its Bob half.
     Open { spec: Option<SessionSpec> },
-    /// `FRAME` on a resident continuous id with no round in flight: begin
-    /// a round over `party`, with `frame` as its delta.
+    /// `FRAME` on a resident continuous id: run a round over `party`,
+    /// with `frame` as its delta.
     Begin {
         party: &'c SharedParty,
         frame: Frame,
@@ -347,6 +339,23 @@ enum Plan<'c> {
     Retire { exec: Option<u64> },
     /// Not allowed: answer with this `DONE`.
     Refuse { status: u8, message: &'static str },
+}
+
+/// Runs one continuous round to completion on the calling thread: Bob
+/// over the resident `party`, with the client's `delta`. The delta
+/// carries its round index, and `BobRound` fails the round if it
+/// disagrees with the party. Returns the reply frame; `Err` is a failed
+/// round, rolled back so the client may retry it.
+fn serve_round(
+    party: &SharedParty,
+    delta: Frame,
+    transcript: &mut Transcript,
+) -> Result<Option<Frame>, String> {
+    let mut bob = BobRound::begin(party).map_err(|e| e.to_string())?;
+    let mut reply = None;
+    let send = |frame| reply = Some(frame);
+    step(&mut bob, Party::Bob, transcript, Some(delta), None, send)?;
+    Ok(reply)
 }
 
 /// One server connection's state machine, riding on [`ConnIo`].
@@ -396,12 +405,12 @@ impl ServerConn {
     }
 
     /// Whether the idle deadline applies. It spares a connection at
-    /// between-round quiescence — resident continuous state, no round in
-    /// flight: a continuous client legitimately goes silent between
-    /// churn rounds, and tearing it down would throw away the very state
-    /// that makes the next round O(churn). The client owns the session
-    /// lifetime (an explicit `DONE` or EOF frees the state); a
-    /// connection with a round *in flight* still answers to the
+    /// between-round quiescence — resident continuous state, no one-shot
+    /// session in flight: a continuous client legitimately goes silent
+    /// between churn rounds, and tearing it down would throw away the
+    /// very state that makes the next round O(churn). The client owns the
+    /// session lifetime (an explicit `DONE` or EOF frees the state); a
+    /// connection with a session *in flight* still answers to the
     /// deadline.
     fn answers_to_idle_deadline(&self) -> bool {
         let quiescent = self.in_flight == 0 && self.residents > 0;
@@ -429,11 +438,10 @@ impl ServerConn {
     /// connection knows of the wire id it names. An `OPEN` of any
     /// flavour needs an id never admitted before; a `FRAME` needs an id
     /// that was opened, and on a resident continuous id it begins a
-    /// round unless one is already in flight. Decides only —
-    /// [`ServerConn::on_record`] acts.
+    /// round. Decides only — [`ServerConn::on_record`] acts.
     fn admit(&self, record: Record) -> Plan<'_> {
         let entry = self.table.get(&record.session());
-        let running = entry.and_then(|e| e.running.as_ref().map(|r| (r.exec, r.round)));
+        let running = entry.and_then(|e| e.running);
         let refuse = |status, message| Plan::Refuse { status, message };
         match record {
             Record::Open { spec, .. } => match entry {
@@ -442,18 +450,13 @@ impl ServerConn {
             },
             Record::Frame { frame, .. } => match (entry, running) {
                 (None, _) => refuse(STATUS_UNKNOWN_SESSION, "unknown session id"),
-                (Some(_), Some((exec, false))) => Plan::Route { exec, frame },
-                (Some(_), Some(_)) => {
-                    refuse(STATUS_SESSION_ERROR, "frame for a round already in flight")
-                }
+                (Some(_), Some(exec)) => Plan::Route { exec, frame },
                 (Some(entry), None) => match &entry.resident {
                     Some(party) => Plan::Begin { party, frame },
                     None => Plan::Stale,
                 },
             },
-            Record::Done { .. } => Plan::Retire {
-                exec: running.map(|(exec, _)| exec),
-            },
+            Record::Done { .. } => Plan::Retire { exec: running },
         }
     }
 
@@ -471,8 +474,8 @@ impl ServerConn {
         let wire = record.session();
         match self.admit(record) {
             Plan::Refuse { status, message } => self.refuse(wire, status, message),
-            // A continuous open installs resident state; the first
-            // executor work happens at the first FRAME.
+            // A continuous open installs resident state; round 0 runs at
+            // the first FRAME.
             Plan::Open { spec: Some(spec) } if spec.continuous => {
                 match factory.open_continuous(wire, &spec) {
                     Some(party) => {
@@ -489,23 +492,28 @@ impl ServerConn {
             }
             Plan::Open { spec } => match factory.open_spec(wire, spec.as_ref()) {
                 Some(session) => {
-                    self.start(wire, false, session, routes, injector);
+                    self.start(wire, session, routes, injector);
                     Ok(())
                 }
                 None => self.refuse(wire, STATUS_UNKNOWN_SESSION, "unknown session id"),
             },
-            // The delta carries its round index; `BobRound` fails the
-            // round if it disagrees with the resident party.
+            // The round runs here, to completion; the party stays
+            // resident whatever its outcome.
             Plan::Begin { party, frame } => {
-                let begun = BobRound::begin(party);
+                let party = Arc::clone(party);
                 self.frames_in += 1;
-                match begun {
-                    Ok(bob) => {
-                        let exec = self.start(wire, true, Box::new(bob), routes, injector);
-                        injector.deliver(exec, frame);
+                let summary = &mut self.entry(wire).summary;
+                match serve_round(&party, frame, &mut summary.transcript) {
+                    Ok(reply) => {
+                        if let Some(frame) = reply {
+                            self.send(wire, frame, injector);
+                        }
                         Ok(())
                     }
-                    Err(e) => self.refuse(wire, STATUS_SESSION_ERROR, e.to_string()),
+                    Err(e) => {
+                        summary.error.get_or_insert_with(|| e.clone());
+                        self.refuse(wire, STATUS_SESSION_ERROR, e)
+                    }
                 }
             }
             Plan::Route { exec, frame } => {
@@ -548,26 +556,18 @@ impl ServerConn {
         })
     }
 
-    /// Puts `session` in flight under `wire` — a fresh id's one-shot
-    /// session, or a round of a resident one — and returns its executor
-    /// id.
+    /// Puts a fresh id's one-shot `session` in flight under `wire`.
     fn start<'f>(
         &mut self,
         wire: u64,
-        round: bool,
         session: Box<dyn NetSession + 'f>,
         routes: &mut Routes<u64>,
         injector: &mut Injector<'f>,
-    ) -> u64 {
+    ) {
         let exec = routes.assign(self.slot, wire);
-        self.entry(wire).running = Some(Running {
-            exec,
-            round,
-            reply: None,
-        });
+        self.entry(wire).running = Some(exec);
         self.in_flight += 1;
         injector.submit(exec, Party::Bob, session);
-        exec
     }
 
     /// Queues `record` at a socket that can still take it.
@@ -589,22 +589,11 @@ impl ServerConn {
         self.reply(&record, injector);
     }
 
-    /// Applies one executor event for the session in flight under
-    /// `wire`: a frame to send (or, a round's reply, to hold), or the
-    /// session reporting in.
+    /// Applies one executor event for the one-shot session in flight
+    /// under `wire`: a frame to send, or the session reporting in.
     fn on_event(&mut self, wire: u64, ev: ExecEvent, injector: &Injector<'_>) {
-        // Events are routed here by `start`, which claimed the row.
-        let Some(entry) = self.table.get_mut(&wire) else {
-            return;
-        };
         let (transcript, error) = match ev {
-            ExecEvent::Frame { frame, .. } => {
-                match &mut entry.running {
-                    Some(running) if running.round => running.reply = Some(frame),
-                    _ => self.send(wire, frame, injector),
-                }
-                return;
-            }
+            ExecEvent::Frame { frame, .. } => return self.send(wire, frame, injector),
             ExecEvent::Done {
                 transcript, error, ..
             } => (transcript, error),
@@ -612,23 +601,22 @@ impl ServerConn {
                 (transcript, Some(Cow::Borrowed(CLOSED_MID_SESSION)))
             }
         };
-        let reply = entry.running.take().and_then(|r| r.reply);
+        // Events are routed here by `start`, which claimed the row.
+        let Some(entry) = self.table.get_mut(&wire) else {
+            return;
+        };
+        entry.running = None;
         entry.summary.transcript.append(transcript);
         if let Some(e) = &error {
             entry.summary.error.get_or_insert_with(|| e.to_string());
         }
         self.in_flight -= 1;
-        let (status, message) = match (error.as_deref(), reply) {
+        let (status, message) = match error.as_deref() {
             // The client walked away (or the connection did); answering
             // would be noise.
-            (Some(ABANDONED | CLOSED_MID_SESSION), _) => return,
-            // A failed round has rolled the party back, which stays
-            // resident for a retry.
-            (Some(reason), _) => (STATUS_SESSION_ERROR, reason.to_owned()),
-            // A settled round's reply is its ack: the id stays live for
-            // the next round, where a DONE would retire it.
-            (None, Some(frame)) => return self.send(wire, frame, injector),
-            (None, None) => (STATUS_OK, String::new()),
+            Some(ABANDONED | CLOSED_MID_SESSION) => return,
+            Some(reason) => (STATUS_SESSION_ERROR, reason.to_owned()),
+            None => (STATUS_OK, String::new()),
         };
         let done = Record::Done {
             session: wire,
@@ -643,8 +631,8 @@ impl ServerConn {
     /// the closes, those halves never produce an event and the reactor
     /// would wait on them forever.
     fn close_in_flight(&self, injector: &Injector<'_>) {
-        for running in self.table.values().filter_map(|e| e.running.as_ref()) {
-            injector.close(running.exec, CLOSED_MID_SESSION);
+        for exec in self.table.values().filter_map(|e| e.running) {
+            injector.close(exec, CLOSED_MID_SESSION);
         }
     }
 

@@ -24,20 +24,21 @@
 //! [`SessionFactory::open_continuous`] supplies a *resident*
 //! [`ContinuousParty`](rsr_core::continuous::ContinuousParty) that
 //! stays on the connection across rounds. A round is one `FRAME` each
-//! way: the client's delta spins a fresh one-round Bob executor session
-//! over the party, and once that round has settled its reply frame goes
-//! back — the reply is the ack, no `DONE` follows. A failed round is
-//! answered `DONE(1)` and leaves the party resident, rolled back, for a
-//! retry. The id stays live until the client sends `DONE` or closes the
-//! connection.
+//! way: the client's delta runs a one-round Bob over the party on the
+//! reactor thread — rounds never enter the executor — and the round's
+//! reply frame is queued before the next record is read; the reply is
+//! the ack, no `DONE` follows. A failed round is answered `DONE(1)` and
+//! leaves the party resident, rolled back, for a retry. The id stays
+//! live until the client sends `DONE` or closes the connection.
 //!
 //! [`ReconServer::serve`] and [`ReconServer::serve_one`] run a single
 //! reactor thread for every connection at once: sockets are
-//! nonblocking, readiness comes from `netpoll`, and all sessions share
-//! one `shards`-wide executor — the process runs `1 + shards` threads no
-//! matter how many connections are live. A connection that goes silent
-//! past the idle deadline is torn down instead of leaking state
-//! forever; see [`ReconServer::with_idle_timeout`].
+//! nonblocking, readiness comes from `netpoll`, and all one-shot
+//! sessions share one `shards`-wide executor — the process runs
+//! `1 + shards` threads no matter how many connections are live. A
+//! connection that goes silent past the idle deadline is torn down
+//! instead of leaking state forever; see
+//! [`ReconServer::with_idle_timeout`].
 //!
 //! Each connection keeps one [`Transcript`] per session — entry-for-
 //! entry what the in-memory driver would have recorded — plus
@@ -99,11 +100,11 @@ pub trait SessionFactory: Send + Sync {
 
     /// The resident Bob party for an `OPEN` whose spec is marked
     /// [`continuous`](SessionSpec::continuous): the server keeps the
-    /// returned party alive on the connection and spins one
-    /// [`BobRound`](rsr_core::continuous::BobRound) executor session
-    /// over it per round, each begun by the client's delta `FRAME`. The
-    /// default refuses (one-shot factories need not know continuous mode
-    /// exists).
+    /// returned party alive on the connection and runs one
+    /// [`BobRound`](rsr_core::continuous::BobRound) over it per round,
+    /// on the reactor thread, each begun by the client's delta `FRAME`.
+    /// The default refuses (one-shot factories need not know continuous
+    /// mode exists).
     fn open_continuous(&self, session_id: u64, spec: &SessionSpec) -> Option<SharedParty> {
         let _ = (session_id, spec);
         None

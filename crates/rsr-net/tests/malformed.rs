@@ -788,7 +788,7 @@ fn a_frame_on_a_resident_idle_id_begins_a_round_and_gets_one_frame_back() {
 }
 
 #[test]
-fn a_second_frame_mid_round_is_refused_and_the_id_stays_resident() {
+fn a_repeated_delta_is_answered_then_refused_as_desynced_and_the_id_stays_resident() {
     let (addr, server) = spawn_resident_server();
     let mut stream = raw_client(addr);
     let party = shared(resident_party(cont_spec().seed, 0..16));
@@ -806,29 +806,18 @@ fn a_second_frame_mid_round_is_refused_and_the_id_stays_resident() {
     }
     stream.write_all(&bytes).unwrap();
 
-    // The first frame's round settles and replies. The second is
-    // refused while that round is in flight — or, read after it
-    // settled, it begins round 1 with round 0's index and fails there.
-    // Either way: one FRAME and one DONE(1), in either order.
-    let (mut reply, mut refusal) = (None, None);
-    for _ in 0..2 {
-        match read_record(&mut stream).unwrap().expect("a reply").0 {
-            Record::Frame { session: 5, frame } => reply = Some(frame),
-            Record::Done {
-                session: 5,
-                status,
-                message,
-            } => refusal = Some((status, message)),
-            other => panic!("unexpected reply: {other:?}"),
-        }
-    }
-    let (status, message) = refusal.expect("a DONE");
-    assert_eq!(status, STATUS_SESSION_ERROR, "{message}");
-    assert!(
-        message.contains("frame for a round already in flight") || message.contains("desynced"),
-        "{message}"
+    // A round runs to completion within the record that begins it: the
+    // first frame's round settles and replies, and the second begins
+    // round 1 with round 0's index and fails there.
+    let reply = expect_frame(&mut stream, 5);
+    assert_eq!(
+        expect_done(&mut stream, 5),
+        (
+            STATUS_SESSION_ERROR,
+            "desynced peer: delta for round 0, expected 1 (resync required)".to_owned()
+        )
     );
-    Session::on_frame(&mut alice, reply.expect("a FRAME")).unwrap();
+    Session::on_frame(&mut alice, reply).unwrap();
     drop(alice);
 
     // The id is still resident: round 1 runs on it.
