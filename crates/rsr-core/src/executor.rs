@@ -1,45 +1,44 @@
-//! A sharded, fixed-size worker-pool executor for poll-style sessions.
+//! A sharded, fixed-size worker pool that runs poll-style session
+//! halves one wake at a time, and holds none of them between wakes.
 //!
 //! The serial drivers in [`crate::session`] run one session (or one
-//! Alice/Bob pair) at a time. This module drives *many* sessions
-//! concurrently over a small fixed pool of worker shards:
+//! Alice/Bob pair) at a time. This module spreads the work of *many*
+//! sessions over a small fixed pool of worker shards:
 //!
-//! * **Placement** — each session is assigned to a shard by the
-//!   power-of-two-choices rule ([`Placement`]): hash the session id into
-//!   two candidate shards and take the currently lighter one. The
-//!   balanced-allocation literature shows this keeps per-shard load
-//!   near-uniform without any global coordination, which is exactly what
-//!   a transport that opens sessions on the fly needs.
-//! * **Ready queues** — each shard owns one FIFO mailbox, which *is* its
-//!   ready queue: an entry wakes exactly the session it addresses (each
-//!   shard message carries the session id), so a session blocked waiting
-//!   for its peer simply has no entries and can never stall its shard.
-//! * **Wake-on-frame** — delivering a frame ([`Injector::deliver`])
-//!   enqueues a wake for that one session; the shard worker runs one
-//!   [`step`] of it — `on_frame`, then `poll_send` until the session has
-//!   nothing more to say — emitting every produced frame as an
-//!   [`ExecEvent`].
+//! * **A half lives with its driver.** A [`Half`] — the session, the
+//!   side it plays, its transcript — is owned by whoever drives it, in a
+//!   [`Seat`]: a connection's slot in `rsr-net`, or a side of one of
+//!   [`drive_batch`]'s pairs. Dropping it closes the session.
+//! * **A shard borrows it for one wake.** [`Injector::lend`] hands a
+//!   half, and the frame to wake it with, to the half's shard; the shard
+//!   runs one [`Half::step`] — `on_frame`, then `poll_send` until the
+//!   half has nothing more to say — and sends the half back on the
+//!   [`Events`] stream with the frames it said and its outcome. The
+//!   paper's protocols alternate, so a half has at most one wake
+//!   pending; a frame that arrives for a half while it is lent waits in
+//!   its seat and is applied, in arrival order, once it returns.
+//! * **Placement** — a half is placed when it is first lent, by the
+//!   power-of-two-choices rule ([`Placement`]): its placement number is
+//!   hashed into two candidate shards and the lighter one wins. The
+//!   half remembers its shard. The load vector is the only state the
+//!   pool keeps across sessions.
+//! * **Ready queues** — each shard owns one FIFO mailbox of wakes, so a
+//!   half waiting for its peer has no entries and never stalls its
+//!   shard.
 //!
-//! The executor never touches a socket: frames *out of* sessions surface
-//! on the [`Events`] stream and frames *into* sessions enter through the
-//! [`Injector`], so the same engine drives the in-process
-//! [`drive_batch`] driver and `rsr-net`'s multiplexed connections.
-//! Workers keep one [`Transcript`] per session, recording both
-//! directions in processing order — entry-for-entry what the serial
-//! drivers record for the same session. [`step`] is that sequence, and
-//! the one definition of it: a transport that runs a cheap session
-//! inline on its own thread calls the same function.
+//! [`Half::step`] is the one wake sequence: a transport that runs a
+//! cheap session inline on its own thread calls the same method, and
+//! every transcript records both directions in processing order —
+//! entry-for-entry what the serial drivers record for the same session.
 
 use crate::channel::Frame;
 use crate::session::Session;
 use crate::transcript::{Party, Transcript};
 use rsr_obs::{AtomicHistogram, Counter, Gauge, Span};
-use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
-use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Registry handles for the executor's process-wide metrics, resolved
@@ -50,26 +49,23 @@ use std::time::{Duration, Instant};
 /// toggle can skew an in-flight gauge by the few events that crossed
 /// the flip (counters are immune).
 struct ExecMetrics {
-    /// Sessions adopted by a worker shard (`exec_sessions_submitted`).
+    /// Halves first lent to a shard (`exec_sessions_submitted`).
     submitted: Arc<Counter>,
-    /// Sessions that finished cleanly (`exec_sessions_completed`).
+    /// Lent halves that finished cleanly (`exec_sessions_completed`).
     completed: Arc<Counter>,
-    /// Sessions ending in a protocol error or close
+    /// Lent halves ending in a protocol error, or dropped unfinished
     /// (`exec_sessions_failed`).
     failed: Arc<Counter>,
-    /// Sessions alive at executor shutdown (`exec_sessions_stranded`).
-    stranded: Arc<Counter>,
-    /// Currently resident sessions across all shards
-    /// (`exec_sessions_live`).
+    /// Lent halves not yet settled (`exec_sessions_live`).
     live: Arc<Gauge>,
-    /// Events queued on the consumer stream (`exec_event_queue`).
+    /// Returned halves not yet drained (`exec_event_queue`).
     event_queue: Arc<Gauge>,
-    /// Session open → first emitted frame, µs (`exec_first_frame_us`).
+    /// First lend → first said frame, µs (`exec_first_frame_us`).
     first_frame_us: Arc<AtomicHistogram>,
-    /// Session open → Done/error, µs (`exec_settle_us`).
+    /// First lend → done/error/drop, µs (`exec_settle_us`).
     settle_us: Arc<AtomicHistogram>,
-    /// One `on_frame` call, µs — the decode cost for sketch-carrying
-    /// frames (`exec_on_frame_us`).
+    /// One `on_frame` call on a shard, µs — the decode cost for
+    /// sketch-carrying frames (`exec_on_frame_us`).
     on_frame_us: Arc<AtomicHistogram>,
 }
 
@@ -81,7 +77,6 @@ fn exec_metrics() -> &'static ExecMetrics {
             submitted: reg.counter("exec_sessions_submitted"),
             completed: reg.counter("exec_sessions_completed"),
             failed: reg.counter("exec_sessions_failed"),
-            stranded: reg.counter("exec_sessions_stranded"),
             live: reg.gauge("exec_sessions_live"),
             event_queue: reg.gauge("exec_event_queue"),
             first_frame_us: reg.histogram("exec_first_frame_us"),
@@ -91,57 +86,12 @@ fn exec_metrics() -> &'static ExecMetrics {
     })
 }
 
-/// Per-shard registry handles (`exec_shard{i}_mailbox` /
-/// `exec_shard{i}_sessions`), resolved when an executor starts. Shard
-/// indices are stable across executors in one process, so successive
-/// executors share the same gauges.
-#[derive(Clone)]
-struct ShardObs {
-    /// Queued-but-unprocessed mailbox entries on this shard.
-    mailbox: Arc<Gauge>,
-    /// Sessions resident on this shard.
-    occupancy: Arc<Gauge>,
-}
-
-impl ShardObs {
-    fn for_shard(shard: usize) -> ShardObs {
-        let reg = rsr_obs::global();
-        ShardObs {
-            mailbox: reg.gauge(&format!("exec_shard{shard}_mailbox")),
-            occupancy: reg.gauge(&format!("exec_shard{shard}_sessions")),
-        }
-    }
-}
-
 /// A wakeup hook a consumer can hang on the event stream: called after
-/// *every* event append, so a consumer that blocks somewhere other than
-/// [`Events::recv`]
-/// (e.g. a socket readiness loop in `poll(2)`) learns there is something
-/// to drain. Must be cheap and must never block; implementations
-/// typically flip an atomic and poke a self-pipe.
+/// *every* returned half, so a consumer that blocks somewhere other than
+/// [`Events::next`] (e.g. a socket readiness loop in `poll(2)`) learns
+/// there is something to drain. Must be cheap and must never block;
+/// implementations typically flip an atomic and poke a self-pipe.
 pub type Notify = Arc<dyn Fn() + Send + Sync>;
-
-/// The event stream's sending half: an mpsc sender plus the optional
-/// consumer wakeup hook, so no append can be lost on a consumer that
-/// waits outside the channel.
-#[derive(Clone)]
-struct EventTx {
-    tx: mpsc::Sender<ExecEvent>,
-    notify: Option<Notify>,
-}
-
-impl EventTx {
-    fn send(&self, ev: ExecEvent) -> Result<(), mpsc::SendError<ExecEvent>> {
-        let sent = self.tx.send(ev);
-        if sent.is_ok() && rsr_obs::enabled() {
-            exec_metrics().event_queue.inc();
-        }
-        if let Some(notify) = &self.notify {
-            notify();
-        }
-        sent
-    }
-}
 
 /// A [`Session`] with its error type erased to `String` and a `Send`
 /// bound so it can move onto a worker shard. Blanket-implemented for
@@ -247,293 +197,20 @@ impl Placement {
     }
 }
 
-/// What the executor tells its consumer.
-#[derive(Debug)]
-pub enum ExecEvent {
-    /// A session produced a frame for its peer. The frame is already
-    /// recorded in the session's transcript.
-    Frame {
-        /// The producing session.
-        id: u64,
-        /// The produced frame.
-        frame: Frame,
-    },
-    /// A session left the executor: it finished (`error: None`), hit a
-    /// protocol error, or was closed via [`Injector::close`]. Carries
-    /// the session's transcript — both directions, processing order.
-    Done {
-        /// The finished session.
-        id: u64,
-        /// Everything that crossed the session, with measured sizes.
-        transcript: Transcript,
-        /// `None` on clean completion. Borrowed for the executor's own
-        /// static reasons (and any static [`Injector::close`] reason),
-        /// owned only when a session produced a dynamic error string.
-        error: Option<Cow<'static, str>>,
-    },
-    /// The executor shut down (every [`Injector`] clone dropped) while
-    /// this session was still live. Its transcript is what had crossed
-    /// so far.
-    Stranded {
-        /// The abandoned session.
-        id: u64,
-        /// The partial transcript.
-        transcript: Transcript,
-    },
-}
-
-/// One entry in a shard's ready queue.
-enum ShardMsg<'env> {
-    /// Adopt a session and pump its opening say.
-    Open {
-        id: u64,
-        party: Party,
-        session: Box<dyn DynSession + 'env>,
-    },
-    /// Wake `id` with an incoming frame.
-    Frame { id: u64, frame: Frame },
-    /// Drop `id`, reporting `reason`; stale ids are ignored.
-    Close { id: u64, reason: Cow<'static, str> },
-}
-
-/// The feeding half of a running executor: submits sessions, delivers
-/// frames, and closes sessions.
-pub struct Injector<'env> {
-    shard_txs: Vec<mpsc::Sender<ShardMsg<'env>>>,
-    shard_obs: Vec<ShardObs>,
-    placement: Placement,
-    /// Where each submitted session runs, until the consumer
-    /// [`forget`](Injector::forget)s it.
-    shard_of: HashMap<u64, usize>,
-}
-
-impl<'env> Injector<'env> {
-    /// Submits a session under a fresh id, placing it by two-choice, and
-    /// returns the chosen shard. `party` is the side this session plays:
-    /// frames it produces are recorded in its transcript as sent by
-    /// `party`, frames delivered to it as sent by `party.peer()`. The
-    /// worker immediately pumps everything the session can already say.
-    ///
-    /// Panics if `id` was already submitted — id allocation is the
-    /// caller's contract (transports check before submitting).
-    pub fn submit(&mut self, id: u64, party: Party, session: Box<dyn DynSession + 'env>) -> usize {
-        let shard = self.placement.place(id);
-        self.submit_placed(shard, id, party, session);
-        shard
-    }
-
-    /// Submits a session pinned to an explicit shard — used to co-locate
-    /// related sessions (e.g. the two halves of an in-process pair).
-    pub fn submit_on(
-        &mut self,
-        shard: usize,
-        id: u64,
-        party: Party,
-        session: Box<dyn DynSession + 'env>,
-    ) {
-        self.placement.note_pinned(shard);
-        self.submit_placed(shard, id, party, session);
-    }
-
-    fn submit_placed(
-        &mut self,
-        shard: usize,
-        id: u64,
-        party: Party,
-        session: Box<dyn DynSession + 'env>,
-    ) {
-        let previous = self.shard_of.insert(id, shard);
-        assert!(previous.is_none(), "session id {id} submitted twice");
-        self.note_enqueued(shard);
-        // A send only fails if the worker died; its panic resurfaces when
-        // the executor scope joins, so losing the message is moot.
-        let _ = self.shard_txs[shard].send(ShardMsg::Open { id, party, session });
-    }
-
-    fn note_enqueued(&self, shard: usize) {
-        if rsr_obs::enabled() {
-            self.shard_obs[shard].mailbox.inc();
-        }
-    }
-
-    /// Wakes `id` with an incoming frame. Returns `false` if the id is
-    /// not tracked — never submitted, or already forgotten — and the
-    /// frame is dropped; frames for sessions that already finished are
-    /// silently dropped by the worker as stale.
-    pub fn deliver(&self, id: u64, frame: Frame) -> bool {
-        match self.shard_of.get(&id) {
-            Some(&shard) => {
-                self.note_enqueued(shard);
-                let _ = self.shard_txs[shard].send(ShardMsg::Frame { id, frame });
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Closes `id` with `reason`: if the session is still live its worker
-    /// emits [`ExecEvent::Done`] with that reason; a stale or unknown id
-    /// is a no-op. Returns `false` only for ids not tracked.
-    pub fn close(&self, id: u64, reason: impl Into<Cow<'static, str>>) -> bool {
-        match self.shard_of.get(&id) {
-            Some(&shard) => {
-                self.note_enqueued(shard);
-                let _ = self.shard_txs[shard].send(ShardMsg::Close {
-                    id,
-                    reason: reason.into(),
-                });
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Stops tracking `id`. The consumer calls this when the session's
-    /// [`ExecEvent::Done`] or [`ExecEvent::Stranded`] arrives — the last
-    /// event the id will ever produce — so an executor that outlives its
-    /// sessions (a server's) holds state only for the live ones. Later
-    /// [`deliver`](Injector::deliver)s and [`close`](Injector::close)s
-    /// of the id are dropped here instead of by the worker.
-    pub fn forget(&mut self, id: u64) {
-        self.shard_of.remove(&id);
-    }
-
-    /// The shard `id` runs on, while it is tracked.
-    pub fn shard_of(&self, id: u64) -> Option<usize> {
-        self.shard_of.get(&id).copied()
-    }
-
-    /// Cumulative sessions placed per shard (never decremented — this is
-    /// the placement balance, not the live count).
-    pub fn loads(&self) -> &[usize] {
-        self.placement.loads()
-    }
-}
-
-/// One poll of the event stream.
-#[derive(Debug)]
-pub enum Wait {
-    /// An event arrived.
-    Event(ExecEvent),
-    /// Nothing arrived within the given timeout.
-    Timeout,
-    /// The executor is fully shut down: every worker and every
-    /// [`Injector`] is gone and the stream is drained.
-    Closed,
-}
-
-/// The consuming half of a running executor.
-pub struct Events {
-    rx: mpsc::Receiver<ExecEvent>,
-}
-
-impl Events {
-    fn note_drained(ev: ExecEvent) -> ExecEvent {
-        if rsr_obs::enabled() {
-            exec_metrics().event_queue.dec();
-        }
-        ev
-    }
-
-    /// Blocks for the next event; `None` once the stream is closed and
-    /// drained.
-    pub fn recv(&self) -> Option<ExecEvent> {
-        self.rx.recv().ok().map(Self::note_drained)
-    }
-
-    /// Non-blocking poll.
-    pub fn try_recv(&self) -> Option<ExecEvent> {
-        self.rx.try_recv().ok().map(Self::note_drained)
-    }
-
-    /// Blocks up to `timeout` (forever if `None`) for the next event.
-    pub fn next(&self, timeout: Option<Duration>) -> Wait {
-        match timeout {
-            None => match self.rx.recv() {
-                Ok(ev) => Wait::Event(Self::note_drained(ev)),
-                Err(_) => Wait::Closed,
-            },
-            Some(t) => match self.rx.recv_timeout(t) {
-                Ok(ev) => Wait::Event(Self::note_drained(ev)),
-                Err(mpsc::RecvTimeoutError::Timeout) => Wait::Timeout,
-                Err(mpsc::RecvTimeoutError::Disconnected) => Wait::Closed,
-            },
-        }
-    }
-}
-
-/// Runs `f` with a live sharded executor: `shards` worker threads, a
-/// two-choice [`Placement`] salted with `placement_seed`, an
-/// [`Injector`] to feed it and an [`Events`] stream to drain it. The
-/// scope is passed through so transports can spawn their reader/writer
-/// threads alongside the workers.
-///
-/// Shutdown is by dropping: when every [`Injector`] (there is exactly
-/// one unless `f` moved it into a scoped thread) is gone, workers finish
-/// their queues, emit [`ExecEvent::Stranded`] for sessions still live,
-/// and exit; the event stream then reports [`Wait::Closed`]. Everything
-/// `f` spawned is joined before `with_executor` returns.
-pub fn with_executor<'env, R>(
-    shards: usize,
-    placement_seed: u64,
-    f: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>, Injector<'env>, Events) -> R,
-) -> R {
-    with_executor_notified(shards, placement_seed, None, f)
-}
-
-/// [`with_executor`] with a consumer wakeup hook: `notify` (when given)
-/// runs after every event append, from whichever thread appended it.
-/// This is how a consumer that blocks in a socket readiness wait rather
-/// than on [`Events::recv`] — `rsr-net`'s reactor — hears the executor:
-/// the hook pokes the reactor's waker, the reactor drains
-/// [`Events::try_recv`] on its next iteration.
-pub fn with_executor_notified<'env, R>(
-    shards: usize,
-    placement_seed: u64,
-    notify: Option<Notify>,
-    f: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>, Injector<'env>, Events) -> R,
-) -> R {
-    assert!(shards >= 1, "executor needs at least one shard");
-    std::thread::scope(|s| {
-        let (tx, event_rx) = mpsc::channel();
-        let event_tx = EventTx { tx, notify };
-        let mut shard_txs = Vec::with_capacity(shards);
-        let mut shard_obs = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = mpsc::channel::<ShardMsg<'env>>();
-            shard_txs.push(tx);
-            let obs = ShardObs::for_shard(shard);
-            shard_obs.push(obs.clone());
-            let worker_events = event_tx.clone();
-            s.spawn(move || shard_worker(rx, worker_events, obs));
-        }
-        // Only workers append events: the stream closes when the last
-        // of them exits.
-        drop(event_tx);
-        let injector = Injector {
-            shard_txs,
-            shard_obs,
-            placement: Placement::new(shards, placement_seed),
-            shard_of: HashMap::new(),
-        };
-        f(s, injector, Events { rx: event_rx })
-    })
-}
-
-/// Metrics state carried per adopted session while recording is on:
-/// the phase clock behind the executor's settle histograms.
-struct SlotObs {
-    opened_at: Instant,
+/// The executor's metrics clock for a half lent to a shard at least
+/// once; halves that only ever run inline carry none.
+struct HalfObs {
+    lent_at: Instant,
     first_frame_seen: bool,
 }
 
-impl SlotObs {
-    fn open() -> SlotObs {
+impl HalfObs {
+    fn open() -> HalfObs {
         let m = exec_metrics();
         m.submitted.inc();
         m.live.inc();
-        SlotObs {
-            opened_at: Instant::now(),
+        HalfObs {
+            lent_at: Instant::now(),
             first_frame_seen: false,
         }
     }
@@ -543,20 +220,16 @@ impl SlotObs {
             self.first_frame_seen = true;
             exec_metrics()
                 .first_frame_us
-                .record(self.opened_at.elapsed().as_micros() as u64);
+                .record(self.lent_at.elapsed().as_micros() as u64);
         }
     }
 
-    /// The session left the executor: settle timing plus the outcome
-    /// counter (`Ok` completion, error/close, or stranded shutdown).
-    fn settle(&self, outcome: &Option<Cow<'static, str>>, stranded: bool) {
+    fn settle(self, completed: bool) {
         let m = exec_metrics();
         m.live.dec();
         m.settle_us
-            .record(self.opened_at.elapsed().as_micros() as u64);
-        if stranded {
-            m.stranded.inc();
-        } else if outcome.is_none() {
+            .record(self.lent_at.elapsed().as_micros() as u64);
+        if completed {
             m.completed.inc();
         } else {
             m.failed.inc();
@@ -564,163 +237,357 @@ impl SlotObs {
     }
 }
 
-/// Wakes `session` once — the sequence every driver of a session runs,
-/// so transcript order has one definition. An `incoming` frame is
-/// recorded as sent by `party.peer()` and handed to `on_frame` (timed
-/// into `on_frame_us`, when given). Then `poll_send` is pumped until the
-/// session has nothing more to say: each frame is recorded as sent by
-/// `party`, counted under `session_frames_<proto>` /
-/// `session_bits_<proto>` while recording is on, and passed to `send`.
-/// Returns whether the session is done; `Err` is the session's own
-/// error.
-pub fn step(
-    session: &mut (dyn DynSession + '_),
-    party: Party,
-    transcript: &mut Transcript,
-    incoming: Option<Frame>,
-    on_frame_us: Option<&AtomicHistogram>,
-    mut send: impl FnMut(Frame),
-) -> Result<bool, String> {
-    if let Some(frame) = incoming {
-        transcript.record_from(party.peer(), frame.label.clone(), frame.bit_len);
-        let _span = on_frame_us.map(Span::new);
-        session.on_frame(frame)?;
-    }
-    let mut counters = None;
-    while let Some(frame) = session.poll_send()? {
-        transcript.record_from(party, frame.label.clone(), frame.bit_len);
-        if rsr_obs::enabled() {
-            let (frames, bits) = counters.get_or_insert_with(|| {
-                let (reg, proto) = (rsr_obs::global(), session.protocol());
-                (
-                    reg.counter(&format!("session_frames_{proto}")),
-                    reg.counter(&format!("session_bits_{proto}")),
-                )
-            });
-            frames.inc();
-            bits.add(frame.bit_len);
-        }
-        send(frame);
-    }
-    Ok(session.is_done())
-}
-
-/// A session adopted by a shard worker.
-struct WorkerSlot<'env> {
+/// One side of a session and everything a wake of it needs: the side it
+/// plays, its transcript and — once first lent — its shard. Whoever
+/// drives the session owns it between wakes; dropping it closes the
+/// session.
+pub struct Half<'env> {
     session: Box<dyn DynSession + 'env>,
     party: Party,
     transcript: Transcript,
-    obs: Option<SlotObs>,
+    shard: Option<usize>,
+    obs: Option<HalfObs>,
 }
 
-fn shard_worker(rx: mpsc::Receiver<ShardMsg<'_>>, events: EventTx, shard_obs: ShardObs) {
-    let mut slots: HashMap<u64, WorkerSlot<'_>> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
+impl<'env> Half<'env> {
+    /// `session` playing `party`: frames it says are recorded in its
+    /// transcript as sent by `party`, frames it is woken with as sent by
+    /// `party.peer()`.
+    pub fn new(party: Party, session: Box<dyn DynSession + 'env>) -> Half<'env> {
+        Half {
+            session,
+            party,
+            transcript: Transcript::new(),
+            shard: None,
+            obs: None,
+        }
+    }
+
+    /// Wakes the half once — the sequence every driver of a session
+    /// runs, so transcript order has one definition. An `incoming` frame
+    /// is recorded and handed to `on_frame`. Then `poll_send` is pumped
+    /// until the session has nothing more to say: each frame is
+    /// recorded, counted under `session_frames_<proto>` /
+    /// `session_bits_<proto>` while recording is on, and passed to
+    /// `send`. Returns whether the session is done; `Err` is the
+    /// session's own error.
+    pub fn step(
+        &mut self,
+        incoming: Option<Frame>,
+        send: impl FnMut(Frame),
+    ) -> Result<bool, String> {
+        let outcome = self.run(incoming, send);
+        if !matches!(outcome, Ok(false)) {
+            if let Some(obs) = self.obs.take() {
+                obs.settle(outcome.is_ok());
+            }
+        }
+        outcome
+    }
+
+    fn run(
+        &mut self,
+        incoming: Option<Frame>,
+        mut send: impl FnMut(Frame),
+    ) -> Result<bool, String> {
+        let Half {
+            session,
+            party,
+            transcript,
+            obs,
+            ..
+        } = self;
+        if let Some(frame) = incoming {
+            transcript.record_from(party.peer(), frame.label.clone(), frame.bit_len);
+            let _span = obs.as_ref().map(|_| Span::new(&exec_metrics().on_frame_us));
+            session.on_frame(frame)?;
+        }
+        let mut counters = None;
+        while let Some(frame) = session.poll_send()? {
+            transcript.record_from(*party, frame.label.clone(), frame.bit_len);
+            if rsr_obs::enabled() {
+                let (frames, bits) = counters.get_or_insert_with(|| {
+                    let (reg, proto) = (rsr_obs::global(), session.protocol());
+                    (
+                        reg.counter(&format!("session_frames_{proto}")),
+                        reg.counter(&format!("session_bits_{proto}")),
+                    )
+                });
+                frames.inc();
+                bits.add(frame.bit_len);
+            }
+            if let Some(obs) = obs {
+                obs.note_frame_out();
+            }
+            send(frame);
+        }
+        Ok(session.is_done())
+    }
+
+    /// Everything that crossed the half so far, both directions, in
+    /// processing order; the half is closed.
+    pub fn into_transcript(mut self) -> Transcript {
+        std::mem::take(&mut self.transcript)
+    }
+}
+
+impl Drop for Half<'_> {
+    /// A lent half dropped before it settled was closed unfinished.
+    fn drop(&mut self) {
+        if let Some(obs) = self.obs.take() {
+            obs.settle(false);
+        }
+    }
+}
+
+/// A half back from its shard.
+pub struct ExecEvent<'env, K> {
+    /// The key it was lent under.
+    pub key: K,
+    /// The half, its transcript updated.
+    pub half: Half<'env>,
+    /// The frames it said during the wake, in order.
+    pub said: Vec<Frame>,
+    /// [`Half::step`]'s outcome: `Ok(true)` once the session is done.
+    pub outcome: Result<bool, String>,
+}
+
+/// Where a driver keeps one session half between wakes — a
+/// connection's slot, or a [`drive_batch`] pair's side. The half is at
+/// home or lent to its shard, never both; a frame that arrives while it
+/// is lent waits here and is applied, in arrival order, once it returns.
+#[derive(Default)]
+pub enum Seat<'env> {
+    /// No half: not begun, or closed.
+    #[default]
+    Empty,
+    /// At home, waiting for its next frame.
+    Home(Box<Half<'env>>),
+    /// Lent to its shard, with the frames that arrived for it since.
+    Lent(VecDeque<Frame>),
+}
+
+impl<'env> Seat<'env> {
+    /// A frame for the half: the half to wake with it when it is home.
+    /// While the half is lent the frame is held; with no half it is
+    /// stale and dropped.
+    pub fn deliver(&mut self, frame: Frame) -> Option<(Half<'env>, Frame)> {
+        match self {
+            Seat::Home(_) => return self.take().map(|half| (half, frame)),
+            Seat::Lent(held) => held.push_back(frame),
+            Seat::Empty => {}
+        }
+        None
+    }
+
+    /// The half, when it is at home; the seat is left empty.
+    pub fn take(&mut self) -> Option<Half<'env>> {
+        match std::mem::take(self) {
+            Seat::Home(half) => Some(*half),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+
+    /// The half came back unfinished: the next frame held for it, with
+    /// the seat still lent, or `None` with the seat emptied for the
+    /// caller to park or close the half.
+    pub fn next_held(&mut self) -> Option<Frame> {
+        let next = match self {
+            Seat::Lent(held) => held.pop_front(),
+            _ => None,
+        };
+        if next.is_none() {
+            *self = Seat::Empty;
+        }
+        next
+    }
+}
+
+/// One wake in a shard's mailbox.
+struct Job<'env, K> {
+    key: K,
+    half: Half<'env>,
+    incoming: Option<Frame>,
+}
+
+/// The feeding half of a running executor: lends halves to shards.
+pub struct Injector<'env, K> {
+    shard_txs: Vec<mpsc::Sender<Job<'env, K>>>,
+    /// Per-shard queued-but-unrun wakes (`exec_shard{i}_mailbox`).
+    mailboxes: Vec<Arc<Gauge>>,
+    placement: Placement,
+    /// Halves placed so far; the next is placed by this number.
+    placed: u64,
+}
+
+impl<'env, K> Injector<'env, K> {
+    /// Lends `half` to its shard for one wake with `incoming` (its
+    /// opening say, when `None`), marking its `seat` lent. It comes back
+    /// under `key` on the [`Events`] stream. A half is placed by
+    /// two-choice when first lent, and stays on that shard. Returns the
+    /// shard.
+    pub fn lend(
+        &mut self,
+        key: K,
+        seat: &mut Seat<'env>,
+        mut half: Half<'env>,
+        incoming: Option<Frame>,
+    ) -> usize {
+        if !matches!(seat, Seat::Lent(_)) {
+            *seat = Seat::Lent(VecDeque::new());
+        }
+        let shard = match half.shard {
+            Some(shard) => shard,
+            None => self.place(&mut half, None),
+        };
         if rsr_obs::enabled() {
-            shard_obs.mailbox.dec();
+            self.mailboxes[shard].inc();
         }
-        match msg {
-            ShardMsg::Open { id, party, session } => {
-                let mut slot = WorkerSlot {
-                    session,
-                    party,
-                    transcript: Transcript::new(),
-                    obs: rsr_obs::enabled().then(SlotObs::open),
-                };
-                if wake(id, &mut slot, None, &events) {
-                    if slot.obs.is_some() {
-                        shard_obs.occupancy.inc();
-                    }
-                    slots.insert(id, slot);
-                }
-            }
-            ShardMsg::Frame { id, frame } => {
-                // Stale: the session already finished (or was closed) —
-                // exactly the serial transports' "drop late frames" rule.
-                let Some(slot) = slots.get_mut(&id) else {
-                    continue;
-                };
-                if !wake(id, slot, Some(frame), &events) {
-                    if let Some(slot) = slots.remove(&id) {
-                        if slot.obs.is_some() {
-                            shard_obs.occupancy.dec();
-                        }
-                    }
-                }
-            }
-            ShardMsg::Close { id, reason } => {
-                if let Some(mut slot) = slots.remove(&id) {
-                    if slot.obs.is_some() {
-                        shard_obs.occupancy.dec();
-                    }
-                    emit_done(id, &mut slot, &events, Some(reason));
-                }
-            }
-        }
-    }
-    // Every injector is gone: whatever is still live is stranded.
-    for (id, slot) in slots {
-        if let Some(obs) = &slot.obs {
-            shard_obs.occupancy.dec();
-            obs.settle(&None, true);
-        }
-        let _ = events.send(ExecEvent::Stranded {
-            id,
-            transcript: slot.transcript,
+        // A send only fails if the worker died; its panic resurfaces when
+        // the executor scope joins, so losing the wake is moot.
+        let _ = self.shard_txs[shard].send(Job {
+            key,
+            half,
+            incoming,
         });
+        shard
+    }
+
+    /// Places `half` on `pin` when given (co-locating related halves),
+    /// else by two-choice over its placement number.
+    fn place(&mut self, half: &mut Half<'env>, pin: Option<usize>) -> usize {
+        let id = self.placed;
+        self.placed += 1;
+        let shard = match pin {
+            Some(shard) => {
+                self.placement.note_pinned(shard);
+                shard
+            }
+            None => self.placement.place(id),
+        };
+        half.shard = Some(shard);
+        half.obs = rsr_obs::enabled().then(HalfObs::open);
+        shard
     }
 }
 
-/// Emits [`ExecEvent::Done`], recording the session's settle metrics.
-fn emit_done(
-    id: u64,
-    slot: &mut WorkerSlot<'_>,
-    events: &EventTx,
-    error: Option<Cow<'static, str>>,
-) {
-    if let Some(obs) = &slot.obs {
-        obs.settle(&error, false);
-    }
-    let transcript = std::mem::take(&mut slot.transcript);
-    let _ = events.send(ExecEvent::Done {
-        id,
-        transcript,
-        error,
-    });
+/// One poll of the event stream.
+pub enum Wait<'env, K> {
+    /// A half came back.
+    Event(ExecEvent<'env, K>),
+    /// Nothing arrived within the given timeout.
+    Timeout,
+    /// The executor is fully shut down: every worker and the
+    /// [`Injector`] are gone and the stream is drained.
+    Closed,
 }
 
-/// Runs one [`step`] of `slot`, emitting its frames and — when it
-/// finishes or errors — its `Done`. Returns whether the slot is still
-/// live.
-fn wake(id: u64, slot: &mut WorkerSlot<'_>, incoming: Option<Frame>, events: &EventTx) -> bool {
-    let on_frame_us = slot.obs.as_ref().map(|_| &*exec_metrics().on_frame_us);
-    let WorkerSlot {
-        session,
-        party,
-        transcript,
-        obs,
-    } = slot;
-    let send = |frame| {
-        if let Some(obs) = obs {
-            obs.note_frame_out();
+/// The consuming half of a running executor.
+pub struct Events<'env, K> {
+    rx: mpsc::Receiver<ExecEvent<'env, K>>,
+}
+
+impl<'env, K> Events<'env, K> {
+    fn note_drained(ev: ExecEvent<'env, K>) -> ExecEvent<'env, K> {
+        if rsr_obs::enabled() {
+            exec_metrics().event_queue.dec();
         }
-        let _ = events.send(ExecEvent::Frame { id, frame });
-    };
-    let outcome = step(
-        &mut **session,
-        *party,
-        transcript,
-        incoming,
-        on_frame_us,
-        send,
-    );
-    let error = match outcome {
-        Ok(false) => return true,
-        Ok(true) => None,
-        Err(e) => Some(Cow::Owned(e)),
-    };
-    emit_done(id, slot, events, error);
-    false
+        ev
+    }
+
+    /// Non-blocking poll.
+    pub fn try_recv(&self) -> Option<ExecEvent<'env, K>> {
+        self.rx.try_recv().ok().map(Self::note_drained)
+    }
+
+    /// Blocks up to `timeout` (forever if `None`) for the next returned
+    /// half.
+    pub fn next(&self, timeout: Option<Duration>) -> Wait<'env, K> {
+        let got = match timeout {
+            None => self
+                .rx
+                .recv()
+                .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+            Some(t) => self.rx.recv_timeout(t),
+        };
+        match got {
+            Ok(ev) => Wait::Event(Self::note_drained(ev)),
+            Err(mpsc::RecvTimeoutError::Timeout) => Wait::Timeout,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Wait::Closed,
+        }
+    }
+}
+
+/// Runs `f` with a live sharded executor: `shards` worker threads, a
+/// two-choice [`Placement`] salted with `placement_seed`, an
+/// [`Injector`] to lend halves and an [`Events`] stream they come back
+/// on. `notify` (when given) runs after every returned half, from the
+/// worker that returned it: this is how a consumer that blocks in a
+/// socket readiness wait rather than in [`Events::next`] — `rsr-net`'s
+/// reactor — hears the executor.
+///
+/// Shutdown is by dropping: once the [`Injector`] is gone, workers finish
+/// the wakes already queued and exit, and the stream then reports
+/// [`Wait::Closed`]. The workers are joined before `with_executor`
+/// returns.
+pub fn with_executor<'env, K: Send + 'env, R>(
+    shards: usize,
+    placement_seed: u64,
+    notify: Option<Notify>,
+    f: impl FnOnce(Injector<'env, K>, Events<'env, K>) -> R,
+) -> R {
+    assert!(shards >= 1, "executor needs at least one shard");
+    std::thread::scope(|s| {
+        let (event_tx, event_rx) = mpsc::channel();
+        let mut shard_txs = Vec::with_capacity(shards);
+        let mut mailboxes = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let (tx, rx) = mpsc::channel::<Job<'env, K>>();
+            shard_txs.push(tx);
+            let mailbox = rsr_obs::global().gauge(&format!("exec_shard{shard}_mailbox"));
+            mailboxes.push(Arc::clone(&mailbox));
+            let (events, notify) = (event_tx.clone(), notify.clone());
+            s.spawn(move || {
+                while let Ok(Job {
+                    key,
+                    mut half,
+                    incoming,
+                }) = rx.recv()
+                {
+                    if rsr_obs::enabled() {
+                        mailbox.dec();
+                    }
+                    let mut said = Vec::new();
+                    let outcome = half.step(incoming, |frame| said.push(frame));
+                    let ev = ExecEvent {
+                        key,
+                        half,
+                        said,
+                        outcome,
+                    };
+                    if events.send(ev).is_ok() && rsr_obs::enabled() {
+                        exec_metrics().event_queue.inc();
+                    }
+                    if let Some(notify) = &notify {
+                        notify();
+                    }
+                }
+            });
+        }
+        // Only workers return halves: the stream closes when the last of
+        // them exits.
+        drop(event_tx);
+        let injector = Injector {
+            shard_txs,
+            mailboxes,
+            placement: Placement::new(shards, placement_seed),
+            placed: 0,
+        };
+        f(injector, Events { rx: event_rx })
+    })
 }
 
 /// One session pair's result from [`drive_batch`].
@@ -761,10 +628,13 @@ pub const STALLED: &str = "sessions stalled without finishing";
 /// Both halves of a pair are pinned to one shard (a pair is one logical
 /// session, like a multiplexed connection's one local half), chosen by
 /// two-choice placement; distinct pairs run concurrently across shards.
-/// The caller thread routes every frame a half emits to its peer —
-/// wake-on-frame, exactly the dispatch the networked transports use.
+/// The caller thread keeps every half between wakes and routes every
+/// frame a half says to its peer — wake-on-frame, exactly the dispatch
+/// the networked transports use.
 ///
-/// Returns one [`PairOutcome`] per input pair, in input order.
+/// Returns one [`PairOutcome`] per input pair, in input order. A pair
+/// that has not finished when no half came back for `stall_timeout`
+/// ends with [`STALLED`].
 ///
 /// Driving a batch of real protocol sessions across 2 shards — the
 /// transcripts are bit-identical to what the serial driver records:
@@ -806,70 +676,105 @@ pub fn drive_batch<'env>(
     pairs: Vec<(Box<dyn DynSession + 'env>, Box<dyn DynSession + 'env>)>,
     stall_timeout: Duration,
 ) -> Vec<PairOutcome> {
-    with_executor(shards, placement_seed, |_scope, mut injector, events| {
+    with_executor(shards, placement_seed, None, |mut injector, events| {
         let n = pairs.len();
         let mut outcomes = Vec::with_capacity(n);
-        for (i, (alice, bob)) in pairs.into_iter().enumerate() {
-            let alice_id = (i as u64) * 2;
-            let shard = injector.submit(alice_id, Party::Alice, alice);
-            injector.submit_on(shard, alice_id + 1, Party::Bob, bob);
+        let mut seats: Vec<[Seat<'env>; 2]> = Vec::with_capacity(n);
+        for (pair, (alice, bob)) in pairs.into_iter().enumerate() {
+            let mut seat = <[Seat<'env>; 2]>::default();
+            let alice = Half::new(Party::Alice, alice);
+            let shard = injector.lend((pair, 0), &mut seat[0], alice, None);
+            let mut bob = Half::new(Party::Bob, bob);
+            injector.place(&mut bob, Some(shard));
+            injector.lend((pair, 1), &mut seat[1], bob, None);
+            seats.push(seat);
             outcomes.push(PairOutcome {
                 shard,
                 transcript: Transcript::new(),
                 error: None,
             });
         }
-        let mut finished = vec![[false, false]; n];
-        let mut pending = n * 2;
+        // Halves not yet finished; each is home or lent.
+        let mut unfinished = 2 * n;
         let mut stalled = false;
-        while pending > 0 {
-            match events.next(Some(stall_timeout)) {
-                Wait::Event(ExecEvent::Frame { id, frame }) => {
-                    injector.deliver(id ^ 1, frame);
-                }
-                Wait::Event(ExecEvent::Done {
-                    id,
-                    transcript,
-                    error,
-                }) => {
-                    let (pair, half) = ((id / 2) as usize, (id % 2) as usize);
-                    injector.forget(id);
-                    if finished[pair][half] {
-                        continue;
-                    }
-                    finished[pair][half] = true;
-                    pending -= 1;
-                    if half == 0 {
-                        outcomes[pair].transcript = transcript;
-                    }
-                    if let Some(e) = error {
-                        outcomes[pair].error.get_or_insert(e.into_owned());
-                        // The peer can make no further progress; a stale
-                        // close (peer already finished) is a no-op.
-                        injector.close(id ^ 1, "peer session failed");
-                    }
-                }
-                Wait::Event(ExecEvent::Stranded { .. }) => {}
-                Wait::Timeout if !stalled => {
-                    // No worker produced anything for a whole window:
-                    // close every unfinished half; their Done events (and
-                    // any frames a slow worker was still computing) drain
-                    // the loop.
+        while unfinished > 0 {
+            let ExecEvent {
+                key: (pair, side),
+                half,
+                said,
+                outcome,
+            } = match events.next(Some(stall_timeout)) {
+                Wait::Event(ev) => ev,
+                // A half is still inside one wake a window later: its
+                // pair already reads STALLED.
+                Wait::Timeout if stalled => break,
+                Wait::Timeout => {
+                    // Nothing came back for a whole window: every pair
+                    // with a half unfinished is stalled. Halves at home
+                    // close now, lent ones when they come back.
                     stalled = true;
-                    for (pair, halves) in finished.iter().enumerate() {
-                        for (half, done) in halves.iter().enumerate() {
-                            if !done {
-                                injector.close((pair as u64) * 2 + half as u64, STALLED);
+                    for (pair, halves) in seats.iter_mut().enumerate() {
+                        for (side, seat) in halves.iter_mut().enumerate() {
+                            if let Some(half) = seat.take() {
+                                unfinished -= 1;
+                                keep_transcript(&mut outcomes[pair], side, half);
+                            } else if !matches!(seat, Seat::Lent(_)) {
+                                continue;
                             }
+                            outcomes[pair].error.get_or_insert_with(|| STALLED.into());
                         }
                     }
+                    continue;
                 }
-                Wait::Timeout => break, // closes did not drain: workers are gone
                 Wait::Closed => break,
+            };
+            let seat = &mut seats[pair][side];
+            let closed = match outcome {
+                Ok(false) => match seat.next_held() {
+                    Some(frame) => {
+                        injector.lend((pair, side), seat, half, Some(frame));
+                        None
+                    }
+                    None if outcomes[pair].error.is_none() => {
+                        *seat = Seat::Home(Box::new(half));
+                        None
+                    }
+                    // Its peer failed, or the pair stalled.
+                    None => Some((half, None)),
+                },
+                Ok(true) => Some((half, None)),
+                Err(e) => Some((half, Some(e))),
+            };
+            if let Some((half, error)) = closed {
+                *seat = Seat::Empty;
+                unfinished -= 1;
+                keep_transcript(&mut outcomes[pair], side, half);
+                if let Some(e) = error {
+                    outcomes[pair].error.get_or_insert(e);
+                    // The peer can make no further progress: it closes
+                    // now if home, when it comes back if lent.
+                    if let Some(peer) = seats[pair][side ^ 1].take() {
+                        unfinished -= 1;
+                        keep_transcript(&mut outcomes[pair], side ^ 1, peer);
+                    }
+                }
+            }
+            let peer = &mut seats[pair][side ^ 1];
+            for frame in said {
+                if let Some((half, frame)) = peer.deliver(frame) {
+                    injector.lend((pair, side ^ 1), peer, half, Some(frame));
+                }
             }
         }
         outcomes
     })
+}
+
+/// Keeps a closed half's transcript when it is the pair's Alice.
+fn keep_transcript(outcome: &mut PairOutcome, side: usize, half: Half<'_>) {
+    if side == 0 {
+        outcome.transcript = half.into_transcript();
+    }
 }
 
 #[cfg(test)]
@@ -1031,110 +936,79 @@ mod tests {
     }
 
     #[test]
-    fn injector_reports_unknown_ids() {
-        with_executor(2, 0, |_s, mut injector, _events| {
-            assert!(!injector.deliver(9, Frame::seal("x", BitWriter::new())));
-            assert!(!injector.close(9, "nope"));
-            let shard = injector.submit(9, Party::Alice, Box::new(Mute));
-            assert_eq!(injector.shard_of(9), Some(shard));
-            assert!(injector.deliver(9, Frame::seal("x", BitWriter::new())));
-        });
-    }
-
-    #[test]
-    fn stranded_sessions_surface_on_shutdown() {
-        let stranded = with_executor(1, 0, |_s, mut injector, events| {
-            injector.submit(5, Party::Bob, Box::new(Mute));
-            drop(injector);
-            let mut ids = Vec::new();
-            while let Some(ev) = events.recv() {
-                if let ExecEvent::Stranded { id, .. } = ev {
-                    ids.push(id);
-                }
+    fn a_half_stays_on_the_shard_it_was_first_lent_to() {
+        with_executor(4, 0, None, |mut injector, events| {
+            let echo = Pong {
+                to_send: 0,
+                expect: 8,
+                echo: true,
+            };
+            let mut seat = Seat::Empty;
+            let shard = injector.lend(7, &mut seat, Half::new(Party::Bob, Box::new(echo)), None);
+            for round in 0..8 {
+                let ev = match events.next(Some(Duration::from_secs(5))) {
+                    Wait::Event(ev) => ev,
+                    _ => panic!("round {round}: the half did not come back"),
+                };
+                assert_eq!(ev.key, 7);
+                assert_eq!(ev.outcome, Ok(false));
+                let mut w = BitWriter::new();
+                w.write(round, 16);
+                let again = injector.lend(7, &mut seat, ev.half, Some(Frame::seal("ping", w)));
+                assert_eq!(again, shard, "a placed half keeps its shard");
             }
-            ids
+            match events.next(Some(Duration::from_secs(5))) {
+                Wait::Event(ev) => {
+                    assert_eq!(ev.outcome, Ok(true));
+                    assert_eq!(ev.half.into_transcript().num_messages(), 8 + 8);
+                }
+                _ => panic!("the last wake did not come back"),
+            }
+            assert_eq!(injector.placement.loads().iter().sum::<usize>(), 1);
         });
-        assert_eq!(stranded, vec![5]);
     }
 
     #[test]
     fn next_times_out_while_sessions_live() {
-        with_executor(1, 0, |_s, mut injector, events| {
-            injector.submit(1, Party::Alice, Box::new(Mute));
-            // A live but silent session: the stream must report Timeout,
-            // not Closed — the executor is still running.
+        with_executor(1, 0, None, |injector: Injector<'_, u64>, events| {
+            // A live session waits with its driver, not on a shard: the
+            // stream must report Timeout, not Closed — the executor is
+            // still running.
+            let _mute = Half::new(Party::Alice, Box::new(Mute));
             match events.next(Some(Duration::from_millis(50))) {
                 Wait::Timeout => {}
-                other => panic!("expected Timeout, got {other:?}"),
+                _ => panic!("expected Timeout"),
             }
             drop(injector);
-            // Shutdown strands the mute session; Closed comes only
-            // after that event has drained, never instead of it.
-            match events.next(Some(Duration::from_secs(5))) {
-                Wait::Event(ExecEvent::Stranded { id, .. }) => assert_eq!(id, 1),
-                other => panic!("expected Stranded, got {other:?}"),
-            }
             match events.next(Some(Duration::from_secs(5))) {
                 Wait::Closed => {}
-                other => panic!("expected Closed, got {other:?}"),
+                _ => panic!("expected Closed"),
             }
         });
     }
 
     #[test]
     fn next_drains_pending_events_before_reporting_closed() {
-        with_executor(1, 0, |_s, mut injector, events| {
-            // Alice's opening frame is queued by the worker; dropping
-            // the injector right behind the submit shuts the executor
-            // down with that event (and the stranding) still unread.
-            injector.submit(9, Party::Alice, chat_pair(1).0);
+        with_executor(1, 0, None, |mut injector, events| {
+            // Alice's opening wake is queued; dropping the injector right
+            // behind the lend shuts the executor down with that wake (and
+            // the half coming back) still unread.
+            let alice = Half::new(Party::Alice, chat_pair(1).0);
+            injector.lend(9, &mut Seat::Empty, alice, None);
             drop(injector);
-            // Events queued before every injector went away must still
-            // surface; Closed is only ever the end of a drained stream.
+            // A half lent before the injector went away still comes back;
+            // Closed is only ever the end of a drained stream.
             match events.next(None) {
-                Wait::Event(ExecEvent::Frame { id, .. }) => assert_eq!(id, 9),
-                other => panic!("expected the queued Frame event, got {other:?}"),
-            }
-            match events.next(Some(Duration::from_secs(5))) {
-                Wait::Event(ExecEvent::Stranded { id, .. }) => assert_eq!(id, 9),
-                other => panic!("expected Stranded, got {other:?}"),
+                Wait::Event(ev) => {
+                    assert_eq!(ev.key, 9);
+                    assert_eq!(ev.said.len(), 1);
+                }
+                _ => panic!("expected the lent half back"),
             }
             match events.next(Some(Duration::from_secs(5))) {
                 Wait::Closed => {}
-                other => panic!("expected Closed, got {other:?}"),
+                _ => panic!("expected Closed"),
             }
-        });
-    }
-
-    #[test]
-    fn forgetting_settled_sessions_leaves_the_injector_tracking_nothing() {
-        const N: u64 = 64;
-        with_executor(2, 0, |_s, mut injector, events| {
-            for id in 0..N {
-                // Nothing to send, nothing expected: done at adoption.
-                let idle = Pong {
-                    to_send: 0,
-                    expect: 0,
-                    echo: false,
-                };
-                injector.submit(id, Party::Bob, Box::new(idle));
-            }
-            assert_eq!(injector.shard_of.len(), N as usize);
-            let loads_before = injector.loads().to_vec();
-            for _ in 0..N {
-                match events.next(Some(Duration::from_secs(5))) {
-                    Wait::Event(ExecEvent::Done { id, error, .. }) => {
-                        assert!(error.is_none());
-                        injector.forget(id);
-                    }
-                    other => panic!("expected Done, got {other:?}"),
-                }
-            }
-            assert!(injector.shard_of.is_empty(), "every settled id forgotten");
-            // Placement balance is cumulative: forgetting leaves it be.
-            assert_eq!(injector.loads(), loads_before);
-            assert_eq!(injector.shard_of(0), None);
-            assert!(!injector.close(0, "stale"));
         });
     }
 }

@@ -29,10 +29,12 @@
 //! * [`continuous`] — long-lived incremental sessions: resident
 //!   churn-sized tables, snapshot subtraction, per-round delta
 //!   reconciliation with an Idle→Syncing→Settled lifecycle.
-//! * [`executor`] — the sharded worker-pool executor: two-choice
-//!   session→shard placement, per-shard ready queues, wake-on-frame
-//!   dispatch, and the in-process parallel [`executor::drive_batch`]
-//!   driver. `rsr-net`'s reactor feeds it frames off the wire.
+//! * [`executor`] — the sharded worker-pool executor: a shard borrows a
+//!   session [`executor::Half`] for one wake and hands it back, holding
+//!   no session between wakes; two-choice session→shard placement,
+//!   per-shard ready queues, and the in-process parallel
+//!   [`executor::drive_batch`] driver. `rsr-net`'s connection slots lend
+//!   it their one-shot halves.
 //! * [`wire`] — codecs for non-table payloads (point lists, `u64` lists),
 //!   built on `rsr-iblt`'s shared bit codec.
 
@@ -61,8 +63,8 @@ pub use emd_protocol::{
 };
 pub use emd_scaled::{ScaledEmdAliceSession, ScaledEmdBobSession, ScaledEmdProtocol};
 pub use executor::{
-    drive_batch, with_executor, DynSession, Events, ExecEvent, Injector, PairOutcome, Placement,
-    Wait,
+    drive_batch, with_executor, DynSession, Events, ExecEvent, Half, Injector, PairOutcome,
+    Placement, Seat, Wait,
 };
 pub use gap_low_dim::low_dim_gap_config;
 pub use gap_protocol::{

@@ -198,3 +198,48 @@ fn placement_candidates_stay_in_range() {
         assert!(a < 5 && b < 5);
     }
 }
+
+/// Takes one frame, spending `nap` inside `on_frame` on it.
+struct Slow {
+    nap: Duration,
+    got: bool,
+}
+
+impl DynSession for Slow {
+    fn poll_send(&mut self) -> Result<Option<Frame>, String> {
+        Ok(None)
+    }
+
+    fn on_frame(&mut self, _frame: Frame) -> Result<(), String> {
+        std::thread::sleep(self.nap);
+        self.got = true;
+        Ok(())
+    }
+
+    fn is_done(&self) -> bool {
+        self.got
+    }
+}
+
+#[test]
+fn a_half_still_inside_on_frame_past_two_stall_windows_ends_its_pair_stalled() {
+    // Alice says her one frame and waits for an echo that never comes;
+    // Bob spends eight stall windows inside `on_frame`. The pair never
+    // finished, so it must not read as OK.
+    let pairs: Vec<(Box<dyn DynSession>, Box<dyn DynSession>)> = vec![(
+        Box::new(Talker {
+            to_send: 1,
+            expect: 1,
+        }),
+        Box::new(Slow {
+            nap: Duration::from_millis(400),
+            got: false,
+        }),
+    )];
+    let outcomes = drive_batch(1, 0x57a1, pairs, Duration::from_millis(50));
+    assert_eq!(outcomes[0].shard, 0);
+    assert_eq!(
+        outcomes[0].error.as_deref(),
+        Some(rsr_core::executor::STALLED)
+    );
+}

@@ -1,51 +1,55 @@
 //! The client's round engine: [`run_round`] drives every session of a
-//! round, on every pooled connection, over **one** shared session
-//! executor behind the readiness reactor, and writes the
-//! [`RunReport`]s the [`Driver`](crate::Driver) surface returns.
+//! round, on every pooled connection, from one readiness reactor over
+//! **one** shared shard pool, and writes the [`RunReport`]s the
+//! [`Driver`](crate::Driver) surface returns.
 //!
 //! The client plays **Alice** for every session it runs. A one-shot
 //! session `OPEN`s — optionally carrying a negotiated [`SessionSpec`] so
 //! the server can build its Bob half from the wire instead of
-//! out-of-band trace state — and its Alice half goes to the shared
-//! worker-pool executor: each half's opening say is pumped on its shard
-//! and the frames of different sessions (and different connections)
-//! interleave. It settles on the server's `DONE`. A continuous round
-//! never enters the executor: its half stays in its slot and runs on the
-//! caller's thread, which queues the round's delta `FRAME` (round 0
-//! after its `OPEN`) and applies the server's one reply `FRAME`, which
-//! settles it. The reactor loop owns every socket: nonblocking reads run
-//! through the incremental record decoder, routed to sessions by id —
-//! wake-on-frame, each record waking exactly one session — while
-//! produced frames queue per connection and drain as sockets accept
-//! them. No reader threads, no writer threads: a client drives C
-//! connections with `1 + shards` threads total.
+//! out-of-band trace state — and settles on the server's `DONE`. A
+//! continuous round queues its delta `FRAME` (round 0 after its `OPEN`)
+//! and settles when the server's one reply `FRAME` arrives.
 //!
-//! The loop itself keeps only what is cross-connection — the executor
-//! scope, the executor-id routes, the poller, the termination test.
-//! Everything per-connection is a phase on [`RoundConn`], run in a
-//! fixed order each iteration: inject what is due, apply executor
-//! events, flush and sweep deadlines, contribute poll interest, drain a
-//! readable socket, and finally turn into the connection's report.
+//! Every local half, of either kind, lives in its session's [`Slot`]
+//! between wakes. The only branch is where a wake runs: a continuous
+//! round steps on the caller's thread; a one-shot half is lent to its
+//! shard of the shared pool for one step — so the halves of different
+//! sessions (and different connections) compute in parallel — and comes
+//! back with the frames it said. A frame the server sends while its half
+//! is lent waits in the slot and is applied, in order, when the half
+//! returns. The reactor loop owns every socket: nonblocking reads run
+//! through the incremental record decoder, routed to slots by id —
+//! wake-on-frame, each record waking exactly one half — while produced
+//! frames queue per connection and drain as sockets accept them. No
+//! reader threads, no writer threads: a client drives C connections with
+//! `1 + shards` threads total.
+//!
+//! The loop itself keeps only what is cross-connection — the pool, the
+//! poller, the termination test. Everything per-connection is a phase on
+//! [`RoundConn`], run in a fixed order each iteration: inject what is
+//! due, take back the halves the shards are done with, flush and sweep
+//! deadlines, contribute poll interest, drain a readable socket, and
+//! finally turn into the connection's report.
 //!
 //! Failure is scoped tightly. A session-level failure (local decode
 //! error, server error status) marks that one session failed and the
 //! round carries on. A *connection*-level failure — abrupt disconnect,
 //! truncated record, idle timeout — settles every unsettled session on
-//! that connection with an error, closes their local halves so each
-//! reports in, and leaves every other connection's sessions untouched;
-//! it is that connection's
+//! that connection with an error and drops its local half (a lent one
+//! when it comes back), and leaves every other connection's sessions
+//! untouched; it is that connection's
 //! [`transport_error`](RunReport::transport_error), never a call-level
 //! `Err`. Connections stay pooled between rounds; one that failed or
 //! was closed by the server drops out of the pool.
 
 use crate::codec::{NetError, Record, SessionSpec, STATUS_OK, STATUS_SESSION_ERROR};
 use crate::driver::{RunReport, RunSession};
-use crate::reactor::{sooner, timed_out, ConnIo, Routes, PLACEMENT_SEED, READ_CHUNK};
+use crate::reactor::{sooner, timed_out, ConnIo, PLACEMENT_SEED, READ_CHUNK};
 use crate::server::NetSession;
 use netpoll::{PollFd, Poller, POLLIN};
 use rsr_core::channel::Frame;
 use rsr_core::continuous::{AliceRound, ContinuousError, SharedParty};
-use rsr_core::executor::{step, with_executor_notified, ExecEvent, Injector, Notify};
+use rsr_core::executor::{with_executor, Half, Injector, Notify, Seat};
 use rsr_core::transcript::{Party, Transcript};
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -140,6 +144,13 @@ impl<'s> SessionPlan<'s> {
 const FAILED_BEFORE_SETTLE: &str = "connection failed before session settled";
 /// Per-session error when the server closed cleanly first.
 const CLOSED_BEFORE_SETTLE: &str = "connection closed before session settled";
+/// Per-session error when the server settled a session (or a round)
+/// its local half has not finished.
+const INCOMPLETE: &str = "server finished but the local session is incomplete";
+
+/// Whose half came back from a shard: the connection's index in the
+/// round and the slot's.
+type Key = (usize, usize);
 
 /// How long a round keeps trying to drain already-queued output after
 /// every session resolved, before giving the connection up as wedged.
@@ -251,20 +262,19 @@ fn admit(pool: &[PoolConn], plans: &[ConnPlan<'_>]) -> Result<(), NetError> {
 /// Engine-side state of one session of a round, beside the
 /// [`RunSession`] the report carries for it.
 struct Slot<'s> {
-    /// A one-shot session's executor id, once injected. An injected slot
-    /// without one is a continuous round: it settles when the server's
-    /// one reply `FRAME` arrives — the reply is the ack — not on `DONE`.
-    exec: Option<u64>,
-    /// A continuous round's local half while it waits on the wire. It
-    /// runs on the caller's thread; dropping it unsettled (a `DONE`, a
-    /// lost connection) rolls the round back.
-    round: Option<Box<dyn NetSession + 's>>,
+    /// The local Alice half between wakes — a one-shot session or a
+    /// continuous round alike.
+    seat: Seat<'s>,
+    /// A continuous round: its half steps on the caller's thread, and it
+    /// settles when the server's one reply `FRAME` arrives — the reply is
+    /// the ack — not on `DONE`.
+    round: bool,
     /// The server said `DONE` (or we abandoned / lost the connection):
     /// nothing further is expected on the wire for it.
     settled: bool,
-    /// The executor reported the local Alice half finished, failed, or
-    /// stranded — its transcript has been collected. (Also set directly
-    /// for sessions that were never injected.)
+    /// The local half finished, failed or was dropped, and its
+    /// transcript is in the report. (Also set directly for sessions
+    /// that were never injected.)
     local_done: bool,
 }
 
@@ -287,6 +297,9 @@ fn all_resolved(slots: &[Slot<'_>]) -> bool {
 /// One connection's state machine while a round runs. It borrows the
 /// pooled socket and writes the connection's [`RunReport`] in place.
 struct RoundConn<'p, 's> {
+    /// This connection's index in the round: its halves are lent under
+    /// it.
+    index: usize,
     /// The socket, while this connection can carry traffic: `None` once
     /// it failed or the server closed it — this round or an earlier one.
     io: Option<&'p mut ConnIo>,
@@ -317,6 +330,7 @@ impl<'p, 's> RoundConn<'p, 's> {
     /// round. Sessions planned for a connection an earlier round lost
     /// resolve at once with the reason it is gone.
     fn new(
+        index: usize,
         conn: &'p mut PoolConn,
         (sessions, schedule): ConnPlan<'s>,
         t0: Instant,
@@ -349,14 +363,15 @@ impl<'p, 's> RoundConn<'p, 's> {
         };
         let slots = sessions
             .iter()
-            .map(|_| Slot {
-                exec: None,
-                round: None,
+            .map(|s| Slot {
+                seat: Seat::Empty,
+                round: s.round.is_some(),
                 settled: lost.is_some(),
                 local_done: lost.is_some(),
             })
             .collect();
         RoundConn {
+            index,
             base_in: io.as_ref().map_or(0, |io| io.wire_bytes_in),
             base_out: io.as_ref().map_or(0, |io| io.wire_bytes_out),
             io,
@@ -409,12 +424,10 @@ impl<'p, 's> RoundConn<'p, 's> {
         Some(io)
     }
 
-    /// Marks the connection failed mid-round: kills the socket, settles
-    /// every unsettled session with an error, and closes each injected
-    /// session's local half so it reports in. The close is what lets the
-    /// round terminate instead of waiting on those halves forever. A
-    /// connection that is already gone has nothing left to fail.
-    fn fail(&mut self, injector: &Injector<'_>, e: NetError) {
+    /// Marks the connection failed mid-round: kills the socket and
+    /// settles every unsettled session with an error. A connection that
+    /// is already gone has nothing left to fail.
+    fn fail(&mut self, e: NetError) {
         let Some(io) = self.unlink(e.to_string()) else {
             return;
         };
@@ -429,47 +442,43 @@ impl<'p, 's> RoundConn<'p, 's> {
         io.kill();
         let msg = format!("{FAILED_BEFORE_SETTLE}: {e}");
         self.report.transport_error = Some(e);
-        self.settle_leftovers(injector, &msg);
+        self.settle_leftovers(&msg);
     }
 
     /// The server closed its side cleanly; anything unsettled becomes a
     /// per-session error but the report carries no transport error.
-    fn close_clean(&mut self, injector: &Injector<'_>) {
+    fn close_clean(&mut self) {
         if self.unlink("connection closed by server".into()).is_some() {
-            self.settle_leftovers(injector, CLOSED_BEFORE_SETTLE);
+            self.settle_leftovers(CLOSED_BEFORE_SETTLE);
         }
     }
 
-    fn settle_leftovers(&mut self, injector: &Injector<'_>, msg: &str) {
+    /// Settles every unsettled session with `msg` and drops its local
+    /// half — now if it is at home, when it comes back if it is lent —
+    /// so the round can terminate instead of waiting on it forever.
+    fn settle_leftovers(&mut self, msg: &str) {
         for s in 0..self.slots.len() {
             let slot = &mut self.slots[s];
             if slot.settled {
                 continue;
             }
             slot.settled = true;
-            match slot.exec {
-                // Stale closes (local half already finished) are no-ops.
-                // This is a failure path, so the owned reason is fine.
-                Some(exec) => {
-                    injector.close(exec, msg.to_owned());
-                }
-                // A round's half is dropped here, rolling it back; a slot
-                // never injected has no local half at all.
-                None => {
-                    slot.round = None;
-                    slot.local_done = true;
-                }
-            }
             self.report.sessions[s]
                 .error
                 .get_or_insert_with(|| msg.to_owned());
+            match slot.seat.take() {
+                Some(half) => self.finish_half(s, half, Some(INCOMPLETE.into())),
+                // Never injected, or its half already finished.
+                None if !matches!(slot.seat, Seat::Lent(_)) => slot.local_done = true,
+                None => {}
+            }
             self.note_progress(s);
         }
     }
 
     /// Phase 1: injects every session that is due (all of them at once
     /// without a schedule).
-    fn inject_due(&mut self, conn: usize, routes: &mut Routes<usize>, injector: &mut Injector<'s>) {
+    fn inject_due(&mut self, injector: &mut Injector<'s, Key>) {
         let elapsed = self.t0.elapsed();
         while self.next_up < self.slots.len() {
             let Some(io) = self.io.as_deref_mut() else {
@@ -485,135 +494,107 @@ impl<'p, 's> RoundConn<'p, 's> {
                 self.report.sessions[s].injected = Some(self.t0.elapsed());
             }
             self.next_up += 1;
-            let open = Record::Open {
-                session: plan.id,
-                spec: plan.spec,
-            };
-            let queued = match plan.round {
-                // Submit before queueing `OPEN`: were `OPEN` flushed
-                // first, the server could answer before the executor
-                // knows the id.
-                None => {
-                    let exec = routes.assign(conn, s);
-                    self.slots[s].exec = Some(exec);
-                    injector.submit(exec, Party::Alice, plan.session);
-                    self.queue(&open)
+            // A one-shot session and round 0 open the id (round 0's spec
+            // marked continuous); a later round sends only its delta —
+            // the id is already resident on the server.
+            if plan.round.is_none_or(|round| round == 0) {
+                let open = Record::Open {
+                    session: plan.id,
+                    spec: plan.spec,
+                };
+                if let Err(e) = self.queue(&open) {
+                    self.fail(e);
+                    continue;
                 }
-                // Round 0 opens the id (its spec marked continuous); a
-                // later round sends only its delta — the id is already
-                // resident on the server.
-                Some(0) => self
-                    .queue(&open)
-                    .and_then(|()| self.step_round(s, plan.session, None)),
-                Some(_) => self.step_round(s, plan.session, None),
-            };
-            if let Err(e) = queued {
-                self.fail(injector, e);
             }
+            self.wake(s, Half::new(Party::Alice, plan.session), None, injector);
         }
     }
 
-    /// Runs one [`step`] of slot `s`'s round half on this thread — its
-    /// delta when `incoming` is `None`, else the server's reply — and
-    /// queues what it says. The half goes back into the slot to wait for
-    /// its reply; once done or failed it is dropped, and a failure rolls
-    /// the round back.
-    fn step_round(
+    /// Wakes slot `s`'s half with `incoming` (its opening say when
+    /// `None`). A continuous round steps here, on the caller's thread; a
+    /// one-shot half is lent to its shard and comes back through
+    /// [`RoundConn::returned`].
+    fn wake(
         &mut self,
         s: usize,
-        mut half: Box<dyn NetSession + 's>,
+        mut half: Half<'s>,
         incoming: Option<Frame>,
-    ) -> Result<(), NetError> {
-        let session = &mut self.report.sessions[s];
-        let id = session.id;
+        injector: &mut Injector<'s, Key>,
+    ) {
+        let slot = &mut self.slots[s];
+        if !slot.round {
+            injector.lend((self.index, s), &mut slot.seat, half, incoming);
+            return;
+        }
         let mut said = Vec::new();
-        let outcome = step(
-            &mut *half,
-            Party::Alice,
-            &mut session.transcript,
-            incoming,
-            None,
-            |frame| said.push(Record::Frame { session: id, frame }),
-        );
+        let outcome = half.step(incoming, |frame| said.push(frame));
+        self.returned(s, half, said, outcome, injector);
+    }
+
+    /// Phase 2, and the end of every wake: queues what slot `s`'s half
+    /// said, then wakes it again with the next held frame, keeps it for
+    /// the next one, or closes it.
+    fn returned(
+        &mut self,
+        s: usize,
+        half: Half<'s>,
+        said: Vec<Frame>,
+        outcome: Result<bool, String>,
+        injector: &mut Injector<'s, Key>,
+    ) {
+        let session = self.report.sessions[s].id;
         self.report.frames_out += said.len();
+        for frame in said {
+            if let Err(e) = self.queue(&Record::Frame { session, frame }) {
+                self.fail(e);
+            }
+        }
         let slot = &mut self.slots[s];
         let error = match outcome {
-            Ok(false) if !slot.settled => {
-                slot.round = Some(half);
-                None
-            }
-            Ok(false) => Some("the reply left the round unfinished".to_owned()),
+            Ok(false) => match slot.seat.next_held() {
+                Some(frame) => return self.wake(s, half, Some(frame), injector),
+                None if !slot.settled => return slot.seat = Seat::Home(Box::new(half)),
+                None => Some(INCOMPLETE.to_owned()),
+            },
             Ok(true) => None,
             Err(e) => Some(e),
         };
-        slot.local_done = slot.round.is_none();
+        self.finish_half(s, half, error);
+    }
+
+    /// Closes slot `s`'s local half: its transcript goes into the report
+    /// and `error`, if any, onto the session.
+    fn finish_half(&mut self, s: usize, half: Half<'s>, error: Option<String>) {
+        let session = &mut self.report.sessions[s];
+        session.transcript = half.into_transcript();
+        let slot = &mut self.slots[s];
+        slot.seat = Seat::Empty;
+        slot.local_done = true;
+        let mut abandon = None;
         if let Some(e) = error {
-            // A local failure before the reply abandons the round, so the
-            // server's Bob does not wait on it. After the reply the round
-            // already settled there.
+            // A local failure before the server settled abandons the
+            // session, so a Bob blocked on this Alice cannot wedge the
+            // connection. A round settled there once its reply arrived.
             if !slot.settled {
                 slot.settled = true;
-                said.push(Record::Done {
-                    session: id,
+                abandon = Some(Record::Done {
+                    session: session.id,
                     status: STATUS_SESSION_ERROR,
                     message: e.clone(),
                 });
             }
-            self.report.sessions[s].error.get_or_insert(e);
+            session.error.get_or_insert(e);
         }
         self.note_progress(s);
-        said.iter().try_for_each(|record| self.queue(record))
-    }
-
-    /// Phase 2: applies one executor event for slot `s` — a frame to
-    /// send, or the local half reporting in.
-    fn on_event(&mut self, s: usize, ev: ExecEvent, injector: &Injector<'_>) {
-        let session = self.report.sessions[s].id;
-        let mut queued = Ok(());
-        match ev {
-            ExecEvent::Frame { frame, .. } => {
-                self.report.frames_out += 1;
-                queued = self.queue(&Record::Frame { session, frame });
-            }
-            ExecEvent::Done {
-                transcript, error, ..
-            } => {
-                self.slots[s].local_done = true;
-                self.report.sessions[s].transcript = transcript;
-                if let Some(e) = error {
-                    // A genuine local failure (not one relayed from a
-                    // server DONE — those arrive with `settled` already
-                    // set) abandons the session so a Bob blocked on
-                    // this Alice cannot wedge the connection.
-                    if !self.slots[s].settled {
-                        self.slots[s].settled = true;
-                        queued = self.queue(&Record::Done {
-                            session,
-                            status: STATUS_SESSION_ERROR,
-                            message: e.clone().into_owned(),
-                        });
-                    }
-                    self.report.sessions[s].error.get_or_insert(e.into_owned());
-                }
-                self.note_progress(s);
-            }
-            ExecEvent::Stranded { transcript, .. } => {
-                self.slots[s].local_done = true;
-                self.report.sessions[s].transcript = transcript;
-                self.report.sessions[s]
-                    .error
-                    .get_or_insert_with(|| CLOSED_BEFORE_SETTLE.into());
-                self.note_progress(s);
-            }
-        }
-        if let Err(e) = queued {
-            self.fail(injector, e);
+        if let Some(Err(e)) = abandon.map(|done| self.queue(&done)) {
+            self.fail(e);
         }
     }
 
     /// Phase 3: flushes queued output, then sweeps the idle deadline
     /// and the post-resolution flush deadline.
-    fn flush_and_sweep(&mut self, now: Instant, injector: &Injector<'_>) {
+    fn flush_and_sweep(&mut self, now: Instant) {
         let Some(io) = self.io.as_deref_mut() else {
             return;
         };
@@ -634,7 +615,7 @@ impl<'p, 's> RoundConn<'p, 's> {
             }
         }
         if let Some(e) = failure {
-            self.fail(injector, e);
+            self.fail(e);
         }
     }
 
@@ -665,17 +646,18 @@ impl<'p, 's> RoundConn<'p, 's> {
         io.poll_fd()
     }
 
-    /// Phase 5: drains a readable socket into the executor.
-    fn drain_readable(&mut self, scratch: &mut [u8], injector: &Injector<'_>) {
+    /// Phase 5: drains a readable socket, waking the halves its records
+    /// address.
+    fn drain_readable(&mut self, scratch: &mut [u8], injector: &mut Injector<'s, Key>) {
         while let Some(io) = self.io.as_deref_mut() {
             let routed = match io.read_record(scratch) {
                 Ok(Some(record)) => self.route_server_record(record, injector),
-                Ok(None) if io.read_closed => return self.close_clean(injector),
+                Ok(None) if io.read_closed => return self.close_clean(),
                 Ok(None) => return,
                 Err(e) => Err(e),
             };
             if let Err(e) = routed {
-                return self.fail(injector, e);
+                return self.fail(e);
             }
         }
     }
@@ -685,28 +667,24 @@ impl<'p, 's> RoundConn<'p, 's> {
     fn route_server_record(
         &mut self,
         record: Record,
-        injector: &Injector<'_>,
+        injector: &mut Injector<'s, Key>,
     ) -> Result<(), NetError> {
         match record {
             Record::Open { .. } => Err(NetError::Malformed("server sent an open record")),
             Record::Frame { session, frame } => {
                 let s = self.lookup(session)?;
                 self.report.frames_in += 1;
-                if let Some(exec) = self.slots[s].exec {
-                    injector.deliver(exec, frame);
-                    return Ok(());
-                }
+                let slot = &mut self.slots[s];
                 // A round's one reply frame is the server's ack: the
                 // round settled there. Settled first, a local failure on
                 // the reply does not DONE the id away server-side.
-                self.slots[s].settled = true;
-                match self.slots[s].round.take() {
-                    Some(half) => self.step_round(s, half, Some(frame)),
-                    None => {
-                        self.note_progress(s);
-                        Ok(())
-                    }
+                slot.settled |= slot.round;
+                match slot.seat.deliver(frame) {
+                    Some((half, frame)) => self.wake(s, half, Some(frame), injector),
+                    // Held for a lent half, or stale.
+                    None => self.note_progress(s),
                 }
+                Ok(())
             }
             Record::Done {
                 session,
@@ -715,32 +693,16 @@ impl<'p, 's> RoundConn<'p, 's> {
             } => {
                 let s = self.lookup(session)?;
                 self.slots[s].settled = true;
-                let reason = if status == STATUS_OK {
-                    "server finished but the local session is incomplete".to_owned()
-                } else {
+                if status != STATUS_OK {
                     let e = format!("server status {status}: {message}");
-                    self.report.sessions[s]
-                        .error
-                        .get_or_insert_with(|| e.clone());
-                    e
-                };
-                let slot = &mut self.slots[s];
-                match slot.exec {
-                    // Close the local half so it reports in even if it
-                    // cannot finish on its own; the close is stale — a
-                    // silent no-op — whenever the half already completed.
-                    Some(exec) => {
-                        injector.close(exec, reason);
-                    }
-                    // Dropping a round's waiting half rolls it back.
-                    None => {
-                        if slot.round.take().is_some() {
-                            slot.local_done = true;
-                            self.report.sessions[s].error.get_or_insert(reason);
-                        }
-                    }
+                    self.report.sessions[s].error.get_or_insert(e);
                 }
-                self.note_progress(s);
+                // A half at home closes now (a round's rolls back); a lent
+                // one when it comes back.
+                match self.slots[s].seat.take() {
+                    Some(half) => self.finish_half(s, half, Some(INCOMPLETE.into())),
+                    None => self.note_progress(s),
+                }
                 Ok(())
             }
         }
@@ -792,7 +754,7 @@ impl<'p, 's> RoundConn<'p, 's> {
 /// Runs one round: admits `plans` (one per pooled connection, in pool
 /// order), injects each connection's sessions — on schedule in
 /// open-loop mode, immediately otherwise — routes wire records and
-/// executor events, and runs until every session on every connection is
+/// returned halves, and runs until every session on every connection is
 /// resolved. Returns one report per connection; `Err` only for a
 /// refused call and poller setup, never for connection failures (those
 /// are per-connection outcomes). Connections that failed or were closed
@@ -811,34 +773,34 @@ pub(crate) fn run_round<'s>(
     let mut state: Vec<RoundConn<'_, 's>> = pool
         .iter_mut()
         .zip(plans)
-        .map(|(conn, plan)| RoundConn::new(conn, plan, t0, idle_timeout))
+        .enumerate()
+        .map(|(c, (conn, plan))| RoundConn::new(c, conn, plan, t0, idle_timeout))
         .collect();
     let mut loop_end = Duration::ZERO;
 
-    with_executor_notified(
+    with_executor(
         shards,
         PLACEMENT_SEED,
         Some(notify),
-        |_scope, mut injector, events| {
-            let mut routes = Routes::new();
+        |mut injector: Injector<'s, Key>, events| {
             let mut scratch = vec![0u8; READ_CHUNK];
             let mut fds: Vec<PollFd> = Vec::new();
             let mut fd_conns: Vec<usize> = Vec::new();
 
             loop {
-                for (c, rc) in state.iter_mut().enumerate() {
-                    rc.inject_due(c, &mut routes, &mut injector);
+                for rc in &mut state {
+                    rc.inject_due(&mut injector);
                 }
 
-                // Route executor events: frames out, local halves done.
+                // Take back the halves the shards are done with.
                 while let Some(ev) = events.try_recv() {
-                    let (c, s) = routes.resolve(&ev, &mut injector);
-                    state[c].on_event(s, ev, &injector);
+                    let (c, s) = ev.key;
+                    state[c].returned(s, ev.half, ev.said, ev.outcome, &mut injector);
                 }
 
                 let now = Instant::now();
                 for rc in &mut state {
-                    rc.flush_and_sweep(now, &injector);
+                    rc.flush_and_sweep(now);
                 }
 
                 if state.iter().all(RoundConn::round_over) {
@@ -865,14 +827,14 @@ pub(crate) fn run_round<'s>(
                     // Poller failure is unrecoverable for the whole round:
                     // fail every live connection and settle out.
                     for rc in &mut state {
-                        rc.fail(&injector, io::Error::new(e.kind(), e.to_string()).into());
+                        rc.fail(io::Error::new(e.kind(), e.to_string()).into());
                     }
                     continue;
                 }
 
                 for (fd, &c) in fds.iter().zip(&fd_conns) {
                     if fd.readable() {
-                        state[c].drain_readable(&mut scratch, &injector);
+                        state[c].drain_readable(&mut scratch, &mut injector);
                     }
                 }
             }

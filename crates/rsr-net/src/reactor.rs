@@ -1,64 +1,65 @@
 //! The readiness reactor: nonblocking sockets polled by `netpoll`,
-//! feeding **one** shared session executor for every connection.
+//! with **one** shared shard pool behind every connection.
 //!
 //! This module holds what both endpoints are built from — [`ConnIo`]
-//! (one socket's record stream), [`Routes`] (executor id → connection)
-//! and the deadline helpers — and the server's half: [`ServerConn`], one
-//! connection's state machine, and [`run_server_reactor`], the loop that
-//! drives every connection of the process. The client's half
-//! (`client.rs`) is the same shape over the same pieces.
+//! (one socket's record stream) and the deadline helpers — and the
+//! server's half: [`ServerConn`], one connection's state machine, and
+//! [`run_server_reactor`], the loop that drives every connection of the
+//! process. The client's half (`client.rs`) is the same shape over the
+//! same pieces.
 //!
 //! * Every connection's stream runs in nonblocking mode; a
 //!   [`netpoll::Poller`] multiplexes read/write readiness across all of
 //!   them (plus the listener, server-side).
 //! * Incoming bytes run through the incremental
-//!   [`RecordDecoder`](crate::codec::RecordDecoder); complete records
-//!   are routed into **one** process-wide sharded executor
-//!   ([`rsr_core::executor`]) shared by every connection. Worker-shard
-//!   count is fixed at startup — total threads are `1 + shards`
-//!   regardless of how many connections are live.
+//!   [`RecordDecoder`](crate::codec::RecordDecoder); each complete record
+//!   wakes the one session half it addresses.
+//! * **The connection owns every half.** A wire id's row ([`Entry`])
+//!   keeps its half between wakes — a one-shot session or a continuous
+//!   round alike. The only branch is where a wake runs: a continuous
+//!   round steps right here, to completion within the record that
+//!   begins it; a one-shot half is lent to its shard of the process-wide
+//!   [`rsr_core::executor`] pool for one [`Half::step`] and comes back
+//!   with what it said. A `FRAME` that arrives while its half is lent
+//!   waits in the row and is applied, in order, when the half returns.
+//!   Worker-shard count is fixed at startup — total threads are
+//!   `1 + shards` regardless of how many connections are live.
 //! * Outgoing records queue in a per-connection buffer and drain as the
-//!   socket accepts them; the executor's `notify` hook pokes the
-//!   poller's waker so frames produced by worker shards interrupt a
-//!   blocked `poll(2)` immediately.
+//!   socket accepts them; the pool's `notify` hook pokes the poller's
+//!   waker so a half coming back interrupts a blocked `poll(2)`
+//!   immediately.
 //! * The reactor is the only thread touching sockets, so control
 //!   replies (unknown session id, duplicate `OPEN`) are written straight
 //!   to the connection's output buffer.
-//! * A continuous round never enters the executor. It runs to completion
-//!   on the reactor thread within the record that begins it: the
-//!   client's delta `FRAME` goes through [`step`] and the reply `FRAME`
-//!   is queued before the next record is read. The executor is for
-//!   one-shot sessions, whose CPU-bound halves are worth a shard.
 //!
 //! Everything a server connection knows about a wire id is one row of
-//! one table ([`Entry`]: the one-shot session in flight, the resident
-//! continuous party, the summary), and one function —
-//! [`ServerConn::admit`] — decides what a record may do with the id it
-//! names; `docs/transport.md` prints that decision as a table. Each
-//! loop iteration runs the connection's phases in a fixed order:
-//! `poll_interest`, then (after the poll and the accepts)
-//! `drain_readable` → `on_record`, `on_event`, `flush_and_sweep`, and
-//! `finish` once the connection has nothing left to do.
+//! one table ([`Entry`]: the half, the resident continuous party, the
+//! summary), and one function — [`ServerConn::admit`] — decides what a
+//! record may do with the id it names; `docs/transport.md` prints that
+//! decision as a table. Each loop iteration runs the connection's
+//! phases in a fixed order: `poll_interest`, then (after the poll and
+//! the accepts) `drain_readable` → `on_record`, `returned`,
+//! `flush_and_sweep`, and `finish` once the connection has nothing left
+//! to do.
 //!
-//! Disconnects are first-class: EOF mid-record is a truncation error,
-//! EOF with sessions in flight closes each local half with
-//! [`CLOSED_MID_SESSION`] so every session reports in, and a connection
-//! that goes silent past the idle deadline is torn down instead of
-//! pinned forever. One connection's death never touches sessions on
-//! another connection — they share shards, not fate.
+//! Disconnects are first-class: EOF mid-record is a truncation error, a
+//! half still in flight when its connection ends closes with
+//! [`CLOSED_MID_SESSION`] (a lent one once it comes back), and a
+//! connection that goes silent past the idle deadline is torn down
+//! instead of pinned forever. One connection's death never touches
+//! sessions on another connection — they share shards, not fate.
 
 use crate::codec::{
     write_record, NetError, Record, RecordDecoder, SessionSpec, STATUS_OK, STATUS_SESSION_ERROR,
     STATUS_UNKNOWN_SESSION,
 };
 use crate::obs::net_metrics;
-use crate::server::{ConnectionReport, NetSession, SessionFactory, SessionSummary};
+use crate::server::{ConnectionReport, SessionFactory, SessionSummary};
 use netpoll::{listener_fd, stream_fd, PollFd, Poller, POLLIN, POLLOUT};
 use rsr_core::channel::Frame;
 use rsr_core::continuous::{BobRound, SharedParty};
-use rsr_core::executor::{step, with_executor_notified, ExecEvent, Injector, Notify};
+use rsr_core::executor::{with_executor, Half, Injector, Notify, Seat};
 use rsr_core::transcript::{Party, Transcript};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -267,50 +268,16 @@ impl ConnIo {
     }
 }
 
-/// Executor id → (connection, the connection's own key for the
-/// session). Wire ids are per-connection names; the shared executor
-/// needs process-unique ones, handed out in submission order.
-pub(crate) struct Routes<K> {
-    next_exec: u64,
-    live: HashMap<u64, (usize, K)>,
-}
-
-impl<K: Copy> Routes<K> {
-    pub fn new() -> Routes<K> {
-        Routes {
-            next_exec: 0,
-            live: HashMap::new(),
-        }
-    }
-
-    /// A fresh executor id routed to `key` on connection `conn`.
-    pub fn assign(&mut self, conn: usize, key: K) -> u64 {
-        let exec = self.next_exec;
-        self.next_exec += 1;
-        self.live.insert(exec, (conn, key));
-        exec
-    }
-
-    /// Whose event `ev` is. A session's last event (`Done`, `Stranded`)
-    /// drops its route, and the executor forgets the id with it.
-    pub fn resolve(&mut self, ev: &ExecEvent, injector: &mut Injector<'_>) -> (usize, K) {
-        match ev {
-            ExecEvent::Frame { id, .. } => self.live.get(id).copied(),
-            ExecEvent::Done { id, .. } | ExecEvent::Stranded { id, .. } => {
-                injector.forget(*id);
-                self.live.remove(id)
-            }
-        }
-        .expect("every executor event belongs to a routed session")
-    }
-}
-
 /// What a connection knows about one wire id it admitted. Rows are never
-/// removed: a retired id (`running` and `resident` both `None`) stays
-/// used — re-opening it is a duplicate — and its summary is the report's.
-struct Entry {
-    /// The executor id of the one-shot session in flight under the id.
-    running: Option<u64>,
+/// removed: a retired id (no half, nothing resident) stays used —
+/// re-opening it is a duplicate — and its summary is the report's.
+struct Entry<'f> {
+    /// The id's session half between wakes — a one-shot Bob, or a
+    /// continuous round that has not finished — alike.
+    seat: Seat<'f>,
+    /// The client abandoned the id while its half was lent: the half
+    /// closes when it returns.
+    abandoned: bool,
     /// A continuous session's Bob party, resident between rounds until
     /// the client `DONE`s the id or the connection ends. A failed round
     /// rolls it back and leaves it here, so the client may retry.
@@ -328,48 +295,38 @@ enum Plan<'c> {
         party: &'c SharedParty,
         frame: Frame,
     },
-    /// `FRAME` for the one-shot session in flight under the id.
-    Route { exec: u64, frame: Frame },
+    /// `FRAME` for the half in flight under the id.
+    Route { frame: Frame },
     /// `FRAME` for an admitted id with nothing in flight and nothing
     /// resident (its session resolved, or its continuous session was
     /// retired): counted, then dropped.
     Stale,
-    /// Client `DONE`: close the half in flight, if any, and drop the
-    /// resident party, if any. Ids with neither are left as they are.
-    Retire { exec: Option<u64> },
+    /// Client `DONE`: drop the half in flight, if any, and the resident
+    /// party, if any. Ids with neither are left as they are.
+    Retire,
     /// Not allowed: answer with this `DONE`.
     Refuse { status: u8, message: &'static str },
 }
 
-/// Runs one continuous round to completion on the calling thread: Bob
-/// over the resident `party`, with the client's `delta`. The delta
-/// carries its round index, and `BobRound` fails the round if it
-/// disagrees with the party. Returns the reply frame; `Err` is a failed
-/// round, rolled back so the client may retry it.
-fn serve_round(
-    party: &SharedParty,
-    delta: Frame,
-    transcript: &mut Transcript,
-) -> Result<Option<Frame>, String> {
-    let mut bob = BobRound::begin(party).map_err(|e| e.to_string())?;
-    let mut reply = None;
-    let send = |frame| reply = Some(frame);
-    step(&mut bob, Party::Bob, transcript, Some(delta), None, send)?;
-    Ok(reply)
-}
+/// Whose half came back from a shard: the connection's reactor index
+/// and the wire id.
+type Key = (usize, u64);
 
 /// One server connection's state machine, riding on [`ConnIo`].
-struct ServerConn {
+struct ServerConn<'f> {
     io: ConnIo,
-    /// This connection's index in the reactor, for [`Routes`].
+    /// This connection's index in the reactor: its halves are lent
+    /// under it.
     slot: usize,
-    table: HashMap<u64, Entry>,
+    table: HashMap<u64, Entry<'f>>,
     /// Wire ids in open order, for the report.
     order: Vec<u64>,
-    /// Rows with a session in flight, and rows holding a resident party:
-    /// the two sums over `table` the per-iteration phases ask for, kept
-    /// by the only methods that set or clear those fields.
+    /// Rows with a half in flight, rows whose half is lent, and rows
+    /// holding a resident party: the sums over `table` the
+    /// per-iteration phases ask for, kept by the only methods that set
+    /// or clear those fields.
     in_flight: usize,
+    lent: usize,
     residents: usize,
     frames_in: usize,
     frames_out: usize,
@@ -378,14 +335,15 @@ struct ServerConn {
     error: Option<NetError>,
 }
 
-impl ServerConn {
-    fn new(io: ConnIo, slot: usize) -> ServerConn {
+impl<'f> ServerConn<'f> {
+    fn new(io: ConnIo, slot: usize) -> ServerConn<'f> {
         ServerConn {
             io,
             slot,
             table: HashMap::new(),
             order: Vec::new(),
             in_flight: 0,
+            lent: 0,
             residents: 0,
             frames_in: 0,
             frames_out: 0,
@@ -397,11 +355,11 @@ impl ServerConn {
         self.error.is_some()
     }
 
-    /// Ready to leave the reactor: nothing more will be read, every
-    /// submitted session has reported, and the output has drained (a
-    /// dead socket drains nowhere and does not wait).
+    /// Ready to leave the reactor: nothing more will be read, every lent
+    /// half has come back, and the output has drained (a dead socket
+    /// drains nowhere and does not wait).
     fn finished(&self) -> bool {
-        self.io.read_closed && self.in_flight == 0 && (self.dead() || !self.io.wants_write())
+        self.io.read_closed && self.lent == 0 && (self.dead() || !self.io.wants_write())
     }
 
     /// Whether the idle deadline applies. It spares a connection at
@@ -419,11 +377,12 @@ impl ServerConn {
 
     /// The row for `wire`, claimed on first use: from then on the id is
     /// used and the report lists it.
-    fn entry(&mut self, wire: u64) -> &mut Entry {
+    fn entry(&mut self, wire: u64) -> &mut Entry<'f> {
         self.table.entry(wire).or_insert_with(|| {
             self.order.push(wire);
             Entry {
-                running: None,
+                seat: Seat::Empty,
+                abandoned: false,
                 resident: None,
                 summary: SessionSummary {
                     id: wire,
@@ -441,22 +400,21 @@ impl ServerConn {
     /// round. Decides only — [`ServerConn::on_record`] acts.
     fn admit(&self, record: Record) -> Plan<'_> {
         let entry = self.table.get(&record.session());
-        let running = entry.and_then(|e| e.running);
         let refuse = |status, message| Plan::Refuse { status, message };
         match record {
             Record::Open { spec, .. } => match entry {
                 None => Plan::Open { spec },
                 Some(_) => refuse(STATUS_SESSION_ERROR, "session opened twice"),
             },
-            Record::Frame { frame, .. } => match (entry, running) {
-                (None, _) => refuse(STATUS_UNKNOWN_SESSION, "unknown session id"),
-                (Some(_), Some(exec)) => Plan::Route { exec, frame },
-                (Some(entry), None) => match &entry.resident {
+            Record::Frame { frame, .. } => match entry {
+                None => refuse(STATUS_UNKNOWN_SESSION, "unknown session id"),
+                Some(entry) if !matches!(entry.seat, Seat::Empty) => Plan::Route { frame },
+                Some(entry) => match &entry.resident {
                     Some(party) => Plan::Begin { party, frame },
                     None => Plan::Stale,
                 },
             },
-            Record::Done { .. } => Plan::Retire { exec: running },
+            Record::Done { .. } => Plan::Retire,
         }
     }
 
@@ -464,12 +422,11 @@ impl ServerConn {
     /// honored at the transport level (a queue failure); protocol-level
     /// problems (unknown ids, duplicate opens) answer with a status
     /// `DONE` instead.
-    fn on_record<'f, F: SessionFactory + ?Sized>(
+    fn on_record<F: SessionFactory + ?Sized>(
         &mut self,
         record: Record,
         factory: &'f F,
-        routes: &mut Routes<u64>,
-        injector: &mut Injector<'f>,
+        injector: &mut Injector<'f, Key>,
     ) -> Result<(), NetError> {
         let wire = record.session();
         match self.admit(record) {
@@ -492,7 +449,7 @@ impl ServerConn {
             }
             Plan::Open { spec } => match factory.open_spec(wire, spec.as_ref()) {
                 Some(session) => {
-                    self.start(wire, session, routes, injector);
+                    self.start(wire, Half::new(Party::Bob, session), None, injector);
                     Ok(())
                 }
                 None => self.refuse(wire, STATUS_UNKNOWN_SESSION, "unknown session id"),
@@ -500,25 +457,27 @@ impl ServerConn {
             // The round runs here, to completion; the party stays
             // resident whatever its outcome.
             Plan::Begin { party, frame } => {
-                let party = Arc::clone(party);
+                let bob = BobRound::begin(party);
                 self.frames_in += 1;
-                let summary = &mut self.entry(wire).summary;
-                match serve_round(&party, frame, &mut summary.transcript) {
-                    Ok(reply) => {
-                        if let Some(frame) = reply {
-                            self.send(wire, frame, injector);
-                        }
+                match bob {
+                    Ok(bob) => {
+                        let half = Half::new(Party::Bob, Box::new(bob));
+                        self.start(wire, half, Some(frame), injector);
                         Ok(())
                     }
                     Err(e) => {
+                        let e = e.to_string();
+                        let summary = &mut self.entry(wire).summary;
                         summary.error.get_or_insert_with(|| e.clone());
                         self.refuse(wire, STATUS_SESSION_ERROR, e)
                     }
                 }
             }
-            Plan::Route { exec, frame } => {
+            Plan::Route { frame } => {
                 self.frames_in += 1;
-                injector.deliver(exec, frame);
+                if let Some((half, frame)) = self.entry(wire).seat.deliver(frame) {
+                    self.wake(wire, half, Some(frame), injector);
+                }
                 Ok(())
             }
             Plan::Stale => {
@@ -529,13 +488,16 @@ impl ServerConn {
             // continuous id this is the orderly whole-session teardown:
             // the resident party is freed, the settled rounds' summary
             // stays.
-            Plan::Retire { exec } => {
-                if let Some(exec) = exec {
-                    injector.close(exec, ABANDONED);
-                }
-                let entry = self.table.get_mut(&wire);
-                if entry.and_then(|e| e.resident.take()).is_some() {
+            Plan::Retire => {
+                let Some(entry) = self.table.get_mut(&wire) else {
+                    return Ok(());
+                };
+                if entry.resident.take().is_some() {
                     self.residents -= 1;
+                }
+                match entry.seat.take() {
+                    Some(half) => self.settle(wire, half, Some(ABANDONED.into())),
+                    None => entry.abandoned = matches!(entry.seat, Seat::Lent(_)),
                 }
                 Ok(())
             }
@@ -556,89 +518,121 @@ impl ServerConn {
         })
     }
 
-    /// Puts a fresh id's one-shot `session` in flight under `wire`.
-    fn start<'f>(
+    /// Puts `half` in flight under `wire` (claiming the row) and wakes
+    /// it.
+    fn start(
         &mut self,
         wire: u64,
-        session: Box<dyn NetSession + 'f>,
-        routes: &mut Routes<u64>,
-        injector: &mut Injector<'f>,
+        half: Half<'f>,
+        incoming: Option<Frame>,
+        injector: &mut Injector<'f, Key>,
     ) {
-        let exec = routes.assign(self.slot, wire);
-        self.entry(wire).running = Some(exec);
         self.in_flight += 1;
-        injector.submit(exec, Party::Bob, session);
+        self.wake(wire, half, incoming, injector);
+    }
+
+    /// Wakes `wire`'s half with `incoming`. A continuous round runs here,
+    /// on the reactor thread, to completion within the record that
+    /// begins it; a one-shot half is lent to its shard and comes back
+    /// through [`ServerConn::returned`].
+    fn wake(
+        &mut self,
+        wire: u64,
+        mut half: Half<'f>,
+        incoming: Option<Frame>,
+        injector: &mut Injector<'f, Key>,
+    ) {
+        let key = (self.slot, wire);
+        let entry = self.entry(wire);
+        if entry.resident.is_none() {
+            injector.lend(key, &mut entry.seat, half, incoming);
+            self.lent += 1;
+            return;
+        }
+        let mut said = Vec::new();
+        let outcome = half.step(incoming, |frame| said.push(frame));
+        self.returned(wire, half, said, outcome, injector);
+    }
+
+    /// Applies one wake of `wire`'s half: queues what it said, then
+    /// wakes it again with the next held frame, keeps it for the next
+    /// one, or closes it.
+    fn returned(
+        &mut self,
+        wire: u64,
+        half: Half<'f>,
+        said: Vec<Frame>,
+        outcome: Result<bool, String>,
+        injector: &mut Injector<'f, Key>,
+    ) {
+        for frame in said {
+            self.send(wire, frame);
+        }
+        let entry = self.table.get_mut(&wire).expect("a half's row outlives it");
+        if matches!(entry.seat, Seat::Lent(_)) {
+            self.lent -= 1;
+        }
+        let error = match outcome {
+            Ok(false) => match entry.seat.next_held() {
+                Some(frame) => return self.wake(wire, half, Some(frame), injector),
+                None if entry.abandoned => Some(ABANDONED.to_owned()),
+                None => return entry.seat = Seat::Home(Box::new(half)),
+            },
+            Ok(true) => None,
+            Err(e) => Some(e),
+        };
+        self.settle(wire, half, error);
+    }
+
+    /// Closes `wire`'s half for good: its transcript joins the summary,
+    /// and the client hears the outcome — `DONE(0)` for a finished
+    /// one-shot session (a round's reply frame was its answer), `DONE(1)`
+    /// for an error, nothing when the client or the connection left.
+    fn settle(&mut self, wire: u64, half: Half<'f>, error: Option<String>) {
+        self.in_flight -= 1;
+        let entry = self.entry(wire);
+        entry.seat = Seat::Empty;
+        entry.summary.transcript.append(half.into_transcript());
+        let (status, message) = match error {
+            None if entry.resident.is_some() => return,
+            None => (STATUS_OK, String::new()),
+            Some(e) => {
+                entry.summary.error.get_or_insert_with(|| e.clone());
+                if e == ABANDONED || e == CLOSED_MID_SESSION {
+                    return;
+                }
+                (STATUS_SESSION_ERROR, e)
+            }
+        };
+        self.reply(&Record::Done {
+            session: wire,
+            status,
+            message,
+        });
     }
 
     /// Queues `record` at a socket that can still take it.
-    fn reply(&mut self, record: &Record, injector: &Injector<'_>) {
+    fn reply(&mut self, record: &Record) {
         if !self.dead() {
             if let Err(e) = self.io.queue(record) {
-                self.fail(injector, e);
+                self.fail(e);
             }
         }
     }
 
     /// Queues one of `wire`'s frames.
-    fn send(&mut self, wire: u64, frame: Frame, injector: &Injector<'_>) {
+    fn send(&mut self, wire: u64, frame: Frame) {
         self.frames_out += 1;
         let record = Record::Frame {
             session: wire,
             frame,
         };
-        self.reply(&record, injector);
+        self.reply(&record);
     }
 
-    /// Applies one executor event for the one-shot session in flight
-    /// under `wire`: a frame to send, or the session reporting in.
-    fn on_event(&mut self, wire: u64, ev: ExecEvent, injector: &Injector<'_>) {
-        let (transcript, error) = match ev {
-            ExecEvent::Frame { frame, .. } => return self.send(wire, frame, injector),
-            ExecEvent::Done {
-                transcript, error, ..
-            } => (transcript, error),
-            ExecEvent::Stranded { transcript, .. } => {
-                (transcript, Some(Cow::Borrowed(CLOSED_MID_SESSION)))
-            }
-        };
-        // Events are routed here by `start`, which claimed the row.
-        let Some(entry) = self.table.get_mut(&wire) else {
-            return;
-        };
-        entry.running = None;
-        entry.summary.transcript.append(transcript);
-        if let Some(e) = &error {
-            entry.summary.error.get_or_insert_with(|| e.to_string());
-        }
-        self.in_flight -= 1;
-        let (status, message) = match error.as_deref() {
-            // The client walked away (or the connection did); answering
-            // would be noise.
-            Some(ABANDONED | CLOSED_MID_SESSION) => return,
-            Some(reason) => (STATUS_SESSION_ERROR, reason.to_owned()),
-            None => (STATUS_OK, String::new()),
-        };
-        let done = Record::Done {
-            session: wire,
-            status,
-            message,
-        };
-        self.reply(&done, injector);
-    }
-
-    /// Closes every half in flight so each reports in (as `Done` with
-    /// [`CLOSED_MID_SESSION`]) and the connection can retire — without
-    /// the closes, those halves never produce an event and the reactor
-    /// would wait on them forever.
-    fn close_in_flight(&self, injector: &Injector<'_>) {
-        for exec in self.table.values().filter_map(|e| e.running) {
-            injector.close(exec, CLOSED_MID_SESSION);
-        }
-    }
-
-    /// Marks the connection failed: the first error sticks, the socket
-    /// is shut down, and the halves in flight are closed.
-    fn fail(&mut self, injector: &Injector<'_>, e: NetError) {
+    /// Marks the connection failed: the first error sticks and the
+    /// socket is shut down.
+    fn fail(&mut self, e: NetError) {
         self.error.get_or_insert(e);
         if rsr_obs::enabled() {
             net_metrics().conns_failed.inc();
@@ -649,7 +643,6 @@ impl ServerConn {
             );
         }
         self.io.kill();
-        self.close_in_flight(injector);
     }
 
     /// This connection's poll interest, with its idle deadline — when it
@@ -669,34 +662,31 @@ impl ServerConn {
 
     /// Drains a readable socket: every complete record is applied, and
     /// an EOF ends the connection's reading for good.
-    fn drain_readable<'f, F: SessionFactory + ?Sized>(
+    fn drain_readable<F: SessionFactory + ?Sized>(
         &mut self,
         scratch: &mut [u8],
         factory: &'f F,
-        routes: &mut Routes<u64>,
-        injector: &mut Injector<'f>,
+        injector: &mut Injector<'f, Key>,
     ) {
         if self.io.read_closed {
             return;
         }
         loop {
             let applied = match self.io.read_record(scratch) {
-                Ok(Some(record)) => self.on_record(record, factory, routes, injector),
+                Ok(Some(record)) => self.on_record(record, factory, injector),
                 Ok(None) => break,
                 Err(e) => Err(e),
             };
             if let Err(e) = applied {
-                return self.fail(injector, e);
+                return self.fail(e);
             }
         }
         if self.io.read_closed {
-            // Clean EOF. Sessions in flight get their local halves
-            // closed so they report in; replies already queued (and any
-            // frames the workers are still finishing) keep draining —
-            // the peer only half-closed its write side. EOF is also the
-            // implicit teardown of resident continuous state: the
-            // parties drop here, not with the last queued byte.
-            self.close_in_flight(injector);
+            // Clean EOF. Replies already queued, and those of the halves
+            // still lent, keep draining — the peer only half-closed its
+            // write side. EOF is also the implicit teardown of resident
+            // continuous state: the parties drop here, not with the last
+            // queued byte.
             for entry in self.table.values_mut() {
                 entry.resident = None;
             }
@@ -705,12 +695,12 @@ impl ServerConn {
     }
 
     /// Flushes queued output, then sweeps the idle deadline.
-    fn flush_and_sweep(&mut self, now: Instant, idle: Option<Duration>, injector: &Injector<'_>) {
+    fn flush_and_sweep(&mut self, now: Instant, idle: Option<Duration>) {
         if self.dead() {
             return;
         }
         if let Err(e) = self.io.try_flush() {
-            return self.fail(injector, e);
+            return self.fail(e);
         }
         if !self.answers_to_idle_deadline() {
             return;
@@ -725,7 +715,7 @@ impl ServerConn {
                 );
             }
             let e = timed_out(format!("connection idle for {idle:?}, tearing it down"));
-            self.fail(injector, e);
+            self.fail(e);
         }
     }
 
@@ -737,8 +727,18 @@ impl ServerConn {
             return Err(e);
         }
         let rows = self.order.iter().filter_map(|id| self.table.remove(id));
+        let summary = |mut entry: Entry<'_>| {
+            // A half still waiting for the client closes with the
+            // connection.
+            if let Some(half) = entry.seat.take() {
+                entry.summary.transcript.append(half.into_transcript());
+                let error = &mut entry.summary.error;
+                error.get_or_insert_with(|| CLOSED_MID_SESSION.into());
+            }
+            entry.summary
+        };
         Ok(ConnectionReport {
-            sessions: rows.map(|entry| entry.summary).collect(),
+            sessions: rows.map(summary).collect(),
             frames_in: self.frames_in,
             frames_out: self.frames_out,
             wire_bytes_in: self.io.wire_bytes_in,
@@ -767,13 +767,12 @@ pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
     listener.set_nonblocking(true)?;
     let mut accept_budget = max_conns.unwrap_or(usize::MAX);
 
-    with_executor_notified(
+    with_executor(
         shards,
         PLACEMENT_SEED,
         Some(notify),
-        |_scope, mut injector, events| {
-            let mut conns: Vec<Option<ServerConn>> = Vec::new();
-            let mut routes = Routes::new();
+        |mut injector: Injector<'_, Key>, events| {
+            let mut conns: Vec<Option<ServerConn<'_>>> = Vec::new();
             let mut scratch = vec![0u8; READ_CHUNK];
             let mut fds: Vec<PollFd> = Vec::new();
             let mut fd_slots: Vec<Option<usize>> = Vec::new();
@@ -806,20 +805,22 @@ pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
                     accept_ready(listener, &mut accept_budget, &mut conns)?;
                 }
 
-                // Drain readable connections into the executor.
+                // Drain readable connections.
                 for (fd, slot) in fds.iter().zip(&fd_slots) {
                     if let (true, Some(slot)) = (fd.readable(), *slot) {
                         if let Some(conn) = conns[slot].as_mut() {
-                            conn.drain_readable(&mut scratch, factory, &mut routes, &mut injector);
+                            conn.drain_readable(&mut scratch, factory, &mut injector);
                         }
                     }
                 }
 
-                // Route executor events back to their connections.
+                // Take back the halves the shards are done with.
                 while let Some(ev) = events.try_recv() {
-                    let (slot, wire) = routes.resolve(&ev, &mut injector);
-                    let conn = conns[slot].as_mut().expect("conn outlives its sessions");
-                    conn.on_event(wire, ev, &injector);
+                    let (slot, wire) = ev.key;
+                    let conn = conns[slot]
+                        .as_mut()
+                        .expect("a conn outlives its lent halves");
+                    conn.returned(wire, ev.half, ev.said, ev.outcome, &mut injector);
                 }
 
                 // Flush, sweep idlers, retire finished connections.
@@ -828,7 +829,7 @@ pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
                     let Some(conn) = conn_slot.as_mut() else {
                         continue;
                     };
-                    conn.flush_and_sweep(now, idle_timeout, &injector);
+                    conn.flush_and_sweep(now, idle_timeout);
                     if conn.finished() {
                         if rsr_obs::enabled() {
                             net_metrics().conns_live.dec();
@@ -847,7 +848,7 @@ pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
 fn accept_ready(
     listener: &TcpListener,
     budget: &mut usize,
-    conns: &mut Vec<Option<ServerConn>>,
+    conns: &mut Vec<Option<ServerConn<'_>>>,
 ) -> Result<(), NetError> {
     while *budget > 0 {
         let stream = match listener.accept() {

@@ -1,22 +1,22 @@
 //! [`ReconServer`]: many reconciliation sessions multiplexed over many
-//! connections, all driven by **one** shared session executor behind a
-//! readiness reactor.
+//! connections, all driven from one readiness reactor over **one**
+//! shared shard pool.
 //!
 //! The server plays **Bob** for every session. A [`SessionFactory`]
 //! supplies the Bob half on demand: when a connection `OPEN`s a session
 //! id, the factory builds the session — from the `OPEN`'s negotiated
-//! [`SessionSpec`] when the client sent one, from the id alone otherwise
-//! — and the executor places it on a worker shard by power-of-two
-//! choices; everything Bob can say immediately — for Bob-initiated
-//! protocols like the Gap protocol that is round 1 — is pumped on that
-//! shard and queued on the connection's output buffer. From then on
-//! frames are routed by session id, each one waking exactly the session
-//! it addresses. When a session's Bob half finishes, the server reports
-//! `DONE` with [`STATUS_OK`](crate::codec::STATUS_OK); a protocol error
-//! is reported with
-//! [`STATUS_SESSION_ERROR`](crate::codec::STATUS_SESSION_ERROR) and the
-//! session dropped, leaving every other session — on this connection and
-//! every other — untouched. An id the factory does not know, and a
+//! [`SessionSpec`] when the client sent one, from the id alone otherwise.
+//! The connection keeps the half in the id's row; it is placed on a
+//! worker shard by power-of-two choices when first lent, and each wake —
+//! its opening say (for Bob-initiated protocols like the Gap protocol
+//! that is round 1), then one per frame routed to it by session id —
+//! borrows it to that shard for one step, after which it comes back with
+//! what it said for the connection to queue. When a session's Bob half
+//! finishes, the server reports `DONE` with
+//! [`STATUS_OK`](crate::codec::STATUS_OK); a protocol error is reported
+//! with [`STATUS_SESSION_ERROR`](crate::codec::STATUS_SESSION_ERROR) and
+//! the session dropped, leaving every other session — on this connection
+//! and every other — untouched. An id the factory does not know, and a
 //! `FRAME` for an id that was never opened, get
 //! [`STATUS_UNKNOWN_SESSION`](crate::codec::STATUS_UNKNOWN_SESSION).
 //!
@@ -25,7 +25,7 @@
 //! [`ContinuousParty`](rsr_core::continuous::ContinuousParty) that
 //! stays on the connection across rounds. A round is one `FRAME` each
 //! way: the client's delta runs a one-round Bob over the party on the
-//! reactor thread — rounds never enter the executor — and the round's
+//! reactor thread — rounds never leave it for a shard — and the round's
 //! reply frame is queued before the next record is read; the reply is
 //! the ack, no `DONE` follows. A failed round is answered `DONE(1)` and
 //! leaves the party resident, rolled back, for a retry. The id stays
@@ -34,7 +34,7 @@
 //! [`ReconServer::serve`] and [`ReconServer::serve_one`] run a single
 //! reactor thread for every connection at once: sockets are
 //! nonblocking, readiness comes from `netpoll`, and all one-shot
-//! sessions share one `shards`-wide executor — the process runs
+//! sessions share one `shards`-wide pool — the process runs
 //! `1 + shards` threads no matter how many connections are live. A
 //! connection that goes silent past the idle deadline is torn down
 //! instead of leaking state forever; see

@@ -1117,6 +1117,124 @@ fn a_hostile_gap_request_fails_its_session_only() {
     assert_eq!(report.sessions.len(), 3);
 }
 
+// ------------------------------------------------- frames held for a lent half
+
+/// Echoes each of three frames back under its own label; naps inside
+/// `on_frame` so the half is still lent to its shard when the client's
+/// next record arrives.
+struct Napper {
+    got: usize,
+    echo: Option<Frame>,
+}
+
+impl Session for Napper {
+    type Error = String;
+
+    fn poll_send(&mut self) -> Result<Option<Frame>, String> {
+        Ok(self.echo.take())
+    }
+
+    fn on_frame(&mut self, frame: Frame) -> Result<(), String> {
+        std::thread::sleep(Duration::from_millis(100));
+        self.got += 1;
+        self.echo = Some(frame);
+        Ok(())
+    }
+
+    fn is_done(&self) -> bool {
+        self.got == 3 && self.echo.is_none()
+    }
+}
+
+struct NapFactory;
+
+impl SessionFactory for NapFactory {
+    fn open_spec(&self, _: u64, _: Option<&SessionSpec>) -> Option<Box<dyn NetSession + '_>> {
+        Some(Box::new(Napper { got: 0, echo: None }))
+    }
+}
+
+fn spawn_nap_server() -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<Result<ConnectionReport, NetError>>,
+) {
+    let server = ReconServer::bind("127.0.0.1:0", Arc::new(NapFactory))
+        .unwrap()
+        .with_shards(1);
+    let addr = server.local_addr().unwrap();
+    (addr, std::thread::spawn(move || server.serve_one()))
+}
+
+fn labelled(label: &'static str) -> Frame {
+    Frame {
+        label: label.into(),
+        ..good_frame()
+    }
+}
+
+#[test]
+fn frames_for_a_lent_half_are_applied_in_arrival_order() {
+    let (addr, server) = spawn_nap_server();
+    let mut stream = raw_client(addr);
+    // One write: the later FRAMEs are read while the first wake still
+    // has the half on its shard, and wait for it in order.
+    let mut bytes = open_record(4);
+    for label in ["first", "second", "third"] {
+        bytes.extend(encoded(&Record::Frame {
+            session: 4,
+            frame: labelled(label),
+        }));
+    }
+    stream.write_all(&bytes).unwrap();
+    assert_eq!(expect_frame(&mut stream, 4).label, "first");
+    assert_eq!(expect_frame(&mut stream, 4).label, "second");
+    assert_eq!(expect_frame(&mut stream, 4).label, "third");
+    assert_eq!(expect_done(&mut stream, 4).0, STATUS_OK);
+    let report = hang_up(stream, server);
+    let summary = &report.sessions[0];
+    assert_eq!(summary.error, None);
+    let labels: Vec<_> = summary.transcript.entries().map(|(l, _)| l).collect();
+    let order = ["first", "first", "second", "second", "third", "third"];
+    assert_eq!(labels, order);
+    assert_eq!(report.frames_in, 3);
+    assert_eq!(report.frames_out, 3);
+}
+
+#[test]
+fn a_half_lent_when_the_client_leaves_is_dropped_when_it_returns() {
+    for (abandon, reason) in [
+        (true, "abandoned by client"),
+        (false, "connection closed mid-session"),
+    ] {
+        let (addr, server) = spawn_nap_server();
+        let mut stream = raw_client(addr);
+        let mut bytes = open_record(4);
+        bytes.extend(encoded(&Record::Frame {
+            session: 4,
+            frame: labelled("first"),
+        }));
+        if abandon {
+            bytes.extend(encoded(&Record::Done {
+                session: 4,
+                status: STATUS_SESSION_ERROR,
+                message: "gave up".into(),
+            }));
+        }
+        // Without the DONE, the half-close is the lost connection.
+        stream.write_all(&bytes).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        // The wake in flight still says its echo; no DONE follows it.
+        assert_eq!(expect_frame(&mut stream, 4).label, "first");
+        if let Some((record, _)) = read_record(&mut stream).expect("replies decode") {
+            panic!("{reason}: unexpected reply {record:?}");
+        }
+        let report = server.join().unwrap().expect("an orderly close");
+        let summary = &report.sessions[0];
+        assert_eq!(summary.error.as_deref(), Some(reason));
+        assert_eq!(summary.transcript.num_messages(), 2, "{reason}");
+    }
+}
+
 // ------------------------------------------------------ robustness loop
 
 /// Takes frames until two good ones arrived; a frame labelled `bad`

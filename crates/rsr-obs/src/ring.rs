@@ -6,7 +6,7 @@
 //! two caller-defined `u64` fields, stamped with microseconds since the
 //! ring was created — overwriting the oldest on overflow and counting
 //! what it dropped. Pushes take a mutex but no allocation; the ring is
-//! for *rare* events (connection teardowns, stranded sessions, protocol
+//! for *rare* events (connection teardowns, idle teardowns, protocol
 //! errors), not per-frame traffic.
 
 use std::collections::VecDeque;
