@@ -27,10 +27,13 @@ use rsr_hash::keys::MultiScaleKeyer;
 use rsr_hash::MlshFamily;
 use rsr_iblt::bits::{BitReader, BitWriter};
 use rsr_iblt::riblt::RibltConfig;
-use rsr_iblt::wire::{get_len, put_len};
-use rsr_iblt::Riblt;
+use rsr_iblt::wire::{get_len, put_len, CellWidths};
+use rsr_iblt::{CellLayout, Riblt};
 use rsr_metric::{MetricSpace, Point};
+use rsr_obs::Counter;
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Transcript label of the protocol's single message.
 pub(crate) const EMD_MSG_LABEL: &str = "alice→bob: RIBLTs";
@@ -79,11 +82,29 @@ impl EmdProtocolConfig {
     }
 }
 
-/// Alice's one-round message: `t` Robust IBLTs.
+/// Alice's one-round message: `t` Robust IBLTs, held as their encoding.
+///
+/// A message is its bits on both sides. [`EmdProtocol::alice_encode`]
+/// builds each level table in turn and writes it out;
+/// [`EmdMessage::read_wire`] admits a received message and builds no
+/// table. Bob parses a level only when [`EmdProtocol::bob_decode`]
+/// reaches it, from the top level down, and stops at the first that
+/// decodes, so the levels below `i*` are never expanded. Admission still
+/// checks the whole message: `|count| ≤ n` in every cell of every level,
+/// no field wider than 64 bits, and the buffer long enough; under
+/// [`Frame::decode_exact`] also the exact length and zero padding. That
+/// is what parsing every level refused.
 #[derive(Clone, Debug)]
 pub struct EmdMessage {
-    tables: Vec<Riblt>,
+    /// The sender's set size, which sizes every cell field.
     n: usize,
+    /// Number of level tables `t`.
+    levels: usize,
+    /// The encoding: a 32-bit `n`, then the `t` level tables, all of
+    /// one size.
+    bytes: Vec<u8>,
+    /// Exact encoded length in bits.
+    bit_len: u64,
 }
 
 impl EmdMessage {
@@ -91,41 +112,81 @@ impl EmdMessage {
     /// a 32-bit set-size header plus the `t` level tables. Exactly the
     /// measured length of [`EmdMessage::write_wire`]'s output.
     pub fn wire_bits(&self) -> u64 {
-        32 + self.tables.iter().map(|t| t.wire_bits(self.n)).sum::<u64>()
+        self.bit_len
     }
 
     /// Number of levels (RIBLTs).
     pub fn num_levels(&self) -> usize {
-        self.tables.len()
+        self.levels
     }
 
     /// Encodes the message: the sender's set size `n` (which sizes every
     /// cell field), then each level table.
     pub fn write_wire(&self, w: &mut BitWriter) {
-        let before = w.bit_len();
-        put_len(w, self.n);
-        for table in &self.tables {
-            table.write_to(w, self.n);
-        }
-        debug_assert_eq!(w.bit_len() - before, self.wire_bits());
+        w.write_bits(&self.bytes, self.bit_len);
     }
 
-    /// Decodes a message written by [`EmdMessage::write_wire`], given the
-    /// protocol (public coins: level count and per-level table configs).
+    /// Admits a message written by [`EmdMessage::write_wire`], given the
+    /// protocol (public coins: level count and per-level table configs):
+    /// checks every level with [`Riblt::admit_from`] and keeps the bits,
+    /// without building a table.
     pub fn read_wire(r: &mut BitReader<'_>, proto: &EmdProtocol) -> Option<EmdMessage> {
+        let mut from_start = r.clone();
         let n = get_len(r)?;
-        let tables = (0..proto.prefix_lens.len())
-            .map(|level| Riblt::read_from(r, proto.level_config(level), n))
-            .collect::<Option<Vec<Riblt>>>()?;
-        Some(EmdMessage { tables, n })
+        let levels = proto.prefix_lens.len();
+        for level in 0..levels {
+            Riblt::admit_from(r, proto.level_config(level), n)?;
+        }
+        let bit_len = r.bit_pos() - from_start.bit_pos();
+        let mut w = BitWriter::with_capacity(bit_len);
+        from_start.copy_into(bit_len, &mut w)?;
+        Some(EmdMessage {
+            n,
+            levels,
+            bytes: w.finish(),
+            bit_len,
+        })
     }
 
-    /// Seals the message into a labelled frame, measuring its size.
+    /// The message's frame, with a copy of its bytes as the payload.
     pub fn to_frame(&self) -> Frame {
-        let mut w = BitWriter::with_capacity(self.wire_bits());
-        self.write_wire(&mut w);
-        Frame::seal(EMD_MSG_LABEL, w)
+        self.clone().into_frame(EMD_MSG_LABEL)
     }
+
+    /// The frame of this message under `label`; its payload is the
+    /// message's own bytes.
+    pub(crate) fn into_frame(self, label: impl Into<Cow<'static, str>>) -> Frame {
+        Frame {
+            label: label.into(),
+            payload: self.bytes,
+            bit_len: self.bit_len,
+        }
+    }
+
+    /// Parses level `level`'s table, under `proto`'s configuration.
+    fn level(&self, proto: &EmdProtocol, level: usize) -> Option<Riblt> {
+        let mut r = BitReader::new(&self.bytes);
+        r.skip(32 + level as u64 * proto.level_bits(self.n))?;
+        Riblt::read_from(&mut r, proto.level_config(level), self.n)
+    }
+}
+
+/// `emd_levels_received` and `emd_levels_parsed`, resolved once and
+/// recorded behind [`rsr_obs::enabled`].
+struct LevelMetrics {
+    received: Arc<Counter>,
+    parsed: Arc<Counter>,
+}
+
+fn level_metrics() -> &'static LevelMetrics {
+    static METRICS: OnceLock<LevelMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = rsr_obs::global();
+        LevelMetrics {
+            received: reg.counter("emd_levels_received"),
+            parsed: reg.counter("emd_levels_parsed"),
+        }
+    })
 }
 
 /// Bob's result.
@@ -226,6 +287,14 @@ impl EmdProtocol {
         )
     }
 
+    /// Encoded bits of one level table for a sender of `n` points. Every
+    /// level has this size: levels differ only in their table seed.
+    fn level_bits(&self, n: usize) -> u64 {
+        let c = self.level_config(0);
+        let cells = CellLayout::new(c.min_cells, c.q, c.seed).num_cells();
+        cells as u64 * CellWidths::sum(n, c.delta).per_cell(c.dim)
+    }
+
     /// Every point's key at every level, point-major (`t` words per
     /// point): one batched pass over the draws.
     fn batch_keys(&self, points: &[Point]) -> Vec<u64> {
@@ -234,31 +303,60 @@ impl EmdProtocol {
         keys
     }
 
-    /// Alice's side: build and "send" the `t` RIBLTs.
+    /// Alice's side: build and "send" the `t` RIBLTs, one level table at
+    /// a time, each written out as soon as it is built.
     pub fn alice_encode(&self, alice: &[Point]) -> EmdMessage {
-        let t = self.prefix_lens.len();
-        let mut tables: Vec<Riblt> = (0..t).map(|i| Riblt::new(self.level_config(i))).collect();
-        for (p, keys) in alice.iter().zip(self.batch_keys(alice).chunks_exact(t)) {
-            debug_assert!(self.space.universe().contains(p), "point outside universe");
-            for (table, &key) in tables.iter_mut().zip(keys) {
-                table.insert(key, p);
+        debug_assert!(
+            alice.iter().all(|p| self.space.universe().contains(p)),
+            "point outside universe"
+        );
+        let (n, levels) = (alice.len(), self.prefix_lens.len());
+        let keys = self.batch_keys(alice);
+        let mut w = BitWriter::with_capacity(32 + levels as u64 * self.level_bits(n));
+        put_len(&mut w, n);
+        for level in 0..levels {
+            let mut table = Riblt::new(self.level_config(level));
+            for (p, point_keys) in alice.iter().zip(keys.chunks_exact(levels)) {
+                table.insert(point_keys[level], p);
             }
+            table.write_to(&mut w, n);
         }
+        let bit_len = w.bit_len();
         EmdMessage {
-            tables,
-            n: alice.len(),
+            n,
+            levels,
+            bytes: w.finish(),
+            bit_len,
         }
     }
 
-    /// Bob's side: delete his pairs, find the largest decodable level, and
-    /// repair his set.
+    /// Bob's side: from the top level down, parse a level, delete his
+    /// pairs from it and peel it, until one decodes; then repair his set.
     pub fn bob_decode(&self, msg: &EmdMessage, bob: &[Point]) -> Result<EmdOutcome, EmdFailure> {
+        let mut parsed = 0;
+        let outcome = self.decode_levels(msg, bob, &mut parsed);
+        if rsr_obs::enabled() {
+            let m = level_metrics();
+            m.received.add(msg.num_levels() as u64);
+            m.parsed.add(parsed);
+        }
+        outcome
+    }
+
+    /// [`EmdProtocol::bob_decode`], counting the levels it parses.
+    fn decode_levels(
+        &self,
+        msg: &EmdMessage,
+        bob: &[Point],
+        parsed: &mut u64,
+    ) -> Result<EmdOutcome, EmdFailure> {
         let budget = 2 * self.config.k;
         let t = self.prefix_lens.len();
         let bob_keys = self.batch_keys(bob);
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xb0bd_ec0d);
-        for level in (0..msg.tables.len()).rev() {
-            let mut table = msg.tables[level].clone();
+        for level in (0..msg.num_levels()).rev() {
+            let mut table = msg.level(self, level).ok_or(EmdFailure)?;
+            *parsed += 1;
             for (p, keys) in bob.iter().zip(bob_keys.chunks_exact(t)) {
                 table.delete(keys[level], p);
             }
@@ -343,7 +441,7 @@ impl Session for EmdAliceSession {
     }
 
     fn poll_send(&mut self) -> Result<Option<Frame>, EmdFailure> {
-        Ok(self.msg.take().map(|m| m.to_frame()))
+        Ok(self.msg.take().map(|m| m.into_frame(EMD_MSG_LABEL)))
     }
 
     fn on_frame(&mut self, _frame: Frame) -> Result<(), EmdFailure> {
@@ -433,6 +531,15 @@ mod tests {
         assert_eq!(out.i_star, cfg.num_levels());
         assert_eq!(out.decoded, (0, 0));
         assert_eq!(emd(Metric::Hamming, &out.reconciled, &pts), 0.0);
+        // So Bob parses one level of the t he receives: what
+        // `emd_levels_parsed` and `emd_levels_received` add per settle
+        // (the counters themselves: tests/emd_levels_parsed.rs).
+        let msg = proto.alice_encode(&pts);
+        let mut parsed = 0;
+        proto
+            .decode_levels(&msg, &pts, &mut parsed)
+            .expect("decodes");
+        assert_eq!((parsed, msg.num_levels()), (1, cfg.num_levels()));
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::channel::Frame;
 use crate::emd_protocol::{EmdFailure, EmdMessage, EmdOutcome, EmdProtocol, EmdProtocolConfig};
 use crate::session::{drive_in_memory, Session};
 use crate::transcript::{Party, Transcript};
-use rsr_iblt::bits::BitWriter;
 use rsr_metric::{MetricSpace, Point};
 
 /// The scaled protocol: one Algorithm 1 instance per interval.
@@ -204,11 +203,10 @@ impl Session for ScaledEmdAliceSession {
     }
 
     fn poll_send(&mut self) -> Result<Option<Frame>, EmdFailure> {
-        Ok(self.pending.pop_front().map(|(interval, msg)| {
-            let mut w = BitWriter::with_capacity(msg.wire_bits());
-            msg.write_wire(&mut w);
-            Frame::seal(interval_label(interval), w)
-        }))
+        Ok(self
+            .pending
+            .pop_front()
+            .map(|(interval, msg)| msg.into_frame(interval_label(interval))))
     }
 
     fn on_frame(&mut self, _frame: Frame) -> Result<(), EmdFailure> {

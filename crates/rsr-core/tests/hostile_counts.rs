@@ -5,11 +5,17 @@
 //! elements and carries none, so a decoder that preallocated from the
 //! count would reserve megabytes for a frame of a few bytes.
 //!
+//! Admitting an Algorithm 1 frame is bounded the same way: it checks
+//! every level and keeps the bits, but expands no level into a table.
+//!
 //! Its own test binary: the counting allocator is process-global.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rsr_core::emd_protocol::{EmdMessage, EmdProtocol, EmdProtocolConfig};
 use rsr_core::wire::get_points;
 use rsr_iblt::bits::BitReader;
-use rsr_metric::GridUniverse;
+use rsr_metric::{GridUniverse, MetricSpace, Point};
 use rsr_setsofsets::wire::get_round3;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,4 +74,27 @@ fn declared_counts_allocate_nothing_before_elements_decode() {
     let (children, bytes) = requested_by(|| get_round3(&mut BitReader::new(&round3)));
     assert!(children.is_none());
     assert!(bytes < BUDGET, "get_round3 requested {bytes} B");
+}
+
+#[test]
+fn admitting_an_emd_frame_allocates_less_than_twice_its_payload() {
+    // The `local_emd` shape: Hamming d = 32, n = 32, k = 4, 11 levels.
+    let space = MetricSpace::hamming(32);
+    let mut rng = StdRng::seed_from_u64(32);
+    let points: Vec<Point> = (0..32)
+        .map(|_| Point::from_bits(&(0..32).map(|_| rng.gen()).collect::<Vec<bool>>()))
+        .collect();
+    let cfg = EmdProtocolConfig::for_space(&space, 32, 4);
+    let proto = EmdProtocol::new(space, cfg, 4);
+    let frame = proto.alice_encode(&points).to_frame();
+    assert_eq!(cfg.num_levels(), 11);
+    assert_eq!(frame.payload.len(), 79_798);
+
+    let (msg, bytes) = requested_by(|| frame.decode_exact(|r| EmdMessage::read_wire(r, &proto)));
+    assert!(msg.is_some(), "a valid frame is admitted");
+    assert!(
+        bytes < 2 * frame.payload.len(),
+        "admitting {} B requested {bytes} B",
+        frame.payload.len()
+    );
 }

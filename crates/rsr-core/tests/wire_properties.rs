@@ -12,12 +12,22 @@ use rsr_core::transcript::Party;
 use rsr_core::ScaledEmdProtocol;
 use rsr_hash::lsh::LshParams;
 use rsr_hash::BitSamplingFamily;
-use rsr_iblt::bits::{BitReader, BitWriter};
+use rsr_iblt::bits::{zigzag, BitReader, BitWriter};
+use rsr_iblt::wire::CellWidths;
 use rsr_metric::{GridUniverse, MetricSpace, Point};
 
 fn binary_points(n: usize, dim: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::btree_set(prop::collection::vec(0i64..2, dim), n..=n)
         .prop_map(|s| s.into_iter().map(Point::new).collect())
+}
+
+/// Overwrites the `width`-bit field at bit `pos` (MSB first) with `value`.
+fn set_bits(bytes: &mut [u8], pos: u64, width: u32, value: u64) {
+    for i in 0..u64::from(width) {
+        let bit = (value >> (u64::from(width) - 1 - i)) & 1;
+        let (byte, shift) = (((pos + i) / 8) as usize, 7 - (pos + i) % 8);
+        bytes[byte] = (bytes[byte] & !(1 << shift)) | ((bit as u8) << shift);
+    }
 }
 
 fn encode_msg(msg: &EmdMessage) -> Vec<u8> {
@@ -99,6 +109,37 @@ proptest! {
         let cut = cut.min(bytes.len());
         let truncated = &bytes[..bytes.len() - cut];
         prop_assert!(EmdMessage::read_wire(&mut BitReader::new(truncated), &proto).is_none());
+    }
+
+    /// Admission checks every level, parsed or not. Bob never parses
+    /// level 0 when a higher level decodes (identical sets decode at the
+    /// top level), yet a count of magnitude n + 1 in one of its cells
+    /// fails the frame, exactly as parsing every level did.
+    #[test]
+    fn emd_frame_with_an_oversized_count_in_an_unparsed_level_rejected(
+        pts in binary_points(18, 16),
+        seed in 0u64..500,
+        cell in 0u64..1_000,
+        negative in 0u64..2,
+    ) {
+        let n = pts.len();
+        let space = MetricSpace::hamming(16);
+        let cfg = EmdProtocolConfig::for_space(&space, n, 2);
+        let proto = EmdProtocol::new(space, cfg, seed);
+        let msg = proto.alice_encode(&pts);
+        prop_assert!(proto.bob_decode(&msg, &pts).expect("identical sets decode").i_star > 1);
+        let mut frame = msg.to_frame();
+        prop_assert!(frame.decode_exact(|r| EmdMessage::read_wire(r, &proto)).is_some());
+
+        let widths = CellWidths::sum(n, space.delta());
+        let per_cell = widths.per_cell(space.dim());
+        let cells = (frame.bit_len - 32) / msg.num_levels() as u64 / per_cell;
+        let over = n as i64 + 1;
+        // The sign drawn, or the other one where its zigzag does not fit
+        // the field (`bits(2n)` always holds −(n + 1)).
+        let count = if negative == 1 || zigzag(over) >> widths.count != 0 { -over } else { over };
+        set_bits(&mut frame.payload, 32 + (cell % cells) * per_cell, widths.count, zigzag(count));
+        prop_assert!(frame.decode_exact(|r| EmdMessage::read_wire(r, &proto)).is_none());
     }
 
     /// Far-element point lists round-trip over arbitrary grid universes.

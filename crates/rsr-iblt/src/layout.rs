@@ -107,6 +107,15 @@ impl CellLayout {
         self.cell_of_hash(self.key_hash(key), i)
     }
 
+    /// True if a key with base hash `base` maps to cell `idx < m`: the
+    /// cell it selects in `idx`'s partition is `idx` itself. One mix
+    /// and no allocation, where [`CellLayout::cells_of`] makes `q` and a
+    /// `Vec`.
+    #[inline]
+    pub(crate) fn hash_selects(&self, base: u64, idx: usize) -> bool {
+        self.cell_of_hash(base, idx / self.cells_per_partition) == idx
+    }
+
     /// The `q` distinct cell indices of `key`, in partition order.
     pub fn cells_of(&self, key: u64) -> Vec<usize> {
         let base = self.key_hash(key);
@@ -288,6 +297,18 @@ mod tests {
                     layout.cell_in_partition(key, i),
                     layout.cell_of_hash(base, i)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn hash_selects_exactly_the_cells_of_a_key() {
+        let layout = CellLayout::new(60, 3, 31);
+        for key in 0..200u64 {
+            let base = layout.key_hash(key);
+            let cells = layout.cells_of(key);
+            for idx in 0..layout.num_cells() {
+                assert_eq!(layout.hash_selects(base, idx), cells.contains(&idx));
             }
         }
     }

@@ -29,8 +29,9 @@
 //! * [`hypergraph`] — the hypergraph a layout induces and its peeling
 //!   process, the structural reference the decoder is tested against;
 //! * [`bits`] and [`wire`] — the bit-packed cell codec both tables ship
-//!   through: a word-at-a-time bit writer/reader and the per-field
-//!   widths sized from the sender's declared set size.
+//!   through: a word-at-a-time bit writer/reader (with runs of
+//!   equal-width fields for a RIBLT cell's coordinate sums) and the
+//!   per-field widths sized from the sender's declared set size.
 
 pub mod bits;
 pub mod hypergraph;

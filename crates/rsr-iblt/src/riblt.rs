@@ -11,7 +11,11 @@
 //!    applies Algorithm 1's choice `m = 4q²k`.
 //! 3. **Key/checksum sums** instead of XORs (`i128` accumulators).
 //! 4. **Value sums**: the cell's value accumulator lives in
-//!    `{−nΔ, …, nΔ}^d` (`Vec<i64>` per cell).
+//!    `{−nΔ, …, nΔ}^d`. The table stores its cells as columns, like the
+//!    XOR table's [`crate::CellStore`]: counts, key sums and checksum
+//!    sums, plus one `m·d` array of coordinate sums, so a table is four
+//!    allocations and a clone four copies. On the wire a cell's `d`
+//!    coordinate sums travel as one run of equal-width fields.
 //! 5. **Duplicate-key extraction**: a cell whose contents are `C` copies of
 //!    one key (detected by divisibility of the key and checksum sums) is
 //!    peeled even for `|C| > 1`; each extracted value is the coordinate-wise
@@ -21,6 +25,7 @@
 //! difference stays behind as an *error* that is added to whatever is
 //! peeled from those cells later — the paper's Figure 1.
 
+use crate::bits::{unzigzag, zigzag};
 use crate::layout::CellLayout;
 use rand::Rng;
 use rsr_metric::Point;
@@ -55,30 +60,6 @@ impl RibltConfig {
     }
 }
 
-/// One sum cell.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct SumCell {
-    count: i64,
-    key_sum: i128,
-    check_sum: i128,
-    value_sum: Vec<i64>,
-}
-
-impl SumCell {
-    fn empty(dim: usize) -> Self {
-        SumCell {
-            count: 0,
-            key_sum: 0,
-            check_sum: 0,
-            value_sum: vec![0; dim],
-        }
-    }
-
-    fn is_clean(&self) -> bool {
-        self.count == 0 && self.key_sum == 0 && self.check_sum == 0
-    }
-}
-
 /// A decoded key–value pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodedPair {
@@ -99,30 +80,36 @@ pub struct RibltDecode {
     pub complete: bool,
 }
 
-/// The Robust IBLT.
+/// The Robust IBLT: `m` sum cells stored as columns.
 #[derive(Clone, Debug)]
 pub struct Riblt {
     config: RibltConfig,
     layout: CellLayout,
-    cells: Vec<SumCell>,
+    counts: Vec<i64>,
+    key_sums: Vec<i128>,
+    check_sums: Vec<i128>,
+    /// Cell `i`'s `d` coordinate sums are `values[i·d..(i+1)·d]`.
+    values: Vec<i64>,
 }
 
 impl Riblt {
     /// Creates an empty table.
     pub fn new(config: RibltConfig) -> Self {
         let layout = CellLayout::new(config.min_cells, config.q, config.seed);
+        let m = layout.num_cells();
         Riblt {
             config,
             layout,
-            cells: (0..layout.num_cells())
-                .map(|_| SumCell::empty(config.dim))
-                .collect(),
+            counts: vec![0; m],
+            key_sums: vec![0; m],
+            check_sums: vec![0; m],
+            values: vec![0; m * config.dim],
         }
     }
 
     /// Number of cells `m`.
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.counts.len()
     }
 
     /// The configuration.
@@ -140,6 +127,12 @@ impl Riblt {
         self.update(key, value, -1);
     }
 
+    /// Cell `idx`'s coordinate sums.
+    fn row(&mut self, idx: usize) -> &mut [i64] {
+        let dim = self.config.dim;
+        &mut self.values[idx * dim..(idx + 1) * dim]
+    }
+
     fn update(&mut self, key: u64, value: &Point, sign: i64) {
         assert_eq!(value.dim(), self.config.dim, "value dimension mismatch");
         // Single-pass hashing: one base hash yields the checksum and all
@@ -147,11 +140,11 @@ impl Riblt {
         let base = self.layout.key_hash(key);
         let check = CellLayout::check_of_hash(base) as i128;
         for i in 0..self.layout.q() {
-            let cell = &mut self.cells[self.layout.cell_of_hash(base, i)];
-            cell.count += sign;
-            cell.key_sum += sign as i128 * key as i128;
-            cell.check_sum += sign as i128 * check;
-            for (acc, &v) in cell.value_sum.iter_mut().zip(value.coords()) {
+            let idx = self.layout.cell_of_hash(base, i);
+            self.counts[idx] += sign;
+            self.key_sums[idx] += sign as i128 * key as i128;
+            self.check_sums[idx] += sign as i128 * check;
+            for (acc, &v) in self.row(idx).iter_mut().zip(value.coords()) {
                 *acc += sign * v;
             }
         }
@@ -160,28 +153,27 @@ impl Riblt {
     /// If the cell's contents are consistent with `C` copies of a single
     /// key *that hashes to this cell*, returns that key.
     fn pure_key(&self, idx: usize) -> Option<u64> {
-        let cell = &self.cells[idx];
-        if cell.count == 0 {
+        let count = self.counts[idx];
+        if count == 0 {
             return None;
         }
-        let ci = cell.count as i128;
-        if cell.key_sum % ci != 0 || cell.check_sum % ci != 0 {
+        let ci = count as i128;
+        let (key_sum, check_sum) = (self.key_sums[idx], self.check_sums[idx]);
+        if key_sum % ci != 0 || check_sum % ci != 0 {
             return None;
         }
-        let key = cell.key_sum / ci;
+        let key = key_sum / ci;
         if !(0..=u64::MAX as i128).contains(&key) {
             return None;
         }
         let key = key as u64;
-        if cell.check_sum / ci != self.layout.check_of(key) as i128 {
+        let base = self.layout.key_hash(key);
+        if check_sum / ci != CellLayout::check_of_hash(base) as i128 {
             return None;
         }
         // Guard against accidental arithmetic coincidences: the key must
         // actually map to this cell.
-        if !self.layout.cells_of(key).contains(&idx) {
-            return None;
-        }
-        Some(key)
+        self.layout.hash_selects(base, idx).then_some(key)
     }
 
     /// Decodes the table with the breadth-first peeling process of §2.2.
@@ -191,7 +183,7 @@ impl Riblt {
     /// deterministic given the table contents.
     pub fn decode<R: Rng + ?Sized>(mut self, rng: &mut R) -> RibltDecode {
         let mut result = RibltDecode::default();
-        let mut queue: std::collections::VecDeque<usize> = (0..self.cells.len())
+        let mut queue: std::collections::VecDeque<usize> = (0..self.num_cells())
             .filter(|&i| self.pure_key(i).is_some())
             .collect();
         // Honest peeling empties the source cell of every peel, and a
@@ -201,7 +193,9 @@ impl Riblt {
         // key's other cells, which peel it back, forever), so the bound
         // is enforced, not assumed — it is what caps the pairs a hostile
         // table can make decode fabricate.
-        let mut budget = self.cells.len();
+        let mut budget = self.num_cells();
+        // The peeled cell's coordinate sums, reused across peels.
+        let mut snapshot = vec![0; self.config.dim];
         while let Some(idx) = queue.pop_front() {
             let Some(key) = self.pure_key(idx) else {
                 continue; // stale
@@ -211,14 +205,15 @@ impl Riblt {
             }
             budget -= 1;
             // Snapshot the cell before mutation.
-            let snapshot = self.cells[idx].clone();
-            let copies = snapshot.count.unsigned_abs() as usize;
-            // Extract `copies` values, each the (clamped, randomly
+            let (count, key_sum, check_sum) =
+                (self.counts[idx], self.key_sums[idx], self.check_sums[idx]);
+            snapshot.copy_from_slice(self.row(idx));
+            // Extract `count` values, each the (clamped, randomly
             // rounded) coordinate-wise average V/C.
-            for _ in 0..copies {
-                let value = self.round_average(&snapshot, rng);
+            for _ in 0..count.unsigned_abs() {
+                let value = self.round_average(count, &snapshot, rng);
                 let pair = DecodedPair { key, value };
-                if snapshot.count > 0 {
+                if count > 0 {
                     result.inserted.push(pair);
                 } else {
                     result.deleted.push(pair);
@@ -228,31 +223,33 @@ impl Riblt {
             // (including idx itself, which becomes clean). This moves any
             // accumulated value error into the sibling cells — the paper's
             // error-propagation mechanism.
+            let base = self.layout.key_hash(key);
             for i in 0..self.layout.q() {
-                let cell_idx = self.layout.cell_in_partition(key, i);
-                let cell = &mut self.cells[cell_idx];
-                cell.count -= snapshot.count;
-                cell.key_sum -= snapshot.key_sum;
-                cell.check_sum -= snapshot.check_sum;
-                for (acc, &v) in cell.value_sum.iter_mut().zip(&snapshot.value_sum) {
+                let cell = self.layout.cell_of_hash(base, i);
+                self.counts[cell] -= count;
+                self.key_sums[cell] -= key_sum;
+                self.check_sums[cell] -= check_sum;
+                for (acc, &v) in self.row(cell).iter_mut().zip(&snapshot) {
                     *acc -= v;
                 }
-                if cell_idx != idx && self.pure_key(cell_idx).is_some() {
-                    queue.push_back(cell_idx);
+                if cell != idx && self.pure_key(cell).is_some() {
+                    queue.push_back(cell);
                 }
             }
         }
-        result.complete = self.cells.iter().all(SumCell::is_clean);
+        result.complete = self.counts.iter().all(|&c| c == 0)
+            && self.key_sums.iter().all(|&k| k == 0)
+            && self.check_sums.iter().all(|&c| c == 0);
         result
     }
 
-    /// Computes one extracted value: `V/C` per coordinate, shifted into the
-    /// grid and randomly rounded (probability of rounding up equal to the
-    /// fractional remainder), per §2.2 item 5.
-    fn round_average<R: Rng + ?Sized>(&self, cell: &SumCell, rng: &mut R) -> Point {
-        let c = cell.count as f64;
-        let coords = cell
-            .value_sum
+    /// Computes one extracted value from a cell's count and coordinate
+    /// sums: `V/C` per coordinate, shifted into the grid and randomly
+    /// rounded (probability of rounding up equal to the fractional
+    /// remainder), per §2.2 item 5.
+    fn round_average<R: Rng + ?Sized>(&self, count: i64, sums: &[i64], rng: &mut R) -> Point {
+        let c = count as f64;
+        let coords = sums
             .iter()
             .map(|&v| {
                 let avg = v as f64 / c;
@@ -271,31 +268,36 @@ impl Riblt {
     /// matches [`Riblt::to_bytes`] (which pads only to the final byte).
     pub fn wire_bits(&self, n_bound: usize) -> u64 {
         let widths = crate::wire::CellWidths::sum(n_bound, self.config.delta);
-        self.cells.len() as u64 * widths.per_cell(self.config.dim)
+        self.num_cells() as u64 * widths.per_cell(self.config.dim)
     }
 
     /// Writes the cell contents into an in-progress [`crate::bits::BitWriter`],
     /// so the table can ride inside a larger protocol message (the EMD
     /// message packs one table per level). Adds exactly
-    /// [`Riblt::wire_bits`] bits.
+    /// [`Riblt::wire_bits`] bits: per cell the count, the key sum, the
+    /// checksum sum, and the `d` coordinate sums as one run.
     pub fn write_to(&self, w: &mut crate::bits::BitWriter, n_bound: usize) {
         let widths = crate::wire::CellWidths::sum(n_bound, self.config.delta);
         let before = w.bit_len();
-        for cell in &self.cells {
-            crate::wire::put_i64(w, cell.count, widths.count);
-            crate::wire::put_i128(w, cell.key_sum, widths.key);
-            crate::wire::put_i128(w, cell.check_sum, widths.check);
-            for &v in &cell.value_sum {
-                crate::wire::put_i64(w, v, widths.value);
-            }
+        let dim = self.config.dim;
+        for idx in 0..self.num_cells() {
+            crate::wire::put_i64(w, self.counts[idx], widths.count);
+            crate::wire::put_i128(w, self.key_sums[idx], widths.key);
+            crate::wire::put_i128(w, self.check_sums[idx], widths.check);
+            w.write_run(
+                &self.values[idx * dim..(idx + 1) * dim],
+                widths.value,
+                zigzag,
+            );
         }
         debug_assert_eq!(w.bit_len() - before, self.wire_bits(n_bound));
     }
 
     /// Reads a table previously written with [`Riblt::write_to`] from an
     /// in-progress [`crate::bits::BitReader`], given the shared
-    /// configuration. Returns `None` on buffer exhaustion or a count
-    /// exceeding `n_bound`.
+    /// configuration. Returns `None` on buffer exhaustion, a count
+    /// exceeding `n_bound`, or a field wider than the codec reads — the
+    /// same input [`Riblt::admit_from`] refuses.
     pub fn read_from(
         r: &mut crate::bits::BitReader<'_>,
         config: RibltConfig,
@@ -303,19 +305,36 @@ impl Riblt {
     ) -> Option<Riblt> {
         let mut table = Riblt::new(config);
         let widths = crate::wire::CellWidths::sum(n_bound, config.delta);
-        for cell in &mut table.cells {
-            let count = crate::wire::get_i64(r, widths.count)?;
-            if count.unsigned_abs() > n_bound as u64 {
-                return None;
-            }
-            cell.count = count;
-            cell.key_sum = crate::wire::get_i128(r, widths.key)?;
-            cell.check_sum = crate::wire::get_i128(r, widths.check)?;
-            for v in cell.value_sum.iter_mut() {
-                *v = crate::wire::get_i64(r, widths.value)?;
-            }
+        for idx in 0..table.num_cells() {
+            table.counts[idx] = read_count(r, widths.count, n_bound)?;
+            table.key_sums[idx] = crate::wire::get_i128(r, widths.key)?;
+            table.check_sums[idx] = crate::wire::get_i128(r, widths.check)?;
+            r.read_run(widths.value, table.row(idx), unzigzag)?;
         }
         Some(table)
+    }
+
+    /// Checks a table written with [`Riblt::write_to`] without building
+    /// it, and skips past it: `Some` exactly when [`Riblt::read_from`]
+    /// would return a table — every count within `n_bound`, no value
+    /// field wider than 64 bits, the buffer long enough. Allocates
+    /// nothing.
+    pub fn admit_from(
+        r: &mut crate::bits::BitReader<'_>,
+        config: RibltConfig,
+        n_bound: usize,
+    ) -> Option<()> {
+        let widths = crate::wire::CellWidths::sum(n_bound, config.delta);
+        if config.dim > 0 && widths.value > 64 {
+            return None;
+        }
+        let cells = CellLayout::new(config.min_cells, config.q, config.seed).num_cells();
+        let rest = widths.per_cell(config.dim) - u64::from(widths.count);
+        for _ in 0..cells {
+            read_count(r, widths.count, n_bound)?;
+            r.skip(rest)?;
+        }
+        Some(())
     }
 
     /// Serializes the cell contents (construction parameters travel as
@@ -335,9 +354,15 @@ impl Riblt {
     }
 }
 
+/// Reads one cell count, refusing `|count| > n_bound`.
+fn read_count(r: &mut crate::bits::BitReader<'_>, width: u32, n_bound: usize) -> Option<i64> {
+    crate::wire::get_i64(r, width).filter(|c| c.unsigned_abs() <= n_bound as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitReader;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -563,6 +588,49 @@ mod tests {
             d.inserted.len(),
             d.deleted.len()
         );
+    }
+
+    #[test]
+    fn admit_from_refuses_exactly_what_read_from_refuses() {
+        let config = cfg(30, 3, 100, 13);
+        let mut t = Riblt::new(config);
+        t.insert(5, &p(&[1, 2, 3]));
+        t.insert(6, &p(&[99, 0, 7]));
+        let n_bound = 2;
+        let widths = crate::wire::CellWidths::sum(n_bound, config.delta);
+        let mut w = crate::bits::BitWriter::new();
+        w.write(0b101, 3); // the table starts mid-byte
+        t.write_to(&mut w, n_bound);
+        let end = w.bit_len();
+        let bytes = w.finish();
+        // Every cell's count raised to n + 1 in turn, then every cut.
+        let mut cases = vec![bytes.clone()];
+        for cell in 0..t.num_cells() as u64 {
+            let mut bad = bytes.clone();
+            let at = 3 + cell * widths.per_cell(config.dim);
+            for i in 0..u64::from(widths.count) {
+                let bit = (crate::bits::zigzag(3) >> (u64::from(widths.count) - 1 - i)) & 1;
+                let (byte, shift) = (((at + i) / 8) as usize, 7 - (at + i) % 8);
+                bad[byte] = (bad[byte] & !(1 << shift)) | ((bit as u8) << shift);
+            }
+            cases.push(bad);
+        }
+        cases.extend((1..=bytes.len()).map(|cut| bytes[..bytes.len() - cut].to_vec()));
+        for case in &cases {
+            let (mut admit, mut read) = (BitReader::new(case), BitReader::new(case));
+            admit.read(3);
+            read.read(3);
+            let admitted = Riblt::admit_from(&mut admit, config, n_bound);
+            let table = Riblt::read_from(&mut read, config, n_bound);
+            assert_eq!(admitted.is_some(), table.is_some());
+            if admitted.is_some() {
+                assert_eq!((admit.bit_pos(), read.bit_pos()), (end, end));
+            }
+        }
+        let mut r = BitReader::new(&bytes);
+        r.read(3);
+        let back = Riblt::read_from(&mut r, config, n_bound).expect("valid");
+        assert_eq!(back.to_bytes(n_bound), t.to_bytes(n_bound));
     }
 
     #[test]
