@@ -628,8 +628,8 @@ pub fn run(quick: bool) -> (String, BenchReport) {
          socket setup). The single server connection multiplexed {count} \
          sessions ({} frames in, {} frames out) across {tcp_shards} worker \
          shards per endpoint; framing overhead was {} bytes over the \
-         {payload_bytes}-byte payload. Two-choice placement spread the \
-         sessions over the shards; scaling depends on available cores.\n\n{}\n\n\
+         {payload_bytes}-byte payload. Idle workers took wakes from one \
+         queue; scaling depends on available cores.\n\n{}\n\n\
          ### Connections × sessions sweep (one reactor, flat threads)\n\n\
          Each sweep cell multiplexes its connections through one server \
          reactor and one client reactor (one executor per endpoint); every \

@@ -3,16 +3,13 @@
 //! A [`Frame`] is one protocol message as it exists on the wire: a label
 //! (for transcript accounting), the encoded byte payload, and the exact
 //! encoded bit length (the payload is that length rounded up to whole
-//! bytes). An [`InMemoryChannel`] moves frames between the two parties of
-//! a single-process run ([`crate::session::drive`]); every other way of
-//! running sessions — the sharded executor, `rsr-net`'s sockets — moves
-//! the same frames by its own means. A session never sees anything but
-//! frames.
+//! bytes). Every way of running sessions — the serial loop
+//! [`crate::session::drive_in_memory`], the executor, `rsr-net`'s
+//! sockets — moves the same frames by its own means. A session never
+//! sees anything but frames.
 
-use crate::transcript::Party;
 use rsr_iblt::bits::{BitReader, BitWriter};
 use std::borrow::Cow;
-use std::collections::VecDeque;
 
 /// One encoded protocol message in flight.
 ///
@@ -74,132 +71,9 @@ impl Frame {
     }
 }
 
-/// Frame/byte/bit totals over the traffic a channel carried.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChannelCounters {
-    /// Frames counted.
-    pub frames: usize,
-    /// Payload bytes counted (each frame's byte buffer).
-    pub bytes: u64,
-    /// Exact encoded bits counted; `bytes` is this with every frame
-    /// rounded up to whole bytes.
-    pub bits: u64,
-}
-
-impl ChannelCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        ChannelCounters::default()
-    }
-
-    /// Adds one frame's payload to the totals.
-    pub fn note(&mut self, frame: &Frame) {
-        self.frames += 1;
-        self.bytes += frame.payload.len() as u64;
-        self.bits += frame.bit_len;
-    }
-}
-
-/// The in-process transport: two FIFO queues plus delivery counters, so
-/// tests can check that transcript totals equal what actually crossed the
-/// channel.
-///
-/// ```
-/// use rsr_core::{Frame, InMemoryChannel, Party};
-/// use rsr_iblt::bits::BitWriter;
-///
-/// let mut channel = InMemoryChannel::new();
-/// let mut w = BitWriter::new();
-/// w.write(0b1011, 4);
-/// channel.send(Party::Alice, Frame::seal("hello", w));
-///
-/// let frame = channel.recv(Party::Bob).expect("queued for Bob");
-/// assert_eq!(frame.label, "hello");
-/// assert_eq!(frame.bit_len, 4);
-/// assert_eq!(frame.decode_exact(|r| r.read(4)), Some(0b1011));
-/// assert!(channel.recv(Party::Bob).is_none()); // queue drained
-/// ```
-#[derive(Debug, Default)]
-pub struct InMemoryChannel {
-    to_alice: VecDeque<Frame>,
-    to_bob: VecDeque<Frame>,
-    sent: ChannelCounters,
-}
-
-impl InMemoryChannel {
-    /// Creates an empty channel.
-    pub fn new() -> Self {
-        InMemoryChannel::default()
-    }
-
-    /// Number of frames sent so far (both directions).
-    pub fn frames_sent(&self) -> usize {
-        self.sent.frames
-    }
-
-    /// Total payload bytes sent so far (both directions).
-    pub fn bytes_sent(&self) -> u64 {
-        self.sent.bytes
-    }
-
-    /// Total encoded bits sent so far (both directions); `bytes_sent` is
-    /// this quantity with every frame rounded up to whole bytes.
-    pub fn bits_sent(&self) -> u64 {
-        self.sent.bits
-    }
-
-    /// Enqueues a frame from `from` towards its peer.
-    pub fn send(&mut self, from: Party, frame: Frame) {
-        self.sent.note(&frame);
-        match from {
-            Party::Alice => self.to_bob.push_back(frame),
-            Party::Bob => self.to_alice.push_back(frame),
-        }
-    }
-
-    /// Dequeues the next frame addressed *to* `to`; `None` when the
-    /// queue is momentarily empty.
-    pub fn recv(&mut self, to: Party) -> Option<Frame> {
-        match to {
-            Party::Alice => self.to_alice.pop_front(),
-            Party::Bob => self.to_bob.pop_front(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn frame(label: &'static str, bits: u64) -> Frame {
-        let mut w = BitWriter::new();
-        w.write128(0, (bits % 128) as u32);
-        for _ in 0..bits / 128 {
-            w.write128(0, 128);
-        }
-        Frame::seal(label, w)
-    }
-
-    #[test]
-    fn frames_route_to_the_peer() {
-        let mut ch = InMemoryChannel::new();
-        ch.send(Party::Alice, frame("a→b", 10));
-        ch.send(Party::Bob, frame("b→a", 20));
-        assert_eq!(ch.recv(Party::Bob).unwrap().label, "a→b");
-        assert_eq!(ch.recv(Party::Alice).unwrap().label, "b→a");
-        assert!(ch.recv(Party::Alice).is_none());
-        assert!(ch.recv(Party::Bob).is_none());
-    }
-
-    #[test]
-    fn counters_measure_traffic() {
-        let mut ch = InMemoryChannel::new();
-        ch.send(Party::Alice, frame("x", 9));
-        ch.send(Party::Alice, frame("y", 130));
-        assert_eq!(ch.frames_sent(), 2);
-        assert_eq!(ch.bits_sent(), 139);
-        assert_eq!(ch.bytes_sent(), 2 + 17);
-    }
 
     #[test]
     fn seal_measures_exact_bits() {
@@ -246,14 +120,5 @@ mod tests {
         let mut w = BitWriter::new();
         w.write(0xff, 8);
         assert_eq!(Frame::seal("m", w).decode_exact(|r| r.read(8)), Some(0xff));
-    }
-
-    #[test]
-    fn fifo_order_within_a_direction() {
-        let mut ch = InMemoryChannel::new();
-        ch.send(Party::Alice, frame("first", 8));
-        ch.send(Party::Alice, frame("second", 8));
-        assert_eq!(ch.recv(Party::Bob).unwrap().label, "first");
-        assert_eq!(ch.recv(Party::Bob).unwrap().label, "second");
     }
 }

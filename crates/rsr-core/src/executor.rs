@@ -1,35 +1,29 @@
-//! A sharded, fixed-size worker pool that runs poll-style session
+//! A fixed-size pool of worker shards that runs poll-style session
 //! halves one wake at a time, and holds none of them between wakes.
 //!
-//! The serial drivers in [`crate::session`] run one session (or one
-//! Alice/Bob pair) at a time. This module spreads the work of *many*
-//! sessions over a small fixed pool of worker shards:
+//! The serial loop [`crate::session::drive_in_memory`] runs one
+//! Alice/Bob pair at a time. This module spreads the work of *many*
+//! sessions over a small fixed pool of workers:
 //!
 //! * **A half lives with its driver.** A [`Half`] — the session, the
 //!   side it plays, its transcript — is owned by whoever drives it, in a
 //!   [`Seat`]: a connection's slot in `rsr-net`, or a side of one of
 //!   [`drive_batch`]'s pairs. Dropping it closes the session.
-//! * **A shard borrows it for one wake.** [`Injector::lend`] hands a
-//!   half, and the frame to wake it with, to the half's shard; the shard
-//!   runs one [`Half::step`] — `on_frame`, then `poll_send` until the
-//!   half has nothing more to say — and sends the half back on the
-//!   [`Events`] stream with the frames it said and its outcome. The
-//!   paper's protocols alternate, so a half has at most one wake
-//!   pending; a frame that arrives for a half while it is lent waits in
-//!   its seat and is applied, in arrival order, once it returns.
-//! * **Placement** — a half is placed when it is first lent, by the
-//!   power-of-two-choices rule ([`Placement`]): its placement number is
-//!   hashed into two candidate shards and the lighter one wins. The
-//!   half remembers its shard. The load vector is the only state the
-//!   pool keeps across sessions.
-//! * **Ready queues** — each shard owns one FIFO mailbox of wakes, so a
-//!   half waiting for its peer has no entries and never stalls its
-//!   shard.
+//! * **An idle worker borrows it for one wake.** [`Injector::lend`]
+//!   puts a half, and the frame to wake it with, on the pool's one FIFO
+//!   of wakes; the first idle worker takes it, runs one [`Half::step`] —
+//!   `on_frame`, then `poll_send` until the half has nothing more to say
+//!   — and sends the half back on the [`Events`] stream with the frames
+//!   it said and its outcome. A wake never waits while a worker idles,
+//!   and no half is tied to a worker. The paper's protocols alternate,
+//!   so a half has at most one wake pending; a frame that arrives for a
+//!   half while it is lent waits in its seat and is applied, in arrival
+//!   order, once it returns.
 //!
 //! [`Half::step`] is the one wake sequence: a transport that runs a
 //! cheap session inline on its own thread calls the same method, and
 //! every transcript records both directions in processing order —
-//! entry-for-entry what the serial drivers record for the same session.
+//! entry-for-entry what the serial loop records for the same session.
 
 use crate::channel::Frame;
 use crate::session::Session;
@@ -38,7 +32,7 @@ use rsr_obs::{AtomicHistogram, Counter, Gauge, Span};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Registry handles for the executor's process-wide metrics, resolved
@@ -49,7 +43,8 @@ use std::time::{Duration, Instant};
 /// toggle can skew an in-flight gauge by the few events that crossed
 /// the flip (counters are immune).
 struct ExecMetrics {
-    /// Halves first lent to a shard (`exec_sessions_submitted`).
+    /// Halves lent to the pool, counted at their first lend
+    /// (`exec_sessions_submitted`).
     submitted: Arc<Counter>,
     /// Lent halves that finished cleanly (`exec_sessions_completed`).
     completed: Arc<Counter>,
@@ -64,7 +59,7 @@ struct ExecMetrics {
     first_frame_us: Arc<AtomicHistogram>,
     /// First lend → done/error/drop, µs (`exec_settle_us`).
     settle_us: Arc<AtomicHistogram>,
-    /// One `on_frame` call on a shard, µs — the decode cost for
+    /// One `on_frame` call on a worker, µs — the decode cost for
     /// sketch-carrying frames (`exec_on_frame_us`).
     on_frame_us: Arc<AtomicHistogram>,
 }
@@ -94,7 +89,7 @@ fn exec_metrics() -> &'static ExecMetrics {
 pub type Notify = Arc<dyn Fn() + Send + Sync>;
 
 /// A [`Session`] with its error type erased to `String` and a `Send`
-/// bound so it can move onto a worker shard. Blanket-implemented for
+/// bound so it can move onto a worker. Blanket-implemented for
 /// every sendable `Session` whose error displays; `rsr-net` re-exports
 /// this trait as `NetSession`.
 pub trait DynSession: Send {
@@ -132,73 +127,8 @@ where
     }
 }
 
-/// `splitmix64` — a cheap, well-mixed hash for shard candidate choice.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Power-of-two-choices session→shard placement.
-///
-/// `place` hashes the session id (salted two ways) into two candidate
-/// shards and picks whichever currently holds fewer sessions, ties going
-/// to the first candidate. Placement is deterministic in the sequence of
-/// `place` calls: same seed, same ids, same order — same shards,
-/// anywhere.
-#[derive(Clone, Debug)]
-pub struct Placement {
-    seed: u64,
-    loads: Vec<usize>,
-}
-
-impl Placement {
-    /// A placement over `shards` shards (at least one), all empty.
-    pub fn new(shards: usize, seed: u64) -> Placement {
-        assert!(shards >= 1, "placement needs at least one shard");
-        Placement {
-            seed,
-            loads: vec![0; shards],
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Sessions placed on each shard so far.
-    pub fn loads(&self) -> &[usize] {
-        &self.loads
-    }
-
-    /// The two candidate shards for `id` (may coincide).
-    pub fn candidates(&self, id: u64) -> (usize, usize) {
-        let n = self.loads.len() as u64;
-        let a = splitmix64(id ^ self.seed) % n;
-        let b = splitmix64(id.rotate_left(32) ^ self.seed ^ 0x5bf0_3635_dee1_91b5) % n;
-        (a as usize, b as usize)
-    }
-
-    /// Places `id` on the lighter of its two candidates and records the
-    /// load.
-    pub fn place(&mut self, id: u64) -> usize {
-        let (a, b) = self.candidates(id);
-        let shard = if self.loads[b] < self.loads[a] { b } else { a };
-        self.loads[shard] += 1;
-        shard
-    }
-
-    /// Records a session placed on an explicitly chosen shard (used when
-    /// a caller pins related sessions together).
-    pub fn note_pinned(&mut self, shard: usize) {
-        self.loads[shard] += 1;
-    }
-}
-
-/// The executor's metrics clock for a half lent to a shard at least
-/// once; halves that only ever run inline carry none.
+/// The executor's metrics clock for a half lent to the pool; halves
+/// that only ever run inline carry none.
 struct HalfObs {
     lent_at: Instant,
     first_frame_seen: bool,
@@ -238,14 +168,12 @@ impl HalfObs {
 }
 
 /// One side of a session and everything a wake of it needs: the side it
-/// plays, its transcript and — once first lent — its shard. Whoever
-/// drives the session owns it between wakes; dropping it closes the
-/// session.
+/// plays and its transcript. Whoever drives the session owns it between
+/// wakes; dropping it closes the session.
 pub struct Half<'env> {
     session: Box<dyn DynSession + 'env>,
     party: Party,
     transcript: Transcript,
-    shard: Option<usize>,
     obs: Option<HalfObs>,
 }
 
@@ -258,7 +186,6 @@ impl<'env> Half<'env> {
             session,
             party,
             transcript: Transcript::new(),
-            shard: None,
             obs: None,
         }
     }
@@ -295,7 +222,6 @@ impl<'env> Half<'env> {
             party,
             transcript,
             obs,
-            ..
         } = self;
         if let Some(frame) = incoming {
             transcript.record_from(party.peer(), frame.label.clone(), frame.bit_len);
@@ -340,7 +266,7 @@ impl Drop for Half<'_> {
     }
 }
 
-/// A half back from its shard.
+/// A half back from the pool.
 pub struct ExecEvent<'env, K> {
     /// The key it was lent under.
     pub key: K,
@@ -354,7 +280,7 @@ pub struct ExecEvent<'env, K> {
 
 /// Where a driver keeps one session half between wakes — a
 /// connection's slot, or a [`drive_batch`] pair's side. The half is at
-/// home or lent to its shard, never both; a frame that arrives while it
+/// home or lent to the pool, never both; a frame that arrives while it
 /// is lent waits here and is applied, in arrival order, once it returns.
 #[derive(Default)]
 pub enum Seat<'env> {
@@ -363,7 +289,7 @@ pub enum Seat<'env> {
     Empty,
     /// At home, waiting for its next frame.
     Home(Box<Half<'env>>),
-    /// Lent to its shard, with the frames that arrived for it since.
+    /// Lent to the pool, with the frames that arrived for it since.
     Lent(VecDeque<Frame>),
 }
 
@@ -406,71 +332,51 @@ impl<'env> Seat<'env> {
     }
 }
 
-/// One wake in a shard's mailbox.
+/// One wake in the pool's queue.
 struct Job<'env, K> {
     key: K,
     half: Half<'env>,
     incoming: Option<Frame>,
 }
 
-/// The feeding half of a running executor: lends halves to shards.
+/// The feeding half of a running executor: lends halves to the pool.
 pub struct Injector<'env, K> {
-    shard_txs: Vec<mpsc::Sender<Job<'env, K>>>,
-    /// Per-shard queued-but-unrun wakes (`exec_shard{i}_mailbox`).
-    mailboxes: Vec<Arc<Gauge>>,
-    placement: Placement,
-    /// Halves placed so far; the next is placed by this number.
-    placed: u64,
+    jobs: mpsc::Sender<Job<'env, K>>,
+    /// Queued-but-unrun wakes. The key `exec_shard0_mailbox` is the name
+    /// the one queue's readers already know.
+    queue: Arc<Gauge>,
 }
 
 impl<'env, K> Injector<'env, K> {
-    /// Lends `half` to its shard for one wake with `incoming` (its
-    /// opening say, when `None`), marking its `seat` lent. It comes back
-    /// under `key` on the [`Events`] stream. A half is placed by
-    /// two-choice when first lent, and stays on that shard. Returns the
-    /// shard.
+    /// Lends `half` to the pool for one wake with `incoming` (its opening
+    /// say, when `None`), marking its `seat` lent. The first idle worker
+    /// runs it, and it comes back under `key` on the [`Events`] stream.
     pub fn lend(
         &mut self,
         key: K,
         seat: &mut Seat<'env>,
         mut half: Half<'env>,
         incoming: Option<Frame>,
-    ) -> usize {
+    ) {
         if !matches!(seat, Seat::Lent(_)) {
             *seat = Seat::Lent(VecDeque::new());
         }
-        let shard = match half.shard {
-            Some(shard) => shard,
-            None => self.place(&mut half, None),
-        };
         if rsr_obs::enabled() {
-            self.mailboxes[shard].inc();
+            // A half's clock starts at the first lend that finds
+            // recording on.
+            if half.obs.is_none() {
+                half.obs = Some(HalfObs::open());
+            }
+            self.queue.inc();
         }
-        // A send only fails if the worker died; its panic resurfaces when
-        // the executor scope joins, so losing the wake is moot.
-        let _ = self.shard_txs[shard].send(Job {
+        // A send only fails once every worker died; their panics
+        // resurface when the executor scope joins, so losing the wake is
+        // moot.
+        let _ = self.jobs.send(Job {
             key,
             half,
             incoming,
         });
-        shard
-    }
-
-    /// Places `half` on `pin` when given (co-locating related halves),
-    /// else by two-choice over its placement number.
-    fn place(&mut self, half: &mut Half<'env>, pin: Option<usize>) -> usize {
-        let id = self.placed;
-        self.placed += 1;
-        let shard = match pin {
-            Some(shard) => {
-                self.placement.note_pinned(shard);
-                shard
-            }
-            None => self.placement.place(id),
-        };
-        half.shard = Some(shard);
-        half.obs = rsr_obs::enabled().then(HalfObs::open);
-        shard
     }
 }
 
@@ -521,13 +427,12 @@ impl<'env, K> Events<'env, K> {
     }
 }
 
-/// Runs `f` with a live sharded executor: `shards` worker threads, a
-/// two-choice [`Placement`] salted with `placement_seed`, an
-/// [`Injector`] to lend halves and an [`Events`] stream they come back
-/// on. `notify` (when given) runs after every returned half, from the
-/// worker that returned it: this is how a consumer that blocks in a
-/// socket readiness wait rather than in [`Events::next`] — `rsr-net`'s
-/// reactor — hears the executor.
+/// Runs `f` with a live executor: `shards` worker threads that take
+/// wakes from one FIFO, an [`Injector`] to lend halves and an [`Events`]
+/// stream they come back on. `notify` (when given) runs after every
+/// returned half, from the worker that returned it: this is how a
+/// consumer that blocks in a socket readiness wait rather than in
+/// [`Events::next`] — `rsr-net`'s reactor — hears the executor.
 ///
 /// Shutdown is by dropping: once the [`Injector`] is gone, workers finish
 /// the wakes already queued and exit, and the stream then reports
@@ -535,45 +440,50 @@ impl<'env, K> Events<'env, K> {
 /// returns.
 pub fn with_executor<'env, K: Send + 'env, R>(
     shards: usize,
-    placement_seed: u64,
     notify: Option<Notify>,
     f: impl FnOnce(Injector<'env, K>, Events<'env, K>) -> R,
 ) -> R {
     assert!(shards >= 1, "executor needs at least one shard");
+    let (job_tx, job_rx) = mpsc::channel::<Job<'env, K>>();
+    let jobs = Mutex::new(job_rx);
+    let queue = rsr_obs::global().gauge("exec_shard0_mailbox");
     std::thread::scope(|s| {
         let (event_tx, event_rx) = mpsc::channel();
-        let mut shard_txs = Vec::with_capacity(shards);
-        let mut mailboxes = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = mpsc::channel::<Job<'env, K>>();
-            shard_txs.push(tx);
-            let mailbox = rsr_obs::global().gauge(&format!("exec_shard{shard}_mailbox"));
-            mailboxes.push(Arc::clone(&mailbox));
+        for _ in 0..shards {
+            let (jobs, queue) = (&jobs, &queue);
             let (events, notify) = (event_tx.clone(), notify.clone());
-            s.spawn(move || {
-                while let Ok(Job {
+            s.spawn(move || loop {
+                // The lock is held only while waiting for the next wake
+                // (so not in a `while let`, which would hold it through
+                // the step): an idle worker takes the head of the queue.
+                let next = jobs
+                    .lock()
+                    .expect("no worker panics while it holds the queue")
+                    .recv();
+                let Ok(Job {
                     key,
                     mut half,
                     incoming,
-                }) = rx.recv()
-                {
-                    if rsr_obs::enabled() {
-                        mailbox.dec();
-                    }
-                    let mut said = Vec::new();
-                    let outcome = half.step(incoming, |frame| said.push(frame));
-                    let ev = ExecEvent {
-                        key,
-                        half,
-                        said,
-                        outcome,
-                    };
-                    if events.send(ev).is_ok() && rsr_obs::enabled() {
-                        exec_metrics().event_queue.inc();
-                    }
-                    if let Some(notify) = &notify {
-                        notify();
-                    }
+                }) = next
+                else {
+                    break;
+                };
+                if rsr_obs::enabled() {
+                    queue.dec();
+                }
+                let mut said = Vec::new();
+                let outcome = half.step(incoming, |frame| said.push(frame));
+                let ev = ExecEvent {
+                    key,
+                    half,
+                    said,
+                    outcome,
+                };
+                if events.send(ev).is_ok() && rsr_obs::enabled() {
+                    exec_metrics().event_queue.inc();
+                }
+                if let Some(notify) = &notify {
+                    notify();
                 }
             });
         }
@@ -581,10 +491,8 @@ pub fn with_executor<'env, K: Send + 'env, R>(
         // them exits.
         drop(event_tx);
         let injector = Injector {
-            shard_txs,
-            mailboxes,
-            placement: Placement::new(shards, placement_seed),
-            placed: 0,
+            jobs: job_tx,
+            queue: Arc::clone(&queue),
         };
         f(injector, Events { rx: event_rx })
     })
@@ -593,10 +501,8 @@ pub fn with_executor<'env, K: Send + 'env, R>(
 /// One session pair's result from [`drive_batch`].
 #[derive(Debug)]
 pub struct PairOutcome {
-    /// The shard the pair ran on.
-    pub shard: usize,
     /// The Alice half's transcript: both directions, processing order —
-    /// entry-for-entry what the serial drivers record for the same pair.
+    /// entry-for-entry what the serial loop records for the same pair.
     pub transcript: Transcript,
     /// `None` when both halves completed; the first error otherwise
     /// (protocol errors from either half, or a stall).
@@ -622,12 +528,11 @@ pub const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 pub const STALLED: &str = "sessions stalled without finishing";
 
 /// Drives a batch of in-process Alice/Bob session pairs to completion
-/// over a sharded executor — the parallel counterpart of calling
-/// [`crate::session::drive_in_memory`] on each pair in turn.
+/// over a `shards`-worker executor — the parallel counterpart of calling
+/// [`crate::session::drive_in_memory`] on each pair in turn. `_seed` is
+/// ignored.
 ///
-/// Both halves of a pair are pinned to one shard (a pair is one logical
-/// session, like a multiplexed connection's one local half), chosen by
-/// two-choice placement; distinct pairs run concurrently across shards.
+/// Any idle worker runs any wake, so distinct pairs run concurrently.
 /// The caller thread keeps every half between wakes and routes every
 /// frame a half says to its peer — wake-on-frame, exactly the dispatch
 /// the networked transports use.
@@ -672,24 +577,25 @@ pub const STALLED: &str = "sessions stalled without finishing";
 /// ```
 pub fn drive_batch<'env>(
     shards: usize,
-    placement_seed: u64,
+    _seed: u64,
     pairs: Vec<(Box<dyn DynSession + 'env>, Box<dyn DynSession + 'env>)>,
     stall_timeout: Duration,
 ) -> Vec<PairOutcome> {
-    with_executor(shards, placement_seed, None, |mut injector, events| {
+    with_executor(shards, None, |mut injector, events| {
         let n = pairs.len();
         let mut outcomes = Vec::with_capacity(n);
         let mut seats: Vec<[Seat<'env>; 2]> = Vec::with_capacity(n);
         for (pair, (alice, bob)) in pairs.into_iter().enumerate() {
             let mut seat = <[Seat<'env>; 2]>::default();
-            let alice = Half::new(Party::Alice, alice);
-            let shard = injector.lend((pair, 0), &mut seat[0], alice, None);
-            let mut bob = Half::new(Party::Bob, bob);
-            injector.place(&mut bob, Some(shard));
-            injector.lend((pair, 1), &mut seat[1], bob, None);
+            injector.lend(
+                (pair, 0),
+                &mut seat[0],
+                Half::new(Party::Alice, alice),
+                None,
+            );
+            injector.lend((pair, 1), &mut seat[1], Half::new(Party::Bob, bob), None);
             seats.push(seat);
             outcomes.push(PairOutcome {
-                shard,
                 transcript: Transcript::new(),
                 error: None,
             });
@@ -838,7 +744,6 @@ mod tests {
             // Alice's transcript holds her burst and the echo back.
             assert_eq!(out.transcript.num_messages(), 2 * (i + 1));
             assert_eq!(out.transcript.total_bits(), 2 * (i as u64 + 1) * 16);
-            assert!(out.shard < 4);
         }
     }
 
@@ -916,35 +821,15 @@ mod tests {
     }
 
     #[test]
-    fn placement_two_choice_is_deterministic_and_balanced() {
-        let mut a = Placement::new(8, 42);
-        let mut b = Placement::new(8, 42);
-        let shards_a: Vec<_> = (0..4096).map(|id| a.place(id)).collect();
-        let shards_b: Vec<_> = (0..4096).map(|id| b.place(id)).collect();
-        assert_eq!(shards_a, shards_b, "same seed, same order, same shards");
-        let mean = 4096 / 8;
-        for (shard, &load) in a.loads().iter().enumerate() {
-            assert!(
-                load <= 2 * mean,
-                "shard {shard} holds {load} sessions, over 2x the mean {mean}"
-            );
-        }
-        // A different seed reshuffles at least something.
-        let mut c = Placement::new(8, 43);
-        let shards_c: Vec<_> = (0..4096).map(|id| c.place(id)).collect();
-        assert_ne!(shards_a, shards_c);
-    }
-
-    #[test]
-    fn a_half_stays_on_the_shard_it_was_first_lent_to() {
-        with_executor(4, 0, None, |mut injector, events| {
+    fn a_half_comes_back_from_every_lend() {
+        with_executor(4, None, |mut injector, events| {
             let echo = Pong {
                 to_send: 0,
                 expect: 8,
                 echo: true,
             };
             let mut seat = Seat::Empty;
-            let shard = injector.lend(7, &mut seat, Half::new(Party::Bob, Box::new(echo)), None);
+            injector.lend(7, &mut seat, Half::new(Party::Bob, Box::new(echo)), None);
             for round in 0..8 {
                 let ev = match events.next(Some(Duration::from_secs(5))) {
                     Wait::Event(ev) => ev,
@@ -954,8 +839,7 @@ mod tests {
                 assert_eq!(ev.outcome, Ok(false));
                 let mut w = BitWriter::new();
                 w.write(round, 16);
-                let again = injector.lend(7, &mut seat, ev.half, Some(Frame::seal("ping", w)));
-                assert_eq!(again, shard, "a placed half keeps its shard");
+                injector.lend(7, &mut seat, ev.half, Some(Frame::seal("ping", w)));
             }
             match events.next(Some(Duration::from_secs(5))) {
                 Wait::Event(ev) => {
@@ -964,14 +848,13 @@ mod tests {
                 }
                 _ => panic!("the last wake did not come back"),
             }
-            assert_eq!(injector.placement.loads().iter().sum::<usize>(), 1);
         });
     }
 
     #[test]
     fn next_times_out_while_sessions_live() {
-        with_executor(1, 0, None, |injector: Injector<'_, u64>, events| {
-            // A live session waits with its driver, not on a shard: the
+        with_executor(1, None, |injector: Injector<'_, u64>, events| {
+            // A live session waits with its driver, not on a worker: the
             // stream must report Timeout, not Closed — the executor is
             // still running.
             let _mute = Half::new(Party::Alice, Box::new(Mute));
@@ -989,7 +872,7 @@ mod tests {
 
     #[test]
     fn next_drains_pending_events_before_reporting_closed() {
-        with_executor(1, 0, None, |mut injector, events| {
+        with_executor(1, None, |mut injector, events| {
             // Alice's opening wake is queued; dropping the injector right
             // behind the lend shuts the executor down with that wake (and
             // the half coming back) still unread.

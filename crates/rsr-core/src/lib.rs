@@ -25,16 +25,16 @@
 //! * [`channel`] / [`session`] — the two-party message-passing substrate:
 //!   every protocol is an Alice/Bob pair of session state machines
 //!   exchanging encoded [`channel::Frame`]s; the `run(&alice, &bob)`
-//!   entry points drive a pair over a [`channel::InMemoryChannel`].
+//!   entry points drive a pair with [`session::drive_in_memory`], the
+//!   one serial loop.
 //! * [`continuous`] — long-lived incremental sessions: resident
 //!   churn-sized tables, snapshot subtraction, per-round delta
 //!   reconciliation with an Idle→Syncing→Settled lifecycle.
-//! * [`executor`] — the sharded worker-pool executor: a shard borrows a
-//!   session [`executor::Half`] for one wake and hands it back, holding
-//!   no session between wakes; two-choice session→shard placement,
-//!   per-shard ready queues, and the in-process parallel
-//!   [`executor::drive_batch`] driver. `rsr-net`'s connection slots lend
-//!   it their one-shot halves.
+//! * [`executor`] — the worker-pool executor: an idle worker takes the
+//!   next wake from one FIFO, borrows its session [`executor::Half`] for
+//!   one step and hands it back, holding no session between wakes; and
+//!   the in-process parallel [`executor::drive_batch`] driver.
+//!   `rsr-net`'s connection slots lend it their one-shot halves.
 //! * [`wire`] — codecs for non-table payloads (point lists, `u64` lists),
 //!   built on `rsr-iblt`'s shared bit codec.
 
@@ -52,7 +52,7 @@ pub mod set_recon;
 pub mod transcript;
 pub mod wire;
 
-pub use channel::{ChannelCounters, Frame, InMemoryChannel};
+pub use channel::Frame;
 pub use continuous::{
     shared, AliceRound, BobRound, ContinuousConfig, ContinuousError, ContinuousParty,
     ContinuousSession, SessionPhase, SharedParty,
@@ -63,14 +63,14 @@ pub use emd_protocol::{
 };
 pub use emd_scaled::{ScaledEmdAliceSession, ScaledEmdBobSession, ScaledEmdProtocol};
 pub use executor::{
-    drive_batch, with_executor, DynSession, Events, ExecEvent, Half, Injector, PairOutcome,
-    Placement, Seat, Wait,
+    drive_batch, with_executor, DynSession, Events, ExecEvent, Half, Injector, PairOutcome, Seat,
+    Wait,
 };
 pub use gap_low_dim::low_dim_gap_config;
 pub use gap_protocol::{
     verify_gap_guarantee, GapAliceSession, GapBobSession, GapConfig, GapError, GapOutcome,
     GapProtocol,
 };
-pub use session::{drive, drive_in_memory, DriveError, Session};
+pub use session::{drive_in_memory, DriveError, Session};
 pub use set_recon::{exact_reconcile, ExactOutcome, ExactReconError};
 pub use transcript::{Party, Transcript};

@@ -5,7 +5,8 @@
 //! maximum pairwise distance. Each of the paper's example families meets
 //! this by choosing its width `w` large enough (the paper picks
 //! `w = 48·n·d/k` for Corollary 3.5 and `w = Θ(min(M, D2) + D2/k)` for
-//! Corollary 3.6). [`AnyMlsh`] wraps the three families behind one type so
+//! Corollary 3.6); [`select_mlsh`] is the one place those widths are
+//! chosen. [`AnyMlsh`] wraps the three families behind one type so
 //! the protocols stay non-generic; its draws are the wrapped family's own
 //! compact [`DrawSet`], so a keyer dispatches on the family once per call.
 

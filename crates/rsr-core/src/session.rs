@@ -1,20 +1,20 @@
-//! Two-party session state machines and the driver that runs them.
+//! Two-party session state machines and the serial loop that runs them.
 //!
 //! Each protocol is split into an Alice-side and a Bob-side [`Session`]:
 //! poll-style state machines that *only* exchange encoded [`Frame`]s.
-//! The in-memory [`drive`] loop alternates turns — drain everything the
-//! sending party has to say, deliver it, flip — and records every
-//! frame's measured bit length into a [`Transcript`], which is also
-//! where rounds are counted: one round per direction change, as
-//! actually observed on the channel.
+//! The in-memory [`drive_in_memory`] loop alternates turns — drain
+//! everything the sending party has to say, deliver it, flip — and
+//! records every frame's measured bit length into a [`Transcript`],
+//! which is also where rounds are counted: one round per direction
+//! change, as actually observed between the parties.
 //!
 //! The `run(&alice, &bob)` entry points are thin wrappers that build
-//! both sessions, [`drive`] them over an [`InMemoryChannel`], and
-//! assemble the outcome; the sharded executor and `rsr-net` replace the
-//! driver, never the sessions.
+//! both sessions, [`drive_in_memory`] them, and assemble the outcome;
+//! the executor and `rsr-net` replace the loop, never the sessions.
 
-use crate::channel::{Frame, InMemoryChannel};
+use crate::channel::Frame;
 use crate::transcript::{Party, Transcript};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// One party's half of a protocol, as a poll-style state machine.
@@ -99,7 +99,7 @@ pub trait Session {
     }
 }
 
-/// Why a [`drive`] call stopped early.
+/// Why a [`drive_in_memory`] call stopped early.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DriveError<E> {
     /// A session reported a protocol error.
@@ -120,16 +120,19 @@ impl<E: fmt::Display> fmt::Display for DriveError<E> {
 
 impl<E: fmt::Debug + fmt::Display> std::error::Error for DriveError<E> {}
 
-/// Runs two sessions to completion over an in-memory channel, starting
-/// with `first`'s turn. Returns the transcript of every frame that crossed the channel,
-/// with measured sizes and channel-turn-driven round counts.
+/// Runs two sessions to completion in one thread, starting with
+/// `first`'s turn: each turn drains everything the sender has to say,
+/// then delivers it to the peer in send order. Returns the transcript of
+/// every frame that crossed, with measured sizes and turn-driven round
+/// counts — the single-process path every `run(&alice, &bob)` wrapper
+/// uses.
 ///
-/// Driving a real protocol (Algorithm 1) over an explicit channel — the
-/// transcript reports the *measured* encoded sizes:
+/// Driving a real protocol (Algorithm 1) — the transcript reports the
+/// *measured* encoded sizes:
 ///
 /// ```
 /// use rsr_core::emd_protocol::{EmdProtocol, EmdProtocolConfig};
-/// use rsr_core::{drive, InMemoryChannel, Party};
+/// use rsr_core::{drive_in_memory, Party};
 /// use rsr_metric::{MetricSpace, Point};
 ///
 /// let space = MetricSpace::hamming(8);
@@ -141,60 +144,44 @@ impl<E: fmt::Debug + fmt::Display> std::error::Error for DriveError<E> {}
 ///
 /// let mut alice = proto.alice_session(&pts);
 /// let mut bob = proto.bob_session(&pts);
-/// let mut channel = InMemoryChannel::new();
-/// let transcript = drive(&mut channel, Party::Alice, &mut alice, &mut bob).unwrap();
+/// let transcript = drive_in_memory(Party::Alice, &mut alice, &mut bob).unwrap();
 /// assert_eq!(transcript.num_rounds(), 1); // one-way: Alice → Bob
-/// assert_eq!(transcript.total_bits(), channel.bits_sent());
+/// assert_eq!(transcript.num_messages(), 1);
 /// assert_eq!(bob.into_outcome().unwrap().reconciled.len(), pts.len());
 /// ```
-pub fn drive<'a, E>(
-    channel: &mut InMemoryChannel,
-    first: Party,
-    alice: &'a mut dyn Session<Error = E>,
-    bob: &'a mut dyn Session<Error = E>,
-) -> Result<Transcript, DriveError<E>> {
-    let mut transcript = Transcript::new();
-    let mut turn = first;
-    let mut idle_turns = 0u32;
-    while !(alice.is_done() && bob.is_done()) {
-        let mut progressed = false;
-        {
-            let (sender, receiver) = match turn {
-                Party::Alice => (&mut *alice, &mut *bob),
-                Party::Bob => (&mut *bob, &mut *alice),
-            };
-            while let Some(frame) = sender.poll_send().map_err(DriveError::Session)? {
-                transcript.record_from(turn, frame.label.clone(), frame.bit_len);
-                channel.send(turn, frame);
-                progressed = true;
-            }
-            while let Some(frame) = channel.recv(turn.peer()) {
-                receiver.on_frame(frame).map_err(DriveError::Session)?;
-                progressed = true;
-            }
-        }
-        if progressed {
-            idle_turns = 0;
-        } else {
-            idle_turns += 1;
-            if idle_turns >= 2 {
-                return Err(DriveError::Stalled);
-            }
-        }
-        turn = turn.peer();
-    }
-    Ok(transcript)
-}
-
-/// [`drive`] over a fresh [`InMemoryChannel`] — the single-process path
-/// every `run(&alice, &bob)` wrapper uses.
 pub fn drive_in_memory<'a, E>(
     first: Party,
     alice: &'a mut dyn Session<Error = E>,
     bob: &'a mut dyn Session<Error = E>,
 ) -> Result<Transcript, DriveError<E>> {
-    let mut channel = InMemoryChannel::new();
-    drive(&mut channel, first, alice, bob)
+    let mut transcript = Transcript::new();
+    // The frames of one turn, in send order; empty between turns.
+    let mut in_flight = VecDeque::new();
+    let mut turn = first;
+    let mut idle_turns = 0u32;
+    while !(alice.is_done() && bob.is_done()) {
+        let (sender, receiver) = match turn {
+            Party::Alice => (&mut *alice, &mut *bob),
+            Party::Bob => (&mut *bob, &mut *alice),
+        };
+        while let Some(frame) = sender.poll_send().map_err(DriveError::Session)? {
+            transcript.record_from(turn, frame.label.clone(), frame.bit_len);
+            in_flight.push_back(frame);
+        }
+        if in_flight.is_empty() {
+            idle_turns += 1;
+            if idle_turns >= 2 {
+                return Err(DriveError::Stalled);
+            }
+        } else {
+            idle_turns = 0;
+        }
+        while let Some(frame) = in_flight.pop_front() {
+            receiver.on_frame(frame).map_err(DriveError::Session)?;
+        }
+        turn = turn.peer();
+    }
+    Ok(transcript)
 }
 
 #[cfg(test)]
@@ -260,6 +247,24 @@ mod tests {
         assert_eq!(bob.received.len(), 3);
         assert_eq!(alice.received.len(), 1);
         assert_eq!(t.total_bits(), 4 * 16);
+    }
+
+    #[test]
+    fn a_burst_reaches_the_peer_in_send_order() {
+        let mut alice = Chatter {
+            to_send: 3,
+            got_reply: false,
+            reply_when_done_sending: false,
+            received: vec![],
+        };
+        let mut bob = Chatter {
+            to_send: 0,
+            got_reply: true,
+            reply_when_done_sending: true,
+            received: vec![],
+        };
+        drive_in_memory(Party::Alice, &mut alice, &mut bob).expect("completes");
+        assert_eq!(bob.received, ["msg 2", "msg 1", "msg 0"]);
     }
 
     /// A session that claims to be unfinished but never sends.

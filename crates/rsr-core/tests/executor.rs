@@ -1,12 +1,13 @@
-//! Executor behaviour under adversity: per-shard failure isolation,
-//! two-choice balance at scale, and deterministic placement — with
+//! Executor behaviour under adversity: failure isolation, a pool that
+//! leaves no worker idle while a wake waits, and stall handling — with
 //! synthetic sessions, so the properties under test are the executor's
 //! alone, not any protocol's.
 
 use rsr_core::channel::Frame;
-use rsr_core::executor::{drive_batch, DynSession, Placement};
+use rsr_core::executor::{drive_batch, DynSession};
 use rsr_iblt::bits::BitWriter;
-use std::time::Duration;
+use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn frame(label: &'static str) -> Frame {
     let mut w = BitWriter::new();
@@ -133,7 +134,6 @@ fn bob_erroring_mid_stream_leaves_shard_mates_untouched() {
     }
     let outcomes = drive_batch(1, 0xfa11, pairs, Duration::from_secs(5));
     for (i, out) in outcomes.iter().enumerate() {
-        assert_eq!(out.shard, 0, "single shard");
         if i == 7 {
             assert_eq!(
                 out.error.as_deref(),
@@ -149,53 +149,6 @@ fn bob_erroring_mid_stream_leaves_shard_mates_untouched() {
             let burst = 2 + i % 3;
             assert_eq!(out.transcript.num_messages(), 2 * burst);
         }
-    }
-}
-
-#[test]
-fn two_choice_balance_holds_for_batch_placement() {
-    let shards = 8;
-    let pairs: Vec<(Box<dyn DynSession>, Box<dyn DynSession>)> =
-        (0..512).map(|_| healthy_pair(1)).collect();
-    let outcomes = drive_batch(shards, 0xba1a, pairs, Duration::from_secs(10));
-    let mut per_shard = vec![0usize; shards];
-    for out in &outcomes {
-        assert!(out.is_ok());
-        per_shard[out.shard] += 1;
-    }
-    let mean = outcomes.len() / shards;
-    for (shard, &count) in per_shard.iter().enumerate() {
-        assert!(
-            count <= 2 * mean,
-            "shard {shard} received {count} sessions, over 2x the mean {mean} \
-             (loads: {per_shard:?})"
-        );
-        assert!(
-            count > 0,
-            "shard {shard} received nothing (loads: {per_shard:?})"
-        );
-    }
-}
-
-#[test]
-fn batch_placement_is_deterministic_across_runs() {
-    let run = || {
-        let pairs: Vec<(Box<dyn DynSession>, Box<dyn DynSession>)> =
-            (0..64).map(|_| healthy_pair(1)).collect();
-        drive_batch(4, 0xd37e, pairs, Duration::from_secs(5))
-            .iter()
-            .map(|o| o.shard)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(run(), run(), "same seed and order place identically");
-}
-
-#[test]
-fn placement_candidates_stay_in_range() {
-    let placement = Placement::new(5, 99);
-    for id in 0..1000 {
-        let (a, b) = placement.candidates(id);
-        assert!(a < 5 && b < 5);
     }
 }
 
@@ -237,9 +190,121 @@ fn a_half_still_inside_on_frame_past_two_stall_windows_ends_its_pair_stalled() {
         }),
     )];
     let outcomes = drive_batch(1, 0x57a1, pairs, Duration::from_millis(50));
-    assert_eq!(outcomes[0].shard, 0);
     assert_eq!(
         outcomes[0].error.as_deref(),
         Some(rsr_core::executor::STALLED)
     );
+}
+
+/// When each quick pair's frame arrived, since the batch began.
+struct Arrivals {
+    start: Instant,
+    times: Mutex<Vec<Duration>>,
+    changed: Condvar,
+}
+
+/// Says one frame, after waiting inside its first `poll_send` until
+/// `quick` frames have arrived elsewhere, or `nap` has passed.
+struct Napper<'a> {
+    nap: Duration,
+    quick: usize,
+    arrivals: &'a Arrivals,
+    said: bool,
+}
+
+impl DynSession for Napper<'_> {
+    fn poll_send(&mut self) -> Result<Option<Frame>, String> {
+        if self.said {
+            return Ok(None);
+        }
+        let times = self.arrivals.times.lock().unwrap();
+        let _ = self
+            .arrivals
+            .changed
+            .wait_timeout_while(times, self.nap, |t| t.len() < self.quick)
+            .unwrap();
+        self.said = true;
+        Ok(Some(frame("slow")))
+    }
+
+    fn on_frame(&mut self, _frame: Frame) -> Result<(), String> {
+        Err("a one-way talker hears nothing".into())
+    }
+
+    fn is_done(&self) -> bool {
+        self.said
+    }
+}
+
+/// Takes one frame and notes when it arrived.
+struct Stamp<'a> {
+    arrivals: &'a Arrivals,
+    got: bool,
+}
+
+impl DynSession for Stamp<'_> {
+    fn poll_send(&mut self) -> Result<Option<Frame>, String> {
+        Ok(None)
+    }
+
+    fn on_frame(&mut self, _frame: Frame) -> Result<(), String> {
+        let mut times = self.arrivals.times.lock().unwrap();
+        times.push(self.arrivals.start.elapsed());
+        self.arrivals.changed.notify_all();
+        self.got = true;
+        Ok(())
+    }
+
+    fn is_done(&self) -> bool {
+        self.got
+    }
+}
+
+#[test]
+fn no_worker_idles_while_a_wake_waits() {
+    // Pair 0's Alice holds one of two workers in her opening wake until
+    // the six quick pairs are done, or for 600 ms. Every quick wake must
+    // go to the other worker at once, not queue behind her.
+    let quick = 6;
+    let arrivals = Arrivals {
+        start: Instant::now(),
+        times: Mutex::new(Vec::new()),
+        changed: Condvar::new(),
+    };
+    let mut pairs: Vec<(Box<dyn DynSession + '_>, Box<dyn DynSession + '_>)> = vec![(
+        Box::new(Napper {
+            nap: Duration::from_millis(600),
+            quick,
+            arrivals: &arrivals,
+            said: false,
+        }),
+        Box::new(Slow {
+            nap: Duration::ZERO,
+            got: false,
+        }),
+    )];
+    for _ in 0..quick {
+        pairs.push((
+            Box::new(Talker {
+                to_send: 1,
+                expect: 0,
+            }),
+            Box::new(Stamp {
+                arrivals: &arrivals,
+                got: false,
+            }),
+        ));
+    }
+    let outcomes = drive_batch(2, 0x1d1e, pairs, Duration::from_secs(5));
+    for (i, out) in outcomes.iter().enumerate() {
+        assert!(out.is_ok(), "pair {i}: {:?}", out.error);
+    }
+    let times = arrivals.times.into_inner().unwrap();
+    assert_eq!(times.len(), quick);
+    for at in times {
+        assert!(
+            at < Duration::from_millis(300),
+            "a quick pair finished after {at:.2?}"
+        );
+    }
 }

@@ -1,13 +1,12 @@
 //! Property tests for the wire codec: every protocol message type must
 //! encode to real bytes and decode back byte-exactly, and the transcript
 //! totals a session run reports must equal the sum of the encoded message
-//! lengths as observed on the channel.
+//! lengths that crossed between the parties.
 
 use proptest::prelude::*;
-use rsr_core::channel::InMemoryChannel;
 use rsr_core::emd_protocol::{EmdMessage, EmdProtocol, EmdProtocolConfig};
 use rsr_core::gap_protocol::{GapConfig, GapProtocol};
-use rsr_core::session::drive;
+use rsr_core::session::drive_in_memory;
 use rsr_core::transcript::Party;
 use rsr_core::ScaledEmdProtocol;
 use rsr_hash::lsh::LshParams;
@@ -169,12 +168,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Driving the EMD sessions over an instrumented channel: the
-    /// transcript's totals equal the sum of the encoded message lengths
-    /// that crossed the channel — bit for bit, byte for byte — and the
-    /// one-message protocol is one round.
+    /// Driving the EMD sessions in memory: the transcript's totals equal
+    /// the encoded length of Alice's one message — bit for bit, byte for
+    /// byte — and the one-message protocol is one round.
     #[test]
-    fn emd_transcript_equals_channel_traffic(
+    fn emd_transcript_equals_the_encoded_message(
         alice in binary_points(16, 16),
         bob in binary_points(16, 16),
         seed in 0u64..200,
@@ -184,21 +182,20 @@ proptest! {
         let proto = EmdProtocol::new(space, cfg, seed);
         let mut a = proto.alice_session(&alice);
         let mut b = proto.bob_session(&bob);
-        let mut channel = InMemoryChannel::new();
-        let Ok(transcript) = drive(&mut channel, Party::Alice, &mut a, &mut b) else {
+        let Ok(transcript) = drive_in_memory(Party::Alice, &mut a, &mut b) else {
             return Ok(()); // protocol-level decode failure: nothing to check
         };
-        prop_assert_eq!(transcript.total_bits(), channel.bits_sent());
-        prop_assert_eq!(transcript.total_bytes(), channel.bytes_sent());
-        prop_assert_eq!(transcript.num_messages(), channel.frames_sent());
+        let frame = proto.alice_encode(&alice).to_frame();
+        prop_assert_eq!(transcript.total_bits(), frame.bit_len);
+        prop_assert_eq!(transcript.total_bytes(), frame.payload.len() as u64);
         prop_assert_eq!(transcript.num_messages(), 1);
         prop_assert_eq!(transcript.num_rounds(), 1);
     }
 
-    /// Same for the Gap protocol: four messages, four rounds, measured
-    /// totals identical to the channel's counters.
+    /// The Gap protocol, driven in memory from Bob's turn: four messages,
+    /// four rounds.
     #[test]
-    fn gap_transcript_equals_channel_traffic(
+    fn gap_transcript_is_four_messages_in_four_rounds(
         alice in binary_points(14, 32),
         bob in binary_points(14, 32),
         seed in 0u64..100,
@@ -212,19 +209,16 @@ proptest! {
         let proto = GapProtocol::new(space, &fam, cfg, seed);
         let mut a = proto.alice_session(&alice);
         let mut b = proto.bob_session(&bob);
-        let mut channel = InMemoryChannel::new();
-        let Ok(transcript) = drive(&mut channel, Party::Bob, &mut a, &mut b) else {
+        let Ok(transcript) = drive_in_memory(Party::Bob, &mut a, &mut b) else {
             return Ok(());
         };
-        prop_assert_eq!(transcript.total_bits(), channel.bits_sent());
-        prop_assert_eq!(transcript.total_bytes(), channel.bytes_sent());
         prop_assert_eq!(transcript.num_messages(), 4);
         prop_assert_eq!(transcript.num_rounds(), 4);
     }
 
     /// The interval-scaled protocol sends one message per interval but —
-    /// by the round counter driven from actual channel turns — uses a
-    /// single round.
+    /// by the round counter driven from actual turns — uses a single
+    /// round, and Bob's outcome counts the bits the transcript measured.
     #[test]
     fn scaled_emd_is_many_messages_one_round(
         pts in binary_points(14, 16),
@@ -234,15 +228,13 @@ proptest! {
         let proto = ScaledEmdProtocol::new(space, 14, 2, seed);
         let mut a = proto.alice_session(&pts);
         let mut b = proto.bob_session(&pts);
-        let mut channel = InMemoryChannel::new();
-        let Ok(transcript) = drive(&mut channel, Party::Alice, &mut a, &mut b) else {
+        let Ok(transcript) = drive_in_memory(Party::Alice, &mut a, &mut b) else {
             return Ok(());
         };
         prop_assert_eq!(transcript.num_messages(), proto.num_intervals());
         prop_assert!(proto.num_intervals() >= 2);
         prop_assert_eq!(transcript.num_rounds(), 1);
-        prop_assert_eq!(transcript.total_bits(), channel.bits_sent());
         let outcome = b.into_outcome().expect("bob finished");
-        prop_assert_eq!(outcome.total_bits, channel.bits_sent());
+        prop_assert_eq!(outcome.total_bits, transcript.total_bits());
     }
 }

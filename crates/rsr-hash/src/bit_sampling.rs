@@ -37,15 +37,6 @@ impl BitSamplingFamily {
     pub fn width(&self) -> f64 {
         self.width
     }
-
-    /// Chooses `w` so that the family's base probability satisfies
-    /// `p = e^{−2/w} ≥ e^{−k/(24·D2)}`, the requirement of Theorem 3.4
-    /// (the paper picks `w = 48·n·d/k` in Corollary 3.5; we expose the
-    /// general form `w ≥ max(d, 48·D2/k)`).
-    pub fn for_emd_protocol(dim: usize, k: usize, d2: f64) -> Self {
-        let w = (dim as f64).max(48.0 * d2 / k.max(1) as f64);
-        BitSamplingFamily::new(dim, w)
-    }
 }
 
 impl LshFamily for BitSamplingFamily {
@@ -141,14 +132,6 @@ mod tests {
                 m.lower_envelope(dist)
             );
         }
-    }
-
-    #[test]
-    fn for_emd_protocol_meets_p_requirement() {
-        let fam = BitSamplingFamily::for_emd_protocol(64, 4, 1000.0);
-        let p = fam.mlsh_params().p;
-        let required = (-4.0f64 / (24.0 * 1000.0)).exp();
-        assert!(p >= required, "p = {p} below e^{{-k/24 D2}} = {required}");
     }
 
     #[test]

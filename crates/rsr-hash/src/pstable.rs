@@ -42,13 +42,6 @@ impl PStableFamily {
     pub fn width(&self) -> f64 {
         self.width
     }
-
-    /// Width for the Cor 3.6 instantiation on the `j`-th scaling interval:
-    /// `w = Θ(min(M, D2) + D2/k)`.
-    pub fn for_emd_interval(dim: usize, m_bound: f64, d2: f64, k: usize) -> Self {
-        let w = m_bound.min(d2) + d2 / k.max(1) as f64;
-        PStableFamily::new(dim, w.max(1.0))
-    }
 }
 
 impl LshFamily for PStableFamily {

@@ -49,16 +49,6 @@ impl Point {
         &self.coords
     }
 
-    /// Mutable access to the coordinates (used by workload generators).
-    pub fn coords_mut(&mut self) -> &mut [i64] {
-        &mut self.coords
-    }
-
-    /// Consumes the point, returning its coordinates.
-    pub fn into_coords(self) -> Vec<i64> {
-        self.coords
-    }
-
     /// Coordinate-wise sum (`self + other`), used by RIBLT value cells.
     pub fn add(&self, other: &Point) -> Point {
         debug_assert_eq!(self.dim(), other.dim());

@@ -12,8 +12,8 @@
 //!
 //! Every local half, of either kind, lives in its session's [`Slot`]
 //! between wakes. The only branch is where a wake runs: a continuous
-//! round steps on the caller's thread; a one-shot half is lent to its
-//! shard of the shared pool for one step — so the halves of different
+//! round steps on the caller's thread; a one-shot half is lent to the
+//! shared pool for one step — so the halves of different
 //! sessions (and different connections) compute in parallel — and comes
 //! back with the frames it said. A frame the server sends while its half
 //! is lent waits in the slot and is applied, in order, when the half
@@ -44,7 +44,7 @@
 
 use crate::codec::{NetError, Record, SessionSpec, STATUS_OK, STATUS_SESSION_ERROR};
 use crate::driver::{RunReport, RunSession};
-use crate::reactor::{sooner, timed_out, ConnIo, PLACEMENT_SEED, READ_CHUNK};
+use crate::reactor::{sooner, timed_out, ConnIo, READ_CHUNK};
 use crate::server::NetSession;
 use netpoll::{PollFd, Poller, POLLIN};
 use rsr_core::channel::Frame;
@@ -513,7 +513,7 @@ impl<'p, 's> RoundConn<'p, 's> {
 
     /// Wakes slot `s`'s half with `incoming` (its opening say when
     /// `None`). A continuous round steps here, on the caller's thread; a
-    /// one-shot half is lent to its shard and comes back through
+    /// one-shot half is lent to the pool and comes back through
     /// [`RoundConn::returned`].
     fn wake(
         &mut self,
@@ -780,7 +780,6 @@ pub(crate) fn run_round<'s>(
 
     with_executor(
         shards,
-        PLACEMENT_SEED,
         Some(notify),
         |mut injector: Injector<'s, Key>, events| {
             let mut scratch = vec![0u8; READ_CHUNK];

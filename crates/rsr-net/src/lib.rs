@@ -15,9 +15,9 @@
 //! * [`ReconServer`] — many concurrent sessions multiplexed over many
 //!   connections: each connection holds the Bob half of every session
 //!   it opened (created on demand by a [`SessionFactory`]; a one-shot
-//!   half is lent to a shard of `rsr-core`'s worker-pool executor —
-//!   placed by power-of-two choices — for each wake, a continuous round
-//!   runs inline on the reactor thread) behind one
+//!   half is lent to `rsr-core`'s worker-pool executor for each wake,
+//!   and any idle worker runs it; a continuous round runs inline on the
+//!   reactor thread) behind one
 //!   readiness reactor, `1 + shards` threads ([`default_shards`]) however
 //!   many connections are live. It keeps per-session
 //!   [`Transcript`](rsr_core::transcript::Transcript)s and

@@ -18,7 +18,7 @@
 //!   keeps its half between wakes — a one-shot session or a continuous
 //!   round alike. The only branch is where a wake runs: a continuous
 //!   round steps right here, to completion within the record that
-//!   begins it; a one-shot half is lent to its shard of the process-wide
+//!   begins it; a one-shot half is lent to the process-wide
 //!   [`rsr_core::executor`] pool for one [`Half::step`] and comes back
 //!   with what it said. A `FRAME` that arrives while its half is lent
 //!   waits in the row and is applied, in order, when the half returns.
@@ -82,11 +82,6 @@ pub(crate) const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Read-chunk size for draining a readable socket.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
-
-/// Placement salt for the two-choice session→shard assignment on both
-/// endpoints. Fixed so a replayed trace lands on the same shards
-/// everywhere.
-pub(crate) const PLACEMENT_SEED: u64 = 0x2c01_ce5e_ed00_7357;
 
 /// Folds `at` into `deadline`, keeping whichever comes sooner.
 pub(crate) fn sooner(deadline: &mut Option<Instant>, at: Instant) {
@@ -533,7 +528,7 @@ impl<'f> ServerConn<'f> {
 
     /// Wakes `wire`'s half with `incoming`. A continuous round runs here,
     /// on the reactor thread, to completion within the record that
-    /// begins it; a one-shot half is lent to its shard and comes back
+    /// begins it; a one-shot half is lent to the pool and comes back
     /// through [`ServerConn::returned`].
     fn wake(
         &mut self,
@@ -769,7 +764,6 @@ pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
 
     with_executor(
         shards,
-        PLACEMENT_SEED,
         Some(notify),
         |mut injector: Injector<'_, Key>, events| {
             let mut conns: Vec<Option<ServerConn<'_>>> = Vec::new();

@@ -6,12 +6,11 @@
 //! supplies the Bob half on demand: when a connection `OPEN`s a session
 //! id, the factory builds the session — from the `OPEN`'s negotiated
 //! [`SessionSpec`] when the client sent one, from the id alone otherwise.
-//! The connection keeps the half in the id's row; it is placed on a
-//! worker shard by power-of-two choices when first lent, and each wake —
-//! its opening say (for Bob-initiated protocols like the Gap protocol
-//! that is round 1), then one per frame routed to it by session id —
-//! borrows it to that shard for one step, after which it comes back with
-//! what it said for the connection to queue. When a session's Bob half
+//! The connection keeps the half in the id's row, and each wake — its
+//! opening say (for Bob-initiated protocols like the Gap protocol that
+//! is round 1), then one per frame routed to it by session id — lends it
+//! to the pool, whose first idle worker runs one step, after which it
+//! comes back with what it said for the connection to queue. When a session's Bob half
 //! finishes, the server reports `DONE` with
 //! [`STATUS_OK`](crate::codec::STATUS_OK); a protocol error is reported
 //! with [`STATUS_SESSION_ERROR`](crate::codec::STATUS_SESSION_ERROR) and

@@ -1120,7 +1120,7 @@ fn a_hostile_gap_request_fails_its_session_only() {
 // ------------------------------------------------- frames held for a lent half
 
 /// Echoes each of three frames back under its own label; naps inside
-/// `on_frame` so the half is still lent to its shard when the client's
+/// `on_frame` so the half is still lent to the pool when the client's
 /// next record arrives.
 struct Napper {
     got: usize,
@@ -1177,7 +1177,7 @@ fn frames_for_a_lent_half_are_applied_in_arrival_order() {
     let (addr, server) = spawn_nap_server();
     let mut stream = raw_client(addr);
     // One write: the later FRAMEs are read while the first wake still
-    // has the half on its shard, and wait for it in order.
+    // has the half on a worker, and wait for it in order.
     let mut bytes = open_record(4);
     for label in ["first", "second", "third"] {
         bytes.extend(encoded(&Record::Frame {

@@ -8,8 +8,8 @@
 //! live instead of only after the fact through transcripts. Three
 //! layers instrument themselves against it: the `rsr-net` reactor
 //! (poll iterations, wake reasons, wire bytes, write-buffer high-water
-//! marks, connection lifecycle), the `rsr-core` executor (mailbox
-//! depths, shard occupancy, open→first-frame→settle phase timings,
+//! marks, connection lifecycle), the `rsr-core` executor (wake-queue
+//! depth, halves live, open→first-frame→settle phase timings,
 //! event-channel depth), and the session layer (frames and bits per
 //! protocol, `on_frame` decode duration). `rsr-exp --metrics-out`
 //! exports the whole registry as a flat JSON snapshot in the

@@ -32,12 +32,6 @@ impl<'a> Span<'a> {
         }
     }
 
-    /// Microseconds elapsed so far (the value a drop right now would
-    /// record).
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
     /// Stops the clock early and records — equivalent to dropping, but
     /// explicit at call sites where the scope end is not the right
     /// boundary.

@@ -1,9 +1,8 @@
-//! Sharded-executor equivalence at scale: ≥256 mixed-protocol sessions
-//! driven by `rsr-core`'s `drive_batch` worker pool must produce
-//! transcripts that match the serial in-memory driver **bit for bit** —
-//! same entries, same senders, same labels, same measured sizes — and
-//! failures must align session by session. Also pins the two-choice
-//! placement balance over a real workload.
+//! Executor equivalence at scale: ≥256 mixed-protocol sessions driven by
+//! `rsr-core`'s `drive_batch` worker pool must produce transcripts that
+//! match the serial in-memory driver **bit for bit** — same entries, same
+//! senders, same labels, same measured sizes — and failures must align
+//! session by session.
 
 use robust_set_recon::core::executor::{drive_batch, DynSession, DEFAULT_STALL_TIMEOUT};
 use robust_set_recon::core::{Party, Transcript};
@@ -95,19 +94,4 @@ fn executor_matches_serial_bit_for_bit_over_256_mixed_sessions() {
         completed >= SESSIONS * 9 / 10,
         "only {completed}/{SESSIONS} sessions completed"
     );
-
-    // Two-choice placement balance over the same run: no shard may hold
-    // more than twice the mean session count.
-    let mut per_shard = vec![0usize; SHARDS];
-    for out in &outcomes {
-        per_shard[out.shard] += 1;
-    }
-    let mean = SESSIONS / SHARDS;
-    for (shard, &count) in per_shard.iter().enumerate() {
-        assert!(
-            count <= 2 * mean,
-            "shard {shard} received {count} of {SESSIONS} sessions \
-             (mean {mean}, loads {per_shard:?})"
-        );
-    }
 }
