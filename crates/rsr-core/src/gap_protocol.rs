@@ -18,9 +18,11 @@ use crate::transcript::{Party, Transcript};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsr_hash::keys::{BatchKeyer, GapKey};
+use rsr_hash::mix::hash_words;
 use rsr_hash::LshFamily;
 use rsr_iblt::bits::BitWriter;
 use rsr_metric::{MetricSpace, Point};
+use rsr_obs::Counter;
 use rsr_setsofsets::protocol::{alice_finish, alice_round2, bob_round1, bob_round3};
 use rsr_setsofsets::wire as sos_wire;
 use rsr_setsofsets::{
@@ -28,6 +30,8 @@ use rsr_setsofsets::{
 };
 use std::fmt;
 use std::marker::PhantomData;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Transcript labels of the four messages, in order.
 pub(crate) const GAP_LABELS: [&str; 4] = [
@@ -186,6 +190,15 @@ impl<F: LshFamily> GapProtocol<F> {
         self.keyer.key(p)
     }
 
+    /// One side's keys, `h` words each, in point order.
+    fn side_keys(&self, points: &[Point]) -> Vec<u64> {
+        let (keys, chained) = self.keyer.keys(points);
+        if rsr_obs::enabled() {
+            gap_metrics().points_chained.add(chained as u64);
+        }
+        keys
+    }
+
     /// One side's keys, `h` words each, as the sets-of-sets children.
     fn children<'k>(&self, keys: &'k [u64]) -> Vec<&'k [u64]> {
         keys.chunks_exact(self.config.h).collect()
@@ -207,7 +220,7 @@ impl<F: LshFamily> GapProtocol<F> {
         GapAliceSession {
             proto: self,
             alice,
-            keys: self.keyer.keys(alice),
+            keys: self.side_keys(alice),
             state: AliceSessionState::AwaitRound1,
             transmitted: None,
             far_keys: 0,
@@ -219,7 +232,7 @@ impl<F: LshFamily> GapProtocol<F> {
         GapBobSession {
             proto: self,
             bob,
-            keys: self.keyer.keys(bob),
+            keys: self.side_keys(bob),
             state: BobSessionState::SendRound1,
             reconciled: None,
         }
@@ -246,6 +259,26 @@ impl<F: LshFamily> GapProtocol<F> {
             transcript,
         })
     }
+}
+
+/// `gap_points_chained` (points keyed by the batch chain rather than the
+/// bit-sampling table) and `gap_far_key_compares` (full-key comparisons
+/// in Alice's far test), resolved once and recorded behind
+/// [`rsr_obs::enabled`].
+struct GapMetrics {
+    points_chained: Arc<Counter>,
+    far_key_compares: Arc<Counter>,
+}
+
+fn gap_metrics() -> &'static GapMetrics {
+    static METRICS: OnceLock<GapMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = rsr_obs::global();
+        GapMetrics {
+            points_chained: reg.counter("gap_points_chained"),
+            far_key_compares: reg.counter("gap_far_key_compares"),
+        }
+    })
 }
 
 /// Alice's session states, in protocol order.
@@ -332,7 +365,11 @@ impl<F: LshFamily> Session for GapAliceSession<'_, F> {
                         got: key.len(),
                     });
                 }
-                let far_mask = far_keys(&self.keys, h, &splice, self.proto.config.close_threshold);
+                let (far_mask, compares) =
+                    far_keys(&self.keys, h, &splice, self.proto.config.close_threshold);
+                if rsr_obs::enabled() {
+                    gap_metrics().far_key_compares.add(compares);
+                }
                 let far: Vec<Point> = self
                     .alice
                     .iter()
@@ -352,32 +389,75 @@ impl<F: LshFamily> Session for GapAliceSession<'_, F> {
     }
 }
 
+/// Entry bands Alice's far test probes before it scans: band `b` is
+/// entries `3b .. 3b + 3`, clipped to `h`.
+const PROBE_BANDS: usize = 3;
+const BAND_ENTRIES: usize = 3;
+
+/// The non-empty probe bands of an `h`-entry key.
+fn probe_bands(h: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..PROBE_BANDS)
+        .map(move |b| (b * BAND_ENTRIES).min(h)..((b + 1) * BAND_ENTRIES).min(h))
+        .filter(|band| !band.is_empty())
+}
+
 /// Alice's far test: `far[i]` iff her key `i` matches no key of Bob's
-/// multiset in `threshold` or more entries. Bob's multiset is her kept keys
-/// plus round 3's children, so a kept key matches itself in all
-/// `h ≥ threshold` entries and is close. Only the Alice-only keys are
-/// scanned: against the children first (a noisy close partner is a
-/// Bob-only key), then against the kept keys.
-fn far_keys(keys: &[u64], h: usize, splice: &Splice, threshold: usize) -> Vec<bool> {
+/// multiset in `threshold` or more entries, plus the number of full-key
+/// comparisons it made. Bob's multiset is round 3's children plus her
+/// kept keys, so a kept key matches itself in all `h ≥ threshold`
+/// entries and is close.
+///
+/// An Alice-only key is first checked against the keys of Bob's that
+/// equal it on one of a few entry bands (a close partner almost always
+/// shares one), found in a sorted index per band; only when none of them
+/// reaches `threshold` is it scanned against all of Bob's multiset, as
+/// the definition reads. The bands only order the search: a key is far
+/// exactly when no key of Bob's reaches the threshold.
+fn far_keys(keys: &[u64], h: usize, splice: &Splice, threshold: usize) -> (Vec<bool>, u64) {
     debug_assert!(threshold <= h);
-    let kept = || {
-        keys.chunks_exact(h)
-            .zip(&splice.kept)
-            .filter(|&(_, &kept)| kept)
-            .map(|(key, _)| key)
-    };
-    keys.chunks_exact(h)
-        .zip(&splice.kept)
-        .map(|(key, &kept_key)| {
-            !kept_key
-                && !splice
-                    .bob_only
-                    .iter()
-                    .map(Vec::as_slice)
-                    .chain(kept())
-                    .any(|bk| BatchKeyer::matches(key, bk) >= threshold)
+    let keys = || keys.chunks_exact(h).zip(&splice.kept);
+    let bob: Vec<&[u64]> = splice
+        .bob_only
+        .iter()
+        .map(Vec::as_slice)
+        .chain(keys().filter(|&(_, &kept)| kept).map(|(key, _)| key))
+        .collect();
+    let band_value =
+        |key: &[u64], band: &Range<usize>| hash_words(band.start as u64, &key[band.clone()]);
+    let index: Vec<_> = probe_bands(h)
+        .map(|band| {
+            let mut sorted: Vec<(u64, usize)> = bob
+                .iter()
+                .enumerate()
+                .map(|(i, key)| (band_value(key, &band), i))
+                .collect();
+            sorted.sort_unstable();
+            (band, sorted)
         })
-        .collect()
+        .collect();
+    let mut compares = 0;
+    let mut close = |key: &[u64], bk: &[u64]| {
+        compares += 1;
+        BatchKeyer::matches(key, bk) >= threshold
+    };
+    let far = keys()
+        .map(|(key, &kept)| {
+            if kept {
+                return false;
+            }
+            for (band, sorted) in &index {
+                let value = band_value(key, band);
+                let from = sorted.partition_point(|&(v, _)| v < value);
+                for &(_, i) in sorted[from..].iter().take_while(|&&(v, _)| v == value) {
+                    if close(key, bob[i]) {
+                        return false;
+                    }
+                }
+            }
+            !bob.iter().any(|bk| close(key, bk))
+        })
+        .collect();
+    (far, compares)
 }
 
 /// Bob's session states, in protocol order.
@@ -628,8 +708,10 @@ mod tests {
 
     /// A random Gap-shaped pair of flat key multisets, `h` entries per
     /// key, drawn from a three-letter alphabet so that partial matches of
-    /// every size occur. Returns the keys and which of Alice's keys were
-    /// planted far (entries no key of Bob's can share).
+    /// every size occur; shapes 4 and 5 add fresh keys whose partner
+    /// shares no probe band, or shares one band and nothing else. Returns
+    /// the keys and which of Alice's keys were planted far (entries no
+    /// key of Bob's can share).
     fn gap_shaped(rng: &mut StdRng, h: usize, shape: u8) -> (Vec<u64>, Vec<u64>, Vec<bool>) {
         let key = |rng: &mut StdRng| -> Vec<u64> { (0..h).map(|_| rng.gen_range(0..3)).collect() };
         let n = rng.gen_range(0..24);
@@ -653,13 +735,41 @@ mod tests {
             }
             // Duplicates: a key Alice holds more copies of than Bob, so a
             // copy is Alice-only by rank though its content is shared.
-            _ => {
+            3 => {
                 bob = base.clone();
                 for k in base.iter().take(3) {
                     alice.push(k.clone());
                     if rng.gen() {
                         alice.push(k.clone());
                     }
+                }
+            }
+            // A fresh key whose only close partner, Bob's copy, differs
+            // in every probe band: only the full scan can find it.
+            4 => {
+                bob = base;
+                for _ in 0..rng.gen_range(1..=3) {
+                    let fresh: Vec<u64> = (0..h).map(|_| rng.gen_range(1000..2000)).collect();
+                    let mut copy = fresh.clone();
+                    for band in probe_bands(h) {
+                        copy[band.start] = rng.gen_range(2000..3000);
+                    }
+                    alice.push(fresh);
+                    bob.push(copy);
+                }
+            }
+            // A fresh key that equals one of Bob's on a probe band and
+            // nowhere else: a candidate the threshold check must weigh.
+            _ => {
+                bob = base;
+                for _ in 0..rng.gen_range(1..=3) {
+                    let fresh: Vec<u64> = (0..h).map(|_| rng.gen_range(1000..2000)).collect();
+                    let mut other: Vec<u64> = (0..h).map(|_| rng.gen_range(2000..3000)).collect();
+                    let bands: Vec<Range<usize>> = probe_bands(h).collect();
+                    let band = bands[rng.gen_range(0..bands.len())].clone();
+                    other[band.clone()].copy_from_slice(&fresh[band]);
+                    alice.push(fresh);
+                    bob.push(other);
                 }
             }
         }
@@ -685,9 +795,9 @@ mod tests {
     fn far_test_equals_the_all_pairs_model() {
         let mut rng = StdRng::seed_from_u64(4242);
         let (mut far_seen, mut close_seen) = (0, 0);
-        for case in 0..400u64 {
+        for case in 0..600u64 {
             let h = rng.gen_range(1..=12);
-            let (alice, bob, planted) = gap_shaped(&mut rng, h, (case % 4) as u8);
+            let (alice, bob, planted) = gap_shaped(&mut rng, h, (case % 6) as u8);
             let a: Vec<&[u64]> = alice.chunks_exact(h).collect();
             let b: Vec<&[u64]> = bob.chunks_exact(h).collect();
             let cfg = SosConfig {
@@ -709,7 +819,7 @@ mod tests {
             want.sort();
             assert_eq!(got, want, "case {case}: splice is Bob's multiset");
             for threshold in [1, h, rng.gen_range(1..=h)] {
-                let fast = far_keys(&alice, h, &splice, threshold);
+                let (fast, _) = far_keys(&alice, h, &splice, threshold);
                 assert_eq!(
                     fast,
                     far_keys_all_pairs(&alice, h, &multiset, threshold),
@@ -776,7 +886,7 @@ mod tests {
         let proto = GapProtocol::new(space, &fam, GapConfig::for_params(params, 40, 2), 113);
         let h = proto.config.h;
         let mut children: Vec<Vec<u64>> = proto
-            .children(&proto.keyer.keys(&bob))
+            .children(&proto.side_keys(&bob))
             .iter()
             .map(|k| k.to_vec())
             .collect();

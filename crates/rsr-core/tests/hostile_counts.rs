@@ -1,9 +1,11 @@
 //! A 32-bit element count read from a peer's frame must not size an
 //! allocation before any element decodes. On a served Gap session the
-//! server is Bob and decodes round 4 with `get_points`; the client decodes
-//! round 3 with `get_round3`. Each payload below declares 2³² − 1
-//! elements and carries none, so a decoder that preallocated from the
-//! count would reserve megabytes for a frame of a few bytes.
+//! server is Bob and decodes rounds 2 and 4 with `get_round2` and
+//! `get_points`; the client decodes round 3 with `get_round3`. Each
+//! payload below declares 2³² − 1 elements and carries none, so a decoder
+//! that preallocated from the count would reserve megabytes for a frame
+//! of a few bytes. The sets-of-sets decoders read their words as runs,
+//! and a run is sized only after the frame is known to hold it.
 //!
 //! Admitting an Algorithm 1 frame is bounded the same way: it checks
 //! every level and keeps the bits, but expands no level into a table.
@@ -16,7 +18,7 @@ use rsr_core::emd_protocol::{EmdMessage, EmdProtocol, EmdProtocolConfig};
 use rsr_core::wire::get_points;
 use rsr_iblt::bits::BitReader;
 use rsr_metric::{GridUniverse, MetricSpace, Point};
-use rsr_setsofsets::wire::get_round3;
+use rsr_setsofsets::wire::{get_round2, get_round3};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -74,6 +76,24 @@ fn declared_counts_allocate_nothing_before_elements_decode() {
     let (children, bytes) = requested_by(|| get_round3(&mut BitReader::new(&round3)));
     assert!(children.is_none());
     assert!(bytes < BUDGET, "get_round3 requested {bytes} B");
+
+    // Round 3: one child, an 8-bit entry width, the child's fingerprint,
+    // a length of 2³² − 1 entries, and no entry.
+    let mut round3 = vec![0, 0, 0, 1, 8];
+    round3.extend_from_slice(&[0x5A; 8]);
+    round3.extend_from_slice(&[0xFF; 4]);
+    let (children, bytes) = requested_by(|| get_round3(&mut BitReader::new(&round3)));
+    assert!(children.is_none());
+    assert!(
+        bytes < BUDGET,
+        "get_round3 on a long child requested {bytes} B"
+    );
+
+    // Round 2: a count of 2³² − 1 fingerprints and no fingerprint.
+    let round2 = [0xFF; 4];
+    let (requested, bytes) = requested_by(|| get_round2(&mut BitReader::new(&round2)));
+    assert!(requested.is_none());
+    assert!(bytes < BUDGET, "get_round2 requested {bytes} B");
 }
 
 #[test]

@@ -12,8 +12,14 @@
 //! Keyers evaluate a set as a block through one lane kernel: eight
 //! points' hash chains side by side, each emitting a word at every entry
 //! of an `ends` list — prefix lengths for Algorithm 1's levels (the chain
-//! runs on), batch boundaries for Gap keys (the chain restarts). A caller dispatches on the family once per call instead of
-//! once per draw.
+//! runs on), batch boundaries for Gap keys (the chain restarts). A caller
+//! dispatches on the family once per call instead of once per draw.
+//!
+//! Bit sampling has a second path for Gap keys: over `{0,1}^d` a batch of
+//! `m` draws takes one of `2^m` values, so `DrawSet::batch_lookup`
+//! reads each batch's `m` bits and indexes a table the keyer built once
+//! from the chain's own definition. A point that reads a coordinate
+//! outside `{0,1}` is refused there and goes through the chain.
 //!
 //! A draw set is built by [`crate::LshFamily::sample_draws`], and a set
 //! of `a + b` draws is the set of `a` followed by the set of `b` drawn
@@ -172,6 +178,12 @@ impl DrawSet {
         }))
     }
 
+    /// True for bit-sampling draws, the one family
+    /// [`DrawSet::batch_lookup`] serves.
+    pub(crate) fn is_bit_sampling(&self) -> bool {
+        matches!(self.0, Kind::Coords(_))
+    }
+
     /// Number of draws `s`.
     pub(crate) fn len(&self) -> usize {
         match &self.0 {
@@ -236,6 +248,38 @@ impl DrawSet {
             "one word per point and batch"
         );
         self.hash_chains(seed, points, (m..=self.len()).step_by(m), true, out);
+    }
+
+    /// Bit-sampling Gap entries by lookup: `out[b]` is `table[b·2^m +
+    /// v]`, where bit `j` of `v` is draw `bm + j` on `p` (a padding draw
+    /// reads 0). Returns `false`, with `out` unspecified, if `p` reads a
+    /// coordinate outside `{0,1}`: its batch values are not bits, so no
+    /// row entry is its word. Panics unless the draws are bit sampling,
+    /// `m` tiles them, and `table` and `out` hold `2^m` words and one
+    /// word per batch.
+    pub(crate) fn batch_lookup(&self, m: usize, table: &[u64], p: &Point, out: &mut [u64]) -> bool {
+        let Kind::Coords(Coords(coords)) = &self.0 else {
+            panic!("only bit-sampling batches are bits");
+        };
+        assert_eq!(table.len(), out.len() << m, "2^m words per batch");
+        assert_eq!(coords.len(), out.len() * m, "batches must tile the draws");
+        let xs = p.coords();
+        // The OR of every value read: at most 1 iff all were bits.
+        let mut seen = 0;
+        for ((batch, row), entry) in coords
+            .chunks_exact(m)
+            .zip(table.chunks_exact(1 << m))
+            .zip(out)
+        {
+            let mut v = 0;
+            for (j, &c) in batch.iter().enumerate() {
+                let x = if c == PAD { 0 } else { xs[c as usize] as u64 };
+                seen |= x;
+                v |= (x as usize & 1) << j;
+            }
+            *entry = row[v];
+        }
+        seen <= 1
     }
 
     /// Dispatches on the family once, then runs [`drive_lanes`].

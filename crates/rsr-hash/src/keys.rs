@@ -11,18 +11,21 @@
 //!   their hash chains interleaved.
 //! * **Batched Gap keys** (§4.1): `h` batches of `m` LSH values, each batch
 //!   collapsed by its own pairwise hash; the key is the vector of the `h`
-//!   batch hashes. [`BatchKeyer`] builds those, a side at a time with
-//!   eight points' batch chains interleaved.
+//!   batch hashes. [`BatchKeyer`] builds those, a side at a time.
 //!
 //! Both hold their draws as one [`DrawSet`] and evaluate it through its
-//! one lane kernel: level keys are the chain's words at the prefix
-//! lengths, Gap entries its words at every `m`-th draw with the chain
-//! restarted between batches. Neither keeps the family it was sampled
-//! from: the draws are all a keyer needs.
+//! lane kernel: level keys are the chain's words at the prefix lengths,
+//! Gap entries its words at every `m`-th draw with the chain restarted
+//! between batches. Bit-sampling Gap keys with `m ≤ 8` have a second
+//! path: a batch over `{0,1}^d` takes one of `2^m` values, so the keyer
+//! tabulates each batch's `2^m` entries from that same definition at
+//! sampling time and keys a binary point by `h` lookups. Neither keyer
+//! keeps the family it was sampled from: the draws are all it needs.
 
 use crate::draws::DrawSet;
 use crate::lsh::LshFamily;
-use crate::pairwise::PairwiseHash;
+use crate::mix::hash_words;
+use crate::pairwise::{premix, PairwiseHash};
 use rand::Rng;
 use rsr_metric::Point;
 
@@ -31,6 +34,10 @@ const PREFIX_SEED: u64 = 0x4c53_4852;
 
 /// Seed of the tuple hash over one Gap batch.
 const BATCH_SEED: u64 = 0x7157_1d2b;
+
+/// Widest bit-sampling batch keyed by table: `h·2^m` words, 2 KiB per
+/// batch at `m = 8`. A wider batch keeps the chain.
+const TABLE_MAX_M: usize = 8;
 
 /// Multi-resolution prefix keyer for Algorithm 1.
 pub struct MultiScaleKeyer {
@@ -98,6 +105,10 @@ pub struct BatchKeyer {
     draws: DrawSet,
     m: usize,
     hashers: Vec<PairwiseHash>,
+    /// Bit sampling with `m ≤ TABLE_MAX_M` only: word `b·2^m + v` is
+    /// batch `b`'s entry for the draw values whose bit `j` is draw
+    /// `bm + j`.
+    table: Option<Vec<u64>>,
 }
 
 impl BatchKeyer {
@@ -111,12 +122,18 @@ impl BatchKeyer {
         rng: &mut R,
     ) -> Self {
         assert!(h >= 1 && m >= 1);
+        let draws = family.sample_draws(rng, h * m);
+        let hashers: Vec<PairwiseHash> = (0..h)
+            .map(|_| PairwiseHash::sample(rng, entry_bits))
+            .collect();
+        // Built from the sampled draws alone, with no RNG call, so every
+        // later draw is the same with or without a table.
+        let table = (draws.is_bit_sampling() && m <= TABLE_MAX_M).then(|| entry_table(&hashers, m));
         BatchKeyer {
-            draws: family.sample_draws(rng, h * m),
+            draws,
             m,
-            hashers: (0..h)
-                .map(|_| PairwiseHash::sample(rng, entry_bits))
-                .collect(),
+            hashers,
+            table,
         }
     }
 
@@ -134,23 +151,42 @@ impl BatchKeyer {
     /// the pairwise hash of the tuple hash of its batch's `m` values. The
     /// one-point case of [`BatchKeyer::keys`].
     pub fn key(&self, p: &Point) -> GapKey {
-        self.keys(std::slice::from_ref(p))
+        self.keys(std::slice::from_ref(p)).0
     }
 
     /// Keys every point into one flat buffer, point-major: words
-    /// `i·h .. (i+1)·h` are the key of `points[i]`. Interleaves eight
-    /// points' batch chains, so a side costs less per point than
-    /// [`BatchKeyer::key`] one point at a time.
-    pub fn keys(&self, points: &[Point]) -> Vec<u64> {
-        let mut out = vec![0; points.len() * self.h()];
-        self.draws
-            .batch_hashes(BATCH_SEED, self.m, points, &mut out);
+    /// `i·h .. (i+1)·h` are the key of `points[i]`. Also returns how many
+    /// points went through the chain. With a table, a point whose read
+    /// coordinates are all bits costs `h` lookups; any other point, and
+    /// every point of a keyer without a table, goes through the chain,
+    /// which interleaves eight points' batch chains so a side costs less
+    /// per point than one point at a time. Both paths give the same words.
+    pub fn keys(&self, points: &[Point]) -> (Vec<u64>, usize) {
+        let h = self.h();
+        let mut out = vec![0; points.len() * h];
+        let Some(table) = &self.table else {
+            self.chain(points, &mut out);
+            return (out, points.len());
+        };
+        let mut chained = 0;
+        for (p, key) in points.iter().zip(out.chunks_exact_mut(h)) {
+            if !self.draws.batch_lookup(self.m, table, p, key) {
+                self.chain(std::slice::from_ref(p), key);
+                chained += 1;
+            }
+        }
+        (out, chained)
+    }
+
+    /// The chain path of [`BatchKeyer::keys`]: each batch's tuple hash,
+    /// then its pairwise hash.
+    fn chain(&self, points: &[Point], out: &mut [u64]) {
+        self.draws.batch_hashes(BATCH_SEED, self.m, points, out);
         for key in out.chunks_exact_mut(self.h()) {
             for (entry, hasher) in key.iter_mut().zip(&self.hashers) {
                 *entry = hasher.eval(*entry);
             }
         }
-        out
     }
 
     /// Number of entry positions two keys agree on: a branchless count
@@ -161,11 +197,33 @@ impl BatchKeyer {
     }
 }
 
+/// Every batch's entry for every value of its `m` bit-sampling draws:
+/// row `b` holds `hashers[b]` over the tuple hash of `v`'s bits, bit `j`
+/// the value of the batch's draw `j` — the chain's word for that batch.
+/// The `2^m` tuple hashes, and their premix, are the same for every
+/// batch, so they are computed once.
+fn entry_table(hashers: &[PairwiseHash], m: usize) -> Vec<u64> {
+    let mut tuples = [0; 1 << TABLE_MAX_M];
+    let mut bits = [0; TABLE_MAX_M];
+    for (v, tuple) in tuples[..1 << m].iter_mut().enumerate() {
+        for (j, bit) in bits[..m].iter_mut().enumerate() {
+            *bit = (v as u64 >> j) & 1;
+        }
+        *tuple = premix(hash_words(BATCH_SEED, &bits[..m]));
+    }
+    let mut table = vec![0; hashers.len() << m];
+    for (row, hasher) in table.chunks_exact_mut(1 << m).zip(hashers) {
+        for (entry, &x) in row.iter_mut().zip(&tuples) {
+            *entry = hasher.eval_premixed(x);
+        }
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bit_sampling::BitSamplingFamily;
-    use crate::mix::hash_words;
     use crate::{GridFamily, OneSidedGridFamily, PStableFamily};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -303,7 +361,7 @@ mod tests {
             let points: Vec<Point> = (0..count)
                 .map(|_| Point::new((0..space_dim).map(|_| rng.gen_range(0..delta)).collect()))
                 .collect();
-            let side = keyer.keys(&points);
+            let (side, _) = keyer.keys(&points);
             assert_eq!(side.len(), count * h);
             for (p, key) in points.iter().zip(side.chunks_exact(h)) {
                 assert_eq!(key, keyer.key(p), "{count} points");
@@ -326,6 +384,90 @@ mod tests {
         side_keys_equal_point_keys(&GridFamily::new(3, 17.0), 3, 100);
         side_keys_equal_point_keys(&OneSidedGridFamily::new(2, 1.0, 1.0, 40.0), 2, 100);
         side_keys_equal_point_keys(&PStableFamily::new(3, 17.0), 3, 100);
+    }
+
+    /// The table path equals the chain's definition: for bit-sampling
+    /// draws with padding, at batch sizes on both sides of
+    /// `TABLE_MAX_M`, every word of every point — binary, or reading a 2
+    /// or a −1, which the table must refuse — is the pairwise hash of its
+    /// batch's tuple hash.
+    #[test]
+    fn table_keys_equal_chain_keys() {
+        let d = 12;
+        // w = 2d: about half the draws are padding.
+        let family = BitSamplingFamily::new(d, 2.0 * d as f64);
+        let mut rng = StdRng::seed_from_u64(51);
+        for m in [1, 2, 3, 8, 9] {
+            let h = 5;
+            let keyer = BatchKeyer::sample(&family, h, m, 30, &mut rng);
+            assert_eq!(keyer.table.is_some(), m <= TABLE_MAX_M, "m = {m}");
+            let direct = |p: &Point| -> Vec<u64> {
+                (0..h)
+                    .map(|b| {
+                        let batch: Vec<u64> = (m * b..m * (b + 1))
+                            .map(|j| keyer.draws.hash(j, p))
+                            .collect();
+                        keyer.hashers[b].eval(hash_words(BATCH_SEED, &batch))
+                    })
+                    .collect()
+            };
+            // The coordinate draw `j` reads, if it is not padding.
+            let read_by = |j: usize| {
+                (0..d).find(|&c| {
+                    let mut unit = vec![0; d];
+                    unit[c] = 1;
+                    keyer.draws.hash(j, &Point::new(unit)) == 1
+                })
+            };
+            let (mut served_seen, mut refused_seen) = (0, 0);
+            for count in [0, 1, 7, 8, 9, 17] {
+                let points: Vec<Point> = (0..count)
+                    .map(|i| {
+                        let mut coords: Vec<i64> = (0..d).map(|_| rng.gen_range(0..2)).collect();
+                        // Every third point holds a 2 or a −1 where some
+                        // draw reads (or, for a padding draw, anywhere).
+                        if i % 3 == 2 {
+                            let c = read_by(rng.gen_range(0..h * m)).unwrap_or(rng.gen_range(0..d));
+                            coords[c] = if rng.gen() { 2 } else { -1 };
+                        }
+                        Point::new(coords)
+                    })
+                    .collect();
+                let (side, chained) = keyer.keys(&points);
+                assert_eq!(side.len(), count * h);
+                let refused_before = refused_seen;
+                for (p, key) in points.iter().zip(side.chunks_exact(h)) {
+                    assert_eq!(key, direct(p), "m = {m}, {count} points, {p:?}");
+                    assert_eq!(key, keyer.key(p), "m = {m}, {count} points, {p:?}");
+                    if let Some(table) = &keyer.table {
+                        // The table serves exactly the points whose read
+                        // coordinates are all bits.
+                        let reads_bits = (0..h * m).all(|j| keyer.draws.hash(j, p) <= 1);
+                        let mut looked_up = vec![0; h];
+                        let served = keyer.draws.batch_lookup(m, table, p, &mut looked_up);
+                        assert_eq!(served, reads_bits, "m = {m}, {p:?}");
+                        if served {
+                            assert_eq!(looked_up, key, "m = {m}, {p:?}");
+                            served_seen += 1;
+                        } else {
+                            refused_seen += 1;
+                        }
+                    }
+                }
+                let want = if keyer.table.is_some() {
+                    refused_seen - refused_before
+                } else {
+                    count
+                };
+                assert_eq!(chained, want, "m = {m}, {count} points");
+            }
+            if keyer.table.is_some() {
+                assert!(
+                    served_seen > 0 && refused_seen > 0,
+                    "m = {m}: {served_seen} served, {refused_seen} refused"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   (Definition 2.1) and its multi-scale strengthening (Definition 2.2);
 //! * [`draws`] — the one form a sampled function takes: a family's draws
 //!   stored flat in a [`DrawSet`], one sampled function per draw, evaluated
-//!   as a block by one lane kernel;
+//!   as a block by one lane kernel (bit-sampling Gap batches, also by
+//!   table lookup);
 //! * [`bit_sampling`] — the Hamming MLSH of Lemma 2.3;
 //! * [`grid`] — the randomly-shifted-lattice ℓ1 MLSH of Lemma 2.4;
 //! * [`pstable`] — the 2-stable (Gaussian) ℓ2 MLSH of Lemma 2.5;

@@ -58,14 +58,33 @@ impl PairwiseHash {
     /// protocols' failure probability.
     #[inline]
     pub fn eval(&self, x: u64) -> u64 {
-        let x = mod_mersenne(mix64(x) as u128);
-        let v = mod_mersenne(self.a as u128 * x as u128 + self.b as u128);
+        self.eval_premixed(premix(x))
+    }
+
+    /// [`PairwiseHash::eval`] of an input already passed through
+    /// [`premix`]: a caller evaluating many functions on one input (the
+    /// Gap keyer's entry table) premixes it once.
+    #[inline]
+    pub(crate) fn eval_premixed(&self, x: u64) -> u64 {
+        // `a, b, x < p`, so `a·x + b < 2^123`: two folds in 64-bit words
+        // bring it below `p + 4`, and one subtraction makes it canonical.
+        let y = self.a as u128 * x as u128 + self.b as u128;
+        let r = (y as u64 & MERSENNE_61) + (y >> 61) as u64;
+        let r = (r & MERSENNE_61) + (r >> 61);
+        let v = if r >= MERSENNE_61 { r - MERSENNE_61 } else { r };
         if self.bits == 61 {
             v
         } else {
             v & ((1u64 << self.bits) - 1)
         }
     }
+}
+
+/// The input reduction of [`PairwiseHash::eval`]: [`mix64`], then mod `p`.
+/// It does not depend on the function.
+#[inline]
+pub(crate) fn premix(x: u64) -> u64 {
+    mod_mersenne(mix64(x) as u128)
 }
 
 #[cfg(test)]

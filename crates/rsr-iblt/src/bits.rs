@@ -17,11 +17,14 @@
 //! zero-padded.
 //!
 //! A *run* is a sequence of fields of one width, such as a RIBLT cell's
-//! `d` coordinate sums. `BitWriter::write_run` makes one fit check for
-//! the whole run and packs as many fields as fit a word before each
-//! push; `BitReader::read_run` makes one bounds check and keeps its
-//! position in a local across the run. A run's bits are those of as
-//! many single-field `write`/`read` calls.
+//! `d` coordinate sums or a sets-of-sets child's entries.
+//! [`BitWriter::write_run`] makes one fit check for the whole run and
+//! packs as many fields as fit a word before each push;
+//! [`BitReader::read_run`] makes one bounds check and keeps its position
+//! in a local across the run. A run's bits are those of as many
+//! single-field `write`/`read` calls. A decoder whose run length comes
+//! from the peer checks [`BitReader::has_bits`] before it allocates the
+//! run's buffer.
 
 /// Maps a signed value to an unsigned one with small absolute values
 /// staying small (zigzag coding).
@@ -105,12 +108,7 @@ impl BitWriter {
     /// the low bits of `encode(value)`: the bits of one [`BitWriter::write`]
     /// per value, after one fit check for the whole run. Panics if any
     /// encoded value does not fit.
-    pub(crate) fn write_run<T: Copy>(
-        &mut self,
-        values: &[T],
-        width: u32,
-        encode: impl Fn(T) -> u64,
-    ) {
+    pub fn write_run<T: Copy>(&mut self, values: &[T], width: u32, encode: impl Fn(T) -> u64) {
         assert!(width <= 64);
         let all = values.iter().fold(0, |all, &v| all | encode(v));
         assert!(
@@ -258,7 +256,7 @@ impl<'a> BitReader<'a> {
     /// whole run. Returns `None`, without advancing or writing `out`, if
     /// the run does not fit in the buffer or, unless it is empty,
     /// `width > 64`.
-    pub(crate) fn read_run<T>(
+    pub fn read_run<T>(
         &mut self,
         width: u32,
         out: &mut [T],
@@ -312,7 +310,9 @@ impl<'a> BitReader<'a> {
         self.has_bits(u64::from(width))
     }
 
-    fn has_bits(&self, bits: u64) -> bool {
+    /// True if at least `bits` bits remain: the check a decoder makes
+    /// before it allocates for a peer-declared run.
+    pub fn has_bits(&self, bits: u64) -> bool {
         bits <= (self.bytes.len() as u64 * 8).saturating_sub(self.pos)
     }
 

@@ -5,13 +5,14 @@
 //!
 //! * **Round 1**: `num_children`, then the fingerprint IBLT's cells with
 //!   count fields sized for `num_children` items.
-//! * **Round 2**: the requested tagged fingerprints as raw 64-bit words.
+//! * **Round 2**: the requested tagged fingerprints as raw 64-bit words,
+//!   one run.
 //! * **Round 3**: the child count, an 8-bit *entry width*, then per child
-//!   its 64-bit tagged fingerprint, a 32-bit length, and the entries at
-//!   the chosen width. The width is the configured `entry_bits` escalated
-//!   (and measured honestly) when a child carries wider entries — the Gap
-//!   protocol's batch hashes always fit, but generic callers may ship
-//!   arbitrary `u64` child sets.
+//!   its 64-bit tagged fingerprint, a 32-bit length, and the entries as
+//!   one run at the chosen width. The width is the configured
+//!   `entry_bits` escalated (and measured honestly) when a child carries
+//!   wider entries — the Gap protocol's batch hashes always fit, but
+//!   generic callers may ship arbitrary `u64` child sets.
 //!
 //! Construction parameters (`fp_cells`, `q`, seed, `entry_bits`) travel as
 //! public coins inside [`SosConfig`], not on the wire.
@@ -51,18 +52,15 @@ pub fn round1_wire_bits(r1: &Round1) -> u64 {
 /// Encodes a round-2 message.
 pub fn put_round2(w: &mut BitWriter, r2: &Round2) {
     put_len(w, r2.requested.len());
-    for &tfp in &r2.requested {
-        w.write(tfp, 64);
-    }
+    w.write_run(&r2.requested, 64, |tfp| tfp);
 }
 
 /// Decodes a round-2 message.
 pub fn get_round2(r: &mut BitReader<'_>) -> Option<Round2> {
     let count = get_len(r)?;
-    let requested = (0..count)
-        .map(|_| r.read(64))
-        .collect::<Option<Vec<u64>>>()?;
-    Some(Round2 { requested })
+    Some(Round2 {
+        requested: read_words(r, count, 64)?,
+    })
 }
 
 /// Exact encoded size of a round-2 message in bits.
@@ -91,13 +89,12 @@ pub fn put_round3(w: &mut BitWriter, r3: &Round3, cfg: &SosConfig) {
     for (tfp, child) in &r3.children {
         w.write(*tfp, 64);
         put_len(w, child.len());
-        for &entry in child {
-            w.write(entry, width);
-        }
+        w.write_run(child, width, |entry| entry);
     }
 }
 
-/// Decodes a round-3 message. The child list grows as children decode:
+/// Decodes a round-3 message. The child list grows as children decode,
+/// and a child's entries are allocated only once the frame holds them:
 /// a declared count the frame cannot back allocates nothing.
 pub fn get_round3(r: &mut BitReader<'_>) -> Option<Round3> {
     let count = get_len(r)?;
@@ -109,12 +106,21 @@ pub fn get_round3(r: &mut BitReader<'_>) -> Option<Round3> {
     for _ in 0..count {
         let tfp = r.read(64)?;
         let len = get_len(r)?;
-        let child = (0..len)
-            .map(|_| r.read(width))
-            .collect::<Option<Vec<u64>>>()?;
-        children.push((tfp, child));
+        children.push((tfp, read_words(r, len, width)?));
     }
     Some(Round3 { children })
+}
+
+/// A run of `count` `width`-bit words, or `None` if the frame holds fewer
+/// bits than the run: the declared count is checked before it sizes an
+/// allocation.
+fn read_words(r: &mut BitReader<'_>, count: usize, width: u32) -> Option<Vec<u64>> {
+    if !r.has_bits(u64::from(width).saturating_mul(count as u64)) {
+        return None;
+    }
+    let mut words = vec![0; count];
+    r.read_run(width, &mut words, |word| word)?;
+    Some(words)
 }
 
 /// Exact encoded size of a round-3 message in bits.
