@@ -4,23 +4,26 @@
 //! whole set, exchange, decode, done. Real deployments reconcile the
 //! *same* pair of hosts repeatedly as their sets drift, and the round
 //! cost should track the drift, not the set. This module adds that mode:
-//! each party keeps a [`ContinuousParty`] resident — its set, an IBLT
-//! sized for the expected *churn* between settles, and a snapshot of
-//! that table taken at the last settle. Streaming inserts and deletes
-//! maintain the table in O(1) per mutation, and a round ships only
-//! [`Iblt::delta_since`] the snapshot: O(m) work and wire where m tracks
-//! the churn bound, however large the set has grown.
+//! each party keeps a [`ContinuousParty`] resident — its set and a
+//! journal of the keys whose membership changed since the last settle.
+//! A round builds one IBLT sized for the expected *churn* between
+//! settles from the journal and ships it: O(m + churn) work and O(m)
+//! wire, where m tracks the churn bound, however large the set has
+//! grown.
 //!
-//! # Why subtracting snapshots reconciles the live difference
+//! # Why the journals reconcile the live difference
 //!
-//! Both parties settle to the *same* set (the union — see below) with
-//! the same table parameters, so their snapshots are cell-identical:
-//! `S_A = S_B = S`. Each round Alice sends `Δ_A = T_A − S`; Bob forms
-//! `Δ_A − Δ_B = (T_A − S) − (T_B − S) = T_A − T_B`, which peels to the
-//! **current** symmetric difference — Alice-only keys with positive
-//! sign, Bob-only keys with negative. The first round works by the same
-//! algebra with `S` the empty table, so it reconciles the initial
-//! difference with no special casing.
+//! Both parties settle to the *same* set `U` (the union — see below).
+//! A party's journal then holds exactly how its set `A` differs from
+//! `U` (an undone change erases its entry), and the table `T` is linear,
+//! so Alice's delta — the empty table plus her journal — is
+//! `T(A) − T(U)`. Bob applies his own journal, negated, to the table he
+//! receives and gets `T(A) − T(B)`, which peels to the **current**
+//! symmetric difference — Alice-only keys with positive sign, Bob-only
+//! keys with negative. Before the first settle there is no journal and
+//! `U` is empty, so the delta is built from the set itself and the
+//! first round reconciles the initial difference with no special
+//! casing.
 //!
 //! # Lifecycle
 //!
@@ -40,7 +43,7 @@
 //! sets as frozen at [`begin_round`](ContinuousParty::begin_round). A
 //! failed round (undecodable delta: churn exceeded the table bound, or
 //! a desynced peer) mutates **nothing**: both parties keep their sets
-//! and snapshots, the phase rolls back, and the round can simply be
+//! and journals, the phase rolls back, and the round can simply be
 //! retried after the churn bound is raised or via [`resync`](ContinuousParty::resync).
 //!
 //! # Settle semantics
@@ -59,14 +62,14 @@
 //!
 //! The one genuinely dangerous failure is a *half-settled* round: Bob
 //! settles when his decode succeeds, then his reply to Alice is lost in
-//! transit. The snapshots now differ, and the subtraction algebra above
-//! no longer telescopes. The round counter carried inside every frame
-//! detects this on the next round (the parties disagree on the round
-//! index → the round fails loudly, nothing mutates), and
-//! [`resync`](ContinuousParty::resync) recovers: resetting both
-//! snapshots to empty makes the next round reconcile the full current
-//! difference — still O(m) wire, and correct as long as that
-//! difference fits the table.
+//! transit. The parties' journals no longer start from the same settled
+//! set, and the algebra above no longer telescopes. The round counter
+//! carried inside every frame detects this on the next round (the
+//! parties disagree on the round index → the round fails loudly,
+//! nothing mutates), and [`resync`](ContinuousParty::resync) recovers:
+//! dropping both journals makes the next round reconcile the full
+//! current difference from the empty set — still O(m) wire, and correct
+//! as long as that difference fits the table.
 
 use crate::channel::Frame;
 use crate::session::{drive_in_memory, Session};
@@ -75,7 +78,7 @@ use rsr_iblt::bits::BitWriter;
 use rsr_iblt::iblt::Iblt;
 use rsr_iblt::wire::{get_len, put_len};
 use rsr_obs::{AtomicHistogram, Counter};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -161,8 +164,8 @@ impl fmt::Display for ContinuousError {
 impl std::error::Error for ContinuousError {}
 
 /// Shared table parameters for one continuous pair. Both parties must
-/// be built from an **equal** config — the snapshot-subtraction algebra
-/// needs cell-identical layouts, seeds and checksums on both sides.
+/// be built from an **equal** config — the journal algebra needs
+/// cell-identical layouts, seeds and checksums on both sides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ContinuousConfig {
     /// Minimum table cells `m`; sized for the churn bound, not the set.
@@ -172,11 +175,11 @@ pub struct ContinuousConfig {
     /// Table seed (layout + checksum, shared public coins).
     pub seed: u64,
     /// Count bound used by the wire codec — it must cover the **set**
-    /// size, not the churn: the first round's delta is the full table
-    /// (empty snapshot), whose per-cell counts scale with n. This only
-    /// costs the wire a log(n) count width per cell; the *number* of
-    /// cells stays churn-sized, which is where the O(churn) claim
-    /// lives. Sets larger than this bound cannot be encoded.
+    /// size, not the churn: the first round's delta holds the whole set
+    /// (there is no journal yet), so its per-cell counts scale with n.
+    /// This only costs the wire a log(n) count width per cell; the
+    /// *number* of cells stays churn-sized, which is where the O(churn)
+    /// claim lives. Sets larger than this bound cannot be encoded.
     pub n_bound: usize,
 }
 
@@ -199,21 +202,18 @@ impl ContinuousConfig {
             n_bound: 1 << 20,
         }
     }
-
-    fn empty_table(&self) -> Iblt {
-        Iblt::new(self.cells, self.q, self.seed)
-    }
 }
 
-/// One endpoint of a long-lived reconciliation pair: the resident set,
-/// the churn-sized table maintained alongside it, and the snapshot of
-/// that table taken at the last settle.
+/// One endpoint of a long-lived reconciliation pair: the resident set
+/// and the journal of its changes since the last settle.
 #[derive(Debug)]
 pub struct ContinuousParty {
     cfg: ContinuousConfig,
     set: BTreeSet<u64>,
-    table: Iblt,
-    snapshot: Iblt,
+    /// Keys whose membership changed since the last settle, `true` for
+    /// an insert. `None` before the first settle and after a resync: the
+    /// changes are then the whole set, read from `set` itself.
+    journal: Option<BTreeMap<u64, bool>>,
     phase: SessionPhase,
     rounds_settled: u32,
     /// Rounds settled since construction, across resyncs.
@@ -223,23 +223,18 @@ pub struct ContinuousParty {
 }
 
 impl ContinuousParty {
-    /// Builds a party over an initial set. The snapshot starts *empty*,
-    /// so the first round reconciles the full initial difference —
-    /// which must therefore fit the config's churn bound, like any
-    /// other round's delta.
+    /// Builds a party over an initial set. There is no journal yet, so
+    /// the first round reconciles the full initial difference — which
+    /// must therefore fit the config's churn bound, like any other
+    /// round's delta.
     pub fn new(cfg: ContinuousConfig, initial: impl IntoIterator<Item = u64>) -> ContinuousParty {
-        let mut table = cfg.empty_table();
+        // Key by key: `collect` would buffer and sort a copy of the set.
         let mut set = BTreeSet::new();
-        for key in initial {
-            if set.insert(key) {
-                table.insert(key);
-            }
-        }
+        set.extend(initial);
         ContinuousParty {
             cfg,
             set,
-            table,
-            snapshot: cfg.empty_table(),
+            journal: None,
             phase: SessionPhase::Idle,
             rounds_settled: 0,
             lifetime_settled: 0,
@@ -276,16 +271,16 @@ impl ContinuousParty {
         self.rounds_failed
     }
 
-    /// Streams one insert. O(1) in the set size (one set insert plus q
-    /// cell updates). Rejected while a round is in flight; returns
-    /// whether the set changed.
+    /// Streams one insert: one set insert plus one journal entry.
+    /// Rejected while a round is in flight; returns whether the set
+    /// changed.
     pub fn insert(&mut self, key: u64) -> Result<bool, ContinuousError> {
         if self.phase == SessionPhase::Syncing {
             return Err(ContinuousError::Busy);
         }
         let changed = self.set.insert(key);
         if changed {
-            self.table.insert(key);
+            self.record(key, true);
         }
         Ok(changed)
     }
@@ -297,9 +292,20 @@ impl ContinuousParty {
         }
         let changed = self.set.remove(&key);
         if changed {
-            self.table.delete(key);
+            self.record(key, false);
         }
         Ok(changed)
+    }
+
+    /// Journals one membership change. A change that undoes the
+    /// journalled one (an insert of a key removed since the last settle,
+    /// or the reverse) erases the entry instead.
+    fn record(&mut self, key: u64, inserted: bool) {
+        if let Some(journal) = &mut self.journal {
+            if journal.remove(&key).is_none() {
+                journal.insert(key, inserted);
+            }
+        }
     }
 
     /// Freezes the set for a round: Idle/Settled → Syncing. The round
@@ -316,23 +322,41 @@ impl ContinuousParty {
         }
     }
 
-    /// The delta table accumulated since the last settle — what a round
-    /// ships. O(m) in the table size, independent of the set.
+    /// The delta table of the changes since the last settle — what a
+    /// round ships. O(m) in the table size plus q cell updates per
+    /// journalled key, independent of the set once a round has settled.
     pub fn delta(&self) -> Iblt {
-        self.table.delta_since(&self.snapshot)
+        let mut delta = Iblt::new(self.cfg.cells, self.cfg.q, self.cfg.seed);
+        self.apply_changes(&mut delta, false);
+        delta
     }
 
-    /// Applies the peer-only keys and retakes the snapshot: Syncing →
-    /// Settled. Both parties now hold the union, so their snapshots are
-    /// cell-identical again.
+    /// Adds this party's changes since the last settle to `table`:
+    /// inserted keys with sign +1 and removed keys with −1, or the
+    /// reverse when `negate`.
+    fn apply_changes(&self, table: &mut Iblt, negate: bool) {
+        let mut apply = |key: u64, inserted: bool| {
+            if inserted != negate {
+                table.insert(key);
+            } else {
+                table.delete(key);
+            }
+        };
+        match &self.journal {
+            Some(journal) => journal
+                .iter()
+                .for_each(|(&key, &inserted)| apply(key, inserted)),
+            None => self.set.iter().for_each(|&key| apply(key, true)),
+        }
+    }
+
+    /// Applies the peer-only keys and empties the journal: Syncing →
+    /// Settled. Both parties now hold the union, the set the next
+    /// round's journals start from.
     fn settle(&mut self, peer_only: &[u64]) {
         debug_assert_eq!(self.phase, SessionPhase::Syncing);
-        for &key in peer_only {
-            if self.set.insert(key) {
-                self.table.insert(key);
-            }
-        }
-        self.snapshot = self.table.snapshot();
+        self.set.extend(peer_only.iter().copied());
+        self.journal = Some(BTreeMap::new());
         self.phase = SessionPhase::Settled;
         self.rounds_settled += 1;
         self.lifetime_settled += 1;
@@ -347,8 +371,8 @@ impl ContinuousParty {
     }
 
     /// Rolls a failed round back: Syncing → the phase the party was in
-    /// before `begin_round`. Set, table and snapshot are untouched, so
-    /// the round is simply retryable.
+    /// before `begin_round`. Set and journal are untouched, so the round
+    /// is simply retryable.
     fn abort_round(&mut self) {
         if self.phase == SessionPhase::Syncing {
             self.phase = if self.rounds_settled > 0 {
@@ -365,15 +389,15 @@ impl ContinuousParty {
     }
 
     /// Recovers from a desynced peer (a half-settled round whose reply
-    /// was lost): drops the snapshot back to empty and rewinds the
-    /// round index, so the next round reconciles the full current
-    /// difference from a state both sides can agree on — run it on
-    /// **both** parties. Rejected mid-round.
+    /// was lost): drops the journal and rewinds the round index, so the
+    /// next round reconciles the full current difference from a state
+    /// both sides can agree on — run it on **both** parties. Rejected
+    /// mid-round.
     pub fn resync(&mut self) -> Result<(), ContinuousError> {
         if self.phase == SessionPhase::Syncing {
             return Err(ContinuousError::BadPhase { from: self.phase });
         }
-        self.snapshot = self.cfg.empty_table();
+        self.journal = None;
         self.rounds_settled = 0;
         self.phase = SessionPhase::Idle;
         Ok(())
@@ -597,7 +621,7 @@ impl Session for BobRound {
         }
         // Δ_peer − Δ_mine = T_peer − T_mine: peel the live difference.
         let mut diff = their_delta;
-        diff.subtract(&p.delta());
+        p.apply_changes(&mut diff, true);
         let decoded = diff.decode();
         if !decoded.complete {
             let cells = p.cfg.cells;

@@ -80,10 +80,7 @@ pub fn select_mlsh(space: &MetricSpace, k: usize, d2: f64) -> AnyMlsh {
                 .max(1.0);
             AnyMlsh::Hamming(BitSamplingFamily::new(space.dim(), w))
         }
-        Metric::L1 | Metric::Lp(_) => {
-            // ℓ_p for p ∈ [1, 2) is served by the grid family, whose ℓ1
-            // envelope upper-bounds collision for any p ≥ 1 on integer
-            // grids; Algorithm 1's guarantees are stated for ℓ1/ℓ2.
+        Metric::L1 => {
             let w = (48.0 * d2 / k).max(reach / 0.79).max(1.0);
             AnyMlsh::Grid(GridFamily::new(space.dim(), w))
         }

@@ -5,8 +5,9 @@
 //! incremental mode a pure optimization, never a semantic change.
 
 use proptest::prelude::*;
-use rsr_core::continuous::{ContinuousConfig, ContinuousParty, ContinuousSession};
+use rsr_core::continuous::{ContinuousConfig, ContinuousParty, ContinuousSession, SharedParty};
 use rsr_core::set_recon::exact_reconcile;
+use rsr_iblt::iblt::Iblt;
 use rsr_metric::{MetricSpace, Point};
 use std::collections::BTreeSet;
 
@@ -50,8 +51,121 @@ fn apply_ops(s: &ContinuousSession, ops: &[Op]) {
     }
 }
 
+/// The reference a party's journal is checked against: a resident table
+/// fed every change to the party's set, and its snapshot at the last
+/// settle (empty before the first settle and after a resync).
+struct ResidentTable {
+    cfg: ContinuousConfig,
+    table: Iblt,
+    snapshot: Iblt,
+}
+
+impl ResidentTable {
+    fn new(cfg: ContinuousConfig, initial: &BTreeSet<u64>) -> ResidentTable {
+        let mut table = Iblt::new(cfg.cells, cfg.q, cfg.seed);
+        initial.iter().for_each(|&key| table.insert(key));
+        ResidentTable {
+            cfg,
+            table,
+            snapshot: Iblt::new(cfg.cells, cfg.q, cfg.seed),
+        }
+    }
+
+    /// Mirrors one mutation that changed the party's set.
+    fn apply(&mut self, is_insert: bool, key: u64) {
+        if is_insert {
+            self.table.insert(key);
+        } else {
+            self.table.delete(key);
+        }
+    }
+
+    fn delta_bytes(&self) -> Vec<u8> {
+        self.table
+            .delta_since(&self.snapshot)
+            .to_bytes(self.cfg.n_bound)
+    }
+
+    /// Mirrors a settle: the peer-only keys join the table, then the
+    /// snapshot is retaken.
+    fn settle(&mut self, peer_only: impl Iterator<Item = u64>) {
+        peer_only.for_each(|key| self.table.insert(key));
+        self.snapshot = self.table.snapshot();
+    }
+
+    fn resync(&mut self) {
+        self.snapshot = Iblt::new(self.cfg.cells, self.cfg.q, self.cfg.seed);
+    }
+}
+
+fn party_delta_bytes(party: &SharedParty) -> Vec<u8> {
+    let p = party.lock().unwrap();
+    p.delta().to_bytes(p.config().n_bound)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The journal builds the same delta, cell for cell and byte for
+    /// byte, as the resident table and snapshot it replaced — over random
+    /// initial sets, random inserts and removes (including ones that
+    /// undo a journalled change), several settled rounds and one resync.
+    #[test]
+    fn journal_delta_equals_resident_table_delta(
+        a_init in prop::collection::btree_set(0u64..UNIVERSE, 0..24),
+        b_init in prop::collection::btree_set(0u64..UNIVERSE, 0..24),
+        churn in prop::collection::vec(
+            prop::collection::vec((0u8..2, 0u8..2, 0u64..UNIVERSE), 0..16),
+            2..6,
+        ),
+        resync_at in 1usize..6,
+        seed in 0u64..40,
+    ) {
+        let cfg = ContinuousConfig::for_churn(UNIVERSE as usize, seed);
+        let mut s = ContinuousSession::new(
+            ContinuousParty::new(cfg, a_init.iter().copied()),
+            ContinuousParty::new(cfg, b_init.iter().copied()),
+        );
+        let mut reference = [ResidentTable::new(cfg, &a_init), ResidentTable::new(cfg, &b_init)];
+        let parties = [s.alice(), s.bob()];
+        let mut settled = 0;
+        for (r, ops) in churn.iter().enumerate() {
+            if r == resync_at {
+                for (party, model) in parties.iter().zip(&mut reference) {
+                    party.lock().unwrap().resync().expect("resync between rounds");
+                    model.resync();
+                }
+            }
+            for &(on_alice, is_insert, key) in ops {
+                let side = usize::from(on_alice == 0);
+                let mut p = parties[side].lock().unwrap();
+                let changed = if is_insert != 0 { p.insert(key) } else { p.remove(key) };
+                if changed.expect("mutable between rounds") {
+                    reference[side].apply(is_insert != 0, key);
+                }
+            }
+            for (party, model) in parties.iter().zip(&reference) {
+                prop_assert_eq!(
+                    party_delta_bytes(party),
+                    model.delta_bytes(),
+                    "round {}: journal delta differs from the resident table's",
+                    r
+                );
+            }
+            let before = current_sets(&s);
+            if s.drive_round().is_err() {
+                // A round that does not peel mutates nothing; the next
+                // round's delta still has to match.
+                prop_assert_eq!(current_sets(&s), before);
+                continue;
+            }
+            settled += 1;
+            let after = current_sets(&s);
+            reference[0].settle(after.0.difference(&before.0).copied());
+            reference[1].settle(after.1.difference(&before.1).copied());
+        }
+        prop_assert!(settled > 0, "no round settled");
+    }
 
     /// The headline property: whatever churn lands between rounds, every
     /// incremental round settles both parties to the same set a fresh

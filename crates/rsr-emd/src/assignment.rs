@@ -11,9 +11,8 @@
 //! * [`AssignmentSolver::Hungarian`] — the reference solver
 //!   ([`crate::hungarian::assign`]): shortest augmenting paths with dual
 //!   potentials, O(n²m) and it re-evaluates the cost closure inside the
-//!   innermost loop. `emd`, `emd_k` and [`crate::replace_matched`] (the
-//!   quadtree baseline's repair) use it, so the measure a protocol is
-//!   judged by never comes from the solver under test.
+//!   innermost loop. `emd` and `emd_k` use it, so the measure a
+//!   protocol is judged by never comes from the solver under test.
 //! * [`AssignmentSolver::Auction`] — Bertsekas' forward auction with
 //!   ε-scaling ([`auction_assign`]): materializes the costs once as
 //!   fixed-point integers and then runs integer-only bidding phases,

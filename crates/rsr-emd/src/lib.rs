@@ -14,8 +14,7 @@
 //!   [`emd::emd_k`] (Definition 3.3) via a dummy-augmented assignment,
 //!   both under the Hungarian reference;
 //! * [`repair`] — Bob's matched-replacement step (Algorithm 1's last
-//!   line), shared by the EMD protocol (auction) and the quadtree
-//!   baseline (Hungarian);
+//!   line), which the EMD protocol runs under the auction;
 //! * brute-force reference implementations used by the property tests.
 
 pub mod assignment;
@@ -26,4 +25,4 @@ pub mod repair;
 pub use assignment::{auction_assign, AssignmentSolver};
 pub use emd::{emd, emd_k, emd_k_with_exclusions};
 pub use hungarian::{assign, assignment_cost};
-pub use repair::{replace_matched, replace_matched_with};
+pub use repair::replace_matched_with;

@@ -1,4 +1,4 @@
-//! Bob's repair step, shared by the EMD protocol and the quadtree baseline.
+//! Bob's repair step in the EMD protocol.
 //!
 //! Algorithm 1's last line: "Bob finds Y_B, the subset of S_B matched in
 //! the min cost matching between X_B and S_B. He then outputs
@@ -9,14 +9,15 @@
 //! The paper implicitly assumes `|X_A| = |X_B|`; in practice decode
 //! asymmetries can make them differ, so this implementation enforces
 //! `|S'_B| = |S_B|` with a deterministic policy, documented on
-//! [`replace_matched`].
+//! [`replace_matched_with`].
 
 use crate::assignment::AssignmentSolver;
 use rsr_metric::{Metric, Point};
 
 /// Computes `S'_B = (S_B \ Y_B) ∪ X_A` with `|S'_B| = |S_B|`, matching
-/// with the Hungarian reference solver (the quadtree baseline's repair);
-/// the EMD protocol runs [`replace_matched_with`] under the auction.
+/// under `solver`. The EMD protocol runs it under the auction; both
+/// solvers are exact and remove equally cheap matched subsets, though
+/// ties may break towards different, equally optimal matchings.
 ///
 /// Policy when `|X_A| ≠ |X_B|`:
 /// * The removal budget is `min(|X_A|, |S_B|)` — one removal per inserted
@@ -28,13 +29,6 @@ use rsr_metric::{Metric, Point};
 ///   replacements from `X_A` are themselves matched against the remaining
 ///   points of `S_B` and those partners are removed (a surplus Alice point
 ///   most plausibly replaces its nearest stale point).
-pub fn replace_matched(metric: Metric, s_b: &[Point], x_b: &[Point], x_a: &[Point]) -> Vec<Point> {
-    replace_matched_with(AssignmentSolver::Hungarian, metric, s_b, x_b, x_a)
-}
-
-/// [`replace_matched`] under a chosen [`AssignmentSolver`]. Both solvers
-/// are exact and remove equally cheap matched subsets; ties may break
-/// towards different, equally optimal matchings.
 pub fn replace_matched_with(
     solver: AssignmentSolver,
     metric: Metric,
@@ -113,7 +107,7 @@ mod tests {
         let s_b = pts(&[&[0], &[10], &[20]]);
         let x_b = pts(&[&[10]]); // Bob's stale point
         let x_a = pts(&[&[11]]); // Alice's replacement
-        let out = replace_matched(Metric::L1, &s_b, &x_b, &x_a);
+        let out = replace_matched_with(AssignmentSolver::Hungarian, Metric::L1, &s_b, &x_b, &x_a);
         assert_eq!(out.len(), 3);
         assert!(out.contains(&Point::new(vec![11])));
         assert!(!out.contains(&Point::new(vec![10])));
@@ -125,7 +119,7 @@ mod tests {
         let s_b = pts(&[&[0], &[10], &[20]]);
         let x_b = pts(&[&[10]]);
         let x_a = pts(&[&[11], &[21]]);
-        let out = replace_matched(Metric::L1, &s_b, &x_b, &x_a);
+        let out = replace_matched_with(AssignmentSolver::Hungarian, Metric::L1, &s_b, &x_b, &x_a);
         assert_eq!(out.len(), 3);
         assert!(out.contains(&Point::new(vec![11])));
         assert!(out.contains(&Point::new(vec![21])));
@@ -136,7 +130,7 @@ mod tests {
         let s_b = pts(&[&[0], &[10], &[20]]);
         let x_b = pts(&[&[10], &[20]]);
         let x_a = pts(&[&[12]]);
-        let out = replace_matched(Metric::L1, &s_b, &x_b, &x_a);
+        let out = replace_matched_with(AssignmentSolver::Hungarian, Metric::L1, &s_b, &x_b, &x_a);
         assert_eq!(out.len(), 3);
         assert!(out.contains(&Point::new(vec![12])));
         // Only one removal happens (budget = |X_A| = 1); the cheapest
@@ -146,7 +140,7 @@ mod tests {
     #[test]
     fn empty_decodes_are_identity() {
         let s_b = pts(&[&[3], &[4]]);
-        let out = replace_matched(Metric::L1, &s_b, &[], &[]);
+        let out = replace_matched_with(AssignmentSolver::Hungarian, Metric::L1, &s_b, &[], &[]);
         assert_eq!(out, s_b);
     }
 
@@ -155,7 +149,7 @@ mod tests {
         let s_b = pts(&[&[0], &[1]]);
         let x_b = s_b.clone();
         let x_a = pts(&[&[50], &[60]]);
-        let out = replace_matched(Metric::L1, &s_b, &x_b, &x_a);
+        let out = replace_matched_with(AssignmentSolver::Hungarian, Metric::L1, &s_b, &x_b, &x_a);
         assert_eq!(out.len(), 2);
         assert!(out.contains(&Point::new(vec![50])));
         assert!(out.contains(&Point::new(vec![60])));
@@ -163,7 +157,13 @@ mod tests {
 
     #[test]
     fn empty_sb() {
-        let out = replace_matched(Metric::L1, &[], &[], &pts(&[&[1]]));
+        let out = replace_matched_with(
+            AssignmentSolver::Hungarian,
+            Metric::L1,
+            &[],
+            &[],
+            &pts(&[&[1]]),
+        );
         assert!(out.is_empty());
     }
 }

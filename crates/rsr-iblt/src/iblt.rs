@@ -2,7 +2,8 @@
 //!
 //! Used for exact set reconciliation (§2.2: "Bob constructs an O(d) cell
 //! IBLT by adding each of his set elements to it… Alice … deletes each of
-//! her set elements from it") and by the quadtree baseline. Cells hold a
+//! her set elements from it"), the sets-of-sets rounds and continuous
+//! rounds. Cells hold a
 //! count, a key XOR and a checksum XOR; a cell is *pure* when its count is
 //! ±1 and its checksum matches the checksum of its key XOR. Peeling pure
 //! cells recovers the symmetric difference.
@@ -114,9 +115,9 @@ impl Iblt {
     }
 
     /// A cell-identical copy of the table, retained as the baseline a
-    /// later delta is measured against. Continuous reconciliation keeps
-    /// one table resident per party, snapshots it at every settle, and
-    /// ships only [`Iblt::delta_since`] the snapshot each round.
+    /// later delta is measured against with [`Iblt::delta_since`]. A
+    /// continuous party builds the same delta from its journal instead;
+    /// this pair is the reference its property test compares against.
     pub fn snapshot(&self) -> Iblt {
         self.clone()
     }
@@ -125,9 +126,9 @@ impl Iblt {
     /// since `snapshot` was taken: `self − snapshot`, cell-wise. Because
     /// the table size tracks the *churn bound* rather than the set size,
     /// this costs O(m) cell operations however large the underlying set
-    /// has grown — the heart of the O(churn) incremental round. Keys
-    /// inserted since the snapshot decode positive, keys deleted decode
-    /// negative. Panics if the layouts differ (like [`Iblt::subtract`]).
+    /// has grown. Keys inserted since the snapshot decode positive, keys
+    /// deleted decode negative. Panics if the layouts differ (like
+    /// [`Iblt::subtract`]).
     pub fn delta_since(&self, snapshot: &Iblt) -> Iblt {
         let mut delta = self.clone();
         delta.subtract(snapshot);

@@ -22,7 +22,7 @@
 //! * [`layout`] — the partitioned key→cells mapping shared by both
 //!   tables (single-pass key+checksum hashing, struct-of-arrays cells);
 //! * [`iblt`] — the standard XOR IBLT (keys only), used for exact set
-//!   reconciliation and by the quadtree baseline;
+//!   reconciliation, the sets-of-sets rounds and continuous rounds;
 //! * [`riblt`] — the Robust IBLT (key–value pairs, values are grid
 //!   points), decoded one way: breadth-first peeling with randomized
 //!   rounding;

@@ -5,7 +5,7 @@
 //! norm, or `U = {0,1}^d` under the Hamming metric. This crate provides:
 //!
 //! * [`Point`] — a point of `[Δ]^d` with integer coordinates,
-//! * [`Metric`] — the distance functions (`ℓ1`, `ℓ2`, general `ℓ_p`, Hamming),
+//! * [`Metric`] — the distance functions (`ℓ1`, `ℓ2`, Hamming),
 //! * [`GridUniverse`] — the universe `[Δ]^d` itself (bounds, sampling,
 //!   clamping, bit-size accounting `log |U| = d·log Δ`),
 //! * [`space::MetricSpace`] — a universe paired with a metric, the object

@@ -5,16 +5,15 @@ use crate::point::Point;
 /// The metric `f` of the space `(U, f)`.
 ///
 /// The paper's results are stated for `ℓ1` (Lemma 2.4, Cor 4.4), `ℓ2`
-/// (Lemma 2.5, Cor 3.6), general `ℓ_p` with `p ∈ [1, 2]` (Thm 4.5), and the
-/// Hamming metric on `{0,1}^d` (Lemma 2.3, Cor 3.5, Cor 4.3, Thm 4.6).
+/// (Lemma 2.5, Cor 3.6) and the Hamming metric on `{0,1}^d` (Lemma 2.3,
+/// Cor 3.5, Cor 4.3, Thm 4.6). Theorem 4.5 covers `ℓ_p` for any
+/// `p ∈ [1, 2]`; this crate runs it at the two endpoints, `ℓ1` and `ℓ2`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Metric {
     /// `ℓ1` (Manhattan) distance.
     L1,
     /// `ℓ2` (Euclidean) distance.
     L2,
-    /// General `ℓ_p` distance for `p ≥ 1`.
-    Lp(f64),
     /// Hamming distance: number of coordinates that differ. On `{0,1}^d`
     /// this coincides with `ℓ1`, but it is well defined for any grid.
     Hamming,
@@ -41,15 +40,6 @@ impl Metric {
                 })
                 .sum::<f64>()
                 .sqrt(),
-            Metric::Lp(p) => {
-                assert!(p >= 1.0, "ℓ_p requires p ≥ 1, got {p}");
-                a.coords()
-                    .iter()
-                    .zip(b.coords())
-                    .map(|(x, y)| ((x - y).abs() as f64).powf(p))
-                    .sum::<f64>()
-                    .powf(1.0 / p)
-            }
             Metric::Hamming => a
                 .coords()
                 .iter()
@@ -59,13 +49,12 @@ impl Metric {
         }
     }
 
-    /// The `p` exponent of the norm, where applicable (`Hamming` maps to 1,
-    /// matching its behaviour on `{0,1}^d`).
+    /// The `p` exponent of the norm (`Hamming` maps to 1, matching its
+    /// behaviour on `{0,1}^d`).
     pub fn p_exponent(&self) -> f64 {
         match *self {
             Metric::L1 | Metric::Hamming => 1.0,
             Metric::L2 => 2.0,
-            Metric::Lp(p) => p,
         }
     }
 
@@ -98,14 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn lp_matches_l1_l2_at_endpoints() {
-        let a = p(&[1, 5, 2]);
-        let b = p(&[4, 0, 2]);
-        assert!((Metric::Lp(1.0).distance(&a, &b) - Metric::L1.distance(&a, &b)).abs() < 1e-9);
-        assert!((Metric::Lp(2.0).distance(&a, &b) - Metric::L2.distance(&a, &b)).abs() < 1e-9);
-    }
-
-    #[test]
     fn hamming_counts_differing_coords() {
         assert_eq!(
             Metric::Hamming.distance(&p(&[1, 0, 1]), &p(&[1, 1, 0])),
@@ -118,7 +99,7 @@ mod tests {
     #[test]
     fn identity_of_indiscernibles() {
         let a = p(&[2, 3, 4]);
-        for m in [Metric::L1, Metric::L2, Metric::Lp(1.5), Metric::Hamming] {
+        for m in [Metric::L1, Metric::L2, Metric::Hamming] {
             assert_eq!(m.distance(&a, &a), 0.0);
         }
     }
@@ -127,11 +108,5 @@ mod tests {
     fn diameter_of_binary_cube_is_d_under_hamming() {
         assert_eq!(Metric::Hamming.diameter(2, 10), 10.0);
         assert_eq!(Metric::L1.diameter(4, 3), 9.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn lp_rejects_p_below_one() {
-        Metric::Lp(0.5).distance(&p(&[0]), &p(&[1]));
     }
 }

@@ -10,7 +10,7 @@ fn coords(dim: usize, delta: i64) -> impl Strategy<Value = Vec<i64>> {
 }
 
 fn all_metrics() -> Vec<Metric> {
-    vec![Metric::L1, Metric::L2, Metric::Lp(1.5), Metric::Hamming]
+    vec![Metric::L1, Metric::L2, Metric::Hamming]
 }
 
 proptest! {
@@ -54,13 +54,12 @@ proptest! {
     }
 
     #[test]
-    fn lp_monotone_in_p(a in coords(5, 40), b in coords(5, 40)) {
-        // ℓ_p norms are non-increasing in p.
+    fn l1_dominates_l2(a in coords(5, 40), b in coords(5, 40)) {
+        // ℓ_p norms are non-increasing in p, so ℓ1 ≥ ℓ2.
         let (pa, pb) = (Point::new(a), Point::new(b));
-        let d1 = Metric::Lp(1.0).distance(&pa, &pb);
-        let d15 = Metric::Lp(1.5).distance(&pa, &pb);
-        let d2 = Metric::Lp(2.0).distance(&pa, &pb);
-        prop_assert!(d1 + 1e-9 >= d15 && d15 + 1e-9 >= d2);
+        let d1 = Metric::L1.distance(&pa, &pb);
+        let d2 = Metric::L2.distance(&pa, &pb);
+        prop_assert!(d1 + 1e-9 >= d2, "ℓ1 {d1} < ℓ2 {d2}");
     }
 
     #[test]

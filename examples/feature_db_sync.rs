@@ -1,18 +1,17 @@
-//! Synchronizing feature databases: our protocol vs the quadtree baseline.
+//! Synchronizing feature databases: our protocol vs a naive transfer.
 //!
 //! Two machine-learning serving nodes hold the same database of 2-d image
 //! feature summaries (e.g. PCA-projected embeddings quantized to a grid).
 //! One node's copies went through a lossy re-compression (small coordinate
 //! noise), and a few entries were replaced entirely. We reconcile with
-//! (a) the paper's interval-scaled EMD protocol (Corollary 3.6) and
-//! (b) the Chen et al. quadtree baseline, comparing bits and final EMD.
+//! the paper's interval-scaled EMD protocol (Corollary 3.6) and compare
+//! its bits and final EMD with sending the whole set.
 //!
 //! Run with: `cargo run --release --example feature_db_sync`
 
 use robust_set_recon::core::ScaledEmdProtocol;
 use robust_set_recon::emd::{emd, emd_k};
 use robust_set_recon::metric::MetricSpace;
-use robust_set_recon::quadtree::{QuadtreeConfig, QuadtreeProtocol};
 use robust_set_recon::workloads::planted_emd;
 
 fn main() {
@@ -41,28 +40,12 @@ fn main() {
         Err(e) => println!("LSH+RIBLT (ours)  : failed ({e})"),
     }
 
-    // (b) Quadtree baseline.
-    let base = QuadtreeProtocol::new(space, QuadtreeConfig { k, q: 3 }, 99);
-    let qmsg = base.alice_encode(&w.alice);
-    match base.bob_decode(&qmsg, &w.bob) {
-        Ok(out) => {
-            let after = emd(space.metric(), &w.alice, &out.reconciled);
-            println!(
-                "quadtree baseline : {:>9} bits, EMD after = {after:.1} (level {} of {})",
-                qmsg.wire_bits(),
-                out.level,
-                base.num_levels()
-            );
-        }
-        Err(_) => println!("quadtree baseline : failed"),
-    }
-
-    // (c) Naive full transfer reference.
+    // (b) Naive full transfer reference.
     let naive_bits = n as u64 * space.universe().point_wire_bits();
     println!("naive transfer    : {naive_bits:>9} bits, EMD after = 0.0");
     println!(
         "\n(the paper's win is the approximation *guarantee*: O(log n) \
-         independent of dimension, vs O(d) for the quadtree — the last \
-         d-sweep where the quadtree degrades is in docs/architecture.md)"
+         independent of dimension, vs O(d) for Chen et al.'s quadtree — \
+         its last recorded d-sweep is T6 in docs/architecture.md)"
     );
 }

@@ -12,14 +12,13 @@
 //!
 //! This facade crate re-exports the full public API of the workspace:
 //!
-//! * [`metric`] — discretized metric spaces `([Δ]^d, ℓ_p)` / Hamming.
+//! * [`metric`] — discretized metric spaces `([Δ]^d, ℓ1/ℓ2)` / Hamming.
 //! * [`hash`] — pairwise-independent hashing and the paper's LSH / multi-
 //!   scale LSH families.
 //! * [`iblt`] — Invertible Bloom Lookup Tables, including the paper's
 //!   *Robust* IBLT with sum cells and breadth-first peeling.
 //! * [`emd`] — exact earth mover's distance (Hungarian) and `EMD_k`.
 //! * [`setsofsets`] — the sets-of-sets reconciliation substrate.
-//! * [`quadtree`] — the Chen et al. (SIGMOD'14) baseline protocol.
 //! * [`core`] — the paper's protocols: the EMD-model protocol
 //!   (Algorithm 1), the Gap-Guarantee protocol (Theorem 4.2) and its
 //!   low-dimension variant (Theorem 4.5), plus exact set reconciliation
@@ -57,6 +56,5 @@ pub use rsr_iblt as iblt;
 pub use rsr_metric as metric;
 pub use rsr_net as net;
 pub use rsr_obs as obs;
-pub use rsr_quadtree as quadtree;
 pub use rsr_setsofsets as setsofsets;
 pub use rsr_workloads as workloads;
