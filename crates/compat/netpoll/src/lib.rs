@@ -1,5 +1,5 @@
-//! A minimal readiness shim for nonblocking sockets: `poll(2)` plus a
-//! self-pipe waker, with no dependencies outside `std`.
+//! A minimal readiness shim for nonblocking sockets: `poll(2)`, with no
+//! dependencies outside `std`.
 //!
 //! The build environment has no crates.io access, so the usual readiness
 //! crates (`mio`, `polling`) are out of reach; this stand-in covers the
@@ -8,13 +8,9 @@
 //! * [`PollFd`] — one registered descriptor with an interest set,
 //!   `#[repr(C)]`-compatible with the platform's `struct pollfd` so the
 //!   slice can be handed to `poll(2)` directly.
-//! * [`Poller`] — owns the wakeup pipe and makes the `poll(2)` call;
-//!   [`Poller::wait`] blocks until a registered descriptor is ready, the
-//!   timeout elapses, or a [`Waker`] fires from another thread.
-//! * [`Waker`] — cloneable, `Send + Sync` handle that interrupts a
-//!   concurrent (or the next) [`Poller::wait`]. Writes one byte down a
-//!   pipe registered alongside the caller's descriptors; an atomic flag
-//!   dedupes bursts so the pipe never accumulates more than one byte.
+//! * [`wait`] — blocks until a registered descriptor is ready or the
+//!   timeout elapses. Nothing else interrupts it: a reactor that waits
+//!   here does all of its own work, so no other thread has news for it.
 //!
 //! On Unix this is the real `poll(2)` via a direct `extern "C"`
 //! declaration (the symbol lives in the platform libc every Rust binary
@@ -25,20 +21,15 @@
 //! tier-1 target is Linux.
 //!
 //! ```
-//! use netpoll::{Poller, PollFd};
+//! use netpoll::wait;
 //! use std::time::Duration;
 //!
-//! let (mut poller, waker) = Poller::new().unwrap();
-//! let handle = std::thread::spawn(move || waker.wake());
-//! // No descriptors registered: only the waker can end the wait early.
-//! let n = poller.wait(&mut [], Some(Duration::from_secs(5))).unwrap();
-//! assert_eq!(n, 0); // the waker readiness is internal, not counted
-//! handle.join().unwrap();
+//! // No descriptors registered: the wait runs out its timeout.
+//! let n = wait(&mut [], Some(Duration::from_millis(5))).unwrap();
+//! assert_eq!(n, 0);
 //! ```
 
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Interest / readiness: data may be read without blocking.
@@ -73,11 +64,6 @@ impl PollFd {
         }
     }
 
-    /// The registered descriptor.
-    pub fn fd(&self) -> i32 {
-        self.fd
-    }
-
     /// Readable — or hung up / errored, which a reader must also observe
     /// (the read will return 0 or the error).
     pub fn readable(&self) -> bool {
@@ -87,11 +73,6 @@ impl PollFd {
     /// Writable — or errored, which the write will surface.
     pub fn writable(&self) -> bool {
         self.revents & (POLLOUT | POLLHUP | POLLERR | POLLNVAL) != 0
-    }
-
-    /// Any readiness at all.
-    pub fn ready(&self) -> bool {
-        self.revents != 0
     }
 }
 
@@ -123,137 +104,31 @@ pub fn listener_fd(listener: &std::net::TcpListener) -> i32 {
     }
 }
 
-/// Interrupts a [`Poller::wait`] from any thread. Cloneable; all clones
-/// feed the same poller.
-#[derive(Clone)]
-pub struct Waker {
-    shared: Arc<WakeShared>,
-}
-
-struct WakeShared {
-    /// True while a wake is pending (written but not yet drained); gates
-    /// the pipe write so bursts of wakes cost one byte, not one each.
-    signaled: AtomicBool,
-    #[cfg(unix)]
-    writer: std::io::PipeWriter,
-}
-
-impl Waker {
-    /// Makes the poller's current (or next) [`Poller::wait`] return
-    /// promptly. Cheap when a wake is already pending: one atomic swap.
-    pub fn wake(&self) {
-        if !self.shared.signaled.swap(true, Ordering::AcqRel) {
-            #[cfg(unix)]
-            {
-                use std::io::Write;
-                let _ = (&self.shared.writer).write(&[1u8]);
-            }
-        }
+/// Blocks until at least one of `fds` is ready or `timeout` elapses
+/// (`None` = no limit). Fills in each entry's readiness and returns how
+/// many descriptors are ready.
+pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+    for fd in fds.iter_mut() {
+        fd.revents = 0;
     }
-}
-
-/// Owns the wakeup channel and performs the blocking wait.
-pub struct Poller {
-    shared: Arc<WakeShared>,
     #[cfg(unix)]
-    reader: std::io::PipeReader,
-    /// Scratch: caller fds + the waker pipe, handed to `poll(2)`.
-    #[cfg(unix)]
-    scratch: Vec<PollFd>,
-}
-
-impl Poller {
-    /// A poller and its waker handle.
-    pub fn new() -> io::Result<(Poller, Waker)> {
-        #[cfg(unix)]
-        {
-            let (reader, writer) = std::io::pipe()?;
-            let shared = Arc::new(WakeShared {
-                signaled: AtomicBool::new(false),
-                writer,
-            });
-            let waker = Waker {
-                shared: Arc::clone(&shared),
-            };
-            Ok((
-                Poller {
-                    shared,
-                    reader,
-                    scratch: Vec::new(),
-                },
-                waker,
-            ))
-        }
-        #[cfg(not(unix))]
-        {
-            let shared = Arc::new(WakeShared {
-                signaled: AtomicBool::new(false),
-            });
-            let waker = Waker {
-                shared: Arc::clone(&shared),
-            };
-            Ok((Poller { shared }, waker))
-        }
-    }
-
-    /// Blocks until at least one of `fds` is ready, the [`Waker`] fires,
-    /// or `timeout` elapses (`None` = no limit). Fills in each entry's
-    /// readiness and returns how many of the *caller's* descriptors are
-    /// ready — a bare waker interruption returns `Ok(0)` with no entry
-    /// marked, so callers distinguish "new work was signaled" (re-check
-    /// queues) from descriptor readiness by the entries themselves.
-    pub fn wait(&mut self, fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-        #[cfg(unix)]
-        {
-            self.wait_unix(fds, timeout)
-        }
-        #[cfg(not(unix))]
-        {
-            self.wait_fallback(fds, timeout)
-        }
-    }
-
-    #[cfg(unix)]
-    fn wait_unix(&mut self, fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-        use std::io::Read;
-        use std::os::fd::AsRawFd;
-
-        // A wake that arrived since the last drain means pending work:
-        // don't block at all, just collect instantaneous readiness.
-        let timeout = if self.shared.signaled.load(Ordering::Acquire) {
-            Some(Duration::ZERO)
-        } else {
-            timeout
+    {
+        let ms = match timeout {
+            None => -1i32,
+            // Round up so a sub-millisecond deadline sleeps one tick
+            // instead of degenerating into a zero-timeout spin.
+            Some(t) => t
+                .as_millis()
+                .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
+                .min(i32::MAX as u128) as i32,
         };
-
-        self.scratch.clear();
-        for fd in fds.iter() {
-            let mut entry = *fd;
-            entry.revents = 0;
-            self.scratch.push(entry);
-        }
-        self.scratch
-            .push(PollFd::new(self.reader.as_raw_fd(), POLLIN));
-
         loop {
-            let ms = match timeout {
-                None => -1i32,
-                // Round up so a sub-millisecond deadline sleeps one tick
-                // instead of degenerating into a zero-timeout spin.
-                Some(t) => t
-                    .as_millis()
-                    .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
-                    .min(i32::MAX as u128) as i32,
-            };
-            let rc = unsafe {
-                sys::poll(
-                    self.scratch.as_mut_ptr(),
-                    self.scratch.len() as sys::NfdsT,
-                    ms,
-                )
-            };
+            // SAFETY: `fds` is a live, exclusively borrowed slice of
+            // `PollFd`s, which are layout-identical to `struct pollfd`,
+            // and `poll(2)` reads and writes exactly `fds.len()` entries.
+            let rc = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as sys::NfdsT, ms) };
             if rc >= 0 {
-                break;
+                return Ok(rc as usize);
             }
             let err = io::Error::last_os_error();
             if err.kind() != io::ErrorKind::Interrupted {
@@ -262,49 +137,14 @@ impl Poller {
             // EINTR: retry with the original timeout (a rare, bounded
             // over-wait beats tracking a deadline here).
         }
-
-        // Drain the waker *before* clearing the flag: a wake landing in
-        // between skips its write (flag still set) but its cause is
-        // already queued, and the caller re-checks queues after every
-        // wait. The reverse order could leave the flag set with an empty
-        // pipe — a permanently lost wakeup.
-        let waker_entry = self.scratch.last().expect("waker entry pushed above");
-        if waker_entry.readable() {
-            let mut sink = [0u8; 16];
-            let _ = self.reader.read(&mut sink);
-            self.shared.signaled.store(false, Ordering::Release);
-        } else {
-            // Zero-timeout pass for a pending wake whose byte had not
-            // landed yet: clear the flag anyway — the caller re-checks
-            // its queues after every wait, and the straggling byte only
-            // costs one spurious (immediately drained) wakeup later.
-            self.shared.signaled.store(false, Ordering::Release);
-        }
-
-        let mut ready = 0;
-        for (dst, src) in fds.iter_mut().zip(self.scratch.iter()) {
-            dst.revents = src.revents;
-            if dst.ready() {
-                ready += 1;
-            }
-        }
-        Ok(ready)
     }
-
     #[cfg(not(unix))]
-    fn wait_fallback(
-        &mut self,
-        fds: &mut [PollFd],
-        timeout: Option<Duration>,
-    ) -> io::Result<usize> {
+    {
         // No readiness API: sleep a bounded tick (cut short only by the
         // deadline), then conservatively report everything ready —
         // callers treat WouldBlock as "not actually ready".
         const TICK: Duration = Duration::from_millis(1);
-        if !self.shared.signaled.swap(false, Ordering::AcqRel) {
-            std::thread::sleep(timeout.unwrap_or(TICK).min(TICK));
-            self.shared.signaled.store(false, Ordering::Release);
-        }
+        std::thread::sleep(timeout.unwrap_or(TICK).min(TICK));
         for fd in fds.iter_mut() {
             fd.revents = fd.events;
         }
@@ -339,45 +179,9 @@ mod tests {
 
     #[test]
     fn timeout_elapses_without_activity() {
-        let (mut poller, _waker) = Poller::new().unwrap();
         let t0 = Instant::now();
-        let n = poller
-            .wait(&mut [], Some(Duration::from_millis(30)))
-            .unwrap();
+        let n = wait(&mut [], Some(Duration::from_millis(30))).unwrap();
         assert_eq!(n, 0);
-        assert!(t0.elapsed() >= Duration::from_millis(25));
-    }
-
-    #[test]
-    fn waker_interrupts_a_blocking_wait() {
-        let (mut poller, waker) = Poller::new().unwrap();
-        let t0 = Instant::now();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            waker.wake();
-        });
-        let n = poller.wait(&mut [], Some(Duration::from_secs(10))).unwrap();
-        handle.join().unwrap();
-        assert_eq!(n, 0, "waker readiness is internal");
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "wait should return well before the timeout"
-        );
-    }
-
-    #[test]
-    fn pending_wake_makes_the_next_wait_immediate() {
-        let (mut poller, waker) = Poller::new().unwrap();
-        waker.wake();
-        waker.wake(); // dedupe: still one byte in the pipe
-        let t0 = Instant::now();
-        poller.wait(&mut [], Some(Duration::from_secs(10))).unwrap();
-        assert!(t0.elapsed() < Duration::from_secs(1));
-        // Drained: the following wait must block for its full timeout.
-        let t0 = Instant::now();
-        poller
-            .wait(&mut [], Some(Duration::from_millis(30)))
-            .unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(25));
     }
 
@@ -388,12 +192,9 @@ mod tests {
         let mut client = TcpStream::connect(addr).unwrap();
         let (mut server, _) = listener.accept().unwrap();
 
-        let (mut poller, _waker) = Poller::new().unwrap();
         let mut fds = [PollFd::new(stream_fd(&server), POLLIN)];
         // Nothing written yet: not readable within a short wait.
-        let n = poller
-            .wait(&mut fds, Some(Duration::from_millis(10)))
-            .unwrap();
+        let n = wait(&mut fds, Some(Duration::from_millis(10))).unwrap();
         if cfg!(unix) {
             assert_eq!(n, 0);
             assert!(!fds[0].readable());
@@ -401,9 +202,7 @@ mod tests {
 
         client.write_all(b"ping").unwrap();
         client.flush().unwrap();
-        let n = poller
-            .wait(&mut fds, Some(Duration::from_secs(10)))
-            .unwrap();
+        let n = wait(&mut fds, Some(Duration::from_secs(10))).unwrap();
         assert!(n >= 1);
         assert!(fds[0].readable());
         let mut buf = [0u8; 4];
@@ -419,11 +218,8 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         drop(client);
 
-        let (mut poller, _waker) = Poller::new().unwrap();
         let mut fds = [PollFd::new(stream_fd(&server), POLLIN)];
-        let n = poller
-            .wait(&mut fds, Some(Duration::from_secs(10)))
-            .unwrap();
+        let n = wait(&mut fds, Some(Duration::from_secs(10))).unwrap();
         assert!(n >= 1);
         assert!(fds[0].readable(), "EOF must surface as read-readiness");
     }

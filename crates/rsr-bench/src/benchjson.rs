@@ -190,7 +190,7 @@ pub enum Rule {
     /// `_p99_ms`, `_max_ms`: a looser bounded rise above baseline.
     LatencyTail,
     /// `_threads`: never above baseline. Thread counts are structural
-    /// (one reactor plus a fixed executor pool per endpoint), so any
+    /// (a fixed set of server reactors, one client reactor), so any
     /// increase is a per-connection thread leaking back in.
     Threads,
     /// `_success_rate`: never below baseline. The rates come from fixed

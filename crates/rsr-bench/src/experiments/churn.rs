@@ -231,7 +231,6 @@ pub fn run_wire(quick: bool, seed: u64) -> WireResult {
         let party = rsr_core::continuous::shared(continuous_party_of(&wire_spec));
         let mut expected = base_set(n, seed);
         let mut driver = Driver::new(addr)
-            .shards(2)
             .idle_timeout(Some(Duration::from_secs(120)))
             .connect()
             .expect("connect");

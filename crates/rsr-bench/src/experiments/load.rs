@@ -1,5 +1,5 @@
 //! L1 — open-loop latency under load: session arrivals at a target
-//! offered rate against the executor-driven TCP server, per-session
+//! offered rate against the loopback TCP server, per-session
 //! latency from *scheduled* arrival to settle, percentiles from an
 //! HDR-style log-bucketed histogram.
 //!
@@ -13,7 +13,7 @@
 //! the coordinated-omission rule: measured from the scheduled arrival,
 //! not the actual injection (docs/loadgen.md has the full methodology).
 //!
-//! The sweep covers offered rate × executor shards, plus — in full mode
+//! The sweep covers offered rate × server reactors, plus — in full mode
 //! — an overload cell (offered above the host's measured capacity, so
 //! queueing delay dominates), a two-connection cell, and a double-size
 //! payload cell. Each cell's percentiles land in `BENCH_net.json` as
@@ -39,7 +39,7 @@ pub struct LoadCell {
     pub sessions: usize,
     /// Target offered rate, sessions/sec (exponential arrivals).
     pub rate: f64,
-    /// Executor shards on both endpoints.
+    /// Server reactor threads (the client runs on one thread).
     pub shards: usize,
     /// Concurrent client connections (sessions split round-robin).
     pub conns: usize,
@@ -160,9 +160,9 @@ pub fn run_cell(cell: &LoadCell, seed: u64) -> CellResult {
     // per-cell counts (the registry itself is cumulative per process).
     let obs_before = rsr_obs::enabled().then(|| rsr_obs::global().snapshot());
 
-    // One server reactor accepts every connection; one client reactor
-    // injects every schedule. All connections share one executor and one
-    // clock on each endpoint — no per-connection threads on either side.
+    // The server's reactors accept the connections; one client reactor
+    // injects every schedule on one clock — no per-connection threads on
+    // either side.
     let report = std::thread::scope(|s| {
         let server_handle = s.spawn(|| server.serve(Some(cell.conns)));
         // Connection `c` takes every `conns`-th session; each
@@ -188,7 +188,6 @@ pub fn run_cell(cell: &LoadCell, seed: u64) -> CellResult {
             .collect();
         let report = Driver::new(addr)
             .conns(cell.conns)
-            .shards(cell.shards)
             .idle_timeout(Some(Duration::from_secs(120)))
             .load(loads)
             .expect("load run completes");
@@ -326,7 +325,6 @@ pub fn extend(bench: &mut BenchReport, cells: &[LoadCell]) -> String {
         // (poll pressure, wire volume) next to its latency numbers.
         if let Some(obs) = &result.internals {
             for key in [
-                "exec_sessions_completed",
                 "net_reactor_polls",
                 "net_client_polls",
                 "net_wire_bytes_in",
@@ -339,8 +337,12 @@ pub fn extend(bench: &mut BenchReport, cells: &[LoadCell]) -> String {
         }
         sections.push(format!(
             "cell `{k}`: {} sessions over {} connection(s), exp arrivals at \
-             {:.0}/s offered, {} shards",
-            cell.sessions, cell.conns, cell.rate, cell.shards
+             {:.0}/s offered, {} server reactors ({} with a connection to serve)",
+            cell.sessions,
+            cell.conns,
+            cell.rate,
+            cell.shards,
+            cell.shards.min(cell.conns)
         ));
     }
 

@@ -1,16 +1,16 @@
 //! N1 — session throughput across drivers: the serial in-memory loop,
-//! the sharded executor at 1→2→4→8 workers, and executor-driven TCP,
-//! all replaying one trace.
+//! `drive_batch` on 1→2→4→8 threads, and TCP with a reactor per
+//! endpoint, all replaying one trace.
 //!
 //! Claims measured: every driver produces bit-identical per-session
 //! transcripts and identical per-session outcomes; a single
 //! [`ReconServer`] connection carries the whole trace concurrently; the
-//! wire overhead beyond the payload is just the record headers; and the
-//! sharded executor's sessions/sec scales with the worker count (on
+//! wire overhead beyond the payload is just the record headers; and
+//! `drive_batch`'s sessions/sec scales with its thread count (on
 //! multi-core hosts — the sweep reports whatever the hardware gives).
 //! Timing covers **only the drive loops**: trace parsing, instance
 //! construction, and socket setup all happen outside the clocks, so the
-//! shard-count comparison is apples-to-apples.
+//! thread-count comparison is apples-to-apples.
 //!
 //! The session batch comes from `rsr-workloads`' replayable trace
 //! format: the trace is written out, parsed back, and every driver
@@ -345,7 +345,7 @@ pub fn run(quick: bool) -> (String, BenchReport) {
     let metrics = rsr_obs::enabled();
     let count = if quick { 64 } else { 256 };
     let shard_sweep: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let tcp_shards = *shard_sweep.last().expect("non-empty sweep");
+    let sweep_reactors = *shard_sweep.last().expect("non-empty sweep");
     let trace_seed = 0xbea7_1e55;
     let mut bench = BenchReport::new("net", quick);
     bench.push("sessions", count as f64);
@@ -372,7 +372,7 @@ pub fn run(quick: bool) -> (String, BenchReport) {
 
     let mut table = Table::new(&[
         "driver",
-        "shards",
+        "threads",
         "sessions",
         "completed",
         "wire bytes",
@@ -392,8 +392,8 @@ pub fn run(quick: bool) -> (String, BenchReport) {
         "1.00x".into(),
     ]);
 
-    // Driver B: the sharded executor's in-process drive_batch, over the
-    // same instances, at each worker count. Pair construction (cheap
+    // Driver B: the in-process drive_batch, over the same instances, at
+    // each thread count. Pair construction (cheap
     // borrowed views) happens outside the clock; the drive is timed.
     for &shards in shard_sweep {
         let pairs: Vec<(Box<dyn DynSession + '_>, Box<dyn DynSession + '_>)> = factory
@@ -426,7 +426,7 @@ pub fn run(quick: bool) -> (String, BenchReport) {
             }
         }
         table.row(vec![
-            "executor in-memory".into(),
+            "drive_batch in-memory".into(),
             shards.to_string(),
             count.to_string(),
             outcomes.iter().filter(|o| o.is_ok()).count().to_string(),
@@ -442,12 +442,10 @@ pub fn run(quick: bool) -> (String, BenchReport) {
         bench.push(format!("shards{shards}_sessions_per_sec"), rate);
     }
 
-    // Driver C: every session multiplexed over ONE TCP connection, both
-    // endpoints executor-driven at the widest sweep setting. Socket
-    // setup and session-view construction stay outside the clock.
-    let server = ReconServer::bind("127.0.0.1:0", Arc::clone(&factory))
-        .expect("bind loopback")
-        .with_shards(tcp_shards);
+    // Driver C: every session multiplexed over ONE TCP connection, one
+    // reactor per endpoint stepping every half it reads. Socket setup and
+    // session-view construction stay outside the clock.
+    let server = ReconServer::bind("127.0.0.1:0", Arc::clone(&factory)).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
     let server_thread = std::thread::spawn(move || server.serve_one());
     let plans: Vec<SessionPlan<'_>> = factory
@@ -458,7 +456,6 @@ pub fn run(quick: bool) -> (String, BenchReport) {
         .collect();
     let t0 = Instant::now();
     let report = Driver::new(addr)
-        .shards(tcp_shards)
         // A wedged session must fail the run, not hang CI forever.
         .idle_timeout(Some(Duration::from_secs(120)))
         .batch(vec![plans])
@@ -475,7 +472,6 @@ pub fn run(quick: bool) -> (String, BenchReport) {
         .expect("server thread")
         .expect("connection served");
     let tcp_rate = count as f64 / tcp_elapsed.as_secs_f64();
-    bench.push("tcp_shards", tcp_shards as f64);
     bench.push("tcp_wall_ms", tcp_elapsed.as_secs_f64() * 1e3);
     bench.push("tcp_sessions_per_sec", tcp_rate);
 
@@ -518,8 +514,8 @@ pub fn run(quick: bool) -> (String, BenchReport) {
     bench.push("payload_bits", batch.payload_bits() as f64);
     bench.push("wire_bits", (wire_bytes * 8) as f64);
     table.row(vec![
-        "executor tcp loopback".into(),
-        tcp_shards.to_string(),
+        "tcp loopback".into(),
+        "1".into(),
         count.to_string(),
         batch.completed().to_string(),
         wire_bytes.to_string(),
@@ -529,9 +525,8 @@ pub fn run(quick: bool) -> (String, BenchReport) {
     ]);
 
     // Driver D: the connections × sessions sweep. C connections carry
-    // several successive batch rounds each, all multiplexed through ONE
-    // server reactor and ONE client reactor sharing one executor per
-    // endpoint; sessions negotiate their instance over the wire (the
+    // several successive batch rounds each, spread over the server's
+    // reactors and multiplexed through ONE client reactor; sessions negotiate their instance over the wire (the
     // OPEN spec), so the server rebuilds each instance on demand instead
     // of holding a pre-agreed trace. The process thread count is sampled
     // throughout and must stay flat as C grows — adding connections adds
@@ -557,6 +552,10 @@ pub fn run(quick: bool) -> (String, BenchReport) {
         "sessions/sec",
         "peak threads",
     ]);
+    // The sweep's server reactor count (the key keeps its old name, which
+    // the committed baseline carries; the TCP cell above runs one reactor
+    // per endpoint).
+    bench.push("tcp_shards", sweep_reactors as f64);
     let mut peaks: Vec<u64> = Vec::new();
     for &(conns, rounds, per_round) in sweep {
         let total = conns * rounds * per_round;
@@ -565,7 +564,7 @@ pub fn run(quick: bool) -> (String, BenchReport) {
                 conns,
                 rounds,
                 per_round,
-                tcp_shards,
+                sweep_reactors,
                 &pool,
                 &pool_specs,
                 &pool_baseline,
@@ -619,20 +618,20 @@ pub fn run(quick: bool) -> (String, BenchReport) {
     );
 
     let mut report = format!(
-        "## N1 — session throughput: serial vs sharded executor vs TCP\n\n\
+        "## N1 — session throughput: serial vs drive_batch vs TCP\n\n\
          Replayed one {count}-session trace (seed {trace_seed:#x}; emd/semd/gap \
-         mix) over every driver; each executor width and both TCP endpoints \
+         mix) over every driver; each drive_batch width and both TCP endpoints \
          agree bit-for-bit with the serial driver on all {agreeing} completed \
          sessions and {failed_on_both} failed identically everywhere. Timing \
          covers only the drive loops (no trace parsing, instance building, or \
          socket setup). The single server connection multiplexed {count} \
-         sessions ({} frames in, {} frames out) across {tcp_shards} worker \
-         shards per endpoint; framing overhead was {} bytes over the \
-         {payload_bytes}-byte payload. Idle workers took wakes from one \
-         queue; scaling depends on available cores.\n\n{}\n\n\
-         ### Connections × sessions sweep (one reactor, flat threads)\n\n\
-         Each sweep cell multiplexes its connections through one server \
-         reactor and one client reactor (one executor per endpoint); every \
+         sessions ({} frames in, {} frames out), each half stepped on the \
+         reactor that read its record; framing overhead was {} bytes over the \
+         {payload_bytes}-byte payload. drive_batch's threads take pairs \
+         from one queue; scaling depends on available cores.\n\n{}\n\n\
+         ### Connections × sessions sweep (fixed reactors, flat threads)\n\n\
+         Each sweep cell spreads its connections over {sweep_reactors} server \
+         reactors and multiplexes them through one client reactor; every \
          session negotiates its instance over the wire via the OPEN spec, \
          and each connection carries several successive batch rounds. The \
          peak process thread count was {peak_max} in every cell — flat \
@@ -655,7 +654,8 @@ pub fn run(quick: bool) -> (String, BenchReport) {
 
 /// One cell of the connections × sessions sweep: `conns` connections,
 /// each carrying `rounds` successive rounds of `per_round` sessions,
-/// all through one server reactor and one client reactor. Socket setup
+/// spread over `sweep_reactors` server reactors and one client reactor.
+/// Socket setup
 /// stays outside the clock; process peaks (threads, RSS) are sampled
 /// across the timed drive. Every session's outcome is asserted against
 /// the in-memory pool baseline.
@@ -663,19 +663,18 @@ fn run_sweep_cell(
     conns: usize,
     rounds: usize,
     per_round: usize,
-    tcp_shards: usize,
+    sweep_reactors: usize,
     pool: &[Instance],
     pool_specs: &[SessionSpec],
     pool_baseline: &[Result<u64, String>],
 ) -> (Duration, Peaks) {
     let server = ReconServer::bind("127.0.0.1:0", Arc::new(InstanceFactory::spec_only()))
         .expect("bind loopback")
-        .with_shards(tcp_shards);
+        .with_shards(sweep_reactors);
     let addr = server.local_addr().expect("bound address");
     let server_thread = std::thread::spawn(move || server.serve(Some(conns)));
     let mut driver = Driver::new(addr)
         .conns(conns)
-        .shards(tcp_shards)
         .idle_timeout(Some(Duration::from_secs(120)))
         .connect()
         .expect("connect loopback");

@@ -27,14 +27,15 @@
 //!   exchanging encoded [`channel::Frame`]s; the `run(&alice, &bob)`
 //!   entry points drive a pair with [`session::drive_in_memory`], the
 //!   one serial loop.
-//! * [`continuous`] — long-lived incremental sessions: resident
-//!   churn-sized tables, snapshot subtraction, per-round delta
-//!   reconciliation with an Idle→Syncing→Settled lifecycle.
-//! * [`executor`] — the worker-pool executor: an idle worker takes the
-//!   next wake from one FIFO, borrows its session [`executor::Half`] for
-//!   one step and hands it back, holding no session between wakes; and
-//!   the in-process parallel [`executor::drive_batch`] driver.
-//!   `rsr-net`'s connection slots lend it their one-shot halves.
+//! * [`continuous`] — long-lived incremental sessions: each party keeps
+//!   its set plus a journal of the keys changed since the last settle,
+//!   and a round reconciles a delta table built from that journal, with
+//!   an Idle→Syncing→Settled lifecycle.
+//! * [`executor`] — [`executor::Half`], a session half and its
+//!   transcript with the one wake sequence `Half::step`, which
+//!   `rsr-net`'s reactors run inline for every record they read; and
+//!   [`executor::drive_batch`], which runs in-process pairs on a few
+//!   scoped threads through the serial loop.
 //! * [`wire`] — codecs for non-table payloads (point lists, `u64` lists),
 //!   built on `rsr-iblt`'s shared bit codec.
 
@@ -62,10 +63,7 @@ pub use emd_protocol::{
     EmdProtocolConfig,
 };
 pub use emd_scaled::{ScaledEmdAliceSession, ScaledEmdBobSession, ScaledEmdProtocol};
-pub use executor::{
-    drive_batch, with_executor, DynSession, Events, ExecEvent, Half, Injector, PairOutcome, Seat,
-    Wait,
-};
+pub use executor::{drive_batch, DynSession, Half, PairOutcome};
 pub use gap_low_dim::low_dim_gap_config;
 pub use gap_protocol::{
     verify_gap_guarantee, GapAliceSession, GapBobSession, GapConfig, GapError, GapOutcome,

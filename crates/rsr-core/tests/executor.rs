@@ -1,6 +1,6 @@
-//! Executor behaviour under adversity: failure isolation, a pool that
-//! leaves no worker idle while a wake waits, and stall handling — with
-//! synthetic sessions, so the properties under test are the executor's
+//! `drive_batch` under adversity: failure isolation, threads that leave
+//! no pair waiting while one is free, and stall handling — with
+//! synthetic sessions, so the properties under test are the driver's
 //! alone, not any protocol's.
 
 use rsr_core::channel::Frame;
@@ -177,8 +177,9 @@ impl DynSession for Slow {
 #[test]
 fn a_half_still_inside_on_frame_past_two_stall_windows_ends_its_pair_stalled() {
     // Alice says her one frame and waits for an echo that never comes;
-    // Bob spends eight stall windows inside `on_frame`. The pair never
-    // finished, so it must not read as OK.
+    // Bob spends a long while inside `on_frame`, then says nothing. Two
+    // silent turns in a row are a stall: the pair never finished, so it
+    // must not read as OK.
     let pairs: Vec<(Box<dyn DynSession>, Box<dyn DynSession>)> = vec![(
         Box::new(Talker {
             to_send: 1,

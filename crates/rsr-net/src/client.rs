@@ -1,6 +1,6 @@
 //! The client's round engine: [`run_round`] drives every session of a
-//! round, on every pooled connection, from one readiness reactor over
-//! **one** shared shard pool, and writes the [`RunReport`]s the
+//! round, on every pooled connection, from one readiness reactor on the
+//! caller's thread, and writes the [`RunReport`]s the
 //! [`Driver`](crate::Driver) surface returns.
 //!
 //! The client plays **Alice** for every session it runs. A one-shot
@@ -11,33 +11,26 @@
 //! and settles when the server's one reply `FRAME` arrives.
 //!
 //! Every local half, of either kind, lives in its session's [`Slot`]
-//! between wakes. The only branch is where a wake runs: a continuous
-//! round steps on the caller's thread; a one-shot half is lent to the
-//! shared pool for one step — so the halves of different
-//! sessions (and different connections) compute in parallel — and comes
-//! back with the frames it said. A frame the server sends while its half
-//! is lent waits in the slot and is applied, in order, when the half
-//! returns. The reactor loop owns every socket: nonblocking reads run
-//! through the incremental record decoder, routed to slots by id —
-//! wake-on-frame, each record waking exactly one half — while produced
-//! frames queue per connection and drain as sockets accept them. No
-//! reader threads, no writer threads: a client drives C connections with
-//! `1 + shards` threads total.
+//! between wakes, and every wake steps it right where the record that
+//! wakes it was read. The reactor loop owns every socket: nonblocking
+//! reads run through the incremental record decoder, routed to slots by
+//! id — wake-on-frame, each record waking exactly one half — while
+//! produced frames queue per connection and drain as sockets accept
+//! them. No reader threads, no writer threads, no workers: a client
+//! drives C connections on the caller's thread alone.
 //!
-//! The loop itself keeps only what is cross-connection — the pool, the
-//! poller, the termination test. Everything per-connection is a phase on
+//! The loop itself keeps only what is cross-connection — the poll set
+//! and the termination test. Everything per-connection is a phase on
 //! [`RoundConn`], run in a fixed order each iteration: inject what is
-//! due, take back the halves the shards are done with, flush and sweep
-//! deadlines, contribute poll interest, drain a readable socket, and
-//! finally turn into the connection's report.
+//! due, flush and sweep deadlines, contribute poll interest, drain a
+//! readable socket, and finally turn into the connection's report.
 //!
 //! Failure is scoped tightly. A session-level failure (local decode
 //! error, server error status) marks that one session failed and the
 //! round carries on. A *connection*-level failure — abrupt disconnect,
 //! truncated record, idle timeout — settles every unsettled session on
-//! that connection with an error and drops its local half (a lent one
-//! when it comes back), and leaves every other connection's sessions
-//! untouched; it is that connection's
+//! that connection with an error and drops its local half, and leaves
+//! every other connection's sessions untouched; it is that connection's
 //! [`transport_error`](RunReport::transport_error), never a call-level
 //! `Err`. Connections stay pooled between rounds; one that failed or
 //! was closed by the server drops out of the pool.
@@ -46,15 +39,14 @@ use crate::codec::{NetError, Record, SessionSpec, STATUS_OK, STATUS_SESSION_ERRO
 use crate::driver::{RunReport, RunSession};
 use crate::reactor::{sooner, timed_out, ConnIo, READ_CHUNK};
 use crate::server::NetSession;
-use netpoll::{PollFd, Poller, POLLIN};
+use netpoll::{PollFd, POLLIN};
 use rsr_core::channel::Frame;
 use rsr_core::continuous::{AliceRound, ContinuousError, SharedParty};
-use rsr_core::executor::{with_executor, Half, Injector, Notify, Seat};
+use rsr_core::executor::Half;
 use rsr_core::transcript::{Party, Transcript};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One session a round will run: its wire id, the Alice half, and an
@@ -147,10 +139,6 @@ const CLOSED_BEFORE_SETTLE: &str = "connection closed before session settled";
 /// Per-session error when the server settled a session (or a round)
 /// its local half has not finished.
 const INCOMPLETE: &str = "server finished but the local session is incomplete";
-
-/// Whose half came back from a shard: the connection's index in the
-/// round and the slot's.
-type Key = (usize, usize);
 
 /// How long a round keeps trying to drain already-queued output after
 /// every session resolved, before giving the connection up as wedged.
@@ -263,11 +251,10 @@ fn admit(pool: &[PoolConn], plans: &[ConnPlan<'_>]) -> Result<(), NetError> {
 /// [`RunSession`] the report carries for it.
 struct Slot<'s> {
     /// The local Alice half between wakes — a one-shot session or a
-    /// continuous round alike.
-    seat: Seat<'s>,
-    /// A continuous round: its half steps on the caller's thread, and it
-    /// settles when the server's one reply `FRAME` arrives — the reply is
-    /// the ack — not on `DONE`.
+    /// continuous round alike. It is at home or does not exist.
+    half: Option<Box<Half<'s>>>,
+    /// A continuous round: it settles when the server's one reply
+    /// `FRAME` arrives — the reply is the ack — not on `DONE`.
     round: bool,
     /// The server said `DONE` (or we abandoned / lost the connection):
     /// nothing further is expected on the wire for it.
@@ -297,9 +284,6 @@ fn all_resolved(slots: &[Slot<'_>]) -> bool {
 /// One connection's state machine while a round runs. It borrows the
 /// pooled socket and writes the connection's [`RunReport`] in place.
 struct RoundConn<'p, 's> {
-    /// This connection's index in the round: its halves are lent under
-    /// it.
-    index: usize,
     /// The socket, while this connection can carry traffic: `None` once
     /// it failed or the server closed it — this round or an earlier one.
     io: Option<&'p mut ConnIo>,
@@ -330,7 +314,6 @@ impl<'p, 's> RoundConn<'p, 's> {
     /// round. Sessions planned for a connection an earlier round lost
     /// resolve at once with the reason it is gone.
     fn new(
-        index: usize,
         conn: &'p mut PoolConn,
         (sessions, schedule): ConnPlan<'s>,
         t0: Instant,
@@ -364,14 +347,13 @@ impl<'p, 's> RoundConn<'p, 's> {
         let slots = sessions
             .iter()
             .map(|s| Slot {
-                seat: Seat::Empty,
+                half: None,
                 round: s.round.is_some(),
                 settled: lost.is_some(),
                 local_done: lost.is_some(),
             })
             .collect();
         RoundConn {
-            index,
             base_in: io.as_ref().map_or(0, |io| io.wire_bytes_in),
             base_out: io.as_ref().map_or(0, |io| io.wire_bytes_out),
             io,
@@ -454,8 +436,8 @@ impl<'p, 's> RoundConn<'p, 's> {
     }
 
     /// Settles every unsettled session with `msg` and drops its local
-    /// half — now if it is at home, when it comes back if it is lent —
-    /// so the round can terminate instead of waiting on it forever.
+    /// half, so the round can terminate instead of waiting on it
+    /// forever.
     fn settle_leftovers(&mut self, msg: &str) {
         for s in 0..self.slots.len() {
             let slot = &mut self.slots[s];
@@ -466,11 +448,11 @@ impl<'p, 's> RoundConn<'p, 's> {
             self.report.sessions[s]
                 .error
                 .get_or_insert_with(|| msg.to_owned());
-            match slot.seat.take() {
-                Some(half) => self.finish_half(s, half, Some(INCOMPLETE.into())),
-                // Never injected, or its half already finished.
-                None if !matches!(slot.seat, Seat::Lent(_)) => slot.local_done = true,
-                None => {}
+            match slot.half.take() {
+                Some(half) => self.finish_half(s, *half, Some(INCOMPLETE.into())),
+                // Never injected, its half already finished, or it is
+                // the half stepping now, which closes when its step ends.
+                None => slot.local_done = true,
             }
             self.note_progress(s);
         }
@@ -478,7 +460,7 @@ impl<'p, 's> RoundConn<'p, 's> {
 
     /// Phase 1: injects every session that is due (all of them at once
     /// without a schedule).
-    fn inject_due(&mut self, injector: &mut Injector<'s, Key>) {
+    fn inject_due(&mut self) {
         let elapsed = self.t0.elapsed();
         while self.next_up < self.slots.len() {
             let Some(io) = self.io.as_deref_mut() else {
@@ -507,60 +489,29 @@ impl<'p, 's> RoundConn<'p, 's> {
                     continue;
                 }
             }
-            self.wake(s, Half::new(Party::Alice, plan.session), None, injector);
+            self.wake(s, Box::new(Half::new(Party::Alice, plan.session)), None);
         }
     }
 
-    /// Wakes slot `s`'s half with `incoming` (its opening say when
-    /// `None`). A continuous round steps here, on the caller's thread; a
-    /// one-shot half is lent to the pool and comes back through
-    /// [`RoundConn::returned`].
-    fn wake(
-        &mut self,
-        s: usize,
-        mut half: Half<'s>,
-        incoming: Option<Frame>,
-        injector: &mut Injector<'s, Key>,
-    ) {
-        let slot = &mut self.slots[s];
-        if !slot.round {
-            injector.lend((self.index, s), &mut slot.seat, half, incoming);
-            return;
-        }
-        let mut said = Vec::new();
-        let outcome = half.step(incoming, |frame| said.push(frame));
-        self.returned(s, half, said, outcome, injector);
-    }
-
-    /// Phase 2, and the end of every wake: queues what slot `s`'s half
-    /// said, then wakes it again with the next held frame, keeps it for
-    /// the next one, or closes it.
-    fn returned(
-        &mut self,
-        s: usize,
-        half: Half<'s>,
-        said: Vec<Frame>,
-        outcome: Result<bool, String>,
-        injector: &mut Injector<'s, Key>,
-    ) {
+    /// Steps slot `s`'s half once with `incoming` (its opening say when
+    /// `None`), here on the caller's thread, queueing what it says; then
+    /// keeps it in the slot for its next frame, or closes it.
+    fn wake(&mut self, s: usize, mut half: Box<Half<'s>>, incoming: Option<Frame>) {
         let session = self.report.sessions[s].id;
-        self.report.frames_out += said.len();
-        for frame in said {
+        let outcome = half.step(incoming, |frame| {
+            self.report.frames_out += 1;
             if let Err(e) = self.queue(&Record::Frame { session, frame }) {
                 self.fail(e);
             }
-        }
+        });
         let slot = &mut self.slots[s];
         let error = match outcome {
-            Ok(false) => match slot.seat.next_held() {
-                Some(frame) => return self.wake(s, half, Some(frame), injector),
-                None if !slot.settled => return slot.seat = Seat::Home(Box::new(half)),
-                None => Some(INCOMPLETE.to_owned()),
-            },
+            Ok(false) if !slot.settled => return slot.half = Some(half),
+            Ok(false) => Some(INCOMPLETE.to_owned()),
             Ok(true) => None,
             Err(e) => Some(e),
         };
-        self.finish_half(s, half, error);
+        self.finish_half(s, *half, error);
     }
 
     /// Closes slot `s`'s local half: its transcript goes into the report
@@ -569,7 +520,6 @@ impl<'p, 's> RoundConn<'p, 's> {
         let session = &mut self.report.sessions[s];
         session.transcript = half.into_transcript();
         let slot = &mut self.slots[s];
-        slot.seat = Seat::Empty;
         slot.local_done = true;
         let mut abandon = None;
         if let Some(e) = error {
@@ -592,7 +542,7 @@ impl<'p, 's> RoundConn<'p, 's> {
         }
     }
 
-    /// Phase 3: flushes queued output, then sweeps the idle deadline
+    /// Phase 2: flushes queued output, then sweeps the idle deadline
     /// and the post-resolution flush deadline.
     fn flush_and_sweep(&mut self, now: Instant) {
         let Some(io) = self.io.as_deref_mut() else {
@@ -625,7 +575,7 @@ impl<'p, 's> RoundConn<'p, 's> {
         all_resolved(&self.slots) && !self.io.as_deref().is_some_and(ConnIo::wants_write)
     }
 
-    /// Phase 4: this connection's poll interest, with its nearest wake-up
+    /// Phase 3: this connection's poll interest, with its nearest wake-up
     /// — next scheduled arrival, idle deadline, flush deadline — folded
     /// into `deadline`.
     fn poll_interest(&self, deadline: &mut Option<Instant>) -> Option<PollFd> {
@@ -646,12 +596,12 @@ impl<'p, 's> RoundConn<'p, 's> {
         io.poll_fd()
     }
 
-    /// Phase 5: drains a readable socket, waking the halves its records
+    /// Phase 4: drains a readable socket, waking the halves its records
     /// address.
-    fn drain_readable(&mut self, scratch: &mut [u8], injector: &mut Injector<'s, Key>) {
+    fn drain_readable(&mut self, scratch: &mut [u8]) {
         while let Some(io) = self.io.as_deref_mut() {
             let routed = match io.read_record(scratch) {
-                Ok(Some(record)) => self.route_server_record(record, injector),
+                Ok(Some(record)) => self.route_server_record(record),
                 Ok(None) if io.read_closed => return self.close_clean(),
                 Ok(None) => return,
                 Err(e) => Err(e),
@@ -664,11 +614,7 @@ impl<'p, 's> RoundConn<'p, 's> {
 
     /// Applies one server record. `Err` means the server violated the
     /// record contract and the connection is done for.
-    fn route_server_record(
-        &mut self,
-        record: Record,
-        injector: &mut Injector<'s, Key>,
-    ) -> Result<(), NetError> {
+    fn route_server_record(&mut self, record: Record) -> Result<(), NetError> {
         match record {
             Record::Open { .. } => Err(NetError::Malformed("server sent an open record")),
             Record::Frame { session, frame } => {
@@ -679,9 +625,9 @@ impl<'p, 's> RoundConn<'p, 's> {
                 // round settled there. Settled first, a local failure on
                 // the reply does not DONE the id away server-side.
                 slot.settled |= slot.round;
-                match slot.seat.deliver(frame) {
-                    Some((half, frame)) => self.wake(s, half, Some(frame), injector),
-                    // Held for a lent half, or stale.
+                match slot.half.take() {
+                    Some(half) => self.wake(s, half, Some(frame)),
+                    // Stale: its half already closed.
                     None => self.note_progress(s),
                 }
                 Ok(())
@@ -697,10 +643,9 @@ impl<'p, 's> RoundConn<'p, 's> {
                     let e = format!("server status {status}: {message}");
                     self.report.sessions[s].error.get_or_insert(e);
                 }
-                // A half at home closes now (a round's rolls back); a lent
-                // one when it comes back.
-                match self.slots[s].seat.take() {
-                    Some(half) => self.finish_half(s, half, Some(INCOMPLETE.into())),
+                // A half still at home closes (a round's rolls back).
+                match self.slots[s].half.take() {
+                    Some(half) => self.finish_half(s, *half, Some(INCOMPLETE.into())),
                     None => self.note_progress(s),
                 }
                 Ok(())
@@ -720,7 +665,7 @@ impl<'p, 's> RoundConn<'p, 's> {
             ))
     }
 
-    /// Phase 6: the connection's finished report, and why it leaves the
+    /// Phase 5: the connection's finished report, and why it leaves the
     /// pool if it does. `loop_end` is when the round's loop ended on the
     /// shared clock, `wall` the wall clock around the whole round.
     fn finish(mut self, loop_end: Duration, wall: Duration) -> (RunReport, Option<String>) {
@@ -753,93 +698,73 @@ impl<'p, 's> RoundConn<'p, 's> {
 
 /// Runs one round: admits `plans` (one per pooled connection, in pool
 /// order), injects each connection's sessions — on schedule in
-/// open-loop mode, immediately otherwise — routes wire records and
-/// returned halves, and runs until every session on every connection is
+/// open-loop mode, immediately otherwise — routes wire records to the
+/// halves they wake, and runs until every session on every connection is
 /// resolved. Returns one report per connection; `Err` only for a
-/// refused call and poller setup, never for connection failures (those
-/// are per-connection outcomes). Connections that failed or were closed
-/// by the server drop out of the pool.
+/// refused call, never for connection failures (those are
+/// per-connection outcomes). Connections that failed or were closed by
+/// the server drop out of the pool.
 pub(crate) fn run_round<'s>(
     pool: &mut [PoolConn],
     plans: Vec<ConnPlan<'s>>,
-    shards: usize,
     idle_timeout: Option<Duration>,
 ) -> Result<Vec<RunReport>, NetError> {
     let entered = Instant::now();
     admit(pool, &plans)?;
-    let (mut poller, waker) = Poller::new()?;
-    let notify: Notify = Arc::new(move || waker.wake());
     let t0 = Instant::now();
     let mut state: Vec<RoundConn<'_, 's>> = pool
         .iter_mut()
         .zip(plans)
-        .enumerate()
-        .map(|(c, (conn, plan))| RoundConn::new(c, conn, plan, t0, idle_timeout))
+        .map(|(conn, plan)| RoundConn::new(conn, plan, t0, idle_timeout))
         .collect();
-    let mut loop_end = Duration::ZERO;
+    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut fd_conns: Vec<usize> = Vec::new();
+    loop {
+        for rc in &mut state {
+            rc.inject_due();
+        }
 
-    with_executor(
-        shards,
-        Some(notify),
-        |mut injector: Injector<'s, Key>, events| {
-            let mut scratch = vec![0u8; READ_CHUNK];
-            let mut fds: Vec<PollFd> = Vec::new();
-            let mut fd_conns: Vec<usize> = Vec::new();
+        let now = Instant::now();
+        for rc in &mut state {
+            rc.flush_and_sweep(now);
+        }
 
-            loop {
-                for rc in &mut state {
-                    rc.inject_due(&mut injector);
-                }
+        if state.iter().all(RoundConn::round_over) {
+            break;
+        }
 
-                // Take back the halves the shards are done with.
-                while let Some(ev) = events.try_recv() {
-                    let (c, s) = ev.key;
-                    state[c].returned(s, ev.half, ev.said, ev.outcome, &mut injector);
-                }
-
-                let now = Instant::now();
-                for rc in &mut state {
-                    rc.flush_and_sweep(now);
-                }
-
-                if state.iter().all(RoundConn::round_over) {
-                    break;
-                }
-
-                // Wait for readiness: sockets, the next scheduled
-                // arrival, the nearest idle/flush deadline, or the
-                // executor's waker.
-                fds.clear();
-                fd_conns.clear();
-                let mut deadline: Option<Instant> = None;
-                for (c, rc) in state.iter().enumerate() {
-                    if let Some(fd) = rc.poll_interest(&mut deadline) {
-                        fds.push(fd);
-                        fd_conns.push(c);
-                    }
-                }
-                let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
-                if rsr_obs::enabled() {
-                    crate::obs::net_metrics().client_polls.inc();
-                }
-                if let Err(e) = poller.wait(&mut fds, timeout) {
-                    // Poller failure is unrecoverable for the whole round:
-                    // fail every live connection and settle out.
-                    for rc in &mut state {
-                        rc.fail(io::Error::new(e.kind(), e.to_string()).into());
-                    }
-                    continue;
-                }
-
-                for (fd, &c) in fds.iter().zip(&fd_conns) {
-                    if fd.readable() {
-                        state[c].drain_readable(&mut scratch, &mut injector);
-                    }
-                }
+        // Wait for readiness: sockets, the next scheduled arrival, or the
+        // nearest idle/flush deadline.
+        fds.clear();
+        fd_conns.clear();
+        let mut deadline: Option<Instant> = None;
+        for (c, rc) in state.iter().enumerate() {
+            if let Some(fd) = rc.poll_interest(&mut deadline) {
+                fds.push(fd);
+                fd_conns.push(c);
             }
-            loop_end = t0.elapsed();
-        },
-    );
+        }
+        let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+        if rsr_obs::enabled() {
+            crate::obs::net_metrics().client_polls.inc();
+        }
+        if let Err(e) = netpoll::wait(&mut fds, timeout) {
+            // Poll failure is unrecoverable for the whole round: fail
+            // every live connection and settle out.
+            for rc in &mut state {
+                rc.fail(io::Error::new(e.kind(), e.to_string()).into());
+            }
+            continue;
+        }
+
+        for (fd, &c) in fds.iter().zip(&fd_conns) {
+            if fd.readable() {
+                state[c].drain_readable(&mut scratch);
+            }
+        }
+    }
+    let loop_end = t0.elapsed();
 
     let wall = entered.elapsed();
     let (reports, gone): (Vec<_>, Vec<_>) = state
@@ -863,9 +788,6 @@ pub(crate) fn drain_pool(pool: Vec<PoolConn>) {
     for io in &ios {
         io.shutdown_write();
     }
-    let Ok((mut poller, _waker)) = Poller::new() else {
-        return;
-    };
     let deadline = Instant::now() + FINISH_GRACE;
     let mut scratch = vec![0u8; READ_CHUNK];
     while !ios.is_empty() {
@@ -874,7 +796,7 @@ pub(crate) fn drain_pool(pool: Vec<PoolConn>) {
             return;
         }
         let mut fds: Vec<PollFd> = ios.iter().map(|io| PollFd::new(io.fd(), POLLIN)).collect();
-        if poller.wait(&mut fds, Some(deadline - now)).is_err() {
+        if netpoll::wait(&mut fds, Some(deadline - now)).is_err() {
             return;
         }
         let mut keep = Vec::with_capacity(ios.len());

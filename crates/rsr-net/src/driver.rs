@@ -2,7 +2,7 @@
 //! reconciliation sessions over the wire.
 //!
 //! ```text
-//! Driver::new(addr).conns(4).shards(2).batch(plans)      // closed loop
+//! Driver::new(addr).conns(4).batch(plans)                // closed loop
 //! Driver::new(addr).idle_timeout(t).load(scheduled)      // open loop
 //! Driver::new(addr).connect()?                           // many rounds
 //! ```
@@ -23,7 +23,6 @@
 
 use crate::client::{drain_pool, run_round, ConnPlan, PoolConn, SessionPlan};
 use crate::codec::NetError;
-use crate::server::default_shards;
 use rsr_core::transcript::Transcript;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -182,18 +181,15 @@ impl DriverReport {
 pub struct Driver<A: ToSocketAddrs> {
     addr: A,
     conns: usize,
-    shards: Option<usize>,
     idle_timeout: Option<Duration>,
 }
 
 impl<A: ToSocketAddrs> Driver<A> {
-    /// A driver for `addr`: one connection, [`default_shards`] executor
-    /// shards, no idle deadline.
+    /// A driver for `addr`: one connection, no idle deadline.
     pub fn new(addr: A) -> Driver<A> {
         Driver {
             addr,
             conns: 1,
-            shards: None,
             idle_timeout: None,
         }
     }
@@ -205,10 +201,9 @@ impl<A: ToSocketAddrs> Driver<A> {
         self
     }
 
-    /// Sets the shared executor's worker-shard count (≥ 1).
-    pub fn shards(mut self, shards: usize) -> Driver<A> {
-        assert!(shards >= 1, "the executor needs at least one shard");
-        self.shards = Some(shards);
+    /// Ignored: a driver runs all its connections on the caller's
+    /// thread. Kept for callers that still name a width.
+    pub fn shards(self, _shards: usize) -> Driver<A> {
         self
     }
 
@@ -231,7 +226,6 @@ impl<A: ToSocketAddrs> Driver<A> {
         }
         Ok(ConnectedDriver {
             pool,
-            shards: self.shards.unwrap_or_else(default_shards),
             idle_timeout: self.idle_timeout,
         })
     }
@@ -263,14 +257,13 @@ impl<A: ToSocketAddrs> Driver<A> {
 }
 
 /// A connected driver: a pool of connections to one server, all driven
-/// by a single reactor loop and **one** shared executor — C connections
-/// cost `1 + shards` threads, not `C × threads`. The pool persists
+/// by a single reactor loop on the caller's thread — C connections cost
+/// no thread at all. The pool persists
 /// between rounds, which is what continuous sessions (and any
 /// multi-round workload) need; a connection that fails mid-round takes
 /// only its own sessions down and drops out of the pool.
 pub struct ConnectedDriver {
     pool: Vec<PoolConn>,
-    shards: usize,
     idle_timeout: Option<Duration>,
 }
 
@@ -300,7 +293,7 @@ impl ConnectedDriver {
     }
 
     fn round(&mut self, plans: Vec<ConnPlan<'_>>) -> Result<DriverReport, NetError> {
-        let conns = run_round(&mut self.pool, plans, self.shards, self.idle_timeout)?;
+        let conns = run_round(&mut self.pool, plans, self.idle_timeout)?;
         Ok(DriverReport { conns })
     }
 
@@ -323,11 +316,6 @@ impl ConnectedDriver {
     /// Connections still usable for further rounds.
     pub fn live_conns(&self) -> usize {
         self.pool.iter().filter(|c| c.is_live()).count()
-    }
-
-    /// The configured worker-shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Half-closes every live connection and drains the server's EOFs,

@@ -14,24 +14,22 @@
 //!   agrees bit for bit.
 //! * [`ReconServer`] — many concurrent sessions multiplexed over many
 //!   connections: each connection holds the Bob half of every session
-//!   it opened (created on demand by a [`SessionFactory`]; a one-shot
-//!   half is lent to `rsr-core`'s worker-pool executor for each wake,
-//!   and any idle worker runs it; a continuous round runs inline on the
-//!   reactor thread) behind one
-//!   readiness reactor, `1 + shards` threads ([`default_shards`]) however
-//!   many connections are live. It keeps per-session
+//!   it opened (created on demand by a [`SessionFactory`]), and the
+//!   reactor that accepted the connection steps a half inline for every
+//!   record that wakes it, one-shot halves and continuous rounds alike.
+//!   A server runs R reactor threads ([`default_shards`], or
+//!   `with_shards(R)`) however many connections are live. It keeps per-session
 //!   [`Transcript`](rsr_core::transcript::Transcript)s and
 //!   per-connection byte counters that must — and are tested to — agree
 //!   with the in-memory driver's accounting.
-//! * [`Driver`] — the one client: `Driver::new(addr).conns(n).shards(s)`
-//!   then [`Driver::batch`] (closed loop), [`Driver::load`] (open
-//!   loop), or [`Driver::connect`] for a [`ConnectedDriver`] whose pool
-//!   runs many rounds — including **continuous** sessions, whose
-//!   resident state spans rounds under one wire id, each round one
-//!   `FRAME` each way, run on the caller's thread with no executor hop
+//! * [`Driver`] — the one client: `Driver::new(addr).conns(n)` then
+//!   [`Driver::batch`] (closed loop), [`Driver::load`] (open loop), or
+//!   [`Driver::connect`] for a [`ConnectedDriver`] whose pool runs many
+//!   rounds — including **continuous** sessions, whose resident state
+//!   spans rounds under one wire id, each round one `FRAME` each way
 //!   (see [`SessionPlan::open_continuous`]). It plays Alice for every
-//!   [`SessionPlan`], interleaves their frames over the same reactor and
-//!   executor design, and returns one [`DriverReport`].
+//!   [`SessionPlan`], steps every half on one reactor on the caller's
+//!   thread, and returns one [`DriverReport`].
 //!
 //! See `docs/transport.md` for the wire layout and error-handling rules.
 

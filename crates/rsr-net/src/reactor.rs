@@ -1,36 +1,34 @@
-//! The readiness reactor: nonblocking sockets polled by `netpoll`,
-//! with **one** shared shard pool behind every connection.
+//! The readiness reactor: nonblocking sockets polled by `netpoll`, and
+//! every session half stepped on the reactor that reads its record.
 //!
 //! This module holds what both endpoints are built from — [`ConnIo`]
 //! (one socket's record stream) and the deadline helpers — and the
 //! server's half: [`ServerConn`], one connection's state machine, and
-//! [`run_server_reactor`], the loop that drives every connection of the
-//! process. The client's half (`client.rs`) is the same shape over the
-//! same pieces.
+//! [`run_server_reactor`], the loop that drives the connections one
+//! reactor accepted. The client's half (`client.rs`) is the same shape
+//! over the same pieces.
 //!
-//! * Every connection's stream runs in nonblocking mode; a
-//!   [`netpoll::Poller`] multiplexes read/write readiness across all of
-//!   them (plus the listener, server-side).
+//! * Every connection's stream runs in nonblocking mode; one `poll(2)`
+//!   per iteration multiplexes read/write readiness across all of the
+//!   reactor's connections (plus the listener, while the accept budget
+//!   lasts).
 //! * Incoming bytes run through the incremental
 //!   [`RecordDecoder`](crate::codec::RecordDecoder); each complete record
 //!   wakes the one session half it addresses.
-//! * **The connection owns every half.** A wire id's row ([`Entry`])
-//!   keeps its half between wakes — a one-shot session or a continuous
-//!   round alike. The only branch is where a wake runs: a continuous
-//!   round steps right here, to completion within the record that
-//!   begins it; a one-shot half is lent to the process-wide
-//!   [`rsr_core::executor`] pool for one [`Half::step`] and comes back
-//!   with what it said. A `FRAME` that arrives while its half is lent
-//!   waits in the row and is applied, in order, when the half returns.
-//!   Worker-shard count is fixed at startup — total threads are
-//!   `1 + shards` regardless of how many connections are live.
+//! * **The connection owns every half, and the reactor steps it.** A
+//!   wire id's row ([`Entry`]) keeps its half between wakes — a one-shot
+//!   session or a continuous round alike — and the record that wakes it
+//!   runs one [`Half::step`] right here, before the next record is read.
+//!   The paper's protocols strictly alternate, so a half never has a
+//!   second wake pending while it steps.
+//! * A server runs R reactors (`ReconServer::with_shards(R)`). They share
+//!   the listener and an accept budget; a reactor accepts at most one
+//!   connection per wake, so a burst of connects spreads over the
+//!   reactors that are free, and a connection stays on the reactor that
+//!   accepted it for its life.
 //! * Outgoing records queue in a per-connection buffer and drain as the
-//!   socket accepts them; the pool's `notify` hook pokes the poller's
-//!   waker so a half coming back interrupts a blocked `poll(2)`
-//!   immediately.
-//! * The reactor is the only thread touching sockets, so control
-//!   replies (unknown session id, duplicate `OPEN`) are written straight
-//!   to the connection's output buffer.
+//!   socket accepts them. Control replies (unknown session id, duplicate
+//!   `OPEN`) go straight to the same buffer.
 //!
 //! Everything a server connection knows about a wire id is one row of
 //! one table ([`Entry`]: the half, the resident continuous party, the
@@ -38,16 +36,14 @@
 //! record may do with the id it names; `docs/transport.md` prints that
 //! decision as a table. Each loop iteration runs the connection's
 //! phases in a fixed order: `poll_interest`, then (after the poll and
-//! the accepts) `drain_readable` → `on_record`, `returned`,
-//! `flush_and_sweep`, and `finish` once the connection has nothing left
-//! to do.
+//! the accept) `drain_readable` → `on_record`, `flush_and_sweep`, and
+//! `finish` once the connection has nothing left to do.
 //!
 //! Disconnects are first-class: EOF mid-record is a truncation error, a
 //! half still in flight when its connection ends closes with
-//! [`CLOSED_MID_SESSION`] (a lent one once it comes back), and a
-//! connection that goes silent past the idle deadline is torn down
-//! instead of pinned forever. One connection's death never touches
-//! sessions on another connection — they share shards, not fate.
+//! [`CLOSED_MID_SESSION`], and a connection that goes silent past the
+//! idle deadline is torn down instead of pinned forever. One
+//! connection's death never touches sessions on another connection.
 
 use crate::codec::{
     write_record, NetError, Record, RecordDecoder, SessionSpec, STATUS_OK, STATUS_SESSION_ERROR,
@@ -55,15 +51,15 @@ use crate::codec::{
 };
 use crate::obs::net_metrics;
 use crate::server::{ConnectionReport, SessionFactory, SessionSummary};
-use netpoll::{listener_fd, stream_fd, PollFd, Poller, POLLIN, POLLOUT};
+use netpoll::{listener_fd, stream_fd, PollFd, POLLIN, POLLOUT};
 use rsr_core::channel::Frame;
 use rsr_core::continuous::{BobRound, SharedParty};
-use rsr_core::executor::{with_executor, Half, Injector, Notify, Seat};
+use rsr_core::executor::Half;
 use rsr_core::transcript::{Party, Transcript};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Close reason for sessions the client abandoned via `DONE`; the
@@ -79,6 +75,12 @@ pub(crate) const CLOSED_MID_SESSION: &str = "connection closed mid-session";
 /// Without a deadline a client that connects and never speaks — or dies
 /// without a FIN reaching us — would hold its connection state forever.
 pub(crate) const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How often a reactor that shares the accept budget with others wakes
+/// while it polls the listener, to see whether another reactor spent the
+/// last of the budget (or failed and zeroed it): nothing else would end
+/// its wait once no connection is left to arrive.
+pub(crate) const BUDGET_RECHECK: Duration = Duration::from_millis(20);
 
 /// Read-chunk size for draining a readable socket.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
@@ -268,11 +270,9 @@ impl ConnIo {
 /// re-opening it is a duplicate — and its summary is the report's.
 struct Entry<'f> {
     /// The id's session half between wakes — a one-shot Bob, or a
-    /// continuous round that has not finished — alike.
-    seat: Seat<'f>,
-    /// The client abandoned the id while its half was lent: the half
-    /// closes when it returns.
-    abandoned: bool,
+    /// continuous round that has not finished — alike. It is at home or
+    /// does not exist.
+    half: Option<Box<Half<'f>>>,
     /// A continuous session's Bob party, resident between rounds until
     /// the client `DONE`s the id or the connection ends. A failed round
     /// rolls it back and leaves it here, so the client may retry.
@@ -293,8 +293,8 @@ enum Plan<'c> {
     /// `FRAME` for the half in flight under the id.
     Route { frame: Frame },
     /// `FRAME` for an admitted id with nothing in flight and nothing
-    /// resident (its session resolved, or its continuous session was
-    /// retired): counted, then dropped.
+    /// resident (its session resolved or was abandoned, or its
+    /// continuous session was retired): counted, then dropped.
     Stale,
     /// Client `DONE`: drop the half in flight, if any, and the resident
     /// party, if any. Ids with neither are left as they are.
@@ -303,25 +303,16 @@ enum Plan<'c> {
     Refuse { status: u8, message: &'static str },
 }
 
-/// Whose half came back from a shard: the connection's reactor index
-/// and the wire id.
-type Key = (usize, u64);
-
 /// One server connection's state machine, riding on [`ConnIo`].
 struct ServerConn<'f> {
     io: ConnIo,
-    /// This connection's index in the reactor: its halves are lent
-    /// under it.
-    slot: usize,
     table: HashMap<u64, Entry<'f>>,
     /// Wire ids in open order, for the report.
     order: Vec<u64>,
-    /// Rows with a half in flight, rows whose half is lent, and rows
-    /// holding a resident party: the sums over `table` the
-    /// per-iteration phases ask for, kept by the only methods that set
-    /// or clear those fields.
+    /// Rows with a half in flight and rows holding a resident party: the
+    /// sums over `table` the per-iteration phases ask for, kept by the
+    /// only methods that set or clear those fields.
     in_flight: usize,
-    lent: usize,
     residents: usize,
     frames_in: usize,
     frames_out: usize,
@@ -331,14 +322,12 @@ struct ServerConn<'f> {
 }
 
 impl<'f> ServerConn<'f> {
-    fn new(io: ConnIo, slot: usize) -> ServerConn<'f> {
+    fn new(io: ConnIo) -> ServerConn<'f> {
         ServerConn {
             io,
-            slot,
             table: HashMap::new(),
             order: Vec::new(),
             in_flight: 0,
-            lent: 0,
             residents: 0,
             frames_in: 0,
             frames_out: 0,
@@ -350,11 +339,11 @@ impl<'f> ServerConn<'f> {
         self.error.is_some()
     }
 
-    /// Ready to leave the reactor: nothing more will be read, every lent
-    /// half has come back, and the output has drained (a dead socket
-    /// drains nowhere and does not wait).
+    /// Ready to leave the reactor: nothing more will be read and the
+    /// output has drained (a dead socket drains nowhere and does not
+    /// wait).
     fn finished(&self) -> bool {
-        self.io.read_closed && self.lent == 0 && (self.dead() || !self.io.wants_write())
+        self.io.read_closed && (self.dead() || !self.io.wants_write())
     }
 
     /// Whether the idle deadline applies. It spares a connection at
@@ -376,8 +365,7 @@ impl<'f> ServerConn<'f> {
         self.table.entry(wire).or_insert_with(|| {
             self.order.push(wire);
             Entry {
-                seat: Seat::Empty,
-                abandoned: false,
+                half: None,
                 resident: None,
                 summary: SessionSummary {
                     id: wire,
@@ -403,7 +391,7 @@ impl<'f> ServerConn<'f> {
             },
             Record::Frame { frame, .. } => match entry {
                 None => refuse(STATUS_UNKNOWN_SESSION, "unknown session id"),
-                Some(entry) if !matches!(entry.seat, Seat::Empty) => Plan::Route { frame },
+                Some(entry) if entry.half.is_some() => Plan::Route { frame },
                 Some(entry) => match &entry.resident {
                     Some(party) => Plan::Begin { party, frame },
                     None => Plan::Stale,
@@ -421,7 +409,6 @@ impl<'f> ServerConn<'f> {
         &mut self,
         record: Record,
         factory: &'f F,
-        injector: &mut Injector<'f, Key>,
     ) -> Result<(), NetError> {
         let wire = record.session();
         match self.admit(record) {
@@ -444,7 +431,7 @@ impl<'f> ServerConn<'f> {
             }
             Plan::Open { spec } => match factory.open_spec(wire, spec.as_ref()) {
                 Some(session) => {
-                    self.start(wire, Half::new(Party::Bob, session), None, injector);
+                    self.start(wire, Half::new(Party::Bob, session), None);
                     Ok(())
                 }
                 None => self.refuse(wire, STATUS_UNKNOWN_SESSION, "unknown session id"),
@@ -456,8 +443,7 @@ impl<'f> ServerConn<'f> {
                 self.frames_in += 1;
                 match bob {
                     Ok(bob) => {
-                        let half = Half::new(Party::Bob, Box::new(bob));
-                        self.start(wire, half, Some(frame), injector);
+                        self.start(wire, Half::new(Party::Bob, Box::new(bob)), Some(frame));
                         Ok(())
                     }
                     Err(e) => {
@@ -470,9 +456,8 @@ impl<'f> ServerConn<'f> {
             }
             Plan::Route { frame } => {
                 self.frames_in += 1;
-                if let Some((half, frame)) = self.entry(wire).seat.deliver(frame) {
-                    self.wake(wire, half, Some(frame), injector);
-                }
+                let half = self.entry(wire).half.take().expect("admitted as in flight");
+                self.wake(wire, half, Some(frame));
                 Ok(())
             }
             Plan::Stale => {
@@ -490,9 +475,8 @@ impl<'f> ServerConn<'f> {
                 if entry.resident.take().is_some() {
                     self.residents -= 1;
                 }
-                match entry.seat.take() {
-                    Some(half) => self.settle(wire, half, Some(ABANDONED.into())),
-                    None => entry.abandoned = matches!(entry.seat, Seat::Lent(_)),
+                if let Some(half) = entry.half.take() {
+                    self.settle(wire, *half, Some(ABANDONED.into()));
                 }
                 Ok(())
             }
@@ -515,68 +499,22 @@ impl<'f> ServerConn<'f> {
 
     /// Puts `half` in flight under `wire` (claiming the row) and wakes
     /// it.
-    fn start(
-        &mut self,
-        wire: u64,
-        half: Half<'f>,
-        incoming: Option<Frame>,
-        injector: &mut Injector<'f, Key>,
-    ) {
+    fn start(&mut self, wire: u64, half: Half<'f>, incoming: Option<Frame>) {
         self.in_flight += 1;
-        self.wake(wire, half, incoming, injector);
+        self.wake(wire, Box::new(half), incoming);
     }
 
-    /// Wakes `wire`'s half with `incoming`. A continuous round runs here,
-    /// on the reactor thread, to completion within the record that
-    /// begins it; a one-shot half is lent to the pool and comes back
-    /// through [`ServerConn::returned`].
-    fn wake(
-        &mut self,
-        wire: u64,
-        mut half: Half<'f>,
-        incoming: Option<Frame>,
-        injector: &mut Injector<'f, Key>,
-    ) {
-        let key = (self.slot, wire);
-        let entry = self.entry(wire);
-        if entry.resident.is_none() {
-            injector.lend(key, &mut entry.seat, half, incoming);
-            self.lent += 1;
-            return;
-        }
-        let mut said = Vec::new();
-        let outcome = half.step(incoming, |frame| said.push(frame));
-        self.returned(wire, half, said, outcome, injector);
-    }
-
-    /// Applies one wake of `wire`'s half: queues what it said, then
-    /// wakes it again with the next held frame, keeps it for the next
-    /// one, or closes it.
-    fn returned(
-        &mut self,
-        wire: u64,
-        half: Half<'f>,
-        said: Vec<Frame>,
-        outcome: Result<bool, String>,
-        injector: &mut Injector<'f, Key>,
-    ) {
-        for frame in said {
-            self.send(wire, frame);
-        }
-        let entry = self.table.get_mut(&wire).expect("a half's row outlives it");
-        if matches!(entry.seat, Seat::Lent(_)) {
-            self.lent -= 1;
-        }
+    /// Steps `wire`'s half once with `incoming`, here on the reactor
+    /// thread, queueing what it says; then keeps it in the row for its
+    /// next frame, or closes it.
+    fn wake(&mut self, wire: u64, mut half: Box<Half<'f>>, incoming: Option<Frame>) {
+        let outcome = half.step(incoming, |frame| self.send(wire, frame));
         let error = match outcome {
-            Ok(false) => match entry.seat.next_held() {
-                Some(frame) => return self.wake(wire, half, Some(frame), injector),
-                None if entry.abandoned => Some(ABANDONED.to_owned()),
-                None => return entry.seat = Seat::Home(Box::new(half)),
-            },
+            Ok(false) => return self.entry(wire).half = Some(half),
             Ok(true) => None,
             Err(e) => Some(e),
         };
-        self.settle(wire, half, error);
+        self.settle(wire, *half, error);
     }
 
     /// Closes `wire`'s half for good: its transcript joins the summary,
@@ -586,7 +524,6 @@ impl<'f> ServerConn<'f> {
     fn settle(&mut self, wire: u64, half: Half<'f>, error: Option<String>) {
         self.in_flight -= 1;
         let entry = self.entry(wire);
-        entry.seat = Seat::Empty;
         entry.summary.transcript.append(half.into_transcript());
         let (status, message) = match error {
             None if entry.resident.is_some() => return,
@@ -657,18 +594,13 @@ impl<'f> ServerConn<'f> {
 
     /// Drains a readable socket: every complete record is applied, and
     /// an EOF ends the connection's reading for good.
-    fn drain_readable<F: SessionFactory + ?Sized>(
-        &mut self,
-        scratch: &mut [u8],
-        factory: &'f F,
-        injector: &mut Injector<'f, Key>,
-    ) {
+    fn drain_readable<F: SessionFactory + ?Sized>(&mut self, scratch: &mut [u8], factory: &'f F) {
         if self.io.read_closed {
             return;
         }
         loop {
             let applied = match self.io.read_record(scratch) {
-                Ok(Some(record)) => self.on_record(record, factory, injector),
+                Ok(Some(record)) => self.on_record(record, factory),
                 Ok(None) => break,
                 Err(e) => Err(e),
             };
@@ -677,11 +609,10 @@ impl<'f> ServerConn<'f> {
             }
         }
         if self.io.read_closed {
-            // Clean EOF. Replies already queued, and those of the halves
-            // still lent, keep draining — the peer only half-closed its
-            // write side. EOF is also the implicit teardown of resident
-            // continuous state: the parties drop here, not with the last
-            // queued byte.
+            // Clean EOF. Replies already queued keep draining — the peer
+            // only half-closed its write side. EOF is also the implicit
+            // teardown of resident continuous state: the parties drop
+            // here, not with the last queued byte.
             for entry in self.table.values_mut() {
                 entry.resident = None;
             }
@@ -725,7 +656,7 @@ impl<'f> ServerConn<'f> {
         let summary = |mut entry: Entry<'_>| {
             // A half still waiting for the client closes with the
             // connection.
-            if let Some(half) = entry.seat.take() {
+            if let Some(half) = entry.half.take() {
                 entry.summary.transcript.append(half.into_transcript());
                 let error = &mut entry.summary.error;
                 error.get_or_insert_with(|| CLOSED_MID_SESSION.into());
@@ -742,142 +673,126 @@ impl<'f> ServerConn<'f> {
     }
 }
 
-/// Runs the server reactor: everything accepted from `listener` — at
-/// most `max_conns` connections, `None` = until the listener fails — is
-/// served over one shared `shards`-wide executor until it closes, and
-/// torn down after `idle_timeout` of wire silence (`None` disables the
-/// sweep). Finished connections are handed to `sink` in completion order
-/// (see [`ServerConn::finish`]). Returns `Err` only for
-/// listener/poller-level failures.
+/// Runs one server reactor on the calling thread: it accepts from
+/// `listener` while the shared `budget` lasts — one connection per wake,
+/// claiming a unit before it calls `accept` — and serves what it
+/// accepted until each connection closes, tearing a connection down
+/// after `idle_timeout` of wire silence (`None` disables the sweep).
+/// `recheck` bounds each wait while the listener is polled, for a
+/// reactor that shares the budget with others. Finished connections are
+/// handed to `sink` in completion order (see [`ServerConn::finish`]).
+/// Returns once the budget is spent and every connection is finished;
+/// `Err` only for listener- or poll-level failures.
 pub(crate) fn run_server_reactor<F: SessionFactory + ?Sized>(
     factory: &F,
     listener: &TcpListener,
-    shards: usize,
+    budget: &AtomicUsize,
+    recheck: Option<Duration>,
     idle_timeout: Option<Duration>,
-    max_conns: Option<usize>,
     sink: &mut dyn FnMut(Result<ConnectionReport, NetError>),
 ) -> Result<(), NetError> {
-    let (mut poller, waker) = Poller::new()?;
-    let notify: Notify = Arc::new(move || waker.wake());
-    listener.set_nonblocking(true)?;
-    let mut accept_budget = max_conns.unwrap_or(usize::MAX);
-
-    with_executor(
-        shards,
-        Some(notify),
-        |mut injector: Injector<'_, Key>, events| {
-            let mut conns: Vec<Option<ServerConn<'_>>> = Vec::new();
-            let mut scratch = vec![0u8; READ_CHUNK];
-            let mut fds: Vec<PollFd> = Vec::new();
-            let mut fd_slots: Vec<Option<usize>> = Vec::new();
-
-            // Done when no more connections can arrive and none remain.
-            while accept_budget > 0 || conns.iter().any(Option::is_some) {
-                // Wait for readiness: the listener, sockets, the nearest
-                // idle deadline, or the executor's waker.
-                fds.clear();
-                fd_slots.clear();
-                if accept_budget > 0 {
-                    fds.push(PollFd::new(listener_fd(listener), POLLIN));
-                    fd_slots.push(None);
-                }
-                let mut deadline: Option<Instant> = None;
-                for (slot, conn) in conns.iter().enumerate() {
-                    let Some(conn) = conn else { continue };
-                    if let Some(fd) = conn.poll_interest(idle_timeout, &mut deadline) {
-                        fds.push(fd);
-                        fd_slots.push(Some(slot));
-                    }
-                }
-                let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
-                poller.wait(&mut fds, timeout)?;
-                if rsr_obs::enabled() {
-                    note_poll_return(&fds, &fd_slots);
-                }
-
-                if accept_budget > 0 && fds[0].readable() {
-                    accept_ready(listener, &mut accept_budget, &mut conns)?;
-                }
-
-                // Drain readable connections.
-                for (fd, slot) in fds.iter().zip(&fd_slots) {
-                    if let (true, Some(slot)) = (fd.readable(), *slot) {
-                        if let Some(conn) = conns[slot].as_mut() {
-                            conn.drain_readable(&mut scratch, factory, &mut injector);
-                        }
-                    }
-                }
-
-                // Take back the halves the shards are done with.
-                while let Some(ev) = events.try_recv() {
-                    let (slot, wire) = ev.key;
-                    let conn = conns[slot]
-                        .as_mut()
-                        .expect("a conn outlives its lent halves");
-                    conn.returned(wire, ev.half, ev.said, ev.outcome, &mut injector);
-                }
-
-                // Flush, sweep idlers, retire finished connections.
-                let now = Instant::now();
-                for conn_slot in &mut conns {
-                    let Some(conn) = conn_slot.as_mut() else {
-                        continue;
-                    };
-                    conn.flush_and_sweep(now, idle_timeout);
-                    if conn.finished() {
-                        if rsr_obs::enabled() {
-                            net_metrics().conns_live.dec();
-                        }
-                        sink(conn_slot.take().expect("checked above").finish());
-                    }
-                }
+    let mut conns: Vec<ServerConn<'_>> = Vec::new();
+    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut fds: Vec<PollFd> = Vec::new();
+    // Which connection each polled fd belongs to; `None` is the listener.
+    let mut fd_conns: Vec<Option<usize>> = Vec::new();
+    loop {
+        let accepting = budget.load(Ordering::Relaxed) > 0;
+        if !accepting && conns.is_empty() {
+            return Ok(());
+        }
+        // Wait for readiness: the listener, sockets, or the nearest
+        // deadline.
+        fds.clear();
+        fd_conns.clear();
+        let mut deadline: Option<Instant> = None;
+        if accepting {
+            fds.push(PollFd::new(listener_fd(listener), POLLIN));
+            fd_conns.push(None);
+            if let Some(every) = recheck {
+                sooner(&mut deadline, Instant::now() + every);
             }
-            Ok(())
-        },
-    )
+        }
+        for (c, conn) in conns.iter().enumerate() {
+            if let Some(fd) = conn.poll_interest(idle_timeout, &mut deadline) {
+                fds.push(fd);
+                fd_conns.push(Some(c));
+            }
+        }
+        let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+        netpoll::wait(&mut fds, timeout)?;
+        if rsr_obs::enabled() {
+            note_poll_return(&fds, &fd_conns);
+        }
+
+        if accepting && fds[0].readable() {
+            if let Some(stream) = accept_one(listener, budget)? {
+                let io = ConnIo::new(stream)?;
+                if rsr_obs::enabled() {
+                    net_metrics().conns_accepted.inc();
+                    net_metrics().conns_live.inc();
+                }
+                conns.push(ServerConn::new(io));
+            }
+        }
+
+        // Drain readable connections, stepping every half they wake.
+        for (fd, c) in fds.iter().zip(&fd_conns) {
+            if let (true, Some(c)) = (fd.readable(), *c) {
+                conns[c].drain_readable(&mut scratch, factory);
+            }
+        }
+
+        // Flush, sweep idlers, retire finished connections.
+        let now = Instant::now();
+        let mut c = 0;
+        while c < conns.len() {
+            conns[c].flush_and_sweep(now, idle_timeout);
+            if !conns[c].finished() {
+                c += 1;
+                continue;
+            }
+            if rsr_obs::enabled() {
+                net_metrics().conns_live.dec();
+            }
+            sink(conns.swap_remove(c).finish());
+        }
+    }
 }
 
-/// Accepts everything the listener has ready, up to the budget; each new
-/// connection takes the first free slot.
-fn accept_ready(
-    listener: &TcpListener,
-    budget: &mut usize,
-    conns: &mut Vec<Option<ServerConn<'_>>>,
-) -> Result<(), NetError> {
-    while *budget > 0 {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        };
-        *budget -= 1;
-        let io = ConnIo::new(stream)?;
-        if rsr_obs::enabled() {
-            net_metrics().conns_accepted.inc();
-            net_metrics().conns_live.inc();
-        }
-        let slot = conns.iter().position(Option::is_none).unwrap_or_else(|| {
-            conns.push(None);
-            conns.len() - 1
-        });
-        conns[slot] = Some(ServerConn::new(io, slot));
+/// Accepts one connection when a unit of the shared `budget` is left.
+/// The unit is claimed before the call and given back when the listener
+/// had nothing — another reactor may have taken the connection. The
+/// budget is a count that publishes no other data, so its operations
+/// are `Relaxed`.
+fn accept_one(listener: &TcpListener, budget: &AtomicUsize) -> Result<Option<TcpStream>, NetError> {
+    let claim = budget.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1));
+    if claim.is_err() {
+        return Ok(None);
     }
-    Ok(())
+    match listener.accept() {
+        Ok((stream, _peer)) => Ok(Some(stream)),
+        Err(e) => {
+            budget.fetch_add(1, Ordering::Relaxed);
+            match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(None),
+                _ => Err(e.into()),
+            }
+        }
+    }
 }
 
 /// Classifies one `poll(2)` return for the wake-reason counters. The
-/// listener rides in the slot whose `fd_slots` entry is `None`; any
+/// listener rides in the slot whose `fd_conns` entry is `None`; any
 /// other ready fd is a connection. A return with no registered fd ready
-/// means the executor's waker fired or the idle-sweep deadline expired —
-/// `netpoll` keeps the waker's readiness internal, so the two are
-/// indistinguishable here and share `net_reactor_wakes_other`.
-fn note_poll_return(fds: &[PollFd], fd_slots: &[Option<usize>]) {
+/// means a deadline expired — an idle sweep, or the budget recheck — and
+/// counts under `net_reactor_wakes_other`.
+fn note_poll_return(fds: &[PollFd], fd_conns: &[Option<usize>]) {
     let m = net_metrics();
     m.polls.inc();
     let (mut accept, mut readable, mut writable) = (false, false, false);
-    for (fd, slot) in fds.iter().zip(fd_slots) {
-        if slot.is_none() {
+    for (fd, conn) in fds.iter().zip(fd_conns) {
+        if conn.is_none() {
             accept |= fd.readable();
         } else {
             readable |= fd.readable();

@@ -1,6 +1,6 @@
 //! [`ReconServer`]: many reconciliation sessions multiplexed over many
-//! connections, all driven from one readiness reactor over **one**
-//! shared shard pool.
+//! connections, driven by R readiness reactors that step every session
+//! half on the thread that reads its record.
 //!
 //! The server plays **Bob** for every session. A [`SessionFactory`]
 //! supplies the Bob half on demand: when a connection `OPEN`s a session
@@ -8,13 +8,13 @@
 //! [`SessionSpec`] when the client sent one, from the id alone otherwise.
 //! The connection keeps the half in the id's row, and each wake — its
 //! opening say (for Bob-initiated protocols like the Gap protocol that
-//! is round 1), then one per frame routed to it by session id — lends it
-//! to the pool, whose first idle worker runs one step, after which it
-//! comes back with what it said for the connection to queue. When a session's Bob half
-//! finishes, the server reports `DONE` with
-//! [`STATUS_OK`](crate::codec::STATUS_OK); a protocol error is reported
-//! with [`STATUS_SESSION_ERROR`](crate::codec::STATUS_SESSION_ERROR) and
-//! the session dropped, leaving every other session — on this connection
+//! is round 1), then one per frame routed to it by session id — runs
+//! one step on the reactor, which queues what it said before it reads
+//! the next record. When a session's Bob half finishes, the server
+//! reports `DONE` with [`STATUS_OK`](crate::codec::STATUS_OK); a
+//! protocol error is reported with
+//! [`STATUS_SESSION_ERROR`](crate::codec::STATUS_SESSION_ERROR) and the
+//! session dropped, leaving every other session — on this connection
 //! and every other — untouched. An id the factory does not know, and a
 //! `FRAME` for an id that was never opened, get
 //! [`STATUS_UNKNOWN_SESSION`](crate::codec::STATUS_UNKNOWN_SESSION).
@@ -24,17 +24,18 @@
 //! [`ContinuousParty`](rsr_core::continuous::ContinuousParty) that
 //! stays on the connection across rounds. A round is one `FRAME` each
 //! way: the client's delta runs a one-round Bob over the party on the
-//! reactor thread — rounds never leave it for a shard — and the round's
-//! reply frame is queued before the next record is read; the reply is
-//! the ack, no `DONE` follows. A failed round is answered `DONE(1)` and
-//! leaves the party resident, rolled back, for a retry. The id stays
+//! reactor thread, and the round's reply frame is queued before the
+//! next record is read; the reply is the ack, no `DONE` follows. A
+//! failed round is answered `DONE(1)` and leaves the party resident,
+//! rolled back, for a retry. The id stays
 //! live until the client sends `DONE` or closes the connection.
 //!
-//! [`ReconServer::serve`] and [`ReconServer::serve_one`] run a single
-//! reactor thread for every connection at once: sockets are
-//! nonblocking, readiness comes from `netpoll`, and all one-shot
-//! sessions share one `shards`-wide pool — the process runs
-//! `1 + shards` threads no matter how many connections are live. A
+//! [`ReconServer::serve`] runs R reactor threads, the caller's among
+//! them ([`ReconServer::with_shards`]); [`ReconServer::serve_one`] runs
+//! one reactor on the caller's thread. Sockets are nonblocking and
+//! readiness comes from `netpoll`. The reactors share the listener: a
+//! free reactor takes the next connection and keeps it for its life, so
+//! the server runs R threads no matter how many connections are live. A
 //! connection that goes silent past the idle deadline is torn down
 //! instead of leaking state forever; see
 //! [`ReconServer::with_idle_timeout`].
@@ -46,32 +47,33 @@
 //! for the full scheduling story.
 
 use crate::codec::{NetError, SessionSpec};
-use crate::reactor::{run_server_reactor, DEFAULT_IDLE_TIMEOUT};
+use crate::reactor::{run_server_reactor, BUDGET_RECHECK, DEFAULT_IDLE_TIMEOUT};
 use rsr_core::continuous::SharedParty;
 use rsr_core::transcript::Transcript;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// A [`rsr_core::session::Session`] with its error type erased to
-/// `String` and a `Send` bound so it can run on an executor shard —
-/// one server holds sessions of different protocols behind one object
-/// type. This is `rsr-core`'s [`rsr_core::executor::DynSession`],
-/// re-exported under the name the transport layer has always used;
-/// it stays blanket-implemented for every sendable `Session` whose
-/// error displays.
+/// `String` and a `Send` bound, so one server holds sessions of
+/// different protocols behind one object type on any of its reactors.
+/// This is `rsr-core`'s [`rsr_core::executor::DynSession`], re-exported
+/// under the name the transport layer has always used; it stays
+/// blanket-implemented for every sendable `Session` whose error
+/// displays.
 pub use rsr_core::executor::DynSession as NetSession;
 
 /// Cap on [`default_shards`]: session concurrency rarely benefits from
-/// more workers than this, and an unbounded default would spawn a
+/// more reactors than this, and an unbounded default would spawn a
 /// thread per hardware thread on large hosts.
 pub const MAX_DEFAULT_SHARDS: usize = 8;
 
-/// The default worker-shard count on both endpoints: available
-/// parallelism, capped at [`MAX_DEFAULT_SHARDS`], at least 1. This is a
-/// **per-process** pool, not per-connection: an endpoint runs
-/// `1 + shards` threads no matter how many connections are live.
+/// The default reactor count of a [`ReconServer`]: available
+/// parallelism, capped at [`MAX_DEFAULT_SHARDS`], at least 1. It is per
+/// server, not per connection: the server runs this many threads no
+/// matter how many connections are live.
 pub fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -165,19 +167,18 @@ impl ConnectionReport {
     }
 }
 
-/// A listening reconciliation server: one [`SessionFactory`] and one
-/// shared `shards`-wide executor serving every connection from a single
-/// reactor thread.
+/// A listening reconciliation server: one [`SessionFactory`] serving
+/// every connection from R reactor threads.
 pub struct ReconServer<F: SessionFactory> {
     listener: TcpListener,
     factory: Arc<F>,
-    shards: usize,
+    reactors: usize,
     idle_timeout: Option<Duration>,
 }
 
 impl<F: SessionFactory> ReconServer<F> {
     /// Binds `addr` (use port 0 for an ephemeral port). Connections are
-    /// driven with [`default_shards`] worker shards unless
+    /// served by [`default_shards`] reactors unless
     /// [`ReconServer::with_shards`] overrides it, and torn down after
     /// 30 s of wire silence unless [`ReconServer::with_idle_timeout`]
     /// says otherwise.
@@ -185,15 +186,15 @@ impl<F: SessionFactory> ReconServer<F> {
         Ok(ReconServer {
             listener: TcpListener::bind(addr)?,
             factory,
-            shards: default_shards(),
+            reactors: default_shards(),
             idle_timeout: Some(DEFAULT_IDLE_TIMEOUT),
         })
     }
 
-    /// Sets the executor worker-shard count shared by every connection.
-    pub fn with_shards(mut self, shards: usize) -> ReconServer<F> {
-        assert!(shards >= 1, "the executor needs at least one shard");
-        self.shards = shards;
+    /// Sets the number of reactor threads [`ReconServer::serve`] runs.
+    pub fn with_shards(mut self, reactors: usize) -> ReconServer<F> {
+        assert!(reactors >= 1, "a server needs at least one reactor");
+        self.reactors = reactors;
         self
     }
 
@@ -207,57 +208,68 @@ impl<F: SessionFactory> ReconServer<F> {
         self
     }
 
-    /// The configured worker-shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The configured idle deadline.
-    pub fn idle_timeout(&self) -> Option<Duration> {
-        self.idle_timeout
-    }
-
     /// The bound address — needed after binding port 0.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
-    /// Accepts one connection and serves it to completion on the calling
-    /// thread (the executor's shard workers still run alongside).
-    /// Returns the per-connection accounting; `Err` only for
-    /// transport-level failures (the connection is then dead), never for
-    /// per-session protocol errors.
+    /// Accepts one connection and serves it to completion on one reactor
+    /// on the calling thread. Returns the per-connection accounting;
+    /// `Err` only for transport-level failures (the connection is then
+    /// dead), never for per-session protocol errors.
     pub fn serve_one(&self) -> Result<ConnectionReport, NetError> {
+        self.listener.set_nonblocking(true)?;
         let mut outcome = None;
-        self.run(Some(1), &mut |res| outcome = Some(res))?;
-        outcome.expect("the reactor reports its one connection before it returns")
-    }
-
-    /// Accept loop: every connection multiplexed onto this one reactor
-    /// thread and the shared executor, at most `max_conns` connections
-    /// (`None` = until the listener fails). Thread count stays at
-    /// `1 + shards` regardless of how many connections are accepted.
-    /// Connection reports are discarded here — use
-    /// [`ReconServer::serve_one`] when the caller wants them.
-    pub fn serve(&self, max_conns: Option<usize>) -> io::Result<()> {
-        self.run(max_conns, &mut |_res| {}).map_err(|e| match e {
-            NetError::Io(e) => e,
-            other => io::Error::other(other),
-        })
-    }
-
-    fn run(
-        &self,
-        max_conns: Option<usize>,
-        sink: &mut dyn FnMut(Result<ConnectionReport, NetError>),
-    ) -> Result<(), NetError> {
         run_server_reactor(
             &*self.factory,
             &self.listener,
-            self.shards,
+            &AtomicUsize::new(1),
+            None,
             self.idle_timeout,
-            max_conns,
-            sink,
-        )
+            &mut |res| outcome = Some(res),
+        )?;
+        outcome.expect("the reactor reports its one connection before it returns")
+    }
+
+    /// Accept loop over R reactor threads, the calling thread one of
+    /// them: at most `max_conns` connections (`None` = until the
+    /// listener fails), each served by the free reactor that accepted
+    /// it. A reactor with nothing left to accept or serve waits for the
+    /// others, so the thread count stays R for the whole call.
+    /// Connection reports are discarded here — use
+    /// [`ReconServer::serve_one`] when the caller wants them.
+    pub fn serve(&self, max_conns: Option<usize>) -> io::Result<()> {
+        self.listener.set_nonblocking(true)?;
+        let budget = AtomicUsize::new(max_conns.unwrap_or(usize::MAX));
+        let all_done = Barrier::new(self.reactors);
+        let recheck = (self.reactors > 1).then_some(BUDGET_RECHECK);
+        let reactor = || {
+            let served = run_server_reactor(
+                &*self.factory,
+                &self.listener,
+                &budget,
+                recheck,
+                self.idle_timeout,
+                &mut |_res| {},
+            );
+            if served.is_err() {
+                // A failed listener or poll: no reactor accepts again.
+                budget.store(0, Ordering::Relaxed);
+            }
+            all_done.wait();
+            served
+        };
+        let served = std::thread::scope(|s| {
+            let others: Vec<_> = (1..self.reactors).map(|_| s.spawn(reactor)).collect();
+            let mine = reactor();
+            others
+                .into_iter()
+                .map(|other| other.join().expect("a reactor panicked"))
+                .fold(mine, Result::and)
+        });
+        served.map_err(|e| match e {
+            NetError::Io(e) => e,
+            other => io::Error::other(other),
+        })
     }
 }

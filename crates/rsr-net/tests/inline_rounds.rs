@@ -1,7 +1,7 @@
 //! Continuous rounds run on the thread that reads their record, at both
-//! endpoints, and never enter the session executor. Its own binary: the
-//! metrics registry is process-wide, and no other test may record into
-//! it.
+//! endpoints, and each round is exactly one frame each way. Its own
+//! binary: the metrics registry is process-wide, and no other test may
+//! record into it.
 
 mod support;
 
@@ -9,18 +9,13 @@ mod support;
 const ROUNDS: u32 = 200;
 
 #[test]
-fn continuous_rounds_bypass_the_executor_and_keep_their_counters() {
+fn continuous_rounds_keep_their_counters() {
     rsr_obs::set_enabled(true);
     let before = rsr_obs::global().snapshot();
     support::run_rounds(ROUNDS);
     let moved = rsr_obs::global().snapshot().delta_from(&before);
     let moved = |key: &str| moved.value(key).unwrap_or(0.0);
 
-    assert_eq!(
-        moved("exec_sessions_submitted"),
-        0.0,
-        "a round submitted a half to the executor"
-    );
     // One delta out of the client, one reply out of the server.
     let rounds = f64::from(ROUNDS + 1);
     assert_eq!(moved("session_frames_continuous"), 2.0 * rounds);

@@ -269,6 +269,40 @@ fn garbage_stream_closes_the_connection_cleanly() {
     server.join().unwrap();
 }
 
+#[test]
+fn a_frame_after_the_clients_done_is_stale() {
+    let server = ReconServer::bind("127.0.0.1:0", Arc::new(SmallFactory)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server = std::thread::spawn(move || server.serve_one());
+    let mut stream = raw_client(addr);
+    // The client abandons session 2, then a late FRAME for it arrives in
+    // the same write. The close is immediate, so the FRAME finds no half
+    // and must not finish the session or earn it a DONE.
+    let mut bytes = open_record(2);
+    bytes.extend(encoded(&Record::Done {
+        session: 2,
+        status: STATUS_OK,
+        message: String::new(),
+    }));
+    bytes.extend(encoded(&Record::Frame {
+        session: 2,
+        frame: good_frame(),
+    }));
+    stream.write_all(&bytes).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+
+    let mut replies = Vec::new();
+    while let Some((record, _)) = read_record(&mut stream).expect("replies decode") {
+        replies.push(record);
+    }
+    assert!(replies.is_empty(), "replies: {replies:?}");
+    let report = server.join().unwrap().expect("an orderly close");
+    let summary = &report.sessions[0];
+    assert_eq!(summary.id, 2);
+    assert_eq!(summary.transcript.num_messages(), 0);
+    assert_eq!(summary.error.as_deref(), Some("abandoned by client"));
+}
+
 // --------------------------------------------------------------- client
 
 /// Sends one frame and is done; [`good_frame`] is the one each
@@ -874,7 +908,6 @@ fn a_delta_with_the_wrong_index_fails_its_round_only() {
 fn a_round_over_its_churn_bound_fails_and_its_retry_settles() {
     let (addr, server) = spawn_resident_server();
     let mut driver = Driver::new(addr)
-        .shards(1)
         .idle_timeout(Some(Duration::from_secs(10)))
         .connect()
         .unwrap();
@@ -1117,11 +1150,11 @@ fn a_hostile_gap_request_fails_its_session_only() {
     assert_eq!(report.sessions.len(), 3);
 }
 
-// ------------------------------------------------- frames held for a lent half
+// ---------------------------------------------- frames for a stepping half
 
 /// Echoes each of three frames back under its own label; naps inside
-/// `on_frame` so the half is still lent to the pool when the client's
-/// next record arrives.
+/// `on_frame` so the client's next records have arrived before the
+/// reactor finishes the step.
 struct Napper {
     got: usize,
     echo: Option<Frame>,
@@ -1173,11 +1206,11 @@ fn labelled(label: &'static str) -> Frame {
 }
 
 #[test]
-fn frames_for_a_lent_half_are_applied_in_arrival_order() {
+fn frames_for_a_napping_half_are_applied_in_arrival_order() {
     let (addr, server) = spawn_nap_server();
     let mut stream = raw_client(addr);
-    // One write: the later FRAMEs are read while the first wake still
-    // has the half on a worker, and wait for it in order.
+    // One write: the later FRAMEs arrive while the first wake still
+    // naps, and the reactor applies them in order after it.
     let mut bytes = open_record(4);
     for label in ["first", "second", "third"] {
         bytes.extend(encoded(&Record::Frame {
@@ -1201,7 +1234,7 @@ fn frames_for_a_lent_half_are_applied_in_arrival_order() {
 }
 
 #[test]
-fn a_half_lent_when_the_client_leaves_is_dropped_when_it_returns() {
+fn a_half_stepping_when_the_client_leaves_is_dropped_after_its_step() {
     for (abandon, reason) in [
         (true, "abandoned by client"),
         (false, "connection closed mid-session"),

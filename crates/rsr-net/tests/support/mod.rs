@@ -93,7 +93,6 @@ pub fn run_rounds(rounds: u32) {
     let addr = server.local_addr().unwrap();
     let server = std::thread::spawn(move || server.serve_one());
     let mut driver = Driver::new(addr)
-        .shards(1)
         .idle_timeout(Some(Duration::from_secs(10)))
         .connect()
         .unwrap();

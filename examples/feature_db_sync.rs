@@ -5,7 +5,9 @@
 //! One node's copies went through a lossy re-compression (small coordinate
 //! noise), and a few entries were replaced entirely. We reconcile with
 //! the paper's interval-scaled EMD protocol (Corollary 3.6) and compare
-//! its bits and final EMD with sending the whole set.
+//! its bits and final EMD with sending the whole set. At this size
+//! (d = 2, n = 400) sending the set is the cheaper choice; the example
+//! prints by how much.
 //!
 //! Run with: `cargo run --release --example feature_db_sync`
 
@@ -24,28 +26,32 @@ fn main() {
     let floor = emd_k(space.metric(), &w.alice, &w.bob, k);
     println!("initial EMD = {before:.1}, EMD_k floor = {floor:.1}\n");
 
-    // (a) Paper protocol (Corollary 3.6).
+    // (a) Naive full transfer reference.
+    let naive_bits = n as u64 * space.universe().point_wire_bits();
+
+    // (b) Paper protocol (Corollary 3.6).
     let ours = ScaledEmdProtocol::new(space, n, k, 99);
     let msg = ours.alice_encode(&w.alice);
     match ours.bob_decode(&msg, &w.bob) {
         Ok(out) => {
             let after = emd(space.metric(), &w.alice, &out.inner.reconciled);
             println!(
-                "LSH+RIBLT (ours)  : {:>9} bits, EMD after = {after:.1} (interval {} of {})",
+                "LSH+RIBLT (ours)  : {:>9} bits ({:.0}x the naive transfer), EMD after = {after:.1} \
+                 (interval {} of {})",
                 out.total_bits,
+                out.total_bits as f64 / naive_bits as f64,
                 out.interval,
                 ours.num_intervals()
             );
         }
         Err(e) => println!("LSH+RIBLT (ours)  : failed ({e})"),
     }
-
-    // (b) Naive full transfer reference.
-    let naive_bits = n as u64 * space.universe().point_wire_bits();
     println!("naive transfer    : {naive_bits:>9} bits, EMD after = 0.0");
     println!(
-        "\n(the paper's win is the approximation *guarantee*: O(log n) \
-         independent of dimension, vs O(d) for Chen et al.'s quadtree — \
-         its last recorded d-sweep is T6 in docs/architecture.md)"
+        "\nAt d = {} and n = {n}, sending the whole set is cheaper, and exact. \
+         The sketch's case is high dimension, where its EMD guarantee stays \
+         O(log n) while a quadtree's grows as O(d): see T6 in \
+         docs/architecture.md.",
+        space.dim()
     );
 }

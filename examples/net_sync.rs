@@ -15,12 +15,14 @@
 //! cargo run --release --example net_sync -- --connect 127.0.0.1:7171
 //! ```
 //!
-//! `--serve` without `--once` keeps accepting connections — one reactor
-//! thread and one executor however many connections arrive — until
-//! killed. `--sessions N` and `--trace-seed S` must match on both
+//! `--serve` without `--once` keeps accepting connections — `--shards N`
+//! reactor threads however many connections arrive — until killed; the
+//! client runs every connection on its own one thread and ignores
+//! `--shards`. `--sessions N` and `--trace-seed S` must match on both
 //! sides. `--conns C` on the client spreads the batch round-robin over
-//! C connections into that same reactor (pair it with `--conns C` on a
-//! `--serve --once` server so it exits after serving all C).
+//! C connections, which the server's free reactors take as they arrive
+//! (pair it with `--conns C` on a `--serve --once` server so it exits
+//! after serving all C).
 //!
 //! `--rounds R` switches the client to **continuous** mode: it opens
 //! one long-lived session (`--sessions` becomes the shared base-set
@@ -121,11 +123,10 @@ fn build_factory(sessions: usize, trace_seed: u64) -> InstanceFactory {
 
 /// Connects the driver pool, retrying briefly — the server may still be
 /// starting when CI launches both sides back to back.
-fn connect_driver(addr: &str, conns: usize, shards: usize) -> ConnectedDriver {
+fn connect_driver(addr: &str, conns: usize) -> ConnectedDriver {
     for _ in 0..40 {
         let attempt = Driver::new(addr)
             .conns(conns)
-            .shards(shards)
             .idle_timeout(Some(Duration::from_secs(60)))
             .connect();
         match attempt {
@@ -149,11 +150,11 @@ fn main() {
             })
             .with_shards(args.shards);
         println!(
-            "serving {} bob sessions (trace seed {:#x}) on {addr} across {} executor shards",
+            "serving {} bob sessions (trace seed {:#x}) on {addr} with {} reactors",
             args.sessions, args.trace_seed, args.shards
         );
         if args.once && args.conns > 1 {
-            // All the connections share this one reactor and executor;
+            // The connections spread over the reactors;
             // per-connection outcomes are validated on the client side.
             server.serve(Some(args.conns)).unwrap_or_else(|e| {
                 eprintln!("net_sync: accept loop failed: {e}");
@@ -197,10 +198,10 @@ fn main() {
     }
 
     let factory = build_factory(args.sessions, args.trace_seed);
-    let mut driver = connect_driver(&addr, args.conns, args.shards);
+    let mut driver = connect_driver(&addr, args.conns);
     let t0 = Instant::now();
-    // Session i rides connection i % conns; one reactor drives all the
-    // connections and one executor drives all the sessions.
+    // Session i rides connection i % conns; one reactor on this thread
+    // drives all the connections and steps all the sessions.
     let batches: Vec<Vec<SessionPlan<'_>>> = (0..args.conns)
         .map(|c| {
             factory
@@ -275,7 +276,7 @@ fn run_continuous(addr: &str, args: &Args) {
     let party = shared(continuous_party_of(&spec));
     let trace = sample_churn(&churn, args.rounds, args.trace_seed);
 
-    let mut driver = connect_driver(addr, 1, args.shards);
+    let mut driver = connect_driver(addr, 1);
     let t0 = Instant::now();
     let mut expected = {
         let p = party.lock().expect("party lock");
